@@ -36,25 +36,51 @@ let bench_merge_rule =
         ignore (Gg_crdt.Merge.merge_header header ~meta)
       done)
 
+(* One YCSB-style write set: 10 updated rows of 11 columns. *)
+let ycsb_ws =
+  Gg_crdt.Writeset.make
+    ~meta:(Gg_crdt.Meta.make ~sen:1 ~cen:2 ~csn:(Gg_storage.Csn.make ~ts:3 ~node:1))
+    ~records:
+      (List.init 10 (fun i ->
+           Gg_crdt.Writeset.make_record ~table:"usertable"
+             ~key:[| Gg_storage.Value.Int i |] ~op:Gg_crdt.Writeset.Update
+             ~data:
+               (Array.init 11 (fun c ->
+                    if c = 0 then Gg_storage.Value.Int i
+                    else Gg_storage.Value.Str "abcdefghijklmnop"))
+             ()))
+    ()
+
 let bench_writeset_codec =
-  let ws =
-    Gg_crdt.Writeset.make
-      ~meta:(Gg_crdt.Meta.make ~sen:1 ~cen:2 ~csn:(Gg_storage.Csn.make ~ts:3 ~node:1))
-      ~records:
-        (List.init 10 (fun i ->
-             Gg_crdt.Writeset.make_record ~table:"usertable"
-               ~key:[| Gg_storage.Value.Int i |] ~op:Gg_crdt.Writeset.Update
-               ~data:
-                 (Array.init 11 (fun c ->
-                      if c = 0 then Gg_storage.Value.Int i
-                      else Gg_storage.Value.Str "abcdefghijklmnop"))
-               ()))
-      ()
-  in
-  let batch = Gg_crdt.Writeset.Batch.make ~node:0 ~cen:2 ~txns:[ ws ] ~eof:true () in
   bench "write-set batch encode+gzip+decode" (fun () ->
+      (* a fresh batch per run: [to_wire] memoizes on the batch *)
+      let batch =
+        Gg_crdt.Writeset.Batch.make ~node:0 ~cen:2 ~txns:[ ycsb_ws ] ~eof:true ()
+      in
       let wire = Gg_crdt.Writeset.Batch.to_wire batch in
       ignore (Gg_crdt.Writeset.Batch.of_wire wire))
+
+(* The uncompressed frame [Writeset.Batch.to_wire] hands to the
+   compressor: node, cen, eof, count, then each write set. *)
+let frame_payload txns =
+  let enc = Gg_util.Codec.Enc.create () in
+  Gg_util.Codec.Enc.varint enc 0;
+  Gg_util.Codec.Enc.varint enc 2;
+  Gg_util.Codec.Enc.bool enc true;
+  Gg_util.Codec.Enc.varint enc (List.length txns);
+  Gg_util.Codec.Enc.varint enc (List.length txns);
+  List.iter (Gg_crdt.Writeset.encode enc) txns;
+  Gg_util.Codec.Enc.to_bytes enc
+
+let bench_compress_eof =
+  let payload = frame_payload [] in
+  bench "compress (empty EOF frame)" (fun () ->
+      ignore (Gg_util.Compress.compress payload))
+
+let bench_compress_ycsb =
+  let payload = frame_payload [ ycsb_ws ] in
+  bench "compress (10-record YCSB write-set frame)" (fun () ->
+      ignore (Gg_util.Compress.compress payload))
 
 let bench_zipf =
   let z = Gg_util.Zipf.create ~theta:0.8 ~n:1_000_000 in
@@ -117,7 +143,8 @@ let run_micro () =
   let open Bechamel in
   let benchmarks =
     [
-      bench_merge_rule; bench_writeset_codec; bench_zipf; bench_event_queue;
+      bench_merge_rule; bench_writeset_codec; bench_compress_eof;
+      bench_compress_ycsb; bench_zipf; bench_event_queue;
       bench_sql_parse; bench_op_exec; bench_db_digest_cold;
       bench_db_digest_cached;
     ]

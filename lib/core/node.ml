@@ -592,23 +592,6 @@ let seal_epoch t e =
           ~count:(List.length txns) ~span:bspan ()
       else batch
     in
-    (* Encode+compress of a large outgoing batch is the other hot kernel
-       of the epoch boundary: shard the per-transaction encodes across
-       the merge domains when the batch is big enough to pay for the
-       spawns. [to_wire_par] is byte-identical to [to_wire] at any
-       width, so the wire size (and every simulated byte count) never
-       depends on it. *)
-    let enc_jobs = Epoch_merge.resolve_jobs t.env.params in
-    (if enc_jobs > 1 then
-       let batch_records =
-         List.fold_left
-           (fun n (ws : Writeset.t) -> n + List.length ws.Writeset.records)
-           0 wire_batch.Writeset.Batch.txns
-       in
-       if batch_records >= max 1 t.env.params.Params.merge_par_threshold then
-         ignore
-           (Writeset.Batch.to_wire_par ~jobs:(Epoch_merge.clamp_jobs enc_jobs)
-              wire_batch));
     let bytes = Writeset.Batch.wire_size wire_batch in
     if Obs.tracing t.obs then begin
       Obs.emit t.obs ~node:t.id ~epoch:e ~span:bspan ~cat:"epoch" "seal"

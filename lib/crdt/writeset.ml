@@ -161,10 +161,9 @@ module Batch = struct
      on a Domain pool, and each task resets then reads the counter for
      the whole simulation it owns. A shared ref would mix concurrent
      scenarios' counts (and race). *)
-  let encodes = Gg_par.Pool.Local_counter.create ()
-  let encode_count () = Gg_par.Pool.Local_counter.get encodes
-  let reset_encode_count () = Gg_par.Pool.Local_counter.reset encodes
-  let count_encode () = Gg_par.Pool.Local_counter.incr encodes
+  let encodes = Gg_par.Pool.Local.create (fun () -> ref 0)
+  let encode_count () = !(Gg_par.Pool.Local.get encodes)
+  let reset_encode_count () = Gg_par.Pool.Local.get encodes := 0
 
   let make ~node ~cen ~txns ~eof ?count ?(span = 0) () =
     {
@@ -185,44 +184,28 @@ module Batch = struct
      present, span 0 meaning "untraced". *)
   let span_header_bytes = 8
 
-  (* Parallel encode produces the exact sequential byte stream: the
-     transaction list is split into contiguous chunks, each chunk is
-     encoded into its own buffer on its own domain, and the buffers are
-     concatenated in chunk order — the same bytes a left-to-right pass
-     writes. Compression stays single-stream over the concatenation, so
-     the compressed wire form (and thus every simulated byte count
-     derived from it) is unchanged at any [jobs]. *)
-  let encode_wire ~jobs t =
-    count_encode ();
+  let encode_wire t =
+    incr (Gg_par.Pool.Local.get encodes);
     let enc = Enc.create () in
     Enc.varint enc t.node;
     Enc.varint enc t.cen;
     Enc.bool enc t.eof;
     Enc.varint enc t.count;
     Enc.varint enc (List.length t.txns);
-    if jobs <= 1 then List.iter (encode enc) t.txns
-    else
-      Gg_par.Pool.map_chunks ~jobs t.txns ~f:(fun chunk ->
-          let e = Enc.create () in
-          List.iter (encode e) chunk;
-          Enc.to_bytes e)
-      |> List.iter (fun b -> Enc.raw enc (Bytes.unsafe_to_string b));
+    List.iter (encode enc) t.txns;
     let payload = Gg_util.Compress.compress (Enc.to_bytes enc) in
     let out = Bytes.create (span_header_bytes + Bytes.length payload) in
     Bytes.set_int64_le out 0 (Int64.of_int t.span);
     Bytes.blit payload 0 out span_header_bytes (Bytes.length payload);
     out
 
-  let to_wire_jobs ~jobs t =
+  let to_wire t =
     match t.wire with
     | Some bytes -> bytes
     | None ->
-      let bytes = encode_wire ~jobs t in
+      let bytes = encode_wire t in
       t.wire <- Some bytes;
       bytes
-
-  let to_wire t = to_wire_jobs ~jobs:1 t
-  let to_wire_par ~jobs t = to_wire_jobs ~jobs t
 
   let of_wire bytes =
     if Bytes.length bytes < span_header_bytes then

@@ -126,13 +126,6 @@ module Batch : sig
       gzip). Memoized: the first call pays encode+compress, later calls
       (and {!wire_size}) return the cached bytes. *)
 
-  val to_wire_par : jobs:int -> t -> bytes
-  (** Like {!to_wire} but encodes the transactions in [jobs] contiguous
-      chunks on as many domains ({!Gg_par.Pool.map_chunks}); the chunk
-      buffers are concatenated in order and compressed single-stream, so
-      the result is byte-identical to {!to_wire} at any [jobs]. Same
-      cache; the encode counter bumps once either way. *)
-
   val of_wire : bytes -> t
   (** Raises [Invalid_argument] on corrupt input. The decoded batch
       retains [bytes] as its cached wire form. *)

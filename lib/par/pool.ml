@@ -194,27 +194,9 @@ let map_shards ~jobs ~key xs ~f =
     Array.to_list (join_all tasks)
   end
 
-let map_chunks ~jobs xs ~f =
-  let jobs = max 1 jobs in
-  if jobs = 1 then [ f xs ]
-  else begin
-    let arr = Array.of_list xs in
-    let n = Array.length arr in
-    let k = max 1 (min jobs n) in
-    let tasks =
-      Array.init k (fun i ->
-          let lo = i * n / k and hi = (i + 1) * n / k in
-          let chunk = Array.to_list (Array.sub arr lo (hi - lo)) in
-          fun () -> f chunk)
-    in
-    Array.to_list (join_all tasks)
-  end
+module Local = struct
+  type 'a t = 'a Domain.DLS.key
 
-module Local_counter = struct
-  type t = int ref Domain.DLS.key
-
-  let create () = Domain.DLS.new_key (fun () -> ref 0)
-  let incr t = incr (Domain.DLS.get t)
-  let get t = !(Domain.DLS.get t)
-  let reset t = Domain.DLS.get t := 0
+  let create init = Domain.DLS.new_key init
+  let get = Domain.DLS.get
 end

@@ -56,11 +56,11 @@ val with_pool : jobs:int -> (t -> 'a) -> 'a
 
 (** {1 Sharded fan-out inside one shared computation}
 
-    The pool above fans out {e independent} simulations; the helpers
-    below parallelise {e one} computation over shared mutable state
-    (the intra-node merge). They spawn [jobs - 1] fresh domains per
-    call, run part 0 on the calling domain, and join all domains before
-    returning — so they are safe to call from inside a pool task (no
+    The pool above fans out {e independent} simulations; the helper
+    below parallelises {e one} computation over shared mutable state
+    (the intra-node merge). It spawns [jobs - 1] fresh domains per
+    call, runs part 0 on the calling domain, and joins all domains
+    before returning — so it is safe to call from inside a pool task (no
     shared queue to deadlock on) and nothing outlives the call. *)
 
 val map_shards :
@@ -80,23 +80,19 @@ val map_shards :
     structure is sharded (e.g. {!val:key} = the [Table] temp-shard hash
     when temp entries are created). *)
 
-val map_chunks : jobs:int -> 'a list -> f:('a list -> 'b) -> 'b list
-(** [map_chunks ~jobs xs ~f] splits [xs] into at most [jobs] contiguous
-    chunks (order-preserving, sizes within one of each other), runs [f]
-    on each concurrently, and returns results in chunk order —
-    concatenating them reproduces a sequential left-to-right pass. *)
+(** Domain-local values: the sanctioned form of cross-call state in
+    [lib/] (a plain global [ref] would race and mix state across
+    concurrent pool tasks). Each domain lazily builds its own value on
+    first {!get}; a task that resets then reads it sees only its own
+    domain's work. Used for the bench encode counter and the
+    compressor's reusable match table. *)
+module Local : sig
+  type 'a t
 
-(** Domain-local counters: the sanctioned form of cross-call counting
-    state in [lib/] (a plain global [ref] would race and mix counts
-    across concurrent pool tasks). Each domain sees its own counter;
-    reset and read from the same task. *)
-module Local_counter : sig
-  type t
+  val create : (unit -> 'a) -> 'a t
+  (** Create the key (itself immutable; safe at module level). The
+      initialiser runs once per domain, on that domain's first {!get}. *)
 
-  val create : unit -> t
-  (** Create the key (itself immutable; safe at module level). *)
-
-  val incr : t -> unit
-  val get : t -> int
-  val reset : t -> unit
+  val get : 'a t -> 'a
+  (** The calling domain's value. *)
 end

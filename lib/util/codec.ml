@@ -2,6 +2,7 @@ module Enc = struct
   type t = Buffer.t
 
   let create () = Buffer.create 256
+  let clear = Buffer.clear
   let length = Buffer.length
   let to_bytes t = Buffer.to_bytes t
   let byte t v = Buffer.add_char t (Char.chr (v land 0xFF))

@@ -8,6 +8,11 @@ module Enc : sig
   type t
 
   val create : unit -> t
+
+  val clear : t -> unit
+  (** Empty the encoder but keep its storage, so a reused encoder stops
+      growing once it has held its largest stream. *)
+
   val length : t -> int
   val to_bytes : t -> bytes
   val byte : t -> int -> unit

@@ -525,6 +525,18 @@ let test_batch_corrupt_rejected () =
        false
      with Invalid_argument _ -> true)
 
+let test_batch_forged_length_dropped () =
+  (* A frame claiming a 2^56-byte payload: the decoder must reject the
+     prefix before allocating for it, so the frame is dropped instead of
+     escaping as [Out_of_memory]. *)
+  let enc = Gg_util.Codec.Enc.create () in
+  Gg_util.Codec.Enc.raw enc (String.make 8 '\000') (* untraced span header *);
+  Gg_util.Codec.Enc.varint enc (1 lsl 56);
+  Gg_util.Codec.Enc.raw enc "\000x\000y";
+  Alcotest.(check bool) "forged prefix decodes to None" true
+    (Option.is_none
+       (Writeset.Batch.of_wire_opt (Gg_util.Codec.Enc.to_bytes enc)))
+
 (* --- Column-level lattice (DESIGN.md §13) --- *)
 
 (* Value derived from the full meta, so equal metas carry equal values
@@ -769,6 +781,8 @@ let () =
           Alcotest.test_case "wire_size = |to_wire|" `Quick test_wire_size_matches_wire;
           Alcotest.test_case "wire cache single encode" `Quick test_wire_cache_single_encode;
           Alcotest.test_case "corrupt rejected" `Quick test_batch_corrupt_rejected;
+          Alcotest.test_case "forged length prefix dropped" `Quick
+            test_batch_forged_length_dropped;
         ] );
       ( "column",
         [

@@ -12,7 +12,8 @@
    - module-level mutable state ([ref]/[Hashtbl.create]/... at
      structure level): shared across concurrent pool tasks, it breaks
      run-to-run isolation. Per-domain state must go through
-     [Gg_par.Pool.Local_counter] ([Writeset.Batch]'s encode counter);
+     [Gg_par.Pool.Local] ([Writeset.Batch]'s encode counter and
+     [Compress]'s reusable match table);
    - raw [Domain.spawn]/[Domain.DLS] (any [Domain.] use) outside
      lib/par: all parallelism must flow through the deterministic pool
      and shard helpers, whose submission/shard-order reduction is what
@@ -127,19 +128,27 @@ let test_no_hazards () =
         ("determinism hazards in lib/:\n" ^ String.concat "\n" findings)
 
 let test_dls_is_sanctioned () =
-  (* The one piece of cross-call state lib/ keeps — the bench encode
-     counter — must stay domain-local, and reach Domain.DLS only
-     through the pool's Local_counter (the `Domain.` ban above already
-     guarantees the "only through" half for all of lib/). *)
+  (* The cross-call state lib/ keeps — the bench encode counter and the
+     compressor's match-table scratch — must stay domain-local, and
+     reach Domain.DLS only through the pool's one wrapper, Pool.Local
+     (the `Domain.` ban above already guarantees the "only through"
+     half for all of lib/). *)
   match src_root () with
   | None -> Alcotest.fail "cannot locate lib/ sources from test cwd"
   | Some root ->
-    let ws = read_lines (Filename.concat root "crdt/writeset.ml") in
-    Alcotest.(check bool) "encode counter uses Pool.Local_counter" true
-      (List.exists (fun l -> contains l "Local_counter") ws);
+    List.iter
+      (fun (file, what) ->
+        let src = read_lines (Filename.concat root file) in
+        Alcotest.(check bool) (what ^ " uses Pool.Local") true
+          (List.exists (fun l -> contains l "Gg_par.Pool.Local.create") src))
+      [ ("crdt/writeset.ml", "encode counter");
+        ("util/compress.ml", "compressor scratch") ];
     let pool = read_lines (Filename.concat root "par/pool.ml") in
-    Alcotest.(check bool) "Local_counter is DLS-backed" true
-      (List.exists (fun l -> contains l "Domain.DLS.new_key") pool)
+    Alcotest.(check bool) "Pool.Local is DLS-backed" true
+      (List.exists (fun l -> contains l "Domain.DLS.new_key") pool);
+    Alcotest.(check int) "Pool.Local is the one DLS key maker" 1
+      (List.length
+         (List.filter (fun l -> contains l "Domain.DLS.new_key") pool))
 
 let test_engine_registry_is_canonical () =
   (* Engine names resolve through exactly one table —

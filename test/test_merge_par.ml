@@ -1,11 +1,11 @@
 (* Parallel intra-node merge: the byte-identity contract.
 
-   DESIGN.md §10: sharding the ACI merge and the batch encode across
-   domains must be invisible in every output — database digests, the
-   per-transaction commit/abort decisions and abort reasons, wire bytes,
-   chaos-checker verdicts. These tests pin that contract at every layer:
-   pool shard helpers, wire encoding, the extracted merge kernel, full
-   cluster workloads (YCSB-style churn and TPC-C), and a checker sweep. *)
+   DESIGN.md §10: sharding the ACI merge across domains must be
+   invisible in every output — database digests, the per-transaction
+   commit/abort decisions and abort reasons, wire bytes, chaos-checker
+   verdicts. These tests pin that contract at every layer: the pool
+   shard helper, the extracted merge kernel, full cluster workloads
+   (YCSB-style churn and TPC-C), and a checker sweep. *)
 
 open Geogauss
 module Value = Gg_storage.Value
@@ -63,15 +63,6 @@ let test_map_shards_exception () =
   with
   | _ -> Alcotest.fail "expected exception"
   | exception Failure m -> Alcotest.(check string) "lowest shard wins" "2" m
-
-let test_map_chunks_concat_order () =
-  let xs = List.init 37 (fun i -> i * 3) in
-  let seq = Pool.map_chunks ~jobs:1 xs ~f:(fun c -> c) in
-  let par = Pool.map_chunks ~jobs:4 xs ~f:(fun c -> c) in
-  Alcotest.(check (list int)) "chunks concatenate to the input" xs
-    (List.concat par);
-  Alcotest.(check (list int)) "jobs=1 and jobs=4 concat equal"
-    (List.concat seq) (List.concat par)
 
 (* --- Table key sharding --- *)
 
@@ -134,38 +125,6 @@ let test_digest_shard_localises_changes () =
           (Printf.sprintf "shard %d untouched" s)
           before after)
     (List.combine (d t1) (d t2))
-
-(* --- Wire encoding --- *)
-
-let test_to_wire_par_bytes_identical () =
-  let txns =
-    List.init 40 (fun i ->
-        let meta =
-          Meta.make ~sen:2 ~cen:2
-            ~csn:(Gg_storage.Csn.make ~ts:(500 + i) ~node:(i mod 3))
-        in
-        let records =
-          List.init 5 (fun r ->
-              Writeset.make_record ~table:"kv"
-                ~key:[| Value.Int ((i * 5) + r) |]
-                ~op:(if r = 4 then Writeset.Insert else Writeset.Update)
-                ~data:[| Value.Int ((i * 5) + r); Value.Int i |]
-                ())
-        in
-        Writeset.make ~meta ~records ())
-  in
-  let seq =
-    Writeset.Batch.to_wire
-      (Writeset.Batch.make ~node:1 ~cen:2 ~txns ~eof:true ())
-  in
-  let par =
-    Writeset.Batch.to_wire_par ~jobs:4
-      (Writeset.Batch.make ~node:1 ~cen:2 ~txns ~eof:true ())
-  in
-  Alcotest.(check bytes) "parallel encode is byte-identical" seq par;
-  (* both decode back to the same batch shape *)
-  let b = Writeset.Batch.of_wire par in
-  Alcotest.(check int) "txn count survives" 40 (List.length b.Writeset.Batch.txns)
 
 (* --- The merge kernel --- *)
 
@@ -450,8 +409,6 @@ let () =
             test_map_shards_jobs1_single_call;
           Alcotest.test_case "map_shards lowest-shard exception" `Quick
             test_map_shards_exception;
-          Alcotest.test_case "map_chunks concat order" `Quick
-            test_map_chunks_concat_order;
         ] );
       ( "sharding",
         [
@@ -459,11 +416,6 @@ let () =
             test_key_shard_refines_temp_shards;
           Alcotest.test_case "digest_shard localises changes" `Quick
             test_digest_shard_localises_changes;
-        ] );
-      ( "wire",
-        [
-          Alcotest.test_case "to_wire_par bytes identical" `Quick
-            test_to_wire_par_bytes_identical;
         ] );
       ( "kernel",
         [

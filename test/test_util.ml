@@ -335,11 +335,19 @@ let test_compress_long_runs () =
   Alcotest.(check bytes) "roundtrip" data (Compress.decompress c)
 
 let test_compress_rejects_garbage () =
-  Alcotest.(check bool) "garbage raises" true
-    (try
-       ignore (Compress.decompress (Bytes.of_string "\x05\x07\x07\x07"));
-       false
-     with Invalid_argument _ -> true)
+  (* the second input claims 2^56 bytes from a 4-byte body: rejected
+     before any allocation is sized from the prefix *)
+  let forged = Codec.Enc.create () in
+  Codec.Enc.varint forged (1 lsl 56);
+  Codec.Enc.raw forged "\x00a\x00b";
+  List.iter
+    (fun input ->
+      Alcotest.(check bool) "garbage raises" true
+        (try
+           ignore (Compress.decompress input);
+           false
+         with Invalid_argument _ -> true))
+    [ Bytes.of_string "\x05\x07\x07\x07"; Codec.Enc.to_bytes forged ]
 
 let prop_compress_roundtrip =
   QCheck.Test.make ~name:"compress roundtrip" ~count:300 QCheck.string (fun s ->
@@ -352,6 +360,136 @@ let prop_compress_roundtrip_repetitive =
     (fun (s, k) ->
       let b = Bytes.of_string (String.concat "" (List.init k (fun _ -> s))) in
       Bytes.equal b (Compress.decompress (Compress.compress b)))
+
+(* Golden bytes: compressed sizes feed every simulated WAN byte count,
+   so the compressor's output must never drift. [Reference] is the
+   original allocate-per-call implementation, kept verbatim as the
+   oracle the scratch-reusing one is checked against. *)
+module Reference = struct
+  let min_match = 3
+  let max_match = 258
+  let window = 1 lsl 16
+  let hash_bits = 15
+  let hash_size = 1 lsl hash_bits
+
+  let hash3 data i =
+    let a = Char.code (Bytes.get data i)
+    and b = Char.code (Bytes.get data (i + 1))
+    and c = Char.code (Bytes.get data (i + 2)) in
+    ((a lsl 10) lxor (b lsl 5) lxor c) land (hash_size - 1)
+
+  let compress input =
+    let n = Bytes.length input in
+    let enc = Codec.Enc.create () in
+    Codec.Enc.varint enc n;
+    let head = Array.make hash_size (-1) in
+    let prev = Array.make (max n 1) (-1) in
+    let match_len i j =
+      let limit = min max_match (n - i) in
+      let rec go k =
+        if k < limit && Bytes.get input (i + k) = Bytes.get input (j + k) then
+          go (k + 1)
+        else k
+      in
+      go 0
+    in
+    let insert i =
+      if i + min_match <= n then begin
+        let h = hash3 input i in
+        prev.(i) <- head.(h);
+        head.(h) <- i
+      end
+    in
+    let i = ref 0 in
+    while !i < n do
+      let best_len = ref 0 and best_pos = ref (-1) in
+      if !i + min_match <= n then begin
+        let h = hash3 input !i in
+        let candidate = ref head.(h) in
+        let tries = ref 32 in
+        while !candidate >= 0 && !tries > 0 do
+          if !i - !candidate <= window then begin
+            let len = match_len !i !candidate in
+            if len > !best_len then begin
+              best_len := len;
+              best_pos := !candidate
+            end;
+            candidate := prev.(!candidate);
+            decr tries
+          end
+          else begin
+            candidate := -1 (* beyond window: chain only gets older *)
+          end
+        done
+      end;
+      if !best_len >= min_match then begin
+        Codec.Enc.byte enc 0x01;
+        Codec.Enc.varint enc !best_len;
+        Codec.Enc.varint enc (!i - !best_pos);
+        for k = !i to !i + !best_len - 1 do
+          insert k
+        done;
+        i := !i + !best_len
+      end
+      else begin
+        Codec.Enc.byte enc 0x00;
+        Codec.Enc.byte enc (Char.code (Bytes.get input !i));
+        insert !i;
+        incr i
+      end
+    done;
+    Codec.Enc.to_bytes enc
+end
+
+let same_as_reference b =
+  Bytes.equal (Reference.compress b) (Compress.compress b)
+
+let prop_compress_matches_reference =
+  QCheck.Test.make ~name:"compress bytes match reference" ~count:300
+    QCheck.string (fun s -> same_as_reference (Bytes.of_string s))
+
+let prop_compress_matches_reference_repetitive =
+  QCheck.Test.make ~name:"compress bytes match reference (repetitive)"
+    ~count:200
+    QCheck.(pair small_string (int_range 1 200))
+    (fun (s, k) ->
+      same_as_reference
+        (Bytes.of_string (String.concat "" (List.init k (fun _ -> s)))))
+
+(* Write-set-like bytes: a small alphabet with recurring runs, so long
+   hash chains and matches at many distances all occur. *)
+let corpus_bytes ~seed n =
+  let rng = Rng.create seed in
+  Bytes.init n (fun i ->
+      if i mod 64 < 16 then Char.chr (i mod 7 + 97)
+      else Char.chr (Rng.int rng 12 + 65))
+
+let test_compress_sequence_no_stale_scratch () =
+  (* Long, empty, short, long again on one domain: every call must give
+     the reference bytes, whatever the previous calls left behind. *)
+  List.iteri
+    (fun k b ->
+      Alcotest.(check bytes)
+        (Printf.sprintf "call %d (%d B)" k (Bytes.length b))
+        (Reference.compress b) (Compress.compress b))
+    [
+      corpus_bytes ~seed:1 8192;
+      Bytes.empty;
+      corpus_bytes ~seed:2 100;
+      corpus_bytes ~seed:3 8192;
+    ]
+
+let test_compress_two_domains_parity () =
+  let corpus =
+    List.init 12 (fun k -> corpus_bytes ~seed:(10 + k) (64 + (k * 700)))
+  in
+  let sequential = List.map Compress.compress corpus in
+  let parallel =
+    Gg_par.Pool.with_pool ~jobs:2 (fun pool ->
+        Gg_par.Pool.map pool Compress.compress corpus)
+  in
+  Alcotest.(check (list bytes)) "two domains give the sequential bytes"
+    sequential parallel
 
 (* --- Tablefmt --- *)
 
@@ -430,6 +568,12 @@ let () =
           Alcotest.test_case "rejects garbage" `Quick test_compress_rejects_garbage;
           QCheck_alcotest.to_alcotest prop_compress_roundtrip;
           QCheck_alcotest.to_alcotest prop_compress_roundtrip_repetitive;
+          QCheck_alcotest.to_alcotest prop_compress_matches_reference;
+          QCheck_alcotest.to_alcotest prop_compress_matches_reference_repetitive;
+          Alcotest.test_case "no stale scratch across calls" `Quick
+            test_compress_sequence_no_stale_scratch;
+          Alcotest.test_case "two domains match sequential" `Quick
+            test_compress_two_domains_parity;
         ] );
       ( "tablefmt",
         [
