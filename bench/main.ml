@@ -108,6 +108,32 @@ let bench_sql_parse =
            "SELECT c_name, c_balance FROM customer WHERE c_w_id = 3 AND \
             c_d_id = 5 AND c_id = 42"))
 
+(* SQL execution on the sql-scan benchmark's table (Sqlgen.Scan at 2k
+   rows), with the generator's two read statements: a primary-key range
+   that matches 200 rows and an aggregate whose filter no access path
+   can use. Parsed once; a fresh context per run. *)
+let scan_db =
+  lazy
+    (let db = Gg_storage.Db.create () in
+     Gg_workload.Sqlgen.Scan.(load (with_records base 2_000)) db;
+     db)
+
+let bench_sql_exec name sql params =
+  let stmt = Gg_sql.Parser.parse sql in
+  bench name (fun () ->
+      let ctx = Gg_sql.Executor.Ctx.create (Lazy.force scan_db) in
+      ignore (Gg_sql.Executor.exec ctx stmt ~params))
+
+let bench_sql_range =
+  bench_sql_exec "sql range select (200 of 2k rows)"
+    "SELECT ev_id, amount FROM events WHERE ev_id BETWEEN ? AND ?"
+    [| Gg_storage.Value.Int 900; Gg_storage.Value.Int 1099 |]
+
+let bench_sql_aggregate =
+  bench_sql_exec "sql aggregate full scan (2k rows)"
+    "SELECT COUNT(*), SUM(amount) FROM events WHERE region = ?"
+    [| Gg_storage.Value.Int 3 |]
+
 let bench_op_exec =
   let db = Gg_storage.Db.create () in
   let p = Gg_workload.Ycsb.with_records Gg_workload.Ycsb.medium_contention 10_000 in
@@ -145,7 +171,8 @@ let run_micro () =
     [
       bench_merge_rule; bench_writeset_codec; bench_compress_eof;
       bench_compress_ycsb; bench_zipf; bench_event_queue;
-      bench_sql_parse; bench_op_exec; bench_db_digest_cold;
+      bench_sql_parse; bench_sql_range; bench_sql_aggregate; bench_op_exec;
+      bench_db_digest_cold;
       bench_db_digest_cached;
     ]
   in

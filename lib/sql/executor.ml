@@ -26,14 +26,17 @@ type write_buf = {
   mutable w_dead : bool;  (* insert-then-delete: no net effect *)
 }
 
+module Str_tbl = Hashtbl.Make (String)
+
 module Ctx = struct
   type t = {
     db : Db.t;
     track_cols : bool;  (* capture UPDATE column masks for column merge *)
     mutable reads_rev : read_record list;
-    read_keys : (string * string, unit) Hashtbl.t;
+    read_keys : unit Str_tbl.t Str_tbl.t;  (* table -> keys read *)
     writes : (string * string, write_buf) Hashtbl.t;
     mutable write_order_rev : write_buf list;
+    mutable written_tables : string list;  (* tables with a buffered write *)
   }
 
   let create ?(track_cols = false) db =
@@ -41,9 +44,10 @@ module Ctx = struct
       db;
       track_cols;
       reads_rev = [];
-      read_keys = Hashtbl.create 16;
+      read_keys = Str_tbl.create 4;
       writes = Hashtbl.create 16;
       write_order_rev = [];
+      written_tables = [];
     }
 
   let db t = t.db
@@ -52,8 +56,16 @@ module Ctx = struct
   let record_read t ~table ~key_str ~(header : Gg_storage.Row_header.t) =
     (* Keep the first observation of each row: RR compares the commit-time
        version against the first read. *)
-    if not (Hashtbl.mem t.read_keys (table, key_str)) then begin
-      Hashtbl.replace t.read_keys (table, key_str) ();
+    let keys =
+      match Str_tbl.find_opt t.read_keys table with
+      | Some keys -> keys
+      | None ->
+        let keys = Str_tbl.create 16 in
+        Str_tbl.add t.read_keys table keys;
+        keys
+    in
+    if not (Str_tbl.mem keys key_str) then begin
+      Str_tbl.add keys key_str ();
       t.reads_rev <-
         { r_table = table; r_key_str = key_str; r_csn = header.csn; r_cen = header.cen }
         :: t.reads_rev
@@ -66,9 +78,13 @@ module Ctx = struct
 
   let find_write t ~table ~key_str = Hashtbl.find_opt t.writes (table, key_str)
 
+  let wrote_table t table = List.mem table t.written_tables
+
   let add_write t w =
     Hashtbl.replace t.writes (w.w_table, w.w_key_str) w;
-    t.write_order_rev <- w :: t.write_order_rev
+    t.write_order_rev <- w :: t.write_order_rev;
+    if not (wrote_table t w.w_table) then
+      t.written_tables <- w.w_table :: t.written_tables
 
   let writeset_records t =
     List.rev t.write_order_rev
@@ -105,48 +121,71 @@ type vrow = {
   v_entry : Table.entry option;  (* None for rows inserted by this txn *)
 }
 
+(* Probe values for the key columns: an integral Float becomes an Int
+   for a TInt column and an Int becomes a Float for a TFloat column, so
+   the encoded probe finds the row the residual [=] accepts. *)
+let normalise_key_value ty v =
+  match (ty, v) with
+  | Schema.TInt, Value.Float f when Float.is_integer f && Float.abs f < 0x1p62 ->
+    Value.Int (int_of_float f)
+  | Schema.TFloat, Value.Int i -> Value.Float (float_of_int i)
+  | _ -> v
+
 (* Iterate the visible rows of [table] under [access], applying the
-   read-your-writes overlay. *)
-let visible_rows ctx table access ~params f =
+   read-your-writes overlay. [keep] is the residual filter on a row's
+   visible data; it runs before the [vrow] is built, and [f] sees only
+   the rows it accepts. *)
+let visible_rows ctx table access ~params ~keep f =
   let tbl = get_table (Ctx.db ctx) table in
-  let tname = (Table.schema tbl).Schema.table_name in
-  let overlaid entry =
-    let e_key_str = entry.Table.key_str in
-    match Ctx.find_write ctx ~table:tname ~key_str:e_key_str with
-    | Some w when not w.w_dead -> (
-      match w.w_op with
-      | Writeset.Delete -> None
-      | Writeset.Insert | Writeset.Update ->
-        Some
-          {
-            v_key = entry.Table.key;
-            v_key_str = e_key_str;
-            v_data = w.w_data;
-            v_entry = Some entry;
-          })
-    | Some _ | None ->
-      Some
-        {
-          v_key = entry.Table.key;
-          v_key_str = e_key_str;
-          v_data = entry.Table.data;
-          v_entry = Some entry;
-        }
+  let schema = Table.schema tbl in
+  let tname = schema.Schema.table_name in
+  let written = Ctx.wrote_table ctx tname in
+  let emit ~key ~key_str ~entry data =
+    if keep data then f { v_key = key; v_key_str = key_str; v_data = data; v_entry = entry }
+  in
+  let visit_committed entry data =
+    emit ~key:entry.Table.key ~key_str:entry.Table.key_str ~entry:(Some entry) data
   in
   let visit_entry entry =
-    match overlaid entry with Some v -> f v | None -> ()
+    if not written then visit_committed entry entry.Table.data
+    else
+      match Ctx.find_write ctx ~table:tname ~key_str:entry.Table.key_str with
+      | Some w when not w.w_dead -> (
+        match w.w_op with
+        | Writeset.Delete -> ()
+        | Writeset.Insert | Writeset.Update -> visit_committed entry w.w_data)
+      | Some _ | None -> visit_committed entry entry.Table.data
+  in
+  (* This txn's live writes on [tname], in the write table's order. *)
+  let iter_own_writes g =
+    if written then
+      Hashtbl.iter
+        (fun (t, _) w ->
+          if t = tname && (not w.w_dead) && w.w_op <> Writeset.Delete then g w)
+        ctx.Ctx.writes
+  in
+  let emit_own_insert w =
+    emit ~key:w.w_key ~key_str:w.w_key_str ~entry:None w.w_data
+  in
+  let own_inserts pred =
+    iter_own_writes (fun w -> if (not w.w_existed) && pred w then emit_own_insert w)
   in
   let eval_key_exprs exprs =
-    Array.map (fun e -> Expr.eval_const ~params e) exprs
+    Array.mapi
+      (fun i e ->
+        normalise_key_value
+          (Schema.col_ty schema schema.Schema.key_cols.(i))
+          (Expr.eval_const ~params e))
+      exprs
   in
-  (match access with
+  match access with
   | Plan.Point exprs -> (
     let key = eval_key_exprs exprs in
     let key_str = Value.encode_key key in
     (* The txn may have inserted this key itself. *)
-    match Ctx.find_write ctx ~table:tname ~key_str with
+    match if written then Ctx.find_write ctx ~table:tname ~key_str else None with
     | Some w when (not w.w_dead) && (not w.w_existed) && w.w_op <> Writeset.Delete ->
-      f { v_key = key; v_key_str = key_str; v_data = w.w_data; v_entry = None }
+      emit ~key ~key_str ~entry:None w.w_data
     | Some _ | None -> (
       match Table.find_live tbl key_str with
       | Some entry -> visit_entry entry
@@ -154,53 +193,46 @@ let visible_rows ctx table access ~params f =
   | Plan.Prefix exprs ->
     let prefix = eval_key_exprs exprs in
     Table.scan_prefix tbl ~prefix visit_entry;
-    (* Own inserts matching the prefix. *)
-    Hashtbl.iter
-      (fun (t, _) w ->
-        if
-          t = tname && (not w.w_dead) && (not w.w_existed)
-          && w.w_op <> Writeset.Delete
-          && Array.length w.w_key >= Array.length prefix
-          &&
-          let ok = ref true in
-          Array.iteri
-            (fun i p -> if Value.compare p w.w_key.(i) <> 0 then ok := false)
-            prefix;
-          !ok
-        then
-          f { v_key = w.w_key; v_key_str = w.w_key_str; v_data = w.w_data; v_entry = None })
-      ctx.Ctx.writes
-  | Plan.Sec_index (iname, exprs) ->
-    let probe = eval_key_exprs exprs in
+    own_inserts (fun w ->
+        Array.length w.w_key >= Array.length prefix
+        &&
+        let rec go i =
+          i >= Array.length prefix
+          || (Value.compare prefix.(i) w.w_key.(i) = 0 && go (i + 1))
+        in
+        go 0)
+  | Plan.Range { lo; hi } ->
+    let bound = Option.map (fun e -> [| Expr.eval_const ~params e |]) in
+    Table.scan_range tbl ?lo:(bound lo) ?hi:(bound hi) visit_entry;
+    own_inserts (fun _ -> true)
+  | Plan.Sec_index (iname, exprs) -> (
+    let probe = Array.map (fun e -> Expr.eval_const ~params e) exprs in
     List.iter visit_entry (Table.index_lookup tbl ~name:iname ~key:probe);
-    (* own inserts whose indexed columns match the probe *)
-    (match Table.index_cols tbl ~name:iname with
+    match Table.index_cols tbl ~name:iname with
     | None -> ()
     | Some cols ->
-      Hashtbl.iter
-        (fun (t, _) w ->
-          if
-            t = tname && (not w.w_dead) && (not w.w_existed)
-            && w.w_op <> Writeset.Delete
-            && Array.length w.w_data > Array.fold_left max 0 cols
-            &&
-            let ok = ref true in
-            Array.iteri
-              (fun i c ->
-                if Value.compare probe.(i) w.w_data.(c) <> 0 then ok := false)
-              cols;
-            !ok
-          then
-            f { v_key = w.w_key; v_key_str = w.w_key_str; v_data = w.w_data; v_entry = None })
-        ctx.Ctx.writes)
+      let indexed data =
+        Array.length data > Array.fold_left max 0 cols
+        &&
+        let rec go i =
+          i >= Array.length cols
+          || (Value.compare probe.(i) data.(cols.(i)) = 0 && go (i + 1))
+        in
+        go 0
+      in
+      (* Own inserts, and own updates that moved a committed row onto
+         the probed key (the probe above saw only committed data). *)
+      iter_own_writes (fun w ->
+          if indexed w.w_data then
+            if not w.w_existed then emit_own_insert w
+            else
+              match Table.find_live tbl w.w_key_str with
+              | Some entry when not (indexed entry.Table.data) ->
+                visit_committed entry w.w_data
+              | Some _ | None -> ()))
   | Plan.Full ->
     Table.scan tbl ~f:visit_entry;
-    Hashtbl.iter
-      (fun (t, _) w ->
-        if t = tname && (not w.w_dead) && (not w.w_existed) && w.w_op <> Writeset.Delete
-        then
-          f { v_key = w.w_key; v_key_str = w.w_key_str; v_data = w.w_data; v_entry = None })
-      ctx.Ctx.writes)
+    own_inserts (fun _ -> true)
 
 let record_vrow_read ctx ~table v =
   match v.v_entry with
@@ -242,6 +274,12 @@ type group_state = {
   g_sort : (Value.t * Ast.order_dir) list;
 }
 
+(* A projection with its expressions bound. *)
+type bound_proj =
+  | B_star
+  | B_expr of Expr.t
+  | B_agg of Ast.agg_fn * Expr.t option
+
 let select ctx (s : Ast.select) ~params =
   let db = Ctx.db ctx in
   let from_tbl = get_table db s.from.table in
@@ -268,32 +306,6 @@ let select ctx (s : Ast.select) ~params =
   let access =
     Plan.access_path_table from_tbl ~names:(binding_names s.from) s.where
   in
-  (* Collected matches: projected row + sort keys. *)
-  let matches = ref [] in
-  let n_matches = ref 0 in
-  let where_ok () =
-    match s.where with
-    | None -> true
-    | Some w -> Expr.is_truthy (Expr.eval env ~params w)
-  in
-  let n_projs = List.length s.projs in
-  let project () =
-    List.concat_map
-      (fun p ->
-        match p with
-        | Ast.Star -> List.concat_map (fun b -> Array.to_list b.Env.row) env
-        | Ast.Expr_proj (e, _) -> [ Expr.eval env ~params e ]
-        | Ast.Agg _ ->
-          (* defended by the [aggregating] dispatch above; a proper error
-             beats an [assert false] if a future path slips through *)
-          raise (Sql_error "aggregate function outside an aggregate query"))
-      s.projs
-    |> Array.of_list
-  in
-  let sort_keys () =
-    List.map (fun (e, dir) -> (Expr.eval env ~params e, dir)) s.order_by
-  in
-  (* Grouped/aggregated path. *)
   let aggregating = has_agg s.projs || s.group_by <> [] in
   if aggregating then
     List.iter
@@ -303,6 +315,42 @@ let select ctx (s : Ast.select) ~params =
         | Ast.Star | Ast.Expr_proj _ ->
           raise (Sql_error "mixing aggregates and plain projections needs GROUP BY"))
       s.projs;
+  (* Resolve every column reference once, before any row is visited. *)
+  let bind e = Expr.bind env ~params e in
+  let where = Option.map bind s.where in
+  let projs =
+    List.map
+      (function
+        | Ast.Star -> B_star
+        | Ast.Expr_proj (e, _) -> B_expr (bind e)
+        | Ast.Agg (fn, arg, _) -> B_agg (fn, Option.map bind arg))
+      s.projs
+  in
+  let order_by = List.map (fun (e, dir) -> (bind e, dir)) s.order_by in
+  let group_by = List.map bind s.group_by in
+  let join = Option.map (fun (tr, on, jb) -> (tr, bind on, jb)) join_info in
+  (* Collected matches: projected row + sort keys. *)
+  let matches = ref [] in
+  let where_ok () =
+    match where with
+    | None -> true
+    | Some w -> Expr.is_truthy (Expr.eval w)
+  in
+  let n_projs = List.length s.projs in
+  let project () =
+    List.map
+      (function
+        | B_star -> Array.concat (List.map (fun b -> b.Env.row) env)
+        | B_expr e -> [| Expr.eval e |]
+        | B_agg _ ->
+          (* defended by the [aggregating] dispatch above; a proper error
+             beats an [assert false] if a future path slips through *)
+          raise (Sql_error "aggregate function outside an aggregate query"))
+      projs
+    |> Array.concat
+  in
+  let sort_keys () = List.map (fun (e, dir) -> (Expr.eval e, dir)) order_by in
+  (* Grouped/aggregated path. *)
   let groups : (Value.t list, group_state) Hashtbl.t = Hashtbl.create 16 in
   let group_order = ref [] in
   let fresh_state ~repr ~sort =
@@ -318,18 +366,15 @@ let select ctx (s : Ast.select) ~params =
     }
   in
   let aggregate_row () =
-    let key = List.map (fun e -> Expr.eval env ~params e) s.group_by in
+    let key = List.map Expr.eval group_by in
     let st =
       match Hashtbl.find_opt groups key with
       | Some st -> st
       | None ->
         let repr =
           List.map
-            (fun p ->
-              match p with
-              | Ast.Expr_proj (e, _) -> Expr.eval env ~params e
-              | Ast.Agg _ | Ast.Star -> Value.Null)
-            s.projs
+            (function B_expr e -> Expr.eval e | B_agg _ | B_star -> Value.Null)
+            projs
           |> Array.of_list
         in
         let st = fresh_state ~repr ~sort:(sort_keys ()) in
@@ -340,11 +385,11 @@ let select ctx (s : Ast.select) ~params =
     List.iteri
       (fun i p ->
         match p with
-        | Ast.Agg (fn, arg, _) -> (
+        | B_agg (fn, arg) -> (
           let v =
             match arg with
             | None -> Value.Int 1
-            | Some e -> Expr.eval env ~params e
+            | Some e -> Expr.eval e
           in
           match (fn, v) with
           | _, Value.Null -> ()
@@ -365,41 +410,40 @@ let select ctx (s : Ast.select) ~params =
           | Ast.Max, v ->
             if st.g_max.(i) = Value.Null || Value.compare v st.g_max.(i) > 0 then
               st.g_max.(i) <- v)
-        | Ast.Star | Ast.Expr_proj _ -> ())
-      s.projs
+        | B_star | B_expr _ -> ())
+      projs
   in
   let handle_match () =
     if aggregating then aggregate_row ()
     else begin
-      matches := (project (), sort_keys ()) :: !matches;
-      incr n_matches
+      matches := (project (), sort_keys ()) :: !matches
     end
   in
-  let process_outer v =
-    from_binding.Env.row <- v.v_data;
-    match join_info with
-    | None ->
-      if where_ok () then begin
+  (match join with
+  | None ->
+    visible_rows ctx s.from.table access ~params
+      ~keep:(fun data ->
+        from_binding.Env.row <- data;
+        where_ok ())
+      (fun v ->
         record_vrow_read ctx ~table:s.from.table v;
-        handle_match ()
-      end
-    | Some (jtr, on, jb) ->
-      let jaccess =
-        (* Try to use the ON clause for the inner lookup only when it is a
-           plain equality against column-free values; otherwise full scan.
-           Nested-loop with the outer row bound is correct either way. *)
-        Plan.Full
-      in
-      ignore jaccess;
-      visible_rows ctx jtr.Ast.table Plan.Full ~params (fun jv ->
-          jb.Env.row <- jv.v_data;
-          if Expr.is_truthy (Expr.eval env ~params on) && where_ok () then begin
+        handle_match ())
+  | Some (jtr, on, jb) ->
+    (* Nested loop with the outer row bound; the inner side is a full
+       scan. *)
+    visible_rows ctx s.from.table access ~params
+      ~keep:(fun data ->
+        from_binding.Env.row <- data;
+        true)
+      (fun v ->
+        visible_rows ctx jtr.Ast.table Plan.Full ~params
+          ~keep:(fun jdata ->
+            jb.Env.row <- jdata;
+            Expr.is_truthy (Expr.eval on) && where_ok ())
+          (fun jv ->
             record_vrow_read ctx ~table:s.from.table v;
             record_vrow_read ctx ~table:jtr.Ast.table jv;
-            handle_match ()
-          end)
-  in
-  visible_rows ctx s.from.table access ~params process_outer;
+            handle_match ())));
   let columns = List.mapi proj_name s.projs in
   let columns =
     (* Expand star into actual column names. *)
@@ -570,23 +614,22 @@ let insert ctx ~table ~cols ~rows ~params =
 
 (* --- UPDATE / DELETE --- *)
 
-let collect_targets ctx table where ~params =
-  let tbl = get_table (Ctx.db ctx) table in
+let target_binding tbl table =
+  { Env.binding_name = table; schema = Table.schema tbl; row = [||] }
+
+let collect_targets ctx tbl binding where ~params =
+  let table = binding.Env.binding_name in
   let access = Plan.access_path_table tbl ~names:[ table ] where in
-  let binding =
-    { Env.binding_name = table; schema = Table.schema tbl; row = [||] }
-  in
-  let env = [ binding ] in
+  let where = Option.map (Expr.bind [ binding ] ~params) where in
   let acc = ref [] in
-  visible_rows ctx table access ~params (fun v ->
-      binding.Env.row <- v.v_data;
-      let ok =
-        match where with
-        | None -> true
-        | Some w -> Expr.is_truthy (Expr.eval env ~params w)
-      in
-      if ok then acc := v :: !acc);
-  (tbl, binding, env, List.rev !acc)
+  visible_rows ctx table access ~params
+    ~keep:(fun data ->
+      binding.Env.row <- data;
+      match where with
+      | None -> true
+      | Some w -> Expr.is_truthy (Expr.eval w))
+    (fun v -> acc := v :: !acc);
+  List.rev !acc
 
 let buffer_write ctx ~table ~(v : vrow) ~op ?(cols = Gg_crdt.Column.full) ~data
     () =
@@ -632,7 +675,8 @@ let buffer_write ctx ~table ~(v : vrow) ~op ?(cols = Gg_crdt.Column.full) ~data
       }
 
 let update ctx ~table ~sets ~where ~params =
-  let tbl, binding, env, targets = collect_targets ctx table where ~params in
+  let tbl = get_table (Ctx.db ctx) table in
+  let binding = target_binding tbl table in
   let schema = Table.schema tbl in
   let set_indices =
     List.map
@@ -642,9 +686,10 @@ let update ctx ~table ~sets ~where ~params =
         | Some i ->
           if Schema.is_key_col schema i then
             raise (Sql_error (Printf.sprintf "cannot update key column %s" c));
-          (i, e))
+          (i, Expr.bind [ binding ] ~params e))
       sets
   in
+  let targets = collect_targets ctx tbl binding where ~params in
   (* The SET list names the touched columns directly; a set wider than
      the maskable range degrades to the whole-row mask. *)
   let cols =
@@ -663,7 +708,7 @@ let update ctx ~table ~sets ~where ~params =
       binding.Env.row <- v.v_data;
       let new_row = Array.copy v.v_data in
       List.iter
-        (fun (i, e) -> new_row.(i) <- Expr.eval env ~params e)
+        (fun (i, e) -> new_row.(i) <- Expr.eval e)
         set_indices;
       (match Schema.validate_row schema new_row with
       | Ok () -> ()
@@ -674,7 +719,8 @@ let update ctx ~table ~sets ~where ~params =
   { columns = []; rows = []; affected = List.length targets }
 
 let delete ctx ~table ~where ~params =
-  let _, _, _, targets = collect_targets ctx table where ~params in
+  let tbl = get_table (Ctx.db ctx) table in
+  let targets = collect_targets ctx tbl (target_binding tbl table) where ~params in
   List.iter
     (fun v ->
       record_vrow_read ctx ~table v;
@@ -695,7 +741,12 @@ let exec ctx stmt ~params =
       let columns =
         List.map (fun (n, ty) -> { Schema.name = n; ty }) cols
       in
-      let key = if key = [] then [ fst (List.hd cols) ] else key in
+      let key =
+        match (key, cols) with
+        | [], [] -> raise (Sql_error "CREATE TABLE needs at least one column")
+        | [], (first, _) :: _ -> [ first ]
+        | _ :: _, _ -> key
+      in
       ignore (Db.create_table (Ctx.db ctx) ~name ~columns ~key);
       Ok { columns = []; rows = []; affected = 0 }
     | Ast.Create_index { name; table; cols } ->

@@ -39,6 +39,12 @@ end
 
 let is_truthy = Value.is_truthy
 
+(* Comparisons and logical operators return these shared values instead
+   of allocating a result per evaluated row. *)
+let v_true = Value.Int 1
+let v_false = Value.Int 0
+let of_bool b = if b then v_true else v_false
+
 let num_binop op a b =
   let open Ast in
   match (a, b) with
@@ -81,7 +87,7 @@ let cmp_binop op a b =
       | Ge -> c >= 0
       | _ -> fail "not a comparison operator"
     in
-    Value.Int (if r then 1 else 0)
+    of_bool r
 
 (* SQL LIKE with % (any run) and _ (any single char). *)
 let like_match s p =
@@ -99,60 +105,92 @@ let like_match s p =
   in
   go 0 0
 
-let rec eval env ~params e =
-  let open Ast in
-  match e with
-  | Const v -> v
-  | Param i ->
-    if i < 0 || i >= Array.length params then
-      fail "parameter ?%d not supplied (%d given)" (i + 1) (Array.length params)
-    else params.(i)
-  | Col (q, c) ->
-    let b, i = Env.resolve env q c in
-    b.Env.row.(i)
-  | Unop (Neg, e) -> (
-    match eval env ~params e with
-    | Value.Null -> Value.Null
-    | Value.Int i -> Value.Int (-i)
-    | Value.Float f -> Value.Float (-.f)
-    | v -> fail "negation of %s" (Value.type_name v))
-  | Unop (Not, e) ->
-    Value.Int (if is_truthy (eval env ~params e) then 0 else 1)
-  | Binop (And, a, b) ->
-    if is_truthy (eval env ~params a) then
-      Value.Int (if is_truthy (eval env ~params b) then 1 else 0)
-    else Value.Int 0
-  | Binop (Or, a, b) ->
-    if is_truthy (eval env ~params a) then Value.Int 1
-    else Value.Int (if is_truthy (eval env ~params b) then 1 else 0)
-  | Binop (Concat, a, b) -> (
-    match (eval env ~params a, eval env ~params b) with
-    | Value.Null, _ | _, Value.Null -> Value.Null
-    | Value.Str x, Value.Str y -> Value.Str (x ^ y)
-    | x, y -> Value.Str (Value.to_string x ^ Value.to_string y))
-  | Binop (((Add | Sub | Mul | Div | Mod) as op), a, b) ->
-    num_binop op (eval env ~params a) (eval env ~params b)
-  | Binop (((Eq | Ne | Lt | Le | Gt | Ge) as op), a, b) ->
-    cmp_binop op (eval env ~params a) (eval env ~params b)
-  | In_list (e, items) ->
-    let v = eval env ~params e in
-    if v = Value.Null then Value.Null
-    else
-      Value.Int
-        (if List.exists (fun i -> Value.compare v (eval env ~params i) = 0) items
-         then 1
-         else 0)
-  | Between (e, lo, hi) ->
-    let v = eval env ~params e in
-    let l = eval env ~params lo and h = eval env ~params hi in
-    if v = Value.Null || l = Value.Null || h = Value.Null then Value.Null
-    else Value.Int (if Value.compare v l >= 0 && Value.compare v h <= 0 then 1 else 0)
-  | Like (e, pat) -> (
-    match (eval env ~params e, eval env ~params pat) with
-    | Value.Null, _ | _, Value.Null -> Value.Null
-    | Value.Str s, Value.Str p -> Value.Int (if like_match s p then 1 else 0)
-    | v, p ->
-      fail "LIKE expects strings, got %s and %s" (Value.type_name v)
-        (Value.type_name p))
+type t = unit -> Value.t
 
-let eval_const ~params e = eval [] ~params e
+(* Resolve every column reference and parameter once; the closure tree
+   then reads the bound rows' current contents on each call. Unknown or
+   ambiguous columns fail here, before any row is visited; a missing
+   parameter still fails only when evaluated. *)
+let bind env ~params e =
+  let open Ast in
+  let rec go e : t =
+    match e with
+    | Const v -> fun () -> v
+    | Param i ->
+      if i < 0 || i >= Array.length params then fun () ->
+        fail "parameter ?%d not supplied (%d given)" (i + 1) (Array.length params)
+      else
+        let v = params.(i) in
+        fun () -> v
+    | Col (q, c) ->
+      let b, i = Env.resolve env q c in
+      fun () -> b.Env.row.(i)
+    | Unop (Neg, e) ->
+      let e = go e in
+      fun () ->
+        (match e () with
+        | Value.Null -> Value.Null
+        | Value.Int i -> Value.Int (-i)
+        | Value.Float f -> Value.Float (-.f)
+        | v -> fail "negation of %s" (Value.type_name v))
+    | Unop (Not, e) ->
+      let e = go e in
+      fun () -> of_bool (not (is_truthy (e ())))
+    | Binop (And, a, b) ->
+      let a = go a in
+      let b = go b in
+      fun () -> of_bool (is_truthy (a ()) && is_truthy (b ()))
+    | Binop (Or, a, b) ->
+      let a = go a in
+      let b = go b in
+      fun () -> of_bool (is_truthy (a ()) || is_truthy (b ()))
+    | Binop (Concat, a, b) ->
+      let a = go a in
+      let b = go b in
+      fun () ->
+        (match (a (), b ()) with
+        | Value.Null, _ | _, Value.Null -> Value.Null
+        | Value.Str x, Value.Str y -> Value.Str (x ^ y)
+        | x, y -> Value.Str (Value.to_string x ^ Value.to_string y))
+    | Binop (((Add | Sub | Mul | Div | Mod) as op), a, b) ->
+      let a = go a in
+      let b = go b in
+      fun () -> num_binop op (a ()) (b ())
+    | Binop (((Eq | Ne | Lt | Le | Gt | Ge) as op), a, b) ->
+      let a = go a in
+      let b = go b in
+      fun () -> cmp_binop op (a ()) (b ())
+    | In_list (e, items) ->
+      let e = go e in
+      let items = List.map go items in
+      fun () ->
+        (match e () with
+        | Value.Null -> Value.Null
+        | v ->
+          of_bool (List.exists (fun i -> Value.compare v (i ()) = 0) items))
+    | Between (e, lo, hi) ->
+      let e = go e in
+      let lo = go lo in
+      let hi = go hi in
+      fun () ->
+        let v = e () in
+        let l = lo () and h = hi () in
+        (match (v, l, h) with
+        | Value.Null, _, _ | _, Value.Null, _ | _, _, Value.Null -> Value.Null
+        | _ ->
+          of_bool (Value.compare v l >= 0 && Value.compare v h <= 0))
+    | Like (e, pat) ->
+      let e = go e in
+      let pat = go pat in
+      fun () ->
+        (match (e (), pat ()) with
+        | Value.Null, _ | _, Value.Null -> Value.Null
+        | Value.Str s, Value.Str p -> of_bool (like_match s p)
+        | v, p ->
+          fail "LIKE expects strings, got %s and %s" (Value.type_name v)
+            (Value.type_name p))
+  in
+  go e
+
+let eval (e : t) = e ()
+let eval_const ~params e = eval (bind [] ~params e)

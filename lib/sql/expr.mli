@@ -1,4 +1,4 @@
-(** Expression evaluation over row environments. *)
+(** Expression binding and evaluation over row environments. *)
 
 exception Sql_error of string
 
@@ -16,15 +16,24 @@ module Env : sig
       Raises {!Sql_error} on unknown or ambiguous columns. *)
 end
 
-val eval :
-  Env.t -> params:Gg_storage.Value.t array -> Ast.expr -> Gg_storage.Value.t
-(** Evaluate an expression. NULL propagates through arithmetic and
-    comparisons; AND/OR treat NULL as false. Comparisons return
-    [Int 1]/[Int 0]. Raises {!Sql_error} on type errors, missing columns
-    or out-of-range parameters. *)
+type t
+(** An expression bound to an environment: every column reference is
+    resolved to a (binding, column index) slot, every parameter to its
+    value. Evaluating it reads the bindings' current rows. *)
+
+val bind : Env.t -> params:Gg_storage.Value.t array -> Ast.expr -> t
+(** Bind an expression once per statement. Raises {!Sql_error} on an
+    unknown or ambiguous column; a parameter that was not supplied fails
+    only when evaluated. *)
+
+val eval : t -> Gg_storage.Value.t
+(** Evaluate against the bindings' current rows. NULL propagates through
+    arithmetic and comparisons; AND/OR treat NULL as false. Comparisons
+    return [Int 1]/[Int 0]. Raises {!Sql_error} on type errors or
+    out-of-range parameters. *)
 
 val eval_const : params:Gg_storage.Value.t array -> Ast.expr -> Gg_storage.Value.t
-(** Evaluate an expression that must not reference columns (INSERT
-    values, key equality right-hand sides). *)
+(** Bind against no rows and evaluate: for expressions that must not
+    reference columns (INSERT values, access-path bounds). *)
 
 val is_truthy : Gg_storage.Value.t -> bool

@@ -52,7 +52,11 @@ let tokenize input =
         done;
         emit (Float_lit (float_of_string (String.sub input start (!i - start))))
       end
-      else emit (Int_lit (int_of_string (String.sub input start (!i - start))))
+      else
+        let lit = String.sub input start (!i - start) in
+        match int_of_string_opt lit with
+        | Some n -> emit (Int_lit n)
+        | None -> raise (Lex_error (Printf.sprintf "integer literal %s out of range" lit))
     end
     else if c = '\'' then begin
       incr i;

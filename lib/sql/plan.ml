@@ -1,6 +1,7 @@
 type access =
   | Point of Ast.expr array
   | Prefix of Ast.expr array
+  | Range of { lo : Ast.expr option; hi : Ast.expr option }
   | Sec_index of string * Ast.expr array
   | Full
 
@@ -17,6 +18,31 @@ let rec column_free = function
   | Ast.In_list (e, items) -> column_free e && List.for_all column_free items
   | Ast.Between (e, lo, hi) -> column_free e && column_free lo && column_free hi
   | Ast.Like (e, p) -> column_free e && column_free p
+
+(* Bounds on the leading key column from top-level conjuncts: the first
+   column-free lower and the first column-free upper bound found. Each
+   is inclusive; the residual WHERE removes what a strict, NULL or
+   reversed bound lets through. *)
+let leading_range schema ~names where =
+  let lead = schema.Gg_storage.Schema.key_cols.(0) in
+  let is_lead q c =
+    (q = None || List.mem (Option.get q) names)
+    && Gg_storage.Schema.col_index schema c = Some lead
+  in
+  let lo = ref None and hi = ref None in
+  let bound r e = if !r = None && column_free e then r := Some e in
+  List.iter
+    (function
+      | Ast.Between (Ast.Col (q, c), l, h) when is_lead q c ->
+        bound lo l;
+        bound hi h
+      | Ast.Binop ((Ast.Ge | Ast.Gt), Ast.Col (q, c), e) when is_lead q c -> bound lo e
+      | Ast.Binop ((Ast.Le | Ast.Lt), Ast.Col (q, c), e) when is_lead q c -> bound hi e
+      | Ast.Binop ((Ast.Le | Ast.Lt), e, Ast.Col (q, c)) when is_lead q c -> bound lo e
+      | Ast.Binop ((Ast.Ge | Ast.Gt), e, Ast.Col (q, c)) when is_lead q c -> bound hi e
+      | _ -> ())
+    (conjuncts where []);
+  if !lo = None && !hi = None then Full else Range { lo = !lo; hi = !hi }
 
 let access_path schema ~names where =
   match where with
@@ -54,7 +80,7 @@ let access_path schema ~names where =
       let rec go i = if i < n_key && found.(i) <> None then go (i + 1) else i in
       go 0
     in
-    if prefix_len = 0 then Full
+    if prefix_len = 0 then leading_range schema ~names where
     else
       let exprs = Array.init prefix_len (fun i -> Option.get found.(i)) in
       if prefix_len = n_key then Point exprs else Prefix exprs
@@ -62,6 +88,10 @@ let access_path schema ~names where =
 let describe = function
   | Point _ -> "point"
   | Prefix e -> Printf.sprintf "prefix(%d)" (Array.length e)
+  | Range { lo; hi } ->
+    Printf.sprintf "range(%s..%s)"
+      (if lo = None then "" else "lo")
+      (if hi = None then "" else "hi")
   | Sec_index (n, _) -> Printf.sprintf "index(%s)" n
   | Full -> "full-scan"
 
@@ -89,7 +119,7 @@ let access_path_table table ~names where =
   let schema = Gg_storage.Table.schema table in
   match access_path schema ~names where with
   | (Point _ | Prefix _ | Sec_index _) as a -> a
-  | Full -> (
+  | (Range _ | Full) as fallback -> (
     (* try a secondary index fully covered by equality conjuncts *)
     let eqs = equalities schema ~names where in
     let candidate =
@@ -109,4 +139,4 @@ let access_path_table table ~names where =
     in
     match candidate with
     | Some (iname, exprs) -> Sec_index (iname, exprs)
-    | None -> Full)
+    | None -> fallback)

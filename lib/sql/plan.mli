@@ -1,14 +1,30 @@
 (** Physical access-path selection.
 
     The planner inspects a statement's WHERE clause and chooses, per base
-    table, between a primary-key point lookup, a key-prefix range scan,
-    or a full scan with residual filtering. *)
+    table, between a primary-key point lookup, a key-prefix scan, a
+    secondary-index probe, a range scan over the leading key column, or
+    a full scan.
+
+    Residual-filter contract: an access path only narrows which rows are
+    visited. The executor evaluates the whole WHERE clause on every
+    visited row, so a path must visit a superset of the matching rows,
+    in primary-key order for [Point], [Prefix] and [Range] (own inserts
+    last, as on [Full]). Bounds are compared with
+    {!Gg_storage.Value.compare}, the order the table's key map uses. *)
 
 type access =
   | Point of Ast.expr array
       (** one constant/parameter expression per key column *)
   | Prefix of Ast.expr array
       (** expressions for a strict prefix of the key columns *)
+  | Range of { lo : Ast.expr option; hi : Ast.expr option }
+      (** inclusive bounds on the leading key column ([None] =
+          unbounded). Chosen when no point, prefix or index path applies
+          and a top-level conjunct bounds the leading key column by a
+          column-free expression: [BETWEEN], [>=], [>], [<=] or [<], with
+          the column on either side. Strict, NULL and reversed bounds are
+          left to the residual WHERE; the visited set is always a
+          superset of the matches. *)
   | Sec_index of string * Ast.expr array
       (** secondary-index probe: index name + one expression per indexed
           column *)
@@ -18,12 +34,13 @@ val access_path :
   Gg_storage.Schema.t -> names:string list -> Ast.expr option -> access
 (** [access_path schema ~names where] — [names] are the identifiers
     (alias/table name) that refer to the target table; qualified columns
-    with other qualifiers are ignored. Only top-level conjuncts of the
-    form [col = expr] where [expr] is column-free are considered. *)
+    with other qualifiers are ignored. Only top-level conjuncts whose
+    other side is column-free are considered: [col = expr] for
+    [Point]/[Prefix], the range forms above for [Range]. *)
 
 val access_path_table :
   Gg_storage.Table.t -> names:string list -> Ast.expr option -> access
-(** Like {!access_path} but also considers the table's secondary
-    indexes when the primary key is unusable. *)
+(** Like {!access_path} but prefers a secondary index fully covered by
+    equality conjuncts over [Range] and [Full]. *)
 
 val describe : access -> string

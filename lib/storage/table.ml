@@ -175,6 +175,19 @@ let scan t ~f = Key_map.iter (fun _ e -> f e) t.ordered
 
 let iter_all t ~f = Hashtbl.iter (fun _ e -> f e) t.index
 
+(* [key] against [h] on [h]'s columns only: a shorter [hi] bounds the
+   leading key columns. *)
+let compare_key_prefix key h =
+  let lh = Array.length h and lk = Array.length key in
+  let rec go i =
+    if i >= lh then 0
+    else if i >= lk then -1
+    else
+      let c = Value.compare key.(i) h.(i) in
+      if c <> 0 then c else go (i + 1)
+  in
+  go 0
+
 let scan_range t ?lo ?hi f =
   let seq =
     match lo with
@@ -185,9 +198,7 @@ let scan_range t ?lo ?hi f =
     match seq () with
     | Seq.Nil -> ()
     | Seq.Cons ((key, e), rest) ->
-      let le_hi =
-        match hi with None -> true | Some h -> compare_keys key h <= 0
-      in
+      let le_hi = match hi with None -> true | Some h -> compare_key_prefix key h <= 0 in
       if le_hi then begin
         f e;
         go rest

@@ -184,8 +184,56 @@ let test_plan_full () =
   | Plan.Full -> ()
   | a -> Alcotest.failf "expected full, got %s" (Plan.describe a));
   match access_of "SELECT * FROM accounts WHERE id > 2" with
-  | Plan.Full -> ()
-  | a -> Alcotest.failf "expected full, got %s" (Plan.describe a)
+  | Plan.Range { lo = Some _; hi = None } -> ()
+  | a -> Alcotest.failf "expected range, got %s" (Plan.describe a)
+
+let test_plan_range () =
+  let check sql expected =
+    Alcotest.(check string) sql expected (Plan.describe (access_of sql))
+  in
+  check "SELECT * FROM accounts WHERE id > 2" "range(lo..)";
+  check "SELECT * FROM accounts WHERE id BETWEEN ? AND ?" "range(lo..hi)";
+  check "SELECT * FROM accounts WHERE 3 >= id" "range(..hi)";
+  check "SELECT * FROM accounts WHERE id >= 1 AND balance > 0 AND id < 9"
+    "range(lo..hi)";
+  check "SELECT * FROM accounts WHERE accounts.id < 4" "range(..hi)";
+  (* point beats range; column bounds, other qualifiers and OR do not count *)
+  check "SELECT * FROM accounts WHERE id > 2 AND id = 3" "point";
+  check "SELECT * FROM accounts WHERE id > balance" "full-scan";
+  check "SELECT * FROM accounts WHERE r.id > 2" "full-scan";
+  check "SELECT * FROM accounts WHERE id > 2 OR id < 1" "full-scan";
+  check "SELECT * FROM accounts WHERE NOT NOT (id > 2)" "full-scan";
+  check "SELECT * FROM accounts WHERE balance BETWEEN 1 AND 2" "full-scan"
+
+let test_select_range () =
+  let ctx = Executor.Ctx.create (fixture ()) in
+  let ids sql params =
+    (exec_ok ctx sql ~params ()).rows
+    |> List.map (function [| Value.Int i |] -> i | _ -> Alcotest.fail "row")
+  in
+  let between = "SELECT id FROM accounts WHERE id BETWEEN ? AND ?" in
+  Alcotest.(check (list int)) "between" [ 2; 3 ] (ids between [| v_int 2; v_int 3 |]);
+  Alcotest.(check (list int)) "reversed bounds" [] (ids between [| v_int 3; v_int 2 |]);
+  Alcotest.(check (list int)) "NULL bound" [] (ids between [| Value.Null; v_int 3 |]);
+  Alcotest.(check (list int)) "float bounds" [ 2; 3 ]
+    (ids between [| Value.Float 1.5; Value.Float 3.0 |]);
+  Alcotest.(check (list int)) "strict" [ 3; 4 ]
+    (ids "SELECT id FROM accounts WHERE id > 2" [||]);
+  Alcotest.(check (list int)) "column on the right" [ 1 ]
+    (ids "SELECT id FROM accounts WHERE 2 > id" [||]);
+  (* own inserts are visited after the committed range, as on a full scan *)
+  let ctx = Executor.Ctx.create (fixture ()) in
+  let ids sql params =
+    (exec_ok ctx sql ~params ()).rows
+    |> List.map (function [| Value.Int i |] -> i | _ -> Alcotest.fail "row")
+  in
+  ignore (exec_ok ctx "INSERT INTO accounts VALUES (0, 'zed', 5, 'west')" ());
+  ignore (exec_ok ctx "DELETE FROM accounts WHERE id = 2" ());
+  Alcotest.(check (list int)) "overlay" [ 1; 3; 0 ]
+    (ids "SELECT id FROM accounts WHERE id <= 3" [||]);
+  Alcotest.(check (list string)) "reads: the delete's row, then the matches"
+    (List.map (fun i -> Value.encode_key [| v_int i |]) [ 2; 1; 3 ])
+    (List.map (fun r -> r.Executor.r_key_str) (Executor.Ctx.read_set ctx))
 
 let test_plan_no_col_equality () =
   (* id = id is not an index condition. *)
@@ -508,6 +556,79 @@ let test_create_index_and_probe () =
   | [ [| Value.Int 3 |] ] -> ()
   | _ -> Alcotest.fail "own insert visible through index path"
 
+let test_select_range_composite_key () =
+  let ctx = Executor.Ctx.create (Db.create ()) in
+  ignore (exec_ok ctx "CREATE TABLE stock (w INT, i INT, qty INT, PRIMARY KEY (w, i))" ());
+  let tbl = Db.get_table_exn (Executor.Ctx.db ctx) "stock" in
+  for w = 1 to 4 do
+    for i = 1 to 3 do
+      Table.load tbl [| v_int w; v_int i; v_int ((10 * w) + i) |]
+    done
+  done;
+  let r = exec_ok ctx "SELECT COUNT(*), SUM(qty) FROM stock WHERE w BETWEEN 2 AND 3" () in
+  match r.rows with
+  | [ [| Value.Int 6; Value.Int 162 |] ] -> ()
+  | _ -> Alcotest.fail "leading-column range on a two-column key"
+
+let test_index_sees_own_update () =
+  let ctx = Executor.Ctx.create (fixture ()) in
+  ignore (exec_ok ctx "CREATE INDEX accounts_by_region ON accounts (region)" ());
+  ignore (exec_ok ctx "UPDATE accounts SET region = 'north' WHERE id = 2" ());
+  let r = exec_ok ctx "SELECT COUNT(*) FROM accounts WHERE region = 'north'" () in
+  (match r.rows with
+  | [ [| Value.Int 3 |] ] -> ()
+  | _ -> Alcotest.fail "row updated onto the probed key is visible");
+  (* and one updated off the probed key is not *)
+  ignore (exec_ok ctx "UPDATE accounts SET region = 'west' WHERE id = 1" ());
+  let r = exec_ok ctx "SELECT id FROM accounts WHERE region = 'north' ORDER BY id" () in
+  match r.rows with
+  | [ [| Value.Int 2 |]; [| Value.Int 3 |] ] -> ()
+  | _ -> Alcotest.fail "row updated off the probed key is hidden"
+
+let test_key_probe_numeric_types () =
+  let db = fixture () in
+  let ctx = Executor.Ctx.create db in
+  let owners sql =
+    (exec_ok ctx sql ()).rows
+    |> List.map (function [| Value.Str o |] -> o | _ -> Alcotest.fail "row")
+  in
+  Alcotest.(check (list string)) "integral float on an int key" [ "carol" ]
+    (owners "SELECT owner FROM accounts WHERE id = 3.0");
+  Alcotest.(check (list string)) "non-integral float" []
+    (owners "SELECT owner FROM accounts WHERE id = 2.5");
+  ignore (exec_ok ctx "INSERT INTO accounts VALUES (9, 'ivy', 1, 'west')" ());
+  Alcotest.(check (list string)) "own insert by float probe" [ "ivy" ]
+    (owners "SELECT owner FROM accounts WHERE id = 9.0");
+  ignore (exec_ok ctx "CREATE TABLE prices (p FLOAT, label STRING, PRIMARY KEY (p))" ());
+  Table.load (Db.get_table_exn db "prices") [| Value.Float 2.0; v_str "two" |];
+  let r = exec_ok ctx "SELECT label FROM prices WHERE p = 2" () in
+  match r.rows with
+  | [ [| Value.Str "two" |] ] -> ()
+  | _ -> Alcotest.fail "int probe on a float key"
+
+let test_bind_time_errors () =
+  let ctx = Executor.Ctx.create (fixture ()) in
+  (* no row is visited, yet the unknown column is reported *)
+  let m = exec_err ctx "SELECT nope FROM accounts WHERE id = 999" () in
+  Alcotest.(check bool) "unknown column" true (contains_sub m "nope");
+  let m = exec_err ctx "SELECT id FROM accounts WHERE id = 999 ORDER BY nope" () in
+  Alcotest.(check bool) "unknown sort key" true (contains_sub m "nope");
+  let m = exec_err ctx "UPDATE accounts SET balance = nope WHERE id = 999" () in
+  Alcotest.(check bool) "unknown SET operand" true (contains_sub m "nope");
+  let m =
+    exec_err ctx "SELECT id FROM accounts a JOIN regions r ON a.region = r.rname WHERE x.id = 1"
+      ()
+  in
+  Alcotest.(check bool) "unknown qualifier" true (contains_sub m "x");
+  (* a missing parameter still fails only when evaluated *)
+  let r = exec_ok ctx "SELECT id FROM accounts WHERE id = 999 AND balance = ?" () in
+  Alcotest.(check int) "no rows" 0 (List.length r.rows)
+
+let test_create_table_without_columns () =
+  let ctx = Executor.Ctx.create (Db.create ()) in
+  let m = exec_err ctx "CREATE TABLE t (PRIMARY KEY (k))" () in
+  Alcotest.(check bool) "names the problem" true (contains_sub m "column")
+
 let test_create_table_dml () =
   let db = Db.create () in
   let ctx = Executor.Ctx.create db in
@@ -528,6 +649,172 @@ let test_type_errors () =
     (String.length (exec_err ctx "SELECT nope FROM accounts" ()) > 0);
   Alcotest.(check bool) "arith on string" true
     (String.length (exec_err ctx "SELECT owner + 1 FROM accounts WHERE id = 1" ()) > 0)
+
+(* --- Differential: planned access paths vs the full scan ---
+
+   A random statement runs twice on fresh copies of the fixture after the
+   same own writes: once as written, once with its WHERE wrapped in
+   [NOT NOT (...)], which no access path can use, so it goes down the
+   full scan. Result, read set and write set must agree. Point, prefix
+   and range paths visit rows in the full scan's order, so they must
+   agree exactly; a secondary-index probe visits index order, so with
+   the index present they agree as multisets. *)
+
+let gen_bound =
+  QCheck.Gen.(
+    oneof
+      [
+        map string_of_int (int_range (-1) 6);
+        map (Printf.sprintf "%d.0") (int_range 0 6);
+        map (Printf.sprintf "%d.5") (int_range 0 5);
+        return "NULL";
+      ])
+
+let gen_region = QCheck.Gen.oneofl [ "'north'"; "'south'"; "'east'"; "'west'" ]
+
+let gen_atom =
+  QCheck.Gen.(
+    let cmp = oneofl [ "<"; "<="; ">"; ">="; "=" ] in
+    oneof
+      [
+        map2 (Printf.sprintf "id BETWEEN %s AND %s") gen_bound gen_bound;
+        map2 (Printf.sprintf "id %s %s") cmp gen_bound;
+        map2 (Printf.sprintf "%s %s id") gen_bound cmp;
+        map (Printf.sprintf "region = %s") gen_region;
+        map (Printf.sprintf "balance > %d") (int_range 0 500);
+      ])
+
+let gen_where =
+  QCheck.Gen.(
+    map (String.concat " AND ") (list_size (int_range 1 3) gen_atom))
+
+let gen_own_write =
+  QCheck.Gen.(
+    let key = int_range 0 6 in
+    oneof
+      [
+        map3
+          (Printf.sprintf "INSERT INTO accounts VALUES (%d, 'zed', %d, %s)")
+          key (int_range 0 500) gen_region;
+        map3
+          (Printf.sprintf "UPDATE accounts SET region = %s, balance = %d WHERE id = %d")
+          gen_region (int_range 0 500) key;
+        map (Printf.sprintf "DELETE FROM accounts WHERE id = %d") key;
+      ])
+
+(* statement text around its WHERE clause *)
+let gen_stmt =
+  QCheck.Gen.oneofl
+    [
+      ("SELECT id, owner, balance, region FROM accounts WHERE ", "");
+      ("SELECT COUNT(*), SUM(balance) FROM accounts WHERE ", "");
+      ("SELECT id FROM accounts WHERE ", " ORDER BY id DESC LIMIT 2");
+      ("UPDATE accounts SET balance = balance + 1 WHERE ", "");
+      ("DELETE FROM accounts WHERE ", "");
+    ]
+
+let run_case ~index ~own_writes sql =
+  let ctx = Executor.Ctx.create (fixture ()) in
+  if index then
+    ignore (exec_ok ctx "CREATE INDEX accounts_by_region ON accounts (region)" ());
+  List.iter (fun w -> ignore (Executor.exec_sql ctx w ~params:[||])) own_writes;
+  let result =
+    Result.map (fun r -> (r.Executor.rows, r.affected)) (Executor.exec_sql ctx sql ~params:[||])
+  in
+  let reads =
+    List.map
+      (fun r -> (r.Executor.r_table, r.r_key_str, r.r_csn, r.r_cen))
+      (Executor.Ctx.read_set ctx)
+  in
+  let writes =
+    List.map
+      (fun r -> Gg_crdt.Writeset.(r.table, r.key, r.op, r.data, r.cols))
+      (Executor.Ctx.writeset_records ctx)
+  in
+  (result, reads, writes)
+
+let prop_planned_matches_full_scan =
+  let gen =
+    QCheck.Gen.(
+      map3
+        (fun index own_writes (stmt, where) -> (index, own_writes, stmt, where))
+        bool (list_size (int_range 0 4) gen_own_write) (pair gen_stmt gen_where))
+  in
+  let sql (pre, post) where = pre ^ where ^ post in
+  let print (index, own_writes, stmt, where) =
+    Printf.sprintf "index=%b; %s; %s" index (String.concat "; " own_writes)
+      (sql stmt where)
+  in
+  QCheck.Test.make ~name:"planned access path = full scan" ~count:1000
+    (QCheck.make ~print gen) (fun (index, own_writes, stmt, where) ->
+      let planned = run_case ~index ~own_writes (sql stmt where) in
+      let full = run_case ~index ~own_writes (sql stmt ("NOT NOT (" ^ where ^ ")")) in
+      if not index then planned = full
+      else
+        let canon (result, reads, writes) =
+          ( Result.map (fun (rows, n) -> (List.sort compare rows, n)) result,
+            List.sort compare reads,
+            List.sort compare writes )
+        in
+        canon planned = canon full)
+
+(* --- Fuzz: any text gives Ok or Error, never another exception --- *)
+
+let sql_vocabulary =
+  [|
+    "SELECT"; "FROM"; "WHERE"; "INSERT"; "INTO"; "VALUES"; "UPDATE"; "SET";
+    "DELETE"; "CREATE"; "TABLE"; "INDEX"; "PRIMARY"; "KEY"; "AND"; "OR"; "NOT";
+    "ORDER"; "BY"; "ASC"; "DESC"; "LIMIT"; "JOIN"; "INNER"; "ON"; "AS"; "NULL";
+    "INT"; "FLOAT"; "STRING"; "VARCHAR"; "COUNT"; "SUM"; "MIN"; "MAX"; "AVG";
+    "GROUP"; "IN"; "BETWEEN"; "LIKE"; "accounts"; "regions"; "a"; "r"; "id";
+    "owner"; "balance"; "region"; "rname"; "tz"; "nope"; "0"; "1"; "3";
+    "99999999999999999999"; "2.5"; "0.0"; "'north'"; "'%a%'"; "''"; "?"; "(";
+    ")"; ","; "*"; "+"; "-"; "/"; "%"; "="; "<"; ">"; "<="; ">="; "<>"; "!=";
+    "||"; "."; ";";
+  |]
+
+let fuzz_templates =
+  [|
+    "SELECT id , owner FROM accounts WHERE id BETWEEN 1 AND 3 ORDER BY id";
+    "SELECT region , COUNT ( * ) , SUM ( balance ) FROM accounts GROUP BY region";
+    "SELECT a . id , r . tz FROM accounts a JOIN regions r ON a . region = r . rname";
+    "UPDATE accounts SET balance = balance + 1 WHERE id > 2";
+    "DELETE FROM accounts WHERE region = 'north'";
+    "INSERT INTO accounts VALUES ( 9 , 'x' , 1 , 'west' )";
+    "CREATE TABLE t ( k INT , v STRING , PRIMARY KEY ( k ) )";
+    "CREATE INDEX i ON accounts ( region )";
+  |]
+
+let gen_fuzz_sql =
+  QCheck.Gen.(
+    let token = map (Array.get sql_vocabulary) (int_bound (Array.length sql_vocabulary - 1)) in
+    let random_tokens = map (String.concat " ") (list_size (int_range 0 16) token) in
+    let mutated =
+      let* template = oneofa fuzz_templates in
+      let* edits = list_size (int_range 1 3) (triple (int_bound 2) nat token) in
+      let words = String.split_on_char ' ' template in
+      let apply words (kind, pos, tok) =
+        let pos = pos mod (List.length words + 1) in
+        List.concat
+          (List.mapi
+             (fun i w ->
+               if i <> pos then [ w ]
+               else match kind with 0 -> [] | 1 -> [ tok ] | _ -> [ tok; w ])
+             words)
+        @ if pos = List.length words then [ tok ] else []
+      in
+      return (String.concat " " (List.fold_left apply words edits))
+    in
+    oneof [ random_tokens; mutated ])
+
+let prop_fuzz_never_raises =
+  QCheck.Test.make ~name:"random SQL gives Ok or Error" ~count:2000
+    (QCheck.make ~print:Fun.id gen_fuzz_sql) (fun sql ->
+      let ctx = Executor.Ctx.create (fixture ()) in
+      match Executor.exec_sql ctx sql ~params:[| v_int 2 |] with
+      | Ok _ | Error _ -> true
+      | exception e ->
+        QCheck.Test.fail_reportf "%S raised %s" sql (Printexc.to_string e))
 
 let () =
   Alcotest.run "gg_sql"
@@ -555,6 +842,8 @@ let () =
           Alcotest.test_case "point with param" `Quick test_plan_point_param;
           Alcotest.test_case "full" `Quick test_plan_full;
           Alcotest.test_case "col=col not indexable" `Quick test_plan_no_col_equality;
+          Alcotest.test_case "range" `Quick test_plan_range;
+          QCheck_alcotest.to_alcotest prop_planned_matches_full_scan;
         ] );
       ( "select",
         [
@@ -577,6 +866,14 @@ let () =
           Alcotest.test_case "IN list" `Quick test_select_in_list;
           Alcotest.test_case "BETWEEN" `Quick test_select_between;
           Alcotest.test_case "LIKE" `Quick test_select_like;
+          Alcotest.test_case "range scan" `Quick test_select_range;
+          Alcotest.test_case "range scan on a composite key" `Quick
+            test_select_range_composite_key;
+          Alcotest.test_case "key probe with the other numeric type" `Quick
+            test_key_probe_numeric_types;
+          Alcotest.test_case "unknown columns fail at bind time" `Quick
+            test_bind_time_errors;
+          QCheck_alcotest.to_alcotest prop_fuzz_never_raises;
         ] );
       ( "read set",
         [
@@ -596,7 +893,11 @@ let () =
           Alcotest.test_case "insert+delete cancels" `Quick test_insert_then_delete_cancels;
           Alcotest.test_case "update+delete collapses" `Quick test_update_then_delete;
           Alcotest.test_case "create table + dml" `Quick test_create_table_dml;
+          Alcotest.test_case "create table without columns" `Quick
+            test_create_table_without_columns;
           Alcotest.test_case "create index + probe" `Quick test_create_index_and_probe;
+          Alcotest.test_case "index probe sees own update" `Quick
+            test_index_sees_own_update;
           Alcotest.test_case "type errors" `Quick test_type_errors;
         ] );
     ]

@@ -224,6 +224,28 @@ let test_table_scan_prefix () =
   Table.scan_prefix t ~prefix:[| v_int 1 |] (fun _ -> incr got);
   Alcotest.(check int) "prefix matches" 4 !got
 
+let test_table_scan_range_leading_column () =
+  let s =
+    Schema.create ~name:"two"
+      ~columns:[ { Schema.name = "a"; ty = TInt }; { name = "b"; ty = TInt } ]
+      ~key:[ "a"; "b" ]
+  in
+  let t = Table.create s in
+  for a = 0 to 3 do
+    for b = 0 to 2 do
+      Table.load t [| v_int a; v_int b |]
+    done
+  done;
+  let got = ref [] in
+  Table.scan_range t ~lo:[| v_int 1 |] ~hi:[| v_int 2 |] (fun e ->
+      match e.Table.key with
+      | [| Value.Int a; Value.Int b |] -> got := (a, b) :: !got
+      | _ -> ());
+  Alcotest.(check (list (pair int int)))
+    "one-column bounds cover every b"
+    [ (1, 0); (1, 1); (1, 2); (2, 0); (2, 1); (2, 2) ]
+    (List.rev !got)
+
 let test_table_digest_sensitivity () =
   let t1 = make_table 5 and t2 = make_table 5 in
   let d t =
@@ -461,6 +483,8 @@ let () =
           Alcotest.test_case "temp table" `Quick test_table_temp;
           Alcotest.test_case "scan order" `Quick test_table_scan_order;
           Alcotest.test_case "scan range" `Quick test_table_scan_range;
+          Alcotest.test_case "scan range on the leading key column" `Quick
+            test_table_scan_range_leading_column;
           Alcotest.test_case "scan prefix" `Quick test_table_scan_prefix;
           Alcotest.test_case "digest sensitivity" `Quick test_table_digest_sensitivity;
           Alcotest.test_case "purge tombstones" `Quick test_purge_tombstones;
