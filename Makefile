@@ -1,4 +1,4 @@
-.PHONY: all build test fmt ci bench wallclock parallel merge check trace-demo clean
+.PHONY: all build test fmt ci bench micro wallclock parallel merge check trace-demo clean
 
 # Domain fan-out for the harness (check sweeps, experiment grids, bench
 # scenarios). 0 = one worker per core; output is byte-identical at any
@@ -102,6 +102,10 @@ ci: fmt
 
 bench:
 	dune exec bench/main.exe -- --jobs $(JOBS)
+
+# Bechamel kernels (OLS ns/run and r-squared each) into BENCH_micro.json.
+micro:
+	dune exec bench/main.exe -- micro
 
 wallclock:
 	dune exec bench/main.exe -- wallclock --jobs $(JOBS)

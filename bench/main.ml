@@ -4,6 +4,8 @@
      main.exe                 run every paper experiment + microbenchmarks
      main.exe fig5 table3 ... run specific experiments
      main.exe micro           run only the Bechamel kernel benchmarks
+                              (writes BENCH_micro.json: OLS ns/run and
+                              r-squared per kernel)
      main.exe wallclock       end-to-end wall-clock throughput suite
                               (writes BENCH_wallclock.json)
      main.exe parallel        harness speedup curve over --jobs
@@ -13,9 +15,11 @@
      main.exe --fast [...]    shrunk populations/windows (smoke mode)
      main.exe -j N [...]      fan independent simulations over N domains
                               (0 = auto; deterministic output at any N)
-     main.exe --out FILE      wallclock JSON output path (default
-                              BENCH_wallclock.json; `make ci` writes a
-                              fast run to /tmp for `bench diff`)
+     main.exe --out FILE      JSON output path of the micro or wallclock
+                              suite, whichever one runs (default
+                              BENCH_micro.json / BENCH_wallclock.json;
+                              `make ci` writes a fast wallclock run to
+                              /tmp for `bench diff`)
 
    Experiments regenerate the rows/series of every table and figure in
    the paper's evaluation (§7); see DESIGN.md for the index and
@@ -165,7 +169,7 @@ let bench_db_digest_cached =
   bench "db digest, cached (5k rows, no mutations)" (fun () ->
       ignore (Gg_storage.Db.digest (Lazy.force digest_db)))
 
-let run_micro () =
+let run_micro ~out () =
   let open Bechamel in
   let benchmarks =
     [
@@ -179,22 +183,47 @@ let run_micro () =
   print_endline "Microbenchmarks (Bechamel; monotonic clock)";
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.3) ~kde:(Some 500) () in
   let instance = Toolkit.Instance.monotonic_clock in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ]) in
-      Hashtbl.iter
-        (fun name raw ->
-          let stats =
-            Analyze.one
-              (Analyze.ols ~bootstrap:0 ~r_square:false
-                 ~predictors:[| Measure.run |])
-              instance raw
-          in
-          match Analyze.OLS.estimates stats with
-          | Some [ est ] -> Printf.printf "  %-45s %10.1f ns/run\n%!" name est
-          | _ -> Printf.printf "  %-45s (no estimate)\n%!" name)
-        results)
-    benchmarks
+  let rows =
+    List.concat_map
+      (fun test ->
+        let results = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ]) in
+        Hashtbl.fold
+          (fun name raw acc ->
+            let stats =
+              Analyze.one
+                (Analyze.ols ~bootstrap:0 ~r_square:true
+                   ~predictors:[| Measure.run |])
+                instance raw
+            in
+            match (Analyze.OLS.estimates stats, Analyze.OLS.r_square stats) with
+            | Some [ est ], r2 ->
+              let r2 = Option.value r2 ~default:Float.nan in
+              Printf.printf "  %-45s %10.1f ns/run  (r2 %.4f)\n%!" name est r2;
+              (name, est, r2) :: acc
+            | _ ->
+              Printf.printf "  %-45s (no estimate)\n%!" name;
+              acc)
+          results [])
+      benchmarks
+  in
+  (* Bechamel names a grouped test "g/<name>"; the JSON keeps <name>. *)
+  let kernel name =
+    match String.index_opt name '/' with
+    | Some i -> String.sub name (i + 1) (String.length name - i - 1)
+    | None -> name
+  in
+  let oc = open_out out in
+  Printf.fprintf oc
+    "{\n  \"suite\": \"micro\",\n  \"unit\": \"ns/run\",\n  \"kernels\": [\n%s\n  ]\n}\n"
+    (String.concat ",\n"
+       (List.map
+          (fun (name, est, r2) ->
+            Printf.sprintf "    {\"kernel\": %S, \"ns_per_run\": %.1f, \"r_square\": %s}"
+              (kernel name) est
+              (if Float.is_finite r2 then Printf.sprintf "%.4f" r2 else "null"))
+          rows));
+  close_out oc;
+  Printf.printf "  wrote %s\n" out
 
 (* --- Wall-clock throughput suite ---
 
@@ -609,22 +638,28 @@ let () =
   let fast = List.mem "--fast" args in
   let args = List.filter (fun a -> a <> "--fast") args in
   let jobs = ref 1 in
-  let out = ref "BENCH_wallclock.json" in
+  let out = ref None in
   let rec strip_opts = function
     | [] -> []
     | ("-j" | "--jobs") :: n :: rest ->
       jobs := int_of_string n;
       strip_opts rest
     | "--out" :: path :: rest ->
-      (* wallclock output path; lets `make ci` write a throwaway fast run
-         for `geogauss bench diff' without clobbering the committed
-         baseline *)
-      out := path;
+      (* micro or wallclock output path; lets `make ci` write a
+         throwaway fast run for `geogauss bench diff' without clobbering
+         the committed baseline *)
+      out := Some path;
       strip_opts rest
     | a :: rest -> a :: strip_opts rest
   in
   let args = strip_opts args in
-  let out = !out in
+  let both = args = [] || (List.mem "micro" args && List.mem "wallclock" args) in
+  if both && !out <> None then begin
+    prerr_endline "--out names one suite's JSON; run micro and wallclock separately";
+    exit 1
+  end;
+  let micro_out = Option.value !out ~default:"BENCH_micro.json" in
+  let out = Option.value !out ~default:"BENCH_wallclock.json" in
   Gg_par.Pool.with_pool ~jobs:!jobs @@ fun pool ->
   let run_experiment name =
     if not (Gg_harness.Experiments.run ~fast ~pool name) then begin
@@ -641,14 +676,14 @@ let () =
         Printf.printf "=== %s ===\n%!" name;
         run_experiment name)
       Gg_harness.Experiments.all;
-    run_micro ();
+    run_micro ~out:micro_out ();
     run_wallclock ~fast ~pool ~out ()
-  | [ "micro" ] -> run_micro ()
+  | [ "micro" ] -> run_micro ~out:micro_out ()
   | names ->
     List.iter
       (fun name ->
         match name with
-        | "micro" -> run_micro ()
+        | "micro" -> run_micro ~out:micro_out ()
         | "wallclock" -> run_wallclock ~fast ~pool ~out ()
         | "parallel" -> run_parallel ()
         | "merge" -> run_merge ~fast ()

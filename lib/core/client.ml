@@ -93,15 +93,18 @@ let rec connection_loop t =
     let retry_us = (Cluster.params t.cluster).Params.client_retry_us in
     (* If the serving node dies, the response never comes: time out and
        re-route. *)
-    Sim.schedule sim ~after:retry_us (fun () ->
-        if not !answered then begin
-          answered := true;
-          t.timeouts <- t.timeouts + 1;
-          Sim.schedule sim ~after:1_000 (fun () -> connection_loop t)
-        end);
+    let timeout =
+      Sim.schedule_timer sim ~after:retry_us (fun () ->
+          if not !answered then begin
+            answered := true;
+            t.timeouts <- t.timeouts + 1;
+            Sim.schedule sim ~after:1_000 (fun () -> connection_loop t)
+          end)
+    in
     let respond outcome =
       if not !answered then begin
         answered := true;
+        Sim.cancel sim timeout;
         match outcome with
         | Txn.Committed _ ->
           let latency_us = now t - submitted in
@@ -148,15 +151,18 @@ let rec dispatch t ~arrived =
     | Some arrived -> dispatch t ~arrived
     | None -> ()
   in
-  Sim.schedule sim ~after:retry_us (fun () ->
-      if not !answered then begin
-        answered := true;
-        t.timeouts <- t.timeouts + 1;
-        complete ()
-      end);
+  let timeout =
+    Sim.schedule_timer sim ~after:retry_us (fun () ->
+        if not !answered then begin
+          answered := true;
+          t.timeouts <- t.timeouts + 1;
+          complete ()
+        end)
+  in
   let respond outcome =
     if not !answered then begin
       answered := true;
+      Sim.cancel sim timeout;
       (match outcome with
       | Txn.Committed _ ->
         let latency_us = now t - arrived in

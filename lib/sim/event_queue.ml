@@ -1,4 +1,7 @@
-type 'a entry = { time : int; seq : int; payload : 'a }
+(* [pos] is the entry's slot in [heap], kept current by every move so
+   [cancel] can find it; -1 once the entry is popped or cancelled. *)
+type 'a entry = { time : int; seq : int; payload : 'a; mutable pos : int }
+type 'a handle = 'a entry
 
 type 'a t = {
   mutable heap : 'a entry array;
@@ -22,52 +25,67 @@ let grow t entry =
     t.heap <- nheap
   end
 
-let push t ~time payload =
-  let entry = { time; seq = t.next_seq; payload } in
+let set t i e =
+  t.heap.(i) <- e;
+  e.pos <- i
+
+(* Move [e] up from the hole at [i] to its place. *)
+let rec sift_up t i e =
+  if i = 0 then set t 0 e
+  else
+    let parent = (i - 1) / 2 in
+    let p = t.heap.(parent) in
+    if before e p then begin
+      set t i p;
+      sift_up t parent e
+    end
+    else set t i e
+
+(* Move [e] down from the hole at [i] to its place. *)
+let rec sift_down t i e =
+  let l = (2 * i) + 1 in
+  if l >= t.size then set t i e
+  else
+    let r = l + 1 in
+    let c = if r < t.size && before t.heap.(r) t.heap.(l) then r else l in
+    let child = t.heap.(c) in
+    if before child e then begin
+      set t i child;
+      sift_down t c e
+    end
+    else set t i e
+
+let add t ~time payload =
+  let entry = { time; seq = t.next_seq; payload; pos = t.size } in
   t.next_seq <- t.next_seq + 1;
   grow t entry;
-  t.heap.(t.size) <- entry;
   t.size <- t.size + 1;
-  (* Sift up. *)
-  let i = ref (t.size - 1) in
-  while
-    !i > 0
-    &&
-    let parent = (!i - 1) / 2 in
-    before t.heap.(!i) t.heap.(parent)
-  do
-    let parent = (!i - 1) / 2 in
-    let tmp = t.heap.(!i) in
-    t.heap.(!i) <- t.heap.(parent);
-    t.heap.(parent) <- tmp;
-    i := parent
-  done
+  sift_up t (t.size - 1) entry;
+  entry
+
+let push t ~time payload = ignore (add t ~time payload)
 
 let peek_time t = if t.size = 0 then None else Some t.heap.(0).time
 
+(* Take the entry at slot [i] out of the heap: the last entry fills the
+   hole and sifts whichever way restores the order. *)
+let remove_at t i =
+  let e = t.heap.(i) in
+  e.pos <- -1;
+  t.size <- t.size - 1;
+  if i < t.size then begin
+    let last = t.heap.(t.size) in
+    if i > 0 && before last t.heap.((i - 1) / 2) then sift_up t i last
+    else sift_down t i last
+  end;
+  e
+
 let pop t =
   if t.size = 0 then None
-  else begin
-    let top = t.heap.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.heap.(0) <- t.heap.(t.size);
-      (* Sift down. *)
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < t.size && before t.heap.(l) t.heap.(!smallest) then smallest := l;
-        if r < t.size && before t.heap.(r) t.heap.(!smallest) then smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          let tmp = t.heap.(!i) in
-          t.heap.(!i) <- t.heap.(!smallest);
-          t.heap.(!smallest) <- tmp;
-          i := !smallest
-        end
-      done
-    end;
+  else
+    let top = remove_at t 0 in
     Some (top.time, top.payload)
-  end
+
+let cancel t h =
+  if h.pos >= 0 && h.pos < t.size && t.heap.(h.pos) == h then
+    ignore (remove_at t h.pos)

@@ -22,9 +22,14 @@ let now t = t.now
 let events t = Gg_obs.Obs.Counter.value t.events
 let obs t = t.obs
 
-let schedule t ~after f =
-  let after = max 0 after in
-  Event_queue.push t.queue ~time:(t.now + after) f
+type timer = (unit -> unit) Event_queue.handle
+
+let schedule_timer t ~after f =
+  Event_queue.add t.queue ~time:(t.now + max 0 after) f
+
+let schedule t ~after f = ignore (schedule_timer t ~after f)
+
+let cancel t timer = Event_queue.cancel t.queue timer
 
 let schedule_at t time f =
   Event_queue.push t.queue ~time:(max time t.now) f

@@ -30,6 +30,18 @@ val schedule : t -> after:int -> (unit -> unit) -> unit
 val schedule_at : t -> int -> (unit -> unit) -> unit
 (** Absolute-time variant; past times run "now". *)
 
+type timer
+(** A scheduled event that can still be cancelled. *)
+
+val schedule_timer : t -> after:int -> (unit -> unit) -> timer
+(** {!schedule}, returning a handle for {!cancel}: for timeouts that
+    usually become moot before they fire. *)
+
+val cancel : t -> timer -> unit
+(** Drop a scheduled timer so it never runs (and never counts in
+    {!events}). A no-op once it has run or been cancelled; every other
+    event keeps its order. *)
+
 val step : t -> bool
 (** Run the single earliest event. [false] when the queue is empty. *)
 

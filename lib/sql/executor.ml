@@ -33,6 +33,8 @@ module Ctx = struct
     db : Db.t;
     track_cols : bool;  (* capture UPDATE column masks for column merge *)
     mutable reads_rev : read_record list;
+    mutable unindexed : int;
+        (* the newest [unindexed] reads are not in [read_keys] yet *)
     read_keys : unit Str_tbl.t Str_tbl.t;  (* table -> keys read *)
     writes : (string * string, write_buf) Hashtbl.t;
     mutable write_order_rev : write_buf list;
@@ -44,6 +46,7 @@ module Ctx = struct
       db;
       track_cols;
       reads_rev = [];
+      unindexed = 0;
       read_keys = Str_tbl.create 4;
       writes = Hashtbl.create 16;
       write_order_rev = [];
@@ -53,28 +56,52 @@ module Ctx = struct
   let db t = t.db
   let track_cols t = t.track_cols
 
-  let record_read t ~table ~key_str ~(header : Gg_storage.Row_header.t) =
-    (* Keep the first observation of each row: RR compares the commit-time
-       version against the first read. *)
-    let keys =
-      match Str_tbl.find_opt t.read_keys table with
-      | Some keys -> keys
-      | None ->
-        let keys = Str_tbl.create 16 in
-        Str_tbl.add t.read_keys table keys;
-        keys
+  let push_read t ~table ~key_str ~(header : Gg_storage.Row_header.t) =
+    t.reads_rev <-
+      { r_table = table; r_key_str = key_str; r_csn = header.csn; r_cen = header.cen }
+      :: t.reads_rev
+
+  let table_keys t table =
+    match Str_tbl.find_opt t.read_keys table with
+    | Some keys -> keys
+    | None ->
+      let keys = Str_tbl.create 16 in
+      Str_tbl.add t.read_keys table keys;
+      keys
+
+  let index_pending t =
+    let rec go n = function
+      | r :: rest when n > 0 ->
+        Str_tbl.add (table_keys t r.r_table) r.r_key_str ();
+        go (n - 1) rest
+      | _ -> ()
     in
-    if not (Str_tbl.mem keys key_str) then begin
-      Str_tbl.add keys key_str ();
-      t.reads_rev <-
-        { r_table = table; r_key_str = key_str; r_csn = header.csn; r_cen = header.cen }
-        :: t.reads_rev
+    if t.unindexed > 0 then begin
+      go t.unindexed t.reads_rev;
+      t.unindexed <- 0
     end
 
-  let read_set t = List.rev t.reads_rev
+  let record_read t ~table ~key_str ~header =
+    (* Keep the first observation of each row: RR compares the commit-time
+       version against the first read. *)
+    index_pending t;
+    let keys = table_keys t table in
+    if not (Str_tbl.mem keys key_str) then begin
+      Str_tbl.add keys key_str ();
+      push_read t ~table ~key_str ~header
+    end
 
-  let reread_csns t =
-    List.rev_map (fun r -> (r.r_table, r.r_key_str, r.r_csn)) t.reads_rev
+  (* The read recorder for a statement that records each row at most
+     once. When no earlier statement recorded a read, none of its reads
+     can be a repeat: it appends without probing, and the next
+     [record_read] indexes those reads before its own probe. *)
+  let distinct_recorder t =
+    if t.reads_rev = [] then fun ~table ~key_str ~header ->
+      push_read t ~table ~key_str ~header;
+      t.unindexed <- t.unindexed + 1
+    else record_read t
+
+  let read_set t = List.rev t.reads_rev
 
   let find_write t ~table ~key_str = Hashtbl.find_opt t.writes (table, key_str)
 
@@ -140,11 +167,19 @@ let visible_rows ctx table access ~params ~keep f =
   let schema = Table.schema tbl in
   let tname = schema.Schema.table_name in
   let written = Ctx.wrote_table ctx tname in
-  let emit ~key ~key_str ~entry data =
-    if keep data then f { v_key = key; v_key_str = key_str; v_data = data; v_entry = entry }
-  in
   let visit_committed entry data =
-    emit ~key:entry.Table.key ~key_str:entry.Table.key_str ~entry:(Some entry) data
+    if keep data then
+      f
+        {
+          v_key = entry.Table.key;
+          v_key_str = entry.Table.key_str;
+          v_data = data;
+          v_entry = Some entry;
+        }
+  in
+  let emit_own_insert w =
+    if keep w.w_data then
+      f { v_key = w.w_key; v_key_str = w.w_key_str; v_data = w.w_data; v_entry = None }
   in
   let visit_entry entry =
     if not written then visit_committed entry entry.Table.data
@@ -164,9 +199,6 @@ let visible_rows ctx table access ~params ~keep f =
           if t = tname && (not w.w_dead) && w.w_op <> Writeset.Delete then g w)
         ctx.Ctx.writes
   in
-  let emit_own_insert w =
-    emit ~key:w.w_key ~key_str:w.w_key_str ~entry:None w.w_data
-  in
   let own_inserts pred =
     iter_own_writes (fun w -> if (not w.w_existed) && pred w then emit_own_insert w)
   in
@@ -185,7 +217,7 @@ let visible_rows ctx table access ~params ~keep f =
     (* The txn may have inserted this key itself. *)
     match if written then Ctx.find_write ctx ~table:tname ~key_str else None with
     | Some w when (not w.w_dead) && (not w.w_existed) && w.w_op <> Writeset.Delete ->
-      emit ~key ~key_str ~entry:None w.w_data
+      emit_own_insert w
     | Some _ | None -> (
       match Table.find_live tbl key_str with
       | Some entry -> visit_entry entry
@@ -234,9 +266,9 @@ let visible_rows ctx table access ~params ~keep f =
     Table.scan tbl ~f:visit_entry;
     own_inserts (fun _ -> true)
 
-let record_vrow_read ctx ~table v =
+let record_vrow_read record ~table v =
   match v.v_entry with
-  | Some entry -> Ctx.record_read ctx ~table ~key_str:v.v_key_str ~header:entry.Table.header
+  | Some entry -> record ~table ~key_str:v.v_key_str ~header:entry.Table.header
   | None -> () (* own insert: nothing to validate *)
 
 (* --- SELECT --- *)
@@ -337,17 +369,24 @@ let select ctx (s : Ast.select) ~params =
     | Some w -> Expr.is_truthy (Expr.eval w)
   in
   let n_projs = List.length s.projs in
-  let project () =
-    List.map
-      (function
-        | B_star -> Array.concat (List.map (fun b -> b.Env.row) env)
-        | B_expr e -> [| Expr.eval e |]
-        | B_agg _ ->
-          (* defended by the [aggregating] dispatch above; a proper error
-             beats an [assert false] if a future path slips through *)
-          raise (Sql_error "aggregate function outside an aggregate query"))
-      projs
-    |> Array.concat
+  let projs_a = Array.of_list projs in
+  let eval_proj = function
+    | B_expr e -> Expr.eval e
+    | B_star | B_agg _ ->
+      (* defended by the [aggregating] dispatch above; a proper error
+         beats an [assert false] if a future path slips through *)
+      raise (Sql_error "aggregate function outside an aggregate query")
+  in
+  let project =
+    if List.exists (function B_star -> true | B_expr _ | B_agg _ -> false) projs
+    then fun () ->
+      List.map
+        (function
+          | B_star -> Array.concat (List.map (fun b -> b.Env.row) env)
+          | p -> [| eval_proj p |])
+        projs
+      |> Array.concat
+    else fun () -> Array.map eval_proj projs_a
   in
   let sort_keys () = List.map (fun (e, dir) -> (Expr.eval e, dir)) order_by in
   (* Grouped/aggregated path. *)
@@ -365,53 +404,61 @@ let select ctx (s : Ast.select) ~params =
       g_sort = sort;
     }
   in
-  let aggregate_row () =
-    let key = List.map Expr.eval group_by in
-    let st =
-      match Hashtbl.find_opt groups key with
-      | Some st -> st
-      | None ->
-        let repr =
-          List.map
-            (function B_expr e -> Expr.eval e | B_agg _ | B_star -> Value.Null)
-            projs
-          |> Array.of_list
-        in
-        let st = fresh_state ~repr ~sort:(sort_keys ()) in
-        Hashtbl.replace groups key st;
-        group_order := key :: !group_order;
-        st
+  let new_group () =
+    let repr =
+      Array.map (function B_expr e -> Expr.eval e | B_agg _ | B_star -> Value.Null) projs_a
     in
-    List.iteri
-      (fun i p ->
-        match p with
-        | B_agg (fn, arg) -> (
-          let v =
-            match arg with
-            | None -> Value.Int 1
-            | Some e -> Expr.eval e
-          in
-          match (fn, v) with
-          | _, Value.Null -> ()
-          | Ast.Count, _ -> st.g_count.(i) <- st.g_count.(i) + 1
-          | (Ast.Sum | Ast.Avg), Value.Int n ->
-            st.g_count.(i) <- st.g_count.(i) + 1;
-            st.g_sumf.(i) <- st.g_sumf.(i) +. float_of_int n;
-            st.g_sumi.(i) <- st.g_sumi.(i) + n
-          | (Ast.Sum | Ast.Avg), Value.Float f ->
-            st.g_count.(i) <- st.g_count.(i) + 1;
-            st.g_sumf.(i) <- st.g_sumf.(i) +. f;
-            st.g_int_only.(i) <- false
-          | (Ast.Sum | Ast.Avg), v ->
-            raise (Sql_error (Printf.sprintf "SUM/AVG of %s" (Value.type_name v)))
-          | Ast.Min, v ->
-            if st.g_min.(i) = Value.Null || Value.compare v st.g_min.(i) < 0 then
-              st.g_min.(i) <- v
-          | Ast.Max, v ->
-            if st.g_max.(i) = Value.Null || Value.compare v st.g_max.(i) > 0 then
-              st.g_max.(i) <- v)
-        | B_star | B_expr _ -> ())
-      projs
+    fresh_state ~repr ~sort:(sort_keys ())
+  in
+  (* the one group of an aggregate without GROUP BY *)
+  let single = ref None in
+  let aggregate_row () =
+    let st =
+      match (group_by, !single) with
+      | [], Some st -> st
+      | [], None ->
+        let st = new_group () in
+        single := Some st;
+        st
+      | _ :: _, _ -> (
+        let key = List.map Expr.eval group_by in
+        match Hashtbl.find_opt groups key with
+        | Some st -> st
+        | None ->
+          let st = new_group () in
+          Hashtbl.replace groups key st;
+          group_order := key :: !group_order;
+          st)
+    in
+    for i = 0 to n_projs - 1 do
+      match projs_a.(i) with
+      | B_agg (fn, arg) -> (
+        let v =
+          match arg with
+          | None -> Value.Int 1
+          | Some e -> Expr.eval e
+        in
+        match (fn, v) with
+        | _, Value.Null -> ()
+        | Ast.Count, _ -> st.g_count.(i) <- st.g_count.(i) + 1
+        | (Ast.Sum | Ast.Avg), Value.Int n ->
+          st.g_count.(i) <- st.g_count.(i) + 1;
+          st.g_sumf.(i) <- st.g_sumf.(i) +. float_of_int n;
+          st.g_sumi.(i) <- st.g_sumi.(i) + n
+        | (Ast.Sum | Ast.Avg), Value.Float f ->
+          st.g_count.(i) <- st.g_count.(i) + 1;
+          st.g_sumf.(i) <- st.g_sumf.(i) +. f;
+          st.g_int_only.(i) <- false
+        | (Ast.Sum | Ast.Avg), v ->
+          raise (Sql_error (Printf.sprintf "SUM/AVG of %s" (Value.type_name v)))
+        | Ast.Min, v ->
+          if st.g_min.(i) = Value.Null || Value.compare v st.g_min.(i) < 0 then
+            st.g_min.(i) <- v
+        | Ast.Max, v ->
+          if st.g_max.(i) = Value.Null || Value.compare v st.g_max.(i) > 0 then
+            st.g_max.(i) <- v)
+      | B_star | B_expr _ -> ()
+    done
   in
   let handle_match () =
     if aggregating then aggregate_row ()
@@ -421,16 +468,18 @@ let select ctx (s : Ast.select) ~params =
   in
   (match join with
   | None ->
+    let record = Ctx.distinct_recorder ctx in
     visible_rows ctx s.from.table access ~params
       ~keep:(fun data ->
         from_binding.Env.row <- data;
         where_ok ())
       (fun v ->
-        record_vrow_read ctx ~table:s.from.table v;
+        record_vrow_read record ~table:s.from.table v;
         handle_match ())
   | Some (jtr, on, jb) ->
     (* Nested loop with the outer row bound; the inner side is a full
-       scan. *)
+       scan. An outer row is met once per inner match, so reads probe. *)
+    let record = Ctx.record_read ctx in
     visible_rows ctx s.from.table access ~params
       ~keep:(fun data ->
         from_binding.Env.row <- data;
@@ -441,8 +490,8 @@ let select ctx (s : Ast.select) ~params =
             jb.Env.row <- jdata;
             Expr.is_truthy (Expr.eval on) && where_ok ())
           (fun jv ->
-            record_vrow_read ctx ~table:s.from.table v;
-            record_vrow_read ctx ~table:jtr.Ast.table jv;
+            record_vrow_read record ~table:s.from.table v;
+            record_vrow_read record ~table:jtr.Ast.table jv;
             handle_match ())));
   let columns = List.mapi proj_name s.projs in
   let columns =
@@ -485,17 +534,17 @@ let select ctx (s : Ast.select) ~params =
       |> Array.of_list
     in
     let rows =
-      List.rev_map
-        (fun key ->
-          let st = Hashtbl.find groups key in
-          (row_of st, st.g_sort))
-        !group_order
-    in
-    (* With no GROUP BY and no matches, SQL still yields one row. *)
-    let rows =
-      if rows = [] && s.group_by = [] then
+      match !single with
+      | Some st -> [ (row_of st, st.g_sort) ]
+      | None when s.group_by = [] ->
+        (* With no GROUP BY and no matches, SQL still yields one row. *)
         [ (row_of (fresh_state ~repr:(Array.make n_projs Value.Null) ~sort:[]), []) ]
-      else rows
+      | None ->
+        List.rev_map
+          (fun key ->
+            let st = Hashtbl.find groups key in
+            (row_of st, st.g_sort))
+          !group_order
     in
     let rows =
       if s.order_by = [] then rows
@@ -703,6 +752,7 @@ let update ctx ~table ~sets ~where ~params =
           (Gg_crdt.Column.of_index i) rest
     else Gg_crdt.Column.full
   in
+  let record = Ctx.distinct_recorder ctx in
   List.iter
     (fun v ->
       binding.Env.row <- v.v_data;
@@ -713,7 +763,7 @@ let update ctx ~table ~sets ~where ~params =
       (match Schema.validate_row schema new_row with
       | Ok () -> ()
       | Error m -> raise (Sql_error m));
-      record_vrow_read ctx ~table v;
+      record_vrow_read record ~table v;
       buffer_write ctx ~table ~v ~op:Writeset.Update ~cols ~data:new_row ())
     targets;
   { columns = []; rows = []; affected = List.length targets }
@@ -721,9 +771,10 @@ let update ctx ~table ~sets ~where ~params =
 let delete ctx ~table ~where ~params =
   let tbl = get_table (Ctx.db ctx) table in
   let targets = collect_targets ctx tbl (target_binding tbl table) where ~params in
+  let record = Ctx.distinct_recorder ctx in
   List.iter
     (fun v ->
-      record_vrow_read ctx ~table v;
+      record_vrow_read record ~table v;
       buffer_write ctx ~table ~v ~op:Writeset.Delete ~data:[||] ())
     targets;
   { columns = []; rows = []; affected = List.length targets }

@@ -31,12 +31,19 @@ module Ctx : sig
   val track_cols : t -> bool
 
   val read_set : t -> read_record list
-  (** In read order (first read first). A row read several times keeps
-      its {e first} observation, which is what RR validation compares
-      against. *)
+  (** In read order (first read first), at most one record per (table,
+      key): a row read several times keeps its {e first} observation,
+      which is what RR validation compares against. Only rows a
+      statement keeps are recorded (after its WHERE), never the own
+      inserts of the transaction.
 
-  val reread_csns : t -> (string * string * Gg_storage.Csn.t) list
-  (** Most recent observation per (table, key) — diagnostics. *)
+      The (table, key) dedup index is built only when a repeat is
+      possible. A statement that visits each committed row at most once
+      (every single-table SELECT path, and the target rows of UPDATE
+      and DELETE) appends its reads unprobed when no earlier statement
+      recorded one. The first later read (the next statement's, or a
+      join's nested loop, which can meet a row once per partner) indexes
+      those reads and then probes. *)
 
   val writeset_records : t -> Gg_crdt.Writeset.record list
   (** Net effect of the buffered writes, in first-write order.

@@ -119,7 +119,8 @@ let write t entry data =
   let old = entry.data in
   entry.data <- data;
   touch t;
-  if Hashtbl.length t.indexes > 0 then begin
+  (* a tombstone is in no secondary index; [revive] re-adds it *)
+  if Hashtbl.length t.indexes > 0 && not entry.header.deleted then begin
     indexes_remove t ~data:old entry;
     indexes_add t entry
   end
@@ -188,23 +189,31 @@ let compare_key_prefix key h =
   in
   go 0
 
+(* Live rows from [from] (or the first key) in key order while
+   [continue key] holds. The seek is one [Key_map.split] (O(log n) fresh
+   nodes per scan); the walk is [Key_map.iter] over the right part, so no
+   [Seq] node or closure is built per row. [Stop] is local to the call:
+   a scan started from inside another scan's [f] cannot end the outer
+   one. *)
+let iter_while t ?from ~continue f =
+  let exception Stop in
+  let visit key e = if continue key then f e else raise_notrace Stop in
+  try
+    match from with
+    | None -> Key_map.iter visit t.ordered
+    | Some from ->
+      let _, eq, right = Key_map.split from t.ordered in
+      (match eq with Some e -> visit e.key e | None -> ());
+      Key_map.iter visit right
+  with Stop -> ()
+
 let scan_range t ?lo ?hi f =
-  let seq =
-    match lo with
-    | None -> Key_map.to_seq t.ordered
-    | Some l -> Key_map.to_seq_from l t.ordered
+  let continue =
+    match hi with
+    | None -> fun _ -> true
+    | Some h -> fun key -> compare_key_prefix key h <= 0
   in
-  let rec go seq =
-    match seq () with
-    | Seq.Nil -> ()
-    | Seq.Cons ((key, e), rest) ->
-      let le_hi = match hi with None -> true | Some h -> compare_key_prefix key h <= 0 in
-      if le_hi then begin
-        f e;
-        go rest
-      end
-  in
-  go seq
+  iter_while t ?from:lo ~continue f
 
 let has_prefix ~prefix key =
   let lp = Array.length prefix in
@@ -214,16 +223,7 @@ let has_prefix ~prefix key =
   go 0
 
 let scan_prefix t ~prefix f =
-  let rec go seq =
-    match seq () with
-    | Seq.Nil -> ()
-    | Seq.Cons ((key, e), rest) ->
-      if has_prefix ~prefix key then begin
-        f e;
-        go rest
-      end
-  in
-  go (Key_map.to_seq_from prefix t.ordered)
+  iter_while t ~from:prefix ~continue:(has_prefix ~prefix) f
 
 (* --- secondary index API --- *)
 

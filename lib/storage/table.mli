@@ -89,13 +89,17 @@ val iter_all : t -> f:(entry -> unit) -> unit
 val scan_range :
   t -> ?lo:Value.t array -> ?hi:Value.t array -> (entry -> unit) -> unit
 (** Live rows with [lo <= key <= hi] in key order (missing bound =
-    unbounded). Seeks to [lo]. [hi] is compared against the first
-    [Array.length hi] key columns only, so a one-column [hi] on a
-    composite key keeps every key whose leading column is [<= hi.(0)];
-    a shorter [lo] already sorts before every key it prefixes. *)
+    unbounded). [hi] is compared against the first [Array.length hi] key
+    columns only, so a one-column [hi] on a composite key keeps every key
+    whose leading column is [<= hi.(0)]; a shorter [lo] already sorts
+    before every key it prefixes. The scan seeks to [lo] in O(log n),
+    then walks the ordered index in place and stops at the first key past
+    [hi]: nothing is allocated per visited row. *)
 
 val scan_prefix : t -> prefix:Value.t array -> (entry -> unit) -> unit
-(** Live rows whose key starts with [prefix], in key order. *)
+(** Live rows whose key starts with [prefix], in key order. Seeks and
+    walks like {!scan_range}, stopping at the first key without the
+    prefix. *)
 
 (** {1 Secondary indexes}
 

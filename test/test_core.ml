@@ -327,6 +327,53 @@ let test_sustained_workload_converges () =
     (Printf.sprintf "committed %d > 100" committed)
     true (committed > 100)
 
+(* An answered request's timeout leaves the event queue with the answer.
+   The queue then holds, per connection, one live timeout plus the
+   request path's own events, and a constant number of node timers: it
+   stays bounded by the connection count however many requests were
+   answered. Before, every request answered within the last
+   [client_retry_us] (2 s) left its timeout queued: ~1.5k events here. *)
+let test_answered_timeouts_leave_queue () =
+  let check_mode name make_clients =
+    let c = make_cluster () in
+    let clients = make_clients c in
+    let conns = 3 * 8 in
+    run_ms c 3_000;
+    let running = Gg_sim.Sim.pending (Cluster.sim c) in
+    List.iter Client.stop clients;
+    Cluster.quiesce c;
+    let committed = List.fold_left (fun a cl -> a + Client.committed cl) 0 clients in
+    let drained = Gg_sim.Sim.pending (Cluster.sim c) in
+    Alcotest.(check bool) (Printf.sprintf "%s: %d commits" name committed) true
+      (committed > 500);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %d pending while running <= %d" name running (8 * conns))
+      true
+      (running <= 8 * conns);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %d pending after quiesce <= %d" name drained (2 * conns))
+      true
+      (drained <= 2 * conns)
+  in
+  check_mode "closed" (fun c -> mixed_workload_clients ~connections:8 c 4242);
+  check_mode "open" (fun c ->
+      List.map (fun i ->
+          let rng = Gg_util.Rng.create (777 + i) in
+          let gen () = add_txn (Gg_util.Rng.int rng 200) 1 in
+          let mode =
+            Client.Open
+              {
+                arrival =
+                  Gg_workload.Arrival.make ~shape:Gg_workload.Arrival.Constant
+                    ~peak_tps:400.0;
+                queue_cap = 64;
+              }
+          in
+          let cl = Client.create ~mode c ~home:i ~connections:8 ~gen in
+          Client.start cl;
+          cl)
+        (Cluster.members c))
+
 let test_convergence_under_duplication_and_reorder () =
   (* The CRDT merge must absorb duplicated and reordered batches. *)
   let c = make_cluster ~dup:0.2 ~reorder:0.2 () in
@@ -888,6 +935,8 @@ let () =
       ( "consistency",
         [
           Alcotest.test_case "sustained workload converges" `Slow test_sustained_workload_converges;
+          Alcotest.test_case "answered timeouts leave the queue" `Quick
+            test_answered_timeouts_leave_queue;
           Alcotest.test_case "dup+reorder robustness" `Slow test_convergence_under_duplication_and_reorder;
           Alcotest.test_case "snapshots sequentially consistent" `Slow test_sequential_consistency_of_snapshots;
         ] );

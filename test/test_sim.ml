@@ -51,6 +51,78 @@ let test_eq_empty () =
   Alcotest.(check bool) "pop none" true (Event_queue.pop q = None);
   Alcotest.(check bool) "peek none" true (Event_queue.peek_time q = None)
 
+(* Cancellation against a reference model. Fifteen events pushed in
+   ascending time fill the heap level by level, so the first cancels hit
+   known slots: the root (t=1), a middle entry (t=3) and the last leaf
+   (t=15); then one pop (t=2) is cancelled again, and t=3 twice. A
+   random tail of pushes, pops and cancels (any handle, live, popped or
+   cancelled) follows. Every pop must equal the reference's (time, seq)
+   minimum with the cancelled entries removed. *)
+type eq_op = Push of int | Pop | Cancel of int
+
+let prop_eq_cancel_matches_reference =
+  let fixed =
+    List.init 15 (fun i -> Push (i + 1))
+    @ [ Cancel 0; Cancel 2; Cancel 14; Pop; Cancel 1; Cancel 2 ]
+  in
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (fun t -> Push t) (int_range 0 30));
+          (2, return Pop);
+          (3, map (fun i -> Cancel i) nat);
+        ])
+  in
+  let print ops =
+    String.concat " "
+      (List.map
+         (function
+           | Push t -> Printf.sprintf "push%d" t
+           | Pop -> "pop"
+           | Cancel i -> Printf.sprintf "cancel%d" i)
+         ops)
+  in
+  QCheck.Test.make ~name:"cancel keeps reference pop order" ~count:500
+    (QCheck.make ~print QCheck.Gen.(list_size (int_range 0 80) gen_op))
+    (fun tail ->
+      let q = Event_queue.create () in
+      (* handles by id; the model holds the live (time, id) pairs, and
+         ids are the push order, i.e. the queue's tie-break *)
+      let handles = ref [||] in
+      let model = ref [] in
+      let pop_model () =
+        match List.sort compare !model with
+        | [] -> None
+        | ((t, id) as top) :: _ ->
+          model := List.filter (( <> ) top) !model;
+          Some (t, id)
+      in
+      let step = function
+        | Push t ->
+          let id = Array.length !handles in
+          handles := Array.append !handles [| Event_queue.add q ~time:t id |];
+          model := (t, id) :: !model;
+          true
+        | Pop -> Event_queue.pop q = pop_model ()
+        | Cancel i ->
+          let n = Array.length !handles in
+          if n > 0 then begin
+            let id = i mod n in
+            Event_queue.cancel q !handles.(id);
+            model := List.filter (fun (_, j) -> j <> id) !model
+          end;
+          Event_queue.length q = List.length !model
+      in
+      List.for_all step (fixed @ tail)
+      &&
+      let rec drain () =
+        match (Event_queue.pop q, pop_model ()) with
+        | None, None -> true
+        | a, b -> a = b && drain ()
+      in
+      drain ())
+
 (* --- Sim --- *)
 
 let test_sim_schedule_order () =
@@ -71,6 +143,20 @@ let test_sim_nested_schedule () =
       Sim.schedule sim ~after:5 (fun () -> hits := Sim.now sim :: !hits));
   Sim.run sim;
   Alcotest.(check (list int)) "nested times" [ 10; 15 ] (List.rev !hits)
+
+let test_sim_cancel_timer () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let timer = Sim.schedule_timer sim ~after:10 (fun () -> log := "timeout" :: !log) in
+  Sim.schedule sim ~after:10 (fun () -> log := "same time" :: !log);
+  Sim.schedule sim ~after:5 (fun () ->
+      log := "answer" :: !log;
+      Sim.cancel sim timer);
+  Sim.run sim;
+  Sim.cancel sim timer;
+  Alcotest.(check (list string)) "timer never ran" [ "answer"; "same time" ]
+    (List.rev !log);
+  Alcotest.(check int) "cancelled timer not counted" 2 (Sim.events sim)
 
 let test_sim_run_until () =
   let sim = Sim.create () in
@@ -342,12 +428,14 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_eq_fifo_ties;
           Alcotest.test_case "interleaved" `Quick test_eq_interleaved;
           Alcotest.test_case "empty" `Quick test_eq_empty;
+          QCheck_alcotest.to_alcotest prop_eq_cancel_matches_reference;
         ] );
       ( "sim",
         [
           Alcotest.test_case "schedule order" `Quick test_sim_schedule_order;
           Alcotest.test_case "nested schedule" `Quick test_sim_nested_schedule;
           Alcotest.test_case "run_until" `Quick test_sim_run_until;
+          Alcotest.test_case "cancelled timer" `Quick test_sim_cancel_timer;
           Alcotest.test_case "run_until past queue" `Quick test_sim_run_until_past_queue;
           Alcotest.test_case "negative after" `Quick test_sim_negative_after;
           Alcotest.test_case "time helpers" `Quick test_time_helpers;

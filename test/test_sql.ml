@@ -816,6 +816,338 @@ let prop_fuzz_never_raises =
       | exception e ->
         QCheck.Test.fail_reportf "%S raised %s" sql (Printexc.to_string e))
 
+(* --- AST-level fuzz: random statements straight into the executor ---
+
+   Statements are generated as [Ast] values over the fixture's tables,
+   so shapes the parser would never build (an aggregate inside a
+   comparison, a missing parameter, a star beside an aggregate) reach
+   the executor too. One to four run in one context with random
+   parameters. Every statement must give [Ok] or [Error], and the read
+   set must never hold the same (table, key) twice. *)
+
+let gen_value =
+  QCheck.Gen.(
+    oneof
+      [
+        map v_int (int_range (-1) 5);
+        map (fun i -> Value.Float (float_of_int i /. 2.0)) (int_range (-2) 10);
+        map v_str (oneofl [ "north"; "south"; "east"; "alice"; "%o%"; "" ]);
+        return Value.Null;
+      ])
+
+(* Column references in scope for the statement's table refs, each both
+   qualified and bare; an unknown column is drawn now and then. *)
+let scope_cols refs =
+  List.concat_map
+    (fun (tr : Ast.table_ref) ->
+      let q = Option.value tr.alias ~default:tr.table in
+      let names =
+        match tr.table with
+        | "accounts" -> [ "id"; "owner"; "balance"; "region" ]
+        | "regions" -> [ "rname"; "tz" ]
+        | _ -> [ "nope" ]
+      in
+      List.concat_map (fun c -> [ (Some q, c); (None, c) ]) names)
+    refs
+
+let gen_col cols =
+  QCheck.Gen.(
+    frequency [ (40, oneofl cols); (1, return (None, "nope")) ]
+    |> map (fun (q, c) -> Ast.Col (q, c)))
+
+let gen_leaf cols =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, gen_col cols);
+        (2, map (fun v -> Ast.Const v) gen_value);
+        (1, map (fun i -> Ast.Param i) (frequency [ (8, int_range 0 2); (1, return 3) ]));
+      ])
+
+let gen_ast_expr cols =
+  QCheck.Gen.(
+    sized_size (int_bound 3)
+    @@ fix (fun self n ->
+           let leaf = gen_leaf cols in
+           if n = 0 then leaf
+           else
+             let sub = self (n - 1) in
+             let binop ops = map3 (fun op a b -> Ast.Binop (op, a, b)) (oneofl ops) sub sub in
+             frequency
+               [
+                 (2, leaf);
+                 (3, binop Ast.[ Eq; Ne; Lt; Le; Gt; Ge ]);
+                 (2, binop Ast.[ And; Or ]);
+                 (1, binop Ast.[ Add; Sub; Mul; Div; Mod; Concat ]);
+                 (1, map2 (fun op e -> Ast.Unop (op, e)) (oneofl Ast.[ Neg; Not ]) sub);
+                 (1, map2 (fun e l -> Ast.In_list (e, l)) sub (list_size (int_range 0 3) sub));
+                 (1, map3 (fun e lo hi -> Ast.Between (e, lo, hi)) sub sub sub);
+                 (1, map2 (fun e p -> Ast.Like (e, p)) sub sub);
+               ]))
+
+(* WHERE clauses: mostly column-vs-constant conjuncts (the shapes the
+   planner turns into point, range and index paths), sometimes any
+   expression. *)
+let gen_ast_where cols =
+  QCheck.Gen.(
+    let atom =
+      let* c = gen_col cols in
+      let leaf = gen_leaf cols in
+      oneof
+        [
+          map2 (fun op v -> Ast.Binop (op, c, v)) (oneofl Ast.[ Eq; Lt; Le; Gt; Ge ]) leaf;
+          map2 (fun lo hi -> Ast.Between (c, lo, hi)) leaf leaf;
+          map (fun l -> Ast.In_list (c, l)) (list_size (int_range 1 3) leaf);
+        ]
+    in
+    let conj =
+      map2
+        (fun a rest -> List.fold_left (fun x y -> Ast.Binop (Ast.And, x, y)) a rest)
+        atom
+        (list_size (int_range 0 2) atom)
+    in
+    option ~ratio:0.85 (frequency [ (3, conj); (1, gen_ast_expr cols) ]))
+
+let gen_from =
+  QCheck.Gen.(
+    map2
+      (fun table alias -> { Ast.table; alias })
+      (frequency [ (14, return "accounts"); (5, return "regions"); (1, return "nope") ])
+      (oneofl [ None; Some "a" ]))
+
+let gen_ast_select =
+  QCheck.Gen.(
+    let* from = gen_from in
+    let* join =
+      option ~ratio:0.25
+        (map2
+           (fun table alias -> { Ast.table; alias = Some alias })
+           (oneofl [ "accounts"; "regions" ])
+           (oneofl [ "b"; "r" ]))
+    in
+    let cols = scope_cols (from :: Option.to_list join) in
+    let expr = gen_ast_expr cols in
+    let* join =
+      match join with
+      | None -> return None
+      | Some tr -> map (fun on -> Some (tr, on)) expr
+    in
+    let plain =
+      frequency
+        [
+          (1, return Ast.Star);
+          (4, map2 (fun e a -> Ast.Expr_proj (e, a)) expr (oneofl [ None; Some "x" ]));
+        ]
+    in
+    let agg =
+      map3
+        (fun fn arg a -> Ast.Agg (fn, arg, a))
+        (oneofl Ast.[ Count; Sum; Min; Max; Avg ])
+        (option expr) (oneofl [ None; Some "agg" ])
+    in
+    (* plain, aggregate-only, grouped, or (rarely) an invalid mix *)
+    let* projs, group_by =
+      frequency
+        [
+          (4, map (fun p -> (p, [])) (list_size (int_range 1 3) plain));
+          (3, map (fun p -> (p, [])) (list_size (int_range 1 3) agg));
+          ( 2,
+            pair
+              (list_size (int_range 1 3) (frequency [ (1, plain); (2, agg) ]))
+              (list_size (int_range 1 2) (gen_col cols)) );
+          (1, map (fun p -> (p, [])) (list_size (int_range 1 3) (oneof [ plain; agg ])));
+        ]
+    in
+    let* where = gen_ast_where cols in
+    let* order_by = list_size (int_range 0 2) (pair expr (oneofl Ast.[ Asc; Desc ])) in
+    let* limit = option ~ratio:0.3 (int_range 0 3) in
+    return (Ast.Select { projs; from; join; where; group_by; order_by; limit }))
+
+(* A well-typed row for the table most of the time, any values else. *)
+let gen_insert_row table =
+  QCheck.Gen.(
+    let const g = map (fun v -> Ast.Const v) g in
+    let typed =
+      match table with
+      | "accounts" ->
+        flatten_l
+          [
+            const (map v_int (int_range 0 7));
+            const (map v_str (oneofl [ "zed"; "yan" ]));
+            const (map v_int (int_range 0 500));
+            const (map v_str (oneofl [ "north"; "south"; "west" ]));
+          ]
+      | _ ->
+        flatten_l
+          [
+            const (map v_str (oneofl [ "north"; "west"; "up" ]));
+            const (map v_int (int_range 0 12));
+          ]
+    in
+    frequency [ (3, typed); (1, list_size (int_range 1 4) (const gen_value)) ])
+
+let gen_ast_stmt =
+  QCheck.Gen.(
+    let* table =
+      frequency [ (14, return "accounts"); (5, return "regions"); (1, return "nope") ]
+    in
+    let cols = scope_cols [ { Ast.table; alias = None } ] in
+    let names = List.sort_uniq compare (List.map snd cols) in
+    let col = frequency [ (20, oneofl names); (1, return "nope") ] in
+    (* the key columns only rarely: updating one is an error *)
+    let set_col =
+      match table with
+      | "accounts" -> frequency [ (12, oneofl [ "owner"; "balance"; "region" ]); (1, col) ]
+      | "regions" -> frequency [ (6, return "tz"); (1, col) ]
+      | _ -> col
+    in
+    let expr = gen_ast_expr cols in
+    frequency
+      [
+        (5, gen_ast_select);
+        ( 2,
+          map2
+            (fun sets where -> Ast.Update { table; sets; where })
+            (list_size (int_range 1 2) (pair set_col expr))
+            (gen_ast_where cols) );
+        (1, map (fun where -> Ast.Delete { table; where }) (gen_ast_where cols));
+        ( 2,
+          map2
+            (fun cols rows -> Ast.Insert { table; cols; rows })
+            (option ~ratio:0.1 (list_size (int_range 1 4) col))
+            (list_size (int_range 1 2) (gen_insert_row table)) );
+      ])
+
+(* SQL-like rendering, for counterexamples only *)
+let rec show_expr = function
+  | Ast.Const v -> Value.to_string v
+  | Ast.Col (None, c) -> c
+  | Ast.Col (Some q, c) -> q ^ "." ^ c
+  | Ast.Param i -> Printf.sprintf "?%d" (i + 1)
+  | Ast.Unop (Ast.Neg, e) -> "-(" ^ show_expr e ^ ")"
+  | Ast.Unop (Ast.Not, e) -> "NOT (" ^ show_expr e ^ ")"
+  | Ast.Binop (op, a, b) ->
+    Printf.sprintf "(%s %s %s)" (show_expr a) (Ast.binop_to_string op) (show_expr b)
+  | Ast.In_list (e, l) ->
+    Printf.sprintf "%s IN (%s)" (show_expr e) (String.concat ", " (List.map show_expr l))
+  | Ast.Between (e, lo, hi) ->
+    Printf.sprintf "%s BETWEEN %s AND %s" (show_expr e) (show_expr lo) (show_expr hi)
+  | Ast.Like (e, p) -> Printf.sprintf "%s LIKE %s" (show_expr e) (show_expr p)
+
+let show_where = function None -> "" | Some w -> " WHERE " ^ show_expr w
+
+let show_table_ref (tr : Ast.table_ref) =
+  tr.table ^ match tr.alias with None -> "" | Some a -> " " ^ a
+
+let show_stmt = function
+  | Ast.Select s ->
+    let proj = function
+      | Ast.Star -> "*"
+      | Ast.Expr_proj (e, _) -> show_expr e
+      | Ast.Agg (_, None, _) -> "COUNT(*)"
+      | Ast.Agg (_, Some e, _) -> "AGG(" ^ show_expr e ^ ")"
+    in
+    Printf.sprintf "SELECT %s FROM %s%s%s%s%s%s"
+      (String.concat ", " (List.map proj s.projs))
+      (show_table_ref s.from)
+      (match s.join with
+      | None -> ""
+      | Some (tr, on) -> " JOIN " ^ show_table_ref tr ^ " ON " ^ show_expr on)
+      (show_where s.where)
+      (match s.group_by with
+      | [] -> ""
+      | g -> " GROUP BY " ^ String.concat ", " (List.map show_expr g))
+      (match s.order_by with
+      | [] -> ""
+      | o -> " ORDER BY " ^ String.concat ", " (List.map (fun (e, _) -> show_expr e) o))
+      (match s.limit with None -> "" | Some k -> Printf.sprintf " LIMIT %d" k)
+  | Ast.Update { table; sets; where } ->
+    Printf.sprintf "UPDATE %s SET %s%s" table
+      (String.concat ", " (List.map (fun (c, e) -> c ^ " = " ^ show_expr e) sets))
+      (show_where where)
+  | Ast.Delete { table; where } -> Printf.sprintf "DELETE FROM %s%s" table (show_where where)
+  | Ast.Insert { table; rows; _ } ->
+    Printf.sprintf "INSERT INTO %s VALUES %s" table
+      (String.concat ", "
+         (List.map (fun r -> "(" ^ String.concat ", " (List.map show_expr r) ^ ")") rows))
+  | Ast.Create_table _ | Ast.Create_index _ -> "CREATE ..."
+
+let prop_ast_fuzz_read_set_distinct =
+  let gen =
+    QCheck.Gen.(
+      pair (list_size (int_range 1 4) gen_ast_stmt)
+        (array_size (frequency [ (1, int_range 0 2); (4, return 3) ]) gen_value))
+  in
+  let print (stmts, params) =
+    Printf.sprintf "params=[%s]; %s"
+      (String.concat "," (Array.to_list (Array.map Value.to_string params)))
+      (String.concat "; " (List.map show_stmt stmts))
+  in
+  QCheck.Test.make ~name:"random AST statements: Ok or Error, distinct read set"
+    ~count:2000 (QCheck.make ~print gen) (fun (stmts, params) ->
+      let ctx = Executor.Ctx.create (fixture ()) in
+      List.iter
+        (fun stmt ->
+          match Executor.exec ctx stmt ~params with
+          | Ok _ | Error _ -> ()
+          | exception e ->
+            QCheck.Test.fail_reportf "%s raised %s" (show_stmt stmt) (Printexc.to_string e))
+        stmts;
+      let keys =
+        List.map (fun r -> (r.Executor.r_table, r.r_key_str)) (Executor.Ctx.read_set ctx)
+      in
+      List.length (List.sort_uniq compare keys) = List.length keys)
+
+(* Read sets where the dedup index has to be switched on mid-transaction:
+   the first statement appends unprobed, a later one must see its reads. *)
+let read_keys ctx =
+  List.map
+    (fun r ->
+      ( r.Executor.r_table,
+        match
+          List.find_opt (fun i -> Value.encode_key [| v_int i |] = r.r_key_str) [ 1; 2; 3; 4 ]
+        with
+        | Some i -> i
+        | None -> Alcotest.fail "unexpected key" ))
+    (Executor.Ctx.read_set ctx)
+
+let test_read_set_range_then_aggregate () =
+  let ctx = Executor.Ctx.create (fixture ()) in
+  ignore (exec_ok ctx "SELECT id FROM accounts WHERE id BETWEEN 2 AND 3" ());
+  ignore (exec_ok ctx "SELECT COUNT(*), SUM(balance) FROM accounts WHERE balance >= 300" ());
+  Alcotest.(check (list (pair string int)))
+    "2, 3 from the range; only 4 is new to the aggregate"
+    [ ("accounts", 2); ("accounts", 3); ("accounts", 4) ]
+    (read_keys ctx)
+
+let test_read_set_update_then_select () =
+  let db = fixture () in
+  let csn_before =
+    (Option.get (Table.find (Db.get_table_exn db "accounts") (Value.encode_key [| v_int 1 |])))
+      .Table.header.Row_header.csn
+  in
+  let ctx = Executor.Ctx.create db in
+  ignore (exec_ok ctx "UPDATE accounts SET balance = 5 WHERE id = 1" ());
+  let r = exec_ok ctx "SELECT balance FROM accounts WHERE id = 1" () in
+  Alcotest.(check bool) "own update visible" true (r.Executor.rows = [ [| v_int 5 |] ]);
+  Alcotest.(check (list (pair string int))) "row 1 once" [ ("accounts", 1) ] (read_keys ctx);
+  Alcotest.(check bool) "first observation kept" true
+    (List.for_all
+       (fun r -> Gg_storage.Csn.equal r.Executor.r_csn csn_before)
+       (Executor.Ctx.read_set ctx))
+
+let test_read_set_self_join () =
+  let ctx = Executor.Ctx.create (fixture ()) in
+  let r =
+    exec_ok ctx "SELECT a.id, b.id FROM accounts a JOIN accounts b ON a.region = b.region" ()
+  in
+  Alcotest.(check int) "north pairs 4 + south 1 + east 1" 6 (List.length r.Executor.rows);
+  (* outer 1 meets inner 1 and 3; outer 2 meets 2; outer 3 repeats; 4 *)
+  Alcotest.(check (list (pair string int)))
+    "each row once, in first-read order"
+    [ ("accounts", 1); ("accounts", 3); ("accounts", 2); ("accounts", 4) ]
+    (read_keys ctx)
+
 let () =
   Alcotest.run "gg_sql"
     [
@@ -880,6 +1212,12 @@ let () =
           Alcotest.test_case "recorded" `Quick test_read_set_recorded;
           Alcotest.test_case "first observation kept" `Quick test_read_set_first_observation;
           Alcotest.test_case "scan records matches" `Quick test_scan_records_matching_only;
+          Alcotest.test_case "range then overlapping aggregate" `Quick
+            test_read_set_range_then_aggregate;
+          Alcotest.test_case "update then select of the row" `Quick
+            test_read_set_update_then_select;
+          Alcotest.test_case "self-join" `Quick test_read_set_self_join;
+          QCheck_alcotest.to_alcotest prop_ast_fuzz_read_set_distinct;
         ] );
       ( "writes",
         [
