@@ -1,4 +1,4 @@
-.PHONY: all build test fmt ci bench micro wallclock parallel merge check trace-demo clean
+.PHONY: all build test fmt ci bench micro ab wallclock parallel merge check trace-demo clean
 
 # Domain fan-out for the harness (check sweeps, experiment grids, bench
 # scenarios). 0 = one worker per core; output is byte-identical at any
@@ -106,6 +106,17 @@ bench:
 # Bechamel kernels (OLS ns/run and r-squared each) into BENCH_micro.json.
 micro:
 	dune exec bench/main.exe -- micro
+
+# A/B on the end-to-end benchmark (bench/ab.sh): PAIRS alternating
+# pairs of the BENCHMARK.json command on workload W, revision BASE
+# (built in a temporary git worktree) against the working tree, e.g.
+# `make ab W=ycsb-ro BASE=HEAD~1`.
+SEED ?= 42
+BASE ?= HEAD
+PAIRS ?= 10
+ab:
+	@test -n "$(W)" || { echo "make ab: set W=<workload>" >&2; exit 2; }
+	sh bench/ab.sh $(W) $(SEED) $(BASE) $(PAIRS)
 
 wallclock:
 	dune exec bench/main.exe -- wallclock --jobs $(JOBS)

@@ -146,6 +146,59 @@ let bench_op_exec =
   bench "op-level txn execution (YCSB, 10 ops)" (fun () ->
       ignore (Geogauss.Op_exec.exec db (Gg_workload.Ycsb.next_txn g)))
 
+(* The key-level read path at the e2e benchmark's ycsb-ro scale: three
+   50k-row YCSB replicas, as in one simulated cluster, loaded as each
+   kernel's resource — once, just before that kernel runs, and dropped
+   after it — with 4096 pre-drawn inputs cycled through, so a run times
+   the calls alone. *)
+let ycsb_ro_50k = Gg_workload.Ycsb.with_records Gg_workload.Ycsb.read_only 50_000
+
+let ycsb_replicas () =
+  Array.init 3 (fun _ ->
+      let db = Gg_storage.Db.create () in
+      Gg_workload.Ycsb.load ycsb_ro_50k db;
+      db)
+
+let cycle inputs =
+  let i = ref 0 in
+  fun () ->
+    let x = inputs.(!i land (Array.length inputs - 1)) in
+    incr i;
+    x
+
+let bench_with name ~allocate f =
+  Bechamel.Test.make_with_resource ~name Bechamel.Test.uniq ~allocate
+    ~free:ignore (Bechamel.Staged.stage f)
+
+let bench_find_live =
+  bench_with "Table.find_live random probe x100 (50k rows)"
+    ~allocate:(fun () ->
+      let rng = Gg_util.Rng.create 11 in
+      let keys =
+        Array.init 4096 (fun _ ->
+            Gg_storage.Value.encode_key
+              (Gg_workload.Ycsb.key_of (Gg_util.Rng.int rng 50_000)))
+      in
+      ( Gg_storage.Db.get_table_exn (ycsb_replicas ()).(0)
+          Gg_workload.Ycsb.table_name,
+        cycle keys ))
+    (fun (table, next_key) ->
+      for _ = 1 to 100 do
+        ignore (Gg_storage.Table.find_live table (next_key ()))
+      done)
+
+let bench_op_exec_ro =
+  bench_with "Op_exec.exec 10-read YCSB txn x10 (3 x 50k-row replicas)"
+    ~allocate:(fun () ->
+      let g = Gg_workload.Ycsb.create ycsb_ro_50k ~seed:5 in
+      let txns = Array.init 4096 (fun _ -> Gg_workload.Ycsb.next_txn g) in
+      (ycsb_replicas (), cycle txns, ref 0))
+    (fun (dbs, next_txn, replica) ->
+      for _ = 1 to 10 do
+        replica := (!replica + 1) mod Array.length dbs;
+        ignore (Geogauss.Op_exec.exec dbs.(!replica) (next_txn ()))
+      done)
+
 (* The convergence oracle digests every node's Db every epoch; the
    per-table digest cache (keyed on a mutation counter) turns the
    every-epoch case — most tables untouched since the last digest —
@@ -176,16 +229,26 @@ let run_micro ~out () =
       bench_merge_rule; bench_writeset_codec; bench_compress_eof;
       bench_compress_ycsb; bench_zipf; bench_event_queue;
       bench_sql_parse; bench_sql_range; bench_sql_aggregate; bench_op_exec;
+      bench_find_live; bench_op_exec_ro;
       bench_db_digest_cold;
       bench_db_digest_cached;
     ]
   in
   print_endline "Microbenchmarks (Bechamel; monotonic clock)";
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.3) ~kde:(Some 500) () in
+  (* The kernels over 50k-row replicas skip Bechamel's per-sample heap
+     compaction: on their heap it takes most of the quota, leaving too
+     few samples for the fit. *)
+  let big_heap = [ bench_find_live; bench_op_exec_ro ] in
+  let big_heap_cfg =
+    Benchmark.cfg ~limit:500 ~quota:(Time.second 0.3) ~kde:(Some 500)
+      ~stabilize:false ()
+  in
   let instance = Toolkit.Instance.monotonic_clock in
   let rows =
     List.concat_map
       (fun test ->
+        let cfg = if List.memq test big_heap then big_heap_cfg else cfg in
         let results = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ]) in
         Hashtbl.fold
           (fun name raw acc ->

@@ -38,9 +38,151 @@ let temp_shard_count = 16
 let key_hash key_str = Hashtbl.hash key_str land max_int
 let key_shard ~shards key_str = key_hash key_str mod shards
 
+(* The primary index: open addressing with linear probing over two
+   parallel arrays. [hashes.(i)] holds the full [key_hash] of the entry
+   in [slots.(i)], or [vacant_hash] when the slot is free, so a probe
+   compares ints from one array and dereferences an entry (and its
+   [key_str]) only when the stored hash matches. Deletion shifts the rest
+   of the probe run back over the hole, so there are no tombstone slots
+   and every run is the contiguous block after its home slot. The
+   capacity is a power of two, doubled before the load factor passes
+   7/10.
+
+   Slot order depends on the hash function and the insertion history,
+   so nothing observable may depend on it. Every walk over the slots
+   either sorts what it collects ([digest_into], [digest_shard], and
+   [Checkpoint] through [iter_all]) or does not depend on order ([copy],
+   [purge_tombstones]). *)
+type pk_index = {
+  mutable hashes : int array;
+  mutable slots : entry array;
+  mutable count : int;
+  vacant : entry;  (* fills free slots; never returned *)
+}
+
+let vacant_hash = -1
+
+let vacant_entry () =
+  { key = [||]; key_str = ""; data = [||]; header = Row_header.create () }
+
+let pk_create capacity =
+  let vacant = vacant_entry () in
+  {
+    hashes = Array.make capacity vacant_hash;
+    slots = Array.make capacity vacant;
+    count = 0;
+    vacant;
+  }
+
+let pk_initial_capacity = 1024
+
+(* [count + 1] entries fit below the 7/10 load factor. *)
+let pk_fits capacity count = 10 * (count + 1) <= 7 * capacity
+
+(* Slot of [key_str] (hash [h]), or -1. *)
+let pk_slot ix key_str h =
+  let hashes = ix.hashes in
+  let mask = Array.length hashes - 1 in
+  let rec go i =
+    let sh = Array.unsafe_get hashes i in
+    if sh = vacant_hash then -1
+    else if sh = h && String.equal (Array.unsafe_get ix.slots i).key_str key_str
+    then i
+    else go ((i + 1) land mask)
+  in
+  go (h land mask)
+
+let pk_find ix key_str =
+  let i = pk_slot ix key_str (key_hash key_str) in
+  if i < 0 then None else Some (Array.unsafe_get ix.slots i)
+
+(* Place an entry known to be absent; the caller has made room. *)
+let pk_place ix h entry =
+  let hashes = ix.hashes in
+  let mask = Array.length hashes - 1 in
+  let rec go i =
+    if Array.unsafe_get hashes i = vacant_hash then begin
+      hashes.(i) <- h;
+      ix.slots.(i) <- entry
+    end
+    else go ((i + 1) land mask)
+  in
+  go (h land mask)
+
+let pk_grow ix =
+  let old_hashes = ix.hashes and old_slots = ix.slots in
+  let capacity = 2 * Array.length old_hashes in
+  ix.hashes <- Array.make capacity vacant_hash;
+  ix.slots <- Array.make capacity ix.vacant;
+  Array.iteri
+    (fun i h -> if h <> vacant_hash then pk_place ix h old_slots.(i))
+    old_hashes
+
+(* Insert or replace the entry for [entry.key_str]. *)
+let pk_replace ix entry =
+  let h = key_hash entry.key_str in
+  let i = pk_slot ix entry.key_str h in
+  if i >= 0 then ix.slots.(i) <- entry
+  else begin
+    if not (pk_fits (Array.length ix.hashes) ix.count) then pk_grow ix;
+    pk_place ix h entry;
+    ix.count <- ix.count + 1
+  end
+
+(* Backward-shift deletion of slot [hole]: walk the run after it and
+   move back every entry whose home slot is not cyclically inside
+   (hole, j], so each stays reachable from its home without a gap. *)
+let pk_remove_slot ix hole =
+  let hashes = ix.hashes and slots = ix.slots in
+  let mask = Array.length hashes - 1 in
+  let rec shift hole j =
+    let h = hashes.(j) in
+    if h = vacant_hash then begin
+      hashes.(hole) <- vacant_hash;
+      slots.(hole) <- ix.vacant
+    end
+    else
+      let home = h land mask in
+      let stays =
+        if hole <= j then hole < home && home <= j else hole < home || home <= j
+      in
+      if stays then shift hole ((j + 1) land mask)
+      else begin
+        hashes.(hole) <- h;
+        slots.(hole) <- slots.(j);
+        shift j ((j + 1) land mask)
+      end
+  in
+  shift hole ((hole + 1) land mask);
+  ix.count <- ix.count - 1
+
+let pk_iter ix f =
+  let hashes = ix.hashes and slots = ix.slots in
+  for i = 0 to Array.length hashes - 1 do
+    if Array.unsafe_get hashes i <> vacant_hash then f (Array.unsafe_get slots i)
+  done
+
+let pk_fold ix f acc =
+  let acc = ref acc in
+  pk_iter ix (fun e -> acc := f e !acc);
+  !acc
+
+(* A same-capacity deep copy: each slot keeps its position. *)
+let pk_map ix f =
+  let vacant = vacant_entry () in
+  {
+    hashes = Array.copy ix.hashes;
+    slots =
+      Array.map2
+        (fun h e -> if h = vacant_hash then vacant else f e)
+        ix.hashes ix.slots;
+    count = ix.count;
+    vacant;
+  }
+
 type t = {
   schema : Schema.t;
-  index : (string, entry) Hashtbl.t;
+  index : pk_index;
   mutable ordered : entry Key_map.t;
   temp : (string, entry) Hashtbl.t array;  (* [temp_shard_count] shards *)
   indexes : (string, sec_index) Hashtbl.t;
@@ -55,7 +197,7 @@ let fresh_temp () = Array.init temp_shard_count (fun _ -> Hashtbl.create 8)
 let create schema =
   {
     schema;
-    index = Hashtbl.create 1024;
+    index = pk_create pk_initial_capacity;
     ordered = Key_map.empty;
     temp = fresh_temp ();
     indexes = Hashtbl.create 4;
@@ -98,20 +240,23 @@ let load t row =
   | Error m -> invalid_arg ("Table.load: " ^ m));
   let key = Schema.primary_key t.schema row in
   let key_str = Value.encode_key key in
-  if Hashtbl.mem t.index key_str then invalid_arg "Table.load: duplicate key";
+  if pk_find t.index key_str <> None then
+    invalid_arg "Table.load: duplicate key";
   let entry = { key; key_str; data = row; header = Row_header.create () } in
-  Hashtbl.replace t.index key_str entry;
+  pk_replace t.index entry;
   t.ordered <- Key_map.add key entry t.ordered;
   indexes_add t entry;
   t.live <- t.live + 1;
   touch t
 
-let find t key_str = Hashtbl.find_opt t.index key_str
+let find t key_str = pk_find t.index key_str
 
 let find_live t key_str =
-  match Hashtbl.find_opt t.index key_str with
-  | Some e when not e.header.deleted -> Some e
-  | Some _ | None -> None
+  let i = pk_slot t.index key_str (key_hash key_str) in
+  if i < 0 then None
+  else
+    let e = Array.unsafe_get t.index.slots i in
+    if e.header.deleted then None else Some e
 
 let mem_live t key_str = find_live t key_str <> None
 
@@ -147,12 +292,12 @@ let revive t entry data =
 
 let insert_committed t ~key ~data ~header =
   let key_str = Value.encode_key key in
-  (match Hashtbl.find_opt t.index key_str with
+  (match pk_find t.index key_str with
   | Some e when not e.header.deleted ->
     invalid_arg "Table.insert_committed: live row exists"
   | Some _ | None -> ());
   let entry = { key; key_str; data; header } in
-  Hashtbl.replace t.index key_str entry;
+  pk_replace t.index entry;
   t.ordered <- Key_map.add key entry t.ordered;
   indexes_add t entry;
   t.live <- t.live + 1;
@@ -174,7 +319,7 @@ let temp_clear t = Array.iter Hashtbl.reset t.temp
 
 let scan t ~f = Key_map.iter (fun _ e -> f e) t.ordered
 
-let iter_all t ~f = Hashtbl.iter (fun _ e -> f e) t.index
+let iter_all t ~f = pk_iter t.index f
 
 (* [key] against [h] on [h]'s columns only: a shorter [hi] bounds the
    leading key columns. *)
@@ -272,26 +417,38 @@ let find_index_covering t cols =
     t.indexes None
 
 let live_count t = t.live
-let total_count t = Hashtbl.length t.index
+let total_count t = t.index.count
 
 let purge_tombstones t ~before_cen =
   let victims =
-    Hashtbl.fold
-      (fun key_str e acc ->
+    pk_fold t.index
+      (fun e acc ->
         if e.header.Row_header.deleted && e.header.Row_header.cen < before_cen
-        then key_str :: acc
+        then e.key_str :: acc
         else acc)
-      t.index []
+      []
   in
-  List.iter (Hashtbl.remove t.index) victims;
+  List.iter
+    (fun key_str ->
+      pk_remove_slot t.index (pk_slot t.index key_str (key_hash key_str)))
+    victims;
   if victims <> [] then touch t;
   List.length victims
 
 let copy t =
+  let index =
+    pk_map t.index (fun e ->
+        {
+          key = e.key;
+          key_str = e.key_str;
+          data = Array.copy e.data;
+          header = Row_header.copy e.header;
+        })
+  in
   let fresh =
     {
       schema = t.schema;
-      index = Hashtbl.create (Hashtbl.length t.index);
+      index;
       ordered = Key_map.empty;
       temp = fresh_temp ();
       indexes = Hashtbl.create 4;
@@ -300,20 +457,9 @@ let copy t =
       digest_cache = None;
     }
   in
-  Hashtbl.iter
-    (fun key_str e ->
-      let e' =
-        {
-          key = e.key;
-          key_str;
-          data = Array.copy e.data;
-          header = Row_header.copy e.header;
-        }
-      in
-      Hashtbl.replace fresh.index key_str e';
-      if not e'.header.deleted then
-        fresh.ordered <- Key_map.add e'.key e' fresh.ordered)
-    t.index;
+  pk_iter index (fun e ->
+      if not e.header.deleted then
+        fresh.ordered <- Key_map.add e.key e fresh.ordered);
   (* Replicate the index definitions, then fill every secondary index in
      a single ordered pass (primary-key order, matching incremental
      maintenance). *)
@@ -326,9 +472,15 @@ let copy t =
     Key_map.iter (fun _ e -> indexes_add fresh e) fresh.ordered;
   fresh
 
-let digest_entry enc k e =
+(* The entries satisfying [keep], ascending by encoded key: the order
+   the digests are defined over, independent of slot order. *)
+let sorted_entries t keep =
+  pk_fold t.index (fun e acc -> if keep e then e :: acc else acc) []
+  |> List.sort (fun a b -> String.compare a.key_str b.key_str)
+
+let digest_entry enc e =
   let module E = Gg_util.Codec.Enc in
-  E.string enc k;
+  E.string enc e.key_str;
   E.bool enc e.header.Row_header.deleted;
   E.zigzag enc e.header.Row_header.sen;
   E.zigzag enc e.header.Row_header.cen;
@@ -339,9 +491,7 @@ let digest_entry enc k e =
 let digest_into t enc =
   let module E = Gg_util.Codec.Enc in
   E.string enc t.schema.Schema.table_name;
-  Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.index []
-  |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
-  |> List.iter (fun (k, e) -> digest_entry enc k e)
+  sorted_entries t (fun _ -> true) |> List.iter (digest_entry enc)
 
 (* Canonical digest of the key-shard slice of the table: the rows whose
    [key_shard] is [shard]. The shard digests jointly cover every entry
@@ -353,11 +503,8 @@ let digest_shard t ~shards ~shard =
   let enc = E.create () in
   E.string enc t.schema.Schema.table_name;
   E.varint enc shard;
-  Hashtbl.fold
-    (fun k e acc -> if key_shard ~shards k = shard then (k, e) :: acc else acc)
-    t.index []
-  |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
-  |> List.iter (fun (k, e) -> digest_entry enc k e);
+  sorted_entries t (fun e -> key_shard ~shards e.key_str = shard)
+  |> List.iter (digest_entry enc);
   Digest.to_hex (Digest.bytes (E.to_bytes enc))
 
 (* The convergence oracle digests every node's whole database once per

@@ -1,6 +1,8 @@
-(** In-memory row store with primary-key hash index, an ordered index for
-    range scans, and a per-epoch temporary table for insertion conflicts
-    (paper §4.2.1).
+(** In-memory row store with an open-addressed primary-key hash index,
+    an ordered index for range scans, and a per-epoch temporary table for
+    insertion conflicts (paper §4.2.1). Nothing this module exposes
+    depends on the hash index's slot order: {!iter_all} is unordered by
+    contract and the digests sort.
 
     Every row carries a {!Row_header.t}. Deletions leave a tombstone in
     the hash index (so concurrent writers observe "row deleted" and

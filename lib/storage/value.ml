@@ -70,7 +70,60 @@ let decode_row bytes =
   let n = Gg_util.Codec.Dec.varint dec in
   Array.init n (fun _ -> decode dec)
 
+(* [encode_key] writes the same bytes as [encode] over each column, but
+   into one exactly-sized string: a size pass, then a fill. Keys are
+   encoded on every point lookup, so this skips the [Codec.Enc] buffer
+   and its two copies. *)
+
+let zigzag_bits i = (i lsl 1) lxor (i asr (Sys.int_size - 1))
+
+(* Number of 7-bit groups in [u], read as unsigned (as [Codec.Enc] does). *)
+let uvarint_size u =
+  let rec go n u = if u land lnot 0x7F = 0 then n else go (n + 1) (u lsr 7) in
+  go 1 u
+
+let encoded_size = function
+  | Null -> 1
+  | Int i -> 1 + uvarint_size (zigzag_bits i)
+  | Float _ -> 9
+  | Str s ->
+    let n = String.length s in
+    1 + uvarint_size n + n
+
+let put_uvarint b pos u =
+  let rec go pos u =
+    if u land lnot 0x7F = 0 then begin
+      Bytes.set b pos (Char.unsafe_chr u);
+      pos + 1
+    end
+    else begin
+      Bytes.set b pos (Char.unsafe_chr (0x80 lor (u land 0x7F)));
+      go (pos + 1) (u lsr 7)
+    end
+  in
+  go pos u
+
+(* Write [v] at [pos]; the position after it. *)
+let put b pos v =
+  match v with
+  | Null ->
+    Bytes.set b pos '\000';
+    pos + 1
+  | Int i ->
+    Bytes.set b pos '\001';
+    put_uvarint b (pos + 1) (zigzag_bits i)
+  | Float f ->
+    Bytes.set b pos '\002';
+    Bytes.set_int64_le b (pos + 1) (Int64.bits_of_float f);
+    pos + 9
+  | Str s ->
+    Bytes.set b pos '\003';
+    let n = String.length s in
+    let pos = put_uvarint b (pos + 1) n in
+    Bytes.blit_string s 0 b pos n;
+    pos + n
+
 let encode_key key =
-  let enc = Gg_util.Codec.Enc.create () in
-  Array.iter (encode enc) key;
-  Bytes.to_string (Gg_util.Codec.Enc.to_bytes enc)
+  let b = Bytes.create (Array.fold_left (fun n v -> n + encoded_size v) 0 key) in
+  ignore (Array.fold_left (put b) 0 key : int);
+  Bytes.unsafe_to_string b

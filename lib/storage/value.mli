@@ -25,4 +25,5 @@ val decode_row : bytes -> t array
 
 val encode_key : t array -> string
 (** Compact unique encoding of a primary key (not order-preserving; used
-    as a hash key). *)
+    as a hash key): byte-for-byte what {!encode} writes for each column in
+    turn, built in one exactly-sized string. *)

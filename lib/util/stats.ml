@@ -88,7 +88,8 @@ module Hist = struct
 
   let add t x =
     let x = Stdlib.max 0.0 x in
-    t.buckets.(bucket_of x) <- t.buckets.(bucket_of x) + 1;
+    let b = bucket_of x in
+    t.buckets.(b) <- t.buckets.(b) + 1;
     t.count <- t.count + 1;
     t.sum <- t.sum +. x;
     if x > t.max then t.max <- x

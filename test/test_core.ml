@@ -167,6 +167,122 @@ let prop_op_exec_unique_keys =
         let keys = List.map (fun r -> (r.Gg_crdt.Writeset.table, Gg_crdt.Writeset.key_str r)) writes in
         List.length keys = List.length (List.sort_uniq compare keys))
 
+(* The read set against a reference model of read-your-writes
+   visibility: a read is recorded for an op that sees the base row (a
+   [Read], [Add] or [Delete] with no live own write of the key in front
+   of it), once per (table, key), in first-read order. Transactions run
+   long enough to pass the executor's linear read-dedup bound, over two
+   tables holding the same keys, with 20 of each table's 80 keys
+   missing. *)
+type own = Own_live | Own_deleted | Own_dead
+
+let prop_op_exec_read_set_model =
+  let tables = [| "kv"; "kv2" |] and n_keys = 80 and n_loaded = 60 in
+  let load db =
+    Array.iter
+      (fun name ->
+        let t =
+          Gg_storage.Db.create_table db ~name
+            ~columns:
+              [
+                { Gg_storage.Schema.name = "k"; ty = Gg_storage.Schema.TInt };
+                { name = "v"; ty = TInt };
+              ]
+            ~key:[ "k" ]
+        in
+        for i = 0 to n_loaded - 1 do
+          Gg_storage.Table.load t [| Value.Int i; Value.Int 0 |]
+        done)
+      tables
+  in
+  let gen_op =
+    QCheck.Gen.(
+      map3
+        (fun kind ti k ->
+          let table = tables.(ti) and key = [| Value.Int k |] in
+          let data = [| Value.Int k; Value.Int 1 |] in
+          match kind with
+          | 0 | 1 | 2 | 3 | 4 | 5 -> Op.Read { table; key }
+          | 6 -> Op.Write { table; key; data }
+          | 7 -> Op.Add { table; key; col = 1; delta = 1 }
+          | 8 -> Op.Insert { table; key; data }
+          | _ -> Op.Delete { table; key })
+        (int_range 0 9) (int_range 0 1) (int_range 0 (n_keys - 1)))
+  in
+  (* The ops the executor must accept — each op the model would reject
+     ([Add]/[Delete] of an absent row, [Insert] over a visible one) is
+     dropped — and their expected read set as (table, key). *)
+  let model ops =
+    let own = Hashtbl.create 64 and reads = ref [] in
+    let visible table k =
+      match Hashtbl.find_opt own (table, k) with
+      | Some Own_live -> `Own
+      | Some Own_deleted -> `Absent
+      | Some Own_dead | None -> if k < n_loaded then `Base else `Absent
+    in
+    let read table k =
+      if not (List.mem (table, k) !reads) then reads := (table, k) :: !reads
+    in
+    let accepts op =
+      let table = Op.op_table op in
+      let k = match Op.op_key op with [| Value.Int k |] -> k | _ -> assert false in
+      let vis = visible table k in
+      let set s = Hashtbl.replace own (table, k) s in
+      match (op, vis) with
+      | Op.Read _, `Base ->
+        read table k;
+        true
+      | Op.Read _, (`Own | `Absent) -> true
+      | Op.Write _, _ | Op.Insert _, `Absent ->
+        set Own_live;
+        true
+      | (Op.Add _ | Op.Delete _), `Absent | Op.Insert _, (`Own | `Base) -> false
+      | Op.Add _, (`Base | `Own) ->
+        if vis = `Base then read table k;
+        set Own_live;
+        true
+      | Op.Delete _, (`Base | `Own) ->
+        if vis = `Base then read table k;
+        set (if k < n_loaded then Own_deleted else Own_dead);
+        true
+    in
+    let accepted = List.filter accepts ops in
+    (accepted, List.rev !reads)
+  in
+  let print ops =
+    String.concat "; "
+      (List.map
+         (fun op ->
+           let k = Value.to_string (Op.op_key op).(0) in
+           let kind =
+             match op with
+             | Op.Read _ -> "R" | Op.Write _ -> "W" | Op.Add _ -> "A"
+             | Op.Insert _ -> "I" | Op.Delete _ -> "D"
+           in
+           Printf.sprintf "%s %s.%s" kind (Op.op_table op) k)
+         ops)
+  in
+  QCheck.Test.make ~name:"op_exec read set = first base-visible reads" ~count:300
+    (QCheck.make ~print QCheck.Gen.(list_size (int_range 1 160) gen_op))
+    (fun ops ->
+      let db = Gg_storage.Db.create () in
+      load db;
+      let ops, expected = model ops in
+      match Op_exec.exec db (Op.make ops) with
+      | Error m -> QCheck.Test.fail_reportf "rejected (%s), model accepts" m
+      | Ok { Op_exec.reads; _ } ->
+        let got =
+          List.map
+            (fun (r : Gg_sql.Executor.read_record) -> (r.r_table, r.r_key_str))
+            reads
+        in
+        let expected =
+          List.map
+            (fun (table, k) -> (table, Value.encode_key [| Value.Int k |]))
+            expected
+        in
+        got = expected)
+
 (* --- basic commit flow --- *)
 
 let test_single_write_commits () =
@@ -918,6 +1034,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_op_exec_errors;
           Alcotest.test_case "read missing is noop" `Quick test_op_exec_read_missing_is_noop;
           QCheck_alcotest.to_alcotest prop_op_exec_unique_keys;
+          QCheck_alcotest.to_alcotest prop_op_exec_read_set_model;
         ] );
       ( "basic",
         [

@@ -6,9 +6,11 @@
    once. Two classes of hazard are banned at the source level:
 
    - ambient nondeterminism: the stdlib [Random] (shared global state;
-     use the per-instance [Gg_util.Rng]), and wall clocks
+     use the per-instance [Gg_util.Rng]), wall clocks
      ([Unix.gettimeofday], [Unix.time], [Sys.time] — sim time comes
-     from [Gg_sim.Sim]; wall timing belongs to bench/ and bin/);
+     from [Gg_sim.Sim]; wall timing belongs to bench/ and bin/), and
+     randomized hashing ([Hashtbl.randomize], [~random:true]), which
+     would make hash-table iteration orders differ between runs;
    - module-level mutable state ([ref]/[Hashtbl.create]/... at
      structure level): shared across concurrent pool tasks, it breaks
      run-to-run isolation. Per-domain state must go through
@@ -49,7 +51,8 @@ let contains hay needle =
   nn > 0 && at 0
 
 let ambient_banned =
-  [ "Random."; "Unix.gettimeofday"; "Unix.time"; "Sys.time" ]
+  [ "Random."; "Unix.gettimeofday"; "Unix.time"; "Sys.time";
+    "Hashtbl.randomize"; "~random:true" ]
 
 (* A structure-level mutable binding: `let x = ref ...` (any
    indentation — nested modules indent) with no ` in ` on the line.

@@ -62,6 +62,47 @@ let prop_value_roundtrip =
       let dec = Gg_util.Codec.Dec.of_bytes (Gg_util.Codec.Enc.to_bytes enc) in
       Value.equal v (Value.decode dec))
 
+(* [encode_key] builds its string in one exactly-sized pass; it must be
+   byte-equal to encoding each column through [Codec.Enc]. *)
+let codec_key key =
+  let enc = Gg_util.Codec.Enc.create () in
+  Array.iter (Value.encode enc) key;
+  Bytes.to_string (Gg_util.Codec.Enc.to_bytes enc)
+
+let test_value_key_edge_cases () =
+  let check name key = Alcotest.(check string) name (codec_key key) (Value.encode_key key) in
+  Alcotest.(check string) "empty key" "" (Value.encode_key [||]);
+  check "null" [| Value.Null |];
+  check "zero" [| v_int 0 |];
+  check "negative" [| v_int (-1) |];
+  check "-64/64 (one/two-byte zigzag boundary)" [| v_int (-64); v_int 64 |];
+  check "min_int" [| v_int min_int |];
+  check "max_int" [| v_int max_int |];
+  check "floats" [| Value.Float 0.0; Value.Float (-0.0); Value.Float Float.nan;
+                    Value.Float Float.infinity; Value.Float (-1.5e300) |];
+  check "empty string" [| v_str "" |];
+  check "127/128-byte strings (varint length boundary)"
+    [| v_str (String.make 127 'a'); v_str (String.make 128 'b') |];
+  check "multi-column" [| v_int 3; v_str "k"; Value.Null; Value.Float 2.5; v_int min_int |]
+
+let prop_encode_key_matches_codec =
+  let gen_value =
+    QCheck.Gen.(
+      oneof
+        [
+          return Value.Null;
+          map (fun i -> Value.Int i) int;
+          map (fun i -> Value.Int i) (oneofl [ min_int; max_int; -1; 0; 63; -65; 8191 ]);
+          map (fun f -> Value.Float f) float;
+          map (fun s -> Value.Str s) string_small;
+          map (fun n -> Value.Str (String.make n 'x')) (int_range 100 20_000);
+        ])
+  in
+  let print key = String.concat "," (Array.to_list (Array.map Value.to_string key)) in
+  QCheck.Test.make ~name:"encode_key = Codec.Enc column encoding" ~count:1000
+    (QCheck.make ~print QCheck.Gen.(array_size (int_range 0 6) gen_value))
+    (fun key -> String.equal (Value.encode_key key) (codec_key key))
+
 (* --- Csn --- *)
 
 let test_csn_order () =
@@ -519,6 +560,195 @@ let test_purge_tombstones () =
   Alcotest.(check bool) "cen-3 tombstone kept" true (Table.find t (key 3) <> None);
   Alcotest.(check bool) "purged key gone entirely" true (Table.find t (key 1) = None)
 
+(* Model-based check of the primary index: random sequences of loads,
+   committed inserts, deletes, revives, tombstone purges and copies
+   against an association-list model. The key universe outgrows the
+   initial capacity, so runs wrap past the last slot, the index grows,
+   and range deletes followed by purges remove whole clusters (backward
+   shift). After every step the table must agree with the model on
+   [find], [find_live], the counts, the [iter_all] set and the digest of
+   a table rebuilt from the model in the opposite key order. *)
+type pk_step =
+  | Load of int * int  (* first pool index, count *)
+  | Insert of int * int  (* pool index, cen *)
+  | Delete of int * int  (* first pool index, count *)
+  | Revive of int * int  (* pool index, data tag *)
+  | Purge of int  (* before_cen *)
+  | Copy
+
+type model_row = { m_deleted : bool; m_data : string; m_cen : int option }
+(* [m_cen = None]: a loaded row's fresh header *)
+
+(* Keys 0..1199, then a crowd of 48 keys whose hashes all fall in the
+   last 12 of 1024 slots: loaded together they form one run that wraps
+   past the end of the slot array (at the initial capacity, and for about
+   half of them again after the first doubling). *)
+let pk_pool =
+  let crowd =
+    Seq.ints 1200
+    |> Seq.filter (fun k -> Table.key_hash (key k) land 1023 >= 1012)
+    |> Seq.take 48 |> List.of_seq
+  in
+  Array.of_list (List.init 1200 Fun.id @ crowd)
+
+let pk_universe = Array.length pk_pool
+
+let print_pk_step = function
+  | Load (k, n) -> Printf.sprintf "Load(%d,%d)" k n
+  | Insert (k, c) -> Printf.sprintf "Insert(%d,cen %d)" k c
+  | Delete (k, n) -> Printf.sprintf "Delete(%d,%d)" k n
+  | Revive (k, d) -> Printf.sprintf "Revive(%d,%d)" k d
+  | Purge c -> Printf.sprintf "Purge(%d)" c
+  | Copy -> "Copy"
+
+let gen_pk_step =
+  let key = QCheck.Gen.int_range 0 (pk_universe - 1) in
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map2 (fun k n -> Load (k, n)) key (int_range 1 500));
+        (3, map2 (fun k c -> Insert (k, c)) key (int_range 0 9));
+        (3, map2 (fun k n -> Delete (k, n)) key (int_range 1 300));
+        (2, map2 (fun k d -> Revive (k, d)) key (int_range 0 99));
+        (2, map (fun c -> Purge c) (int_range 0 10));
+        (1, return Copy);
+      ])
+
+let stamped cen =
+  let h = Row_header.create () in
+  Row_header.stamp h ~sen:cen ~csn:(Csn.make ~ts:cen ~node:1) ~cen;
+  h
+
+let row_of k data = [| v_int k; v_str data |]
+let data_of (e : Table.entry) = match e.Table.data.(1) with Value.Str s -> s | _ -> "?"
+
+(* A fresh table holding exactly the model's rows, built in descending
+   key order. *)
+let table_of_model model =
+  let t = Table.create (schema_kv ()) in
+  List.iter
+    (fun (k, r) ->
+      (match r.m_cen with
+      | None -> Table.load t (row_of k r.m_data)
+      | Some cen ->
+        Table.insert_committed t ~key:[| v_int k |] ~data:(row_of k r.m_data)
+          ~header:(stamped cen));
+      if r.m_deleted then Table.delete t (Option.get (Table.find t (key k))))
+    (List.sort (fun (a, _) (b, _) -> compare b a) model);
+  t
+
+let check_against_model t model =
+  let rows = Hashtbl.of_seq (List.to_seq model) in
+  Array.iter (fun k ->
+    match (Hashtbl.find_opt rows k, Table.find t (key k)) with
+    | None, None -> ()
+    | None, Some _ -> QCheck.Test.fail_reportf "key %d: found, not in model" k
+    | Some _, None -> QCheck.Test.fail_reportf "key %d: in model, not found" k
+    | Some r, Some e ->
+      if e.Table.key_str <> key k || data_of e <> r.m_data
+         || e.Table.header.Row_header.deleted <> r.m_deleted
+      then QCheck.Test.fail_reportf "key %d: wrong entry" k;
+      if (Table.find_live t (key k) <> None) = r.m_deleted then
+        QCheck.Test.fail_reportf "key %d: find_live disagrees" k)
+    pk_pool;
+  let live = List.length (List.filter (fun (_, r) -> not r.m_deleted) model) in
+  if Table.total_count t <> List.length model then
+    QCheck.Test.fail_reportf "total_count %d, model %d" (Table.total_count t)
+      (List.length model);
+  if Table.live_count t <> live then
+    QCheck.Test.fail_reportf "live_count %d, model %d" (Table.live_count t) live;
+  let seen = ref [] in
+  Table.iter_all t ~f:(fun e ->
+      seen := (e.Table.key_str, e.Table.header.Row_header.deleted, data_of e) :: !seen);
+  let expected = List.map (fun (k, r) -> (key k, r.m_deleted, r.m_data)) model in
+  if List.sort compare !seen <> List.sort compare expected then
+    QCheck.Test.fail_reportf "iter_all set differs from the model";
+  if Table.digest t <> Table.digest (table_of_model model) then
+    QCheck.Test.fail_reportf "digest differs from the model's"
+
+let apply_pk_step t model step =
+  let range i n =
+    List.init n (fun j -> i + j)
+    |> List.filter_map (fun i -> if i < pk_universe then Some pk_pool.(i) else None)
+  in
+  match step with
+  | Load (k0, n) ->
+    List.fold_left
+      (fun model k ->
+        if List.mem_assoc k model then begin
+          (match Table.load t (row_of k "dup") with
+          | () -> QCheck.Test.fail_reportf "load over key %d accepted" k
+          | exception Invalid_argument _ -> ());
+          model
+        end
+        else begin
+          Table.load t (row_of k "l");
+          (k, { m_deleted = false; m_data = "l"; m_cen = None }) :: model
+        end)
+      model (range k0 n)
+  | Insert (i, cen) -> (
+    let k = pk_pool.(i) in
+    let data = Printf.sprintf "i%d" cen in
+    let install () =
+      Table.insert_committed t ~key:[| v_int k |] ~data:(row_of k data) ~header:(stamped cen)
+    in
+    match List.assoc_opt k model with
+    | Some { m_deleted = false; _ } ->
+      (match install () with
+      | () -> QCheck.Test.fail_reportf "insert over live key %d accepted" k
+      | exception Invalid_argument _ -> ());
+      model
+    | Some _ | None ->
+      install ();
+      (k, { m_deleted = false; m_data = data; m_cen = Some cen })
+      :: List.remove_assoc k model)
+  | Delete (k0, n) ->
+    List.fold_left
+      (fun model k ->
+        match List.assoc_opt k model with
+        | Some r ->
+          Table.delete t (Option.get (Table.find t (key k)));
+          (k, { r with m_deleted = true }) :: List.remove_assoc k model
+        | None -> model)
+      model (range k0 n)
+  | Revive (i, d) -> (
+    let k = pk_pool.(i) in
+    match List.assoc_opt k model with
+    | Some r ->
+      let data = Printf.sprintf "r%d" d in
+      Table.revive t (Option.get (Table.find t (key k))) (row_of k data);
+      (k, { r with m_deleted = false; m_data = data }) :: List.remove_assoc k model
+    | None -> model)
+  | Purge before_cen ->
+    let fresh_cen = (Row_header.create ()).Row_header.cen in
+    let keep (_, r) =
+      not (r.m_deleted && Option.value r.m_cen ~default:fresh_cen < before_cen)
+    in
+    let kept = List.filter keep model in
+    let purged = Table.purge_tombstones t ~before_cen in
+    if purged <> List.length model - List.length kept then
+      QCheck.Test.fail_reportf "purged %d, model %d" purged
+        (List.length model - List.length kept);
+    kept
+  | Copy -> model
+
+let prop_pk_index_matches_model =
+  QCheck.Test.make ~name:"primary index = assoc-list model" ~count:60
+    (QCheck.make
+       ~print:(fun steps -> String.concat "; " (List.map print_pk_step steps))
+       QCheck.Gen.(list_size (int_range 1 40) gen_pk_step))
+    (fun steps ->
+      let t = ref (Table.create (schema_kv ())) in
+      ignore
+        (List.fold_left
+           (fun model step ->
+             let model = apply_pk_step !t model step in
+             if step = Copy then t := Table.copy !t;
+             check_against_model !t model;
+             model)
+           [] steps);
+      true)
+
 (* --- Checkpoint --- *)
 
 let churned_db () =
@@ -594,6 +824,8 @@ let () =
           Alcotest.test_case "codec roundtrip" `Quick test_value_roundtrip;
           Alcotest.test_case "row roundtrip" `Quick test_value_row_roundtrip;
           Alcotest.test_case "key encoding" `Quick test_value_key_unique;
+          Alcotest.test_case "key encoding edge cases" `Quick test_value_key_edge_cases;
+          QCheck_alcotest.to_alcotest prop_encode_key_matches_codec;
           QCheck_alcotest.to_alcotest prop_value_roundtrip;
         ] );
       ("csn", [ Alcotest.test_case "ordering" `Quick test_csn_order ]);
@@ -619,6 +851,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_scans_match_filtered_scan;
           Alcotest.test_case "digest sensitivity" `Quick test_table_digest_sensitivity;
           Alcotest.test_case "purge tombstones" `Quick test_purge_tombstones;
+          QCheck_alcotest.to_alcotest prop_pk_index_matches_model;
         ] );
       ( "db",
         [
