@@ -45,9 +45,13 @@ ci: fmt
 	else \
 		echo "ci: single-core host, speedup not meaningful (outputs compared equal)"; \
 	fi
+# Sharded merge (DESIGN.md §10): the same seeds at merge-jobs 1 and 4
+# must print the same lines, apart from the merge_jobs=4 scenario tag.
+	dune exec bin/geogauss_cli.exe -- check --seeds 3 --fast --merge-jobs 1 > /tmp/gg_ci_mj1.out; \
 	dune exec bin/geogauss_cli.exe -- check --seeds 3 --fast --merge-jobs 4 > /tmp/gg_ci_mj.out; \
+	sed 's/ merge_jobs=4$$//' /tmp/gg_ci_mj.out | cmp - /tmp/gg_ci_mj1.out || { echo "ci: merge-jobs 1 vs 4 output differs"; exit 1; }; \
 	tail -1 /tmp/gg_ci_mj.out; \
-	echo "ci: merge-jobs=4 sweep ran clean (results are byte-identical to -j1 by construction; dune runtest asserts it)"
+	echo "ci: merge-jobs=4 sweep byte-identical to merge-jobs=1"
 # Partial replication (DESIGN.md §12): a short partitioned sweep per
 # partition map, plus a corrupted-frame sweep exercising the
 # decode-failure -> stall-repair path.

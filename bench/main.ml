@@ -199,6 +199,75 @@ let bench_op_exec_ro =
         ignore (Geogauss.Op_exec.exec dbs.(!replica) (next_txn ()))
       done)
 
+(* One node's epoch merge on a TPC-C-shaped epoch: 40 write sets of 20
+   records — a district update, 9 stock updates, an order insert and 9
+   order-line inserts — so half of the 800 records are inserts into
+   tables that grow with every run, as orders and order_line do under
+   New-Order. The 40 district updates fall on 10 rows, so phase A's
+   header races, the abort marks and validation all run. Each run is a
+   fresh epoch ([cen]) with fresh insert keys; the update records are
+   built once and shared, the insert records are built inside the run.
+   The database is the kernel's resource. *)
+let tpcc_merge_schema db ~name ~key cols =
+  ignore
+    (Gg_storage.Db.create_table db ~name
+       ~columns:
+         (List.map (fun c -> { Gg_storage.Schema.name = c; ty = Gg_storage.Schema.TInt }) cols)
+       ~key)
+
+let bench_epoch_merge =
+  let int i = Gg_storage.Value.Int i in
+  bench_with "Epoch_merge.run TPC-C-shaped epoch (800 records, 400 inserts)"
+    ~allocate:(fun () ->
+      let db = Gg_storage.Db.create () in
+      tpcc_merge_schema db ~name:"district" ~key:[ "d_id" ] [ "d_id"; "d_ytd" ];
+      tpcc_merge_schema db ~name:"stock" ~key:[ "s_id" ] [ "s_id"; "s_qty" ];
+      tpcc_merge_schema db ~name:"orders" ~key:[ "o_id" ] [ "o_id"; "o_c_id" ];
+      tpcc_merge_schema db ~name:"order_line" ~key:[ "ol_o_id"; "ol_number" ]
+        [ "ol_o_id"; "ol_number"; "ol_amount" ];
+      let load name n =
+        let t = Gg_storage.Db.get_table_exn db name in
+        for i = 0 to n - 1 do
+          Gg_storage.Table.load t [| int i; int 0 |]
+        done
+      in
+      load "district" 10;
+      load "stock" 10_000;
+      let rng = Gg_util.Rng.create 13 in
+      let update table k =
+        Gg_crdt.Writeset.make_record ~table ~key:[| int k |]
+          ~op:Gg_crdt.Writeset.Update ~data:[| int k; int 1 |] ()
+      in
+      let updates =
+        Array.init 40 (fun w ->
+            update "district" (w mod 10)
+            :: List.init 9 (fun _ -> update "stock" (Gg_util.Rng.int rng 10_000)))
+      in
+      (db, updates, ref 0))
+    (fun (db, updates, epoch) ->
+      incr epoch;
+      let cen = !epoch in
+      let txns =
+        List.init 40 (fun w ->
+            let o_id = (cen * 40) + w in
+            let insert table key data =
+              Gg_crdt.Writeset.make_record ~table ~key ~op:Gg_crdt.Writeset.Insert
+                ~data ()
+            in
+            let inserts =
+              insert "orders" [| int o_id |] [| int o_id; int w |]
+              :: List.init 9 (fun ol ->
+                     insert "order_line" [| int o_id; int ol |]
+                       [| int o_id; int ol; int (w + ol) |])
+            in
+            Gg_crdt.Writeset.make
+              ~meta:
+                (Gg_crdt.Meta.make ~sen:(1 + (w mod 3)) ~cen
+                   ~csn:(Gg_storage.Csn.make ~ts:((cen * 100) + w) ~node:(w mod 3)))
+              ~records:(updates.(w) @ inserts) ())
+      in
+      ignore (Geogauss.Epoch_merge.run ~db ~jobs:1 ~ssi:false txns))
+
 (* The convergence oracle digests every node's Db every epoch; the
    per-table digest cache (keyed on a mutation counter) turns the
    every-epoch case — most tables untouched since the last digest —
@@ -229,7 +298,7 @@ let run_micro ~out () =
       bench_merge_rule; bench_writeset_codec; bench_compress_eof;
       bench_compress_ycsb; bench_zipf; bench_event_queue;
       bench_sql_parse; bench_sql_range; bench_sql_aggregate; bench_op_exec;
-      bench_find_live; bench_op_exec_ro;
+      bench_find_live; bench_op_exec_ro; bench_epoch_merge;
       bench_db_digest_cold;
       bench_db_digest_cached;
     ]

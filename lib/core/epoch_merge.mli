@@ -1,10 +1,21 @@
 (** The per-epoch intra-node merge kernel — DeltaCRDTMerge pre-write
     (phase A), OCC validation (phase B), the optional SSI pivot pass and
-    write-back (phase C) — extracted from [Node.do_merge] so phases A/B
-    can shard across OCaml domains ({!Gg_par.Pool.map_shards}) while
-    staying byte-identical to the sequential pass, and so the kernel can
-    be benchmarked and tested in isolation. DESIGN.md §10 gives the
-    sharding rule and the determinism argument. *)
+    write-back (phase C) — extracted from [Node.do_merge] so it can be
+    benchmarked and tested in isolation.
+
+    Each record is resolved once: phase A looks up its table and its
+    entry (the row for an update or delete, the temp entry for an
+    insert) and keeps them, with its pre-write outcome, in a per-record
+    slot that phases B and C read. A committed insert installs its temp
+    entry as the row. Phases A and B can shard across OCaml domains
+    ({!Gg_par.Pool.map_shards}) with byte-identical results; DESIGN.md
+    §10 gives the sharding rule and the per-slot determinism argument.
+
+    The merge never builds a table's ordered index
+    ({!Gg_storage.Table}): write-back updates it only where an ordered
+    read has already built it. So an epoch costs the same whether or not
+    SQL ever scans the table, and the first scan after a run of epochs
+    pays the one-off build (a sort of the live rows) instead. *)
 
 type t
 (** The merge outcome: per-transaction commit/abort decisions plus
@@ -17,7 +28,7 @@ val run :
   ?level:Params.merge_level ->
   db:Gg_storage.Db.t -> jobs:int -> ssi:bool ->
   Gg_crdt.Writeset.t list -> t
-(** Merge one epoch's deduplicated write sets into [db] (mutating it:
+(** Merge one epoch's deduplicated write sets (distinct csns) into [db] (mutating it:
     header stamps, write-back, temp-area use and final clear — exactly
     the sequential [do_merge] data path). [jobs] is the requested shard
     width; it is rounded down to a power of two dividing

@@ -358,8 +358,9 @@ let lww_apply t (ws : Writeset.t) =
             let header = Row_header.create () in
             Row_header.stamp header ~sen:meta.Meta.sen ~csn:meta.Meta.csn
               ~cen:meta.Meta.cen;
-            Table.insert_committed table ~key:r.Writeset.key
-              ~data:r.Writeset.data ~header)))
+            ignore
+              (Table.insert_committed table ~key:r.Writeset.key ~key_str
+                 ~data:r.Writeset.data ~header))))
     ws.Writeset.records
 
 (* --- finishing transactions --- *)
@@ -455,8 +456,9 @@ let apply_deferred t ce =
             let header = Row_header.create () in
             Row_header.stamp header ~sen:meta.Meta.sen ~csn:meta.Meta.csn
               ~cen:meta.Meta.cen;
-            Table.insert_committed table ~key:r.Writeset.key
-              ~data:r.Writeset.data ~header
+            ignore
+              (Table.insert_committed table ~key:r.Writeset.key ~key_str
+                 ~data:r.Writeset.data ~header)
           | Some entry ->
             (* an older tombstone: revive it; any stamp from epoch >= k
                means a later writer superseded this insert *)

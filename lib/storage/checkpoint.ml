@@ -98,11 +98,11 @@ let decode_table dec db =
     let data = Array.init dlen (fun _ -> Value.decode dec) in
     let header = Row_header.create () in
     Row_header.stamp header ~sen ~csn ~cen;
-    Table.insert_committed table ~key ~data ~header;
-    if deleted then
-      match Table.find table (Value.encode_key key) with
-      | Some e -> Table.delete table e
-      | None -> ()
+    let entry =
+      Table.insert_committed table ~key ~key_str:(Value.encode_key key) ~data
+        ~header
+    in
+    if deleted then Table.delete table entry
   done;
   List.iter
     (fun (name, col_idx) ->

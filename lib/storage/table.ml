@@ -118,11 +118,16 @@ let pk_grow ix =
     (fun i h -> if h <> vacant_hash then pk_place ix h old_slots.(i))
     old_hashes
 
-(* Insert or replace the entry for [entry.key_str]. *)
-let pk_replace ix entry =
+(* Insert [entry] in one probe, replacing a tombstone under its key; a
+   live row under the key raises [Invalid_argument] naming [fn]. *)
+let pk_add ix entry ~fn =
   let h = key_hash entry.key_str in
   let i = pk_slot ix entry.key_str h in
-  if i >= 0 then ix.slots.(i) <- entry
+  if i >= 0 then begin
+    if not (Array.unsafe_get ix.slots i).header.deleted then
+      invalid_arg (fn ^ ": live row exists");
+    ix.slots.(i) <- entry
+  end
   else begin
     if not (pk_fits (Array.length ix.hashes) ix.count) then pk_grow ix;
     pk_place ix h entry;
@@ -180,10 +185,17 @@ let pk_map ix f =
     vacant;
   }
 
+(* The ordered index (live rows by key) serves only SQL scans, the
+   secondary-index build and the checker, and no op-level workload does
+   any of those, so it is built lazily: [ordered_built] is false until
+   the first ordered read, and until then [load], the committed-insert
+   paths, [delete] and [revive] leave [ordered] (empty) alone. Once
+   built, those mutators maintain it incrementally. *)
 type t = {
   schema : Schema.t;
   index : pk_index;
   mutable ordered : entry Key_map.t;
+  mutable ordered_built : bool;
   temp : (string, entry) Hashtbl.t array;  (* [temp_shard_count] shards *)
   indexes : (string, sec_index) Hashtbl.t;
   mutable live : int;
@@ -199,6 +211,7 @@ let create schema =
     schema;
     index = pk_create pk_initial_capacity;
     ordered = Key_map.empty;
+    ordered_built = false;
     temp = fresh_temp ();
     indexes = Hashtbl.create 4;
     live = 0;
@@ -234,6 +247,38 @@ let indexes_remove t ~data entry =
 
 let schema t = t.schema
 
+let ordered_add t entry =
+  if t.ordered_built then t.ordered <- Key_map.add entry.key entry t.ordered
+
+let ordered_remove t entry =
+  if t.ordered_built then t.ordered <- Key_map.remove entry.key t.ordered
+
+(* The live entries in key order. *)
+let live_sorted t =
+  pk_fold t.index (fun e acc -> if e.header.deleted then acc else e :: acc) []
+  |> List.sort (fun a b -> compare_keys a.key b.key)
+
+(* The ordered index, built on first use. The build adds the live rows
+   in key order, so the map's nodes are allocated in the order an
+   in-order walk visits them. A build in hash-slot order would scatter
+   them across the heap and slow every later scan. *)
+let ordered t =
+  if not t.ordered_built then begin
+    t.ordered <-
+      List.fold_left (fun m e -> Key_map.add e.key e m) Key_map.empty
+        (live_sorted t);
+    t.ordered_built <- true
+  end;
+  t.ordered
+
+(* Add a live entry to every index. *)
+let add_live t entry ~fn =
+  pk_add t.index entry ~fn;
+  ordered_add t entry;
+  indexes_add t entry;
+  t.live <- t.live + 1;
+  touch t
+
 let load t row =
   (match Schema.validate_row t.schema row with
   | Ok () -> ()
@@ -242,12 +287,8 @@ let load t row =
   let key_str = Value.encode_key key in
   if pk_find t.index key_str <> None then
     invalid_arg "Table.load: duplicate key";
-  let entry = { key; key_str; data = row; header = Row_header.create () } in
-  pk_replace t.index entry;
-  t.ordered <- Key_map.add key entry t.ordered;
-  indexes_add t entry;
-  t.live <- t.live + 1;
-  touch t
+  add_live t { key; key_str; data = row; header = Row_header.create () }
+    ~fn:"Table.load"
 
 let find t key_str = pk_find t.index key_str
 
@@ -273,7 +314,7 @@ let write t entry data =
 let delete t entry =
   if not entry.header.deleted then begin
     entry.header.deleted <- true;
-    t.ordered <- Key_map.remove entry.key t.ordered;
+    ordered_remove t entry;
     indexes_remove t ~data:entry.data entry;
     t.live <- t.live - 1;
     touch t
@@ -283,25 +324,21 @@ let revive t entry data =
   if entry.header.deleted then begin
     entry.header.deleted <- false;
     entry.data <- data;
-    t.ordered <- Key_map.add entry.key entry t.ordered;
+    ordered_add t entry;
     indexes_add t entry;
     t.live <- t.live + 1;
     touch t
   end
   else write t entry data
 
-let insert_committed t ~key ~data ~header =
-  let key_str = Value.encode_key key in
-  (match pk_find t.index key_str with
-  | Some e when not e.header.deleted ->
-    invalid_arg "Table.insert_committed: live row exists"
-  | Some _ | None -> ());
+let insert_committed t ~key ~key_str ~data ~header =
   let entry = { key; key_str; data; header } in
-  pk_replace t.index entry;
-  t.ordered <- Key_map.add key entry t.ordered;
-  indexes_add t entry;
-  t.live <- t.live + 1;
-  touch t
+  add_live t entry ~fn:"Table.insert_committed";
+  entry
+
+let install_temp t entry data =
+  entry.data <- data;
+  add_live t entry ~fn:"Table.install_temp"
 
 let temp_tbl t key_str = t.temp.(key_shard ~shards:temp_shard_count key_str)
 let temp_find t key_str = Hashtbl.find_opt (temp_tbl t key_str) key_str
@@ -312,12 +349,12 @@ let temp_add t ~key ~key_str =
   | Some e -> e
   | None ->
     let entry = { key; key_str; data = [||]; header = Row_header.create () } in
-    Hashtbl.replace tbl key_str entry;
+    Hashtbl.add tbl key_str entry;
     entry
 
 let temp_clear t = Array.iter Hashtbl.reset t.temp
 
-let scan t ~f = Key_map.iter (fun _ e -> f e) t.ordered
+let scan t ~f = Key_map.iter (fun _ e -> f e) (ordered t)
 
 let iter_all t ~f = pk_iter t.index f
 
@@ -345,9 +382,9 @@ let iter_while t ?from ~continue f =
   let visit key e = if continue key then f e else raise_notrace Stop in
   try
     match from with
-    | None -> Key_map.iter visit t.ordered
+    | None -> Key_map.iter visit (ordered t)
     | Some from ->
-      let _, eq, right = Key_map.split from t.ordered in
+      let _, eq, right = Key_map.split from (ordered t) in
       (match eq with Some e -> visit e.key e | None -> ());
       Key_map.iter visit right
   with Stop -> ()
@@ -388,7 +425,7 @@ let create_index t ~name ~cols =
   if Array.length idx_cols = 0 then
     invalid_arg "Table.create_index: no columns";
   let idx = { idx_cols; idx_map = Key_map.empty } in
-  Key_map.iter (fun _ e -> idx_add idx e) t.ordered;
+  Key_map.iter (fun _ e -> idx_add idx e) (ordered t);
   Hashtbl.replace t.indexes name idx
 
 let index_names t =
@@ -450,6 +487,7 @@ let copy t =
       schema = t.schema;
       index;
       ordered = Key_map.empty;
+      ordered_built = false;
       temp = fresh_temp ();
       indexes = Hashtbl.create 4;
       live = t.live;
@@ -457,19 +495,16 @@ let copy t =
       digest_cache = None;
     }
   in
-  pk_iter index (fun e ->
-      if not e.header.deleted then
-        fresh.ordered <- Key_map.add e.key e fresh.ordered);
   (* Replicate the index definitions, then fill every secondary index in
-     a single ordered pass (primary-key order, matching incremental
-     maintenance). *)
+     a single pass in primary-key order (the order [create_index] adds
+     rows in). The copy's ordered index stays unbuilt. *)
   Hashtbl.iter
     (fun name idx ->
       Hashtbl.replace fresh.indexes name
         { idx_cols = idx.idx_cols; idx_map = Key_map.empty })
     t.indexes;
   if Hashtbl.length fresh.indexes > 0 then
-    Key_map.iter (fun _ e -> indexes_add fresh e) fresh.ordered;
+    List.iter (indexes_add fresh) (live_sorted fresh);
   fresh
 
 (* The entries satisfying [keep], ascending by encoded key: the order

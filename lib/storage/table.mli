@@ -7,7 +7,17 @@
     Every row carries a {!Row_header.t}. Deletions leave a tombstone in
     the hash index (so concurrent writers observe "row deleted" and
     abort, Algorithm 2 line 3–4) but drop the row from the ordered index
-    so scans skip it. *)
+    so scans skip it.
+
+    {b The ordered index is lazy.} It is built on the first ordered read
+    — {!scan}, {!scan_range}, {!scan_prefix} or {!create_index} — and
+    maintained incrementally by every mutator after that. Until then
+    {!load}, {!insert_committed}, {!install_temp}, {!delete} and
+    {!revive} skip it, and {!copy} returns a table whose ordered index is
+    unbuilt. The first ordered read therefore pays a sort of the live
+    rows by key plus one map insert per row (O(n log n)); a table that is
+    only ever read by key, as on the op-level workloads, never pays it.
+    Nothing else observable depends on whether it has been built. *)
 
 type entry = {
   key : Value.t array;
@@ -47,9 +57,21 @@ val delete : t -> entry -> unit
 val revive : t -> entry -> Value.t array -> unit
 (** Un-tombstone (an insert over a deleted key) with fresh data. *)
 
-val insert_committed : t -> key:Value.t array -> data:Value.t array -> header:Row_header.t -> unit
-(** Install a freshly committed insert into the main indexes. Replaces
-    any tombstone. Raises [Invalid_argument] if a live row exists. *)
+val insert_committed :
+  t -> key:Value.t array -> key_str:string -> data:Value.t array ->
+  header:Row_header.t -> entry
+(** Install a freshly committed insert into the main indexes and return
+    its entry. [key_str] must be [Value.encode_key key] (the caller
+    already holds it). Replaces any tombstone. Raises [Invalid_argument]
+    if a live row exists. *)
+
+val install_temp : t -> entry -> Value.t array -> unit
+(** [install_temp t e data] commits the temp entry [e] (from
+    {!temp_add}) as the row itself, with [data] and the header phase A
+    stamped: no key is re-encoded and no entry or header is allocated.
+    Same contract as {!insert_committed}: a tombstone is replaced, a
+    live row raises [Invalid_argument]. The entry stays in the temp area
+    until {!temp_clear}. *)
 
 (** {1 Temporary insert table}
 
@@ -83,7 +105,8 @@ val temp_clear : t -> unit
 (** {1 Scans} *)
 
 val scan : t -> f:(entry -> unit) -> unit
-(** All live rows in primary-key order. *)
+(** All live rows in primary-key order. Builds the ordered index if no
+    ordered read has yet (see the module comment). *)
 
 val iter_all : t -> f:(entry -> unit) -> unit
 (** Every entry including tombstones, in no particular order. *)
@@ -110,7 +133,8 @@ val scan_prefix : t -> prefix:Value.t array -> (entry -> unit) -> unit
     indexed. *)
 
 val create_index : t -> name:string -> cols:string list -> unit
-(** Build an index over existing rows. Raises [Invalid_argument] on a
+(** Build an index over existing rows, adding them in primary-key order
+    (this builds the ordered index). Raises [Invalid_argument] on a
     duplicate name or unknown column. *)
 
 val index_names : t -> string list
@@ -131,7 +155,9 @@ val total_count : t -> int
 
 val copy : t -> t
 (** Deep copy (rows, headers, tombstones; temp entries are not copied).
-    Used for state transfer to recovering replicas. *)
+    Used for state transfer to recovering replicas. The copy's ordered
+    index is unbuilt; its secondary indexes are filled in primary-key
+    order. *)
 
 val purge_tombstones : t -> before_cen:int -> int
 (** Garbage-collect tombstones whose deleting epoch precedes

@@ -203,15 +203,20 @@ let test_table_insert_committed () =
   let t = make_table 2 in
   let hdr = Row_header.create () in
   Row_header.stamp hdr ~sen:1 ~csn:(Csn.make ~ts:9 ~node:1) ~cen:1;
-  Table.insert_committed t ~key:[| v_int 50 |]
-    ~data:[| v_int 50; v_str "new" |]
-    ~header:hdr;
+  let e =
+    Table.insert_committed t ~key:[| v_int 50 |] ~key_str:(key 50)
+      ~data:[| v_int 50; v_str "new" |]
+      ~header:hdr
+  in
   Alcotest.(check int) "live" 3 (Table.live_count t);
+  Alcotest.(check bool) "returns the installed entry" true
+    (match Table.find t (key 50) with Some f -> f == e | None -> false);
   Alcotest.(check bool) "dup insert rejected" true
     (try
-       Table.insert_committed t ~key:[| v_int 50 |]
-         ~data:[| v_int 50; v_str "x" |]
-         ~header:(Row_header.create ());
+       ignore
+         (Table.insert_committed t ~key:[| v_int 50 |] ~key_str:(key 50)
+            ~data:[| v_int 50; v_str "x" |]
+            ~header:(Row_header.create ()));
        false
      with Invalid_argument _ -> true)
 
@@ -631,8 +636,9 @@ let table_of_model model =
       (match r.m_cen with
       | None -> Table.load t (row_of k r.m_data)
       | Some cen ->
-        Table.insert_committed t ~key:[| v_int k |] ~data:(row_of k r.m_data)
-          ~header:(stamped cen));
+        ignore
+          (Table.insert_committed t ~key:[| v_int k |] ~key_str:(key k)
+             ~data:(row_of k r.m_data) ~header:(stamped cen)));
       if r.m_deleted then Table.delete t (Option.get (Table.find t (key k))))
     (List.sort (fun (a, _) (b, _) -> compare b a) model);
   t
@@ -690,7 +696,9 @@ let apply_pk_step t model step =
     let k = pk_pool.(i) in
     let data = Printf.sprintf "i%d" cen in
     let install () =
-      Table.insert_committed t ~key:[| v_int k |] ~data:(row_of k data) ~header:(stamped cen)
+      ignore
+        (Table.insert_committed t ~key:[| v_int k |] ~key_str:(key k)
+           ~data:(row_of k data) ~header:(stamped cen))
     in
     match List.assoc_opt k model with
     | Some { m_deleted = false; _ } ->
@@ -747,6 +755,96 @@ let prop_pk_index_matches_model =
              check_against_model !t model;
              model)
            [] steps);
+      true)
+
+(* The lazy ordered index: the same random load / insert / delete /
+   revive / purge / copy sequences, plus [create_index], with the first
+   ordered read at a random step. From that step on, after every step,
+   [scan], [scan_range], [scan_prefix] and [index_lookup] must equal the
+   live rows of [iter_all] sorted by key — so the steps before the read
+   run with the index unbuilt, the read builds it, and the steps after it
+   maintain it. A copy is checked alongside its source, whether it was
+   taken before the build (both unbuilt) or after (source built, copy
+   not). *)
+type lazy_step = Pk of pk_step | Index
+
+let check_ordered_reads t =
+  let live = ref [] in
+  Table.iter_all t ~f:(fun e ->
+      if not e.Table.header.Row_header.deleted then live := e :: !live);
+  let int_key (e : Table.entry) =
+    match e.Table.key with [| Value.Int k |] -> k | _ -> assert false
+  in
+  let live = List.sort compare (List.map (fun e -> (int_key e, data_of e)) !live) in
+  let keys = List.map fst live in
+  let visited scan =
+    let acc = ref [] in
+    scan (fun e -> acc := int_key e :: !acc);
+    List.rev !acc
+  in
+  let expect what got want =
+    if got <> want then
+      QCheck.Test.fail_reportf "%s: [%s], sorted iter_all [%s]" what
+        (String.concat ";" (List.map string_of_int got))
+        (String.concat ";" (List.map string_of_int want))
+  in
+  expect "scan" (visited (fun f -> Table.scan t ~f)) keys;
+  expect "scan_range 100..700"
+    (visited (Table.scan_range t ~lo:[| v_int 100 |] ~hi:[| v_int 700 |]))
+    (List.filter (fun k -> k >= 100 && k <= 700) keys);
+  expect "scan_range ..40" (visited (Table.scan_range t ~hi:[| v_int 40 |]))
+    (List.filter (fun k -> k <= 40) keys);
+  List.iter
+    (fun k ->
+      expect (Printf.sprintf "scan_prefix %d" k)
+        (visited (Table.scan_prefix t ~prefix:[| v_int k |]))
+        (List.filter (( = ) k) keys))
+    [ 0; 7; 1100; 1300 ];
+  if Table.index_cols t ~name:"by_v" <> None then
+    List.iter
+      (fun v ->
+        expect ("index_lookup " ^ v)
+          (List.sort compare
+             (List.map int_key (Table.index_lookup t ~name:"by_v" ~key:[| v_str v |])))
+          (List.filter_map (fun (k, d) -> if d = v then Some k else None) live))
+      ("nope" :: List.sort_uniq compare (List.map snd live))
+
+let prop_lazy_ordered_index =
+  QCheck.Test.make ~name:"lazy ordered index = sorted live iter_all" ~count:60
+    (QCheck.make
+       ~print:(fun (steps, first_read) ->
+         Printf.sprintf "first read at %d: %s" first_read
+           (String.concat "; "
+              (List.map (function Pk s -> print_pk_step s | Index -> "Index") steps)))
+       QCheck.Gen.(
+         let* steps =
+           list_size (int_range 1 30)
+             (frequency [ (9, map (fun s -> Pk s) gen_pk_step); (1, return Index) ])
+         in
+         let* first_read = int_range 0 (List.length steps) in
+         return (steps, first_read)))
+    (fun (steps, first_read) ->
+      let t = ref (Table.create (schema_kv ())) in
+      ignore
+        (List.fold_left
+           (fun (model, i) step ->
+             let reading = i >= first_read in
+             let model =
+               match step with
+               | Index ->
+                 if Table.index_cols !t ~name:"by_v" = None then
+                   Table.create_index !t ~name:"by_v" ~cols:[ "v" ];
+                 model
+               | Pk Copy ->
+                 let source = !t in
+                 t := Table.copy source;
+                 if reading then check_ordered_reads source;
+                 model
+               | Pk step -> apply_pk_step !t model step
+             in
+             if reading then check_ordered_reads !t;
+             (model, i + 1))
+           ([], 0) steps);
       true)
 
 (* --- Checkpoint --- *)
@@ -852,6 +950,7 @@ let () =
           Alcotest.test_case "digest sensitivity" `Quick test_table_digest_sensitivity;
           Alcotest.test_case "purge tombstones" `Quick test_purge_tombstones;
           QCheck_alcotest.to_alcotest prop_pk_index_matches_model;
+          QCheck_alcotest.to_alcotest prop_lazy_ordered_index;
         ] );
       ( "db",
         [
