@@ -1,4 +1,4 @@
-.PHONY: all build test fmt ci bench micro ab wallclock parallel merge check trace-demo clean
+.PHONY: all build test fmt ci bench micro ab wallclock parallel check trace-demo clean
 
 # Domain fan-out for the harness (check sweeps, experiment grids, bench
 # scenarios). 0 = one worker per core; output is byte-identical at any
@@ -45,31 +45,19 @@ ci: fmt
 	else \
 		echo "ci: single-core host, speedup not meaningful (outputs compared equal)"; \
 	fi
-# Sharded merge (DESIGN.md §10): the same seeds at merge-jobs 1 and 4
-# must print the same lines, apart from the merge_jobs=4 scenario tag.
-	dune exec bin/geogauss_cli.exe -- check --seeds 3 --fast --merge-jobs 1 > /tmp/gg_ci_mj1.out; \
-	dune exec bin/geogauss_cli.exe -- check --seeds 3 --fast --merge-jobs 4 > /tmp/gg_ci_mj.out; \
-	sed 's/ merge_jobs=4$$//' /tmp/gg_ci_mj.out | cmp - /tmp/gg_ci_mj1.out || { echo "ci: merge-jobs 1 vs 4 output differs"; exit 1; }; \
-	tail -1 /tmp/gg_ci_mj.out; \
-	echo "ci: merge-jobs=4 sweep byte-identical to merge-jobs=1"
-# Partial replication (DESIGN.md §12): a short partitioned sweep per
-# partition map, plus a corrupted-frame sweep exercising the
-# decode-failure -> stall-repair path.
-	dune exec bin/geogauss_cli.exe -- check --seeds 5 --fast --partitioning hash:2 --jobs $(JOBS) > /tmp/gg_ci_ph.out; \
-	tail -1 /tmp/gg_ci_ph.out
-	dune exec bin/geogauss_cli.exe -- check --seeds 5 --fast --partitioning region --jobs $(JOBS) > /tmp/gg_ci_pr.out; \
-	tail -1 /tmp/gg_ci_pr.out
-	dune exec bin/geogauss_cli.exe -- check --seeds 3 --fast --corrupt 0.05 --jobs $(JOBS) > /tmp/gg_ci_cf.out; \
-	tail -1 /tmp/gg_ci_cf.out
-# Column-level merge (DESIGN.md §13): the same drawn seeds with the
-# per-field lattice pinned on, through all five oracles.
-	dune exec bin/geogauss_cli.exe -- check --seeds 5 --fast --merge-level column --jobs $(JOBS) > /tmp/gg_ci_ml.out; \
-	tail -1 /tmp/gg_ci_ml.out
-# Clock-assisted fast path (DESIGN.md §14): the same drawn seeds with
-# speculative sealing and skew bursts pinned on — externalization still
-# gates on the confirm point, so all five oracles apply unchanged.
-	dune exec bin/geogauss_cli.exe -- check --seeds 5 --fast --engine eocc --clock-skew 10 --jobs $(JOBS) > /tmp/gg_ci_fp.out; \
-	tail -1 /tmp/gg_ci_fp.out
+# Pinned-mode sweeps, one "seeds|flags" pair each: partial replication
+# per partition map (DESIGN.md §12), corrupted frames through the
+# decode-failure -> stall-repair path, the column-level lattice (§13),
+# and the clock-assisted fast path with skew bursts (§14; externalization
+# still gates on the confirm point). Every mode runs the same drawn seeds
+# through all five oracles; a sweep with violations fails ci.
+	for sweep in "5|--partitioning hash:2" "5|--partitioning region" \
+		"3|--corrupt 0.05" "5|--merge-level column" \
+		"5|--engine eocc --clock-skew 10"; do \
+		dune exec bin/geogauss_cli.exe -- check --seeds $${sweep%%|*} --fast $${sweep#*|} --jobs $(JOBS) > /tmp/gg_ci_sweep.out \
+			|| { cat /tmp/gg_ci_sweep.out; echo "ci: check $${sweep#*|} failed"; exit 1; }; \
+		tail -1 /tmp/gg_ci_sweep.out; \
+	done
 	dune exec bin/geogauss_cli.exe -- check --canary
 # Perf-regression accounting: fresh fast wallclock run vs the committed
 # baseline. Fast mode uses shrunk populations, so rates differ
@@ -127,9 +115,6 @@ wallclock:
 
 parallel:
 	dune exec bench/main.exe -- parallel
-
-merge:
-	dune exec bench/main.exe -- merge
 
 # End-to-end tracing walkthrough: a seeded fig5-style run with tracing
 # on, then the causal critical-path attribution and per-region-pair WAN

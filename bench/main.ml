@@ -10,8 +10,6 @@
                               (writes BENCH_wallclock.json)
      main.exe parallel        harness speedup curve over --jobs
                               (writes BENCH_parallel.json)
-     main.exe merge           intra-node merge kernel, seq vs sharded
-                              (writes BENCH_merge.json)
      main.exe --fast [...]    shrunk populations/windows (smoke mode)
      main.exe -j N [...]      fan independent simulations over N domains
                               (0 = auto; deterministic output at any N)
@@ -511,178 +509,6 @@ let run_wallclock ~fast ~pool ~out () =
 
 let parallel_jobs = [ 1; 2; 4; 8 ]
 
-(* --- Intra-node merge kernel (seq vs sharded) ---
-
-   Drives {!Geogauss.Epoch_merge} directly on a synthetic epoch — no
-   cluster, no sim — so the sharded phase A/B is measured in isolation.
-   "cold" merges the epoch into a fresh copy of the loaded table;
-   "warm" re-merges the same write sets into the already-merged state
-   (the ACI idempotent-replay path: every row resolves to Already or a
-   deterministic loser). The commit/abort counts and the resulting
-   database digest are asserted identical at every width — the bench
-   doubles as an equality check. Speedup only materialises with real
-   cores; host_cores is recorded so a 1-core run reads honestly. *)
-
-let merge_jobs_swept = [ 1; 2; 4; 8 ]
-let merge_reps = 3
-
-let build_merge_epoch ~n_rows ~n_txns ~recs_per_txn =
-  let db = Gg_storage.Db.create () in
-  let table =
-    Gg_storage.Db.create_table db ~name:"kv"
-      ~columns:
-        [
-          { Gg_storage.Schema.name = "k"; ty = Gg_storage.Schema.TInt };
-          { name = "v"; ty = TInt };
-        ]
-      ~key:[ "k" ]
-  in
-  for i = 0 to n_rows - 1 do
-    Gg_storage.Table.load table [| Gg_storage.Value.Int i; Gg_storage.Value.Int 0 |]
-  done;
-  let rng = Gg_util.Rng.create 0xEB0C in
-  let txns =
-    List.init n_txns (fun i ->
-        let meta =
-          Gg_crdt.Meta.make ~sen:1 ~cen:1
-            ~csn:(Gg_storage.Csn.make ~ts:(1_000 + i) ~node:(i mod 3))
-        in
-        let records =
-          List.init recs_per_txn (fun r ->
-              (* key collisions across transactions are the point (they
-                 exercise the conflict marks); within a transaction a
-                 duplicate key just resolves like a same-csn re-write *)
-              let roll = Gg_util.Rng.int rng 100 in
-              if roll < 85 then
-                let k = Gg_util.Rng.int rng n_rows in
-                Gg_crdt.Writeset.make_record ~table:"kv"
-                  ~key:[| Gg_storage.Value.Int k |] ~op:Gg_crdt.Writeset.Update
-                  ~data:[| Gg_storage.Value.Int k; Gg_storage.Value.Int i |] ()
-              else if roll < 95 then
-                let k = n_rows + Gg_util.Rng.int rng n_rows in
-                Gg_crdt.Writeset.make_record ~table:"kv"
-                  ~key:[| Gg_storage.Value.Int k |] ~op:Gg_crdt.Writeset.Insert
-                  ~data:[| Gg_storage.Value.Int k; Gg_storage.Value.Int (r + 1) |] ()
-              else
-                let k = Gg_util.Rng.int rng n_rows in
-                Gg_crdt.Writeset.make_record ~table:"kv"
-                  ~key:[| Gg_storage.Value.Int k |] ~op:Gg_crdt.Writeset.Delete
-                  ~data:[||] ())
-        in
-        Gg_crdt.Writeset.make ~meta ~records ())
-  in
-  (db, txns)
-
-let run_merge ~fast () =
-  let n_rows = if fast then 10_000 else 40_000 in
-  let n_txns = if fast then 1_500 else 6_000 in
-  let recs_per_txn = 8 in
-  let base, txns = build_merge_epoch ~n_rows ~n_txns ~recs_per_txn in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  Printf.printf
-    "Intra-node merge kernel (%d txns x %d records, %d rows; %d reps, \
-     host_cores=%d)\n\
-     %!"
-    n_txns recs_per_txn n_rows merge_reps (Gg_par.Pool.default_jobs ());
-  let reference = ref None in
-  let rows =
-    List.map
-      (fun jobs ->
-        let outcomes =
-          List.init merge_reps (fun _ ->
-              let db = Gg_storage.Db.copy base in
-              let m, cold =
-                time (fun () ->
-                    Geogauss.Epoch_merge.run ~threshold:0 ~db ~jobs ~ssi:false
-                      txns)
-              in
-              let w, warm =
-                time (fun () ->
-                    Geogauss.Epoch_merge.run ~threshold:0 ~db ~jobs ~ssi:false
-                      txns)
-              in
-              ( cold, warm,
-                ( Geogauss.Epoch_merge.n_committed m,
-                  Geogauss.Epoch_merge.n_dead m,
-                  Geogauss.Epoch_merge.n_committed w,
-                  Geogauss.Epoch_merge.n_dead w,
-                  Gg_storage.Db.digest db ) ))
-        in
-        let colds = List.map (fun (c, _, _) -> c) outcomes in
-        let warms = List.map (fun (_, w, _) -> w) outcomes in
-        let result = (fun (_, _, r) -> r) (List.hd outcomes) in
-        List.iter
-          (fun (_, _, r) ->
-            if r <> result then begin
-              Printf.eprintf "  ERROR: jobs=%d results differ across reps\n%!" jobs;
-              exit 1
-            end)
-          outcomes;
-        (match !reference with
-        | None -> reference := Some result
-        | Some r ->
-          if r <> result then begin
-            Printf.eprintf
-              "  ERROR: jobs=%d merge result differs from jobs=1 — \
-               determinism bug!\n\
-               %!"
-              jobs;
-            exit 1
-          end);
-        let committed, dead, _, _, _ = result in
-        let n_records = n_txns * recs_per_txn in
-        Printf.printf
-          "  jobs=%d cold %6.3f s median (%.3f min, %9.0f rec/s) | warm \
-           %6.3f s median | %d committed, %d dead\n\
-           %!"
-          jobs (median colds) (minimum colds)
-          (per_sec n_records (median colds))
-          (median warms) committed dead;
-        (jobs, colds, warms))
-      merge_jobs_swept
-  in
-  let committed, dead, _, _, digest = Option.get !reference in
-  print_endline "  commit/abort counts and db digest identical at every width";
-  let base_cold = match rows with (_, c, _) :: _ -> median c | [] -> 1.0 in
-  let oc = open_out "BENCH_merge.json" in
-  let row_json (jobs, colds, warms) =
-    Printf.sprintf
-      "    {\"jobs\": %d, \"cold_wall_s_median\": %.4f, \"cold_wall_s_min\": \
-       %.4f, \"warm_wall_s_median\": %.4f, \"warm_wall_s_min\": %.4f, \
-       \"cold_records_per_s\": %.1f, \"cold_speedup\": %.3f}"
-      jobs (median colds) (minimum colds) (median warms) (minimum warms)
-      (per_sec (n_txns * recs_per_txn) (median colds))
-      (base_cold /. median colds)
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"suite\": \"merge\",\n\
-    \  \"host_cores\": %d,\n\
-    \  \"reps\": %d,\n\
-    \  \"n_txns\": %d,\n\
-    \  \"records_per_txn\": %d,\n\
-    \  \"n_rows\": %d,\n\
-    \  \"committed\": %d,\n\
-    \  \"dead\": %d,\n\
-    \  \"db_digest\": \"%s\",\n\
-    \  \"kernels\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    (Gg_par.Pool.default_jobs ())
-    merge_reps n_txns recs_per_txn n_rows committed dead digest
-    (String.concat ",\n" (List.map row_json rows));
-  close_out oc;
-  print_endline "  wrote BENCH_merge.json";
-  if Gg_par.Pool.default_jobs () <= 1 then
-    print_endline
-      "  note: single-core host — sharded widths only add spawn overhead \
-       here; speedup needs real cores"
-
 let run_parallel () =
   let time f =
     let t0 = Unix.gettimeofday () in
@@ -818,6 +644,5 @@ let () =
         | "micro" -> run_micro ~out:micro_out ()
         | "wallclock" -> run_wallclock ~fast ~pool ~out ()
         | "parallel" -> run_parallel ()
-        | "merge" -> run_merge ~fast ()
         | _ -> run_experiment name)
       names

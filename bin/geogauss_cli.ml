@@ -15,16 +15,6 @@ let jobs_arg =
            core). Output is byte-identical at any value; 1 is the sequential \
            path.")
 
-let merge_jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "merge-jobs" ]
-        ~doc:
-          "Shard each node's intra-node epoch merge over $(docv) host domains \
-           (0 = auto: min of host cores and the modeled merge-thread count; \
-           widths round down to a power of two <= 16). Results are \
-           byte-identical at any value — this is purely a wall-clock knob.")
-
 let partitioning_conv =
   let parse s =
     match Geogauss.Params.partitioning_of_string s with
@@ -317,8 +307,8 @@ let run_cmd =
              that, arrivals shed). Without it, the paper's closed loop.")
   in
   let run workload nodes world epoch_ms isolation variant engine clock_skew ft
-      seconds connections theta records seed trace arrival merge_jobs
-      partitioning merge_level =
+      seconds connections theta records seed trace arrival partitioning
+      merge_level =
     let topology =
       if world then Gg_sim.Topology.worldwide nodes else Gg_sim.Topology.china nodes
     in
@@ -330,7 +320,6 @@ let run_cmd =
         variant;
         ft;
         seed;
-        merge_jobs;
         partitioning;
         merge_level;
       }
@@ -446,8 +435,7 @@ let run_cmd =
     Term.(
       const run $ workload $ nodes $ world $ epoch_ms $ isolation $ variant
       $ engine $ clock_skew_arg $ ft $ seconds $ connections $ theta $ records
-      $ seed $ trace $ arrival $ merge_jobs_arg $ partitioning_arg
-      $ merge_level_arg)
+      $ seed $ trace $ arrival $ partitioning_arg $ merge_level_arg)
 
 (* --- `check` subcommand: seeded chaos checking --- *)
 
@@ -510,8 +498,8 @@ let check_cmd =
              $(docv); decode failures must be recovered by the stall-repair \
              path under the same oracles.")
   in
-  let run seeds base engine clock_skew ft fast jobs trace canary merge_jobs
-      partitioning corrupt merge_level =
+  let run seeds base engine clock_skew ft fast jobs trace canary partitioning
+      corrupt merge_level =
     let log = print_endline in
     (* Resolve the registry name through its own transform: the pinned
        variant and the fastpath flag both come from what the transform
@@ -549,7 +537,7 @@ let check_cmd =
     else begin
       let report =
         Gg_par.Pool.with_pool ~jobs @@ fun pool ->
-        Gg_check.Checker.check ~log ?variant ?ft ~fast ~base ~pool ~merge_jobs
+        Gg_check.Checker.check ~log ?variant ?ft ~fast ~base ~pool
           ~partitioning ~corrupt_frac:corrupt ~merge_level ~fastpath
           ~clock_skew_ms ~seeds ()
       in
@@ -580,8 +568,8 @@ let check_cmd =
     Term.(
       ret
         (const run $ seeds $ base $ engine $ clock_skew_arg $ ft $ fast_arg
-       $ jobs_arg $ trace $ canary $ merge_jobs_arg $ partitioning_arg
-       $ corrupt $ merge_level_arg))
+       $ jobs_arg $ trace $ canary $ partitioning_arg $ corrupt
+       $ merge_level_arg))
 
 (* --- `trace` subcommand: analyze an exported JSONL trace --- *)
 

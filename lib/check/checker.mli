@@ -49,7 +49,6 @@ val check :
   ?fast:bool ->
   ?base:int ->
   ?pool:Gg_par.Pool.t ->
-  ?merge_jobs:int ->
   ?partitioning:Geogauss.Params.partitioning ->
   ?corrupt_frac:float ->
   ?merge_level:Geogauss.Params.merge_level ->
@@ -66,12 +65,6 @@ val check :
     delivered in seed order, and each scenario simulation is fully
     self-contained). Default: sequential.
 
-    [?merge_jobs] pins every scenario's intra-node merge width (default
-    1). It is applied after seed generation, so the drawn scenarios are
-    the same ones the default sweep runs — and since the parallel merge
-    is result-identical, commits/aborts/violations must match the
-    [merge_jobs = 1] sweep exactly (the tests assert this).
-
     [?partitioning] pins a replica-group map on every scenario (default
     [P_none]), via {!Scenario.with_partitioning} — crash/recover faults
     are scrubbed and GeoG-A coerced to the full engine; the oracles
@@ -81,7 +74,8 @@ val check :
     path, so the same oracles apply — except on GeoG-A scenarios, which
     the pin skips (a corrupted frame is a dropped frame, and the gossip
     engine makes no promises under drops). Both are applied after seed
-    generation like [merge_jobs].
+    generation, so the drawn scenarios are the same ones the default
+    sweep runs.
 
     [?merge_level] pins the epoch merge's conflict granularity (default
     [Row]), via {!Scenario.with_merge_level} — GeoG-A is coerced to the

@@ -30,28 +30,24 @@ type t = {
   jitter : float;
   faults : Fault.event list;
   corruption : (int * int) option;
-  merge_jobs : int;
-      (* host domains for the intra-node merge; 1 = sequential. Not
-         drawn from the seed (it must not perturb existing
-         reproducers) — sweeps pin it via Checker.check ?merge_jobs. *)
   partitioning : Params.partitioning;
-      (* replica-group map for partial replication. Like merge_jobs,
-         never drawn from the seed — pinned via Checker.check
-         ?partitioning / with_partitioning. *)
+      (* replica-group map for partial replication. Not drawn from the
+         seed (it must not perturb existing reproducers) — pinned via
+         Checker.check ?partitioning / with_partitioning. *)
   corrupt_frac : float;
       (* probability a binary batch frame is truncated in flight.
          Pinned, not drawn: probability 0 means the network takes no
          corruption coin-flips, so existing seeds are unperturbed. *)
   merge_level : Params.merge_level;
-      (* conflict granularity of the epoch merge. Like merge_jobs,
-         never drawn from the seed — pinned via Checker.check
+      (* conflict granularity of the epoch merge. Never drawn from the
+         seed — pinned via Checker.check
          ?merge_level / with_merge_level. *)
   arrival : Gg_workload.Arrival.t option;
       (* open-loop arrival curve; None = the closed loop. Drawn LAST so
          the coin-flips cannot perturb any knob above. *)
   fastpath : bool;
-      (* clock-assisted speculative sealing (the eocc engine). Like
-         merge_jobs, never drawn from the seed — pinned via
+      (* clock-assisted speculative sealing (the eocc engine). Never
+         drawn from the seed — pinned via
          with_fastpath, so existing reproducer lines replay unchanged. *)
   clock_skew_ms : int;
       (* bounded clock-skew budget for fastpath runs. Pinned alongside
@@ -216,7 +212,6 @@ let generate ?variant ?isolation ?ft ~fast seed =
       jitter = Rng.float rng 0.3;
       faults = [];
       corruption = None;
-      merge_jobs = 1;
       partitioning = Params.P_none;
       corrupt_frac = 0.0;
       merge_level = Params.Row;
@@ -242,7 +237,6 @@ let generate ?variant ?isolation ?ft ~fast seed =
       jitter = Rng.float rng 0.2;
       faults;
       corruption = None;
-      merge_jobs = 1;
       partitioning = Params.P_none;
       corrupt_frac = 0.0;
       merge_level = Params.Row;
@@ -343,11 +337,6 @@ let params s =
        re-route well before the run ends. *)
     client_retry_us = 900_000;
     partitioning = s.partitioning;
-    merge_jobs = s.merge_jobs;
-    (* A sharded sweep must actually shard: small checker epochs never
-       reach the default record threshold. *)
-    merge_par_threshold =
-      (if s.merge_jobs > 1 then 0 else Params.default.Params.merge_par_threshold);
     merge_level = s.merge_level;
     fastpath = s.fastpath;
     clock_skew_us = s.clock_skew_ms * 1_000;
@@ -370,7 +359,6 @@ let to_string s =
     | Some (node, at_ms) -> Printf.sprintf " corrupt=%d@%dms" node at_ms)
   (* the non-default suffixes print only when set, so every existing
      reproducer line is byte-identical *)
-  ^ (if s.merge_jobs = 1 then "" else Printf.sprintf " merge_jobs=%d" s.merge_jobs)
   ^ (match s.partitioning with
     | Params.P_none -> ""
     | m -> Printf.sprintf " partitioning=%s" (Params.partitioning_to_string m))

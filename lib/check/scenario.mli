@@ -27,24 +27,18 @@ type t = {
   corruption : (int * int) option;
       (** [(node, at_ms)]: deliberately corrupt one row on one replica —
           the self-test canary proving the oracles can detect divergence *)
-  merge_jobs : int;
-      (** host domains for each node's intra-node merge (1 = the
-          sequential path). Never drawn from the seed — existing
-          reproducer lines stay stable — and merge results are
-          byte-identical at any value, so a sweep with [merge_jobs > 1]
-          checks the parallel merge against the same five oracles. *)
   partitioning : Geogauss.Params.partitioning;
       (** replica-group map for partial replication (DESIGN.md §12).
-          Like [merge_jobs], never drawn from the seed — pinned through
-          {!with_partitioning}. *)
+          Never drawn from the seed — existing reproducer lines stay
+          stable — but pinned through {!with_partitioning}. *)
   corrupt_frac : float;
       (** probability each binary batch frame is truncated in flight
           (the decode failure routes to the batch-loss repair path).
           Pinned, never drawn: at [0.0] the network takes no corruption
           coin-flips, so existing seeds replay unchanged. *)
   merge_level : Geogauss.Params.merge_level;
-      (** conflict granularity of the epoch merge (DESIGN.md §13). Like
-          [merge_jobs], never drawn from the seed — pinned through
+      (** conflict granularity of the epoch merge (DESIGN.md §13).
+          Never drawn from the seed — pinned through
           {!with_merge_level}, so one seed runs the same scenario at
           either granularity and the sweeps compare cleanly. *)
   arrival : Gg_workload.Arrival.t option;
@@ -53,8 +47,7 @@ type t = {
           other knob. *)
   fastpath : bool;
       (** clock-assisted speculative sealing (the [eocc] engine,
-          DESIGN.md §14). Like [merge_jobs], never drawn from the seed —
-          pinned through {!with_fastpath}, so existing reproducer lines
+          DESIGN.md §14). Never drawn from the seed — pinned through {!with_fastpath}, so existing reproducer lines
           replay unchanged. *)
   clock_skew_ms : int;
       (** bounded clock-skew budget for fastpath runs ([0] = perfectly

@@ -1,7 +1,7 @@
 (* The per-epoch intra-node merge kernel: DeltaCRDTMerge pre-write
    (phase A), OCC validation (phase B), the optional SSI pivot pass and
    write-back (phase C) — extracted from [Node.do_merge] so the kernel
-   can be driven in isolation (bench `merge`, unit tests) without a
+   can be driven in isolation (unit tests, the e2e replay) without a
    cluster around it.
 
    The epoch is flattened into one [slot] per record, in record order
@@ -11,24 +11,18 @@
    never look the record up again, except that phase C re-finds an
    insert's key before installing it (see [write_back]).
 
-   Determinism at any [jobs] (DESIGN.md §10). [jobs > 1] only
-   partitions the phase A and B loops, and each slot (phase A) or
-   write-set verdict (phase B) is written by exactly one shard:
+   Every phase is one sequential pass in that order (DESIGN.md §10):
 
-   - Phase A partitions slots by [Table.key_hash] of the encoded key,
-     with a shard count dividing [Table.temp_shard_count]. So all slots
-     of one row are in one shard, visited in record order: the per-row
-     header joins ([Merge.merge_header], a lattice join by Lemma 2), the
-     column-mode claim joins and the [temp_add] calls run exactly as
-     they would sequentially, and two shards never touch the same temp
-     hash shard. The main index is only read.
-   - Abort reasons and table touches then come from one sequential pass
-     over the slots in record order, so each write set keeps the reason
-     of its first failing record whatever the partition was.
+   - Phase A visits the slots in record order, so the per-row header
+     joins ([Merge.merge_header], a lattice join by Lemma 2), the
+     column-mode claim joins and the [temp_add] calls see each row's
+     records in record order.
+   - Abort reasons and table touches then come from one ordered pass
+     over the slots, so each write set keeps the reason of its first
+     failing record.
    - Phase B reads the post-A headers and claims only and writes one
      [reasons] element per write set.
-   - The SSI pass and phase C mutate shared index structures and run
-     sequentially in write-set order. *)
+   - The SSI pass and phase C run in write-set order. *)
 
 module Db = Gg_storage.Db
 module Table = Gg_storage.Table
@@ -38,7 +32,6 @@ module Writeset = Gg_crdt.Writeset
 module Merge = Gg_crdt.Merge
 module Meta = Gg_crdt.Meta
 module Column = Gg_crdt.Column
-module Pool = Gg_par.Pool
 
 module Itbl = Hashtbl.Make (struct
   type t = int
@@ -93,13 +86,11 @@ type t = {
   reasons : Txn.abort_reason option array;  (* [None] = committed *)
   n_records : int;
   n_committed : int;
-  jobs_used : int;
 }
 
 let n_records t = t.n_records
 let n_committed t = t.n_committed
 let n_dead t = Array.length t.reasons - t.n_committed
-let jobs_used t = t.jobs_used
 
 let reason t ws =
   match Itbl.find_opt t.index (csn_key ws) with
@@ -110,29 +101,6 @@ let committed t ws = Option.is_none (reason t ws)
 
 let abort_reason t ws =
   match reason t ws with Some r -> r | None -> Txn.Write_conflict
-
-(* Effective shard count: largest power of two <= the request, capped so
-   it divides [Table.temp_shard_count] (the temp-race-freedom
-   precondition above). *)
-let clamp_jobs requested =
-  let cap = min requested Table.temp_shard_count in
-  let rec go p = if 2 * p <= cap then go (2 * p) else p in
-  if requested <= 1 then 1 else go 1
-
-let resolve_jobs (params : Params.t) =
-  if params.Params.merge_jobs = 0 then
-    min (Pool.default_jobs ()) params.Params.cost.Params.merge_threads
-  else params.Params.merge_jobs
-
-(* Run [body] over the indices [0, n): in place at [jobs = 1], else over
-   [jobs] shards partitioned by [key]. [body] gets an iterator over its
-   shard's indices, in increasing order. *)
-let sharded ~jobs ~key n body =
-  if jobs = 1 then body (fun visit -> for i = 0 to n - 1 do visit i done)
-  else
-    ignore
-      (Pool.map_shards ~jobs ~key (List.init n Fun.id) ~f:(fun idxs ->
-           body (fun visit -> List.iter visit idxs)))
 
 (* The flattened epoch: write sets by position, records by slot index,
    and each write set's slot range [first.(w), first.(w + 1)). *)
@@ -213,14 +181,11 @@ let resolve ~db ~column ~rows ep i =
             Held { table; entry; stamped = false; row }
           else Failed Txn.Write_conflict)))
 
-let phase_a ~db ~jobs ~column ep slots =
-  sharded ~jobs
-    ~key:(fun i -> Table.key_hash (Writeset.key_str ep.recs.(i)))
-    (Array.length slots)
-    (fun iter ->
-      (* shard-local: every slot of a row is in this shard *)
-      let rows = Etbl.create (if column then 64 else 1) in
-      iter (fun i -> slots.(i) <- resolve ~db ~column ~rows ep i))
+let phase_a ~db ~column ep slots =
+  let rows = Etbl.create (if column then 64 else 1) in
+  for i = 0 to Array.length slots - 1 do
+    slots.(i) <- resolve ~db ~column ~rows ep i
+  done
 
 (* Does every record of live write set [w] still hold its row? *)
 let holds ~column ep slots w =
@@ -363,14 +328,13 @@ let phase_c ~defer ep slots reasons =
         done)
     ep.wss
 
-let run ?(threshold = Params.default.Params.merge_par_threshold)
-    ?(defer = fun _ -> false) ?(level = Params.Row) ~db ~jobs ~ssi txns =
+let run ?(defer = fun _ -> false) ?(level = Params.Row) ~db ~jobs ~ssi txns =
+  if jobs <> 1 then invalid_arg "Epoch_merge.run: jobs must be 1";
   let column = level = Params.Column in
   let ep = flatten txns in
   let n_records = Array.length ep.recs and n_ws = Array.length ep.wss in
-  let jobs = if n_records < max 1 threshold then 1 else clamp_jobs jobs in
   let slots = Array.make n_records Pending in
-  phase_a ~db ~jobs ~column ep slots;
+  phase_a ~db ~column ep slots;
   (* Abort reasons (the first failing record's, per write set) and
      touches of the tables whose committed headers phase A stamped, in
      record order. *)
@@ -384,10 +348,10 @@ let run ?(threshold = Params.default.Params.merge_par_threshold)
       | Held { stamped = true; table; _ } -> Table.touch table
       | Held { stamped = false; _ } | Pending -> ())
     slots;
-  sharded ~jobs ~key:Fun.id n_ws (fun iter ->
-      iter (fun w ->
-          if Option.is_none reasons.(w) && not (holds ~column ep slots w) then
-            reasons.(w) <- Some Txn.Write_conflict));
+  for w = 0 to n_ws - 1 do
+    if Option.is_none reasons.(w) && not (holds ~column ep slots w) then
+      reasons.(w) <- Some Txn.Write_conflict
+  done;
   if ssi then ssi_pass ep reasons;
   if column then cell_winners ep slots reasons;
   phase_c ~defer ep slots reasons;
@@ -397,4 +361,4 @@ let run ?(threshold = Params.default.Params.merge_par_threshold)
   let n_committed =
     Array.fold_left (fun n r -> if Option.is_none r then n + 1 else n) 0 reasons
   in
-  { index; reasons; n_records; n_committed; jobs_used = jobs }
+  { index; reasons; n_records; n_committed }

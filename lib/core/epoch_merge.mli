@@ -7,9 +7,9 @@
     entry (the row for an update or delete, the temp entry for an
     insert) and keeps them, with its pre-write outcome, in a per-record
     slot that phases B and C read. A committed insert installs its temp
-    entry as the row. Phases A and B can shard across OCaml domains
-    ({!Gg_par.Pool.map_shards}) with byte-identical results; DESIGN.md
-    §10 gives the sharding rule and the per-slot determinism argument.
+    entry as the row. Every phase is one sequential pass in record (or
+    write-set) order; DESIGN.md §10 gives the slot pipeline and why
+    abort reasons come from one ordered pass.
 
     The merge never builds a table's ordered index
     ({!Gg_storage.Table}): write-back updates it only where an ordered
@@ -20,22 +20,19 @@
 type t
 (** The merge outcome: per-transaction commit/abort decisions plus
     counters. The decisions (and the database mutations performed by
-    {!run}) are a deterministic function of the inputs alone — never of
-    [jobs]. *)
+    {!run}) are a deterministic function of the inputs alone. *)
 
 val run :
-  ?threshold:int -> ?defer:(Gg_crdt.Writeset.t -> bool) ->
+  ?defer:(Gg_crdt.Writeset.t -> bool) ->
   ?level:Params.merge_level ->
   db:Gg_storage.Db.t -> jobs:int -> ssi:bool ->
   Gg_crdt.Writeset.t list -> t
 (** Merge one epoch's deduplicated write sets (distinct csns) into [db] (mutating it:
     header stamps, write-back, temp-area use and final clear — exactly
-    the sequential [do_merge] data path). [jobs] is the requested shard
-    width; it is rounded down to a power of two dividing
-    {!Gg_storage.Table.temp_shard_count}, and forced to 1 when the epoch
-    has fewer than [threshold] records (default
-    [Params.default.merge_par_threshold]; pass [~threshold:0] to force
-    sharding on). [ssi] enables the SSI pivot-abort pass. [defer]
+    the sequential [do_merge] data path). [jobs] must be 1: the kernel
+    runs on the calling domain, and any other value raises
+    [Invalid_argument] (the label stays for bench/e2e's replay). [ssi]
+    enables the SSI pivot-abort pass. [defer]
     (default: never) marks write sets that participate fully in
     validation — they can win rows in phases A/B and enter the committed
     set — but whose phase-C write-back is withheld; the partial-
@@ -65,17 +62,3 @@ val abort_reason : t -> Gg_crdt.Writeset.t -> Txn.abort_reason
 val n_records : t -> int
 val n_committed : t -> int
 val n_dead : t -> int
-
-val jobs_used : t -> int
-(** The effective shard width after clamping and the threshold gate
-    (1 = the sequential path ran). *)
-
-val resolve_jobs : Params.t -> int
-(** The requested width from the parameter block: [merge_jobs] itself,
-    or for [merge_jobs = 0] (auto) [min host_cores cost.merge_threads] —
-    as many real domains as the modeled node's merge-thread count, when
-    the host has them. *)
-
-val clamp_jobs : int -> int
-(** Largest power of two [<=] the request that divides
-    {!Gg_storage.Table.temp_shard_count}; 1 for requests [<= 1]. *)

@@ -964,12 +964,9 @@ and do_merge t e full ~merge_started ~duration ~span ~prelog =
         full
   in
   (* Phases A–C (DeltaCRDTMerge pre-write, validation, SSI, write-back)
-     live in {!Epoch_merge}; [merge_jobs] shards them across host
-     domains with byte-identical results (DESIGN.md §10). *)
+     live in {!Epoch_merge} (DESIGN.md §10). *)
   let m =
-    Epoch_merge.run ~threshold:t.env.params.Params.merge_par_threshold
-      ~db:t.db
-      ~jobs:(Epoch_merge.resolve_jobs t.env.params)
+    Epoch_merge.run ~db:t.db ~jobs:1
       ~ssi:(t.env.params.Params.isolation = Params.SSI)
       ~level:(Params.effective_merge_level t.env.params)
       ~defer:(fun ws -> Itbl.mem cross (pack_csn ws.Writeset.meta.Meta.csn))

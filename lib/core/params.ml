@@ -30,13 +30,11 @@ type t = {
   membership_timeout_us : int;
   client_retry_us : int;
   repair_after_us : int;
-  merge_jobs : int;
   merge_par_threshold : int;
   partitioning : partitioning;
   merge_level : merge_level;
   fastpath : bool;
   clock_skew_us : int;
-  clock_sync_period_us : int;
   fastpath_margin_us : int;
 }
 
@@ -64,13 +62,11 @@ let default =
     membership_timeout_us = 500_000;
     client_retry_us = 2_000_000;
     repair_after_us = 250_000;
-    merge_jobs = 1;
     merge_par_threshold = 4_096;
     partitioning = P_none;
     merge_level = Row;
     fastpath = false;
     clock_skew_us = 5_000;
-    clock_sync_period_us = 0;
     fastpath_margin_us = -1;
   }
 

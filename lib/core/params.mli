@@ -50,9 +50,8 @@ type cost = {
   merge_record_us : int;  (** merge cost per write-set record *)
   merge_threads : int;
       (** merge-thread parallelism of the {e modeled} node: divides the
-          simulated per-record merge cost. The host-side counterpart is
-          {!t.merge_jobs} — [merge_jobs = 0] links the two by running
-          [min host_cores merge_threads] real domains *)
+          simulated per-record merge cost. The host merge itself runs on
+          one domain ([Epoch_merge]) *)
   merge_base_us : int;  (** fixed per-epoch merge overhead *)
   notify_us : int;
       (** per blocked transaction thread, per epoch: the cost of the
@@ -76,20 +75,10 @@ type t = {
       (** how long a node lets the next merge stall before re-fetching
           missing peer batches from their backup servers (§5.2 repair —
           what makes epochs survive message loss), 250 ms *)
-  merge_jobs : int;
-      (** {e host} domains the intra-node merge shards across
-          (DESIGN.md §10). Purely a wall-clock knob: the merged state,
-          commit/abort decisions, wire bytes and simulated timings are
-          byte-identical at any value. [1] (default) is the sequential
-          path; [0] = auto, [min (host cores) cost.merge_threads] — the
-          modeled node runs [cost.merge_threads] merge threads
-          ({!cost}), and auto gives it as many real domains as this
-          host can back. Widths round down to a power of two dividing
-          {!Gg_storage.Table.temp_shard_count}. *)
   merge_par_threshold : int;
-      (** minimum records in an epoch before the merge fans out
-          (domain spawn costs ~tens of µs; tiny epochs stay
-          sequential). Default 4096; [0] forces sharding on (tests). *)
+      (** fixed at 4096 records. No engine path reads it; only
+          bench/e2e's [epochs_over_par_threshold] counter does, counting
+          the epochs at least this large *)
   partitioning : partitioning;
       (** partial-replication mode, default [P_none] (full replication;
           byte-identical to the pre-partitioning engine) *)
@@ -110,10 +99,6 @@ type t = {
       (** bound on per-node clock error when [fastpath] is on (offset +
           drift + injected steps are clamped to ±this), default 5 ms.
           [0] = perfectly synchronized clocks *)
-  clock_sync_period_us : int;
-      (** NTP-style sync pulse period: drift accumulation resets every
-          period. [0] (default) = no discipline, drift accumulates for
-          the whole run *)
   fastpath_margin_us : int;
       (** safety margin added to predicted-arrival deadlines. [-1]
           (default) = auto (scales with the delay estimate). Tests pin

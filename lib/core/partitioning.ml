@@ -80,8 +80,7 @@ let vote_depth t = t.depth
 let group_of_node t node = t.group_of_node.(node)
 let members t group = t.members.(group)
 
-(* Key placement reuses the storage layer's deterministic key hash (the
-   same one that shards the parallel merge). *)
+(* Key placement reuses the storage layer's deterministic key hash. *)
 let group_of_key t key_str = Table.key_hash key_str mod t.n_groups
 let group_of_record t r = group_of_key t (Writeset.key_str r)
 

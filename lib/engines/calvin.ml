@@ -11,7 +11,6 @@ let strategy ~ft_raft =
     reservation_aborts = false;
     extra_round_us = 0;
     ft_raft;
-    spec_margin_us = None;
   }
 
 let create net cfg = Det_base.create net cfg (strategy ~ft_raft:false)

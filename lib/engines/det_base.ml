@@ -10,7 +10,6 @@ type strategy = {
   reservation_aborts : bool;
   extra_round_us : int;
   ft_raft : bool;
-  spec_margin_us : int option;
 }
 
 type entry = {
@@ -160,18 +159,6 @@ let rec try_execute t nd =
              (List.init n Fun.id))
       in
       let duration = round_duration t entries in
-      (* Clock-assisted speculative seal/confirm (the eocc fast path):
-         bounded-skew clocks let a node predict the round's closing set
-         and start the deterministic schedule before the last batch
-         lands, so up to [spec_margin_us] of the round's critical path
-         overlaps the arrival wait. Only the residual is charged here —
-         the confirm point (all batches in hand) still gates every
-         client answer. *)
-      let duration =
-        match t.strat.spec_margin_us with
-        | Some lead -> max 0 (duration - lead)
-        | None -> duration
-      in
       Sim.schedule t.sim ~after:duration (fun () ->
           let outcomes =
             if t.strat.reservation_aborts then reservation_outcomes entries

@@ -111,17 +111,6 @@ let diff_wallclock ~threshold old_j new_j =
   in
   rows @ overhead
 
-let diff_merge ~threshold old_j new_j =
-  let olds = obj_list old_j "kernels" and news = obj_list new_j "kernels" in
-  List.map
-    (fun o ->
-      let jobs = Jsonl.to_int ~default:(-1) (Jsonl.member "jobs" o) in
-      let key = Printf.sprintf "jobs=%d" jobs in
-      match find_by_int "jobs" jobs news with
-      | None -> missing_row ~key
-      | Some n -> metric_row ~threshold ~key ~metric:"cold_records_per_s" o n)
-    olds
-
 (* Scale suite (BENCH_scale.json): per-(mode, replicas) points. tput is
    higher-is-better as usual; wan_kb_per_txn is the partial-replication
    acceptance metric and LOWER is better, so its delta is inverted
@@ -250,7 +239,6 @@ let diff ?(threshold = 0.25) ~old_json ~new_json () =
     else
       match os with
       | "wallclock" -> Ok (diff_wallclock ~threshold old_j new_j)
-      | "merge" -> Ok (diff_merge ~threshold old_j new_j)
       | "parallel" -> Ok (diff_parallel ~threshold old_j new_j)
       | "scale" -> Ok (diff_scale ~threshold old_j new_j)
       | "skew" -> Ok (diff_skew ~threshold old_j new_j)

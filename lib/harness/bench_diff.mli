@@ -1,7 +1,7 @@
 (** Perf-regression accounting between two bench reports.
 
     Compares two [BENCH_*.json] documents of the same suite
-    ([wallclock], [merge], [parallel], [scale], [skew] or [fastpath])
+    ([wallclock], [parallel], [scale], [skew] or [fastpath])
     metric by metric. All compared metrics are higher-is-better
     throughputs, except: the wallclock suite's
     [tracing_overhead.overhead_frac], which is gated on an absolute 5%

@@ -1004,9 +1004,8 @@ let fig_skew_tables pool ~fast =
    WAL prelog overlap the last EOF's flight — and it degrades honestly
    as the bound grows (the spec/confirm machinery never changes what
    clients observe, only when work is charged). The sweep runs YCSB-MC
-   on china3: one skew-independent GeoGauss baseline, eocc at each skew
-   bound, and the Det_base EOCC timing model as a reference row.
-   Misprediction counts are reported verbatim — a high mispredict rate
+   on china3: one skew-independent GeoGauss baseline and eocc at each
+   skew bound. Misprediction counts are reported verbatim — a high mispredict rate
    with a latency win is an honest result (mispredicted epochs re-merge
    at the classic instant; only the speculated work is wasted). Writes
    BENCH_fastpath.json (`geogauss bench diff` understands the
@@ -1043,15 +1042,6 @@ let fig_fastpath_tables pool ~fast =
            ( ("eocc", skew),
              geo (Printf.sprintf "eocc/skew%d" skew) params ))
          skews
-    @ [
-        ( ("eocc-model", -1),
-          fun () ->
-            ( Driver.run_engine
-                (module Gg_engines.Eocc)
-                ~config:engine_cfg ~topology:(Topology.china3 ()) ~gen
-                ~connections ~warmup_ms ~measure_ms ~label:"eocc-model" (),
-              (0, 0, 0) ) );
-      ]
   in
   let results = Pool.run pool (List.map snd cells) in
   let rows =

@@ -182,8 +182,8 @@ let set_tracing t v =
 (* Causal span ids: a process-unique sequence number with the allocating
    node packed into the low bits, so an id decodes back to its origin
    without a lookup. Allocation rides the (single-threaded) simulation
-   event loop, never the merge/encode domain pools, so the id stream is
-   deterministic at any --jobs/--merge-jobs width. The sequence is
+   event loop, never the harness domain pool, so the id stream is
+   deterministic at any --jobs width. The sequence is
    deliberately NOT cleared by [reset_all]: spans allocated before the
    warm-up reset may still be referenced by in-flight wire messages, and
    re-using their ids would fabricate causal edges. *)

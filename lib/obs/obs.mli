@@ -115,8 +115,8 @@ val new_span : t -> node:int -> int
     [0] — the "no span" wire value — without consuming a sequence number
     while tracing is disabled, so traced and untraced runs behave
     identically on the wire. Allocation happens on the simulation thread
-    only, keeping the id stream byte-deterministic at any
-    [--jobs]/[--merge-jobs] width. The sequence survives {!reset_all}
+    only, keeping the id stream byte-deterministic at any [--jobs]
+    width. The sequence survives {!reset_all}
     (in-flight messages may still carry pre-reset spans). *)
 
 val span_node : int -> int

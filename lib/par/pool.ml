@@ -142,58 +142,6 @@ let with_pool ~jobs f =
   let t = create ~jobs in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-(* --- sharded fan-out inside one shared computation ---
-
-   Unlike the pool above (long-lived workers, one simulation per task),
-   these helpers parallelise ONE short computation over the data it
-   already holds: they spawn [k - 1] fresh domains, run part 0 on the
-   calling domain, and join before returning. Spawning per call keeps
-   them safe to use from inside a pool task (a shared worker pool would
-   deadlock when every worker blocks on subtasks that sit behind it in
-   the queue) and leaks nothing when the caller has no shutdown hook. *)
-
-let join_all (tasks : (unit -> 'a) array) : 'a array =
-  let k = Array.length tasks in
-  if k = 0 then [||]
-  else if k = 1 then [| tasks.(0) () |]
-  else begin
-    let wrap f () =
-      try Ok (f ()) with e -> Error (e, Printexc.get_raw_backtrace ())
-    in
-    let doms =
-      Array.init (k - 1) (fun i -> Domain.spawn (wrap tasks.(i + 1)))
-    in
-    let r0 = wrap tasks.(0) () in
-    let results = Array.make k r0 in
-    Array.iteri (fun i d -> results.(i + 1) <- Domain.join d) doms;
-    (* lowest-index exception wins, as in [iter_ordered] *)
-    Array.iter
-      (function
-        | Error (e, bt) -> Printexc.raise_with_backtrace e bt | Ok _ -> ())
-      results;
-    Array.map (function Ok v -> v | Error _ -> assert false) results
-  end
-
-let map_shards ~jobs ~key xs ~f =
-  let jobs = max 1 jobs in
-  if jobs = 1 then [ f xs ]
-  else begin
-    let buckets = Array.make jobs [] in
-    List.iter
-      (fun x ->
-        let s = key x land max_int mod jobs in
-        buckets.(s) <- x :: buckets.(s))
-      xs;
-    let tasks =
-      Array.map
-        (fun rev_items ->
-          let items = List.rev rev_items in
-          fun () -> f items)
-        buckets
-    in
-    Array.to_list (join_all tasks)
-  end
-
 module Local = struct
   type 'a t = 'a Domain.DLS.key
 

@@ -54,32 +54,6 @@ val shutdown : t -> unit
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [create], run the function, always [shutdown]. *)
 
-(** {1 Sharded fan-out inside one shared computation}
-
-    The pool above fans out {e independent} simulations; the helper
-    below parallelises {e one} computation over shared mutable state
-    (the intra-node merge). It spawns [jobs - 1] fresh domains per
-    call, runs part 0 on the calling domain, and joins all domains
-    before returning — so it is safe to call from inside a pool task (no
-    shared queue to deadlock on) and nothing outlives the call. *)
-
-val map_shards :
-  jobs:int -> key:('a -> int) -> 'a list -> f:('a list -> 'b) -> 'b list
-(** [map_shards ~jobs ~key xs ~f] partitions [xs] into [jobs] shards by
-    [key x land max_int mod jobs] (items keep their relative order
-    within a shard), runs [f] on every shard concurrently, and returns
-    the results in shard order — a deterministic function of [xs] and
-    [key] alone, independent of scheduling. [jobs <= 1] runs [f xs] on
-    the calling domain and returns a single-element list. Shards may be
-    empty. If several shards raise, the lowest shard's exception is
-    re-raised after all domains have joined.
-
-    Determinism contract: [f] must touch only state owned by its shard
-    (plus read-only shared state) — the shard partition is what makes
-    that disjointness hold, so [key] must agree with how the shared
-    structure is sharded (e.g. {!val:key} = the [Table] temp-shard hash
-    when temp entries are created). *)
-
 (** Domain-local values: the sanctioned form of cross-call state in
     [lib/] (a plain global [ref] would race and mix state across
     concurrent pool tasks). Each domain lazily builds its own value on

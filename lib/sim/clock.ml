@@ -9,7 +9,6 @@ let ewma_scale = 16
 type t = {
   topology : Topology.t;
   bound_us : int;
-  sync_period_us : int;
   base_us : int array;  (* per-node fixed offset component *)
   drift_ppm : int array;  (* per-node rate error, parts per million *)
   step_us : int array;  (* injected skew-burst steps (fault schedules) *)
@@ -21,10 +20,10 @@ type t = {
 
 (* Drift magnitude: commodity crystal oscillators sit in the tens of ppm;
    NTP-disciplined clocks well under 100. 200 ppm is a pessimistic cap —
-   2 ms of wander over a 10 s run when sync pulses are off. *)
+   2 ms of wander over a 10 s run. *)
 let max_drift_ppm = 200
 
-let create ~seed ~topology ~bound_us ?(sync_period_us = 0) () =
+let create ~seed ~topology ~bound_us =
   let n = Topology.n_nodes topology in
   let r = Topology.n_regions topology in
   let rng = Rng.create (0x10cc + (seed * 0x9e3779b9)) in
@@ -45,7 +44,6 @@ let create ~seed ~topology ~bound_us ?(sync_period_us = 0) () =
   {
     topology;
     bound_us = max 0 bound_us;
-    sync_period_us = max 0 sync_period_us;
     base_us;
     drift_ppm;
     step_us = Array.make n 0;
@@ -59,15 +57,13 @@ let bound_us t = t.bound_us
 let offset_us t ~node ~at =
   if t.bound_us = 0 then 0
   else begin
-    (* Drift accumulates from the last sync pulse (or from t=0 when the
-       NTP-style discipline is off); the total offset is clamped to the
+    (* Drift accumulates from t=0; the total offset is clamped to the
        configured bound — the contract an external time service would
        enforce. *)
-    let tau =
-      if t.sync_period_us > 0 then at mod t.sync_period_us else max 0 at
-    in
     let o =
-      t.base_us.(node) + (t.drift_ppm.(node) * tau / 1_000_000) + t.step_us.(node)
+      t.base_us.(node)
+      + (t.drift_ppm.(node) * max 0 at / 1_000_000)
+      + t.step_us.(node)
     in
     if o > t.bound_us then t.bound_us
     else if o < -t.bound_us then -t.bound_us

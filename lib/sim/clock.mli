@@ -4,11 +4,9 @@
     Each node owns a local clock [read = sim_time + offset(node, t)]
     whose offset is a per-node base error plus linear drift, drawn
     deterministically from the seed and clamped to a configured bound —
-    the guarantee an external time service (NTP/PTP) provides. An
-    optional sync period models NTP-style discipline: drift accumulation
-    resets every period, so only the base error and one period's wander
-    remain. Skew-burst fault schedules inject additional steps at run
-    time ({!inject_step}); the clamp still holds, so the bound is an
+    the guarantee an external time service (NTP/PTP) provides. Drift
+    accumulates from time 0. Skew-burst fault schedules inject additional
+    steps at run time ({!inject_step}); the clamp still holds, so the bound is an
     invariant, not a typical value.
 
     The same instance carries two receiver-side estimators the fast path
@@ -22,15 +20,9 @@
 
 type t
 
-val create :
-  seed:int ->
-  topology:Topology.t ->
-  bound_us:int ->
-  ?sync_period_us:int ->
-  unit ->
-  t
+val create : seed:int -> topology:Topology.t -> bound_us:int -> t
 (** [bound_us = 0] gives perfectly synchronized clocks (every read is
-    sim time); [sync_period_us = 0] (default) disables sync pulses. *)
+    sim time). *)
 
 val bound_us : t -> int
 

@@ -28,15 +28,7 @@ type sec_index = {
   mutable idx_map : entry list Key_map.t;
 }
 
-(* The per-epoch temp area is split into a fixed number of hash shards
-   so the parallel merge can create temp entries from several domains at
-   once: merge shard counts divide [temp_shard_count], and a record's
-   merge shard is derived from the same key hash, so two merge shards
-   never touch the same temp shard. *)
-let temp_shard_count = 16
-
 let key_hash key_str = Hashtbl.hash key_str land max_int
-let key_shard ~shards key_str = key_hash key_str mod shards
 
 (* The primary index: open addressing with linear probing over two
    parallel arrays. [hashes.(i)] holds the full [key_hash] of the entry
@@ -50,7 +42,7 @@ let key_shard ~shards key_str = key_hash key_str mod shards
 
    Slot order depends on the hash function and the insertion history,
    so nothing observable may depend on it. Every walk over the slots
-   either sorts what it collects ([digest_into], [digest_shard], and
+   either sorts what it collects ([digest_into] and
    [Checkpoint] through [iter_all]) or does not depend on order ([copy],
    [purge_tombstones]). *)
 type pk_index = {
@@ -196,7 +188,7 @@ type t = {
   index : pk_index;
   mutable ordered : entry Key_map.t;
   mutable ordered_built : bool;
-  temp : (string, entry) Hashtbl.t array;  (* [temp_shard_count] shards *)
+  temp : (string, entry) Hashtbl.t;  (* the epoch's in-flight inserts *)
   indexes : (string, sec_index) Hashtbl.t;
   mutable live : int;
   mutable version : int;
@@ -204,7 +196,7 @@ type t = {
   mutable digest_cache : (int * string) option;
 }
 
-let fresh_temp () = Array.init temp_shard_count (fun _ -> Hashtbl.create 8)
+let fresh_temp () = Hashtbl.create 128
 
 let create schema =
   {
@@ -340,19 +332,17 @@ let install_temp t entry data =
   entry.data <- data;
   add_live t entry ~fn:"Table.install_temp"
 
-let temp_tbl t key_str = t.temp.(key_shard ~shards:temp_shard_count key_str)
-let temp_find t key_str = Hashtbl.find_opt (temp_tbl t key_str) key_str
+let temp_find t key_str = Hashtbl.find_opt t.temp key_str
 
 let temp_add t ~key ~key_str =
-  let tbl = temp_tbl t key_str in
-  match Hashtbl.find_opt tbl key_str with
+  match Hashtbl.find_opt t.temp key_str with
   | Some e -> e
   | None ->
     let entry = { key; key_str; data = [||]; header = Row_header.create () } in
-    Hashtbl.add tbl key_str entry;
+    Hashtbl.add t.temp key_str entry;
     entry
 
-let temp_clear t = Array.iter Hashtbl.reset t.temp
+let temp_clear t = Hashtbl.reset t.temp
 
 let scan t ~f = Key_map.iter (fun _ e -> f e) (ordered t)
 
@@ -527,20 +517,6 @@ let digest_into t enc =
   let module E = Gg_util.Codec.Enc in
   E.string enc t.schema.Schema.table_name;
   sorted_entries t (fun _ -> true) |> List.iter (digest_entry enc)
-
-(* Canonical digest of the key-shard slice of the table: the rows whose
-   [key_shard] is [shard]. The shard digests jointly cover every entry
-   exactly once, so comparing them pair-wise localises a divergence to a
-   key range — and each slice can be digested on its own domain (pure
-   reads over [index]). Not cached: callers are tests and benches. *)
-let digest_shard t ~shards ~shard =
-  let module E = Gg_util.Codec.Enc in
-  let enc = E.create () in
-  E.string enc t.schema.Schema.table_name;
-  E.varint enc shard;
-  sorted_entries t (fun e -> key_shard ~shards e.key_str = shard)
-  |> List.iter (digest_entry enc);
-  Digest.to_hex (Digest.bytes (E.to_bytes enc))
 
 (* The convergence oracle digests every node's whole database once per
    epoch; tables the epoch never wrote (most of TPC-C's nine) hit the

@@ -75,25 +75,12 @@ val install_temp : t -> entry -> Value.t array -> unit
 
 (** {1 Temporary insert table}
 
-    The temp area is internally split into {!temp_shard_count} hash
-    shards keyed by {!key_shard}. Concurrency contract for the parallel
-    merge: two domains may call {!temp_add}/{!temp_find} on the same
-    table simultaneously iff their keys land in different shards — which
-    holds whenever the work partition is derived from {!key_hash} with a
-    shard count dividing {!temp_shard_count}. *)
-
-val temp_shard_count : int
-(** Number of temp hash shards (16). Parallel merge widths must divide
-    this so the key→merge-shard map refines the key→temp-shard map. *)
+    One hash table per table, keyed by encoded key. Nothing iterates it,
+    so its layout is unobservable. *)
 
 val key_hash : string -> int
 (** Deterministic non-negative hash of an encoded key ([Hashtbl.hash]
     with the default seed — stable across runs and processes). *)
-
-val key_shard : shards:int -> string -> int
-(** [key_hash key mod shards]: the canonical key→shard rule shared by
-    the temp area, the parallel merge's record bucketing, and
-    {!digest_shard}. *)
 
 val temp_find : t -> string -> entry option
 val temp_add : t -> key:Value.t array -> key_str:string -> entry
@@ -173,12 +160,6 @@ val digest_into : t -> Gg_util.Codec.Enc.t -> unit
 val digest : t -> string
 (** MD5 hex of {!digest_into}, cached behind a per-table mutation
     counter: digesting an unchanged table is O(1). *)
-
-val digest_shard : t -> shards:int -> shard:int -> string
-(** MD5 hex over only the rows with [key_shard ~shards key = shard]
-    (keys ascending; includes tombstones). The [shards] digests jointly
-    cover every entry exactly once, so comparing them localises replica
-    divergence to a key range. Pure read; not cached. *)
 
 val touch : t -> unit
 (** Invalidate the digest cache. Every mutator in this module touches

@@ -2,9 +2,12 @@
    (record items bucketed by key hash, per-shard dead/touched/claims
    tables reduced in shard order, every phase re-resolving each record
    through [Db.get_table] and [Table.find]), copied verbatim. The only
-   edits are the [open] below and the committed-insert call, which now
-   passes [~key_str] and ignores the returned entry. [test_merge_par]
-   holds the new kernel equal to this one over random epochs. *)
+   edits are the [open] below; the committed-insert call, which now
+   passes [~key_str] and ignores the returned entry; and, since the
+   host-side sharding it relied on is gone, the two pool sharding calls
+   replaced by their single-shard result [[ f xs ]] and the two
+   job-width helpers removed. [test_merge] holds the new kernel equal to
+   this one over random epochs. *)
 
 open Geogauss
 
@@ -90,24 +93,11 @@ let abort_reason t ws =
   | Some (_, reason) -> reason
   | None -> Txn.Write_conflict
 
-(* Effective shard count: largest power of two <= the request, capped so
-   it divides [Table.temp_shard_count] (the temp-race-freedom
-   precondition above). *)
-let clamp_jobs requested =
-  let cap = min requested Table.temp_shard_count in
-  let rec go p = if 2 * p <= cap then go (2 * p) else p in
-  if requested <= 1 then 1 else go 1
-
-let resolve_jobs (params : Params.t) =
-  if params.Params.merge_jobs = 0 then
-    min (Pool.default_jobs ()) params.Params.cost.Params.merge_threads
-  else params.Params.merge_jobs
-
 (* One record of the flattened epoch, tagged with its global position
    (the sequential iteration order over write sets and their records). *)
 type item = { gi : int; ws : Writeset.t; r : Writeset.record }
 
-let phase_a ~db ~jobs ~level items =
+let phase_a ~db ~jobs:_ ~level items =
   let column = level = Params.Column in
   let shard_body items =
     (* csn -> (first failing record's global index, reason), plus the
@@ -174,11 +164,7 @@ let phase_a ~db ~jobs ~level items =
       items;
     (dead_local, touched, claims)
   in
-  let shard_results =
-    Pool.map_shards ~jobs
-      ~key:(fun it -> Table.key_hash (Writeset.key_str it.r))
-      items ~f:shard_body
-  in
+  let shard_results = [ shard_body items ] in
   let dead : (int * Txn.abort_reason) Itbl.t = Itbl.create 64 in
   let claims : Column.claim Stbl.t = Stbl.create (if column then 64 else 1) in
   List.iter
@@ -243,7 +229,7 @@ let phase_b ~db ~jobs ~dead ~level ~claims txns_arr =
   (if jobs = 1 then validate (List.init n Fun.id)
    else
      ignore
-       (Pool.map_shards ~jobs ~key:Fun.id (List.init n Fun.id) ~f:validate));
+       [ validate (List.init n Fun.id) ]);
   verdicts
 
 let ssi_pass ~dead ~committed_set txns =
@@ -423,7 +409,7 @@ let run ?(threshold = Params.default.Params.merge_par_threshold)
       txns
   in
   let n_records = List.length items in
-  let jobs = if n_records < max 1 threshold then 1 else clamp_jobs jobs in
+  let jobs = if n_records < max 1 threshold then 1 else jobs in
   let dead, claims = phase_a ~db ~jobs ~level items in
   let txns_arr = Array.of_list txns in
   let verdicts = phase_b ~db ~jobs ~dead ~level ~claims txns_arr in

@@ -23,8 +23,8 @@ let prop_offsets_deterministic =
   QCheck.Test.make ~name:"same seed, same offsets" ~count:50
     QCheck.(pair (int_bound 10_000) (int_bound 50_000))
     (fun (seed, bound_us) ->
-      let a = Clock.create ~seed ~topology:topo ~bound_us () in
-      let b = Clock.create ~seed ~topology:topo ~bound_us () in
+      let a = Clock.create ~seed ~topology:topo ~bound_us in
+      let b = Clock.create ~seed ~topology:topo ~bound_us in
       List.for_all
         (fun at ->
           List.for_all
@@ -37,7 +37,7 @@ let prop_offsets_within_bound =
   QCheck.Test.make ~name:"offsets clamped to the skew bound" ~count:100
     QCheck.(pair (int_bound 10_000) (int_bound 50_000))
     (fun (seed, bound_us) ->
-      let c = Clock.create ~seed ~topology:topo ~bound_us () in
+      let c = Clock.create ~seed ~topology:topo ~bound_us in
       List.for_all
         (fun at ->
           List.for_all
@@ -58,7 +58,7 @@ let prop_bound_survives_skew_steps =
         (list_of_size (QCheck.Gen.int_range 1 6)
            (pair (int_bound 1_000) (int_range (-200_000) 200_000))))
     (fun (seed, bound_us, steps) ->
-      let c = Clock.create ~seed ~topology:topo ~bound_us () in
+      let c = Clock.create ~seed ~topology:topo ~bound_us in
       List.for_all
         (fun (node_raw, delta_us) ->
           let node = node_raw mod n_nodes in
@@ -76,7 +76,7 @@ let prop_watermark_monotone =
   QCheck.Test.make ~name:"watermark monotone per sender" ~count:100
     QCheck.(list_of_size (QCheck.Gen.int_range 1 40) (int_bound 5_000_000))
     (fun stamps ->
-      let c = Clock.create ~seed:7 ~topology:topo ~bound_us:5_000 () in
+      let c = Clock.create ~seed:7 ~topology:topo ~bound_us:5_000 in
       let running_max = ref min_int in
       List.for_all
         (fun stamp ->
@@ -88,7 +88,7 @@ let prop_watermark_monotone =
         stamps)
 
 let test_deadline_monotone_in_margin () =
-  let c = Clock.create ~seed:3 ~topology:topo ~bound_us:5_000 () in
+  let c = Clock.create ~seed:3 ~topology:topo ~bound_us:5_000 in
   (* no hwm yet: worst-case prediction *)
   let d0 = Clock.deadline c ~src:1 ~dst:0 ~boundary_us:100_000 ~margin_us:0 in
   let d1 =

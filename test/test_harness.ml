@@ -235,7 +235,7 @@ let test_bench_diff_overhead_gate () =
 let test_bench_diff_suite_mismatch () =
   match
     Bd.diff
-      ~old_json:{|{"suite": "merge", "kernels": []}|}
+      ~old_json:{|{"suite": "scale", "points": []}|}
       ~new_json:(wallclock_report ~scale:1.0 ())
       ()
   with

@@ -17,9 +17,9 @@
      [Gg_par.Pool.Local] ([Writeset.Batch]'s encode counter and
      [Compress]'s reusable match table);
    - raw [Domain.spawn]/[Domain.DLS] (any [Domain.] use) outside
-     lib/par: all parallelism must flow through the deterministic pool
-     and shard helpers, whose submission/shard-order reduction is what
-     keeps every output byte-identical at any width. *)
+     lib/par: all parallelism must flow through the deterministic pool,
+     whose submission-order delivery is what keeps every output
+     byte-identical at any width. *)
 
 let src_root () =
   (* dune runs tests from _build/default/test with sources copied in *)

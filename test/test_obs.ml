@@ -343,14 +343,12 @@ let test_traced_run_loads_and_analyzes () =
 
 (* --- causal propagation + critical-path attribution --- *)
 
-let traced_run_custom ?(merge_jobs = 1) ?(warmup_ms = 200) ?(fastpath = false)
-    path =
+let traced_run_custom ?(warmup_ms = 200) ?(fastpath = false) path =
   let profile =
     Gg_workload.Ycsb.with_records Gg_workload.Ycsb.medium_contention 2_000
   in
-  let params = { Geogauss.Params.default with Geogauss.Params.merge_jobs } in
   let params =
-    if fastpath then Geogauss.Params.with_fastpath params true else params
+    Geogauss.Params.with_fastpath Geogauss.Params.default fastpath
   in
   let r, _ =
     Gg_harness.Driver.run_geogauss ~params ~connections:8 ~trace_file:path
@@ -475,18 +473,6 @@ let test_critical_path_sums_eocc () =
         c.Trace_view.cp_merge_wait)
     spec_cut
 
-let test_trace_bytes_identical_across_merge_jobs () =
-  let p1 = Filename.temp_file "ggmj1" ".jsonl" in
-  let p4 = Filename.temp_file "ggmj4" ".jsonl" in
-  ignore (traced_run_custom ~merge_jobs:1 p1);
-  ignore (traced_run_custom ~merge_jobs:4 p4);
-  let s1 = read_file p1 and s4 = read_file p4 in
-  Sys.remove p1;
-  Sys.remove p4;
-  Alcotest.(check bool) "trace nonempty" true (String.length s1 > 1_000);
-  Alcotest.(check bool) "--merge-jobs 1 vs 4: byte-identical traces" true
-    (String.equal s1 s4)
-
 (* The harness pool fans whole simulations out over domains; a traced
    run must produce the same bytes whether it runs on the calling domain
    or inside a worker at any -j width. *)
@@ -558,8 +544,6 @@ let () =
             test_critical_path_sums_to_latency;
           Alcotest.test_case "critical path sums to latency (eocc)" `Slow
             test_critical_path_sums_eocc;
-          Alcotest.test_case "byte-identical across --merge-jobs" `Slow
-            test_trace_bytes_identical_across_merge_jobs;
           Alcotest.test_case "byte-identical across pool -j" `Slow
             test_trace_bytes_identical_across_pool_jobs;
         ] );
