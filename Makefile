@@ -1,4 +1,4 @@
-.PHONY: all build test fmt ci bench micro ab wallclock parallel check trace-demo clean
+.PHONY: all build test fmt ci bench micro ab parallel check trace-demo clean
 
 # Domain fan-out for the harness (check sweeps, experiment grids, bench
 # scenarios). 0 = one worker per core; output is byte-identical at any
@@ -59,38 +59,19 @@ ci: fmt
 		tail -1 /tmp/gg_ci_sweep.out; \
 	done
 	dune exec bin/geogauss_cli.exe -- check --canary
-# Perf-regression accounting: fresh fast wallclock run vs the committed
-# baseline. Fast mode uses shrunk populations, so rates differ
-# legitimately; the wide threshold + warn-only keeps this a tripwire for
-# order-of-magnitude regressions (and the absolute 5% tracing-overhead
-# gate), not a flaky blocker.
-	dune exec bench/main.exe -- wallclock --fast --out /tmp/gg_wc_fast.json --jobs $(JOBS)
-	dune exec bin/geogauss_cli.exe -- bench diff BENCH_wallclock.json /tmp/gg_wc_fast.json --warn-only --threshold 0.5
-# Same tripwire for the partial-replication sweep: fresh fast fig_scale
-# vs the committed 25-200 replica baseline (fast mode only runs the
-# 25/50 widths; the 100/200 rows report as missing, which warn-only
-# tolerates). The fresh JSON lands in cwd, so park the baseline first.
-	cp BENCH_scale.json /tmp/gg_scale_base.json; \
-	dune exec bench/main.exe -- fig_scale --fast --jobs $(JOBS) > /dev/null; \
-	mv BENCH_scale.json /tmp/gg_scale_fast.json; \
-	cp /tmp/gg_scale_base.json BENCH_scale.json; \
-	dune exec bin/geogauss_cli.exe -- bench diff /tmp/gg_scale_base.json /tmp/gg_scale_fast.json --warn-only --threshold 0.5
-# And for the merge-granularity sweep: fresh fast fig_skew vs the
-# committed baseline (abort-rate and WAN columns gate lower-is-better).
-	cp BENCH_skew.json /tmp/gg_skew_base.json; \
-	dune exec bench/main.exe -- fig_skew --fast --jobs $(JOBS) > /dev/null; \
-	mv BENCH_skew.json /tmp/gg_skew_fast.json; \
-	cp /tmp/gg_skew_base.json BENCH_skew.json; \
-	dune exec bin/geogauss_cli.exe -- bench diff /tmp/gg_skew_base.json /tmp/gg_skew_fast.json --warn-only --threshold 0.5
-# And for the fast-path sweep: fresh fast fig_fastpath vs the committed
-# baseline (p50/p95 and mispredict-rate columns gate lower-is-better;
-# fast mode only runs the 0/10/50 ms bounds, the rest report missing,
-# which warn-only tolerates).
-	cp BENCH_fastpath.json /tmp/gg_fp_base.json; \
-	dune exec bench/main.exe -- fig_fastpath --fast --jobs $(JOBS) > /dev/null; \
-	mv BENCH_fastpath.json /tmp/gg_fp_fast.json; \
-	cp /tmp/gg_fp_base.json BENCH_fastpath.json; \
-	dune exec bin/geogauss_cli.exe -- bench diff /tmp/gg_fp_base.json /tmp/gg_fp_fast.json --warn-only --threshold 0.5
+# Perf tripwires for the committed fig-suite baselines: a fresh fast run
+# of each suite vs its BENCH_*.json. Fast mode runs shrunk populations and
+# fewer grid points (the rows it skips report as missing), so the wide
+# threshold + warn-only keeps these tripwires for order-of-magnitude
+# regressions, not flaky blockers. Each suite writes its BENCH_*.json into
+# the cwd, so it runs from a temp directory and the committed baseline is
+# never touched.
+	for suite in scale skew fastpath; do \
+		d=$$(mktemp -d) && \
+		(cd $$d && dune exec --root $(CURDIR) bench/main.exe -- fig_$$suite --fast --jobs $(JOBS) > /dev/null) && \
+		dune exec bin/geogauss_cli.exe -- bench diff BENCH_$$suite.json $$d/BENCH_$$suite.json --warn-only --threshold 0.5 && \
+		rm -rf $$d || exit 1; \
+	done
 
 bench:
 	dune exec bench/main.exe -- --jobs $(JOBS)
@@ -109,9 +90,6 @@ PAIRS ?= 10
 ab:
 	@test -n "$(W)" || { echo "make ab: set W=<workload>" >&2; exit 2; }
 	sh bench/ab.sh $(W) $(SEED) $(BASE) $(PAIRS)
-
-wallclock:
-	dune exec bench/main.exe -- wallclock --jobs $(JOBS)
 
 parallel:
 	dune exec bench/main.exe -- parallel

@@ -6,18 +6,13 @@
      main.exe micro           run only the Bechamel kernel benchmarks
                               (writes BENCH_micro.json: OLS ns/run and
                               r-squared per kernel)
-     main.exe wallclock       end-to-end wall-clock throughput suite
-                              (writes BENCH_wallclock.json)
      main.exe parallel        harness speedup curve over --jobs
                               (writes BENCH_parallel.json)
      main.exe --fast [...]    shrunk populations/windows (smoke mode)
      main.exe -j N [...]      fan independent simulations over N domains
                               (0 = auto; deterministic output at any N)
-     main.exe --out FILE      JSON output path of the micro or wallclock
-                              suite, whichever one runs (default
-                              BENCH_micro.json / BENCH_wallclock.json;
-                              `make ci` writes a fast wallclock run to
-                              /tmp for `bench diff`)
+     main.exe --out FILE      JSON output path of the micro suite
+                              (default BENCH_micro.json)
 
    Experiments regenerate the rows/series of every table and figure in
    the paper's evaluation (§7); see DESIGN.md for the index and
@@ -355,149 +350,6 @@ let run_micro ~out () =
   close_out oc;
   Printf.printf "  wrote %s\n" out
 
-(* --- Wall-clock throughput suite ---
-
-   Unlike the Bechamel kernels above, these drive a whole simulated
-   cluster end-to-end and measure how fast the simulator itself chews
-   through a fixed scenario: sim-events/s, merge throughput
-   (records/s through DeltaCRDTMerge phase A) and actual
-   encode+compress passes per second. The scenario bodies live in
-   {!Gg_harness.Wallclock} (fully deterministic, Unix-free); this file
-   owns the timers. Each scenario runs [reps] times and we report the
-   median and the min — single-shot wall numbers on a shared host are
-   noisy enough to make small overheads (e.g. tracing) look negative.
-
-   With --jobs > 1 the repetitions share the machine, so wall-clock
-   fields get noisier (the counts never change); use -j 1 when the
-   timings themselves are the point. *)
-
-module W = Gg_harness.Wallclock
-
-let reps = 3
-
-type wallclock_row = {
-  wc_label : string;
-  wc_sim_ms : int;
-  wc_walls : float list;  (** one per rep *)
-  wc_counts : W.counts;
-}
-
-let median l =
-  let a = List.sort compare l in
-  List.nth a (List.length a / 2)
-
-let minimum l = List.fold_left min infinity l
-
-let run_scenarios pool specs =
-  (* One pool task per (scenario, rep); results return in submission
-     order, so the row list (and every count in it) is independent of
-     the pool width. *)
-  let thunks =
-    List.concat_map
-      (fun (s, tracing) ->
-        List.init reps (fun _ () ->
-            let t0 = Unix.gettimeofday () in
-            let c = s.W.run ~tracing () in
-            (c, Unix.gettimeofday () -. t0)))
-      specs
-  in
-  let results = ref (Gg_par.Pool.run pool thunks) in
-  List.map
-    (fun (s, _) ->
-      let mine = List.filteri (fun i _ -> i < reps) !results in
-      results := List.filteri (fun i _ -> i >= reps) !results;
-      let counts = List.map fst mine in
-      let c0 = List.hd counts in
-      if not (List.for_all (( = ) c0) counts) then
-        Printf.eprintf
-          "  WARNING: %s: counts differ across reps — determinism bug!\n%!"
-          s.W.name;
-      {
-        wc_label = s.W.name;
-        wc_sim_ms = s.W.sim_ms;
-        wc_walls = List.map snd mine;
-        wc_counts = c0;
-      })
-    specs
-
-let per_sec count wall_s = float_of_int count /. max 1e-9 wall_s
-
-let run_wallclock ~fast ~pool ~out () =
-  let specs =
-    List.map (fun s -> (s, false)) (W.scenarios ~fast)
-    @ [ (W.traced_scenario ~fast, true) ]
-  in
-  let rows = run_scenarios pool specs in
-  print_endline
-    (Printf.sprintf
-       "Wall-clock throughput (fixed seeded scenarios; %d reps, median/min)"
-       reps);
-  List.iter
-    (fun r ->
-      let med = median r.wc_walls and mn = minimum r.wc_walls in
-      Printf.printf
-        "  %-24s %6.2f s median (%.2f min) for %d sim-ms | %10.0f events/s | \
-         %9.0f merged-rec/s | %8.0f batches-enc/s | %d committed, %d aborted\n\
-         %!"
-        r.wc_label med mn r.wc_sim_ms
-        (per_sec r.wc_counts.W.events med)
-        (per_sec r.wc_counts.W.merged med)
-        (per_sec r.wc_counts.W.encodes med)
-        r.wc_counts.W.committed r.wc_counts.W.aborted)
-    rows;
-  let off, on_ =
-    match rows with
-    | [ ycsb; _; traced ] -> (minimum ycsb.wc_walls, minimum traced.wc_walls)
-    | _ -> assert false
-  in
-  (* min-vs-min: both runs' best case, so scheduler hiccups on either
-     side can't push the overhead negative the way single shots did. *)
-  let overhead_frac = (on_ -. off) /. max 1e-9 off in
-  Printf.printf
-    "  tracing overhead (ycsb-medium): %.2f s off vs %.2f s on (%+.1f%%, min \
-     of %d)\n\
-     %!"
-    off on_ (100.0 *. overhead_frac) reps;
-  if overhead_frac > 0.05 then
-    Printf.eprintf
-      "  WARNING: tracing overhead %.1f%% exceeds the 5%% budget (`geogauss \
-       bench diff' gates on this)\n\
-       %!"
-      (100.0 *. overhead_frac);
-  let oc = open_out out in
-  let row_json r =
-    let med = median r.wc_walls and mn = minimum r.wc_walls in
-    Printf.sprintf
-      "    {\"label\": \"%s\", \"sim_ms\": %d, \"reps\": %d, \"wall_s\": \
-       %.4f, \"wall_s_median\": %.4f, \"wall_s_min\": %.4f, \"events\": %d, \
-       \"events_per_s\": %.1f, \"merged_records\": %d, \
-       \"merged_records_per_s\": %.1f, \"batches_encoded\": %d, \
-       \"batches_encoded_per_s\": %.1f, \"committed\": %d, \"aborted\": %d}"
-      r.wc_label r.wc_sim_ms reps med med mn r.wc_counts.W.events
-      (per_sec r.wc_counts.W.events med)
-      r.wc_counts.W.merged
-      (per_sec r.wc_counts.W.merged med)
-      r.wc_counts.W.encodes
-      (per_sec r.wc_counts.W.encodes med)
-      r.wc_counts.W.committed r.wc_counts.W.aborted
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"suite\": \"wallclock\",\n\
-    \  \"reps\": %d,\n\
-    \  \"scenarios\": [\n\
-     %s\n\
-    \  ],\n\
-    \  \"tracing_overhead\": {\"scenario\": \"ycsb-medium/china3\", \
-     \"wall_s_tracing_off\": %.4f, \"wall_s_tracing_on\": %.4f, \
-     \"overhead_frac\": %.4f}\n\
-     }\n"
-    reps
-    (String.concat ",\n" (List.map row_json rows))
-    off on_ overhead_frac;
-  close_out oc;
-  Printf.printf "  wrote %s\n" out
-
 (* --- Parallel-harness speedup suite ---
 
    Times the two fan-out-heavy workloads — a chaos-check sweep and an
@@ -603,26 +455,17 @@ let () =
       jobs := int_of_string n;
       strip_opts rest
     | "--out" :: path :: rest ->
-      (* micro or wallclock output path; lets `make ci` write a
-         throwaway fast run for `geogauss bench diff' without clobbering
-         the committed baseline *)
       out := Some path;
       strip_opts rest
     | a :: rest -> a :: strip_opts rest
   in
   let args = strip_opts args in
-  let both = args = [] || (List.mem "micro" args && List.mem "wallclock" args) in
-  if both && !out <> None then begin
-    prerr_endline "--out names one suite's JSON; run micro and wallclock separately";
-    exit 1
-  end;
   let micro_out = Option.value !out ~default:"BENCH_micro.json" in
-  let out = Option.value !out ~default:"BENCH_wallclock.json" in
   Gg_par.Pool.with_pool ~jobs:!jobs @@ fun pool ->
   let run_experiment name =
     if not (Gg_harness.Experiments.run ~fast ~pool name) then begin
       Printf.eprintf
-        "unknown experiment %s; available: %s micro wallclock parallel\n" name
+        "unknown experiment %s; available: %s micro parallel\n" name
         (String.concat " " (List.map fst Gg_harness.Experiments.all));
       exit 1
     end
@@ -634,15 +477,13 @@ let () =
         Printf.printf "=== %s ===\n%!" name;
         run_experiment name)
       Gg_harness.Experiments.all;
-    run_micro ~out:micro_out ();
-    run_wallclock ~fast ~pool ~out ()
+    run_micro ~out:micro_out ()
   | [ "micro" ] -> run_micro ~out:micro_out ()
   | names ->
     List.iter
       (fun name ->
         match name with
         | "micro" -> run_micro ~out:micro_out ()
-        | "wallclock" -> run_wallclock ~fast ~pool ~out ()
         | "parallel" -> run_parallel ()
         | _ -> run_experiment name)
       names

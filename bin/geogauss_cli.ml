@@ -141,8 +141,7 @@ let bench_diff_cmd =
       & info [ "threshold" ] ~docv:"FRAC"
           ~doc:
             "Relative drop that counts as a regression (half of it flags a \
-             warning). The tracing-overhead row always gates on the absolute \
-             5% ceiling instead.")
+             warning).")
   in
   let warn_only =
     Arg.(
@@ -167,8 +166,8 @@ let bench_diff_cmd =
   Cmd.v
     (Cmd.info "diff"
        ~doc:
-         "Compare two bench JSON reports (wallclock, merge, parallel, \
-          scale, skew or fastpath suite) and fail on throughput drops \
+         "Compare two bench JSON reports (parallel, scale, skew or \
+          fastpath suite) and fail on throughput drops \
           beyond the noise threshold (the scale suite's WAN-per-txn, the \
           skew suite's abort-rate and the fastpath suite's p50/p95/\
           mispredict-rate columns gate lower-is-better).")

@@ -180,11 +180,13 @@ and send_transfer t { donor; target; rejoin_epoch } =
 
 (* --- failure detection (500 ms EOF silence => propose removal) --- *)
 
+let membership_timeout_us = 500_000
+
 let rec schedule_detector t =
   Sim.schedule t.sim ~after:100_000 (fun () ->
       let now = Sim.now t.sim in
       let current = (List.hd t.views).members in
-      let timeout = t.params.Params.membership_timeout_us in
+      let timeout = membership_timeout_us in
       (* A freshly added view can start in the future (re-joins pick a
          rejoin epoch far enough out for the state transfer to land).
          Members are expected silent until then, so the silence clock

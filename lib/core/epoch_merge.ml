@@ -61,6 +61,19 @@ let pack_csn (c : Csn.t) = (c.Csn.ts lsl node_bits) lor c.Csn.node
 let csn_key (ws : Writeset.t) = pack_csn ws.Writeset.meta.Meta.csn
 let pack_row ~table ~key_str = String.concat "\x00" [ table; key_str ]
 
+let stamp_row table (entry : Table.entry) (meta : Meta.t) =
+  Row_header.stamp entry.Table.header ~sen:meta.Meta.sen ~csn:meta.Meta.csn
+    ~cen:meta.Meta.cen;
+  Table.touch table
+
+let insert_row table (r : Writeset.record) ~key_str (meta : Meta.t) =
+  let header = Row_header.create () in
+  Row_header.stamp header ~sen:meta.Meta.sen ~csn:meta.Meta.csn
+    ~cen:meta.Meta.cen;
+  ignore
+    (Table.insert_committed table ~key:r.Writeset.key ~key_str
+       ~data:r.Writeset.data ~header)
+
 (* Column mode: one per live row the epoch's updates and deletes reach,
    shared by all of that row's slots. [claim] is the join of every
    update/delete claim on the row (phase A); [cells] the per-column
@@ -97,10 +110,8 @@ let reason t ws =
   | Some w -> t.reasons.(w)
   | None -> Some Txn.Write_conflict
 
+let verdict = reason
 let committed t ws = Option.is_none (reason t ws)
-
-let abort_reason t ws =
-  match reason t ws with Some r -> r | None -> Txn.Write_conflict
 
 (* The flattened epoch: write sets by position, records by slot index,
    and each write set's slot range [first.(w), first.(w + 1)). *)

@@ -17,6 +17,27 @@
     SQL ever scans the table, and the first scan after a run of epochs
     pays the one-off build (a sort of the live rows) instead. *)
 
+module Itbl : Hashtbl.S with type key = int
+(** Int-keyed tables: the per-csn and per-epoch bookkeeping of the merge
+    and of its callers. *)
+
+val pack_csn : Gg_storage.Csn.t -> int
+(** A csn packed into one int (node ids fit in 10 bits). *)
+
+val csn_key : Gg_crdt.Writeset.t -> int
+(** [pack_csn] of the write set's csn. *)
+
+val stamp_row : Gg_storage.Table.t -> Gg_storage.Table.entry -> Gg_crdt.Meta.t -> unit
+(** Stamp a row's header with a transaction's meta and mark the table
+    changed. *)
+
+val insert_row :
+  Gg_storage.Table.t -> Gg_crdt.Writeset.record -> key_str:string ->
+  Gg_crdt.Meta.t -> unit
+(** Insert a record's image as a fresh committed row stamped with the
+    meta. The two helpers serve the writes outside the merge proper:
+    GeoG-A's gossip apply and the deferred cross-group write-back. *)
+
 type t
 (** The merge outcome: per-transaction commit/abort decisions plus
     counters. The decisions (and the database mutations performed by
@@ -54,10 +75,11 @@ val run :
 val committed : t -> Gg_crdt.Writeset.t -> bool
 (** Did this write set's transaction commit? (Keyed by its csn.) *)
 
-val abort_reason : t -> Gg_crdt.Writeset.t -> Txn.abort_reason
-(** The recorded abort reason — the {e first} failing record's reason in
-    global record order, as in the sequential pass. Defaults to
-    [Write_conflict] when the transaction is not in the dead set. *)
+val verdict : t -> Gg_crdt.Writeset.t -> Txn.abort_reason option
+(** [None] when the transaction committed, else its abort reason — the
+    {e first} failing record's reason in global record order, as in the
+    sequential pass. [Some Write_conflict] for a write set the merge
+    never saw. *)
 
 val n_records : t -> int
 val n_committed : t -> int

@@ -12,23 +12,13 @@ module Writeset = Gg_crdt.Writeset
 module Meta = Gg_crdt.Meta
 module Executor = Gg_sql.Executor
 
-(* Monomorphic hash tables for the per-epoch bookkeeping. The stock
-   [Hashtbl] hashes tuple keys through the generic polymorphic runtime
-   path and allocates a tuple per probe; packing (cen, peer) and
-   (ts, node) into single ints keeps the merge loop allocation-free. *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
+(* The per-epoch bookkeeping is keyed by single ints: a packed csn, or
+   (cen, peer) packed with the peer in the low 10 bits (<= 1024
+   replicas), which keeps the probes allocation-free. *)
+module Itbl = Epoch_merge.Itbl
 
-  let equal (a : int) (b : int) = a = b
-  let hash = Hashtbl.hash
-end)
-
-(* Peer / csn-node ids fit in 10 bits (<= 1024 replicas); csn timestamps
-   are sim microseconds, far below the remaining 53 bits. *)
-let node_bits = 10
-let pack_cp ~cen ~peer = (cen lsl node_bits) lor peer
-let cen_of_cp k = k lsr node_bits
-let pack_csn (c : Csn.t) = (c.Csn.ts lsl node_bits) lor c.Csn.node
+let pack_cp ~cen ~peer = (cen lsl 10) lor peer
+let cen_of_cp k = k lsr 10
 
 (* Every message kind carries the sender's causal span id (0 when
    tracing is off) so receive-side trace events can reference their
@@ -70,22 +60,6 @@ type batch_state = {
   mutable committed : bool;  (* Ft_raft gate; true otherwise *)
 }
 
-(* A cross-group transaction tracked between its merge epoch [k] and its
-   resolution at merge [k + vote_depth] (DESIGN.md §12): the local
-   group's fragment and verdict, plus — on the origin node — the client
-   transaction to answer once the global decision is known. *)
-type cross_entry = {
-  ce_key : int;  (* packed csn *)
-  ce_origin : int;
-  ce_groups : int list;  (* touched groups, sorted *)
-  ce_frag : Writeset.t;  (* this node's group fragment *)
-  mutable ce_local_ok : bool;
-  mutable ce_reason : Txn.abort_reason;
-      (* the local abort reason when [ce_local_ok] is false; [Cross_abort]
-         otherwise (used when a foreign group's vote rejects) *)
-  mutable ce_txn : Txn.t option;
-}
-
 type t = {
   id : int;
   env : env;
@@ -102,11 +76,9 @@ type t = {
   local_sealed : Writeset.t list Itbl.t;  (* cen *)
   waiting : Txn.t list Itbl.t;  (* cen -> local txns *)
   notify_gate : int Itbl.t;  (* cen -> earliest client-notify time *)
-  ft_acks : int list ref Itbl.t;  (* cen *)
+  ft_acks : int list Itbl.t;  (* cen -> acknowledging peers *)
   sync_queue : Txn.t Queue.t;  (* GeoG-S: held until a fresh snapshot *)
-  cross_pending : cross_entry list Itbl.t;  (* cen -> unresolved cross txns *)
-  votes : bool Itbl.t Itbl.t;
-      (* packed (cen, group) -> packed csn -> foreign group's verdict *)
+  cross : Cross_group.t option;  (* partial replication only (DESIGN.md §12) *)
   last_eof : int array;
   mutable merging : bool;
   mutable csn_last : int;
@@ -127,14 +99,16 @@ type t = {
   mutable spec_wake_at : int;  (* earliest armed deadline wakeup; max_int = none *)
 }
 
+(* vCPUs per node: the paper's servers have 32. *)
+let cores = 32
+
 let create env ~id ~db =
-  let n = Net.n_nodes env.net in
   let obs = Sim.obs env.sim in
   {
     id;
     env;
     obs;
-    cpu = Cpu.create env.sim ~cores:env.params.Params.cores;
+    cpu = Cpu.create env.sim ~cores;
     db;
     wal = Gg_storage.Wal.create ~fsync_us:env.params.Params.cost.log_fsync_us ();
     metrics = Metrics.create ~obs ~id ();
@@ -148,9 +122,10 @@ let create env ~id ~db =
     notify_gate = Itbl.create 64;
     ft_acks = Itbl.create 16;
     sync_queue = Queue.create ();
-    cross_pending = Itbl.create 16;
-    votes = Itbl.create 32;
-    last_eof = Array.make n 0;
+    cross =
+      Cross_group.create env.part ~topology:(Net.topology env.net)
+        ~backup:env.backup ~db ~node:id;
+    last_eof = Array.make (Net.n_nodes env.net) 0;
     merging = false;
     csn_last = 0;
     txn_seq = 0;
@@ -214,58 +189,10 @@ let send_msg t ~dst ~bytes msg =
   let env = t.env in
   Net.send env.net ~src:t.id ~dst ~bytes (fun () -> env.deliver ~dst msg)
 
-let broadcast t ~bytes msg =
+let broadcast t send =
   for dst = 0 to Net.n_nodes t.env.net - 1 do
-    if dst <> t.id then send_msg t ~dst ~bytes msg
+    if dst <> t.id then send ~dst
   done
-
-(* --- partial replication (DESIGN.md §12) --- *)
-
-let my_group t = Partitioning.group_of_node t.env.part t.id
-
-(* Foreign group [group]'s verdict on cross transaction [key] of epoch
-   [cen]: [Some v] once known, [None] while still awaited. For a group
-   with no member left in the resolution epoch's view, the durable
-   backup votes are adopted (first-write-wins and written before the
-   crash, so every survivor reads the same value); a group that died
-   before voting counts as a rejection — the conservative default that
-   keeps survivors agreed. *)
-let vote_status t ~cen ~group key =
-  let direct =
-    match Itbl.find_opt t.votes (pack_cp ~cen ~peer:group) with
-    | Some tbl -> Itbl.find_opt tbl key
-    | None -> None
-  in
-  match direct with
-  | Some _ as s -> s
-  | None ->
-    let part = t.env.part in
-    let alive =
-      List.exists
-        (fun m -> Partitioning.group_of_node part m = group)
-        (t.env.members_at (cen + Partitioning.vote_depth part))
-    in
-    if alive then None
-    else
-      Some
-        (match Backup.get_votes t.env.backup ~group ~cen with
-        | Some vs -> (
-          match List.assoc_opt key vs with Some v -> v | None -> false)
-        | None -> false)
-
-let store_votes t ~cen ~group verdicts =
-  let key = pack_cp ~cen ~peer:group in
-  let tbl =
-    match Itbl.find_opt t.votes key with
-    | Some tbl -> tbl
-    | None ->
-      let tbl = Itbl.create 8 in
-      Itbl.replace t.votes key tbl;
-      tbl
-  in
-  List.iter
-    (fun (k, ok) -> if not (Itbl.mem tbl k) then Itbl.replace tbl k ok)
-    verdicts
 
 (* Batch frames pass through [send_batch] so the chaos checker's
    corruption fault can mangle them: a corrupted frame travels as raw
@@ -274,38 +201,12 @@ let store_votes t ~cen ~group verdicts =
    the WAN bill. With [corrupt_frac] at its default 0.0 no RNG draw
    happens and the frame goes out as a structured message, exactly as
    before. *)
-let send_batch t ~dst ~bytes (b : Writeset.Batch.t) =
-  let env = t.env in
-  if Net.corrupt_frac env.net > 0.0 && Net.draw_corrupt env.net then begin
-    let wire = Writeset.Batch.to_wire b in
-    let mangled = Bytes.sub wire 0 (Bytes.length wire / 2) in
-    Net.send env.net ~src:t.id ~dst ~bytes (fun () ->
-        env.deliver ~dst (Batch_wire mangled))
-  end
-  else
-    Net.send env.net ~src:t.id ~dst ~bytes (fun () ->
-        env.deliver ~dst (Batch_msg b))
-
-let broadcast_batch t ~bytes b =
-  for dst = 0 to Net.n_nodes t.env.net - 1 do
-    if dst <> t.id then send_batch t ~dst ~bytes b
-  done
-
-(* Nodes interested in a write set: the members of every touched group. *)
-let interest_targets t (ws : Writeset.t) =
-  let part = t.env.part in
-  let n = Net.n_nodes t.env.net in
-  let want = Array.make n false in
-  List.iter
-    (fun g ->
-      List.iter (fun m -> want.(m) <- true) (Partitioning.members part g))
-    (Partitioning.touched_groups part ws);
-  want.(t.id) <- false;
-  let acc = ref [] in
-  for dst = n - 1 downto 0 do
-    if want.(dst) then acc := dst :: !acc
-  done;
-  !acc
+let send_batch t ~bytes (b : Writeset.Batch.t) ~dst =
+  send_msg t ~dst ~bytes
+    (if Net.corrupt_frac t.env.net > 0.0 && Net.draw_corrupt t.env.net then
+       let wire = Writeset.Batch.to_wire b in
+       Batch_wire (Bytes.sub wire 0 (Bytes.length wire / 2))
+     else Batch_msg b)
 
 (* --- fault-tolerance notification gates (§5.2) --- *)
 
@@ -341,26 +242,17 @@ let lww_apply t (ws : Writeset.t) =
         | Some entry ->
           if Csn.compare meta.Meta.csn entry.Table.header.Row_header.csn > 0
           then begin
-            Row_header.stamp entry.Table.header ~sen:meta.Meta.sen
-              ~csn:meta.Meta.csn ~cen:meta.Meta.cen;
             (* The stamp alone is digest-relevant (a delete over an
                existing tombstone changes only the header). *)
-            Table.touch table;
+            Epoch_merge.stamp_row table entry meta;
             match r.Writeset.op with
             | Writeset.Delete -> Table.delete table entry
             | Writeset.Insert | Writeset.Update ->
               Table.revive table entry r.Writeset.data
           end
-        | None -> (
-          match r.Writeset.op with
-          | Writeset.Delete -> ()
-          | Writeset.Insert | Writeset.Update ->
-            let header = Row_header.create () in
-            Row_header.stamp header ~sen:meta.Meta.sen ~csn:meta.Meta.csn
-              ~cen:meta.Meta.cen;
-            ignore
-              (Table.insert_committed table ~key:r.Writeset.key ~key_str
-                 ~data:r.Writeset.data ~header))))
+        | None ->
+          if r.Writeset.op <> Writeset.Delete then
+            Epoch_merge.insert_row table r ~key_str meta))
     ws.Writeset.records
 
 (* --- finishing transactions --- *)
@@ -405,140 +297,59 @@ let finish t (txn : Txn.t) outcome =
   if not txn.Txn.finished then begin
     txn.Txn.finished <- true;
     Metrics.record_outcome t.metrics outcome;
-    (match outcome with
-    | Txn.Committed _ -> Metrics.record_phases t.metrics txn.Txn.phases
-    | Txn.Aborted _ -> ());
+    let committed = Txn.is_committed outcome in
+    if committed then Metrics.record_phases t.metrics txn.Txn.phases;
     if Obs.tracing t.obs then emit_txn_span t txn outcome;
-    (match outcome with
-    | Txn.Committed _ -> t.env.on_commit txn
-    | Txn.Aborted _ -> ());
+    if committed then t.env.on_commit txn;
     txn.Txn.callback outcome
   end
 
-let finish_committed t txn =
-  finish t txn
-    (Txn.Committed
-       {
-         latency_us = now t - txn.Txn.submit_time;
-         results = txn.Txn.sql_results;
-       })
+let finish_committed t (txn : Txn.t) =
+  let latency_us = now t - txn.Txn.submit_time in
+  finish t txn (Txn.Committed { latency_us; results = txn.Txn.sql_results })
 
 let finish_aborted t txn reason =
   finish t txn (Txn.Aborted { latency_us = now t - txn.Txn.submit_time; reason })
 
-(* --- deferred cross-group write-back (DESIGN.md §12) --- *)
+(* The WAL group commit of a transaction's write set. *)
+let wal_append t (txn : Txn.t) =
+  Gg_storage.Wal.append t.wal
+    ~bytes:(Option.fold ~none:0 ~some:Writeset.encoded_size txn.Txn.writeset)
 
-(* Write back this group's fragment of a globally committed cross-group
-   transaction, deferred from its merge epoch [k] to its resolution.
-   Phase A of merge [k] already stamped the headers of the live rows
-   this transaction won (Update/Delete), so the data lands only where
-   the header still carries this transaction's stamp — anywhere else a
-   later epoch's winner has already superseded it. Inserts went to the
-   (since cleared) temporary list, so they materialise here unless a
-   newer row or tombstone appeared in the vote window. *)
-let apply_deferred t ce =
-  let ws = ce.ce_frag in
-  let meta = ws.Writeset.meta in
+(* Answer [txn] of epoch [cen] [after] µs from now: committed when
+   [abort] is [None]. *)
+let answer_after t (txn : Txn.t) ~cen ~after abort =
+  Sim.schedule t.env.sim ~after (fun () ->
+      match abort with
+      | None ->
+        Metrics.record_epoch_commit t.metrics ~cen
+          ~latency_us:(now t - txn.Txn.submit_time);
+        finish_committed t txn
+      | Some reason -> finish_aborted t txn reason)
+
+(* Settle the cross-group transactions whose vote window ends at merge
+   [e] (DESIGN.md §12) and answer the ones that originated here. *)
+let answer_resolved t cg e ~span =
   List.iter
-    (fun (r : Writeset.record) ->
-      match Db.get_table t.db r.Writeset.table with
+    (fun (d : Cross_group.decision) ->
+      if Obs.tracing t.obs then
+        Obs.emit t.obs ~node:t.id ~epoch:d.cen ~span ~cat:"epoch"
+          "cross.resolve"
+          ~detail:
+            (Printf.sprintf "csn=%d ok=%b groups=%d" d.csn (d.abort = None)
+               d.n_groups);
+      match d.txn with
       | None -> ()
-      | Some table -> (
-        let key_str = Writeset.key_str r in
-        let mine (entry : Table.entry) =
-          entry.Table.header.Row_header.cen = meta.Meta.cen
-          && Csn.equal entry.Table.header.Row_header.csn meta.Meta.csn
-        in
-        match r.Writeset.op with
-        | Writeset.Insert -> (
-          match Table.find table key_str with
-          | None ->
-            let header = Row_header.create () in
-            Row_header.stamp header ~sen:meta.Meta.sen ~csn:meta.Meta.csn
-              ~cen:meta.Meta.cen;
-            ignore
-              (Table.insert_committed table ~key:r.Writeset.key ~key_str
-                 ~data:r.Writeset.data ~header)
-          | Some entry ->
-            (* an older tombstone: revive it; any stamp from epoch >= k
-               means a later writer superseded this insert *)
-            if entry.Table.header.Row_header.cen < meta.Meta.cen then begin
-              Row_header.stamp entry.Table.header ~sen:meta.Meta.sen
-                ~csn:meta.Meta.csn ~cen:meta.Meta.cen;
-              Table.touch table;
-              Table.revive table entry r.Writeset.data
-            end)
-        | Writeset.Update -> (
-          match Table.find table key_str with
-          | None -> ()
-          | Some entry ->
-            if mine entry && not entry.Table.header.Row_header.deleted then
-              Table.write table entry r.Writeset.data)
-        | Writeset.Delete -> (
-          match Table.find table key_str with
-          | None -> ()
-          | Some entry ->
-            if mine entry && not entry.Table.header.Row_header.deleted then
-              Table.delete table entry)))
-    ws.Writeset.records
-
-(* Resolve the cross-group transactions of epoch [rk] = e - vote_depth:
-   merge-readiness demanded every touched group's verdict before the
-   merge of [e] could start, so the global decision is now a pure
-   function of agreed state. Entries are processed in packed-csn order,
-   so every member of the group applies the same fragments in the same
-   sequence. *)
-let resolve_cross t e ~span =
-  let part = t.env.part in
-  let rk = e - Partitioning.vote_depth part in
-  if Partitioning.enabled part && rk >= 0 then begin
-    (match Itbl.find_opt t.cross_pending rk with
-    | None -> ()
-    | Some entries ->
-      let entries = List.sort (fun a b -> compare a.ce_key b.ce_key) entries in
-      let my = my_group t in
-      List.iter
-        (fun ce ->
-          let ok =
-            ce.ce_local_ok
-            && List.for_all
-                 (fun g ->
-                   g = my || vote_status t ~cen:rk ~group:g ce.ce_key = Some true)
-                 ce.ce_groups
-          in
-          if ok then apply_deferred t ce;
-          if Obs.tracing t.obs then
-            Obs.emit t.obs ~node:t.id ~epoch:rk ~span ~cat:"epoch"
-              "cross.resolve"
-              ~detail:
-                (Printf.sprintf "csn=%d ok=%b groups=%d" ce.ce_key ok
-                   (List.length ce.ce_groups));
-          match ce.ce_txn with
-          | None -> ()
-          | Some txn ->
-            txn.Txn.merge_span <- span;
-            txn.Txn.phases.wait_us <-
-              txn.Txn.phases.wait_us + (now t - txn.Txn.commit_point);
-            if ok then begin
-              let ws_bytes =
-                match txn.Txn.writeset with
-                | Some ws -> Writeset.encoded_size ws
-                | None -> 0
-              in
-              let log_us = Gg_storage.Wal.append t.wal ~bytes:ws_bytes in
-              txn.Txn.phases.log_us <- log_us;
-              Sim.schedule t.env.sim ~after:log_us (fun () ->
-                  Metrics.record_epoch_commit t.metrics ~cen:rk
-                    ~latency_us:(now t - txn.Txn.submit_time);
-                  finish_committed t txn)
-            end
-            else finish_aborted t txn ce.ce_reason)
-        entries);
-    Itbl.remove t.cross_pending rk;
-    for g = 0 to Partitioning.n_groups part - 1 do
-      Itbl.remove t.votes (pack_cp ~cen:rk ~peer:g)
-    done
-  end
+      | Some txn -> (
+        txn.Txn.merge_span <- span;
+        txn.Txn.phases.wait_us <-
+          txn.Txn.phases.wait_us + (now t - txn.Txn.commit_point);
+        match d.abort with
+        | None ->
+          txn.Txn.phases.log_us <- wal_append t txn;
+          answer_after t txn ~cen:d.cen ~after:txn.Txn.phases.log_us None
+        | Some reason -> finish_aborted t txn reason))
+    (Cross_group.resolve cg ~e ~members:(t.env.members_at e))
 
 (* --- epoch sealing --- *)
 
@@ -550,61 +361,71 @@ let seal_epoch t e =
   (* One span per sealed epoch batch: the EOF's wire header carries it to
      every peer, whose batch.recv events become its causal children. *)
   let bspan = Obs.new_span t.obs ~node:t.id in
-  let batch =
-    Writeset.Batch.make ~node:t.id ~cen:e ~txns ~eof:true ~span:bspan ()
+  Backup.put t.env.backup
+    (Writeset.Batch.make ~node:t.id ~cen:e ~txns ~eof:true ~span:bspan ());
+  if Obs.tracing t.obs then
+    Obs.emit t.obs ~node:t.id ~epoch:e ~span:bspan ~cat:"epoch" "seal"
+      ~detail:(Printf.sprintf "txns=%d" (List.length txns));
+  (* With pipelining the write sets already went out in mini-batches;
+     only the EOF marker (carrying the expected count) travels now. *)
+  let eof_frame txns =
+    if t.env.params.Params.pipeline then
+      Writeset.Batch.make ~node:t.id ~cen:e ~txns:[] ~eof:true
+        ~count:(List.length txns) ~span:bspan ()
+    else Writeset.Batch.make ~node:t.id ~cen:e ~txns ~eof:true ~span:bspan ()
   in
-  Backup.put t.env.backup batch;
-  let part = t.env.part in
-  if Partitioning.enabled part then begin
-    (* Interest-scoped dissemination: each replica group receives one
-       EOF frame per epoch carrying (or, with pipelining, counting) only
-       the transactions that touch its keys. Every node still hears an
-       EOF from every peer every epoch, so the failure detector and the
-       merge-readiness rule are unchanged; the backup above keeps the
-       full batch for stall repair and view changes. *)
-    if Obs.tracing t.obs then
-      Obs.emit t.obs ~node:t.id ~epoch:e ~span:bspan ~cat:"epoch" "seal"
-        ~detail:(Printf.sprintf "txns=%d" (List.length txns));
-    for g = 0 to Partitioning.n_groups part - 1 do
-      let gtxns = List.filter (Partitioning.touches part ~group:g) txns in
-      let wire_batch =
-        if t.env.params.Params.pipeline then
-          Writeset.Batch.make ~node:t.id ~cen:e ~txns:[] ~eof:true
-            ~count:(List.length gtxns) ~span:bspan ()
-        else
-          Writeset.Batch.make ~node:t.id ~cen:e ~txns:gtxns ~eof:true
-            ~span:bspan ()
-      in
-      let bytes = Writeset.Batch.wire_size wire_batch in
-      if Obs.tracing t.obs then
-        Obs.emit t.obs ~node:t.id ~epoch:e ~span:bspan ~cat:"epoch"
-          "batch.send"
-          ~detail:(Printf.sprintf "group=%d bytes=%d" g bytes);
-      List.iter
-        (fun dst -> if dst <> t.id then send_batch t ~dst ~bytes wire_batch)
-        (Partitioning.members part g)
-    done
-  end
-  else begin
-    (* With pipelining the write sets already went out in mini-batches;
-       only the EOF marker (carrying the expected count) travels now. *)
-    let wire_batch =
-      if t.env.params.Params.pipeline then
-        Writeset.Batch.make ~node:t.id ~cen:e ~txns:[] ~eof:true
-          ~count:(List.length txns) ~span:bspan ()
-      else batch
-    in
+  (match t.cross with
+  | None ->
+    let wire_batch = eof_frame txns in
     let bytes = Writeset.Batch.wire_size wire_batch in
-    if Obs.tracing t.obs then begin
-      Obs.emit t.obs ~node:t.id ~epoch:e ~span:bspan ~cat:"epoch" "seal"
-        ~detail:(Printf.sprintf "txns=%d" (List.length txns));
+    if Obs.tracing t.obs then
       Obs.emit t.obs ~node:t.id ~epoch:e ~span:bspan ~cat:"epoch" "batch.send"
-        ~detail:(Printf.sprintf "bytes=%d" bytes)
-    end;
-    broadcast_batch t ~bytes wire_batch
-  end;
+        ~detail:(Printf.sprintf "bytes=%d" bytes);
+    broadcast t (send_batch t ~bytes wire_batch)
+  | Some cg ->
+    (* Interest-scoped dissemination: each replica group receives one
+       EOF frame per epoch carrying (or counting) only the transactions
+       that touch its keys. Every node still hears an EOF from every
+       peer every epoch, so the failure detector and the merge-readiness
+       rule are unchanged; the backup above keeps the full batch for
+       stall repair and view changes. *)
+    List.iter
+      (fun (g, gtxns, dsts) ->
+        let wire_batch = eof_frame gtxns in
+        let bytes = Writeset.Batch.wire_size wire_batch in
+        if Obs.tracing t.obs then
+          Obs.emit t.obs ~node:t.id ~epoch:e ~span:bspan ~cat:"epoch"
+            "batch.send"
+            ~detail:(Printf.sprintf "group=%d bytes=%d" g bytes);
+        List.iter (fun dst -> send_batch t ~bytes wire_batch ~dst) dsts)
+      (Cross_group.eof_groups cg txns));
   Itbl.replace t.notify_gate e (now t + ft_gate_delay t);
   t.sealed_epoch <- e
+
+let csn_keys txns = List.sort compare (List.map Epoch_merge.csn_key txns)
+
+(* The records merged at epoch [e] and the simulated merge duration.
+   Every blocked transaction thread is checked/notified around each
+   snapshot generation (§5.1): with short epochs this scan dominates,
+   which is why the paper's Fig 8 peaks at ~10 ms. Under partial
+   replication the work is this group's fragments plus the deferred
+   fragments resolving at this merge. *)
+let merge_work t e txns =
+  let n_records, resolving =
+    match t.cross with
+    | Some cg -> Cross_group.merge_records cg ~e txns
+    | None ->
+      ( List.fold_left
+          (fun n (ws : Writeset.t) -> n + List.length ws.Writeset.records)
+          0 txns,
+        0 )
+  in
+  let cost = t.env.params.Params.cost in
+  ( n_records,
+    cost.merge_base_us
+    + (pending_waiting t * cost.notify_us)
+    + (n_records + resolving)
+      * cost.merge_record_us / max 1 cost.merge_threads )
 
 let rec schedule_boundary t e =
   let b = (e + 1) * epoch_us t in
@@ -634,14 +455,12 @@ and collect_epoch_txns t e =
      stall repair fetches the sender's FULL backup batch — dropping the
      foreign-only entries here keeps both paths equivalent. Local
      transactions always stay (their outcome is owed to the client). *)
-  let part = t.env.part in
-  let keep (ws : Writeset.t) =
-    (not (Partitioning.enabled part))
-    || Partitioning.touches part ~group:(my_group t) ws
+  let keep ws =
+    match t.cross with Some cg -> Cross_group.keeps cg ws | None -> true
   in
   let seen = Itbl.create 64 in
-  let add acc (ws : Writeset.t) =
-    let k = pack_csn ws.Writeset.meta.Meta.csn in
+  let add acc ws =
+    let k = Epoch_merge.csn_key ws in
     if Itbl.mem seen k then acc
     else begin
       Itbl.replace seen k ();
@@ -668,23 +487,6 @@ and collect_epoch_txns t e =
   in
   List.rev acc
 
-and cross_ready t e =
-  (* All foreign verdicts for the cross transactions merged at epoch [e]
-     are in (or synthesisable from a dead group's backup record). *)
-  e < 0
-  || (not (Partitioning.enabled t.env.part))
-  ||
-  match Itbl.find_opt t.cross_pending e with
-  | None -> true
-  | Some entries ->
-    let my = my_group t in
-    List.for_all
-      (fun ce ->
-        List.for_all
-          (fun g -> g = my || vote_status t ~cen:e ~group:g ce.ce_key <> None)
-          ce.ce_groups)
-      entries
-
 and peer_complete t ~cen ~peer =
   match Itbl.find_opt t.remote (pack_cp ~cen ~peer) with
   | Some bs ->
@@ -695,10 +497,12 @@ and peer_complete t ~cen ~peer =
 
 and merge_ready t e =
   t.sealed_epoch >= e
-  && cross_ready t (e - Partitioning.vote_depth t.env.part)
+  &&
+  let members = t.env.members_at e in
+  Option.fold ~none:true ~some:(Cross_group.ready ~e ~members) t.cross
   && List.for_all
        (fun peer -> peer = t.id || peer_complete t ~cen:e ~peer)
-       (t.env.members_at e)
+       members
 
 and try_advance t =
   (if t.active && not t.merging then begin
@@ -706,47 +510,7 @@ and try_advance t =
     if merge_ready t e then begin
       t.merging <- true;
       let txns = collect_epoch_txns t e in
-      let part = t.env.part in
-      (* Simulated merge work under partial replication counts only the
-         records this group actually merges (its fragments) plus the
-         deferred cross-group fragments resolving at this merge. *)
-      let n_records =
-        if Partitioning.enabled part then
-          let my = my_group t in
-          List.fold_left
-            (fun n (ws : Writeset.t) ->
-              List.fold_left
-                (fun n r ->
-                  if Partitioning.group_of_record part r = my then n + 1 else n)
-                n ws.Writeset.records)
-            0 txns
-        else
-          List.fold_left
-            (fun n ws -> n + List.length ws.Writeset.records)
-            0 txns
-      in
-      let resolve_records =
-        if not (Partitioning.enabled part) then 0
-        else
-          match
-            Itbl.find_opt t.cross_pending (e - Partitioning.vote_depth part)
-          with
-          | None -> 0
-          | Some entries ->
-            List.fold_left
-              (fun n ce -> n + List.length ce.ce_frag.Writeset.records)
-              0 entries
-      in
-      let cost = t.env.params.Params.cost in
-      (* Every blocked transaction thread is checked/notified around each
-         snapshot generation (§5.1): with short epochs this scan
-         dominates, which is why the paper's Fig 8 peaks at ~10 ms. *)
-      let fresh_duration () =
-        cost.merge_base_us
-        + (pending_waiting t * cost.notify_us)
-        + ((n_records + resolve_records) * cost.merge_record_us
-          / max 1 cost.merge_threads)
-      in
+      let n_records, fresh = merge_work t e txns in
       (* Fast-path intercept: a speculative merge armed for this epoch is
          confirmed if the all-arrived set matches the speculated one, and
          discarded (misprediction) otherwise. Either way externalization
@@ -754,27 +518,20 @@ and try_advance t =
          simulated work earlier, never a client answer. *)
       let merge_started, duration, mspan, prelog, delay =
         if t.spec_epoch = e then begin
-          let keys =
-            List.sort compare
-              (List.map
-                 (fun (ws : Writeset.t) -> pack_csn ws.Writeset.meta.Meta.csn)
-                 txns)
-          in
-          let started = t.spec_started
-          and sdur = t.spec_duration
-          and sspan = t.spec_span
-          and skeys = t.spec_keys in
+          let keys = csn_keys txns in
+          let sdur = t.spec_duration and sspan = t.spec_span in
+          let skeys = t.spec_keys in
           let prelog = if t.spec_logged >= 0 then Some t.spec_logged else None in
           t.spec_epoch <- -1;
           t.spec_keys <- [];
           t.spec_logged <- -1;
           if keys = skeys then begin
-            (* Confirmed: the merge charge began at [started]; only its
+            (* Confirmed: the merge charge began at [spec_started]; only its
                residual (if any) remains. The effective start is
                back-dated so wait + merge telescope exactly to the
                commit instant even when the charge finished early. *)
             Metrics.record_spec_confirm t.metrics;
-            let residual = max 0 (started + sdur - now t) in
+            let residual = max 0 (t.spec_started + sdur - now t) in
             if Obs.tracing t.obs then
               Obs.emit t.obs ~node:t.id ~epoch:e ~span:sspan ~dur:residual
                 ~cat:"epoch" "merge.confirm"
@@ -799,13 +556,10 @@ and try_advance t =
                 ~detail:
                   (Printf.sprintf "speculated=%d actual=%d"
                      (List.length skeys) (List.length keys));
-            let d = fresh_duration () in
-            (now t, d, Obs.new_span t.obs ~node:t.id, prelog, d)
+            (now t, fresh, Obs.new_span t.obs ~node:t.id, prelog, fresh)
           end
         end
-        else
-          let d = fresh_duration () in
-          (now t, d, Obs.new_span t.obs ~node:t.id, None, d)
+        else (now t, fresh, Obs.new_span t.obs ~node:t.id, None, fresh)
       in
       if Obs.tracing t.obs then
         Obs.emit t.obs ~node:t.id ~epoch:e ~span:mspan ~dur:delay ~cat:"epoch"
@@ -841,7 +595,7 @@ and maybe_spec t =
     fastpath_on t && t.active
     && (not (Net.is_down t.env.net t.id))
     && (not t.merging)
-    && not (Partitioning.enabled t.env.part)
+    && Option.is_none t.cross
     (* cross-group voting already delays externalization past the merge;
        speculating under partial replication would buy nothing *)
   then begin
@@ -881,27 +635,11 @@ and maybe_spec t =
 
 and speculate t e =
   let txns = collect_epoch_txns t e in
-  let keys =
-    List.sort compare
-      (List.map
-         (fun (ws : Writeset.t) -> pack_csn ws.Writeset.meta.Meta.csn)
-         txns)
-  in
-  let n_records =
-    List.fold_left
-      (fun n (ws : Writeset.t) -> n + List.length ws.Writeset.records)
-      0 txns
-  in
-  let cost = t.env.params.Params.cost in
-  let duration =
-    cost.merge_base_us
-    + (pending_waiting t * cost.notify_us)
-    + (n_records * cost.merge_record_us / max 1 cost.merge_threads)
-  in
+  let n_records, duration = merge_work t e txns in
   t.spec_epoch <- e;
   t.spec_started <- now t;
   t.spec_duration <- duration;
-  t.spec_keys <- keys;
+  t.spec_keys <- csn_keys txns;
   t.spec_span <- Obs.new_span t.obs ~node:t.id;
   Metrics.record_spec t.metrics;
   if Obs.tracing t.obs then
@@ -914,54 +652,21 @@ and speculate t e =
      records never change, only remote stragglers do. *)
   t.spec_logged <- now t;
   List.iter
-    (fun (txn : Txn.t) ->
-      match txn.Txn.writeset with
-      | Some ws ->
-        txn.Txn.phases.log_us <-
-          Gg_storage.Wal.append t.wal ~bytes:(Writeset.encoded_size ws)
-      | None -> ())
+    (fun (txn : Txn.t) -> txn.Txn.phases.log_us <- wal_append t txn)
     (Option.value ~default:[] (Itbl.find_opt t.waiting e))
 
 and do_merge t e full ~merge_started ~duration ~span ~prelog =
-  let part = t.env.part in
-  let enabled = Partitioning.enabled part in
-  (* Settle the cross-group transactions whose vote window ends here,
-     before this epoch's own merge reads the database. *)
-  resolve_cross t e ~span;
-  let my = my_group t in
-  (* Under partial replication each node merges its group's FRAGMENT of
-     every write set. Cross-group transactions (touching several groups,
-     or a local transaction writing only foreign groups) are merged
-     normally but their write-back is deferred until every touched
-     group's verdict arrives, [vote_depth] epochs later. *)
-  let cross : cross_entry Itbl.t = Itbl.create 16 in
-  let txns =
-    if not enabled then full
-    else
-      List.map
-        (fun (ws : Writeset.t) ->
-          let frag = Partitioning.fragment part ~group:my ws in
-          let gs = Partitioning.touched_groups part ws in
-          let deferred =
-            match gs with
-            | [] -> false
-            | [ g ] -> g <> my (* local txn writing only a foreign group *)
-            | _ :: _ :: _ -> true
-          in
-          (if deferred then
-             let key = pack_csn ws.Writeset.meta.Meta.csn in
-             Itbl.replace cross key
-               {
-                 ce_key = key;
-                 ce_origin = ws.Writeset.meta.Meta.csn.Csn.node;
-                 ce_groups = gs;
-                 ce_frag = frag;
-                 ce_local_ok = false;
-                 ce_reason = Txn.Cross_abort;
-                 ce_txn = None;
-               });
-          frag)
-        full
+  (* Under partial replication: settle the cross-group transactions
+     whose vote window ends here, before this epoch's own merge reads the
+     database; then merge this group's fragments, deferring the
+     cross-group write-backs. *)
+  let ep, txns =
+    match t.cross with
+    | None -> (None, full)
+    | Some cg ->
+      answer_resolved t cg e ~span;
+      let ep, frags = Cross_group.fragments cg full in
+      (Some ep, frags)
   in
   (* Phases A–C (DeltaCRDTMerge pre-write, validation, SSI, write-back)
      live in {!Epoch_merge} (DESIGN.md §10). *)
@@ -969,21 +674,9 @@ and do_merge t e full ~merge_started ~duration ~span ~prelog =
     Epoch_merge.run ~db:t.db ~jobs:1
       ~ssi:(t.env.params.Params.isolation = Params.SSI)
       ~level:(Params.effective_merge_level t.env.params)
-      ~defer:(fun ws -> Itbl.mem cross (pack_csn ws.Writeset.meta.Meta.csn))
+      ?defer:(Option.map Cross_group.deferred ep)
       txns
   in
-  let entries =
-    if not enabled then []
-    else
-      Itbl.fold
-        (fun _ ce acc ->
-          ce.ce_local_ok <- Epoch_merge.committed m ce.ce_frag;
-          if not ce.ce_local_ok then
-            ce.ce_reason <- Epoch_merge.abort_reason m ce.ce_frag;
-          ce :: acc)
-        cross []
-  in
-  if entries <> [] then Itbl.replace t.cross_pending e entries;
   Metrics.record_merged_records t.metrics (Epoch_merge.n_records m);
   t.lsn <- e;
   t.last_advance <- now t;
@@ -1002,24 +695,14 @@ and do_merge t e full ~merge_started ~duration ~span ~prelog =
   let gate = Option.value ~default:0 (Itbl.find_opt t.notify_gate e) in
   List.iter
     (fun (txn : Txn.t) ->
-      match
-        if enabled then Itbl.find_opt cross (pack_csn txn.Txn.csn) else None
-      with
-      | Some ce ->
-        (* Cross-group: the client is answered at resolution, after the
-           foreign groups' votes are in. *)
-        ce.ce_txn <- Some txn;
-        txn.Txn.phases.merge_us <- duration
-      | None ->
+      txn.Txn.phases.merge_us <- duration;
+      match ep with
+      | Some ep when Cross_group.hold ep txn ->
+        () (* cross-group: answered at resolution, once the votes are in *)
+      | _ ->
         txn.Txn.merge_span <- span;
         txn.Txn.phases.wait_us <-
           txn.Txn.phases.wait_us + (merge_started - txn.Txn.commit_point);
-        txn.Txn.phases.merge_us <- duration;
-        let ws_bytes =
-          match txn.Txn.writeset with
-          | Some ws -> Writeset.encoded_size ws
-          | None -> 0
-        in
         let log_us =
           match prelog with
           | Some logged_at ->
@@ -1027,87 +710,25 @@ and do_merge t e full ~merge_started ~duration ~span ~prelog =
                unfinished remainder (if any) is still on the commit path,
                which is what the log phase records *)
             max 0 (logged_at + txn.Txn.phases.log_us - now t)
-          | None -> Gg_storage.Wal.append t.wal ~bytes:ws_bytes
+          | None -> wal_append t txn
         in
         txn.Txn.phases.log_us <- log_us;
-        let extra_gate = max 0 (gate - now t) in
-        Sim.schedule t.env.sim ~after:(extra_gate + log_us) (fun () ->
-            match txn.Txn.writeset with
-            | Some ws when Epoch_merge.committed m ws ->
-              Metrics.record_epoch_commit t.metrics ~cen:e
-                ~latency_us:(now t - txn.Txn.submit_time);
-              finish_committed t txn
-            | Some ws -> finish_aborted t txn (Epoch_merge.abort_reason m ws)
-            | None -> finish_aborted t txn Txn.Write_conflict))
+        answer_after t txn ~cen:e
+          ~after:(max 0 (gate - now t) + log_us)
+          (Option.fold ~none:(Some Txn.Write_conflict)
+             ~some:(Epoch_merge.verdict m) txn.Txn.writeset))
     locals;
-  (* Vote dissemination: after merging epoch [e], this group's members
-     each send the (identical, csn-sorted) verdict list for the cross
-     transactions that touched the group — to the members of the other
-     touched groups and to the origin nodes — and record it durably so
-     a lost vote (or a dead group) can be repaired from the backup. *)
-  (if enabled then
-     let mine_entries = List.filter (fun ce -> List.mem my ce.ce_groups) entries in
-     (* A transaction that touches ONLY this group but originated outside
-        it merges on the fast path here (no deferral), yet its origin
-        deferred it and waits for this group's verdict — so it must
-        appear in the vote even though it has no cross entry locally. *)
-     let vote_only =
-       List.filter_map
-         (fun (ws : Writeset.t) ->
-           let key = pack_csn ws.Writeset.meta.Meta.csn in
-           if Itbl.mem cross key then None
-           else
-             let origin = ws.Writeset.meta.Meta.csn.Csn.node in
-             if Partitioning.group_of_node part origin = my then None
-             else
-               match Partitioning.touched_groups part ws with
-               | [ g ] when g = my ->
-                 Some (key, Epoch_merge.committed m ws, origin)
-               | _ -> None)
-         full
-     in
-     let verdicts =
-       List.sort compare
-         (List.map (fun ce -> (ce.ce_key, ce.ce_local_ok)) mine_entries
-         @ List.map (fun (key, ok, _) -> (key, ok)) vote_only)
-     in
-     if verdicts <> [] then begin
-       Backup.put_votes t.env.backup ~group:my ~cen:e verdicts;
-       (* Every member records the (identical) verdict list durably, but
-          only the group's first member — its speaker — puts it on the
-          wire: the list is a deterministic function of the group's
-          merge, so N-1 of the N copies are redundant, and at 200
-          replicas that redundancy is what would dominate the WAN bill.
-          A dead or lagging speaker is covered by the stall-repair
-          refetch from the backup. *)
-       let speaker =
-         match Partitioning.members part my with m0 :: _ -> m0 | [] -> t.id
-       in
-       if t.id = speaker then begin
-       let nn = Net.n_nodes t.env.net in
-       let want = Array.make nn false in
-       List.iter
-         (fun ce ->
-           List.iter
-             (fun g ->
-               if g <> my then
-                 List.iter
-                   (fun m' -> want.(m') <- true)
-                   (Partitioning.members part g))
-             ce.ce_groups;
-           want.(ce.ce_origin) <- true)
-         mine_entries;
-       List.iter (fun (_, _, origin) -> want.(origin) <- true) vote_only;
-       want.(t.id) <- false;
-       (* header + epoch/group ids + 9 bytes per (csn, verdict) pair *)
-       let bytes = 8 + 16 + (9 * List.length verdicts) in
-       for dst = 0 to nn - 1 do
-         if want.(dst) then
-           send_msg t ~dst ~bytes
-             (Part_vote { cen = e; group = my; verdicts; span })
-       done
-       end
-     end);
+  (match (t.cross, ep) with
+  | Some cg, Some ep ->
+    let verdicts, dsts = Cross_group.votes cg ep m ~cen:e full in
+    (* header + epoch/group ids + 9 bytes per (csn, verdict) pair *)
+    let bytes = 8 + 16 + (9 * List.length verdicts) in
+    List.iter
+      (fun dst ->
+        send_msg t ~dst ~bytes
+          (Part_vote { cen = e; group = Cross_group.group cg; verdicts; span }))
+      dsts
+  | _ -> ());
   (* Bounded memory: drop per-epoch bookkeeping. *)
   Itbl.remove t.waiting e;
   Itbl.remove t.local_sealed e;
@@ -1190,14 +811,7 @@ and start_execution t (txn : Txn.t) =
       | [] ->
         txn.Txn.sql_results <- List.rev acc;
         txn.Txn.read_set <- Executor.Ctx.read_set ctx;
-        let records = Executor.Ctx.writeset_records ctx in
-        if records = [] then txn.Txn.writeset <- None
-        else
-          txn.Txn.writeset <-
-            Some
-              (Writeset.make
-                 ~meta:(Meta.make ~sen:txn.Txn.sen ~cen:0 ~csn:Csn.zero)
-                 ~records ());
+        set_writes txn (Executor.Ctx.writeset_records ctx);
         commit_point t txn
       | (sql, params) :: rest ->
         Cpu.run t.cpu ~cost:(per_stmt_parse + cost.sql_stmt_us) (fun () ->
@@ -1216,19 +830,18 @@ and run_ops t (txn : Txn.t) o =
   | Error m -> Error m
   | Ok { Op_exec.reads; writes } ->
     txn.Txn.read_set <- reads;
-    if writes = [] then begin
-      txn.Txn.writeset <- None;
-      Ok ()
-    end
-    else begin
-      (* meta is filled in at the commit point *)
-      txn.Txn.writeset <-
-        Some
-          (Writeset.make
-             ~meta:(Meta.make ~sen:txn.Txn.sen ~cen:0 ~csn:Csn.zero)
-             ~records:writes ());
-      Ok ()
-    end
+    set_writes txn writes;
+    Ok ()
+
+(* The executed write set; its meta is filled in at the commit point. *)
+and set_writes (txn : Txn.t) records =
+  txn.Txn.writeset <-
+    (if records = [] then None
+     else
+       Some
+         (Writeset.make
+            ~meta:(Meta.make ~sen:txn.Txn.sen ~cen:0 ~csn:Csn.zero)
+            ~records ()))
 
 and read_validation t (txn : Txn.t) =
   (* Algorithm 1, lines 9-18. *)
@@ -1281,38 +894,34 @@ and commit_point t (txn : Txn.t) =
         txn.Txn.cen <- cen;
         txn.Txn.csn <- csn;
         txn.Txn.commit_point <- now t;
+        let mini () =
+          let b =
+            Writeset.Batch.make ~node:t.id ~cen ~txns:[ ws ] ~eof:false
+              ~span:txn.Txn.span ()
+          in
+          send_batch t ~bytes:(Writeset.Batch.wire_size b) b
+        in
         match t.env.params.Params.variant with
         | Params.Async_merge ->
           (* GeoG-A: merge locally now, gossip, reply immediately. *)
           lww_apply t ws;
-          let mini =
-            Writeset.Batch.make ~node:t.id ~cen ~txns:[ ws ] ~eof:false
-              ~span:txn.Txn.span ()
-          in
-          broadcast_batch t ~bytes:(Writeset.Batch.wire_size mini) mini;
+          broadcast t (mini ());
           let cost = t.env.params.Params.cost in
           txn.Txn.phases.merge_us <-
             List.length ws.Writeset.records * cost.merge_record_us;
-          let log_us =
-            Gg_storage.Wal.append t.wal ~bytes:(Writeset.encoded_size ws)
-          in
-          txn.Txn.phases.log_us <- log_us;
-          Sim.schedule t.env.sim ~after:log_us (fun () -> finish_committed t txn)
+          txn.Txn.phases.log_us <- wal_append t txn;
+          Sim.schedule t.env.sim ~after:txn.Txn.phases.log_us (fun () ->
+              finish_committed t txn)
         | Params.Optimistic | Params.Sync_exec ->
           t.current_send <- (cen, ws) :: t.current_send;
           if t.env.params.Params.pipeline then begin
-            let mini =
-              Writeset.Batch.make ~node:t.id ~cen ~txns:[ ws ] ~eof:false
-                ~span:txn.Txn.span ()
-            in
-            let bytes = Writeset.Batch.wire_size mini in
+            let send = mini () in
             (* Interest-scoped pipelining: only members of the touched
                groups hear the mini-batch. *)
-            if Partitioning.enabled t.env.part then
-              List.iter
-                (fun dst -> send_batch t ~dst ~bytes mini)
-                (interest_targets t ws)
-            else broadcast_batch t ~bytes mini
+            match t.cross with
+            | Some cg ->
+              List.iter (fun dst -> send ~dst) (Cross_group.targets cg ws)
+            | None -> broadcast t send
           end;
           let q = Option.value ~default:[] (Itbl.find_opt t.waiting cen) in
           Itbl.replace t.waiting cen (txn :: q);
@@ -1364,7 +973,7 @@ and receive t msg =
         let bs = batch_state t ~cen:b.Writeset.Batch.cen ~peer:b.Writeset.Batch.node in
         List.iter
           (fun (ws : Writeset.t) ->
-            let k = pack_csn ws.Writeset.meta.Meta.csn in
+            let k = Epoch_merge.csn_key ws in
             if not (Itbl.mem bs.txn_keys k) then begin
               Itbl.replace bs.txn_keys k ();
               bs.txns <- ws :: bs.txns
@@ -1401,37 +1010,32 @@ and receive t msg =
         if Obs.tracing t.obs then
           Obs.emit t.obs ~node:t.id ~cat:"epoch" "batch.corrupt"
             ~detail:(Printf.sprintf "bytes=%d" (Bytes.length bytes)))
-    | Part_vote { cen; group; verdicts; span = pspan } ->
-      if cen + Partitioning.vote_depth t.env.part > t.lsn then begin
+    | Part_vote { cen; group; verdicts; span = pspan } -> (
+      match t.cross with
+      | Some cg when Cross_group.on_vote cg ~lsn:t.lsn ~cen ~group verdicts ->
         if Obs.tracing t.obs then
           Obs.emit t.obs ~node:t.id ~epoch:cen ~cat:"epoch" "vote.recv"
             ~parent:(if pspan > 0 then pspan else -1)
             ~detail:
               (Printf.sprintf "group=%d verdicts=%d" group
                  (List.length verdicts));
-        store_votes t ~cen ~group verdicts;
         try_advance t
-      end
+      | _ -> ())
     | Ft_ack { cen; from; span = pspan } ->
       let aspan = Obs.new_span t.obs ~node:t.id in
       if Obs.tracing t.obs then
         Obs.emit t.obs ~node:t.id ~epoch:cen ~cat:"epoch" "ft.ack" ~span:aspan
           ~parent:(if pspan > 0 then pspan else -1)
           ~detail:(Printf.sprintf "from=%d" from);
-      let acks =
-        match Itbl.find_opt t.ft_acks cen with
-        | Some l -> l
-        | None ->
-          let l = ref [] in
-          Itbl.replace t.ft_acks cen l;
-          l
-      in
-      if not (List.mem from !acks) then begin
-        acks := from :: !acks;
+      let acks = Option.value ~default:[] (Itbl.find_opt t.ft_acks cen) in
+      if not (List.mem from acks) then begin
+        let acks = from :: acks in
+        Itbl.replace t.ft_acks cen acks;
         let n = List.length (t.env.members_at cen) in
         (* self + acks form the majority *)
-        if (List.length !acks + 1) * 2 > n then
-          broadcast t ~bytes:40 (Ft_commit { cen; origin = t.id; span = aspan })
+        if (List.length acks + 1) * 2 > n then
+          broadcast t
+            (send_msg t ~bytes:40 (Ft_commit { cen; origin = t.id; span = aspan }))
       end
     | Ft_commit { cen; origin; span = pspan } ->
       if Obs.tracing t.obs then
@@ -1454,93 +1058,52 @@ and receive t msg =
    regional round trip, same path survivors use after a view change). A
    batch present in the backup is durable, which is also all the Raft-FT
    commit gate establishes, so a successful fetch may release it too.
-   Fetches are idempotent: receive deduplicates transactions by csn. *)
+   Fetches are idempotent: receive deduplicates transactions by csn.
+   250 ms of stall is what makes epochs survive message loss. *)
+let repair_after_us = 250_000
+
 let repair t =
   let e = t.lsn + 1 in
+  let up () = t.active && not (Net.is_down t.env.net t.id) in
   if
-    t.active
-    && (not (Net.is_down t.env.net t.id))
+    up ()
     && (not t.merging)
     && t.sealed_epoch >= e
-    && now t - t.last_advance > t.env.params.Params.repair_after_us
+    && now t - t.last_advance > repair_after_us
   then begin
     List.iter
       (fun peer ->
-        if peer <> t.id then begin
-          let complete =
-            match Itbl.find_opt t.remote (pack_cp ~cen:e ~peer) with
-            | Some bs -> bs.eof && Itbl.length bs.txn_keys >= bs.expected
-            | None -> false
-          in
-          let gated =
-            t.env.params.Params.ft = Params.Ft_raft
-            &&
-            match Itbl.find_opt t.remote (pack_cp ~cen:e ~peer) with
-            | Some bs -> not bs.committed
-            | None -> true
-          in
-          if (not complete) || gated then
-            match Backup.get t.env.backup ~node:peer ~cen:e with
-            | None -> ()
-            | Some batch ->
-              let topo = Net.topology t.env.net in
-              let delay = 2 * Topology.latency topo t.id peer in
-              if Obs.tracing t.obs then
-                Obs.emit t.obs ~node:t.id ~epoch:e ~cat:"epoch" "repair.fetch"
-                  ~detail:(Printf.sprintf "peer=%d" peer);
-              Sim.schedule t.env.sim ~after:delay (fun () ->
-                  if t.active && not (Net.is_down t.env.net t.id) then begin
-                    let bs = batch_state t ~cen:e ~peer in
-                    bs.committed <- true;
-                    receive t (Batch_msg batch)
-                  end)
-        end)
+        if peer <> t.id && not (peer_complete t ~cen:e ~peer) then
+          match Backup.get t.env.backup ~node:peer ~cen:e with
+          | None -> ()
+          | Some batch ->
+            let delay = 2 * Topology.latency (Net.topology t.env.net) t.id peer in
+            if Obs.tracing t.obs then
+              Obs.emit t.obs ~node:t.id ~epoch:e ~cat:"epoch" "repair.fetch"
+                ~detail:(Printf.sprintf "peer=%d" peer);
+            Sim.schedule t.env.sim ~after:delay (fun () ->
+                if up () then begin
+                  let bs = batch_state t ~cen:e ~peer in
+                  bs.committed <- true;
+                  receive t (Batch_msg batch)
+                end))
       (t.env.members_at e);
-    (* Missing cross-group votes stall the merge the same way a missing
-       batch does: refetch them from the voting group's durable backup
-       record (one round trip to its nearest member). A group that has
-       not merged the epoch yet has nothing in the backup — keep
-       waiting; a dead group is handled by [vote_status] directly. *)
-    let part = t.env.part in
-    if Partitioning.enabled part then begin
-      let rk = e - Partitioning.vote_depth part in
-      if rk >= 0 then
-        match Itbl.find_opt t.cross_pending rk with
-        | None -> ()
-        | Some entries ->
-          let my = my_group t in
-          for g = 0 to Partitioning.n_groups part - 1 do
-            let missing =
-              g <> my
-              && List.exists
-                   (fun ce ->
-                     List.mem g ce.ce_groups
-                     && vote_status t ~cen:rk ~group:g ce.ce_key = None)
-                   entries
-            in
-            if missing then
-              match Backup.get_votes t.env.backup ~group:g ~cen:rk with
-              | None -> ()
-              | Some vs ->
-                let topo = Net.topology t.env.net in
-                let best =
-                  List.fold_left
-                    (fun a m -> min a (Topology.latency topo t.id m))
-                    max_int
-                    (Partitioning.members part g)
-                in
-                let delay = if best = max_int then 0 else 2 * best in
-                if Obs.tracing t.obs then
-                  Obs.emit t.obs ~node:t.id ~epoch:rk ~cat:"epoch"
-                    "repair.votes"
-                    ~detail:(Printf.sprintf "group=%d" g);
-                Sim.schedule t.env.sim ~after:delay (fun () ->
-                    if t.active && not (Net.is_down t.env.net t.id) then begin
-                      store_votes t ~cen:rk ~group:g vs;
-                      try_advance t
-                    end)
-          done
-    end
+    (* Missing cross-group votes stall the merge the same way: refetch
+       them from the voting group's durable backup record. *)
+    Option.iter
+      (fun cg ->
+        List.iter
+          (fun (cen, group, delay) ->
+            if Obs.tracing t.obs then
+              Obs.emit t.obs ~node:t.id ~epoch:cen ~cat:"epoch" "repair.votes"
+                ~detail:(Printf.sprintf "group=%d" group);
+            Sim.schedule t.env.sim ~after:delay (fun () ->
+                if up () then begin
+                  Cross_group.fetched cg ~cen ~group;
+                  try_advance t
+                end))
+          (Cross_group.refetch cg ~e ~members:(t.env.members_at e)))
+      t.cross
   end
 
 let rec schedule_repair t =
@@ -1556,37 +1119,38 @@ let start t =
   schedule_boundary t (epoch_of t (now t));
   schedule_repair t
 
+(* Drop the volatile merge state: on a crash, and when a transferred
+   snapshot replaces the database. *)
+let reset_merge_state t =
+  Itbl.reset t.local_sealed;
+  Itbl.reset t.waiting;
+  Option.iter Cross_group.reset t.cross;
+  t.merging <- false;
+  t.spec_epoch <- -1;
+  t.spec_keys <- [];
+  t.spec_logged <- -1;
+  t.spec_wake_at <- max_int
+
 let set_active t v =
   if t.active && not v then begin
     (* Crash: drop all volatile per-epoch state; in-flight local txns are
        lost (their clients time out and retry elsewhere). *)
     t.active <- false;
+    reset_merge_state t;
     Itbl.reset t.remote;
-    Itbl.reset t.local_sealed;
-    Itbl.reset t.waiting;
     Itbl.reset t.notify_gate;
     Itbl.reset t.ft_acks;
-    Itbl.reset t.cross_pending;
-    Itbl.reset t.votes;
     Queue.clear t.sync_queue;
-    t.current_send <- [];
-    t.merging <- false;
-    t.spec_epoch <- -1;
-    t.spec_keys <- [];
-    t.spec_logged <- -1;
-    t.spec_wake_at <- max_int
+    t.current_send <- []
   end
   else if (not t.active) && v then t.active <- true
 
 let missing_sealed_epochs t ~peer ~upto =
   let missing = ref [] in
   for e = upto downto t.lsn + 1 do
-    let have =
-      match Itbl.find_opt t.remote (pack_cp ~cen:e ~peer) with
-      | Some bs -> bs.eof
-      | None -> false
-    in
-    if not have then missing := e :: !missing
+    match Itbl.find_opt t.remote (pack_cp ~cen:e ~peer) with
+    | Some bs when bs.eof -> ()
+    | _ -> missing := e :: !missing
   done;
   !missing
 
@@ -1607,19 +1171,11 @@ let install_state t ~rejoin ~lsn ~db =
         t.remote []
     in
     List.iter (Itbl.remove t.remote) stale;
-    Itbl.reset t.local_sealed;
-    Itbl.reset t.waiting;
-    Itbl.reset t.cross_pending;
-    Itbl.reset t.votes;
+    reset_merge_state t;
     Db.replace_contents t.db ~from:db;
     t.lsn <- lsn;
     t.last_advance <- Sim.now t.env.sim;
     t.sealed_epoch <- max t.sealed_epoch lsn;
-    t.merging <- false;
-    t.spec_epoch <- -1;
-    t.spec_keys <- [];
-    t.spec_logged <- -1;
-    t.spec_wake_at <- max_int;
     t.active <- true;
     (* Seal every epoch from the re-join epoch up to the current one
        (all empty — the node served no clients): peers are already

@@ -23,13 +23,10 @@ type t = {
   isolation : isolation;
   variant : variant;
   ft : ft_mode;
-  cores : int;
   pipeline : bool;
   seed : int;
   cost : cost;
-  membership_timeout_us : int;
   client_retry_us : int;
-  repair_after_us : int;
   merge_par_threshold : int;
   partitioning : partitioning;
   merge_level : merge_level;
@@ -55,13 +52,10 @@ let default =
     isolation = RC;
     variant = Optimistic;
     ft = Ft_local_backup;
-    cores = 32;
     pipeline = true;
     seed = 42;
     cost = default_cost;
-    membership_timeout_us = 500_000;
     client_retry_us = 2_000_000;
-    repair_after_us = 250_000;
     merge_par_threshold = 4_096;
     partitioning = P_none;
     merge_level = Row;

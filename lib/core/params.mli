@@ -65,16 +65,10 @@ type t = {
   isolation : isolation;  (** default RC (the paper's default) *)
   variant : variant;
   ft : ft_mode;
-  cores : int;  (** vCPUs per node, default 32 *)
   pipeline : bool;  (** ship write sets in mini-batches (§5.1) *)
   seed : int;
   cost : cost;
-  membership_timeout_us : int;  (** failure-detection timeout, 500 ms *)
   client_retry_us : int;  (** client resubmission timeout after node failure *)
-  repair_after_us : int;
-      (** how long a node lets the next merge stall before re-fetching
-          missing peer batches from their backup servers (§5.2 repair —
-          what makes epochs survive message loss), 250 ms *)
   merge_par_threshold : int;
       (** fixed at 4096 records. No engine path reads it; only
           bench/e2e's [epochs_over_par_threshold] counter does, counting

@@ -141,8 +141,8 @@ module Batch : sig
 
   val encode_count : unit -> int
   (** Number of actual encode+compress passes performed on the calling
-      domain (cache hits excluded) — instrumentation for the wallclock
-      bench. Domain-local so concurrent pool tasks count independently;
+      domain (cache hits excluded) — instrumentation for the e2e
+      benchmark. Domain-local so concurrent pool tasks count independently;
       reset and read it from within the same task. *)
 
   val reset_encode_count : unit -> unit

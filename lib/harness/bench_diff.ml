@@ -70,47 +70,6 @@ let missing_row ~key =
     verdict = Warn;
   }
 
-(* ISSUE acceptance gate: tracing must stay within 5% of the untraced
-   wall clock. Applied as an absolute ceiling on the new report, not a
-   relative delta — a baseline that already crept up must not grandfather
-   further creep. *)
-let overhead_ceiling = 0.05
-
-let diff_wallclock ~threshold old_j new_j =
-  let olds = obj_list old_j "scenarios" and news = obj_list new_j "scenarios" in
-  let metrics =
-    [ "events_per_s"; "merged_records_per_s"; "batches_encoded_per_s" ]
-  in
-  let rows =
-    List.concat_map
-      (fun o ->
-        let label = Jsonl.to_str (Jsonl.member "label" o) in
-        match find_by "label" label news with
-        | None -> [ missing_row ~key:label ]
-        | Some n ->
-          List.map (fun m -> metric_row ~threshold ~key:label ~metric:m o n) metrics)
-      olds
-  in
-  let overhead =
-    match (Jsonl.member "tracing_overhead" old_j, Jsonl.member "tracing_overhead" new_j) with
-    | Some o, Some n ->
-      let ov = to_float (Jsonl.member "overhead_frac" o) in
-      let nv = to_float (Jsonl.member "overhead_frac" n) in
-      [
-        {
-          key = "tracing";
-          metric = "overhead_frac";
-          old_v = ov;
-          new_v = nv;
-          delta_frac = nv -. ov;
-          verdict =
-            (if Float.is_nan nv || nv > overhead_ceiling then Regress else Same);
-        };
-      ]
-    | _ -> []
-  in
-  rows @ overhead
-
 (* Scale suite (BENCH_scale.json): per-(mode, replicas) points. tput is
    higher-is-better as usual; wan_kb_per_txn is the partial-replication
    acceptance metric and LOWER is better, so its delta is inverted
@@ -238,7 +197,6 @@ let diff ?(threshold = 0.25) ~old_json ~new_json () =
       Error (Printf.sprintf "suite mismatch: old=%S new=%S" os ns)
     else
       match os with
-      | "wallclock" -> Ok (diff_wallclock ~threshold old_j new_j)
       | "parallel" -> Ok (diff_parallel ~threshold old_j new_j)
       | "scale" -> Ok (diff_scale ~threshold old_j new_j)
       | "skew" -> Ok (diff_skew ~threshold old_j new_j)

@@ -1,12 +1,9 @@
 (** Perf-regression accounting between two bench reports.
 
     Compares two [BENCH_*.json] documents of the same suite
-    ([wallclock], [parallel], [scale], [skew] or [fastpath])
-    metric by metric. All compared metrics are higher-is-better
-    throughputs, except: the wallclock suite's
-    [tracing_overhead.overhead_frac], which is gated on an absolute 5%
-    ceiling (the ISSUE acceptance bound) rather than a relative delta;
-    the scale suite's [wan_kb_per_txn] and the skew suite's
+    ([parallel], [scale], [skew] or [fastpath]) metric by metric. All
+    compared metrics are higher-is-better throughputs, except: the scale
+    suite's [wan_kb_per_txn] and the skew suite's
     [abort_rate] / [wan_kb_per_txn], which are lower-is-better and
     judged on the inverted delta; and the fastpath suite's [p50_ms] /
     [p95_ms] / [mispredict_rate], likewise lower-is-better. Wall-clock

@@ -167,20 +167,17 @@ let test_open_loop_deterministic () =
 
 module Bd = Gg_harness.Bench_diff
 
-(* A minimal wallclock report; [scale] multiplies every throughput
-   metric, so 1.0 is the baseline and 0.5 is a synthetic 2x regression. *)
-let wallclock_report ?(overhead = 0.03) ~scale () =
+(* A minimal scale report; [scale] multiplies every throughput and
+   divides every WAN cost (lower is better there), so 1.0 is the
+   baseline and 0.5 is a synthetic 2x regression. *)
+let scale_report ~scale =
   Printf.sprintf
-    {|{"suite": "wallclock", "reps": 3,
-       "scenarios": [
-         {"label": "ycsb/china3", "events_per_s": %.1f,
-          "merged_records_per_s": %.1f, "batches_encoded_per_s": %.1f}
-       ],
-       "tracing_overhead": {"scenario": "ycsb/china3",
-         "wall_s_tracing_off": 1.0, "wall_s_tracing_on": %.4f,
-         "overhead_frac": %.4f}}|}
-    (30_000.0 *. scale) (25_000.0 *. scale) (4_000.0 *. scale)
-    (1.0 +. overhead) overhead
+    {|{"suite": "scale", "fast": true,
+       "points": [
+         {"mode": "full", "replicas": 25, "tput": %.1f, "wan_kb_per_txn": %.4f},
+         {"mode": "region", "replicas": 25, "tput": %.1f, "wan_kb_per_txn": %.4f}
+       ]}|}
+    (1_000.0 *. scale) (3.5 /. scale) (400.0 *. scale) (1.7 /. scale)
 
 let diff_ok ?threshold old_json new_json =
   match Bd.diff ?threshold ~old_json ~new_json () with
@@ -188,7 +185,7 @@ let diff_ok ?threshold old_json new_json =
   | Error m -> Alcotest.failf "diff failed: %s" m
 
 let test_bench_diff_identical () =
-  let r = wallclock_report ~scale:1.0 () in
+  let r = scale_report ~scale:1.0 in
   let rows = diff_ok r r in
   Alcotest.(check bool) "rows produced" true (List.length rows >= 4);
   Alcotest.(check bool) "no regression" false (Bd.has_regression rows);
@@ -196,7 +193,7 @@ let test_bench_diff_identical () =
 
 let test_bench_diff_detects_regression () =
   let rows =
-    diff_ok (wallclock_report ~scale:1.0 ()) (wallclock_report ~scale:0.5 ())
+    diff_ok (scale_report ~scale:1.0) (scale_report ~scale:0.5)
   in
   Alcotest.(check bool) "2x slowdown flagged" true (Bd.has_regression rows);
   (* the renderer marks the offending rows *)
@@ -211,32 +208,16 @@ let test_bench_diff_detects_regression () =
 let test_bench_diff_noise_tolerated () =
   (* 5% wobble is well inside the default 25% threshold *)
   let rows =
-    diff_ok (wallclock_report ~scale:1.0 ()) (wallclock_report ~scale:0.95 ())
+    diff_ok (scale_report ~scale:1.0) (scale_report ~scale:0.95)
   in
   Alcotest.(check bool) "no regression" false (Bd.has_regression rows);
   Alcotest.(check bool) "no warning" false (Bd.has_warning rows)
 
-let test_bench_diff_overhead_gate () =
-  (* tracing overhead gates on the absolute 5% ceiling even when the
-     throughputs are untouched and the old report was also over *)
-  let rows =
-    diff_ok
-      (wallclock_report ~overhead:0.06 ~scale:1.0 ())
-      (wallclock_report ~overhead:0.08 ~scale:1.0 ())
-  in
-  Alcotest.(check bool) "overhead > 5% is a regression" true (Bd.has_regression rows);
-  let rows =
-    diff_ok
-      (wallclock_report ~overhead:0.06 ~scale:1.0 ())
-      (wallclock_report ~overhead:0.04 ~scale:1.0 ())
-  in
-  Alcotest.(check bool) "back under the ceiling passes" false (Bd.has_regression rows)
-
 let test_bench_diff_suite_mismatch () =
   match
     Bd.diff
-      ~old_json:{|{"suite": "scale", "points": []}|}
-      ~new_json:(wallclock_report ~scale:1.0 ())
+      ~old_json:{|{"suite": "skew", "points": []}|}
+      ~new_json:(scale_report ~scale:1.0)
       ()
   with
   | Error _ -> ()
@@ -269,7 +250,6 @@ let () =
           Alcotest.test_case "synthetic regression flagged" `Quick
             test_bench_diff_detects_regression;
           Alcotest.test_case "small wobble tolerated" `Quick test_bench_diff_noise_tolerated;
-          Alcotest.test_case "overhead ceiling absolute" `Quick test_bench_diff_overhead_gate;
           Alcotest.test_case "suite mismatch rejected" `Quick test_bench_diff_suite_mismatch;
         ] );
     ]

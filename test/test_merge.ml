@@ -263,8 +263,9 @@ let diff_kernel case =
         ~decisions:
           (List.map
              (fun ws ->
-               if Epoch_merge.committed m ws then "C"
-               else Txn.abort_reason_to_string (Epoch_merge.abort_reason m ws))
+               match Epoch_merge.verdict m ws with
+               | None -> "C"
+               | Some r -> Txn.abort_reason_to_string r)
              txns)
         ~counts:
           (Printf.sprintf "%d/%d/%d" (Epoch_merge.n_records m)

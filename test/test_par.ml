@@ -151,23 +151,6 @@ let test_fig_skew_byte_identical () =
   in
   Alcotest.(check string) "fig_skew tables" sequential parallel
 
-let test_wallclock_counts_identical () =
-  let module W = Gg_harness.Wallclock in
-  let s = List.hd (W.scenarios ~fast:true) in
-  let seq_counts = s.W.run ~tracing:false () in
-  let par_counts =
-    Pool.with_pool ~jobs:4 (fun pool ->
-        Pool.run pool
-          (List.init 2 (fun _ () -> s.W.run ~tracing:false ())))
-  in
-  List.iter
-    (fun c ->
-      Alcotest.(check bool) "bench counts identical across domains" true
-        (c = seq_counts))
-    par_counts;
-  Alcotest.(check bool) "scenario did real work" true
-    (seq_counts.W.events > 0 && seq_counts.W.committed > 0)
-
 let () =
   Alcotest.run "par"
     [
@@ -193,7 +176,5 @@ let () =
             `Slow test_experiments_byte_identical;
           Alcotest.test_case "fig_skew tables byte-identical -j1 vs -j4"
             `Slow test_fig_skew_byte_identical;
-          Alcotest.test_case "bench counts identical across domains" `Slow
-            test_wallclock_counts_identical;
         ] );
     ]
