@@ -11,8 +11,10 @@
 # a slow drift of the host falls on both sides alike. For every
 # end-to-end metric in BENCHMARK.json it prints each side's q1, median
 # and q3 (the exclusive method, as bench/e2e reports them) and in how
-# many pairs the working tree was better, the same, or worse. With AB_OUT=DIR set, each
-# run's JSON line is kept in DIR/base.jsonl and DIR/change.jsonl. Exits
+# many pairs the working tree was better, the same, or worse, then one
+# line saying whether the five simulated metrics were identical in every
+# pair. With AB_OUT=DIR set, each run's JSON line is kept in
+# DIR/base.jsonl and DIR/change.jsonl. Exits
 # non-zero if any run reports `correct` false or a failed operation.
 set -eu
 
@@ -99,6 +101,21 @@ echo "$metrics" | while read -r name better; do
   printf '%-17s %-6s %-36s %-36s %s\n' "$name" "$better" \
     "$(quartiles <"$tmp/b")" "$(quartiles <"$tmp/c")" "$tally"
 done
+
+# A host-time change must leave the simulation alone: say whether the
+# five simulated metrics printed the same digits on both sides of every pair.
+sim="sim_tput_txn_s sim_p50_ms sim_p99_ms commit_ratio wan_kb_per_txn"
+differ=
+for name in $sim; do
+  values base "$name" >"$tmp/b"
+  values change "$name" >"$tmp/c"
+  cmp -s "$tmp/b" "$tmp/c" || differ="$differ $name"
+done
+if [ -z "$differ" ]; then
+  echo "simulation: identical in all $pairs pairs ($sim)"
+else
+  echo "simulation: DIFFERS in$differ"
+fi
 
 bad=$(cat "$out/base.jsonl" "$out/change.jsonl" |
   grep -cv '"correct":true,.*"failed":0,' || true)

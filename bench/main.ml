@@ -79,6 +79,35 @@ let bench_compress_ycsb =
   bench "compress (10-record YCSB write-set frame)" (fun () ->
       ignore (Gg_util.Compress.compress payload))
 
+(* A ycsb-mc frame as the benchmark ships it: the first generated
+   transaction with two writes (the mean at 20% writes of 10 ops), its
+   records carrying the generator's random lowercase 16-byte fields. *)
+let bench_compress_ycsb_random =
+  let g = Gg_workload.Ycsb.create Gg_workload.Ycsb.medium_contention ~seed:5 in
+  let rec writes () =
+    let ws =
+      Array.to_list (Gg_workload.Ycsb.next_txn g).Gg_workload.Op.ops
+      |> List.filter_map (function
+           | Gg_workload.Op.Write { table; key; data } ->
+             Some
+               (Gg_crdt.Writeset.make_record ~table ~key
+                  ~op:Gg_crdt.Writeset.Update ~data ())
+           | _ -> None)
+    in
+    if List.length ws = 2 then ws else writes ()
+  in
+  let payload =
+    frame_payload
+      [ Gg_crdt.Writeset.make ~meta:ycsb_ws.meta ~records:(writes ()) () ]
+  in
+  bench "compress (YCSB-MC frame, random fields)" (fun () ->
+      ignore (Gg_util.Compress.compress payload))
+
+let bench_ycsb_next_txn =
+  let g = Gg_workload.Ycsb.create Gg_workload.Ycsb.medium_contention ~seed:5 in
+  bench "Ycsb.next_txn (medium_contention)" (fun () ->
+      ignore (Gg_workload.Ycsb.next_txn g))
+
 let bench_zipf =
   let z = Gg_util.Zipf.create ~theta:0.8 ~n:1_000_000 in
   let rng = Gg_util.Rng.create 7 in
@@ -289,7 +318,8 @@ let run_micro ~out () =
   let benchmarks =
     [
       bench_merge_rule; bench_writeset_codec; bench_compress_eof;
-      bench_compress_ycsb; bench_zipf; bench_event_queue;
+      bench_compress_ycsb; bench_compress_ycsb_random; bench_ycsb_next_txn;
+      bench_zipf; bench_event_queue;
       bench_sql_parse; bench_sql_range; bench_sql_aggregate; bench_op_exec;
       bench_find_live; bench_op_exec_ro; bench_epoch_merge;
       bench_db_digest_cold;

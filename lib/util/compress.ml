@@ -10,11 +10,21 @@ let window = 1 lsl 16
 let hash_bits = 15
 let hash_size = 1 lsl hash_bits
 
-let hash3 data i =
-  let a = Char.code (Bytes.get data i)
-  and b = Char.code (Bytes.get data (i + 1))
-  and c = Char.code (Bytes.get data (i + 2)) in
-  ((a lsl 10) lxor (b lsl 5) lxor c) land (hash_size - 1)
+(* [roll h d j] shifts byte [j] into hash [h]; shifting by 5 pushes the
+   oldest byte out of the 15-bit mask, so a hash covers 3 bytes and
+   [roll (hash3 d i) d (i + 3) = hash3 d (i + 1)]. *)
+let roll h data j =
+  ((h lsl 5) lxor Char.code (Bytes.unsafe_get data j)) land (hash_size - 1)
+
+let hash3 data i = roll (roll (roll 0 data i) data (i + 1)) data (i + 2)
+
+(* [Codec.Enc.varint] at [pos] of [out]; returns the next position. *)
+let rec put_varint out pos v =
+  if v < 0x80 then (Bytes.unsafe_set out pos (Char.unsafe_chr v); pos + 1)
+  else begin
+    Bytes.unsafe_set out pos (Char.unsafe_chr (0x80 lor (v land 0x7F)));
+    put_varint out (pos + 1) (v lsr 7)
+  end
 
 (* Per-domain scratch, reused across calls so a steady stream of frames
    allocates only its outputs (a fresh 2^15-slot [head] per call is a
@@ -28,16 +38,17 @@ let hash3 data i =
      clear the whole table.
    - [prev] only grows and is never cleared. Chain walks start at a
      [head] slot, and every position [i] that this call stored in
-     [head] had [prev.(i)] written by the same [insert]; so by
-     induction every [prev] entry a walk reads was written during the
-     current call, and stale entries from earlier, longer inputs are
-     unreachable.
-   - [out] is emptied, not reallocated, so it stops growing once it
-     has held the longest compressed stream. *)
+     [head] had [prev.(i)] written by the same insertion; so by
+     induction every chain entry was written during the current call
+     and is a position below the current one, which is what makes the
+     unchecked loads safe.
+   - [out] only grows. An [n]-byte input needs at most [2n + 10] bytes:
+     a varint prefix of at most 10, then 2 bytes per literal byte and
+     at most 1 + 2 + 3 bytes per match of 3 or more. *)
 type scratch = {
   head : int array;
   mutable prev : int array;
-  out : Codec.Enc.t;
+  mutable out : Bytes.t;
   mutable clean : bool;
 }
 
@@ -46,7 +57,7 @@ let scratch =
       {
         head = Array.make hash_size (-1);
         prev = [||];
-        out = Codec.Enc.create ();
+        out = Bytes.empty;
         clean = true;
       })
 
@@ -58,69 +69,71 @@ let compress input =
   s.clean <- false;
   if Array.length s.prev < n then
     s.prev <- Array.make (max n (2 * Array.length s.prev)) 0;
-  let prev = s.prev in
-  let enc = s.out in
-  Codec.Enc.clear enc;
-  Codec.Enc.varint enc n;
-  let match_len i j =
-    let limit = min max_match (n - i) in
-    let rec go k =
-      if k < limit && Bytes.get input (i + k) = Bytes.get input (j + k) then
-        go (k + 1)
-      else k
-    in
-    go 0
-  in
-  let insert i =
-    if i + min_match <= n then begin
-      let h = hash3 input i in
-      prev.(i) <- head.(h);
-      head.(h) <- i
-    end
-  in
+  if Bytes.length s.out < (2 * n) + 10 then
+    s.out <- Bytes.create (max ((2 * n) + 10) (2 * Bytes.length s.out));
+  let prev = s.prev and out = s.out in
+  let o = ref (put_varint out 0 n) in
+  (* Positions [0 .. last] start a 3-byte prefix; while [!i <= last],
+     [h] is the hash of the one at [!i]. *)
+  let last = n - min_match in
+  let h = ref (if last >= 0 then hash3 input 0 else 0) in
   let i = ref 0 in
   while !i < n do
+    let p = !i in
+    (* The longest match among the 32 most recent positions with the
+       same hash, ties to the most recent. *)
     let best_len = ref 0 and best_pos = ref (-1) in
-    if !i + min_match <= n then begin
-      let h = hash3 input !i in
-      let candidate = ref head.(h) in
-      let tries = ref 32 in
+    if p <= last then begin
+      let limit = Int.min max_match (n - p) in
+      let candidate = ref (Array.unsafe_get head !h) and tries = ref 32 in
       while !candidate >= 0 && !tries > 0 do
-        if !i - !candidate <= window then begin
-          let len = match_len !i !candidate in
-          if len > !best_len then begin
-            best_len := len;
-            best_pos := !candidate
-          end;
-          candidate := prev.(!candidate);
-          decr tries
-        end
+        let c = !candidate and b = !best_len in
+        if p - c > window then candidate := -1 (* chain only gets older *)
         else begin
-          candidate := -1 (* beyond window: chain only gets older *)
+          (* Only a candidate that also matches at [b] can be longer. *)
+          if Bytes.unsafe_get input (c + b) = Bytes.unsafe_get input (p + b)
+          then begin
+            let k = ref 0 in
+            while
+              !k < limit
+              && Bytes.unsafe_get input (p + !k)
+                 = Bytes.unsafe_get input (c + !k)
+            do
+              incr k
+            done;
+            if !k > b then (best_len := !k; best_pos := c)
+          end;
+          (* No candidate beats a match of [limit]. *)
+          candidate :=
+            if !best_len = limit then -1 else Array.unsafe_get prev c;
+          decr tries
         end
       done
     end;
-    if !best_len >= min_match then begin
-      Codec.Enc.byte enc 0x01;
-      Codec.Enc.varint enc !best_len;
-      Codec.Enc.varint enc (!i - !best_pos);
-      for k = !i to !i + !best_len - 1 do
-        insert k
-      done;
-      i := !i + !best_len
+    let len = if !best_len >= min_match then !best_len else 1 in
+    if len > 1 then begin
+      Bytes.unsafe_set out !o '\x01';
+      o := put_varint out (put_varint out (!o + 1) len) (p - !best_pos)
     end
     else begin
-      Codec.Enc.byte enc 0x00;
-      Codec.Enc.byte enc (Char.code (Bytes.get input !i));
-      insert !i;
-      incr i
-    end
+      Bytes.unsafe_set out !o '\x00';
+      Bytes.unsafe_set out (!o + 1) (Bytes.unsafe_get input p);
+      o := !o + 2
+    end;
+    for k = p to Int.min (p + len - 1) last do
+      Array.unsafe_set prev k (Array.unsafe_get head !h);
+      Array.unsafe_set head !h k;
+      if k < last then h := roll !h input (k + min_match)
+    done;
+    i := p + len
   done;
-  for k = 0 to n - min_match do
-    head.(hash3 input k) <- -1
+  if last >= 0 then h := hash3 input 0;
+  for k = 0 to last do
+    Array.unsafe_set head !h (-1);
+    if k < last then h := roll !h input (k + min_match)
   done;
   s.clean <- true;
-  Codec.Enc.to_bytes enc
+  Bytes.sub out 0 !o
 
 (* Output bound of a well-formed stream: a 2-byte literal yields 1
    byte and a match token (>= 3 bytes) at most [max_match] = 258, so
@@ -159,8 +172,3 @@ let decompress input =
     Buffer.to_bytes out
   with Codec.Dec.Truncated ->
     invalid_arg "Compress.decompress: truncated stream"
-
-let ratio b =
-  let n = Bytes.length b in
-  if n = 0 then 1.0
-  else float_of_int (Bytes.length (compress b)) /. float_of_int n

@@ -5,12 +5,10 @@
     OLTP write sets. *)
 
 val compress : bytes -> bytes
-(** Never fails; incompressible input grows by a small framing
-    overhead. *)
+(** Never fails. The output of an [n]-byte input is at most [2n + 10]
+    bytes: a length prefix, then 2 bytes per unmatched input byte, so
+    incompressible input roughly doubles. *)
 
 val decompress : bytes -> bytes
 (** Inverse of {!compress}. Raises [Invalid_argument] on data not
     produced by {!compress}. *)
-
-val ratio : bytes -> float
-(** [ratio b] = compressed size / original size (1.0 for empty input). *)

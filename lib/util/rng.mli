@@ -11,10 +11,6 @@ val create : int -> t
 (** [create seed] returns a fresh generator. Equal seeds yield equal
     streams. *)
 
-val copy : t -> t
-(** [copy t] duplicates the generator state; the copy evolves
-    independently. *)
-
 val split : t -> t
 (** [split t] derives a new, statistically independent generator and
     advances [t]. Used to give each node / client its own stream. *)

@@ -4,7 +4,7 @@ type t = {
   alpha : float;
   zetan : float;
   eta : float;
-  zeta2 : float;
+  one_cut : float;  (* 1 + 0.5^theta: [u * zetan] in [1, one_cut) is rank 1 *)
 }
 
 let zeta n theta =
@@ -20,7 +20,7 @@ let create ~theta ~n =
     invalid_arg "Zipf.create: theta must be in [0, 1)";
   if theta = 0.0 then
     (* Uniform special case; the Gray formula divides by zero at theta=0. *)
-    { n; theta; alpha = 0.0; zetan = 0.0; eta = 0.0; zeta2 = 0.0 }
+    { n; theta; alpha = 0.0; zetan = 0.0; eta = 0.0; one_cut = 0.0 }
   else begin
     let zetan = zeta n theta in
     let zeta2 = zeta 2 theta in
@@ -29,11 +29,8 @@ let create ~theta ~n =
       (1.0 -. Float.pow (2.0 /. float_of_int n) (1.0 -. theta))
       /. (1.0 -. (zeta2 /. zetan))
     in
-    { n; theta; alpha; zetan; eta; zeta2 }
+    { n; theta; alpha; zetan; eta; one_cut = 1.0 +. Float.pow 0.5 theta }
   end
-
-let n t = t.n
-let theta t = t.theta
 
 let next t rng =
   if t.theta = 0.0 then Rng.int rng t.n
@@ -41,7 +38,7 @@ let next t rng =
     let u = Rng.float rng 1.0 in
     let uz = u *. t.zetan in
     if uz < 1.0 then 0
-    else if uz < 1.0 +. Float.pow 0.5 t.theta then 1
+    else if uz < t.one_cut then 1
     else
       let v =
         float_of_int t.n

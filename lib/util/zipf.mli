@@ -13,12 +13,6 @@ val create : theta:float -> n:int -> t
     [Invalid_argument] if [n <= 0], [theta < 0] or [theta >= 1]. (YCSB
     restricts theta to [0, 1); the paper sweeps 0–0.99.) *)
 
-val n : t -> int
-(** Domain size. *)
-
-val theta : t -> float
-(** Skew parameter. *)
-
 val next : t -> Rng.t -> int
 (** Draw a sample in [0, n). Item 0 is the most popular. *)
 

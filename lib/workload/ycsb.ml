@@ -73,9 +73,12 @@ let profile t = t.profile
 
 let field_payload t =
   (* Pseudo-random printable payload of [field_len] bytes. *)
-  let n = t.profile.field_len in
-  String.init n (fun _ ->
-      Char.chr (Char.code 'a' + Gg_util.Rng.int t.rng 26))
+  let b = Bytes.create t.profile.field_len in
+  for i = 0 to Bytes.length b - 1 do
+    Bytes.unsafe_set b i
+      (Char.unsafe_chr (Char.code 'a' + Gg_util.Rng.int t.rng 26))
+  done;
+  Bytes.unsafe_to_string b
 
 let next_txn t =
   let p = t.profile in

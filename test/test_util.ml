@@ -12,6 +12,22 @@ let test_rng_determinism () =
     Alcotest.(check int64) "same stream" (Rng.bits64 a) (Rng.bits64 b)
   done
 
+(* Golden values: every seeded output (check logs, fig tables, WAN byte
+   counts) rests on this exact stream, so a change to the generator must
+   fail here, not just keep two same-seed streams equal. *)
+let test_rng_golden_stream () =
+  let rng = Rng.create 42 in
+  List.iter
+    (fun v -> Alcotest.(check int64) "bits64" v (Rng.bits64 rng))
+    [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L ];
+  Alcotest.(check int64) "split child's bits64" (-3524509440982052747L)
+    (Rng.bits64 (Rng.split rng));
+  Alcotest.(check (list int)) "int 26 after the split"
+    [ 23; 19; 24; 2; 8; 25; 23; 1 ]
+    (List.init 8 (fun _ -> Rng.int rng 26));
+  Alcotest.(check (float 0.0)) "float" 0x1.06dbdb12fe7c8p-1
+    (Rng.float rng 1.0)
+
 let test_rng_seed_sensitivity () =
   let a = Rng.create 1 and b = Rng.create 2 in
   let equal = ref 0 in
@@ -323,10 +339,10 @@ let test_compress_empty () =
 
 let test_compress_shrinks_repetitive () =
   let data = Bytes.of_string (String.concat "" (List.init 100 (fun _ -> "abcdefgh"))) in
-  let r = Compress.ratio data in
+  let c = Bytes.length (Compress.compress data) in
   Alcotest.(check bool)
-    (Printf.sprintf "ratio %.3f < 0.2" r)
-    true (r < 0.2)
+    (Printf.sprintf "%d B -> %d B, under a fifth" (Bytes.length data) c)
+    true (5 * c < Bytes.length data)
 
 let test_compress_long_runs () =
   let data = Bytes.make 10_000 'x' in
@@ -456,6 +472,9 @@ let prop_compress_matches_reference_repetitive =
       same_as_reference
         (Bytes.of_string (String.concat "" (List.init k (fun _ -> s)))))
 
+let check_reference what b =
+  Alcotest.(check bytes) what (Reference.compress b) (Compress.compress b)
+
 (* Write-set-like bytes: a small alphabet with recurring runs, so long
    hash chains and matches at many distances all occur. *)
 let corpus_bytes ~seed n =
@@ -469,15 +488,91 @@ let test_compress_sequence_no_stale_scratch () =
      the reference bytes, whatever the previous calls left behind. *)
   List.iteri
     (fun k b ->
-      Alcotest.(check bytes)
-        (Printf.sprintf "call %d (%d B)" k (Bytes.length b))
-        (Reference.compress b) (Compress.compress b))
+      check_reference (Printf.sprintf "call %d (%d B)" k (Bytes.length b)) b)
     [
       corpus_bytes ~seed:1 8192;
       Bytes.empty;
       corpus_bytes ~seed:2 100;
       corpus_bytes ~seed:3 8192;
     ]
+
+let test_compress_window_edge () =
+  (* 192 KiB of random bytes (so chains are short and mostly too old)
+     with 48-byte blocks repeated at distances just inside, at and just
+     past the 64 KiB window. *)
+  let rng = Rng.create 17 in
+  let b = Bytes.init (192 * 1024) (fun _ -> Char.chr (Rng.int rng 256)) in
+  List.iter
+    (fun (src, dist) -> Bytes.blit b src b (src + dist) 48)
+    [ (1000, 65_535); (40_000, 65_536); (90_000, 65_537) ];
+  check_reference "window edge" b;
+  Alcotest.(check bytes) "roundtrip" b
+    (Compress.decompress (Compress.compress b))
+
+let test_compress_match_cap () =
+  (* runs and periodic inputs around the 258-byte match cap *)
+  List.iter
+    (fun len ->
+      check_reference (Printf.sprintf "run of %d" len) (Bytes.make len 'z');
+      check_reference (Printf.sprintf "period 3, %d B" len)
+        (Bytes.init len (fun i -> "xyz".[i mod 3]));
+      check_reference
+        (Printf.sprintf "run of %d between literals" len)
+        (Bytes.of_string ("head" ^ String.make len 'q' ^ "tail")))
+    [ 257; 258; 259; 260; 261; 516; 517; 518; 1000 ]
+
+let test_compress_tiny_inputs () =
+  (* every input of length 0-3 over a 3-letter alphabet *)
+  let rec inputs len =
+    if len = 0 then [ "" ]
+    else
+      List.concat_map (fun s -> [ s ^ "a"; s ^ "b"; s ^ "c" ]) (inputs (len - 1))
+  in
+  List.iter
+    (fun len ->
+      List.iter (fun s -> check_reference s (Bytes.of_string s)) (inputs len))
+    [ 0; 1; 2; 3 ]
+
+(* A ycsb-mc mini-batch frame as [Writeset.Batch.to_wire] hands it to
+   the compressor: node, cen, eof, counts, then each write set of
+   10-field records with random lowercase 16-byte values. *)
+let ycsb_frame rng =
+  let enc = Codec.Enc.create () in
+  let txns =
+    List.init (1 + Rng.int rng 2) (fun _ ->
+        Gg_crdt.Writeset.make
+          ~meta:
+            (Gg_crdt.Meta.make ~sen:(Rng.int rng 100) ~cen:(Rng.int rng 100)
+               ~csn:
+                 (Gg_storage.Csn.make ~ts:(Rng.int rng 1_000_000)
+                    ~node:(Rng.int rng 3)))
+          ~records:
+            (List.init (1 + Rng.int rng 4) (fun _ ->
+                 let k = Rng.int rng 100_000 in
+                 Gg_crdt.Writeset.make_record ~table:"usertable"
+                   ~key:[| Gg_storage.Value.Int k |] ~op:Gg_crdt.Writeset.Update
+                   ~data:
+                     (Array.init 11 (fun c ->
+                          if c = 0 then Gg_storage.Value.Int k
+                          else
+                            Gg_storage.Value.Str
+                              (String.init 16 (fun _ ->
+                                   Char.chr (97 + Rng.int rng 26)))))
+                   ()))
+          ())
+  in
+  List.iter (Codec.Enc.varint enc) [ Rng.int rng 3; Rng.int rng 100 ];
+  Codec.Enc.bool enc true;
+  Codec.Enc.varint enc (List.length txns);
+  Codec.Enc.varint enc (List.length txns);
+  List.iter (Gg_crdt.Writeset.encode enc) txns;
+  Codec.Enc.to_bytes enc
+
+let test_compress_ycsb_frames () =
+  let rng = Rng.create 23 in
+  for k = 1 to 200 do
+    check_reference (Printf.sprintf "frame %d" k) (ycsb_frame rng)
+  done
 
 let test_compress_two_domains_parity () =
   let corpus =
@@ -517,6 +612,7 @@ let () =
       ( "rng",
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
+          Alcotest.test_case "golden stream" `Quick test_rng_golden_stream;
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "int invalid" `Quick test_rng_int_invalid;
@@ -574,6 +670,14 @@ let () =
             test_compress_sequence_no_stale_scratch;
           Alcotest.test_case "two domains match sequential" `Quick
             test_compress_two_domains_parity;
+          Alcotest.test_case "reference at the window edge" `Quick
+            test_compress_window_edge;
+          Alcotest.test_case "reference around the match cap" `Quick
+            test_compress_match_cap;
+          Alcotest.test_case "reference on lengths 0-3" `Quick
+            test_compress_tiny_inputs;
+          Alcotest.test_case "reference on ycsb-mc frames" `Quick
+            test_compress_ycsb_frames;
         ] );
       ( "tablefmt",
         [
