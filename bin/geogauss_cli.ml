@@ -87,8 +87,7 @@ let clock_skew_arg =
           "Bounded clock-skew budget in milliseconds for the eocc fast \
            path (Params.clock_skew_us): each node's simulated clock \
            drifts within \xC2\xB1$(docv) of true time. Only meaningful \
-           with --engine eocc; ignored by engines that never read the \
-           clock.")
+           with --engine eocc; the other engines' clocks are exact.")
 
 (* --- `bench` subcommand: run paper experiments --- *)
 
@@ -220,34 +219,14 @@ let run_cmd =
           Geogauss.Params.RC
       & info [ "isolation" ] ~doc:"Isolation level: rc, rr, si or ssi (extension).")
   in
-  let variant =
-    (* derived from the registry, not a second name table: the core
-       entries whose transform is a pure variant change (the fast path
-       has its own --engine spelling) *)
-    let alts =
-      List.filter_map
-        (fun name ->
-          match Gg_engines.Registry.find name with
-          | Gg_engines.Registry.Core f ->
-            let p = f Geogauss.Params.default in
-            if p.Geogauss.Params.fastpath then None
-            else Some (name, p.Geogauss.Params.variant)
-          | Gg_engines.Registry.Baseline _ -> None)
-        Gg_engines.Registry.names
-    in
-    Arg.(
-      value
-      & opt (enum alts) Geogauss.Params.Optimistic
-      & info [ "variant" ] ~doc:"Execution variant: geogauss, geog-s or geog-a.")
-  in
   let engine =
     Arg.(
       value
       & opt (some core_engine_conv) None
       & info [ "engine" ]
           ~doc:
-            "Engine by registry name (geogauss, geog-s, geog-a, eocc). \
-             Overrides --variant; eocc enables the clock-assisted \
+            "Engine by registry name (geogauss, geog-s, geog-a, eocc; \
+             default geogauss). eocc enables the clock-assisted \
              speculative fast path (pair with --clock-skew).")
   in
   let ft =
@@ -305,7 +284,7 @@ let run_cmd =
              caps the in-flight pool and a 4x FIFO absorbs bursts (beyond \
              that, arrivals shed). Without it, the paper's closed loop.")
   in
-  let run workload nodes world epoch_ms isolation variant engine clock_skew ft
+  let run workload nodes world epoch_ms isolation engine clock_skew ft
       seconds connections theta records seed trace arrival partitioning
       merge_level =
     let topology =
@@ -316,16 +295,14 @@ let run_cmd =
         Geogauss.Params.default with
         Geogauss.Params.epoch_us = epoch_ms * 1_000;
         isolation;
-        variant;
         ft;
         seed;
         partitioning;
         merge_level;
       }
     in
-    (* --engine applies the registry transform last, so it wins over
-       --variant; --clock-skew then sets the skew budget (the clock is
-       only instantiated with a nonzero bound under the fast path). *)
+    (* --clock-skew sets the budget after --engine's transform: the clock
+       only gets a nonzero bound under the fast path. *)
     let params =
       match engine with None -> params | Some (_, f) -> f params
     in
@@ -334,11 +311,10 @@ let run_cmd =
       | None -> params
       | Some ms -> Geogauss.Params.with_clock_skew_us params (ms * 1_000)
     in
-    let variant = params.Geogauss.Params.variant in
     let label =
       match engine with
       | Some (name, _) -> name
-      | None -> Geogauss.Params.variant_to_string variant
+      | None -> Geogauss.Params.(variant_to_string params.variant)
     in
     let gens, load =
       match workload with
@@ -432,9 +408,9 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run an ad-hoc GeoGauss cluster simulation.")
     Term.(
-      const run $ workload $ nodes $ world $ epoch_ms $ isolation $ variant
-      $ engine $ clock_skew_arg $ ft $ seconds $ connections $ theta $ records
-      $ seed $ trace $ arrival $ partitioning_arg $ merge_level_arg)
+      const run $ workload $ nodes $ world $ epoch_ms $ isolation $ engine
+      $ clock_skew_arg $ ft $ seconds $ connections $ theta $ records $ seed
+      $ trace $ arrival $ partitioning_arg $ merge_level_arg)
 
 (* --- `check` subcommand: seeded chaos checking --- *)
 

@@ -20,15 +20,9 @@ module Itbl = Epoch_merge.Itbl
 let pack_cp ~cen ~peer = (cen lsl 10) lor peer
 let cen_of_cp k = k lsr 10
 
-(* Every message kind carries the sender's causal span id (0 when
-   tracing is off) so receive-side trace events can reference their
-   cross-node parent; the modeled byte counts include a fixed 8-byte
-   trace-context header, mirroring the Batch wire form. *)
 type msg =
   | Batch_msg of Writeset.Batch.t
   | Batch_wire of bytes
-      (* a batch frame as raw wire bytes — what actually crosses a
-         corrupting network; decode failure degrades to a lost frame *)
   | Part_vote of {
       cen : int;
       group : int;
@@ -85,18 +79,7 @@ type t = {
   mutable txn_seq : int;
   mutable last_advance : int;  (* sim time the snapshot last moved *)
   mutable last_txn_cen : int;  (* highest epoch holding a committed local txn *)
-  (* Clock-assisted fast path (DESIGN.md §14): the speculative merge
-     armed for epoch lsn+1, if any. Speculation charges the simulated
-     merge duration (and the local write sets' WAL group-commit) while
-     the synchronous all-arrived signal is still in flight; the merge
-     itself runs exactly once, at confirmation. *)
-  mutable spec_epoch : int;  (* -1 = none armed *)
-  mutable spec_started : int;  (* sim time the speculative charge began *)
-  mutable spec_duration : int;  (* charged merge duration *)
-  mutable spec_keys : int list;  (* speculated set: sorted packed csns *)
-  mutable spec_span : int;  (* causal span of the speculative merge *)
-  mutable spec_logged : int;  (* sim time of the WAL prelog; -1 = none *)
-  mutable spec_wake_at : int;  (* earliest armed deadline wakeup; max_int = none *)
+  fast : Fastpath.t option;  (* clock-assisted fast path (DESIGN.md §14) *)
 }
 
 (* vCPUs per node: the paper's servers have 32. *)
@@ -104,6 +87,7 @@ let cores = 32
 
 let create env ~id ~db =
   let obs = Sim.obs env.sim in
+  let metrics = Metrics.create ~obs ~id () in
   {
     id;
     env;
@@ -111,7 +95,7 @@ let create env ~id ~db =
     cpu = Cpu.create env.sim ~cores;
     db;
     wal = Gg_storage.Wal.create ~fsync_us:env.params.Params.cost.log_fsync_us ();
-    metrics = Metrics.create ~obs ~id ();
+    metrics;
     active = true;
     lsn = -1;
     sealed_epoch = -1;
@@ -131,13 +115,9 @@ let create env ~id ~db =
     txn_seq = 0;
     last_advance = 0;
     last_txn_cen = -1;
-    spec_epoch = -1;
-    spec_started = 0;
-    spec_duration = 0;
-    spec_keys = [];
-    spec_span = 0;
-    spec_logged = -1;
-    spec_wake_at = max_int;
+    fast =
+      Fastpath.create env.params ~clock:env.clock ~part:env.part ~obs ~metrics
+        ~node:id;
   }
 
 let id t = t.id
@@ -156,30 +136,23 @@ let now t = Sim.now t.env.sim
 let epoch_us t = t.env.params.Params.epoch_us
 let epoch_of t time = time / epoch_us t
 
-(* Everything clock-related is gated on the fastpath flag: with it off no
-   {!Clock} read ever happens, so the classic engine's event stream (and
-   its byte-level output) is untouched. *)
-let fastpath_on t = t.env.params.Params.fastpath
+let up t = t.active && not (Net.is_down t.env.net t.id)
 
-let local_now t =
-  if fastpath_on t then Clock.read t.env.clock ~node:t.id ~at:(now t)
-  else now t
+(* The node's local clock: sim time itself unless the fast path gave the
+   cluster a skew bound (DESIGN.md §14). *)
+let local_now t = Clock.read t.env.clock ~node:t.id ~at:(now t)
 
-(* Under the fast path epochs are cut by the node's LOCAL clock, so the
-   epoch a new transaction enters follows the local reading — floored at
-   [sealed_epoch + 1], because a slow clock must not assign transactions
-   to an epoch whose EOF already went out. *)
-let current_epoch t =
-  if fastpath_on t then
-    max (epoch_of t (local_now t)) (t.sealed_epoch + 1)
-  else epoch_of t (now t)
+(* Epochs are cut by the local clock, so the epoch a new transaction
+   enters follows the local reading — floored at [sealed_epoch + 1],
+   because a slow clock must not assign transactions to an epoch whose
+   EOF already went out. *)
+let current_epoch t = max (epoch_of t (local_now t)) (t.sealed_epoch + 1)
 
 let last_eof_from t ~peer = t.last_eof.(peer)
 let touch_eof t ~peer = t.last_eof.(peer) <- Sim.now t.env.sim
 
-(* Commit timestamps come from the (possibly skewed) local clock under
-   the fast path — they are what feeds the peers' watermarks — and stay
-   monotone per node either way. *)
+(* Commit timestamps come from the local clock — under the fast path they
+   feed the peers' watermarks — and stay monotone per node. *)
 let fresh_csn t =
   let ts = max (local_now t) (t.csn_last + 1) in
   t.csn_last <- ts;
@@ -368,20 +341,21 @@ let seal_epoch t e =
       ~detail:(Printf.sprintf "txns=%d" (List.length txns));
   (* With pipelining the write sets already went out in mini-batches;
      only the EOF marker (carrying the expected count) travels now. *)
-  let eof_frame txns =
-    if t.env.params.Params.pipeline then
-      Writeset.Batch.make ~node:t.id ~cen:e ~txns:[] ~eof:true
-        ~count:(List.length txns) ~span:bspan ()
-    else Writeset.Batch.make ~node:t.id ~cen:e ~txns ~eof:true ~span:bspan ()
-  in
-  (match t.cross with
-  | None ->
-    let wire_batch = eof_frame txns in
+  let send_eof ?(group = "") txns send =
+    let wire_batch =
+      if t.env.params.Params.pipeline then
+        Writeset.Batch.make ~node:t.id ~cen:e ~txns:[] ~eof:true
+          ~count:(List.length txns) ~span:bspan ()
+      else Writeset.Batch.make ~node:t.id ~cen:e ~txns ~eof:true ~span:bspan ()
+    in
     let bytes = Writeset.Batch.wire_size wire_batch in
     if Obs.tracing t.obs then
       Obs.emit t.obs ~node:t.id ~epoch:e ~span:bspan ~cat:"epoch" "batch.send"
-        ~detail:(Printf.sprintf "bytes=%d" bytes);
-    broadcast t (send_batch t ~bytes wire_batch)
+        ~detail:(Printf.sprintf "%sbytes=%d" group bytes);
+    send (send_batch t ~bytes wire_batch)
+  in
+  (match t.cross with
+  | None -> send_eof txns (broadcast t)
   | Some cg ->
     (* Interest-scoped dissemination: each replica group receives one
        EOF frame per epoch carrying (or counting) only the transactions
@@ -391,13 +365,8 @@ let seal_epoch t e =
        stall repair and view changes. *)
     List.iter
       (fun (g, gtxns, dsts) ->
-        let wire_batch = eof_frame gtxns in
-        let bytes = Writeset.Batch.wire_size wire_batch in
-        if Obs.tracing t.obs then
-          Obs.emit t.obs ~node:t.id ~epoch:e ~span:bspan ~cat:"epoch"
-            "batch.send"
-            ~detail:(Printf.sprintf "group=%d bytes=%d" g bytes);
-        List.iter (fun dst -> send_batch t ~bytes wire_batch ~dst) dsts)
+        send_eof ~group:(Printf.sprintf "group=%d " g) gtxns (fun send ->
+            List.iter (fun dst -> send ~dst) dsts))
       (Cross_group.eof_groups cg txns));
   Itbl.replace t.notify_gate e (now t + ft_gate_delay t);
   t.sealed_epoch <- e
@@ -429,17 +398,14 @@ let merge_work t e txns =
 
 let rec schedule_boundary t e =
   let b = (e + 1) * epoch_us t in
-  (* Under the fast path each node seals on its LOCAL clock: the boundary
-     fires at the sim time where the local reading crosses [b]
-     (first-order inversion of the offset; drift over one epoch is
-     negligible). A fast clock seals early, a slow one late — the skew
-     cost the watermark deadlines of the peers then absorb. *)
-  let at =
-    if fastpath_on t then b - Clock.offset_us t.env.clock ~node:t.id ~at:b
-    else b
-  in
+  (* Each node seals on its LOCAL clock: the boundary fires at the sim
+     time where the local reading crosses [b] (first-order inversion of
+     the offset; drift over one epoch is negligible). A fast clock seals
+     early, a slow one late — the skew cost the watermark deadlines of
+     the peers then absorb. *)
+  let at = b - Clock.offset_us t.env.clock ~node:t.id ~at:b in
   Sim.schedule_at t.env.sim at (fun () ->
-      if t.active && not (Net.is_down t.env.net t.id) then begin
+      if up t then begin
         seal_epoch t e;
         try_advance t
       end;
@@ -495,14 +461,18 @@ and peer_complete t ~cen ~peer =
     && (bs.committed || t.env.params.Params.ft <> Params.Ft_raft)
   | None -> false
 
+(* The peers whose epoch-[e] batch has not fully arrived. *)
+and incomplete_peers t e =
+  List.filter
+    (fun peer -> peer <> t.id && not (peer_complete t ~cen:e ~peer))
+    (t.env.members_at e)
+
 and merge_ready t e =
   t.sealed_epoch >= e
-  &&
-  let members = t.env.members_at e in
-  Option.fold ~none:true ~some:(Cross_group.ready ~e ~members) t.cross
-  && List.for_all
-       (fun peer -> peer = t.id || peer_complete t ~cen:e ~peer)
-       members
+  && Option.fold ~none:true
+       ~some:(Cross_group.ready ~e ~members:(t.env.members_at e))
+       t.cross
+  && incomplete_peers t e = []
 
 and try_advance t =
   (if t.active && not t.merging then begin
@@ -511,56 +481,20 @@ and try_advance t =
       t.merging <- true;
       let txns = collect_epoch_txns t e in
       let n_records, fresh = merge_work t e txns in
-      (* Fast-path intercept: a speculative merge armed for this epoch is
-         confirmed if the all-arrived set matches the speculated one, and
-         discarded (misprediction) otherwise. Either way externalization
-         happens strictly after this point — speculation only moved
-         simulated work earlier, never a client answer. *)
-      let merge_started, duration, mspan, prelog, delay =
-        if t.spec_epoch = e then begin
-          let keys = csn_keys txns in
-          let sdur = t.spec_duration and sspan = t.spec_span in
-          let skeys = t.spec_keys in
-          let prelog = if t.spec_logged >= 0 then Some t.spec_logged else None in
-          t.spec_epoch <- -1;
-          t.spec_keys <- [];
-          t.spec_logged <- -1;
-          if keys = skeys then begin
-            (* Confirmed: the merge charge began at [spec_started]; only its
-               residual (if any) remains. The effective start is
-               back-dated so wait + merge telescope exactly to the
-               commit instant even when the charge finished early. *)
-            Metrics.record_spec_confirm t.metrics;
-            let residual = max 0 (t.spec_started + sdur - now t) in
-            if Obs.tracing t.obs then
-              Obs.emit t.obs ~node:t.id ~epoch:e ~span:sspan ~dur:residual
-                ~cat:"epoch" "merge.confirm"
-                ~detail:
-                  (Printf.sprintf "txns=%d residual=%d" (List.length txns)
-                     residual);
-            (now t + residual - sdur, sdur, sspan, prelog, residual)
-          end
-          else begin
-            (* Mispredicted: a straggler write set violated its
-               watermark. The speculative verdicts are discarded (none
-               were externalized) and the epoch re-merges synchronously
-               on the actual set — at exactly the instant the classic
-               path would have merged, so a misprediction costs wasted
-               simulated work, not correctness. The WAL prelog stays
-               valid: stragglers are remote, the local log records are
-               unchanged. *)
-            Metrics.record_spec_mispredict t.metrics;
-            if Obs.tracing t.obs then
-              Obs.emit t.obs ~node:t.id ~epoch:e ~span:sspan ~cat:"epoch"
-                "merge.mispredict"
-                ~detail:
-                  (Printf.sprintf "speculated=%d actual=%d"
-                     (List.length skeys) (List.length keys));
-            (now t, fresh, Obs.new_span t.obs ~node:t.id, prelog, fresh)
-          end
-        end
-        else (now t, fresh, Obs.new_span t.obs ~node:t.id, None, fresh)
+      (* A speculative merge armed for this epoch is confirmed or
+         discarded here; either way externalization happens strictly
+         after this point. *)
+      let settle f = Fastpath.settle f ~e ~now:(now t) ~keys:(csn_keys txns) in
+      let merge_started, duration, mspan, prelog =
+        match Option.map settle t.fast with
+        | Some (Fastpath.Confirmed c) ->
+          (c.start, c.duration, c.span, Some c.prelog)
+        | Some (Fastpath.Mispredicted { prelog }) ->
+          (now t, fresh, Obs.new_span t.obs ~node:t.id, Some prelog)
+        | Some Fastpath.Not_armed | None ->
+          (now t, fresh, Obs.new_span t.obs ~node:t.id, None)
       in
+      let delay = merge_started + duration - now t in
       if Obs.tracing t.obs then
         Obs.emit t.obs ~node:t.id ~epoch:e ~span:mspan ~dur:delay ~cat:"epoch"
           "merge.start"
@@ -573,87 +507,27 @@ and try_advance t =
   end);
   maybe_spec t
 
-(* --- clock-assisted speculative seal (DESIGN.md §14) --- *)
-
-and spec_margin_us t =
-  (* Negative lead on the predicted-arrival deadlines: fire early enough
-     that the speculative merge charge and the WAL group commit finish
-     right as the all-arrived signal lands. A larger lead only raises
-     the mispredict rate — never breaks safety, and a mispredicted epoch
-     re-merges at the same instant the synchronous path would have. The
-     parameter override exists for tests (a huge negative value is a
-     deliberately broken watermark: speculation always fires on an
-     incomplete set). *)
-  let m = t.env.params.Params.fastpath_margin_us in
-  if m <> -1 then m
-  else
-    let cost = t.env.params.Params.cost in
-    -(cost.log_fsync_us + cost.merge_base_us + 300)
-
 and maybe_spec t =
-  if
-    fastpath_on t && t.active
-    && (not (Net.is_down t.env.net t.id))
-    && (not t.merging)
-    && Option.is_none t.cross
-    (* cross-group voting already delays externalization past the merge;
-       speculating under partial replication would buy nothing *)
-  then begin
+  match t.fast with
+  | Some f when up t && (not t.merging) && t.sealed_epoch > t.lsn -> (
     let e = t.lsn + 1 in
-    if t.spec_epoch <> e && t.sealed_epoch >= e then begin
-      let clock = t.env.clock in
-      let boundary = (e + 1) * epoch_us t in
-      let margin = spec_margin_us t in
-      (* Speculate once every peer is complete (EOF and announced count
-         in) or past its predicted-arrival watermark deadline. *)
-      let all_past, latest =
-        List.fold_left
-          (fun (ok, latest) peer ->
-            if peer = t.id || peer_complete t ~cen:e ~peer then (ok, latest)
-            else
-              let d =
-                Clock.deadline clock ~src:peer ~dst:t.id ~boundary_us:boundary
-                  ~margin_us:margin
-              in
-              if d <= now t then (ok, latest) else (false, max latest d))
-          (true, min_int)
-          (t.env.members_at e)
-      in
-      if all_past then begin
-        if not (merge_ready t e) then speculate t e
-      end
-      else if latest < t.spec_wake_at then begin
-        (* One armed wakeup at the latest outstanding deadline; arriving
-           messages re-evaluate sooner anyway. *)
-        t.spec_wake_at <- latest;
-        Sim.schedule_at t.env.sim latest (fun () ->
-            if t.spec_wake_at = latest then t.spec_wake_at <- max_int;
-            maybe_spec t)
-      end
-    end
-  end
-
-and speculate t e =
-  let txns = collect_epoch_txns t e in
-  let n_records, duration = merge_work t e txns in
-  t.spec_epoch <- e;
-  t.spec_started <- now t;
-  t.spec_duration <- duration;
-  t.spec_keys <- csn_keys txns;
-  t.spec_span <- Obs.new_span t.obs ~node:t.id;
-  Metrics.record_spec t.metrics;
-  if Obs.tracing t.obs then
-    Obs.emit t.obs ~node:t.id ~epoch:e ~span:t.spec_span ~dur:duration
-      ~cat:"epoch" "merge.spec"
-      ~detail:(Printf.sprintf "txns=%d records=%d" (List.length txns) n_records);
-  (* Speculative WAL prelog: the local write sets were frozen when the
-     epoch sealed, so their group commit overlaps the EOF flight instead
-     of following the merge. Safe across a misprediction — the local
-     records never change, only remote stragglers do. *)
-  t.spec_logged <- now t;
-  List.iter
-    (fun (txn : Txn.t) -> txn.Txn.phases.log_us <- wal_append t txn)
-    (Option.value ~default:[] (Itbl.find_opt t.waiting e))
+    let incomplete = incomplete_peers t e in
+    match Fastpath.plan f ~e ~now:(now t) ~incomplete with
+    | Fastpath.Speculate ->
+      let txns = collect_epoch_txns t e in
+      let n_records, duration = merge_work t e txns in
+      Fastpath.arm f ~e ~now:(now t) ~duration ~n_records ~keys:(csn_keys txns);
+      (* WAL prelog: the local write sets froze at the seal, so their
+         group commit overlaps the EOF flight. *)
+      List.iter
+        (fun (txn : Txn.t) -> txn.Txn.phases.log_us <- wal_append t txn)
+        (Option.value ~default:[] (Itbl.find_opt t.waiting e))
+    | Fastpath.Wake_at at ->
+      Sim.schedule_at t.env.sim at (fun () ->
+          Fastpath.woke f ~at;
+          maybe_spec t)
+    | Fastpath.Nothing -> ())
+  | _ -> ()
 
 and do_merge t e full ~merge_started ~duration ~span ~prelog =
   (* Under partial replication: settle the cross-group transactions
@@ -706,9 +580,8 @@ and do_merge t e full ~merge_started ~duration ~span ~prelog =
         let log_us =
           match prelog with
           | Some logged_at ->
-            (* group commit already issued at speculation time; only the
-               unfinished remainder (if any) is still on the commit path,
-               which is what the log phase records *)
+            (* the group commit went out at speculation time: only its
+               unfinished remainder is still on the commit path *)
             max 0 (logged_at + txn.Txn.phases.log_us - now t)
           | None -> wal_append t txn
         in
@@ -757,8 +630,7 @@ and submit t request callback =
   t.txn_seq <- t.txn_seq + 1;
   txn.Txn.span <- Obs.new_span t.obs ~node:t.id;
   Metrics.record_start t.metrics;
-  if (not t.active) || Net.is_down t.env.net t.id then
-    finish_aborted t txn Txn.Node_failure
+  if not (up t) then finish_aborted t txn Txn.Node_failure
   else begin
     txn.Txn.sen <- current_epoch t;
     txn.Txn.lsn <- t.lsn;
@@ -867,8 +739,7 @@ and read_validation t (txn : Txn.t) =
     match violation with None -> Ok () | Some _ -> Error Txn.Read_validation)
 
 and commit_point t (txn : Txn.t) =
-  if (not t.active) || Net.is_down t.env.net t.id then ()
-    (* crashed mid-flight; the client will time out *)
+  if not (up t) then () (* crashed mid-flight; the client will time out *)
   else
     match read_validation t txn with
     | Error reason -> finish_aborted t txn reason
@@ -951,26 +822,12 @@ and receive t msg =
      node (up but not yet reactivated) buffers batches so nothing from
      its re-join epoch onwards is lost. *)
   match msg with
-    | Batch_msg b ->
+    | Batch_msg { Writeset.Batch.node = src; cen; txns; eof; count; span; _ } ->
       if t.env.params.Params.variant = Params.Async_merge then
-        List.iter (lww_apply t) b.Writeset.Batch.txns
-      else if b.Writeset.Batch.cen > t.lsn then begin
-        (* Fast path: every arriving write set feeds the sender's
-           timestamp watermark and the region-pair one-way delay
-           estimator — commit timestamps are stamped from the sender's
-           (skewed) local clock, which is exactly what the deadline
-           extrapolation cancels out. *)
-        (if fastpath_on t then
-           let src = b.Writeset.Batch.node in
-           List.iter
-             (fun (ws : Writeset.t) ->
-               let ts = ws.Writeset.meta.Meta.csn.Csn.ts in
-               Clock.note_stamp t.env.clock ~src ~dst:t.id ~stamp:ts
-                 ~at:(now t);
-               Clock.observe_delay t.env.clock ~src ~dst:t.id
-                 ~sample_us:(now t - ts))
-             b.Writeset.Batch.txns);
-        let bs = batch_state t ~cen:b.Writeset.Batch.cen ~peer:b.Writeset.Batch.node in
+        List.iter (lww_apply t) txns
+      else if cen > t.lsn then begin
+        Option.iter (fun f -> Fastpath.observe f ~src ~now:(now t) txns) t.fast;
+        let bs = batch_state t ~cen ~peer:src in
         List.iter
           (fun (ws : Writeset.t) ->
             let k = Epoch_merge.csn_key ws in
@@ -978,25 +835,22 @@ and receive t msg =
               Itbl.replace bs.txn_keys k ();
               bs.txns <- ws :: bs.txns
             end)
-          b.Writeset.Batch.txns;
-        if b.Writeset.Batch.eof then begin
+          txns;
+        if eof then begin
           bs.eof <- true;
-          bs.expected <- max bs.expected b.Writeset.Batch.count;
-          t.last_eof.(b.Writeset.Batch.node) <- now t;
+          bs.expected <- max bs.expected count;
+          t.last_eof.(src) <- now t;
           (* The recv span becomes the parent of any Ft_ack we send back,
              continuing the causal chain across the acknowledgement. *)
           let rspan = Obs.new_span t.obs ~node:t.id in
           if Obs.tracing t.obs then
-            Obs.emit t.obs ~node:t.id ~epoch:b.Writeset.Batch.cen ~cat:"epoch"
-              "batch.recv" ~span:rspan
-              ~parent:
-                (if b.Writeset.Batch.span > 0 then b.Writeset.Batch.span else -1)
+            Obs.emit t.obs ~node:t.id ~epoch:cen ~cat:"epoch" "batch.recv"
+              ~span:rspan ~parent:(if span > 0 then span else -1)
               ~detail:
-                (Printf.sprintf "from=%d txns=%d" b.Writeset.Batch.node
-                   (Itbl.length bs.txn_keys));
+                (Printf.sprintf "from=%d txns=%d" src (Itbl.length bs.txn_keys));
           if t.env.params.Params.ft = Params.Ft_raft then
-            send_msg t ~dst:b.Writeset.Batch.node ~bytes:40
-              (Ft_ack { cen = b.Writeset.Batch.cen; from = t.id; span = rspan })
+            send_msg t ~dst:src ~bytes:40
+              (Ft_ack { cen; from = t.id; span = rspan })
         end;
         try_advance t
       end
@@ -1064,30 +918,28 @@ let repair_after_us = 250_000
 
 let repair t =
   let e = t.lsn + 1 in
-  let up () = t.active && not (Net.is_down t.env.net t.id) in
   if
-    up ()
+    up t
     && (not t.merging)
     && t.sealed_epoch >= e
     && now t - t.last_advance > repair_after_us
   then begin
     List.iter
       (fun peer ->
-        if peer <> t.id && not (peer_complete t ~cen:e ~peer) then
-          match Backup.get t.env.backup ~node:peer ~cen:e with
-          | None -> ()
-          | Some batch ->
-            let delay = 2 * Topology.latency (Net.topology t.env.net) t.id peer in
-            if Obs.tracing t.obs then
-              Obs.emit t.obs ~node:t.id ~epoch:e ~cat:"epoch" "repair.fetch"
-                ~detail:(Printf.sprintf "peer=%d" peer);
-            Sim.schedule t.env.sim ~after:delay (fun () ->
-                if up () then begin
-                  let bs = batch_state t ~cen:e ~peer in
-                  bs.committed <- true;
-                  receive t (Batch_msg batch)
-                end))
-      (t.env.members_at e);
+        match Backup.get t.env.backup ~node:peer ~cen:e with
+        | None -> ()
+        | Some batch ->
+          let delay = 2 * Topology.latency (Net.topology t.env.net) t.id peer in
+          if Obs.tracing t.obs then
+            Obs.emit t.obs ~node:t.id ~epoch:e ~cat:"epoch" "repair.fetch"
+              ~detail:(Printf.sprintf "peer=%d" peer);
+          Sim.schedule t.env.sim ~after:delay (fun () ->
+              if up t then begin
+                let bs = batch_state t ~cen:e ~peer in
+                bs.committed <- true;
+                receive t (Batch_msg batch)
+              end))
+      (incomplete_peers t e);
     (* Missing cross-group votes stall the merge the same way: refetch
        them from the voting group's durable backup record. *)
     Option.iter
@@ -1098,7 +950,7 @@ let repair t =
               Obs.emit t.obs ~node:t.id ~epoch:cen ~cat:"epoch" "repair.votes"
                 ~detail:(Printf.sprintf "group=%d" group);
             Sim.schedule t.env.sim ~after:delay (fun () ->
-                if up () then begin
+                if up t then begin
                   Cross_group.fetched cg ~cen ~group;
                   try_advance t
                 end))
@@ -1112,10 +964,9 @@ let rec schedule_repair t =
       schedule_repair t)
 
 let start t =
-  (* The first boundary is picked by SIM time even under the fast path:
-     a node whose local clock runs ahead must still seal every epoch
-     from 0 (peers wait on its EOFs); its early boundaries simply all
-     fire immediately. *)
+  (* The first boundary is picked by SIM time: a node whose local clock
+     runs ahead must still seal every epoch from 0 (peers wait on its
+     EOFs); its early boundaries simply all fire immediately. *)
   schedule_boundary t (epoch_of t (now t));
   schedule_repair t
 
@@ -1125,11 +976,8 @@ let reset_merge_state t =
   Itbl.reset t.local_sealed;
   Itbl.reset t.waiting;
   Option.iter Cross_group.reset t.cross;
-  t.merging <- false;
-  t.spec_epoch <- -1;
-  t.spec_keys <- [];
-  t.spec_logged <- -1;
-  t.spec_wake_at <- max_int
+  Option.iter Fastpath.reset t.fast;
+  t.merging <- false
 
 let set_active t v =
   if t.active && not v then begin

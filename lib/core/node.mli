@@ -54,8 +54,8 @@ type env = {
           full replication (every node receives every write set) *)
   backup : Backup.t;
   clock : Gg_sim.Clock.t;
-      (** bounded-skew local clocks + watermark/delay estimators; only
-          read when {!Params.t.fastpath} is on *)
+      (** bounded-skew local clocks + watermark/delay estimators. Bound 0
+          (every read is sim time) unless {!Params.t.fastpath} is on *)
   mutable members_at : int -> int list;
       (** expected replica set for a given epoch *)
   mutable deliver : dst:int -> msg -> unit;

@@ -32,7 +32,6 @@ type t = {
   merge_level : merge_level;
   fastpath : bool;
   clock_skew_us : int;
-  fastpath_margin_us : int;
 }
 
 let default_cost =
@@ -61,7 +60,6 @@ let default =
     merge_level = Row;
     fastpath = false;
     clock_skew_us = 5_000;
-    fastpath_margin_us = -1;
   }
 
 let with_epoch_ms t ms = { t with epoch_us = ms * 1_000 }

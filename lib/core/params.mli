@@ -87,18 +87,12 @@ type t = {
           watermark passes the boundary, and confirm (or fall back) when
           the synchronous all-arrived signal lands. Only latency is
           speculative — commits are externalized strictly after
-          confirmation. Default [false] (byte-identical to the classic
-          engine: no {!Gg_sim.Clock} reads happen at all) *)
+          confirmation. Default [false]: the classic engine, whose
+          clock has bound 0 and so reads sim time *)
   clock_skew_us : int;
       (** bound on per-node clock error when [fastpath] is on (offset +
           drift + injected steps are clamped to ±this), default 5 ms.
           [0] = perfectly synchronized clocks *)
-  fastpath_margin_us : int;
-      (** safety margin added to predicted-arrival deadlines. [-1]
-          (default) = auto (scales with the delay estimate). Tests pin
-          large negative values to build a deliberately broken watermark
-          (speculation always fires early) and check the fallback keeps
-          the oracles clean *)
 }
 
 val default_cost : cost

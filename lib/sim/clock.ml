@@ -52,8 +52,6 @@ let create ~seed ~topology ~bound_us =
     hwm_at = Array.make_matrix n n min_int;
   }
 
-let bound_us t = t.bound_us
-
 let offset_us t ~node ~at =
   if t.bound_us = 0 then 0
   else begin

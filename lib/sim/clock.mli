@@ -24,8 +24,6 @@ val create : seed:int -> topology:Topology.t -> bound_us:int -> t
 (** [bound_us = 0] gives perfectly synchronized clocks (every read is
     sim time). *)
 
-val bound_us : t -> int
-
 val offset_us : t -> node:int -> at:int -> int
 (** Clock error of [node] at sim time [at]; always in
     [[-bound_us, bound_us]]. *)
@@ -40,13 +38,10 @@ val inject_step : t -> node:int -> delta_us:int -> unit
 
 (** {1 One-way delay estimator} *)
 
-val owd_us : t -> src:int -> dst:int -> int
-(** Current one-way delay estimate for the [src -> dst] region pair. *)
-
 val observe_delay : t -> src:int -> dst:int -> sample_us:int -> unit
 (** Feed an observed [arrival - stamp] delay sample (clamped to >= 0).
     The sample mixes true network delay with the sender's clock error;
-    consumers bound that error separately via {!bound_us}. *)
+    {!deadline} bounds that error separately via the skew bound. *)
 
 (** {1 Per-sender watermark} *)
 

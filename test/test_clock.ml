@@ -3,14 +3,16 @@
    deterministic and never exceed the configured bound (the invariant
    the speculative sealer's fallback correctness argument rests on),
    the per-sender watermark is monotone, the eocc chaos sweep holds all
-   five oracles, and a deliberately broken watermark margin is caught
-   by the misprediction counter — not by a consistency violation. *)
+   five oracles, the {!Geogauss.Fastpath} stage arms, confirms and
+   falls back as specified, and a real run's mispredictions cost
+   wasted simulated work — not commits. *)
 
 module Clock = Gg_sim.Clock
 module Topology = Gg_sim.Topology
 module Scenario = Gg_check.Scenario
 module Checker = Gg_check.Checker
 module Params = Geogauss.Params
+module Fastpath = Geogauss.Fastpath
 
 let topo = Topology.china3 ()
 let n_nodes = Topology.n_nodes topo
@@ -167,7 +169,97 @@ let test_fastpath_scenarios_pinned () =
       (Scenario.to_string s) (Scenario.to_string s')
   done
 
-(* --- broken-watermark canary --- *)
+(* --- the Fastpath stage --- *)
+
+let fastpath_params = Params.with_fastpath Params.default true
+
+let make_stage ?(params = fastpath_params) ?(partitioning = Params.P_none) ()
+    =
+  let bound_us = params.Params.clock_skew_us in
+  let epoch_us = params.Params.epoch_us in
+  Fastpath.create params
+    ~clock:(Clock.create ~seed:1 ~topology:topo ~bound_us)
+    ~part:(Geogauss.Partitioning.make ~topology:topo ~epoch_us partitioning)
+    ~obs:(Gg_obs.Obs.create ()) ~metrics:(Geogauss.Metrics.create ()) ~node:0
+
+let stage () =
+  match make_stage () with
+  | Some f -> f
+  | None -> Alcotest.fail "fast path on, partitioning off: stage expected"
+
+let test_stage_installed_only_when_it_runs () =
+  Alcotest.(check bool) "fast path off: no stage" true
+    (Option.is_none (make_stage ~params:Params.default ()));
+  Alcotest.(check bool) "partitioned: no stage" true
+    (Option.is_none (make_stage ~partitioning:(Params.P_hash 2) ()));
+  Alcotest.(check bool) "fast path on: stage" true
+    (Option.is_some (make_stage ()))
+
+let test_settle_identical_keys_confirms () =
+  List.iter
+    (fun now ->
+      let f = stage () in
+      Fastpath.arm f ~e:5 ~now:1_000 ~duration:500 ~n_records:3
+        ~keys:[ 1; 2; 3 ];
+      match Fastpath.settle f ~e:5 ~now ~keys:[ 1; 2; 3 ] with
+      | Fastpath.Confirmed { start; duration; prelog; _ } ->
+        let residual = start + duration - now in
+        Alcotest.(check int) "charged duration" 500 duration;
+        Alcotest.(check int) "residual of the charge"
+          (max 0 (1_000 + 500 - now)) residual;
+        Alcotest.(check bool) "residual non-negative" true (residual >= 0);
+        Alcotest.(check int) "prelog instant is the arm instant" 1_000 prelog;
+        Alcotest.(check bool) "disarmed" true
+          (Fastpath.settle f ~e:5 ~now ~keys:[ 1; 2; 3 ] = Fastpath.Not_armed)
+      | _ -> Alcotest.fail "identical keys must confirm")
+    [ 1_200 (* charge still running *); 4_000 (* charge long done *) ]
+
+let test_straggler_mispredicts () =
+  let f = stage () in
+  Fastpath.arm f ~e:5 ~now:1_000 ~duration:500 ~n_records:2 ~keys:[ 1; 2 ];
+  Alcotest.(check bool) "straggler mispredicts, prelog kept" true
+    (Fastpath.settle f ~e:5 ~now:1_300 ~keys:[ 1; 2; 3 ]
+    = Fastpath.Mispredicted { prelog = 1_000 })
+
+let test_not_armed_and_reset () =
+  let f = stage () in
+  Alcotest.(check bool) "unarmed epoch" true
+    (Fastpath.settle f ~e:3 ~now:0 ~keys:[] = Fastpath.Not_armed);
+  Fastpath.arm f ~e:3 ~now:0 ~duration:100 ~n_records:0 ~keys:[];
+  Alcotest.(check bool) "another epoch is not armed" true
+    (Fastpath.settle f ~e:4 ~now:0 ~keys:[] = Fastpath.Not_armed);
+  Alcotest.(check bool) "an armed epoch re-plans to nothing" true
+    (Fastpath.plan f ~e:3 ~now:0 ~incomplete:[ 1 ] = Fastpath.Nothing);
+  Fastpath.reset f;
+  Alcotest.(check bool) "reset disarms" true
+    (Fastpath.settle f ~e:3 ~now:0 ~keys:[] = Fastpath.Not_armed)
+
+let test_one_timer_per_deadline () =
+  let f = stage () in
+  let wake e =
+    match Fastpath.plan f ~e ~now:0 ~incomplete:[ 1; 2 ] with
+    | Fastpath.Wake_at at -> Some at
+    | _ -> None
+  in
+  Alcotest.(check bool) "complete epoch: nothing to do" true
+    (Fastpath.plan f ~e:10 ~now:0 ~incomplete:[] = Fastpath.Nothing);
+  let at = Option.get (wake 10) in
+  Alcotest.(check bool) "same deadline: no second timer" true (wake 10 = None);
+  Alcotest.(check bool) "later deadline: no second timer" true (wake 20 = None);
+  let earlier = Option.get (wake 5) in
+  Alcotest.(check bool) "an earlier deadline gets its own timer" true
+    (earlier < at);
+  Fastpath.woke f ~at;
+  Alcotest.(check bool) "a stale wakeup keeps the pending one" true
+    (wake 10 = None);
+  Fastpath.woke f ~at:earlier;
+  Alcotest.(check bool) "after the wakeup fires, a timer is armed again" true
+    (wake 10 = Some at);
+  Alcotest.(check bool) "every peer past its deadline: speculate" true
+    (Fastpath.plan f ~e:10 ~now:max_int ~incomplete:[ 1; 2 ]
+    = Fastpath.Speculate)
+
+(* --- whole runs --- *)
 
 let fastpath_run params =
   let profile =
@@ -179,27 +271,27 @@ let fastpath_run params =
     ~gen:(Gg_harness.Driver.ycsb_gens profile ~seed:11)
     ~warmup_ms:200 ~measure_ms:600 ~label:"clock-test" ()
 
-let test_broken_watermark_canary () =
-  (* A deliberately broken margin (speculate a full second early, long
-     before remote write sets can have arrived) must be caught by the
-     misprediction fallback: the counter fires, yet the run still
-     commits — proving mispredicts cost wasted simulated work, never
-     correctness. A healthy margin on the same workload confirms. *)
-  let healthy = Params.with_fastpath Params.default true in
-  let broken = { healthy with Params.fastpath_margin_us = -1_000_000 } in
-  let r_h, x_h = fastpath_run healthy in
-  let spec_h, confirms_h, _ = x_h.Gg_harness.Driver.fastpath in
-  Alcotest.(check bool) "healthy run commits" true
-    (r_h.Gg_harness.Result.committed > 0);
-  Alcotest.(check bool) "healthy run speculates" true (spec_h > 0);
-  Alcotest.(check bool) "healthy run confirms" true (confirms_h > 0);
-  let r_b, x_b = fastpath_run broken in
-  let spec_b, _, mispredicts_b = x_b.Gg_harness.Driver.fastpath in
-  Alcotest.(check bool) "broken run still commits" true
-    (r_b.Gg_harness.Result.committed > 0);
-  Alcotest.(check bool) "broken run speculates" true (spec_b > 0);
-  Alcotest.(check bool) "broken watermark detected as mispredictions" true
-    (mispredicts_b > 0)
+let test_mispredicts_still_commit () =
+  (* The run speculates and confirms, and some predictions break: the
+     misprediction fallback re-merges those epochs on the actual set,
+     and the run still commits — mispredicts cost wasted simulated work,
+     never correctness. *)
+  let r, x = fastpath_run fastpath_params in
+  let spec, confirms, mispredicts = x.Gg_harness.Driver.fastpath in
+  Alcotest.(check bool) "run commits" true (r.Gg_harness.Result.committed > 0);
+  Alcotest.(check bool) "run speculates" true (spec > 0);
+  Alcotest.(check bool) "run confirms" true (confirms > 0);
+  Alcotest.(check bool) "mispredictions detected" true (mispredicts > 0)
+
+let test_partitioned_run_never_speculates () =
+  (* Under partial replication the stage is not installed: the run still
+     commits on clock-local epochs, and reports no speculation. *)
+  let params = { fastpath_params with Params.partitioning = Params.P_hash 2 } in
+  let r, x = fastpath_run params in
+  let spec, confirms, mispredicts = x.Gg_harness.Driver.fastpath in
+  Alcotest.(check bool) "run commits" true (r.Gg_harness.Result.committed > 0);
+  Alcotest.(check (list int)) "no speculation" [ 0; 0; 0 ]
+    [ spec; confirms; mispredicts ]
 
 let () =
   Alcotest.run "gg_clock"
@@ -224,7 +316,22 @@ let () =
             test_eocc_sweep_pool_parity;
           Alcotest.test_case "with_fastpath pins, no redraw" `Quick
             test_fastpath_scenarios_pinned;
-          Alcotest.test_case "broken watermark canary" `Slow
-            test_broken_watermark_canary;
+          Alcotest.test_case "mispredicts still commit" `Slow
+            test_mispredicts_still_commit;
+          Alcotest.test_case "partitioned run never speculates" `Slow
+            test_partitioned_run_never_speculates;
+        ] );
+      ( "fastpath stage",
+        [
+          Alcotest.test_case "installed only when it runs" `Quick
+            test_stage_installed_only_when_it_runs;
+          Alcotest.test_case "identical keys confirm" `Quick
+            test_settle_identical_keys_confirms;
+          Alcotest.test_case "straggler mispredicts" `Quick
+            test_straggler_mispredicts;
+          Alcotest.test_case "not armed, and reset" `Quick
+            test_not_armed_and_reset;
+          Alcotest.test_case "one timer per deadline" `Quick
+            test_one_timer_per_deadline;
         ] );
     ]
