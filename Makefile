@@ -48,12 +48,14 @@ ci: fmt
 # Pinned-mode sweeps, one "seeds|flags" pair each: partial replication
 # per partition map (DESIGN.md §12), corrupted frames through the
 # decode-failure -> stall-repair path, the column-level lattice (§13),
-# and the clock-assisted fast path with skew bursts (§14; externalization
-# still gates on the confirm point). Every mode runs the same drawn seeds
-# through all five oracles; a sweep with violations fails ci.
+# the clock-assisted fast path with skew bursts (§14; externalization
+# still gates on the confirm point), and SI, where the executors build
+# the read sets that validation checks (RC, the default, builds none).
+# Every mode runs the same drawn seeds through all five oracles; a sweep
+# with violations fails ci.
 	for sweep in "5|--partitioning hash:2" "5|--partitioning region" \
 		"3|--corrupt 0.05" "5|--merge-level column" \
-		"5|--engine eocc --clock-skew 10"; do \
+		"5|--engine eocc --clock-skew 10" "5|--isolation si"; do \
 		dune exec bin/geogauss_cli.exe -- check --seeds $${sweep%%|*} --fast $${sweep#*|} --jobs $(JOBS) > /tmp/gg_ci_sweep.out \
 			|| { cat /tmp/gg_ci_sweep.out; echo "ci: check $${sweep#*|} failed"; exit 1; }; \
 		tail -1 /tmp/gg_ci_sweep.out; \

@@ -137,7 +137,8 @@ let bench_sql_parse =
 (* SQL execution on the sql-scan benchmark's table (Sqlgen.Scan at 2k
    rows), with the generator's two read statements: a primary-key range
    that matches 200 rows and an aggregate whose filter no access path
-   can use. Parsed once; a fresh context per run. *)
+   can use. Parsed once; a fresh context per run, with no read set, as
+   the benchmark's RC workloads run it. *)
 let scan_db =
   lazy
     (let db = Gg_storage.Db.create () in

@@ -58,6 +58,11 @@ let merge_level_arg =
            row all commit; DESIGN.md \xC2\xA713). Ignored under \
            partitioning or geog-a, which re-apply whole rows.")
 
+let isolation_conv =
+  Arg.enum
+    [ ("rc", Geogauss.Params.RC); ("rr", Geogauss.Params.RR);
+      ("si", Geogauss.Params.SI); ("ssi", Geogauss.Params.SSI) ]
+
 (* Engine names resolve through the one canonical registry
    (Gg_engines.Registry): core names yield a Params transform onto the
    full cluster; baseline timing models are rejected here — they only
@@ -212,11 +217,7 @@ let run_cmd =
   let isolation =
     Arg.(
       value
-      & opt
-          (enum
-             [ ("rc", Geogauss.Params.RC); ("rr", Geogauss.Params.RR);
-               ("si", Geogauss.Params.SI); ("ssi", Geogauss.Params.SSI) ])
-          Geogauss.Params.RC
+      & opt isolation_conv Geogauss.Params.RC
       & info [ "isolation" ] ~doc:"Isolation level: rc, rr, si or ssi (extension).")
   in
   let engine =
@@ -473,8 +474,16 @@ let check_cmd =
              $(docv); decode failures must be recovered by the stall-repair \
              path under the same oracles.")
   in
-  let run seeds base engine clock_skew ft fast jobs trace canary partitioning
-      corrupt merge_level =
+  let isolation =
+    Arg.(
+      value
+      & opt (some isolation_conv) None
+      & info [ "isolation" ]
+          ~doc:"Pin the isolation level (rc, rr, si, ssi); default draws it \
+                per seed.")
+  in
+  let run seeds base engine isolation clock_skew ft fast jobs trace canary
+      partitioning corrupt merge_level =
     let log = print_endline in
     (* Resolve the registry name through its own transform: the pinned
        variant and the fastpath flag both come from what the transform
@@ -512,7 +521,7 @@ let check_cmd =
     else begin
       let report =
         Gg_par.Pool.with_pool ~jobs @@ fun pool ->
-        Gg_check.Checker.check ~log ?variant ?ft ~fast ~base ~pool
+        Gg_check.Checker.check ~log ?variant ?isolation ?ft ~fast ~base ~pool
           ~partitioning ~corrupt_frac:corrupt ~merge_level ~fastpath
           ~clock_skew_ms ~seeds ()
       in
@@ -542,8 +551,8 @@ let check_cmd =
           any failure to a one-line reproducer.")
     Term.(
       ret
-        (const run $ seeds $ base $ engine $ clock_skew_arg $ ft $ fast_arg
-       $ jobs_arg $ trace $ canary $ partitioning_arg $ corrupt
+        (const run $ seeds $ base $ engine $ isolation $ clock_skew_arg $ ft
+       $ fast_arg $ jobs_arg $ trace $ canary $ partitioning_arg $ corrupt
        $ merge_level_arg))
 
 (* --- `trace` subcommand: analyze an exported JSONL trace --- *)

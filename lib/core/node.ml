@@ -80,6 +80,9 @@ type t = {
   mutable last_advance : int;  (* sim time the snapshot last moved *)
   mutable last_txn_cen : int;  (* highest epoch holding a committed local txn *)
   fast : Fastpath.t option;  (* clock-assisted fast path (DESIGN.md §14) *)
+  record_reads : bool;
+      (* build read sets: only RR/SI validation and SSI's read keys
+         consume them, so RC executes without one *)
 }
 
 (* vCPUs per node: the paper's servers have 32. *)
@@ -115,6 +118,7 @@ let create env ~id ~db =
     txn_seq = 0;
     last_advance = 0;
     last_txn_cen = -1;
+    record_reads = env.params.Params.isolation <> Params.RC;
     fast =
       Fastpath.create env.params ~clock:env.clock ~part:env.part ~obs ~metrics
         ~node:id;
@@ -675,7 +679,7 @@ and start_execution t (txn : Txn.t) =
     txn.Txn.phases.parse_us <- List.length stmts * per_stmt_parse;
     txn.Txn.phases.exec_us <- List.length stmts * cost.sql_stmt_us;
     let ctx =
-      Executor.Ctx.create
+      Executor.Ctx.create ~record_reads:t.record_reads
         ~track_cols:(Params.effective_merge_level t.env.params = Params.Column)
         t.db
     in
@@ -695,7 +699,7 @@ and start_execution t (txn : Txn.t) =
 
 and run_ops t (txn : Txn.t) o =
   match
-    Op_exec.exec
+    Op_exec.exec ~record_reads:t.record_reads
       ~col_mask:(Params.effective_merge_level t.env.params = Params.Column)
       t.db o
   with

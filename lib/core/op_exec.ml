@@ -46,7 +46,7 @@ let rowkey ~table ~key_str = String.concat "\x00" [ table; key_str ]
    item line, 5-15 lines) passes it from 7 lines up. *)
 let dedup_linear_max = 16
 
-let exec ?(col_mask = false) db (txn : Op.txn) =
+let exec ?(record_reads = false) ?(col_mask = false) db (txn : Op.txn) =
   let module Column = Gg_crdt.Column in
   let reads_rev = ref [] in
   let n_reads = ref 0 in
@@ -93,7 +93,7 @@ let exec ?(col_mask = false) db (txn : Op.txn) =
       end
   in
   let record_read ~table ~key_str (e : Table.entry) =
-    if first_read ~table ~key_str e then begin
+    if record_reads && first_read ~table ~key_str e then begin
       incr n_reads;
       reads_rev :=
         {

@@ -1,7 +1,7 @@
 (** Key-level (stored-procedure) transaction execution against a
     replica's database — the op-level counterpart of the SQL executor.
-    Produces the same read/write sets so both front ends feed the same
-    multi-master OCC. *)
+    Produces the same write sets, and read sets when asked, so both front
+    ends feed the same multi-master OCC. *)
 
 type result = {
   reads : Gg_sql.Executor.read_record list;
@@ -9,9 +9,16 @@ type result = {
 }
 
 val exec :
+  ?record_reads:bool ->
   ?col_mask:bool ->
   Gg_storage.Db.t -> Gg_workload.Op.txn -> (result, string) Stdlib.result
-(** Execute all operations with read-your-writes semantics. Errors:
+(** Execute all operations with read-your-writes semantics.
+
+    [record_reads] (default [false]) builds [reads] as
+    {!Gg_sql.Executor.Ctx.read_set} does: in first-read order, one record
+    per (table, key), for every op that sees a committed row. Off,
+    [reads] is [[]] and the writes are the same; the node turns it on
+    only at RR, SI and SSI, whose validation consumes it. Errors:
     [Add]/[Delete] on a missing row, [Insert] on an existing live row,
     unknown table, non-integer [Add] column. A plain [Read] of a missing
     key is a no-op (not an error). Writes per key coalesce (last wins;

@@ -52,6 +52,8 @@ type t = {
   mutable cen : int;
   mutable csn : Gg_storage.Csn.t;
   mutable read_set : Gg_sql.Executor.read_record list;
+      (** rows read, for RR/SI read validation and SSI's shipped read
+          keys; built only at RR, SI and SSI, [[]] at RC *)
   mutable writeset : Gg_crdt.Writeset.t option;
   mutable sql_results : Gg_sql.Executor.result list;
   mutable commit_point : int;  (** time the send-buffer append happened *)

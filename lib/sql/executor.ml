@@ -32,6 +32,7 @@ module Ctx = struct
   type t = {
     db : Db.t;
     track_cols : bool;  (* capture UPDATE column masks for column merge *)
+    record_reads : bool;  (* off: every recorder is a no-op *)
     mutable reads_rev : read_record list;
     mutable unindexed : int;
         (* the newest [unindexed] reads are not in [read_keys] yet *)
@@ -41,10 +42,11 @@ module Ctx = struct
     mutable written_tables : string list;  (* tables with a buffered write *)
   }
 
-  let create ?(track_cols = false) db =
+  let create ?(record_reads = false) ?(track_cols = false) db =
     {
       db;
       track_cols;
+      record_reads;
       reads_rev = [];
       unindexed = 0;
       read_keys = Str_tbl.create 4;
@@ -91,12 +93,19 @@ module Ctx = struct
       push_read t ~table ~key_str ~header
     end
 
+  let ignore_read ~table:_ ~key_str:_ ~header:_ = ()
+
+  (* The read recorder for a statement that may meet a row more than
+     once: every read probes the dedup index. *)
+  let recorder t = if t.record_reads then record_read t else ignore_read
+
   (* The read recorder for a statement that records each row at most
      once. When no earlier statement recorded a read, none of its reads
      can be a repeat: it appends without probing, and the next
      [record_read] indexes those reads before its own probe. *)
   let distinct_recorder t =
-    if t.reads_rev = [] then fun ~table ~key_str ~header ->
+    if not t.record_reads then ignore_read
+    else if t.reads_rev = [] then fun ~table ~key_str ~header ->
       push_read t ~table ~key_str ~header;
       t.unindexed <- t.unindexed + 1
     else record_read t
@@ -266,6 +275,11 @@ let visible_rows ctx table access ~params ~keep f =
     Table.scan tbl ~f:visit_entry;
     own_inserts (fun _ -> true)
 
+(* A WHERE clause as a row filter; no clause keeps every row. *)
+let where_pred env ~params = function
+  | None -> fun () -> true
+  | Some w -> Expr.bind_pred env ~params w
+
 let record_vrow_read record ~table v =
   match v.v_entry with
   | Some entry -> record ~table ~key_str:v.v_key_str ~header:entry.Table.header
@@ -305,6 +319,9 @@ type group_state = {
   g_repr : Value.t array;
   g_sort : (Value.t * Ast.order_dir) list;
 }
+
+(* The value COUNT( * ) counts for every row, shared across rows. *)
+let count_star = Value.Int 1
 
 (* A projection with its expressions bound. *)
 type bound_proj =
@@ -349,7 +366,7 @@ let select ctx (s : Ast.select) ~params =
       s.projs;
   (* Resolve every column reference once, before any row is visited. *)
   let bind e = Expr.bind env ~params e in
-  let where = Option.map bind s.where in
+  let where_ok = where_pred env ~params s.where in
   let projs =
     List.map
       (function
@@ -360,14 +377,11 @@ let select ctx (s : Ast.select) ~params =
   in
   let order_by = List.map (fun (e, dir) -> (bind e, dir)) s.order_by in
   let group_by = List.map bind s.group_by in
-  let join = Option.map (fun (tr, on, jb) -> (tr, bind on, jb)) join_info in
+  let join =
+    Option.map (fun (tr, on, jb) -> (tr, Expr.bind_pred env ~params on, jb)) join_info
+  in
   (* Collected matches: projected row + sort keys. *)
   let matches = ref [] in
-  let where_ok () =
-    match where with
-    | None -> true
-    | Some w -> Expr.is_truthy (Expr.eval w)
-  in
   let n_projs = List.length s.projs in
   let projs_a = Array.of_list projs in
   let eval_proj = function
@@ -435,7 +449,7 @@ let select ctx (s : Ast.select) ~params =
       | B_agg (fn, arg) -> (
         let v =
           match arg with
-          | None -> Value.Int 1
+          | None -> count_star
           | Some e -> Expr.eval e
         in
         match (fn, v) with
@@ -479,7 +493,7 @@ let select ctx (s : Ast.select) ~params =
   | Some (jtr, on, jb) ->
     (* Nested loop with the outer row bound; the inner side is a full
        scan. An outer row is met once per inner match, so reads probe. *)
-    let record = Ctx.record_read ctx in
+    let record = Ctx.recorder ctx in
     visible_rows ctx s.from.table access ~params
       ~keep:(fun data ->
         from_binding.Env.row <- data;
@@ -488,7 +502,7 @@ let select ctx (s : Ast.select) ~params =
         visible_rows ctx jtr.Ast.table Plan.Full ~params
           ~keep:(fun jdata ->
             jb.Env.row <- jdata;
-            Expr.is_truthy (Expr.eval on) && where_ok ())
+            on () && where_ok ())
           (fun jv ->
             record_vrow_read record ~table:s.from.table v;
             record_vrow_read record ~table:jtr.Ast.table jv;
@@ -669,14 +683,12 @@ let target_binding tbl table =
 let collect_targets ctx tbl binding where ~params =
   let table = binding.Env.binding_name in
   let access = Plan.access_path_table tbl ~names:[ table ] where in
-  let where = Option.map (Expr.bind [ binding ] ~params) where in
+  let where_ok = where_pred [ binding ] ~params where in
   let acc = ref [] in
   visible_rows ctx table access ~params
     ~keep:(fun data ->
       binding.Env.row <- data;
-      match where with
-      | None -> true
-      | Some w -> Expr.is_truthy (Expr.eval w))
+      where_ok ())
     (fun v -> acc := v :: !acc);
   List.rev !acc
 

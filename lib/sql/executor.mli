@@ -1,8 +1,9 @@
 (** SQL execution inside a transaction context.
 
     The executor runs statements against a replica's {!Gg_storage.Db}
-    while accumulating the transaction's read set (row versions observed)
-    and write set (buffered writes with read-your-writes semantics).
+    while accumulating the transaction's write set (buffered writes with
+    read-your-writes semantics) and, when asked, its read set (row
+    versions observed).
     Nothing touches the shared tables until the OCC write-back phase; the
     write set produced here is exactly what GeoGauss ships to its
     peers. *)
@@ -17,8 +18,14 @@ type read_record = {
 module Ctx : sig
   type t
 
-  val create : ?track_cols:bool -> Gg_storage.Db.t -> t
-  (** [track_cols] (default [false]) captures UPDATE column masks on the
+  val create : ?record_reads:bool -> ?track_cols:bool -> Gg_storage.Db.t -> t
+  (** [record_reads] (default [false]) builds the read set. Only RR and
+      SI read validation and SSI's shipped read keys consume it, so the
+      node turns it on at those levels and leaves it off at RC; off,
+      {!read_set} is [[]] and reading a row costs no allocation for it.
+      Results and write sets are the same either way.
+
+      [track_cols] (default [false]) captures UPDATE column masks on the
       write set for column-level merge: a [SET] list covering only
       maskable columns produces a masked record
       ({!Gg_crdt.Writeset.record.cols}); coalesced updates take the
@@ -31,7 +38,8 @@ module Ctx : sig
   val track_cols : t -> bool
 
   val read_set : t -> read_record list
-  (** In read order (first read first), at most one record per (table,
+  (** [[]] unless the context was created with [~record_reads:true].
+      In read order (first read first), at most one record per (table,
       key): a row read several times keeps its {e first} observation,
       which is what RR validation compares against. Only rows a
       statement keeps are recorded (after its WHERE), never the own

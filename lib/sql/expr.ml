@@ -71,23 +71,22 @@ let num_binop op a b =
     fail "arithmetic on non-numeric values (%s, %s)" (Value.type_name a)
       (Value.type_name b)
 
+(* Does a three-way comparison result satisfy [op]? *)
+let holds op c =
+  let open Ast in
+  match op with
+  | Eq -> c = 0
+  | Ne -> c <> 0
+  | Lt -> c < 0
+  | Le -> c <= 0
+  | Gt -> c > 0
+  | Ge -> c >= 0
+  | _ -> fail "not a comparison operator"
+
 let cmp_binop op a b =
   match (a, b) with
   | Value.Null, _ | _, Value.Null -> Value.Null
-  | _ ->
-    let c = Value.compare a b in
-    let r =
-      let open Ast in
-      match op with
-      | Eq -> c = 0
-      | Ne -> c <> 0
-      | Lt -> c < 0
-      | Le -> c <= 0
-      | Gt -> c > 0
-      | Ge -> c >= 0
-      | _ -> fail "not a comparison operator"
-    in
-    of_bool r
+  | _ -> of_bool (holds op (Value.compare a b))
 
 (* SQL LIKE with % (any run) and _ (any single char). *)
 let like_match s p =
@@ -194,3 +193,101 @@ let bind env ~params e =
 
 let eval (e : t) = e ()
 let eval_const ~params e = eval (bind [] ~params e)
+
+(* The boolean-context twin of [bind]: the closure returns what
+   [is_truthy (eval (bind env ~params e))] would, and raises what it
+   would, without boxing a truth value per node. Columns resolve in
+   [bind]'s order, so the same unknown column is reported. *)
+let bind_pred env ~params e =
+  let open Ast in
+  (* A non-NULL constant operand: a literal or a supplied parameter. A
+     missing parameter stays an expression, so it fails when evaluated;
+     a NULL one too, so the column is still read as [bind] reads it. *)
+  let const = function
+    | Const Value.Null -> None
+    | Const v -> Some v
+    | Param i when i >= 0 && i < Array.length params -> (
+      match params.(i) with Value.Null -> None | v -> Some v)
+    | _ -> None
+  in
+  (* [col op v]: the bound row's slot against a constant, read directly. *)
+  let col_vs_const q c op v =
+    let b, i = Env.resolve env q c in
+    match v with
+    | Value.Int y ->
+      fun () ->
+        (match b.Env.row.(i) with
+        | Value.Int x -> holds op (Int.compare x y)
+        | Value.Null -> false
+        | x -> holds op (Value.compare x v))
+    | _ ->
+      fun () ->
+        (match b.Env.row.(i) with
+        | Value.Null -> false
+        | x -> holds op (Value.compare x v))
+  in
+  (* [v op col] is [col op' v]. *)
+  let flip = function Lt -> Gt | Le -> Ge | Gt -> Lt | Ge -> Le | op -> op in
+  let compare_bound op a b =
+    let a = bind env ~params a in
+    let b = bind env ~params b in
+    fun () ->
+      (* [cmp_binop op (a ()) (b ())] evaluates the right operand first;
+         so does this. *)
+      let vb = b () in
+      let va = a () in
+      match (va, vb) with
+      | Value.Null, _ | _, Value.Null -> false
+      | _ -> holds op (Value.compare va vb)
+  in
+  let between_bound e lo hi =
+    let e = bind env ~params e in
+    let lo = bind env ~params lo in
+    let hi = bind env ~params hi in
+    fun () ->
+      let v = e () in
+      let l = lo () and h = hi () in
+      match (v, l, h) with
+      | Value.Null, _, _ | _, Value.Null, _ | _, _, Value.Null -> false
+      | _ -> Value.compare v l >= 0 && Value.compare v h <= 0
+  in
+  let rec go e : unit -> bool =
+    match e with
+    | Unop (Not, e) ->
+      let e = go e in
+      fun () -> not (e ())
+    | Binop (And, a, b) ->
+      let a = go a in
+      let b = go b in
+      fun () -> a () && b ()
+    | Binop (Or, a, b) ->
+      let a = go a in
+      let b = go b in
+      fun () -> a () || b ()
+    | Binop (((Eq | Ne | Lt | Le | Gt | Ge) as op), a, b) -> (
+      match (a, const a, b, const b) with
+      | Col (q, c), _, _, Some v -> col_vs_const q c op v
+      | _, Some v, Col (q, c), _ -> col_vs_const q c (flip op) v
+      | _ -> compare_bound op a b)
+    | Between ((Col (q, c) as col), lo, hi) -> (
+      match (const lo, const hi) with
+      | Some l, Some h -> (
+        let b, i = Env.resolve env q c in
+        let in_range v = Value.compare v l >= 0 && Value.compare v h <= 0 in
+        match (l, h) with
+        | Value.Int lo, Value.Int hi ->
+          fun () ->
+            (match b.Env.row.(i) with
+            | Value.Int x -> x >= lo && x <= hi
+            | Value.Null -> false
+            | v -> in_range v)
+        | _ ->
+          fun () ->
+            (match b.Env.row.(i) with Value.Null -> false | v -> in_range v))
+      | _ -> between_bound col lo hi)
+    | Between (e, lo, hi) -> between_bound e lo hi
+    | _ ->
+      let e = bind env ~params e in
+      fun () -> is_truthy (e ())
+  in
+  go e

@@ -32,6 +32,19 @@ val eval : t -> Gg_storage.Value.t
     return [Int 1]/[Int 0]. Raises {!Sql_error} on type errors or
     out-of-range parameters. *)
 
+val bind_pred :
+  Env.t -> params:Gg_storage.Value.t array -> Ast.expr -> (unit -> bool)
+(** The boolean-context twin of {!bind}, for WHERE and ON clauses:
+    [bind_pred env ~params e] returns what
+    [is_truthy (eval (bind env ~params e))] would, and raises the same
+    {!Sql_error} in the same cases (at bind time for an unknown or
+    ambiguous column, when evaluated for a missing parameter or a type
+    error). AND, OR, NOT, the six comparisons and BETWEEN yield a
+    boolean directly; a column compared with a literal or a supplied
+    parameter reads its bound row slot without an intermediate
+    closure. Comparisons evaluate the right operand first, as {!bind}
+    does. *)
+
 val eval_const : params:Gg_storage.Value.t array -> Ast.expr -> Gg_storage.Value.t
 (** Bind against no rows and evaluate: for expressions that must not
     reference columns (INSERT values, access-path bounds). *)

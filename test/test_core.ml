@@ -64,7 +64,7 @@ let fresh_db () =
 let test_op_exec_read_records_version () =
   let db = fresh_db () in
   let t = Op.make [ Op.Read { table = "kv"; key = [| Value.Int 3 |] } ] in
-  match Op_exec.exec db t with
+  match Op_exec.exec ~record_reads:true db t with
   | Ok { Op_exec.reads; writes } ->
     Alcotest.(check int) "one read" 1 (List.length reads);
     Alcotest.(check int) "no writes" 0 (List.length writes)
@@ -73,7 +73,7 @@ let test_op_exec_read_records_version () =
 let test_op_exec_add_reads_then_writes () =
   let db = fresh_db () in
   let t = Op.make [ Op.Add { table = "kv"; key = [| Value.Int 3 |]; col = 1; delta = 5 } ] in
-  match Op_exec.exec db t with
+  match Op_exec.exec ~record_reads:true db t with
   | Ok { Op_exec.reads; writes } ->
     Alcotest.(check int) "read recorded" 1 (List.length reads);
     (match writes with
@@ -133,7 +133,7 @@ let test_op_exec_errors () =
 let test_op_exec_read_missing_is_noop () =
   let db = fresh_db () in
   let t = Op.make [ Op.Read { table = "kv"; key = [| Value.Int 999 |] } ] in
-  match Op_exec.exec db t with
+  match Op_exec.exec ~record_reads:true db t with
   | Ok { Op_exec.reads; writes } ->
     Alcotest.(check int) "no read recorded" 0 (List.length reads);
     Alcotest.(check int) "no writes" 0 (List.length writes)
@@ -167,17 +167,11 @@ let prop_op_exec_unique_keys =
         let keys = List.map (fun r -> (r.Gg_crdt.Writeset.table, Gg_crdt.Writeset.key_str r)) writes in
         List.length keys = List.length (List.sort_uniq compare keys))
 
-(* The read set against a reference model of read-your-writes
-   visibility: a read is recorded for an op that sees the base row (a
-   [Read], [Add] or [Delete] with no live own write of the key in front
-   of it), once per (table, key), in first-read order. Transactions run
-   long enough to pass the executor's linear read-dedup bound, over two
-   tables holding the same keys, with 20 of each table's 80 keys
-   missing. *)
-type own = Own_live | Own_deleted | Own_dead
+(* Op sequences over two tables holding the same keys, with 20 of each
+   table's 80 keys missing. *)
+module Read_model = struct
+  let tables = [| "kv"; "kv2" |] and n_keys = 80 and n_loaded = 60
 
-let prop_op_exec_read_set_model =
-  let tables = [| "kv"; "kv2" |] and n_keys = 80 and n_loaded = 60 in
   let load db =
     Array.iter
       (fun name ->
@@ -194,7 +188,7 @@ let prop_op_exec_read_set_model =
           Gg_storage.Table.load t [| Value.Int i; Value.Int 0 |]
         done)
       tables
-  in
+
   let gen_op =
     QCheck.Gen.(
       map3
@@ -208,7 +202,30 @@ let prop_op_exec_read_set_model =
           | 8 -> Op.Insert { table; key; data }
           | _ -> Op.Delete { table; key })
         (int_range 0 9) (int_range 0 1) (int_range 0 (n_keys - 1)))
-  in
+
+  let print ops =
+    String.concat "; "
+      (List.map
+         (fun op ->
+           let k = Value.to_string (Op.op_key op).(0) in
+           let kind =
+             match op with
+             | Op.Read _ -> "R" | Op.Write _ -> "W" | Op.Add _ -> "A"
+             | Op.Insert _ -> "I" | Op.Delete _ -> "D"
+           in
+           Printf.sprintf "%s %s.%s" kind (Op.op_table op) k)
+         ops)
+end
+
+(* The read set against a reference model of read-your-writes
+   visibility: a read is recorded for an op that sees the base row (a
+   [Read], [Add] or [Delete] with no live own write of the key in front
+   of it), once per (table, key), in first-read order. Transactions run
+   long enough to pass the executor's linear read-dedup bound. *)
+type own = Own_live | Own_deleted | Own_dead
+
+let prop_op_exec_read_set_model =
+  let open Read_model in
   (* The ops the executor must accept — each op the model would reject
      ([Add]/[Delete] of an absent row, [Insert] over a visible one) is
      dropped — and their expected read set as (table, key). *)
@@ -249,26 +266,13 @@ let prop_op_exec_read_set_model =
     let accepted = List.filter accepts ops in
     (accepted, List.rev !reads)
   in
-  let print ops =
-    String.concat "; "
-      (List.map
-         (fun op ->
-           let k = Value.to_string (Op.op_key op).(0) in
-           let kind =
-             match op with
-             | Op.Read _ -> "R" | Op.Write _ -> "W" | Op.Add _ -> "A"
-             | Op.Insert _ -> "I" | Op.Delete _ -> "D"
-           in
-           Printf.sprintf "%s %s.%s" kind (Op.op_table op) k)
-         ops)
-  in
   QCheck.Test.make ~name:"op_exec read set = first base-visible reads" ~count:300
     (QCheck.make ~print QCheck.Gen.(list_size (int_range 1 160) gen_op))
     (fun ops ->
       let db = Gg_storage.Db.create () in
       load db;
       let ops, expected = model ops in
-      match Op_exec.exec db (Op.make ops) with
+      match Op_exec.exec ~record_reads:true db (Op.make ops) with
       | Error m -> QCheck.Test.fail_reportf "rejected (%s), model accepts" m
       | Ok { Op_exec.reads; _ } ->
         let got =
@@ -282,6 +286,29 @@ let prop_op_exec_read_set_model =
             expected
         in
         got = expected)
+
+(* The same ops with the read set off, as node runs them at RC: the
+   same outcome and writes, and no reads. Rejected sequences included. *)
+let prop_op_exec_reads_off =
+  let open Read_model in
+  let run ~record_reads ops =
+    let db = Gg_storage.Db.create () in
+    load db;
+    Result.map
+      (fun { Op_exec.reads; writes } ->
+        ( reads,
+          List.map
+            (fun r -> Gg_crdt.Writeset.(r.table, key_str r, r.op, r.data, r.cols))
+            writes ))
+      (Op_exec.exec ~record_reads db (Op.make ops))
+  in
+  QCheck.Test.make ~name:"op_exec reads off: same writes, no reads" ~count:300
+    (QCheck.make ~print QCheck.Gen.(list_size (int_range 1 160) gen_op))
+    (fun ops ->
+      match (run ~record_reads:true ops, run ~record_reads:false ops) with
+      | Ok (_, on), Ok (off_reads, off) -> on = off && off_reads = []
+      | Error a, Error b -> a = b
+      | Ok _, Error _ | Error _, Ok _ -> false)
 
 (* --- basic commit flow --- *)
 
@@ -639,6 +666,46 @@ let test_si_aborts_on_new_snapshot_of_read_row () =
     Alcotest.failf "wrong reason %s" (Txn.abort_reason_to_string reason)
   | None -> Alcotest.fail "no response");
   check_converged c
+
+(* The same stale read through the SQL executor's read set: a Sql_txn
+   reads key 11 first, runs long (every statement pays its own parse and
+   execution slice), then updates the key; meanwhile another node
+   overwrites it. *)
+let long_sql_rmw k =
+  let read key = ("SELECT v FROM kv WHERE k = ?", [| Value.Int key |]) in
+  Txn.Sql_txn
+    {
+      label = "long-sql";
+      stmts =
+        (read k :: List.init 150 (fun _ -> read 1))
+        @ [ ("UPDATE kv SET v = v + 1 WHERE k = ?", [| Value.Int k |]) ];
+    }
+
+let sql_stale_read iso =
+  let params = Params.with_isolation Params.default iso in
+  let c = make_cluster ~params () in
+  run_ms c 50;
+  let lr = submit_wait c ~node:0 (long_sql_rmw 11) in
+  run_ms c 5;
+  ignore (submit_wait c ~node:1 (write_txn 11 500));
+  run_ms c 2_000;
+  check_converged c;
+  !lr
+
+let test_sql_stale_read_aborts iso () =
+  match sql_stale_read iso with
+  | Some (Txn.Aborted { reason = Txn.Read_validation; _ }) -> ()
+  | Some (Txn.Aborted { reason; _ }) ->
+    Alcotest.failf "wrong reason %s" (Txn.abort_reason_to_string reason)
+  | Some (Txn.Committed _) -> Alcotest.fail "stale SQL read must abort"
+  | None -> Alcotest.fail "no response"
+
+let test_sql_rc_allows_changed_read () =
+  match sql_stale_read Params.RC with
+  | Some (Txn.Committed _) | Some (Txn.Aborted { reason = Txn.Write_conflict; _ }) -> ()
+  | Some (Txn.Aborted { reason; _ }) ->
+    Alcotest.failf "RC should not read-abort (%s)" (Txn.abort_reason_to_string reason)
+  | None -> Alcotest.fail "no response"
 
 let test_ssi_aborts_pivot () =
   (* SSI extension: T reads x and writes y; U reads y and writes x, in
@@ -1186,6 +1253,7 @@ let () =
           Alcotest.test_case "read missing is noop" `Quick test_op_exec_read_missing_is_noop;
           QCheck_alcotest.to_alcotest prop_op_exec_unique_keys;
           QCheck_alcotest.to_alcotest prop_op_exec_read_set_model;
+          QCheck_alcotest.to_alcotest prop_op_exec_reads_off;
         ] );
       ( "basic",
         [
@@ -1219,6 +1287,12 @@ let () =
           Alcotest.test_case "RR aborts changed read" `Quick test_rr_aborts_on_changed_read;
           Alcotest.test_case "RC tolerates changed read" `Quick test_rc_allows_changed_read;
           Alcotest.test_case "SI aborts refreshed snapshot" `Quick test_si_aborts_on_new_snapshot_of_read_row;
+          Alcotest.test_case "SQL: RR aborts changed read" `Quick
+            (test_sql_stale_read_aborts Params.RR);
+          Alcotest.test_case "SQL: SI aborts refreshed snapshot" `Quick
+            (test_sql_stale_read_aborts Params.SI);
+          Alcotest.test_case "SQL: RC tolerates changed read" `Quick
+            test_sql_rc_allows_changed_read;
           Alcotest.test_case "abort rates ordered by isolation" `Slow test_isolation_abort_rates_ordered;
           Alcotest.test_case "SSI aborts pivot" `Quick test_ssi_aborts_pivot;
           Alcotest.test_case "SSI disjoint commits" `Quick test_ssi_disjoint_txns_commit;

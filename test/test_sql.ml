@@ -222,7 +222,7 @@ let test_select_range () =
   Alcotest.(check (list int)) "column on the right" [ 1 ]
     (ids "SELECT id FROM accounts WHERE 2 > id" [||]);
   (* own inserts are visited after the committed range, as on a full scan *)
-  let ctx = Executor.Ctx.create (fixture ()) in
+  let ctx = Executor.Ctx.create ~record_reads:true (fixture ()) in
   let ids sql params =
     (exec_ok ctx sql ~params ()).rows
     |> List.map (function [| Value.Int i |] -> i | _ -> Alcotest.fail "row")
@@ -414,7 +414,7 @@ let test_select_expression_projs () =
 (* --- Executor: reads --- *)
 
 let test_read_set_recorded () =
-  let ctx = Executor.Ctx.create (fixture ()) in
+  let ctx = Executor.Ctx.create ~record_reads:true (fixture ()) in
   ignore (exec_ok ctx "SELECT * FROM accounts WHERE id = 1" ());
   ignore (exec_ok ctx "SELECT * FROM accounts WHERE id = 2" ());
   let rs = Executor.Ctx.read_set ctx in
@@ -423,13 +423,13 @@ let test_read_set_recorded () =
     (List.for_all (fun r -> r.Executor.r_table = "accounts") rs)
 
 let test_read_set_first_observation () =
-  let ctx = Executor.Ctx.create (fixture ()) in
+  let ctx = Executor.Ctx.create ~record_reads:true (fixture ()) in
   ignore (exec_ok ctx "SELECT * FROM accounts WHERE id = 1" ());
   ignore (exec_ok ctx "SELECT * FROM accounts WHERE id = 1" ());
   Alcotest.(check int) "dedup" 1 (List.length (Executor.Ctx.read_set ctx))
 
 let test_scan_records_matching_only () =
-  let ctx = Executor.Ctx.create (fixture ()) in
+  let ctx = Executor.Ctx.create ~record_reads:true (fixture ()) in
   ignore (exec_ok ctx "SELECT * FROM accounts WHERE balance > 250" ());
   Alcotest.(check int) "only matching rows" 2
     (List.length (Executor.Ctx.read_set ctx))
@@ -714,7 +714,7 @@ let gen_stmt =
     ]
 
 let run_case ~index ~own_writes sql =
-  let ctx = Executor.Ctx.create (fixture ()) in
+  let ctx = Executor.Ctx.create ~record_reads:true (fixture ()) in
   if index then
     ignore (exec_ok ctx "CREATE INDEX accounts_by_region ON accounts (region)" ());
   List.iter (fun w -> ignore (Executor.exec_sql ctx w ~params:[||])) own_writes;
@@ -1072,20 +1072,24 @@ let show_stmt = function
          (List.map (fun r -> "(" ^ String.concat ", " (List.map show_expr r) ^ ")") rows))
   | Ast.Create_table _ | Ast.Create_index _ -> "CREATE ..."
 
-let prop_ast_fuzz_read_set_distinct =
-  let gen =
-    QCheck.Gen.(
-      pair (list_size (int_range 1 4) gen_ast_stmt)
-        (array_size (frequency [ (1, int_range 0 2); (4, return 3) ]) gen_value))
-  in
+(* Positional parameters, sometimes fewer than a statement uses. *)
+let gen_params =
+  QCheck.Gen.(array_size (frequency [ (1, int_range 0 2); (4, return 3) ]) gen_value)
+
+(* One to four statements and the parameters they share. *)
+let arb_ast_stmts =
+  let gen = QCheck.Gen.(pair (list_size (int_range 1 4) gen_ast_stmt) gen_params) in
   let print (stmts, params) =
     Printf.sprintf "params=[%s]; %s"
       (String.concat "," (Array.to_list (Array.map Value.to_string params)))
       (String.concat "; " (List.map show_stmt stmts))
   in
+  QCheck.make ~print gen
+
+let prop_ast_fuzz_read_set_distinct =
   QCheck.Test.make ~name:"random AST statements: Ok or Error, distinct read set"
-    ~count:2000 (QCheck.make ~print gen) (fun (stmts, params) ->
-      let ctx = Executor.Ctx.create (fixture ()) in
+    ~count:2000 arb_ast_stmts (fun (stmts, params) ->
+      let ctx = Executor.Ctx.create ~record_reads:true (fixture ()) in
       List.iter
         (fun stmt ->
           match Executor.exec ctx stmt ~params with
@@ -1112,7 +1116,7 @@ let read_keys ctx =
     (Executor.Ctx.read_set ctx)
 
 let test_read_set_range_then_aggregate () =
-  let ctx = Executor.Ctx.create (fixture ()) in
+  let ctx = Executor.Ctx.create ~record_reads:true (fixture ()) in
   ignore (exec_ok ctx "SELECT id FROM accounts WHERE id BETWEEN 2 AND 3" ());
   ignore (exec_ok ctx "SELECT COUNT(*), SUM(balance) FROM accounts WHERE balance >= 300" ());
   Alcotest.(check (list (pair string int)))
@@ -1126,7 +1130,7 @@ let test_read_set_update_then_select () =
     (Option.get (Table.find (Db.get_table_exn db "accounts") (Value.encode_key [| v_int 1 |])))
       .Table.header.Row_header.csn
   in
-  let ctx = Executor.Ctx.create db in
+  let ctx = Executor.Ctx.create ~record_reads:true db in
   ignore (exec_ok ctx "UPDATE accounts SET balance = 5 WHERE id = 1" ());
   let r = exec_ok ctx "SELECT balance FROM accounts WHERE id = 1" () in
   Alcotest.(check bool) "own update visible" true (r.Executor.rows = [ [| v_int 5 |] ]);
@@ -1137,7 +1141,7 @@ let test_read_set_update_then_select () =
        (Executor.Ctx.read_set ctx))
 
 let test_read_set_self_join () =
-  let ctx = Executor.Ctx.create (fixture ()) in
+  let ctx = Executor.Ctx.create ~record_reads:true (fixture ()) in
   let r =
     exec_ok ctx "SELECT a.id, b.id FROM accounts a JOIN accounts b ON a.region = b.region" ()
   in
@@ -1147,6 +1151,118 @@ let test_read_set_self_join () =
     "each row once, in first-read order"
     [ ("accounts", 1); ("accounts", 3); ("accounts", 2); ("accounts", 4) ]
     (read_keys ctx)
+
+(* The same statements with the read set off: what node runs at RC.
+   Results and write sets must not change, and nothing is recorded. *)
+let prop_reads_off_same_effects =
+  let run ~record_reads (stmts, params) =
+    let ctx = Executor.Ctx.create ~record_reads (fixture ()) in
+    let results =
+      List.map
+        (fun stmt ->
+          Result.map
+            (fun r -> Executor.(r.columns, r.rows, r.affected))
+            (Executor.exec ctx stmt ~params))
+        stmts
+    in
+    let writes =
+      List.map
+        (fun r -> Gg_crdt.Writeset.(r.table, key_str r, r.op, r.data, r.cols))
+        (Executor.Ctx.writeset_records ctx)
+    in
+    (results, writes, Executor.Ctx.read_set ctx)
+  in
+  QCheck.Test.make ~name:"reads off: same results and writes, empty read set"
+    ~count:1000 arb_ast_stmts (fun case ->
+      let on_results, on_writes, _ = run ~record_reads:true case in
+      let off_results, off_writes, off_reads = run ~record_reads:false case in
+      on_results = off_results && on_writes = off_writes && off_reads = [])
+
+(* --- Boolean predicates ---
+
+   [Expr.bind_pred] against the value path it stands in for,
+   [is_truthy (eval (bind e))]: random WHERE clauses and expressions
+   over one or two of the fixture's tables, evaluated on fixture rows
+   and on rows of any values, must give the same truth value, or the
+   same [Sql_error] at the same stage (binding or evaluation). *)
+
+let pred_scopes =
+  [
+    [ { Ast.table = "accounts"; alias = None } ];
+    [ { Ast.table = "accounts"; alias = Some "a" }; { Ast.table = "regions"; alias = Some "r" } ];
+    (* bare column names are ambiguous here *)
+    [ { Ast.table = "accounts"; alias = Some "a" }; { Ast.table = "accounts"; alias = Some "b" } ];
+  ]
+
+let pred_db = fixture ()
+
+let gen_pred_row table =
+  let tbl = Db.get_table_exn pred_db table in
+  let stored = ref [] in
+  Table.scan tbl ~f:(fun e -> stored := e.Table.data :: !stored);
+  QCheck.Gen.(
+    frequency
+      [
+        (1, oneofl !stored);
+        (1, array_size (return (Schema.arity (Table.schema tbl))) gen_value);
+      ])
+
+let gen_pred_case =
+  QCheck.Gen.(
+    let* refs = oneofl pred_scopes in
+    let cols = scope_cols refs in
+    let* e =
+      frequency
+        [
+          (2, gen_ast_where cols >>= function Some w -> return w | None -> gen_ast_expr cols);
+          (1, gen_ast_expr cols);
+        ]
+    in
+    let rows = flatten_l (List.map (fun (tr : Ast.table_ref) -> gen_pred_row tr.table) refs) in
+    let* rows = pair rows rows in
+    let* params = gen_params in
+    return (refs, e, rows, params))
+
+let prop_bind_pred_matches_bind =
+  let print (refs, e, (rows1, rows2), params) =
+    let show_rows rows =
+      String.concat " | "
+        (List.map
+           (fun r -> String.concat "," (Array.to_list (Array.map Value.to_string r)))
+           rows)
+    in
+    Printf.sprintf "FROM %s WHERE %s; rows [%s] then [%s]; params=[%s]"
+      (String.concat ", " (List.map show_table_ref refs))
+      (show_expr e) (show_rows rows1) (show_rows rows2)
+      (String.concat "," (Array.to_list (Array.map Value.to_string params)))
+  in
+  let outcome f = match f () with b -> Ok b | exception Expr.Sql_error m -> Error m in
+  QCheck.Test.make ~name:"bind_pred = is_truthy . eval . bind" ~count:3000
+    (QCheck.make ~print gen_pred_case) (fun (refs, e, (rows1, rows2), params) ->
+      let env =
+        List.map
+          (fun (tr : Ast.table_ref) ->
+            {
+              Expr.Env.binding_name = Option.value tr.alias ~default:tr.table;
+              schema = Table.schema (Db.get_table_exn pred_db tr.table);
+              row = [||];
+            })
+          refs
+      in
+      (* Bind both before any row is set, as the executor does; then
+         evaluate each on two successive row sets. *)
+      let bound = outcome (fun () -> Expr.bind env ~params e) in
+      let pred = outcome (fun () -> Expr.bind_pred env ~params e) in
+      let eval rows =
+        List.iter2 (fun b r -> b.Expr.Env.row <- r) env rows;
+        ( Result.map (fun b -> outcome (fun () -> Expr.is_truthy (Expr.eval b))) bound,
+          Result.map (fun p -> outcome p) pred )
+      in
+      List.for_all
+        (fun rows ->
+          let expected, got = eval rows in
+          expected = got)
+        [ rows1; rows2 ])
 
 let () =
   Alcotest.run "gg_sql"
@@ -1218,7 +1334,9 @@ let () =
             test_read_set_update_then_select;
           Alcotest.test_case "self-join" `Quick test_read_set_self_join;
           QCheck_alcotest.to_alcotest prop_ast_fuzz_read_set_distinct;
+          QCheck_alcotest.to_alcotest prop_reads_off_same_effects;
         ] );
+      ("preds", [ QCheck_alcotest.to_alcotest prop_bind_pred_matches_bind ]);
       ( "writes",
         [
           Alcotest.test_case "update buffered" `Quick test_update_buffered;
