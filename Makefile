@@ -1,4 +1,4 @@
-.PHONY: all build test fmt ci bench micro ab parallel check trace-demo clean
+.PHONY: all build test fmt ci golden bench micro ab parallel check trace-demo clean
 
 # Domain fan-out for the harness (check sweeps, experiment grids, bench
 # scenarios). 0 = one worker per core; output is byte-identical at any
@@ -28,6 +28,19 @@ check:
 	dune exec bin/geogauss_cli.exe -- check --seeds 25 --fast --jobs $(JOBS)
 	dune exec bin/geogauss_cli.exe -- check --canary
 
+# Pinned check modes, one "seeds|flags" pair each: partial replication
+# per partition map (DESIGN.md §12), corrupted frames through the
+# decode-failure -> stall-repair path, the column-level lattice (§13),
+# the clock-assisted fast path with skew bursts (§14; externalization
+# still gates on the confirm point), SI, where the executors build the
+# read sets that validation checks (RC, the default, builds none), and
+# Raft-FT, the only mode whose batches wait on the origin's majority
+# commit (§5.2). `make ci` sweeps each at its seed count; `make golden`
+# pins each at 25 seeds.
+PINNED_SWEEPS = "5|--partitioning hash:2" "5|--partitioning region" \
+	"3|--corrupt 0.05" "5|--merge-level column" \
+	"5|--engine eocc --clock-skew 10" "5|--isolation si" "5|--ft raft"
+
 ci: fmt
 	dune build
 	dune runtest
@@ -45,22 +58,20 @@ ci: fmt
 	else \
 		echo "ci: single-core host, speedup not meaningful (outputs compared equal)"; \
 	fi
-# Pinned-mode sweeps, one "seeds|flags" pair each: partial replication
-# per partition map (DESIGN.md §12), corrupted frames through the
-# decode-failure -> stall-repair path, the column-level lattice (§13),
-# the clock-assisted fast path with skew bursts (§14; externalization
-# still gates on the confirm point), and SI, where the executors build
-# the read sets that validation checks (RC, the default, builds none).
-# Every mode runs the same drawn seeds through all five oracles; a sweep
-# with violations fails ci.
-	for sweep in "5|--partitioning hash:2" "5|--partitioning region" \
-		"3|--corrupt 0.05" "5|--merge-level column" \
-		"5|--engine eocc --clock-skew 10" "5|--isolation si"; do \
+# Pinned-mode sweeps (PINNED_SWEEPS): every mode runs the same drawn
+# seeds through all five oracles; a sweep with violations fails ci.
+	for sweep in $(PINNED_SWEEPS); do \
 		dune exec bin/geogauss_cli.exe -- check --seeds $${sweep%%|*} --fast $${sweep#*|} --jobs $(JOBS) > /tmp/gg_ci_sweep.out \
 			|| { cat /tmp/gg_ci_sweep.out; echo "ci: check $${sweep#*|} failed"; exit 1; }; \
 		tail -1 /tmp/gg_ci_sweep.out; \
 	done
 	dune exec bin/geogauss_cli.exe -- check --canary
+# Seeded outputs against GOLDEN.sha256 (bench/golden.sh): names every
+# output whose digest moved. A change that moves outputs on purpose
+# regenerates the file with `make golden`.
+	@t0=$$(date +%s.%N); \
+	JOBS=$(JOBS) sh bench/golden.sh check $(PINNED_SWEEPS) || exit 1; \
+	awk -v a="$$t0" -v b="$$(date +%s.%N)" 'BEGIN { printf "ci: golden step %.1fs\n", b-a }'
 # Perf tripwires for the committed fig-suite baselines: a fresh fast run
 # of each suite vs its BENCH_*.json. Fast mode runs shrunk populations and
 # fewer grid points (the rows it skips report as missing), so the wide
@@ -74,6 +85,11 @@ ci: fmt
 		dune exec bin/geogauss_cli.exe -- bench diff BENCH_$$suite.json $$d/BENCH_$$suite.json --warn-only --threshold 0.5 && \
 		rm -rf $$d || exit 1; \
 	done
+
+# Regenerate GOLDEN.sha256, the digests `make ci` checks the seeded
+# outputs against (bench/golden.sh lists them).
+golden:
+	JOBS=$(JOBS) sh bench/golden.sh write $(PINNED_SWEEPS)
 
 bench:
 	dune exec bench/main.exe -- --jobs $(JOBS)

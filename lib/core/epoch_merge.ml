@@ -74,6 +74,33 @@ let insert_row table (r : Writeset.record) ~key_str (meta : Meta.t) =
     (Table.insert_committed table ~key:r.Writeset.key ~key_str
        ~data:r.Writeset.data ~header)
 
+(* GeoG-A: a write set applied on its own, record by record, under
+   last-writer-wins on the row csn. *)
+let lww_apply db (ws : Writeset.t) =
+  let meta = ws.Writeset.meta in
+  List.iter
+    (fun (r : Writeset.record) ->
+      match Db.get_table db r.Writeset.table with
+      | None -> ()
+      | Some table -> (
+        let key_str = Writeset.key_str r in
+        match Table.find table key_str with
+        | Some entry ->
+          if Csn.compare meta.Meta.csn entry.Table.header.Row_header.csn > 0
+          then begin
+            (* The stamp alone is digest-relevant (a delete over an
+               existing tombstone changes only the header). *)
+            stamp_row table entry meta;
+            match r.Writeset.op with
+            | Writeset.Delete -> Table.delete table entry
+            | Writeset.Insert | Writeset.Update ->
+              Table.revive table entry r.Writeset.data
+          end
+        | None ->
+          if r.Writeset.op <> Writeset.Delete then
+            insert_row table r ~key_str meta))
+    ws.Writeset.records
+
 (* Column mode: one per live row the epoch's updates and deletes reach,
    shared by all of that row's slots. [claim] is the join of every
    update/delete claim on the row (phase A); [cells] the per-column

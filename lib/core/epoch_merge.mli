@@ -36,7 +36,13 @@ val insert_row :
   Gg_crdt.Meta.t -> unit
 (** Insert a record's image as a fresh committed row stamped with the
     meta. The two helpers serve the writes outside the merge proper:
-    GeoG-A's gossip apply and the deferred cross-group write-back. *)
+    {!lww_apply} and the deferred cross-group write-back. *)
+
+val lww_apply : Gg_storage.Db.t -> Gg_crdt.Writeset.t -> unit
+(** GeoG-A's coordination-free apply: each record of the write set
+    replaces its row iff the write set's csn is newer than the row's
+    (last-writer-wins), stamping the row; a record for an absent row
+    inserts it unless it is a delete. No validation, no epoch. *)
 
 type t
 (** The merge outcome: per-transaction commit/abort decisions plus

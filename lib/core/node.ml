@@ -12,13 +12,7 @@ module Writeset = Gg_crdt.Writeset
 module Meta = Gg_crdt.Meta
 module Executor = Gg_sql.Executor
 
-(* The per-epoch bookkeeping is keyed by single ints: a packed csn, or
-   (cen, peer) packed with the peer in the low 10 bits (<= 1024
-   replicas), which keeps the probes allocation-free. *)
 module Itbl = Epoch_merge.Itbl
-
-let pack_cp ~cen ~peer = (cen lsl 10) lor peer
-let cen_of_cp k = k lsr 10
 
 type msg =
   | Batch_msg of Writeset.Batch.t
@@ -46,12 +40,23 @@ type env = {
   mutable on_commit : Txn.t -> unit;
 }
 
+(* One peer's batch for an epoch, as far as it has arrived. *)
 type batch_state = {
   mutable txns : Writeset.t list;  (* newest first, deduplicated by csn *)
   txn_keys : unit Itbl.t;  (* packed csn *)
   mutable eof : bool;
   mutable expected : int;  (* txn count announced by the EOF; -1 until then *)
-  mutable committed : bool;  (* Ft_raft gate; true otherwise *)
+  mutable committed : bool;  (* the origin's commit arrived, or none is awaited *)
+}
+
+(* What the node holds for one epoch it has not merged yet. Only epochs
+   past the snapshot (cen > lsn) get a record, and the merge drops it. *)
+type epoch = {
+  mutable pending : Writeset.t list;  (* local write sets, newest first *)
+  mutable sealed : Writeset.t list;  (* [pending] in commit order, at the seal *)
+  mutable waiting : Txn.t list;  (* local transactions awaiting the merge *)
+  mutable notify_at : int;  (* earliest instant their clients may hear back *)
+  peers : batch_state option array;  (* by peer id *)
 }
 
 type t = {
@@ -65,12 +70,8 @@ type t = {
   mutable active : bool;
   mutable lsn : int;
   mutable sealed_epoch : int;
-  mutable current_send : (int * Writeset.t) list;  (* (cen, ws), newest first *)
-  remote : batch_state Itbl.t;  (* packed (cen, peer) *)
-  local_sealed : Writeset.t list Itbl.t;  (* cen *)
-  waiting : Txn.t list Itbl.t;  (* cen -> local txns *)
-  notify_gate : int Itbl.t;  (* cen -> earliest client-notify time *)
-  ft_acks : int list Itbl.t;  (* cen -> acknowledging peers *)
+  epochs : epoch Itbl.t;  (* cen *)
+  ft : Ft_gate.t;  (* fault-tolerance gates (§5.2) *)
   sync_queue : Txn.t Queue.t;  (* GeoG-S: held until a fresh snapshot *)
   cross : Cross_group.t option;  (* partial replication only (DESIGN.md §12) *)
   last_eof : int array;
@@ -102,12 +103,8 @@ let create env ~id ~db =
     active = true;
     lsn = -1;
     sealed_epoch = -1;
-    current_send = [];
-    remote = Itbl.create 64;
-    local_sealed = Itbl.create 64;
-    waiting = Itbl.create 64;
-    notify_gate = Itbl.create 64;
-    ft_acks = Itbl.create 16;
+    epochs = Itbl.create 64;
+    ft = Ft_gate.create env.params ~topology:(Net.topology env.net) ~node:id;
     sync_queue = Queue.create ();
     cross =
       Cross_group.create env.part ~topology:(Net.topology env.net)
@@ -132,7 +129,10 @@ let metrics t = t.metrics
 let active t = t.active
 
 let pending_waiting t =
-  Itbl.fold (fun _ l acc -> acc + List.length l) t.waiting 0
+  Itbl.fold (fun _ ep acc -> acc + List.length ep.waiting) t.epochs 0
+
+let held_epochs t =
+  List.sort compare (Itbl.fold (fun cen _ acc -> cen :: acc) t.epochs [])
 
 let last_txn_epoch t = t.last_txn_cen
 
@@ -185,90 +185,36 @@ let send_batch t ~bytes (b : Writeset.Batch.t) ~dst =
        Batch_wire (Bytes.sub wire 0 (Bytes.length wire / 2))
      else Batch_msg b)
 
-(* --- fault-tolerance notification gates (§5.2) --- *)
+(* --- per-epoch records --- *)
 
-(* Earliest time clients of epoch [cen] may be answered, measured from
-   the epoch seal time. *)
-let ft_gate_delay t =
-  let topo = Net.topology t.env.net in
-  match t.env.params.Params.ft with
-  | Params.Ft_none | Params.Ft_raft -> 0
-  | Params.Ft_local_backup ->
-    (* round trip to a same-region backup server *)
-    2 * Topology.latency topo t.id t.id
-  | Params.Ft_remote_backup ->
-    (* round trip to the nearest other-region backup *)
-    let best = ref max_int in
-    for p = 0 to Topology.n_nodes topo - 1 do
-      if Topology.region_of topo p <> Topology.region_of topo t.id then
-        best := min !best (Topology.latency topo t.id p)
-    done;
-    if !best = max_int then 0 else 2 * !best
+(* Epoch [cen]'s record, created on first use. Callers create one only
+   for an epoch past the snapshot. *)
+let epoch t cen =
+  match Itbl.find_opt t.epochs cen with
+  | Some ep -> ep
+  | None ->
+    let peers = Array.make (Net.n_nodes t.env.net) None in
+    let ep = { pending = []; sealed = []; waiting = []; notify_at = 0; peers } in
+    Itbl.replace t.epochs cen ep;
+    ep
 
-(* --- GeoG-A: coordination-free LWW apply (used by Async_merge) --- *)
+let peer_batch t ~cen ~peer =
+  Option.bind (Itbl.find_opt t.epochs cen) (fun ep -> ep.peers.(peer))
 
-let lww_apply t (ws : Writeset.t) =
-  let meta = ws.Writeset.meta in
-  List.iter
-    (fun (r : Writeset.record) ->
-      match Db.get_table t.db r.Writeset.table with
-      | None -> ()
-      | Some table -> (
-        let key_str = Writeset.key_str r in
-        match Table.find table key_str with
-        | Some entry ->
-          if Csn.compare meta.Meta.csn entry.Table.header.Row_header.csn > 0
-          then begin
-            (* The stamp alone is digest-relevant (a delete over an
-               existing tombstone changes only the header). *)
-            Epoch_merge.stamp_row table entry meta;
-            match r.Writeset.op with
-            | Writeset.Delete -> Table.delete table entry
-            | Writeset.Insert | Writeset.Update ->
-              Table.revive table entry r.Writeset.data
-          end
-        | None ->
-          if r.Writeset.op <> Writeset.Delete then
-            Epoch_merge.insert_row table r ~key_str meta))
-    ws.Writeset.records
+(* Peer [peer]'s batch for epoch [cen] (> lsn), created on first use. *)
+let batch_state t ~cen ~peer =
+  let ep = epoch t cen in
+  match ep.peers.(peer) with
+  | Some bs -> bs
+  | None ->
+    let committed = not (Ft_gate.awaits_commit t.ft) in
+    let bs =
+      { txns = []; txn_keys = Itbl.create 8; eof = false; expected = -1; committed }
+    in
+    ep.peers.(peer) <- Some bs;
+    bs
 
 (* --- finishing transactions --- *)
-
-(* Per-transaction span: five Algorithm-1 phase events back-dated
-   cumulatively from the submit time, a commit-point marker when the
-   transaction entered an epoch, then the commit/abort terminator. The
-   span id is the node-tagged causal span allocated at submit; the
-   commit event's parent is the span of the deciding epoch merge, which
-   links the transaction into the cross-node causal DAG. *)
-let emit_txn_span t (txn : Txn.t) outcome =
-  let p = txn.Txn.phases in
-  if txn.Txn.span = 0 then txn.Txn.span <- Obs.new_span t.obs ~node:t.id;
-  let span = txn.Txn.span in
-  (* cen defaults to 0; only transactions that reached the commit point
-     with a write set actually belong to an epoch. *)
-  let epoch = if txn.Txn.commit_point > 0 then txn.Txn.cen else -1 in
-  let start = ref txn.Txn.submit_time in
-  let phase name dur =
-    Obs.emit t.obs ~at:!start ~node:t.id ~epoch ~span ~dur ~cat:"txn" name;
-    start := !start + max 0 dur
-  in
-  phase "phase.parse" p.Txn.parse_us;
-  phase "phase.exec" p.Txn.exec_us;
-  phase "phase.wait" p.Txn.wait_us;
-  phase "phase.merge" p.Txn.merge_us;
-  phase "phase.log" p.Txn.log_us;
-  if txn.Txn.commit_point > 0 then
-    Obs.emit t.obs ~at:txn.Txn.commit_point ~node:t.id ~epoch ~span ~cat:"txn"
-      "commit.point";
-  let parent = if txn.Txn.merge_span > 0 then txn.Txn.merge_span else -1 in
-  match outcome with
-  | Txn.Committed { latency_us; _ } ->
-    Obs.emit t.obs ~node:t.id ~epoch ~span ~parent ~dur:latency_us ~cat:"txn"
-      "commit"
-  | Txn.Aborted { latency_us; reason } ->
-    Obs.emit t.obs ~node:t.id ~epoch ~span ~parent ~dur:latency_us ~cat:"txn"
-      "abort"
-      ~detail:(Txn.abort_reason_to_string reason)
 
 let finish t (txn : Txn.t) outcome =
   if not txn.Txn.finished then begin
@@ -276,7 +222,7 @@ let finish t (txn : Txn.t) outcome =
     Metrics.record_outcome t.metrics outcome;
     let committed = Txn.is_committed outcome in
     if committed then Metrics.record_phases t.metrics txn.Txn.phases;
-    if Obs.tracing t.obs then emit_txn_span t txn outcome;
+    if Obs.tracing t.obs then Txn.emit_span t.obs txn outcome;
     if committed then t.env.on_commit txn;
     txn.Txn.callback outcome
   end
@@ -331,10 +277,10 @@ let answer_resolved t cg e ~span =
 (* --- epoch sealing --- *)
 
 let seal_epoch t e =
-  let mine, rest = List.partition (fun (cen, _) -> cen = e) t.current_send in
-  t.current_send <- rest;
-  let txns = List.rev_map snd mine in
-  Itbl.replace t.local_sealed e txns;
+  (* A re-join re-seals epochs the installed snapshot already covers:
+     peers still wait for those EOFs, but this node keeps no record. *)
+  let ep = if e > t.lsn then Some (epoch t e) else None in
+  let txns = Option.fold ~none:[] ~some:(fun ep -> List.rev ep.pending) ep in
   (* One span per sealed epoch batch: the EOF's wire header carries it to
      every peer, whose batch.recv events become its causal children. *)
   let bspan = Obs.new_span t.obs ~node:t.id in
@@ -372,7 +318,11 @@ let seal_epoch t e =
         send_eof ~group:(Printf.sprintf "group=%d " g) gtxns (fun send ->
             List.iter (fun dst -> send ~dst) dsts))
       (Cross_group.eof_groups cg txns));
-  Itbl.replace t.notify_gate e (now t + ft_gate_delay t);
+  Option.iter
+    (fun ep ->
+      ep.sealed <- txns;
+      ep.notify_at <- now t + Ft_gate.notify_delay t.ft)
+    ep;
   t.sealed_epoch <- e
 
 let csn_keys txns = List.sort compare (List.map Epoch_merge.csn_key txns)
@@ -437,16 +387,14 @@ and collect_epoch_txns t e =
       ws :: acc
     end
   in
-  let acc =
-    List.fold_left add []
-      (Option.value ~default:[] (Itbl.find_opt t.local_sealed e))
-  in
+  let ep = epoch t e in
+  let acc = List.fold_left add [] ep.sealed in
   let acc =
     List.fold_left
       (fun acc peer ->
         if peer = t.id then acc
         else
-          match Itbl.find_opt t.remote (pack_cp ~cen:e ~peer) with
+          match ep.peers.(peer) with
           | None -> acc
           | Some bs ->
             List.fold_left
@@ -458,11 +406,8 @@ and collect_epoch_txns t e =
   List.rev acc
 
 and peer_complete t ~cen ~peer =
-  match Itbl.find_opt t.remote (pack_cp ~cen ~peer) with
-  | Some bs ->
-    bs.eof
-    && Itbl.length bs.txn_keys >= bs.expected
-    && (bs.committed || t.env.params.Params.ft <> Params.Ft_raft)
+  match peer_batch t ~cen ~peer with
+  | Some bs -> bs.eof && Itbl.length bs.txn_keys >= bs.expected && bs.committed
   | None -> false
 
 (* The peers whose epoch-[e] batch has not fully arrived. *)
@@ -525,7 +470,7 @@ and maybe_spec t =
          group commit overlaps the EOF flight. *)
       List.iter
         (fun (txn : Txn.t) -> txn.Txn.phases.log_us <- wal_append t txn)
-        (Option.value ~default:[] (Itbl.find_opt t.waiting e))
+        (epoch t e).waiting
     | Fastpath.Wake_at at ->
       Sim.schedule_at t.env.sim at (fun () ->
           Fastpath.woke f ~at;
@@ -569,8 +514,7 @@ and do_merge t e full ~merge_started ~duration ~span ~prelog =
      epochs"; keep a generous window and reclaim the rest. *)
   if e mod 100 = 0 then ignore (Db.purge_tombstones t.db ~before_cen:(e - 100));
   (* Notify the local transactions of this epoch. *)
-  let locals = Option.value ~default:[] (Itbl.find_opt t.waiting e) in
-  let gate = Option.value ~default:0 (Itbl.find_opt t.notify_gate e) in
+  let record = epoch t e in
   List.iter
     (fun (txn : Txn.t) ->
       txn.Txn.phases.merge_us <- duration;
@@ -591,10 +535,10 @@ and do_merge t e full ~merge_started ~duration ~span ~prelog =
         in
         txn.Txn.phases.log_us <- log_us;
         answer_after t txn ~cen:e
-          ~after:(max 0 (gate - now t) + log_us)
+          ~after:(max 0 (record.notify_at - now t) + log_us)
           (Option.fold ~none:(Some Txn.Write_conflict)
              ~some:(Epoch_merge.verdict m) txn.Txn.writeset))
-    locals;
+    record.waiting;
   (match (t.cross, ep) with
   | Some cg, Some ep ->
     let verdicts, dsts = Cross_group.votes cg ep m ~cen:e full in
@@ -606,14 +550,8 @@ and do_merge t e full ~merge_started ~duration ~span ~prelog =
           (Part_vote { cen = e; group = Cross_group.group cg; verdicts; span }))
       dsts
   | _ -> ());
-  (* Bounded memory: drop per-epoch bookkeeping. *)
-  Itbl.remove t.waiting e;
-  Itbl.remove t.local_sealed e;
-  Itbl.remove t.notify_gate e;
-  Itbl.remove t.ft_acks e;
-  List.iter
-    (fun peer -> Itbl.remove t.remote (pack_cp ~cen:e ~peer))
-    (t.env.members_at e);
+  Itbl.remove t.epochs e;
+  Ft_gate.merged t.ft ~cen:e;
   t.env.on_snapshot ~node:t.id ~lsn:e;
   (* GeoG-S: a fresh snapshot releases held transactions. *)
   release_sync_queue t
@@ -779,7 +717,7 @@ and commit_point t (txn : Txn.t) =
         match t.env.params.Params.variant with
         | Params.Async_merge ->
           (* GeoG-A: merge locally now, gossip, reply immediately. *)
-          lww_apply t ws;
+          Epoch_merge.lww_apply t.db ws;
           broadcast t (mini ());
           let cost = t.env.params.Params.cost in
           txn.Txn.phases.merge_us <-
@@ -788,7 +726,8 @@ and commit_point t (txn : Txn.t) =
           Sim.schedule t.env.sim ~after:txn.Txn.phases.log_us (fun () ->
               finish_committed t txn)
         | Params.Optimistic | Params.Sync_exec ->
-          t.current_send <- (cen, ws) :: t.current_send;
+          let ep = epoch t cen in
+          ep.pending <- ws :: ep.pending;
           if t.env.params.Params.pipeline then begin
             let send = mini () in
             (* Interest-scoped pipelining: only members of the touched
@@ -798,28 +737,10 @@ and commit_point t (txn : Txn.t) =
               List.iter (fun dst -> send ~dst) (Cross_group.targets cg ws)
             | None -> broadcast t send
           end;
-          let q = Option.value ~default:[] (Itbl.find_opt t.waiting cen) in
-          Itbl.replace t.waiting cen (txn :: q);
+          ep.waiting <- txn :: ep.waiting;
           if cen > t.last_txn_cen then t.last_txn_cen <- cen))
 
 (* --- Algorithm 3: receive side --- *)
-
-and batch_state t ~cen ~peer =
-  let key = pack_cp ~cen ~peer in
-  match Itbl.find_opt t.remote key with
-  | Some bs -> bs
-  | None ->
-    let bs =
-      {
-        txns = [];
-        txn_keys = Itbl.create 8;
-        eof = false;
-        expected = -1;
-        committed = t.env.params.Params.ft <> Params.Ft_raft;
-      }
-    in
-    Itbl.replace t.remote key bs;
-    bs
 
 and receive t msg =
   (* Messages to a down node are dropped by the network; a recovering
@@ -828,7 +749,7 @@ and receive t msg =
   match msg with
     | Batch_msg { Writeset.Batch.node = src; cen; txns; eof; count; span; _ } ->
       if t.env.params.Params.variant = Params.Async_merge then
-        List.iter (lww_apply t) txns
+        List.iter (Epoch_merge.lww_apply t.db) txns
       else if cen > t.lsn then begin
         Option.iter (fun f -> Fastpath.observe f ~src ~now:(now t) txns) t.fast;
         let bs = batch_state t ~cen ~peer:src in
@@ -852,7 +773,7 @@ and receive t msg =
               ~span:rspan ~parent:(if span > 0 then span else -1)
               ~detail:
                 (Printf.sprintf "from=%d txns=%d" src (Itbl.length bs.txn_keys));
-          if t.env.params.Params.ft = Params.Ft_raft then
+          if Ft_gate.acks_eof t.ft then
             send_msg t ~dst:src ~bytes:40
               (Ft_ack { cen; from = t.id; span = rspan })
         end;
@@ -885,23 +806,17 @@ and receive t msg =
         Obs.emit t.obs ~node:t.id ~epoch:cen ~cat:"epoch" "ft.ack" ~span:aspan
           ~parent:(if pspan > 0 then pspan else -1)
           ~detail:(Printf.sprintf "from=%d" from);
-      let acks = Option.value ~default:[] (Itbl.find_opt t.ft_acks cen) in
-      if not (List.mem from acks) then begin
-        let acks = from :: acks in
-        Itbl.replace t.ft_acks cen acks;
-        let n = List.length (t.env.members_at cen) in
-        (* self + acks form the majority *)
-        if (List.length acks + 1) * 2 > n then
-          broadcast t
-            (send_msg t ~bytes:40 (Ft_commit { cen; origin = t.id; span = aspan }))
-      end
+      if
+        Ft_gate.ack t.ft ~cen ~from ~members:(List.length (t.env.members_at cen))
+      then
+        broadcast t
+          (send_msg t ~bytes:40 (Ft_commit { cen; origin = t.id; span = aspan }))
     | Ft_commit { cen; origin; span = pspan } ->
       if Obs.tracing t.obs then
         Obs.emit t.obs ~node:t.id ~epoch:cen ~cat:"epoch" "ft.commit"
           ~parent:(if pspan > 0 then pspan else -1)
           ~detail:(Printf.sprintf "origin=%d" origin);
-      let bs = batch_state t ~cen ~peer:origin in
-      bs.committed <- true;
+      if cen > t.lsn then (batch_state t ~cen ~peer:origin).committed <- true;
       try_advance t
     | State_snapshot _ -> ()
 (* recovery installation goes through install_state *)
@@ -939,8 +854,7 @@ let repair t =
               ~detail:(Printf.sprintf "peer=%d" peer);
           Sim.schedule t.env.sim ~after:delay (fun () ->
               if up t then begin
-                let bs = batch_state t ~cen:e ~peer in
-                bs.committed <- true;
+                if e > t.lsn then (batch_state t ~cen:e ~peer).committed <- true;
                 receive t (Batch_msg batch)
               end))
       (incomplete_peers t e);
@@ -977,8 +891,6 @@ let start t =
 (* Drop the volatile merge state: on a crash, and when a transferred
    snapshot replaces the database. *)
 let reset_merge_state t =
-  Itbl.reset t.local_sealed;
-  Itbl.reset t.waiting;
   Option.iter Cross_group.reset t.cross;
   Option.iter Fastpath.reset t.fast;
   t.merging <- false
@@ -989,18 +901,16 @@ let set_active t v =
        lost (their clients time out and retry elsewhere). *)
     t.active <- false;
     reset_merge_state t;
-    Itbl.reset t.remote;
-    Itbl.reset t.notify_gate;
-    Itbl.reset t.ft_acks;
-    Queue.clear t.sync_queue;
-    t.current_send <- []
+    Itbl.reset t.epochs;
+    Ft_gate.reset t.ft;
+    Queue.clear t.sync_queue
   end
   else if (not t.active) && v then t.active <- true
 
 let missing_sealed_epochs t ~peer ~upto =
   let missing = ref [] in
   for e = upto downto t.lsn + 1 do
-    match Itbl.find_opt t.remote (pack_cp ~cen:e ~peer) with
+    match peer_batch t ~cen:e ~peer with
     | Some bs when bs.eof -> ()
     | _ -> missing := e :: !missing
   done;
@@ -1015,14 +925,12 @@ let install_state t ~rejoin ~lsn ~db =
      by the cluster's retry loop after the node already resumed.
      Installing again would wipe live per-epoch state. *)
   if (not t.active) && lsn > t.lsn then begin
-    (* Keep batches buffered for epochs after the installed snapshot —
-       the peers broadcast them while the transfer was in flight. *)
-    let stale =
-      Itbl.fold
-        (fun key _ acc -> if cen_of_cp key <= lsn then key :: acc else acc)
-        t.remote []
-    in
-    List.iter (Itbl.remove t.remote) stale;
+    (* Keep the records of epochs after the installed snapshot: they
+       buffer the batches peers broadcast while the transfer was in
+       flight (the crash dropped every local entry). *)
+    Itbl.filter_map_inplace
+      (fun cen ep -> if cen <= lsn then None else Some ep)
+      t.epochs;
     reset_merge_state t;
     Db.replace_contents t.db ~from:db;
     t.lsn <- lsn;

@@ -6,7 +6,7 @@
       commit-point handler (read-set validation per isolation level,
       write-set dissemination) and the per-epoch notification step.
     - {b Algorithm 2} (DeltaCRDTMerge) runs inside the per-epoch merge,
-      via {!Gg_crdt.Merge}.
+      via {!Epoch_merge.run}.
     - {b Algorithm 3} (receive/merge threads) maps onto the message
       handler plus [try_advance], which produces consistent snapshots
       one by one.
@@ -93,6 +93,11 @@ val metrics : t -> Metrics.t
 val active : t -> bool
 val pending_waiting : t -> int
 (** Local transactions blocked on future snapshots (diagnostics). *)
+
+val held_epochs : t -> int list
+(** Epochs the node holds a per-epoch record for, ascending
+    (diagnostics): only epochs past {!lsn}, since the merge drops an
+    epoch's record and a message for a merged epoch creates none. *)
 
 val last_txn_epoch : t -> int
 (** Highest epoch that ever held a committed local transaction (-1 if
