@@ -63,6 +63,11 @@ let isolation_conv =
     [ ("rc", Geogauss.Params.RC); ("rr", Geogauss.Params.RR);
       ("si", Geogauss.Params.SI); ("ssi", Geogauss.Params.SSI) ]
 
+let ft_conv =
+  Arg.enum
+    [ ("none", Geogauss.Params.Ft_none); ("lb", Geogauss.Params.Ft_local_backup);
+      ("rb", Geogauss.Params.Ft_remote_backup); ("raft", Geogauss.Params.Ft_raft) ]
+
 (* Engine names resolve through the one canonical registry
    (Gg_engines.Registry): core names yield a Params transform onto the
    full cluster; baseline timing models are rejected here — they only
@@ -233,13 +238,7 @@ let run_cmd =
   let ft =
     Arg.(
       value
-      & opt
-          (enum
-             [ ("none", Geogauss.Params.Ft_none);
-               ("lb", Geogauss.Params.Ft_local_backup);
-               ("rb", Geogauss.Params.Ft_remote_backup);
-               ("raft", Geogauss.Params.Ft_raft) ])
-          Geogauss.Params.Ft_local_backup
+      & opt ft_conv Geogauss.Params.Ft_local_backup
       & info [ "ft" ] ~doc:"Fault tolerance: none, lb, rb or raft.")
   in
   let seconds =
@@ -439,14 +438,7 @@ let check_cmd =
   let ft =
     Arg.(
       value
-      & opt
-          (some
-             (enum
-                [ ("none", Geogauss.Params.Ft_none);
-                  ("lb", Geogauss.Params.Ft_local_backup);
-                  ("rb", Geogauss.Params.Ft_remote_backup);
-                  ("raft", Geogauss.Params.Ft_raft) ]))
-          None
+      & opt (some ft_conv) None
       & info [ "ft" ] ~doc:"Pin the fault-tolerance mode (none, lb, rb, raft).")
   in
   let trace =

@@ -74,8 +74,6 @@ let insert_row table (r : Writeset.record) ~key_str (meta : Meta.t) =
     (Table.insert_committed table ~key:r.Writeset.key ~key_str
        ~data:r.Writeset.data ~header)
 
-(* GeoG-A: a write set applied on its own, record by record, under
-   last-writer-wins on the row csn. *)
 let lww_apply db (ws : Writeset.t) =
   let meta = ws.Writeset.meta in
   List.iter

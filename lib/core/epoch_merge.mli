@@ -39,10 +39,9 @@ val insert_row :
     {!lww_apply} and the deferred cross-group write-back. *)
 
 val lww_apply : Gg_storage.Db.t -> Gg_crdt.Writeset.t -> unit
-(** GeoG-A's coordination-free apply: each record of the write set
-    replaces its row iff the write set's csn is newer than the row's
-    (last-writer-wins), stamping the row; a record for an absent row
-    inserts it unless it is a delete. No validation, no epoch. *)
+(** GeoG-A's coordination-free apply: each record replaces its row iff
+    the write set's csn is newer (last-writer-wins), stamping it; an
+    absent row is inserted unless the record deletes it. *)
 
 type t
 (** The merge outcome: per-transaction commit/abort decisions plus

@@ -1,40 +1,32 @@
-(** The §5.2 fault-tolerance stage: what the configured mode
-    ({!Params.t.ft}) asks of an epoch before it may merge and before its
-    clients may hear back.
-
-    - Local and remote backup delay the client answer by the round trip
-      to the backup server ({!notify_delay}); merging waits on nothing.
-    - Raft-FT makes every receiver acknowledge each EOF to its origin,
-      and a peer batch merges only once its origin announces that a
-      majority holds it ({!awaits_commit}). The origin keeps the ack
-      tally and decides when to announce ({!ack}).
-
-    The stage returns decisions; the node sends the messages and emits
-    the trace events, as with {!Fastpath} and {!Cross_group}. *)
+(** The §5.2 fault-tolerance stage. Local and remote backup delay the
+    client answer by the round trip to the backup server; Raft-FT makes
+    receivers ack each EOF to its origin and holds a peer batch out of
+    the merge until its origin announces a majority. The stage returns
+    decisions; the node sends and traces, as with {!Fastpath}. *)
 
 type t
 
 val create : Params.t -> topology:Gg_sim.Topology.t -> node:int -> t
-(** Topology and mode are fixed for the node's life, so the notify
-    delay is computed here once. *)
-
 val notify_delay : t -> int
-(** µs after an epoch's seal before its clients may be answered. *)
+(** µs after an epoch's seal before its clients may hear back. *)
 
 val awaits_commit : t -> bool
-(** Does a peer batch need its origin's commit announcement before it
-    may merge? *)
+(** A peer batch may merge only after its origin's commit. *)
 
 val acks_eof : t -> bool
-(** Does a receiver acknowledge each EOF to the batch's origin? *)
+(** Receivers ack each EOF to the batch's origin. *)
+
+val sealed : t -> cen:int -> unit
+(** The node sealed its epoch-[cen] batch: open its ack tally (Raft-FT).
+    Tallies open only here, so a late ack, or one for an epoch sealed
+    before a crash, finds no tally and cannot announce again. *)
 
 val ack : t -> cen:int -> from:int -> members:int -> bool
-(** The origin's side: peer [from] acknowledged this node's epoch-[cen]
-    batch, with [members] replicas in [cen]'s view. [true] means
-    announce the commit. *)
-
-val merged : t -> cen:int -> unit
-(** This node merged epoch [cen]: drop its tally. *)
+(** Peer [from] acked the node's epoch-[cen] batch, [members] replicas
+    in [cen]'s view. [true] (announce) comes once: when the node and
+    the distinct ackers first form a majority, which closes the tally.
+    A tally outlives the node's own merge of [cen], since peers may
+    still wait; one whose majority never forms stays until {!reset}. *)
 
 val reset : t -> unit
 (** Crash: forget every tally. *)

@@ -56,7 +56,7 @@ type epoch = {
   mutable sealed : Writeset.t list;  (* [pending] in commit order, at the seal *)
   mutable waiting : Txn.t list;  (* local transactions awaiting the merge *)
   mutable notify_at : int;  (* earliest instant their clients may hear back *)
-  peers : batch_state option array;  (* by peer id *)
+  peers : batch_state array;  (* by peer id *)
 }
 
 type t = {
@@ -193,26 +193,17 @@ let epoch t cen =
   match Itbl.find_opt t.epochs cen with
   | Some ep -> ep
   | None ->
-    let peers = Array.make (Net.n_nodes t.env.net) None in
+    let committed = not (Ft_gate.awaits_commit t.ft) in
+    let peer _ =
+      { txns = []; txn_keys = Itbl.create 8; eof = false; expected = -1; committed }
+    in
+    let peers = Array.init (Net.n_nodes t.env.net) peer in
     let ep = { pending = []; sealed = []; waiting = []; notify_at = 0; peers } in
     Itbl.replace t.epochs cen ep;
     ep
 
-let peer_batch t ~cen ~peer =
-  Option.bind (Itbl.find_opt t.epochs cen) (fun ep -> ep.peers.(peer))
-
-(* Peer [peer]'s batch for epoch [cen] (> lsn), created on first use. *)
-let batch_state t ~cen ~peer =
-  let ep = epoch t cen in
-  match ep.peers.(peer) with
-  | Some bs -> bs
-  | None ->
-    let committed = not (Ft_gate.awaits_commit t.ft) in
-    let bs =
-      { txns = []; txn_keys = Itbl.create 8; eof = false; expected = -1; committed }
-    in
-    ep.peers.(peer) <- Some bs;
-    bs
+(* Peer [peer]'s batch for epoch [cen] (> lsn). *)
+let batch_state t ~cen ~peer = (epoch t cen).peers.(peer)
 
 (* --- finishing transactions --- *)
 
@@ -323,6 +314,7 @@ let seal_epoch t e =
       ep.sealed <- txns;
       ep.notify_at <- now t + Ft_gate.notify_delay t.ft)
     ep;
+  Ft_gate.sealed t.ft ~cen:e;
   t.sealed_epoch <- e
 
 let csn_keys txns = List.sort compare (List.map Epoch_merge.csn_key txns)
@@ -394,21 +386,17 @@ and collect_epoch_txns t e =
       (fun acc peer ->
         if peer = t.id then acc
         else
-          match ep.peers.(peer) with
-          | None -> acc
-          | Some bs ->
-            List.fold_left
-              (fun acc ws -> if keep ws then add acc ws else acc)
-              acc (List.rev bs.txns))
+          List.fold_left
+            (fun acc ws -> if keep ws then add acc ws else acc)
+            acc (List.rev ep.peers.(peer).txns))
       acc
       (t.env.members_at e)
   in
   List.rev acc
 
 and peer_complete t ~cen ~peer =
-  match peer_batch t ~cen ~peer with
-  | Some bs -> bs.eof && Itbl.length bs.txn_keys >= bs.expected && bs.committed
-  | None -> false
+  let bs = batch_state t ~cen ~peer in
+  bs.eof && Itbl.length bs.txn_keys >= bs.expected && bs.committed
 
 (* The peers whose epoch-[e] batch has not fully arrived. *)
 and incomplete_peers t e =
@@ -551,7 +539,6 @@ and do_merge t e full ~merge_started ~duration ~span ~prelog =
       dsts
   | _ -> ());
   Itbl.remove t.epochs e;
-  Ft_gate.merged t.ft ~cen:e;
   t.env.on_snapshot ~node:t.id ~lsn:e;
   (* GeoG-S: a fresh snapshot releases held transactions. *)
   release_sync_queue t
@@ -910,8 +897,8 @@ let set_active t v =
 let missing_sealed_epochs t ~peer ~upto =
   let missing = ref [] in
   for e = upto downto t.lsn + 1 do
-    match peer_batch t ~cen:e ~peer with
-    | Some bs when bs.eof -> ()
+    match Itbl.find_opt t.epochs e with
+    | Some ep when ep.peers.(peer).eof -> ()
     | _ -> missing := e :: !missing
   done;
   !missing

@@ -95,9 +95,8 @@ val pending_waiting : t -> int
 (** Local transactions blocked on future snapshots (diagnostics). *)
 
 val held_epochs : t -> int list
-(** Epochs the node holds a per-epoch record for, ascending
-    (diagnostics): only epochs past {!lsn}, since the merge drops an
-    epoch's record and a message for a merged epoch creates none. *)
+(** Epochs holding a per-epoch record, ascending (diagnostics). The
+    merge drops an epoch's record, so all of them lie past {!lsn}. *)
 
 val last_txn_epoch : t -> int
 (** Highest epoch that ever held a committed local transaction (-1 if

@@ -86,22 +86,17 @@ let outcome_latency = function
 
 let is_committed = function Committed _ -> true | Aborted _ -> false
 
-(* Per-transaction span: five Algorithm-1 phase events back-dated
-   cumulatively from the submit time, a commit-point marker when the
-   transaction entered an epoch, then the commit/abort terminator. The
-   span id is the node-tagged causal span allocated at submit; the
-   commit event's parent is the span of the deciding epoch merge, which
-   links the transaction into the cross-node causal DAG. *)
 let emit_span obs (txn : t) outcome =
-  let p = txn.phases in
-  if txn.span = 0 then txn.span <- Gg_obs.Obs.new_span obs ~node:txn.node;
+  let module Obs = Gg_obs.Obs in
+  let p = txn.phases and node = txn.node in
+  if txn.span = 0 then txn.span <- Obs.new_span obs ~node;
   let span = txn.span in
   (* cen defaults to 0; only transactions that reached the commit point
      with a write set actually belong to an epoch. *)
   let epoch = if txn.commit_point > 0 then txn.cen else -1 in
   let start = ref txn.submit_time in
   let phase name dur =
-    Gg_obs.Obs.emit obs ~at:!start ~node:txn.node ~epoch ~span ~dur ~cat:"txn" name;
+    Obs.emit obs ~at:!start ~node ~epoch ~span ~dur ~cat:"txn" name;
     start := !start + max 0 dur
   in
   phase "phase.parse" p.parse_us;
@@ -110,14 +105,12 @@ let emit_span obs (txn : t) outcome =
   phase "phase.merge" p.merge_us;
   phase "phase.log" p.log_us;
   if txn.commit_point > 0 then
-    Gg_obs.Obs.emit obs ~at:txn.commit_point ~node:txn.node ~epoch ~span ~cat:"txn"
+    Obs.emit obs ~at:txn.commit_point ~node ~epoch ~span ~cat:"txn"
       "commit.point";
   let parent = if txn.merge_span > 0 then txn.merge_span else -1 in
   match outcome with
   | Committed { latency_us; _ } ->
-    Gg_obs.Obs.emit obs ~node:txn.node ~epoch ~span ~parent ~dur:latency_us ~cat:"txn"
-      "commit"
+    Obs.emit obs ~node ~epoch ~span ~parent ~dur:latency_us ~cat:"txn" "commit"
   | Aborted { latency_us; reason } ->
-    Gg_obs.Obs.emit obs ~node:txn.node ~epoch ~span ~parent ~dur:latency_us ~cat:"txn"
-      "abort"
+    Obs.emit obs ~node ~epoch ~span ~parent ~dur:latency_us ~cat:"txn" "abort"
       ~detail:(abort_reason_to_string reason)

@@ -78,8 +78,7 @@ val outcome_latency : outcome -> int
 val is_committed : outcome -> bool
 
 val emit_span : Gg_obs.Obs.t -> t -> outcome -> unit
-(** Trace the finished transaction as one causal span
-    ({!t.span}, allocated now if tracing was off at submit): five
-    phase events back-dated cumulatively from the submit time, a
-    [commit.point] marker when it entered an epoch, then the
-    [commit]/[abort] terminator, whose parent is {!t.merge_span}. *)
+(** Trace a finished transaction as its span: five Algorithm-1 phase
+    events back-dated cumulatively from the submit time, a commit-point
+    marker if it entered an epoch, then the commit/abort terminator,
+    whose parent is the deciding merge's span ({!t.merge_span}). *)

@@ -901,6 +901,66 @@ let test_ft_latency_ordering () =
     (Printf.sprintf "RB %.0f <= Raft %.0f" rb raft)
     true (rb <= raft +. 2_000.0)
 
+let test_ft_raft_one_commit_per_batch () =
+  (* The origin announces each sealed batch once, at its first majority:
+     with no duplication or loss in the network, every receiver logs at
+     most one ft.commit per (origin, epoch). *)
+  let params = Params.with_ft Params.default Params.Ft_raft in
+  let c = make_cluster ~params () in
+  let obs = Cluster.obs c in
+  Gg_obs.Obs.set_tracing obs true;
+  let clients = mixed_workload_clients ~connections:4 c 7100 in
+  run_ms c 1_000;
+  List.iter Client.stop clients;
+  Alcotest.(check int) "trace ring kept every event" 0
+    (Gg_obs.Obs.dropped_events obs);
+  let seen = Hashtbl.create 1024 in
+  List.iter
+    (fun (ev : Gg_obs.Obs.Trace.event) ->
+      if ev.name = "ft.commit" then begin
+        let key = (ev.node, ev.detail, ev.epoch) in
+        if Hashtbl.mem seen key then
+          Alcotest.failf "node %d got a second ft.commit %s for epoch %d"
+            ev.node ev.detail ev.epoch;
+        Hashtbl.replace seen key ()
+      end)
+    (Gg_obs.Obs.events obs);
+  Alcotest.(check bool) "commits were announced" true (Hashtbl.length seen > 0)
+
+(* No node holds a per-epoch record for an epoch its snapshot already
+   covers: the merge drops the record and late messages create none. *)
+let check_no_merged_records c label =
+  for i = 0 to Cluster.n_nodes c - 1 do
+    let n = Cluster.node c i in
+    let stale = List.filter (fun e -> e <= Node.lsn n) (Node.held_epochs n) in
+    Alcotest.(check (list int))
+      (Printf.sprintf "%s: node %d records at or below lsn %d" label i
+         (Node.lsn n))
+      [] stale
+  done
+
+let test_epoch_records_bounded () =
+  List.iter
+    (fun ft ->
+      let params = Params.with_ft Params.default ft in
+      let c = make_cluster ~params () in
+      let clients = mixed_workload_clients ~connections:4 c 7200 in
+      run_ms c 3_000;
+      List.iter Client.stop clients;
+      check_no_merged_records c (Params.ft_to_string ft))
+    Params.[ Ft_none; Ft_local_backup; Ft_remote_backup; Ft_raft ];
+  let c = make_cluster () in
+  let clients = mixed_workload_clients ~connections:4 c 7300 in
+  run_ms c 1_000;
+  Cluster.crash c 2;
+  run_ms c 2_000;
+  Cluster.recover c 2;
+  run_ms c 3_000;
+  List.iter Client.stop clients;
+  Alcotest.(check (list int)) "recovered node re-added" [ 0; 1; 2 ]
+    (Cluster.members c);
+  check_no_merged_records c "crash/recover"
+
 (* --- failures --- *)
 
 let test_node_crash_blocks_then_view_change_unblocks () =
@@ -1309,6 +1369,10 @@ let () =
         [
           Alcotest.test_case "raft-ft converges" `Slow test_ft_raft_converges;
           Alcotest.test_case "ft latency ordering" `Slow test_ft_latency_ordering;
+          Alcotest.test_case "raft-ft: one commit per batch" `Quick
+            test_ft_raft_one_commit_per_batch;
+          Alcotest.test_case "no records for merged epochs" `Slow
+            test_epoch_records_bounded;
         ] );
       ( "failures",
         [
