@@ -901,6 +901,34 @@ let test_ft_latency_ordering () =
     (Printf.sprintf "RB %.0f <= Raft %.0f" rb raft)
     true (rb <= raft +. 2_000.0)
 
+let test_ft_gate_tally () =
+  let gate ft =
+    Ft_gate.create (Params.with_ft Params.default ft)
+      ~topology:(Topology.china3 ()) ~node:0
+  in
+  let g = gate Params.Ft_raft in
+  let ack ~cen from = Ft_gate.ack g ~cen ~from ~members:5 in
+  Alcotest.(check bool) "unsealed epoch: no announce" false (ack ~cen:1 1);
+  Ft_gate.sealed g ~cen:1;
+  Alcotest.(check bool) "one ack of 5 is no majority" false (ack ~cen:1 1);
+  Alcotest.(check bool) "a repeated acker counts once" false (ack ~cen:1 1);
+  Alcotest.(check bool) "second distinct ack announces" true (ack ~cen:1 2);
+  Alcotest.(check bool) "later acks never announce again" false (ack ~cen:1 3);
+  Ft_gate.sealed g ~cen:2;
+  Ft_gate.reset g;
+  Alcotest.(check bool) "a crash closes open tallies" false
+    (Ft_gate.ack g ~cen:2 ~from:1 ~members:3);
+  let lb = gate Params.Ft_local_backup in
+  Ft_gate.sealed lb ~cen:1;
+  Alcotest.(check bool) "no tally outside Raft-FT" false
+    (Ft_gate.ack lb ~cen:1 ~from:1 ~members:3);
+  Alcotest.(check bool) "only Raft-FT gates merging" false
+    (Ft_gate.awaits_commit lb || Ft_gate.acks_eof lb);
+  Alcotest.(check int) "local backup: one same-region round trip"
+    (2 * Topology.latency (Topology.china3 ()) 0 0)
+    (Ft_gate.notify_delay lb);
+  Alcotest.(check int) "raft: no notify delay" 0 (Ft_gate.notify_delay g)
+
 let test_ft_raft_one_commit_per_batch () =
   (* The origin announces each sealed batch once, at its first majority:
      with no duplication or loss in the network, every receiver logs at
@@ -1369,6 +1397,8 @@ let () =
         [
           Alcotest.test_case "raft-ft converges" `Slow test_ft_raft_converges;
           Alcotest.test_case "ft latency ordering" `Slow test_ft_latency_ordering;
+          Alcotest.test_case "ft_gate: one announce per tally" `Quick
+            test_ft_gate_tally;
           Alcotest.test_case "raft-ft: one commit per batch" `Quick
             test_ft_raft_one_commit_per_batch;
           Alcotest.test_case "no records for merged epochs" `Slow
