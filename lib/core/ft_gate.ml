@@ -30,7 +30,9 @@ let notify_delay t = t.notify_delay
 let awaits_commit t = t.raft
 let acks_eof t = t.raft
 
-let sealed t ~cen = if t.raft then Itbl.replace t.tallies cen []
+(* A node that is a majority on its own has no peer to announce to. *)
+let sealed t ~cen ~members =
+  if t.raft && members >= 2 then Itbl.replace t.tallies cen []
 
 let ack t ~cen ~from ~members =
   match Itbl.find_opt t.tallies cen with

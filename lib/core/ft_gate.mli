@@ -16,10 +16,11 @@ val awaits_commit : t -> bool
 val acks_eof : t -> bool
 (** Receivers ack each EOF to the batch's origin. *)
 
-val sealed : t -> cen:int -> unit
-(** The node sealed its epoch-[cen] batch: open its ack tally (Raft-FT).
-    Tallies open only here, so a late ack, or one for an epoch sealed
-    before a crash, finds no tally and cannot announce again. *)
+val sealed : t -> cen:int -> members:int -> unit
+(** The node sealed its epoch-[cen] batch, [members] replicas in [cen]'s
+    view: open its ack tally (Raft-FT, at least two members). Tallies
+    open only here, so a late ack, or one for an epoch sealed before a
+    crash, finds no tally and cannot announce again. *)
 
 val ack : t -> cen:int -> from:int -> members:int -> bool
 (** Peer [from] acked the node's epoch-[cen] batch, [members] replicas

@@ -314,7 +314,7 @@ let seal_epoch t e =
       ep.sealed <- txns;
       ep.notify_at <- now t + Ft_gate.notify_delay t.ft)
     ep;
-  Ft_gate.sealed t.ft ~cen:e;
+  Ft_gate.sealed t.ft ~cen:e ~members:(List.length (t.env.members_at e));
   t.sealed_epoch <- e
 
 let csn_keys txns = List.sort compare (List.map Epoch_merge.csn_key txns)

@@ -909,17 +909,20 @@ let test_ft_gate_tally () =
   let g = gate Params.Ft_raft in
   let ack ~cen from = Ft_gate.ack g ~cen ~from ~members:5 in
   Alcotest.(check bool) "unsealed epoch: no announce" false (ack ~cen:1 1);
-  Ft_gate.sealed g ~cen:1;
+  Ft_gate.sealed g ~cen:1 ~members:5;
   Alcotest.(check bool) "one ack of 5 is no majority" false (ack ~cen:1 1);
   Alcotest.(check bool) "a repeated acker counts once" false (ack ~cen:1 1);
   Alcotest.(check bool) "second distinct ack announces" true (ack ~cen:1 2);
   Alcotest.(check bool) "later acks never announce again" false (ack ~cen:1 3);
-  Ft_gate.sealed g ~cen:2;
+  Ft_gate.sealed g ~cen:2 ~members:1;
+  Alcotest.(check bool) "a lone member opens no tally" false
+    (Ft_gate.ack g ~cen:2 ~from:1 ~members:1);
+  Ft_gate.sealed g ~cen:2 ~members:3;
   Ft_gate.reset g;
   Alcotest.(check bool) "a crash closes open tallies" false
     (Ft_gate.ack g ~cen:2 ~from:1 ~members:3);
   let lb = gate Params.Ft_local_backup in
-  Ft_gate.sealed lb ~cen:1;
+  Ft_gate.sealed lb ~cen:1 ~members:3;
   Alcotest.(check bool) "no tally outside Raft-FT" false
     (Ft_gate.ack lb ~cen:1 ~from:1 ~members:3);
   Alcotest.(check bool) "only Raft-FT gates merging" false
