@@ -5,12 +5,8 @@ module Cpu = Gg_sim.Cpu
 module Topology = Gg_sim.Topology
 module Clock = Gg_sim.Clock
 module Db = Gg_storage.Db
-module Table = Gg_storage.Table
 module Csn = Gg_storage.Csn
-module Row_header = Gg_storage.Row_header
 module Writeset = Gg_crdt.Writeset
-module Meta = Gg_crdt.Meta
-module Executor = Gg_sql.Executor
 
 module Itbl = Epoch_merge.Itbl
 
@@ -81,9 +77,7 @@ type t = {
   mutable last_advance : int;  (* sim time the snapshot last moved *)
   mutable last_txn_cen : int;  (* highest epoch holding a committed local txn *)
   fast : Fastpath.t option;  (* clock-assisted fast path (DESIGN.md §14) *)
-  record_reads : bool;
-      (* build read sets: only RR/SI validation and SSI's read keys
-         consume them, so RC executes without one *)
+  exec : Execution.t;  (* Algorithm 1 up to the commit point *)
 }
 
 (* vCPUs per node: the paper's servers have 32. *)
@@ -92,11 +86,12 @@ let cores = 32
 let create env ~id ~db =
   let obs = Sim.obs env.sim in
   let metrics = Metrics.create ~obs ~id () in
+  let cpu = Cpu.create env.sim ~cores in
   {
     id;
     env;
     obs;
-    cpu = Cpu.create env.sim ~cores;
+    cpu;
     db;
     wal = Gg_storage.Wal.create ~fsync_us:env.params.Params.cost.log_fsync_us ();
     metrics;
@@ -115,7 +110,7 @@ let create env ~id ~db =
     txn_seq = 0;
     last_advance = 0;
     last_txn_cen = -1;
-    record_reads = env.params.Params.isolation <> Params.RC;
+    exec = Execution.create env.params ~sim:env.sim ~cpu ~db;
     fast =
       Fastpath.create env.params ~clock:env.clock ~part:env.part ~obs ~metrics
         ~node:id;
@@ -483,7 +478,7 @@ and do_merge t e full ~merge_started ~duration ~span ~prelog =
      live in {!Epoch_merge} (DESIGN.md §10). *)
   let m =
     Epoch_merge.run ~db:t.db ~jobs:1
-      ~ssi:(t.env.params.Params.isolation = Params.SSI)
+      ~ssi:(Execution.ssi t.exec)
       ~level:(Params.effective_merge_level t.env.params)
       ?defer:(Option.map Cross_group.deferred ep)
       txns
@@ -571,161 +566,53 @@ and submit t request callback =
   end
 
 and start_execution t (txn : Txn.t) =
-  let cost = t.env.params.Params.cost in
   (* Time spent queued before execution (GeoG-S holds) counts as wait. *)
   txn.Txn.phases.wait_us <- now t - txn.Txn.submit_time;
-  match txn.Txn.request with
-  | Txn.Op_txn o ->
-    (* Stored-procedure style: parse, then one execution slice. Reads
-       happen at the start of the slice; the commit point comes exec_us
-       (+ injected delay) later, so the snapshot may move underneath —
-       that is what RR/SI validation catches. *)
-    let parse_us = o.Gg_workload.Op.parse_cost_us in
-    let exec_us = Gg_workload.Op.n_ops o * cost.exec_op_us in
-    let extra_us = o.Gg_workload.Op.exec_extra_us in
-    txn.Txn.phases.parse_us <- parse_us;
-    txn.Txn.phases.exec_us <- exec_us + extra_us;
-    Cpu.run t.cpu ~cost:parse_us (fun () ->
-        match run_ops t txn o with
-        | Error m ->
-          Cpu.run t.cpu ~cost:exec_us (fun () ->
-              finish_aborted t txn (Txn.Constraint_violation m))
-        | Ok () ->
-          Cpu.run t.cpu ~cost:exec_us (fun () ->
-              if extra_us > 0 then
-                Sim.schedule t.env.sim ~after:extra_us (fun () -> commit_point t txn)
-              else commit_point t txn))
-  | Txn.Sql_txn { stmts; _ } ->
-    (* Interactive SQL executes statement by statement: each statement
-       pays its own parse + execution slice, so later statements observe
-       whatever snapshots were generated in the meantime (the source of
-       RR/SI read-validation aborts). *)
-    let per_stmt_parse = 400 in
-    txn.Txn.phases.parse_us <- List.length stmts * per_stmt_parse;
-    txn.Txn.phases.exec_us <- List.length stmts * cost.sql_stmt_us;
-    let ctx =
-      Executor.Ctx.create ~record_reads:t.record_reads
-        ~track_cols:(Params.effective_merge_level t.env.params = Params.Column)
-        t.db
-    in
-    let rec step acc = function
-      | [] ->
-        txn.Txn.sql_results <- List.rev acc;
-        txn.Txn.read_set <- Executor.Ctx.read_set ctx;
-        set_writes txn (Executor.Ctx.writeset_records ctx);
-        commit_point t txn
-      | (sql, params) :: rest ->
-        Cpu.run t.cpu ~cost:(per_stmt_parse + cost.sql_stmt_us) (fun () ->
-            match Executor.exec_sql ctx sql ~params with
-            | Error m -> finish_aborted t txn (Txn.Constraint_violation m)
-            | Ok r -> step (r :: acc) rest)
-    in
-    step [] stmts
-
-and run_ops t (txn : Txn.t) o =
-  match
-    Op_exec.exec ~record_reads:t.record_reads
-      ~col_mask:(Params.effective_merge_level t.env.params = Params.Column)
-      t.db o
-  with
-  | Error m -> Error m
-  | Ok { Op_exec.reads; writes } ->
-    txn.Txn.read_set <- reads;
-    set_writes txn writes;
-    Ok ()
-
-(* The executed write set; its meta is filled in at the commit point. *)
-and set_writes (txn : Txn.t) records =
-  txn.Txn.writeset <-
-    (if records = [] then None
-     else
-       Some
-         (Writeset.make
-            ~meta:(Meta.make ~sen:txn.Txn.sen ~cen:0 ~csn:Csn.zero)
-            ~records ()))
-
-and read_validation t (txn : Txn.t) =
-  (* Algorithm 1, lines 9-18. *)
-  match t.env.params.Params.isolation with
-  | Params.RC -> Ok ()
-  | (Params.RR | Params.SI | Params.SSI) as iso -> (
-    let violation =
-      List.find_opt
-        (fun (r : Executor.read_record) ->
-          match Db.get_table t.db r.Executor.r_table with
-          | None -> true
-          | Some table -> (
-            match Table.find table r.Executor.r_key_str with
-            | None -> true (* row vanished *)
-            | Some entry ->
-              let h = entry.Table.header in
-              if h.Row_header.deleted then true
-              else if iso = Params.RR then
-                not (Csn.equal h.Row_header.csn r.Executor.r_csn)
-              else h.Row_header.cen - 1 > txn.Txn.lsn))
-        txn.Txn.read_set
-    in
-    match violation with None -> Ok () | Some _ -> Error Txn.Read_validation)
+  Execution.run t.exec txn (function
+    | Execution.Failed m -> finish_aborted t txn (Txn.Constraint_violation m)
+    | _ when not (up t) -> () (* crashed mid-flight; the client will time out *)
+    | Execution.Read_invalid -> finish_aborted t txn Txn.Read_validation
+    | Execution.Commit_point -> commit_point t txn)
 
 and commit_point t (txn : Txn.t) =
-  if not (up t) then () (* crashed mid-flight; the client will time out *)
-  else
-    match read_validation t txn with
-    | Error reason -> finish_aborted t txn reason
-    | Ok () -> (
-      match txn.Txn.writeset with
-      | None -> finish_committed t txn (* read-only: Algorithm 1 l.19-20 *)
-      | Some ws -> (
-        let cen = current_epoch t in
-        let csn = fresh_csn t in
-        let meta = Meta.make ~sen:txn.Txn.sen ~cen ~csn in
-        let read_keys =
-          (* The SSI extension ships the read-set keys with the write set
-             so peers can detect rw-antidependencies (§4.3). *)
-          if t.env.params.Params.isolation = Params.SSI then
-            List.map
-              (fun (r : Executor.read_record) ->
-                (r.Executor.r_table, r.Executor.r_key_str))
-              txn.Txn.read_set
-          else []
-        in
-        let ws = Writeset.with_commit ws ~meta ~read_keys in
-        txn.Txn.writeset <- Some ws;
-        txn.Txn.cen <- cen;
-        txn.Txn.csn <- csn;
-        txn.Txn.commit_point <- now t;
-        let mini () =
-          let b =
-            Writeset.Batch.make ~node:t.id ~cen ~txns:[ ws ] ~eof:false
-              ~span:txn.Txn.span ()
-          in
-          send_batch t ~bytes:(Writeset.Batch.wire_size b) b
-        in
-        match t.env.params.Params.variant with
-        | Params.Async_merge ->
-          (* GeoG-A: merge locally now, gossip, reply immediately. *)
-          Epoch_merge.lww_apply t.db ws;
-          broadcast t (mini ());
-          let cost = t.env.params.Params.cost in
-          txn.Txn.phases.merge_us <-
-            List.length ws.Writeset.records * cost.merge_record_us;
-          txn.Txn.phases.log_us <- wal_append t txn;
-          Sim.schedule t.env.sim ~after:txn.Txn.phases.log_us (fun () ->
-              finish_committed t txn)
-        | Params.Optimistic | Params.Sync_exec ->
-          let ep = epoch t cen in
-          ep.pending <- ws :: ep.pending;
-          if t.env.params.Params.pipeline then begin
-            let send = mini () in
-            (* Interest-scoped pipelining: only members of the touched
-               groups hear the mini-batch. *)
-            match t.cross with
-            | Some cg ->
-              List.iter (fun dst -> send ~dst) (Cross_group.targets cg ws)
-            | None -> broadcast t send
-          end;
-          ep.waiting <- txn :: ep.waiting;
-          if cen > t.last_txn_cen then t.last_txn_cen <- cen))
+  match txn.Txn.writeset with
+  | None -> finish_committed t txn (* read-only: Algorithm 1 l.19-20 *)
+  | Some ws -> (
+    let cen = current_epoch t in
+    let ws = Execution.stamp t.exec txn ws ~cen ~csn:(fresh_csn t) in
+    txn.Txn.commit_point <- now t;
+    let mini () =
+      let b =
+        Writeset.Batch.make ~node:t.id ~cen ~txns:[ ws ] ~eof:false
+          ~span:txn.Txn.span ()
+      in
+      send_batch t ~bytes:(Writeset.Batch.wire_size b) b
+    in
+    match t.env.params.Params.variant with
+    | Params.Async_merge ->
+      (* GeoG-A: merge locally now, gossip, reply immediately. *)
+      Epoch_merge.lww_apply t.db ws;
+      broadcast t (mini ());
+      let cost = t.env.params.Params.cost in
+      txn.Txn.phases.merge_us <-
+        List.length ws.Writeset.records * cost.merge_record_us;
+      txn.Txn.phases.log_us <- wal_append t txn;
+      Sim.schedule t.env.sim ~after:txn.Txn.phases.log_us (fun () ->
+          finish_committed t txn)
+    | Params.Optimistic | Params.Sync_exec ->
+      let ep = epoch t cen in
+      ep.pending <- ws :: ep.pending;
+      if t.env.params.Params.pipeline then begin
+        let send = mini () in
+        (* Interest-scoped pipelining: only members of the touched
+           groups hear the mini-batch. *)
+        match t.cross with
+        | Some cg ->
+          List.iter (fun dst -> send ~dst) (Cross_group.targets cg ws)
+        | None -> broadcast t send
+      end;
+      ep.waiting <- txn :: ep.waiting;
+      if cen > t.last_txn_cen then t.last_txn_cen <- cen)
 
 (* --- Algorithm 3: receive side --- *)
 
