@@ -227,7 +227,6 @@ let aborted t = t.aborted
 let timeouts t = t.timeouts
 let offered t = t.offered
 let shed t = t.shed
-let in_flight t = t.in_flight
 let queued t = Queue.length t.queue
 let latency t = t.latency
 

@@ -55,9 +55,6 @@ val offered : t -> int
 val shed : t -> int
 (** Open loop: arrivals dropped because the queue was full. *)
 
-val in_flight : t -> int
-(** Currently outstanding submissions (0 or [connections]-bounded). *)
-
 val queued : t -> int
 (** Arrivals waiting for a connection right now. *)
 

@@ -128,38 +128,27 @@ and check_transfers t ~node ~lsn =
   List.iter (fun tr -> send_transfer t tr) ready
 
 and send_transfer t { donor; target; rejoin_epoch } =
-  let donor_node = t.nodes.(donor) in
   let obs = Sim.obs t.sim in
-  (* The transfer's span travels in the snapshot message; the receive
-     side's state.install event names it as parent. *)
+  (* The transfer's span travels with the snapshot; the receive side's
+     state.install event names it as parent. *)
   let sspan = Obs.new_span obs ~node:donor in
-  let snapshot = Node.make_state_snapshot ~span:sspan donor_node in
-  let bytes =
-    match snapshot with
-    | Node.State_snapshot { ckpt; _ } ->
-      (* +8 models the trace-context header of the snapshot message. *)
-      Bytes.length ckpt + 8
-    | _ -> 0
-  in
+  let lsn, ckpt = Node.checkpoint t.nodes.(donor) in
+  (* +8 models the trace-context header of the snapshot message. *)
+  let bytes = Bytes.length ckpt + 8 in
   (if Obs.tracing obs then
      Obs.emit obs ~node:donor ~span:sspan ~cat:"cluster" "state.transfer"
        ~detail:
          (Printf.sprintf "target=%d rejoin_epoch=%d bytes=%d" target
             rejoin_epoch bytes));
   Net.send t.net ~src:donor ~dst:target ~bytes (fun () ->
-      match snapshot with
-      | Node.State_snapshot { lsn; ckpt; span } ->
-        if Obs.tracing obs then
-          Obs.emit obs ~node:target ~cat:"cluster" "state.install"
-            ~parent:(if span > 0 then span else -1)
-            ~detail:(Printf.sprintf "from=%d lsn=%d" donor lsn);
-        Node.install_state t.nodes.(target) ~rejoin:rejoin_epoch ~lsn
-          ~db:(Gg_storage.Checkpoint.decode ckpt);
-        (* Reset failure detection clocks for the re-joined node. *)
-        Array.iter
-          (fun n -> Node.touch_eof n ~peer:target)
-          t.nodes
-      | _ -> ());
+      if Obs.tracing obs then
+        Obs.emit obs ~node:target ~cat:"cluster" "state.install"
+          ~parent:(if sspan > 0 then sspan else -1)
+          ~detail:(Printf.sprintf "from=%d lsn=%d" donor lsn);
+      Node.install_state t.nodes.(target) ~rejoin:rejoin_epoch ~lsn
+        ~db:(Gg_storage.Checkpoint.decode ckpt);
+      (* Reset failure detection clocks for the re-joined node. *)
+      Array.iter (fun n -> Node.touch_eof n ~peer:target) t.nodes);
   (* The snapshot itself travels over the faulty network. If the target
      has still not resumed after a generous delay (snapshot lost, or the
      donor failed meanwhile), run the transfer again from a — possibly

@@ -1,19 +1,10 @@
 (** Algorithm 1 up to the commit point: a local transaction's execution
-    and its read validation.
-
-    The stage is the one home of the isolation policy. {!create} reads
-    {!Params.t.isolation} once and fixes:
-    - whether the executors build a read set (RR, SI and SSI);
-    - whether they track column masks (column-level merge);
-    - the read-validation rule at the commit point;
-    - whether write sets ship their read keys (SSI, §4.3);
-    - how the write set's meta is stamped.
-
-    {!run} executes the request through {!Op_exec} or the SQL executor,
-    charging the same parse and execution slices to the node's CPU pool
-    that the real system would spend, and hands back one {!verdict}.
-    What happens past the commit point (epochs, dissemination, merge) is
-    the node's. *)
+    and its read validation. The one home of the isolation policy:
+    {!create} reads {!Params.t.isolation} once and fixes whether the
+    executors build a read set (RR, SI, SSI) and track column masks,
+    the validation rule, whether write sets ship their read keys (SSI,
+    §4.3) and how their meta is stamped. The epoch, dissemination and
+    merge past the commit point are the node's. *)
 
 type t
 
@@ -21,45 +12,36 @@ val create :
   Params.t -> sim:Gg_sim.Sim.t -> cpu:Gg_sim.Cpu.t -> db:Gg_storage.Db.t -> t
 
 val ssi : t -> bool
-(** Write sets carry their read keys, and the epoch merge must check
+(** Write sets carry their read keys, so the epoch merge must check
     rw-antidependencies ({!Epoch_merge.run}'s [~ssi]). *)
 
 type verdict =
-  | Commit_point
-      (** executed, and every read still valid: {!stamp} the write set
-          (if any) and commit *)
-  | Read_invalid
-      (** a read failed validation at the commit point (Algorithm 1,
-          lines 9-18) *)
+  | Commit_point  (** executed, every read still valid: {!stamp} and commit *)
+  | Read_invalid  (** a read failed {!valid} at the commit point *)
   | Failed of string
-      (** a statement failed during execution (a constraint violation),
-          before the commit point *)
+      (** a statement failed (constraint violation) before the commit
+          point *)
 
 val run : t -> Txn.t -> (verdict -> unit) -> unit
-(** Execute the transaction's request against the database and call the
-    continuation once, at the simulated instant of its verdict.
-
-    - An op-level transaction pays its parse cost, runs every op at the
-      start of one execution slice ([n_ops * exec_op_us]) and reaches
-      the commit point at the slice's end, plus its [exec_extra_us].
-    - A SQL transaction pays one parse + execution slice per statement,
-      so later statements see the snapshots generated meanwhile.
-
-    Sets [parse_us] and [exec_us] in the transaction's phases, and its
-    read set, write set (meta not yet stamped) and SQL results. The
-    reads are validated against the database as it stands at the commit
-    point. *)
+(** Execute the request through {!Op_exec} or the SQL executor and call
+    the continuation once, at the simulated instant of the verdict. An
+    op-level transaction pays its parse cost, reads at the start of one
+    [n_ops * exec_op_us] slice and reaches the commit point at its end
+    plus [exec_extra_us]; SQL pays a parse + execution slice per
+    statement, so later statements see the snapshots generated
+    meanwhile. Sets the phases' [parse_us] and [exec_us], the read set,
+    the SQL results and the write set (meta not yet stamped). *)
 
 val valid : t -> Txn.t -> bool
-(** The commit-point read validation {!run} applies. RC accepts every
-    read. At RR, SI and SSI a read fails when its row vanished or is a
-    tombstone; RR also fails it when the row's csn differs from the one
-    read, SI and SSI when the row's commit epoch [cen] has [cen - 1 >
-    txn.lsn] (rewritten after the read snapshot). *)
+(** Algorithm 1's read validation against the database as it stands.
+    RC accepts every read. Above RC a read fails when its row vanished
+    or is a tombstone; RR also when the row's csn differs from the one
+    read, SI and SSI when the row's [cen - 1 > txn.lsn] (rewritten after
+    the read snapshot). *)
 
 val stamp :
   t -> Txn.t -> Gg_crdt.Writeset.t -> cen:int -> csn:Gg_storage.Csn.t ->
   Gg_crdt.Writeset.t
-(** Stamp the executed write set with its commit epoch and csn, and
-    under SSI with the read-set keys; record the stamped write set, [cen]
-    and [csn] on the transaction and return the write set. *)
+(** The write set stamped with its commit epoch and csn (and under SSI
+    the read keys), also recorded on the transaction with [cen] and
+    [csn]. *)

@@ -145,7 +145,6 @@ let aborted_by t = function
   | Txn.Cross_abort -> Obs.Counter.value t.ab_cross
 
 let latency t = Obs.Histogram.hist t.latency
-let commit_latency t = Obs.Histogram.hist t.commit_latency
 
 let phase_means_us t =
   ( Stats.Acc.mean t.parse,

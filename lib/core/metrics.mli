@@ -53,8 +53,6 @@ val aborted_by : t -> Txn.abort_reason -> int
 val latency : t -> Gg_util.Stats.Hist.t
 (** All finished transactions. *)
 
-val commit_latency : t -> Gg_util.Stats.Hist.t
-
 val phase_means_us : t -> float * float * float * float * float
 (** (parse, exec, wait, merge, log) means over committed txns. *)
 

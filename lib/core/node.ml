@@ -21,7 +21,6 @@ type msg =
     }
   | Ft_ack of { cen : int; from : int; span : int }
   | Ft_commit of { cen : int; origin : int; span : int }
-  | State_snapshot of { lsn : int; ckpt : bytes; span : int }
 
 type env = {
   sim : Sim.t;
@@ -692,8 +691,6 @@ and receive t msg =
           ~detail:(Printf.sprintf "origin=%d" origin);
       if cen > t.lsn then (batch_state t ~cen ~peer:origin).committed <- true;
       try_advance t
-    | State_snapshot _ -> ()
-(* recovery installation goes through install_state *)
 
 (* --- lifecycle --- *)
 
@@ -790,8 +787,7 @@ let missing_sealed_epochs t ~peer ~upto =
   done;
   !missing
 
-let make_state_snapshot ?(span = 0) t =
-  State_snapshot { lsn = t.lsn; ckpt = Gg_storage.Checkpoint.encode t.db; span }
+let checkpoint t = (t.lsn, Gg_storage.Checkpoint.encode t.db)
 
 let install_state t ~rejoin ~lsn ~db =
   (* Guard against duplicated or stale snapshots: the transfer travels

@@ -39,9 +39,6 @@ type msg =
       (** Raft-FT: receiver acknowledges an epoch batch *)
   | Ft_commit of { cen : int; origin : int; span : int }
       (** Raft-FT: origin saw a majority; batch may be merged *)
-  | State_snapshot of { lsn : int; ckpt : bytes; span : int }
-      (** recovery: serialized checkpoint of the state at snapshot [lsn]
-          (see {!Gg_storage.Checkpoint}) *)
 
 (** Shared environment; the [mutable] hooks are wired by {!Cluster}
     after all nodes exist. *)
@@ -88,7 +85,6 @@ val lsn : t -> int
 (** Latest globally consistent snapshot number (-1 before the first). *)
 
 val sealed_epoch : t -> int
-val current_epoch : t -> int
 val metrics : t -> Metrics.t
 val active : t -> bool
 val pending_waiting : t -> int
@@ -119,9 +115,9 @@ val missing_sealed_epochs : t -> peer:int -> upto:int -> int list
 (** Epochs in (lsn, upto] with no EOF from [peer] — to be recovered from
     the peer's backup server. *)
 
-val make_state_snapshot : ?span:int -> t -> msg
-(** Donor side of recovery: deep copy of the current snapshot state.
-    [span] (default [0] = untraced) is the transfer's causal span id. *)
+val checkpoint : t -> int * bytes
+(** Donor side of recovery: the current snapshot number and the state
+    at that snapshot, serialized by {!Gg_storage.Checkpoint}. *)
 
 val install_state : t -> rejoin:int -> lsn:int -> db:Gg_storage.Db.t -> unit
 (** Recovering side: adopt a transferred snapshot and resume, sealing

@@ -21,6 +21,3 @@ let merge_header row ~meta =
       ~cen:meta.Meta.cen;
     Win
   | (Lose | Already) as o -> o
-
-let would_win row ~meta =
-  match decide row ~meta with Win | Already -> true | Lose -> false

@@ -28,7 +28,3 @@ val merge_header : Gg_storage.Row_header.t -> meta:Meta.t -> outcome
     Algorithms 1 and 3): [row.cen <= meta.cen]. Raises
     [Invalid_argument] if violated — "row.cen > T.cen will never
     happen". *)
-
-val would_win : Gg_storage.Row_header.t -> meta:Meta.t -> bool
-(** Pure predicate version of {!merge_header} (no stamping);
-    [Already] counts as a win. *)

@@ -43,11 +43,6 @@ let key_str r =
     s
   end
 
-let op_to_string = function
-  | Insert -> "insert"
-  | Update -> "update"
-  | Delete -> "delete"
-
 let op_tag = function Insert -> 0 | Update -> 1 | Delete -> 2
 
 let op_of_tag = function

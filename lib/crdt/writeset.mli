@@ -71,8 +71,6 @@ val key_str : record -> string
 (** Encoded primary key (hash-index key). Memoized: encodes on first
     call, returns the cache afterwards. *)
 
-val op_to_string : op -> string
-
 val encode : Gg_util.Codec.Enc.t -> t -> unit
 val decode : Gg_util.Codec.Dec.t -> t
 

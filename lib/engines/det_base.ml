@@ -250,4 +250,3 @@ let submit t ~node txn cb =
   t.nodes.(node).batch <- entry :: t.nodes.(node).batch
 
 let wan_bytes t = Net.wan_bytes t.net
-let rounds_executed t ~node = t.nodes.(node).done_round + 1

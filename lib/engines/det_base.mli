@@ -38,5 +38,3 @@ val submit : t -> node:int -> Gg_workload.Op.txn -> (Engine.outcome -> unit) -> 
 
 val wan_bytes : t -> int
 (** Input-replication WAN traffic so far (also visible via the net). *)
-
-val rounds_executed : t -> node:int -> int

@@ -31,7 +31,6 @@ let run t ~cost k =
 
 let busy t = t.busy
 let queued t = Queue.length t.queue
-let busy_us t = t.busy_us
 
 let utilization t ~since =
   let window = Sim.now t.sim - since in

@@ -19,8 +19,5 @@ val busy : t -> int
 val queued : t -> int
 (** Jobs waiting for a core. *)
 
-val busy_us : t -> int
-(** Cumulative core-busy microseconds (for utilization reporting). *)
-
 val utilization : t -> since:int -> float
 (** Average fraction of cores busy over the window [since, now]. *)

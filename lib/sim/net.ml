@@ -168,9 +168,6 @@ let sent_bytes t = Obs.Counter.value t.sent_bytes
 let wan_bytes t = Obs.Counter.value t.wan_bytes
 let wan_bytes_from t node = t.wan_bytes_from.(node)
 
-let wan_pair_bytes t ~src_region ~dst_region =
-  Obs.Counter.value t.wan_pair.(src_region).(dst_region)
-
 let reset_accounting t =
   Obs.Counter.reset t.sent_messages;
   Obs.Counter.reset t.sent_bytes;

@@ -101,11 +101,5 @@ val wan_bytes : t -> int
 val wan_bytes_from : t -> int -> int
 (** Cross-region bytes originated by a node. *)
 
-val wan_pair_bytes : t -> src_region:int -> dst_region:int -> int
-(** Cross-region bytes for one directed region pair. Each pair has a
-    registry counter named ["net.wan.bytes.<SrcRegion>><DstRegion>"],
-    registered eagerly at {!create} in row-major region order so the
-    registry layout depends only on the topology (fig 11 currency). *)
-
 val reset_accounting : t -> unit
 (** Zero the counters (e.g. after warm-up). *)

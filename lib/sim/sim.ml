@@ -60,4 +60,3 @@ let us x = x
 let ms x = x * 1_000
 let sec x = x * 1_000_000
 let to_ms x = float_of_int x /. 1_000.0
-let to_sec x = float_of_int x /. 1_000_000.0

@@ -62,4 +62,3 @@ val ms : int -> int
 val sec : int -> int
 
 val to_ms : int -> float
-val to_sec : int -> float

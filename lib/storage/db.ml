@@ -46,9 +46,6 @@ let digest t =
     (table_names t);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let row_count t =
-  Hashtbl.fold (fun _ table acc -> acc + Table.live_count table) t.tables 0
-
 let copy t =
   let fresh = create () in
   Hashtbl.iter
@@ -61,9 +58,3 @@ let replace_contents t ~from =
   Hashtbl.iter
     (fun name table -> Hashtbl.replace t.tables name (Table.copy table))
     from.tables
-
-let estimated_bytes t =
-  (* Rough serialized size for state-transfer cost modeling. *)
-  let enc = Gg_util.Codec.Enc.create () in
-  List.iter (fun name -> Table.digest_into (get_table_exn t name) enc) (table_names t);
-  Gg_util.Codec.Enc.length enc

@@ -28,15 +28,9 @@ val digest : t -> string
 (** Canonical MD5 digest of all table contents and headers. Two replicas
     holding consistent snapshots produce equal digests. *)
 
-val row_count : t -> int
-(** Total live rows across tables. *)
-
 val copy : t -> t
 (** Deep copy of every table (state transfer to a recovering replica). *)
 
 val replace_contents : t -> from:t -> unit
 (** Replace this database's tables with deep copies of [from]'s (the
     receiving side of state transfer). *)
-
-val estimated_bytes : t -> int
-(** Rough serialized size, used to model state-transfer time. *)

@@ -45,8 +45,6 @@ let is_key_col t i = Array.exists (fun k -> k = i) t.key_cols
 
 let primary_key t row = Array.map (fun i -> row.(i)) t.key_cols
 
-let key_string t row = Value.encode_key (primary_key t row)
-
 let validate_row t row =
   if Array.length row <> Array.length t.columns then
     Error

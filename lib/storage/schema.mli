@@ -22,9 +22,6 @@ val is_key_col : t -> int -> bool
 val primary_key : t -> Value.t array -> Value.t array
 (** Project the key columns out of a full row. *)
 
-val key_string : t -> Value.t array -> string
-(** [key_string t row] is the encoded primary key of a full row. *)
-
 val validate_row : t -> Value.t array -> (unit, string) result
 (** Arity and per-column type check (NULL allowed in non-key columns). *)
 

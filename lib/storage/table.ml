@@ -434,15 +434,6 @@ let index_lookup t ~name ~key =
     Option.value ~default:[] (Key_map.find_opt key idx.idx_map)
     |> List.filter (fun e -> not e.header.deleted)
 
-let find_index_covering t cols =
-  (* an index whose column set is exactly [cols] as a prefix-free match *)
-  Hashtbl.fold
-    (fun name idx acc ->
-      match acc with
-      | Some _ -> acc
-      | None -> if idx.idx_cols = cols then Some name else None)
-    t.indexes None
-
 let live_count t = t.live
 let total_count t = t.index.count
 

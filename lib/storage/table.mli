@@ -131,9 +131,6 @@ val index_lookup : t -> name:string -> key:Value.t array -> entry list
 (** Live entries whose indexed columns equal [key]. Raises
     [Invalid_argument] on an unknown index. *)
 
-val find_index_covering : t -> int array -> string option
-(** An index whose column array is exactly the given one, if any. *)
-
 (** {1 Introspection} *)
 
 val live_count : t -> int

@@ -29,7 +29,6 @@ let base =
   }
 
 let with_users p users = { p with users }
-let with_fanout p ~alpha ~max_fanout = { p with fanout_alpha = alpha; max_fanout }
 
 (* account: user_id | feed_count | post_count | last_seen *)
 let schema =

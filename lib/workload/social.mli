@@ -26,7 +26,6 @@ type profile = {
 val table_name : string
 val base : profile
 val with_users : profile -> int -> profile
-val with_fanout : profile -> alpha:float -> max_fanout:int -> profile
 
 val feed_col : int
 val post_col : int
