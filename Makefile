@@ -33,13 +33,15 @@ check:
 # decode-failure -> stall-repair path, the column-level lattice (§13),
 # the clock-assisted fast path with skew bursts (§14; externalization
 # still gates on the confirm point), SI, where the executors build the
-# read sets that validation checks (RC, the default, builds none), and
+# read sets that validation checks (RC, the default, builds none),
 # Raft-FT, the only mode whose batches wait on the origin's majority
-# commit (§5.2). `make ci` sweeps each at its seed count; `make golden`
-# pins each at 25 seeds.
+# commit (§5.2), and GeoG-A, whose gossip runs no epochs at all (§3.1).
+# `make ci` sweeps each at its seed count; `make golden` pins each at 25
+# seeds.
 PINNED_SWEEPS = "5|--partitioning hash:2" "5|--partitioning region" \
 	"3|--corrupt 0.05" "5|--merge-level column" \
-	"5|--engine eocc --clock-skew 10" "5|--isolation si" "5|--ft raft"
+	"5|--engine eocc --clock-skew 10" "5|--isolation si" "5|--ft raft" \
+	"5|--engine geog-a"
 
 ci: fmt
 	dune build

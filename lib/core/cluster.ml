@@ -288,9 +288,14 @@ let create ?(params = Params.default) ?(jitter_frac = 0.05) ?(loss = 0.0)
       check_transfers t ~node ~lsn);
   env.Node.on_commit <-
     (fun txn -> List.iter (fun f -> f txn) (List.rev t.commit_hooks));
-  Array.iter Node.start nodes;
   Raft.start raft;
-  schedule_detector t;
+  (* GeoG-A gossips without epochs (DESIGN.md §3.1): it seals nothing,
+     has no stalled merge to repair and sends no EOF whose silence the
+     failure detector could time. *)
+  if params.Params.variant <> Params.Async_merge then begin
+    Array.iter Node.start nodes;
+    schedule_detector t
+  end;
   t
 
 let sim t = t.sim

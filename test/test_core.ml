@@ -851,9 +851,18 @@ let test_geog_a_low_latency_and_convergence () =
   run_ms c 2_000;
   List.iter Client.stop clients;
   Cluster.run_for_ms c 1_000;
-  match Cluster.digests c with
+  (match Cluster.digests c with
   | d :: rest -> List.iter (fun d' -> Alcotest.(check string) "eventual convergence" d d') rest
-  | [] -> Alcotest.fail "no nodes"
+  | [] -> Alcotest.fail "no nodes");
+  (* No epoch machinery runs: no EOF silence removes a member, and no
+     node opens a per-epoch record. *)
+  Alcotest.(check (list int)) "every node stays a member"
+    (List.init (Cluster.n_nodes c) Fun.id)
+    (Cluster.members c);
+  for i = 0 to Cluster.n_nodes c - 1 do
+    Alcotest.(check (list int)) "no epoch records" []
+      (Node.held_epochs (Cluster.node c i))
+  done
 
 let test_geog_a_never_aborts () =
   let params = Params.with_variant Params.default Params.Async_merge in
