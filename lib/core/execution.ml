@@ -21,9 +21,7 @@ type t = {
   db : Db.t;
   cost : Params.cost;
   check : check;
-  record_reads : bool;
-      (* build read sets: only validation and SSI's read keys consume
-         them, so RC executes without one *)
+  record_reads : bool;  (* only validation and SSI's read keys use them *)
   track_cols : bool;
   ssi : bool;
 }
@@ -79,8 +77,6 @@ let set_writes (txn : Txn.t) records =
             ~meta:(Meta.make ~sen:txn.Txn.sen ~cen:0 ~csn:Csn.zero)
             ~records ()))
 
-let per_stmt_parse_us = 400
-
 let run t (txn : Txn.t) k =
   let commit_point () = k (if valid t txn then Commit_point else Read_invalid) in
   match txn.Txn.request with
@@ -112,9 +108,9 @@ let run t (txn : Txn.t) k =
        pays its own parse + execution slice, so later statements observe
        whatever snapshots were generated in the meantime (the source of
        RR/SI read-validation aborts). *)
-    let n = List.length stmts in
-    txn.Txn.phases.parse_us <- n * per_stmt_parse_us;
-    txn.Txn.phases.exec_us <- n * t.cost.Params.sql_stmt_us;
+    let per_stmt_parse_us = 400 in
+    txn.Txn.phases.parse_us <- List.length stmts * per_stmt_parse_us;
+    txn.Txn.phases.exec_us <- List.length stmts * t.cost.Params.sql_stmt_us;
     let ctx =
       Executor.Ctx.create ~record_reads:t.record_reads
         ~track_cols:t.track_cols t.db

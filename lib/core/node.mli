@@ -1,10 +1,12 @@
 (** A GeoGauss master node: the per-replica state machine implementing
     the paper's epoch-based multi-master OCC.
 
-    - {b Algorithm 1} (local transaction lifecycle) is spread across
-      {!submit} (epoch/snapshot assignment, execution scheduling), the
-      commit-point handler (read-set validation per isolation level,
-      write-set dissemination) and the per-epoch notification step.
+    - {b Algorithm 1} (local transaction lifecycle): {!submit} assigns
+      the epoch and snapshot, {!Execution} executes and validates the
+      reads, the commit-point handler assigns cen/csn and disseminates
+      the write set, and the per-epoch notification step answers.
+      GeoG-A answers at the commit point and gossips instead; it runs
+      no epochs, so {!Cluster} never calls {!start} for it.
     - {b Algorithm 2} (DeltaCRDTMerge) runs inside the per-epoch merge,
       via {!Epoch_merge.run}.
     - {b Algorithm 3} (receive/merge threads) maps onto the message
@@ -70,7 +72,7 @@ type t
 
 val create : env -> id:int -> db:Gg_storage.Db.t -> t
 val start : t -> unit
-(** Arm the epoch-boundary timer. *)
+(** Arm the epoch-boundary and stall-repair timers. *)
 
 val submit : t -> Txn.request -> (Txn.outcome -> unit) -> unit
 (** Accept a client transaction. The callback fires exactly once. *)

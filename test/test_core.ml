@@ -310,6 +310,157 @@ let prop_op_exec_reads_off =
       | Error a, Error b -> a = b
       | Ok _, Error _ | Error _, Ok _ -> false)
 
+(* --- the execution stage: Algorithm 1 up to the commit point --- *)
+
+let stage ?(db = fresh_db ()) iso =
+  let sim = Gg_sim.Sim.create () in
+  let params = Params.with_isolation Params.default iso in
+  (sim, Execution.create params ~sim ~cpu:(Gg_sim.Cpu.create sim ~cores:1) ~db)
+
+let stage_txn ?(lsn = 0) req =
+  let txn =
+    Txn.create ~id:0 ~node:0 ~request:req ~submit_time:0 ~callback:ignore
+  in
+  txn.Txn.lsn <- lsn;
+  txn
+
+let kv_entry db k =
+  let table = Option.get (Gg_storage.Db.get_table db "kv") in
+  (table, Option.get (Gg_storage.Table.find table (Value.encode_key [| Value.Int k |])))
+
+(* Txn [txn] read row [k] as it stands in [db] now. *)
+let read_now db txn k =
+  let _, e = kv_entry db k in
+  let h = e.Gg_storage.Table.header in
+  txn.Txn.read_set <-
+    { Gg_sql.Executor.r_table = "kv"; r_key_str = e.Gg_storage.Table.key_str;
+      r_csn = h.Gg_storage.Row_header.csn; r_cen = h.Gg_storage.Row_header.cen }
+    :: txn.Txn.read_set
+
+let rewrite db k ~cen =
+  let _, e = kv_entry db k in
+  Gg_storage.Row_header.stamp e.Gg_storage.Table.header ~sen:cen ~cen
+    ~csn:(Gg_storage.Csn.make ~ts:(1000 * cen) ~node:1)
+
+let vanished txn =
+  txn.Txn.read_set <-
+    { Gg_sql.Executor.r_table = "kv"; r_key_str = Value.encode_key [| Value.Int 99 |];
+      r_csn = Gg_storage.Csn.zero; r_cen = -1 }
+    :: txn.Txn.read_set
+
+let all_isolations = Params.[ RC; RR; SI; SSI ]
+
+let test_stage_rc_accepts_every_read () =
+  let db = fresh_db () in
+  let _, x = stage ~db Params.RC in
+  let txn = stage_txn (read_txn 1) in
+  List.iter (read_now db txn) [ 1; 2; 3 ];
+  vanished txn;
+  rewrite db 1 ~cen:9;
+  let table, e = kv_entry db 2 in
+  Gg_storage.Table.delete table e;
+  Alcotest.(check bool) "RC: moved, tombstoned and vanished reads pass" true
+    (Execution.valid x txn)
+
+let test_stage_rr_same_csn () =
+  let db = fresh_db () in
+  let _, x = stage ~db Params.RR in
+  let txn = stage_txn (read_txn 1) in
+  read_now db txn 1;
+  Alcotest.(check bool) "unchanged row passes" true (Execution.valid x txn);
+  (* Same csn, later epoch: RR compares versions only. *)
+  (snd (kv_entry db 1)).Gg_storage.Table.header.Gg_storage.Row_header.cen <- 7;
+  Alcotest.(check bool) "same csn at a later cen passes" true
+    (Execution.valid x txn);
+  rewrite db 1 ~cen:1;
+  Alcotest.(check bool) "changed csn aborts" false (Execution.valid x txn)
+
+let test_stage_si_snapshot_rule () =
+  List.iter
+    (fun iso ->
+      let name = Params.isolation_to_string iso in
+      let db = fresh_db () in
+      let _, x = stage ~db iso in
+      let txn = stage_txn ~lsn:5 (read_txn 1) in
+      read_now db txn 1;
+      rewrite db 1 ~cen:6;
+      Alcotest.(check bool) (name ^ ": cen - 1 = lsn passes") true
+        (Execution.valid x txn);
+      rewrite db 1 ~cen:7;
+      Alcotest.(check bool) (name ^ ": cen - 1 > lsn aborts") false
+        (Execution.valid x txn))
+    Params.[ SI; SSI ]
+
+let test_stage_gone_rows_abort () =
+  List.iter
+    (fun iso ->
+      let name = Params.isolation_to_string iso in
+      let db = fresh_db () in
+      let _, x = stage ~db iso in
+      let txn = stage_txn (read_txn 1) in
+      vanished txn;
+      Alcotest.(check bool) (name ^ ": vanished row aborts") false
+        (Execution.valid x txn);
+      let txn = stage_txn (read_txn 1) in
+      read_now db txn 1;
+      let table, e = kv_entry db 1 in
+      Gg_storage.Table.delete table e;
+      Alcotest.(check bool) (name ^ ": tombstoned row aborts") false
+        (Execution.valid x txn))
+    Params.[ RR; SI; SSI ]
+
+(* Execute [req] through the stage and return the finished transaction
+   and its verdict. *)
+let stage_run ?db iso req =
+  let sim, x = stage ?db iso in
+  let txn = stage_txn req in
+  let verdict = ref None in
+  Execution.run x txn (fun v -> verdict := Some v);
+  Gg_sim.Sim.run sim;
+  (x, txn, !verdict)
+
+let test_stage_read_keys () =
+  List.iter
+    (fun iso ->
+      let name = Params.isolation_to_string iso in
+      match stage_run iso (add_txn 1 5) with
+      | x, txn, Some Execution.Commit_point ->
+        let ws = Option.get txn.Txn.writeset in
+        let csn = Gg_storage.Csn.make ~ts:10 ~node:0 in
+        let ws = Execution.stamp x txn ws ~cen:3 ~csn in
+        Alcotest.(check int) (name ^ ": stamped cen") 3 txn.Txn.cen;
+        Alcotest.(check bool) (name ^ ": stamped write set recorded") true
+          (txn.Txn.writeset = Some ws);
+        Alcotest.(check int) (name ^ ": shipped read keys")
+          (if iso = Params.SSI then 1 else 0)
+          (List.length ws.Gg_crdt.Writeset.read_keys)
+      | _ -> Alcotest.fail (name ^ ": no commit point"))
+    all_isolations
+
+let test_stage_rc_no_read_set () =
+  let sql =
+    Txn.Sql_txn
+      { label = "q"; stmts = [ ("SELECT v FROM kv WHERE k = 1", [||]) ] }
+  in
+  List.iter
+    (fun iso ->
+      let name = Params.isolation_to_string iso in
+      List.iter
+        (fun req ->
+          match stage_run iso req with
+          | _, txn, Some Execution.Commit_point ->
+            Alcotest.(check int) (name ^ ": read set")
+              (if iso = Params.RC then 0 else 1)
+              (List.length txn.Txn.read_set)
+          | _ -> Alcotest.fail (name ^ ": no commit point"))
+        [ read_txn 1; sql ])
+    all_isolations
+
+let test_stage_failed () =
+  match stage_run Params.SI (add_txn 99 1) with
+  | _, _, Some (Execution.Failed _) -> ()
+  | _ -> Alcotest.fail "an Add on a missing row fails execution"
+
 (* --- basic commit flow --- *)
 
 let test_single_write_commits () =
@@ -1354,6 +1505,22 @@ let () =
           QCheck_alcotest.to_alcotest prop_op_exec_unique_keys;
           QCheck_alcotest.to_alcotest prop_op_exec_read_set_model;
           QCheck_alcotest.to_alcotest prop_op_exec_reads_off;
+        ] );
+      ( "execution",
+        [
+          Alcotest.test_case "RC accepts every read" `Quick
+            test_stage_rc_accepts_every_read;
+          Alcotest.test_case "RR aborts on a changed csn" `Quick
+            test_stage_rr_same_csn;
+          Alcotest.test_case "SI aborts past the snapshot" `Quick
+            test_stage_si_snapshot_rule;
+          Alcotest.test_case "gone rows abort above RC" `Quick
+            test_stage_gone_rows_abort;
+          Alcotest.test_case "only SSI ships read keys" `Quick
+            test_stage_read_keys;
+          Alcotest.test_case "RC records no read set" `Quick
+            test_stage_rc_no_read_set;
+          Alcotest.test_case "execution errors fail" `Quick test_stage_failed;
         ] );
       ( "basic",
         [

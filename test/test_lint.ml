@@ -199,6 +199,66 @@ let test_engine_registry_is_canonical () =
         ("engine-name tables outside the registry:\n"
         ^ String.concat "\n" dupes)
 
+(* The isolation level has one reader in lib/core: the execution stage
+   (lib/core/execution.ml) turns it into the read-set, validation,
+   read-key and meta decisions once, at create, so a change to what a
+   level means touches one module. A second reader (a node branch on the
+   level, say) would split the policy again. [Params] defines the type. *)
+let isolation_names =
+  [ "Params.isolation"; "Params.RC"; "Params.RR"; "Params.SI"; "Params.SSI" ]
+
+(* [name] in [line], not continued by an identifier character (so
+   [Params.SI] does not match [Params.SIZE]). *)
+let names line name =
+  let nl = String.length line and nn = String.length name in
+  let ident = function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
+    | _ -> false
+  in
+  let rec at i =
+    i + nn <= nl
+    && (String.sub line i nn = name
+        && (i + nn = nl || not (ident line.[i + nn]))
+       || at (i + 1))
+  in
+  at 0
+
+let test_isolation_has_one_home () =
+  match src_root () with
+  | None -> Alcotest.fail "cannot locate lib/ sources from test cwd"
+  | Some root ->
+    let core = Filename.concat root "core" in
+    let home name =
+      List.mem name
+        [ "params.ml"; "params.mli"; "execution.ml"; "execution.mli" ]
+    in
+    let files =
+      Array.to_list (Sys.readdir core)
+      |> List.filter (fun n ->
+             (Filename.check_suffix n ".ml" || Filename.check_suffix n ".mli")
+             && not (home n))
+      |> List.sort compare
+    in
+    Alcotest.(check bool) "found lib/core sources" true
+      (List.length files > 10);
+    let readers =
+      List.concat_map
+        (fun name ->
+          let path = Filename.concat core name in
+          List.concat
+            (List.mapi
+               (fun i line ->
+                 if List.exists (names line) isolation_names then
+                   [ Printf.sprintf "%s:%d: %s" path (i + 1) (String.trim line) ]
+                 else [])
+               (read_lines path)))
+        files
+    in
+    if readers <> [] then
+      Alcotest.fail
+        ("isolation read outside Params and Execution:\n"
+        ^ String.concat "\n" readers)
+
 let () =
   Alcotest.run "lint"
     [
@@ -210,5 +270,10 @@ let () =
             test_dls_is_sanctioned;
           Alcotest.test_case "engine registry is the one name table" `Quick
             test_engine_registry_is_canonical;
+        ] );
+      ( "policy",
+        [
+          Alcotest.test_case "isolation has one home in lib/core" `Quick
+            test_isolation_has_one_home;
         ] );
     ]
