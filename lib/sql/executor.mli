@@ -21,9 +21,9 @@ module Ctx : sig
   val create : ?record_reads:bool -> ?track_cols:bool -> Gg_storage.Db.t -> t
   (** [record_reads] (default [false]) builds the read set. Only RR and
       SI read validation and SSI's shipped read keys consume it, so the
-      node turns it on at those levels and leaves it off at RC; off,
-      {!read_set} is [[]] and reading a row costs no allocation for it.
-      Results and write sets are the same either way.
+      execution stage turns it on at those levels and leaves it off at
+      RC; off, {!read_set} is [[]] and reading a row costs no allocation
+      for it. Results and write sets are the same either way.
 
       [track_cols] (default [false]) captures UPDATE column masks on the
       write set for column-level merge: a [SET] list covering only
