@@ -58,7 +58,6 @@ type t = {
   id : int;
   env : env;
   obs : Obs.t;
-  cpu : Cpu.t;
   db : Db.t;
   wal : Gg_storage.Wal.t;
   metrics : Metrics.t;
@@ -85,12 +84,10 @@ let cores = 32
 let create env ~id ~db =
   let obs = Sim.obs env.sim in
   let metrics = Metrics.create ~obs ~id () in
-  let cpu = Cpu.create env.sim ~cores in
   {
     id;
     env;
     obs;
-    cpu;
     db;
     wal = Gg_storage.Wal.create ~fsync_us:env.params.Params.cost.log_fsync_us ();
     metrics;
@@ -109,7 +106,9 @@ let create env ~id ~db =
     txn_seq = 0;
     last_advance = 0;
     last_txn_cen = -1;
-    exec = Execution.create env.params ~sim:env.sim ~cpu ~db;
+    exec =
+      Execution.create env.params ~sim:env.sim
+        ~cpu:(Cpu.create env.sim ~cores) ~db;
     fast =
       Fastpath.create env.params ~clock:env.clock ~part:env.part ~obs ~metrics
         ~node:id;
