@@ -77,8 +77,9 @@ let set_writes (txn : Txn.t) records =
             ~meta:(Meta.make ~sen:txn.Txn.sen ~cen:0 ~csn:Csn.zero)
             ~records ()))
 
+let commit_point t txn k = k (if valid t txn then Commit_point else Read_invalid)
+
 let run t (txn : Txn.t) k =
-  let commit_point () = k (if valid t txn then Commit_point else Read_invalid) in
   match txn.Txn.request with
   | Txn.Op_txn o ->
     (* Stored-procedure style: parse, then one execution slice. Reads
@@ -101,8 +102,9 @@ let run t (txn : Txn.t) k =
           set_writes txn writes;
           Cpu.run t.cpu ~cost:exec_us (fun () ->
               if extra_us > 0 then
-                Sim.schedule t.sim ~after:extra_us commit_point
-              else commit_point ()))
+                Sim.schedule t.sim ~after:extra_us (fun () ->
+                    commit_point t txn k)
+              else commit_point t txn k))
   | Txn.Sql_txn { stmts; _ } ->
     (* Interactive SQL executes statement by statement: each statement
        pays its own parse + execution slice, so later statements observe
@@ -120,7 +122,7 @@ let run t (txn : Txn.t) k =
         txn.Txn.sql_results <- List.rev acc;
         txn.Txn.read_set <- Executor.Ctx.read_set ctx;
         set_writes txn (Executor.Ctx.writeset_records ctx);
-        commit_point ()
+        commit_point t txn k
       | (sql, params) :: rest ->
         Cpu.run t.cpu ~cost:(per_stmt_parse_us + t.cost.Params.sql_stmt_us)
           (fun () ->
