@@ -23,6 +23,8 @@
 #   - the seed-7 eocc and `hash:2` traced runs (stdout minus the
 #     "trace written to" line, then the trace file);
 #   - the failover example;
+#   - the SQL shell's stdout over the scripted session
+#     test/golden/sql_session.sql (client-visible query results);
 #   - per BENCHMARK.json workload, `bench/e2e/e2e.exe` at seed 42 with
 #     three reps: the five simulated end-to-end metrics and the
 #     attempted (commit + abort) count.
@@ -98,6 +100,10 @@ done
 f=$(keep failover)
 "$bin/examples/failover.exe" >"$f"
 digest failover "$f"
+
+f=$(keep "sql_shell test/golden/sql_session.sql")
+"$bin/bin/sql_shell.exe" <test/golden/sql_session.sql >"$f"
+digest "sql_shell test/golden/sql_session.sql" "$f"
 
 # The workloads and the e2e result line are read with sed, as bench/ab.sh
 # does, so the script needs no JSON tool.
