@@ -32,6 +32,12 @@ val run : t -> Txn.t -> (verdict -> unit) -> unit
     meanwhile. Sets the phases' [parse_us] and [exec_us], the read set,
     the SQL results and the write set (meta not yet stamped). *)
 
+val cached_statements : t -> int
+(** How many SQL texts {!run} holds parsed. Each text is parsed once,
+    its error included, and run from the kept AST after that; past 256
+    distinct texts the table starts over. The simulated parse slice is
+    charged either way. *)
+
 val valid : t -> Txn.t -> bool
 (** Algorithm 1's read validation against the database as it stands.
     RC accepts every read. Above RC a read fails when its row vanished

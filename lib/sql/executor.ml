@@ -380,8 +380,10 @@ let select ctx (s : Ast.select) ~params =
   let join =
     Option.map (fun (tr, on, jb) -> (tr, Expr.bind_pred env ~params on, jb)) join_info
   in
-  (* Collected matches: projected row + sort keys. *)
-  let matches = ref [] in
+  (* Collected matches, newest first: projected rows, paired with their
+     sort keys only under ORDER BY. *)
+  let rows_rev = ref [] in
+  let keyed_rev = ref [] in
   let n_projs = List.length s.projs in
   let projs_a = Array.of_list projs in
   let eval_proj = function
@@ -474,11 +476,10 @@ let select ctx (s : Ast.select) ~params =
       | B_star | B_expr _ -> ()
     done
   in
-  let handle_match () =
-    if aggregating then aggregate_row ()
-    else begin
-      matches := (project (), sort_keys ()) :: !matches
-    end
+  let handle_match =
+    if aggregating then aggregate_row
+    else if order_by = [] then fun () -> rows_rev := project () :: !rows_rev
+    else fun () -> keyed_rev := (project (), sort_keys ()) :: !keyed_rev
   in
   (match join with
   | None ->
@@ -524,6 +525,32 @@ let select ctx (s : Ast.select) ~params =
         | Ast.Expr_proj _ | Ast.Agg _ -> [ n ])
       (List.combine s.projs columns)
   in
+  let limit rows =
+    match s.limit with
+    | None -> rows
+    | Some k -> List.filteri (fun i _ -> i < k) rows
+  in
+  (* Stable by the sort keys, then LIMIT. *)
+  let order_and_limit keyed =
+    let rows =
+      if s.order_by = [] then List.map fst keyed
+      else
+        List.stable_sort
+          (fun (_, ka) (_, kb) ->
+            let rec cmp a b =
+              match (a, b) with
+              | (va, dir) :: ra, (vb, _) :: rb ->
+                let c = Value.compare va vb in
+                let c = match dir with Ast.Asc -> c | Ast.Desc -> -c in
+                if c <> 0 then c else cmp ra rb
+              | _, _ -> 0
+            in
+            cmp ka kb)
+          keyed
+        |> List.map fst
+    in
+    limit rows
+  in
   if aggregating then begin
     let row_of (st : group_state) =
       List.mapi
@@ -560,57 +587,11 @@ let select ctx (s : Ast.select) ~params =
             (row_of st, st.g_sort))
           !group_order
     in
-    let rows =
-      if s.order_by = [] then rows
-      else
-        List.stable_sort
-          (fun (_, ka) (_, kb) ->
-            let rec cmp a b =
-              match (a, b) with
-              | (va, dir) :: ra, (vb, _) :: rb ->
-                let c = Value.compare va vb in
-                let c = match dir with Ast.Asc -> c | Ast.Desc -> -c in
-                if c <> 0 then c else cmp ra rb
-              | _, _ -> 0
-            in
-            cmp ka kb)
-          rows
-    in
-    let rows = List.map fst rows in
-    let rows =
-      match s.limit with
-      | None -> rows
-      | Some k -> List.filteri (fun i _ -> i < k) rows
-    in
-    { columns; rows; affected = 0 }
+    { columns; rows = order_and_limit rows; affected = 0 }
   end
-  else begin
-    let rows = List.rev !matches in
-    let rows =
-      if s.order_by = [] then rows
-      else
-        List.stable_sort
-          (fun (_, ka) (_, kb) ->
-            let rec cmp a b =
-              match (a, b) with
-              | [], [] -> 0
-              | (va, dir) :: ra, (vb, _) :: rb ->
-                let c = Value.compare va vb in
-                let c = match dir with Ast.Asc -> c | Ast.Desc -> -c in
-                if c <> 0 then c else cmp ra rb
-              | _ -> 0
-            in
-            cmp ka kb)
-          rows
-    in
-    let rows = List.map fst rows in
-    let rows =
-      match s.limit with
-      | None -> rows
-      | Some k -> List.filteri (fun i _ -> i < k) rows
-    in
-    { columns; rows; affected = 0 }
-  end
+  else if s.order_by = [] then
+    { columns; rows = limit (List.rev !rows_rev); affected = 0 }
+  else { columns; rows = order_and_limit (List.rev !keyed_rev); affected = 0 }
 
 (* --- INSERT --- *)
 

@@ -177,16 +177,21 @@ let pk_map ix f =
     vacant;
   }
 
-(* The ordered index (live rows by key) serves only SQL scans, the
-   secondary-index build and the checker, and no op-level workload does
-   any of those, so it is built lazily: [ordered_built] is false until
-   the first ordered read, and until then [load], the committed-insert
-   paths, [delete] and [revive] leave [ordered] (empty) alone. Once
-   built, those mutators maintain it incrementally. *)
+(* The ordered index is a dense array of the live entries sorted by
+   key. It serves only SQL scans, the secondary-index build and the
+   checker, and no op-level workload does any of those, so it is built
+   lazily: [ordered_built] is false until the first ordered read, and
+   until then [load], the committed-insert paths, [delete] and [revive]
+   leave [ordered] (empty) alone. Once built, those mutators replace it
+   with a copy one entry longer or shorter (O(n)); no benchmarked
+   workload inserts into or deletes from a scanned table, since its
+   updates write [entry.data] in place. Replacing rather than shifting
+   the array means a scan walks the index as it stood when the scan
+   began. *)
 type t = {
   schema : Schema.t;
   index : pk_index;
-  mutable ordered : entry Key_map.t;
+  mutable ordered : entry array;
   mutable ordered_built : bool;
   temp : (string, entry) Hashtbl.t;  (* the epoch's in-flight inserts *)
   indexes : (string, sec_index) Hashtbl.t;
@@ -202,7 +207,7 @@ let create schema =
   {
     schema;
     index = pk_create pk_initial_capacity;
-    ordered = Key_map.empty;
+    ordered = [||];
     ordered_built = false;
     temp = fresh_temp ();
     indexes = Hashtbl.create 4;
@@ -239,26 +244,51 @@ let indexes_remove t ~data entry =
 
 let schema t = t.schema
 
+(* The first position in [a] whose key is [>= key]. *)
+let lower_bound a key =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) lsr 1 in
+      if compare_keys (Array.unsafe_get a mid).key key < 0 then go (mid + 1) hi
+      else go lo mid
+  in
+  go 0 (Array.length a)
+
+(* A key is in the ordered index exactly while its row is live, so an
+   added entry's key is absent and a removed one's present. *)
 let ordered_add t entry =
-  if t.ordered_built then t.ordered <- Key_map.add entry.key entry t.ordered
+  if t.ordered_built then begin
+    let a = t.ordered in
+    let n = Array.length a in
+    let i = lower_bound a entry.key in
+    let b = Array.make (n + 1) entry in
+    Array.blit a 0 b 0 i;
+    Array.blit a i b (i + 1) (n - i);
+    t.ordered <- b
+  end
 
 let ordered_remove t entry =
-  if t.ordered_built then t.ordered <- Key_map.remove entry.key t.ordered
+  if t.ordered_built then begin
+    let a = t.ordered in
+    let n = Array.length a in
+    let i = lower_bound a entry.key in
+    if i < n && compare_keys a.(i).key entry.key = 0 then begin
+      let b = Array.sub a 0 (n - 1) in
+      Array.blit a (i + 1) b i (n - 1 - i);
+      t.ordered <- b
+    end
+  end
 
 (* The live entries in key order. *)
 let live_sorted t =
   pk_fold t.index (fun e acc -> if e.header.deleted then acc else e :: acc) []
   |> List.sort (fun a b -> compare_keys a.key b.key)
 
-(* The ordered index, built on first use. The build adds the live rows
-   in key order, so the map's nodes are allocated in the order an
-   in-order walk visits them. A build in hash-slot order would scatter
-   them across the heap and slow every later scan. *)
+(* The ordered index, built on first use by one sort of the live rows. *)
 let ordered t =
   if not t.ordered_built then begin
-    t.ordered <-
-      List.fold_left (fun m e -> Key_map.add e.key e m) Key_map.empty
-        (live_sorted t);
+    t.ordered <- Array.of_list (live_sorted t);
     t.ordered_built <- true
   end;
   t.ordered
@@ -344,7 +374,11 @@ let temp_add t ~key ~key_str =
 
 let temp_clear t = Hashtbl.reset t.temp
 
-let scan t ~f = Key_map.iter (fun _ e -> f e) (ordered t)
+let scan t ~f =
+  let a = ordered t in
+  for i = 0 to Array.length a - 1 do
+    f (Array.unsafe_get a i)
+  done
 
 let iter_all t ~f = pk_iter t.index f
 
@@ -361,23 +395,22 @@ let compare_key_prefix key h =
   in
   go 0
 
-(* Live rows from [from] (or the first key) in key order while
-   [continue key] holds. The seek is one [Key_map.split] (O(log n) fresh
-   nodes per scan); the walk is [Key_map.iter] over the right part, so no
-   [Seq] node or closure is built per row. [Stop] is local to the call:
-   a scan started from inside another scan's [f] cannot end the outer
-   one. *)
+(* Live rows from the first key [>= from] (or the first key) in key
+   order while [continue key] holds: a binary-search seek, then a walk
+   along the array that allocates nothing per row. *)
 let iter_while t ?from ~continue f =
-  let exception Stop in
-  let visit key e = if continue key then f e else raise_notrace Stop in
-  try
-    match from with
-    | None -> Key_map.iter visit (ordered t)
-    | Some from ->
-      let _, eq, right = Key_map.split from (ordered t) in
-      (match eq with Some e -> visit e.key e | None -> ());
-      Key_map.iter visit right
-  with Stop -> ()
+  let a = ordered t in
+  let n = Array.length a in
+  let rec go i =
+    if i < n then begin
+      let e = Array.unsafe_get a i in
+      if continue e.key then begin
+        f e;
+        go (i + 1)
+      end
+    end
+  in
+  go (match from with None -> 0 | Some from -> lower_bound a from)
 
 let scan_range t ?lo ?hi f =
   let continue =
@@ -415,7 +448,7 @@ let create_index t ~name ~cols =
   if Array.length idx_cols = 0 then
     invalid_arg "Table.create_index: no columns";
   let idx = { idx_cols; idx_map = Key_map.empty } in
-  Key_map.iter (fun _ e -> idx_add idx e) (ordered t);
+  scan t ~f:(idx_add idx);
   Hashtbl.replace t.indexes name idx
 
 let index_names t =
@@ -467,7 +500,7 @@ let copy t =
     {
       schema = t.schema;
       index;
-      ordered = Key_map.empty;
+      ordered = [||];
       ordered_built = false;
       temp = fresh_temp ();
       indexes = Hashtbl.create 4;

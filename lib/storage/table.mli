@@ -1,6 +1,7 @@
 (** In-memory row store with an open-addressed primary-key hash index,
-    an ordered index for range scans, and a per-epoch temporary table for
-    insertion conflicts (paper §4.2.1). Nothing this module exposes
+    an ordered index for range scans (a sorted array of the live rows),
+    and a per-epoch temporary table for insertion conflicts (paper
+    §4.2.1). Nothing this module exposes
     depends on the hash index's slot order: {!iter_all} is unordered by
     contract and the digests sort.
 
@@ -9,15 +10,27 @@
     abort, Algorithm 2 line 3–4) but drop the row from the ordered index
     so scans skip it.
 
-    {b The ordered index is lazy.} It is built on the first ordered read
-    — {!scan}, {!scan_range}, {!scan_prefix} or {!create_index} — and
-    maintained incrementally by every mutator after that. Until then
-    {!load}, {!insert_committed}, {!install_temp}, {!delete} and
-    {!revive} skip it, and {!copy} returns a table whose ordered index is
-    unbuilt. The first ordered read therefore pays a sort of the live
-    rows by key plus one map insert per row (O(n log n)); a table that is
-    only ever read by key, as on the op-level workloads, never pays it.
-    Nothing else observable depends on whether it has been built. *)
+    {b The ordered index is lazy.} It is a dense array of the live rows
+    sorted by key, built on the first ordered read — {!scan},
+    {!scan_range}, {!scan_prefix} or {!create_index} — by one sort of
+    the live rows (O(n log n)). Until then {!load}, {!insert_committed},
+    {!install_temp}, {!delete} and {!revive} skip it, and {!copy}
+    returns a table whose ordered index is unbuilt; a table that is only
+    ever read by key, as on the op-level workloads, never pays for it.
+    Once built, each insert, delete and revive keeps it current with a
+    binary search and a copy of the array one row longer or shorter:
+    O(n) per call. {!write} changes no key and leaves it alone, so
+    in-place updates, the only writes the SQL workloads make to the
+    tables they scan, cost nothing here. Nothing else observable
+    depends on whether it has been built.
+
+    {b Scans and writers.} A scan callback must not insert or delete
+    rows of the table it scans and expect that scan to reflect it: the
+    scan walks the array as it stood when the scan began, so a row the
+    callback inserts is not visited and a row it deletes later in key
+    order still is. A callback may raise (the scan ends with it) and may
+    start another scan of the same table (the join's nested loop
+    does). *)
 
 type entry = {
   key : Value.t array;
@@ -104,9 +117,10 @@ val scan_range :
     unbounded). [hi] is compared against the first [Array.length hi] key
     columns only, so a one-column [hi] on a composite key keeps every key
     whose leading column is [<= hi.(0)]; a shorter [lo] already sorts
-    before every key it prefixes. The scan seeks to [lo] in O(log n),
-    then walks the ordered index in place and stops at the first key past
-    [hi]: nothing is allocated per visited row. *)
+    before every key it prefixes. The scan seeks to the first key
+    [>= lo] by binary search, then walks the array and stops at the
+    first key past [hi]: nothing is allocated per scan or per visited
+    row. *)
 
 val scan_prefix : t -> prefix:Value.t array -> (entry -> unit) -> unit
 (** Live rows whose key starts with [prefix], in key order. Seeks and
