@@ -5,17 +5,17 @@ type entry = {
   header : Row_header.t;
 }
 
-let compare_keys a b =
-  let la = Array.length a and lb = Array.length b in
-  let rec go i =
-    if i >= la && i >= lb then 0
-    else if i >= la then -1
-    else if i >= lb then 1
-    else
-      let c = Value.compare a.(i) b.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+(* Key comparisons run per visited row and per binary-search step, so
+   they recurse at top level: a local [go] would allocate a closure per
+   call. *)
+let rec compare_keys_from a b i =
+  if i >= Array.length a then if i >= Array.length b then 0 else -1
+  else if i >= Array.length b then 1
+  else
+    let c = Value.compare (Array.unsafe_get a i) (Array.unsafe_get b i) in
+    if c <> 0 then c else compare_keys_from a b (i + 1)
+
+let compare_keys a b = compare_keys_from a b 0
 
 module Key_map = Map.Make (struct
   type t = Value.t array
@@ -382,18 +382,14 @@ let scan t ~f =
 
 let iter_all t ~f = pk_iter t.index f
 
-(* [key] against [h] on [h]'s columns only: a shorter [hi] bounds the
-   leading key columns. *)
-let compare_key_prefix key h =
-  let lh = Array.length h and lk = Array.length key in
-  let rec go i =
-    if i >= lh then 0
-    else if i >= lk then -1
-    else
-      let c = Value.compare key.(i) h.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+(* [key] against [h] on [h]'s columns only, from column [i]: a shorter
+   [hi] bounds the leading key columns. *)
+let rec compare_key_prefix key h i =
+  if i >= Array.length h then 0
+  else if i >= Array.length key then -1
+  else
+    let c = Value.compare (Array.unsafe_get key i) (Array.unsafe_get h i) in
+    if c <> 0 then c else compare_key_prefix key h (i + 1)
 
 (* Live rows from the first key [>= from] (or the first key) in key
    order while [continue key] holds: a binary-search seek, then a walk
@@ -416,19 +412,19 @@ let scan_range t ?lo ?hi f =
   let continue =
     match hi with
     | None -> fun _ -> true
-    | Some h -> fun key -> compare_key_prefix key h <= 0
+    | Some h -> fun key -> compare_key_prefix key h 0 <= 0
   in
   iter_while t ?from:lo ~continue f
 
-let has_prefix ~prefix key =
-  let lp = Array.length prefix in
-  Array.length key >= lp
-  &&
-  let rec go i = i >= lp || (Value.compare prefix.(i) key.(i) = 0 && go (i + 1)) in
-  go 0
+(* Does [key] start with [prefix], from column [i] on? *)
+let rec has_prefix prefix key i =
+  i >= Array.length prefix
+  || i < Array.length key
+     && Value.compare (Array.unsafe_get prefix i) (Array.unsafe_get key i) = 0
+     && has_prefix prefix key (i + 1)
 
 let scan_prefix t ~prefix f =
-  iter_while t ~from:prefix ~continue:(has_prefix ~prefix) f
+  iter_while t ~from:prefix ~continue:(fun key -> has_prefix prefix key 0) f
 
 (* --- secondary index API --- *)
 
