@@ -461,6 +461,110 @@ let test_stage_failed () =
   | _, _, Some (Execution.Failed _) -> ()
   | _ -> Alcotest.fail "an Add on a missing row fails execution"
 
+(* The stage parses each SQL text once and runs later statements from
+   the kept AST. Every generated statement of Sqlgen.Scan and
+   Sqlgen.Secidx must give, through one stage, the results, writes and
+   (at SI) reads that [Executor.exec_sql] gives on the same database. *)
+let test_stage_statement_cache () =
+  let db = Gg_storage.Db.create () in
+  Gg_workload.Sqlgen.Scan.(load (with_records base 300)) db;
+  Gg_workload.Sqlgen.Secidx.(load (with_records base 300)) db;
+  let scan = Gg_workload.Sqlgen.Scan.(create (with_records base 300) ~seed:3) in
+  let secidx =
+    Gg_workload.Sqlgen.Secidx.(create (with_records base 300) ~seed:4)
+  in
+  let writes records =
+    List.map
+      (fun r -> Gg_crdt.Writeset.(r.table, key_str r, r.op, r.data, r.cols))
+      records
+  in
+  List.iter
+    (fun iso ->
+      let name = Params.isolation_to_string iso in
+      let sim, x = stage ~db iso in
+      for i = 1 to 120 do
+        let label, stmts =
+          if i mod 2 = 0 then Gg_workload.Sqlgen.Scan.next_stmts scan
+          else Gg_workload.Sqlgen.Secidx.next_stmts secidx
+        in
+        let txn = stage_txn (Txn.Sql_txn { label; stmts }) in
+        let verdict = ref None in
+        Execution.run x txn (fun v -> verdict := Some v);
+        Gg_sim.Sim.run sim;
+        if !verdict <> Some Execution.Commit_point then
+          Alcotest.failf "%s: %s has no commit point" name label;
+        let ctx = Gg_sql.Executor.Ctx.create ~record_reads:(iso <> Params.RC) db in
+        let results =
+          List.map
+            (fun (sql, params) ->
+              match Gg_sql.Executor.exec_sql ctx sql ~params with
+              | Ok r -> r
+              | Error m -> Alcotest.failf "%s: %s: %s" name sql m)
+            stmts
+        in
+        Alcotest.(check bool) (name ^ ": results of " ^ label) true
+          (txn.Txn.sql_results = results);
+        Alcotest.(check bool) (name ^ ": writes of " ^ label) true
+          (writes
+             (match txn.Txn.writeset with
+             | Some ws -> ws.Gg_crdt.Writeset.records
+             | None -> [])
+          = writes (Gg_sql.Executor.Ctx.writeset_records ctx));
+        Alcotest.(check bool) (name ^ ": reads of " ^ label) true
+          (txn.Txn.read_set = Gg_sql.Executor.Ctx.read_set ctx)
+      done;
+      Alcotest.(check int) (name ^ ": one parse per distinct text") 6
+        (Execution.cached_statements x))
+    Params.[ RC; SI ]
+
+let run_sql x sim stmts =
+  let txn =
+    stage_txn
+      (Txn.Sql_txn
+         { label = "q"; stmts = List.map (fun sql -> (sql, [||])) stmts })
+  in
+  let verdict = ref None in
+  Execution.run x txn (fun v -> verdict := Some v);
+  Gg_sim.Sim.run sim;
+  !verdict
+
+(* A text that does not parse is kept with its error: the same message
+   on every use, and the statements after it still run. *)
+let test_stage_cached_parse_error () =
+  let db = fresh_db () in
+  let sim, x = stage ~db Params.RC in
+  let bad = "SELEC v FROM kv" in
+  let want =
+    match Gg_sql.Executor.exec_sql (Gg_sql.Executor.Ctx.create db) bad ~params:[||] with
+    | Error m -> m
+    | Ok _ -> Alcotest.fail "the malformed text parsed"
+  in
+  let failed what =
+    match run_sql x sim [ bad ] with
+    | Some (Execution.Failed m) -> Alcotest.(check string) what want m
+    | _ -> Alcotest.fail (what ^ ": not Failed")
+  in
+  failed "first use";
+  failed "repeat";
+  Alcotest.(check bool) "a valid statement after it runs" true
+    (run_sql x sim [ "SELECT v FROM kv WHERE k = 1" ]
+    = Some Execution.Commit_point);
+  Alcotest.(check int) "both texts kept" 2 (Execution.cached_statements x)
+
+(* Past 256 distinct texts the table starts over rather than grow. *)
+let test_stage_statement_cache_bound () =
+  let sim, x = stage Params.RC in
+  let texts = List.init 300 (Printf.sprintf "SELECT v FROM kv WHERE k = %d") in
+  let most = ref 0 in
+  List.iter
+    (fun sql ->
+      ignore (run_sql x sim [ sql ]);
+      most := max !most (Execution.cached_statements x))
+    texts;
+  Alcotest.(check int) "never past the cap" 256 !most;
+  Alcotest.(check int) "started over at the cap" (300 - 256)
+    (Execution.cached_statements x)
+
 (* --- basic commit flow --- *)
 
 let test_single_write_commits () =
@@ -1521,6 +1625,12 @@ let () =
           Alcotest.test_case "RC records no read set" `Quick
             test_stage_rc_no_read_set;
           Alcotest.test_case "execution errors fail" `Quick test_stage_failed;
+          Alcotest.test_case "statement cache = exec_sql" `Quick
+            test_stage_statement_cache;
+          Alcotest.test_case "cached parse error" `Quick
+            test_stage_cached_parse_error;
+          Alcotest.test_case "statement cache is bounded" `Quick
+            test_stage_statement_cache_bound;
         ] );
       ( "basic",
         [

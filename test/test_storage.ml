@@ -242,6 +242,29 @@ let test_table_scan_order () =
       | _ -> ());
   Alcotest.(check (list int)) "ascending" [ 1; 3; 5; 7; 9 ] (List.rev !keys)
 
+(* A scan walks the ordered index as it stood when the scan began: a
+   row its callback inserts is not visited, a later row it deletes still
+   is, and the next scan sees both changes. *)
+let test_table_scan_snapshot () =
+  let t = make_table 6 in
+  let int_key (e : Table.entry) =
+    match e.Table.key.(0) with Value.Int i -> i | _ -> -1
+  in
+  let visited = ref [] in
+  Table.scan t ~f:(fun e ->
+      visited := int_key e :: !visited;
+      if int_key e = 1 then begin
+        ignore
+          (Table.insert_committed t ~key:[| v_int 9 |] ~key_str:(key 9)
+             ~data:[| v_int 9; v_str "new" |] ~header:(Row_header.create ()));
+        Table.delete t (Option.get (Table.find t (key 4)))
+      end);
+  Alcotest.(check (list int)) "the scan's own rows" [ 0; 1; 2; 3; 4; 5 ]
+    (List.rev !visited);
+  let after = ref [] in
+  Table.scan t ~f:(fun e -> after := int_key e :: !after);
+  Alcotest.(check (list int)) "the next scan" [ 0; 1; 2; 3; 5; 9 ] (List.rev !after)
+
 let test_table_scan_range () =
   let t = make_table 10 in
   let got = ref [] in
@@ -625,7 +648,34 @@ let stamped cen =
   h
 
 let row_of k data = [| v_int k; v_str data |]
-let data_of (e : Table.entry) = match e.Table.data.(1) with Value.Str s -> s | _ -> "?"
+
+(* The text column, the last one under either keying below. *)
+let data_of (e : Table.entry) =
+  match e.Table.data.(Array.length e.Table.data - 1) with
+  | Value.Str s -> s
+  | _ -> "?"
+
+(* How a pool key [k] becomes a table key. [two_col] spreads the pool
+   over [(k mod 7, k)], so key order is not pool order and a one-column
+   bound covers a run of whole groups. *)
+type keying = { key_of : int -> Value.t array; schema : unit -> Schema.t }
+
+let one_col = { key_of = (fun k -> [| v_int k |]); schema = schema_kv }
+
+let two_col =
+  {
+    key_of = (fun k -> [| v_int (k mod 7); v_int k |]);
+    schema =
+      (fun () ->
+        Schema.create ~name:"kv2"
+          ~columns:
+            [
+              { Schema.name = "g"; ty = Schema.TInt };
+              { name = "k"; ty = TInt };
+              { name = "v"; ty = TStr };
+            ]
+          ~key:[ "g"; "k" ]);
+  }
 
 (* A fresh table holding exactly the model's rows, built in descending
    key order. *)
@@ -672,7 +722,9 @@ let check_against_model t model =
   if Table.digest t <> Table.digest (table_of_model model) then
     QCheck.Test.fail_reportf "digest differs from the model's"
 
-let apply_pk_step t model step =
+let apply_pk_step ?(keying = one_col) t model step =
+  let key k = Value.encode_key (keying.key_of k) in
+  let row_of k data = Array.append (keying.key_of k) [| v_str data |] in
   let range i n =
     List.init n (fun j -> i + j)
     |> List.filter_map (fun i -> if i < pk_universe then Some pk_pool.(i) else None)
@@ -697,7 +749,7 @@ let apply_pk_step t model step =
     let data = Printf.sprintf "i%d" cen in
     let install () =
       ignore
-        (Table.insert_committed t ~key:[| v_int k |] ~key_str:(key k)
+        (Table.insert_committed t ~key:(keying.key_of k) ~key_str:(key k)
            ~data:(row_of k data) ~header:(stamped cen))
     in
     match List.assoc_opt k model with
@@ -765,47 +817,102 @@ let prop_pk_index_matches_model =
    run with the index unbuilt, the read builds it, and the steps after it
    maintain it. A copy is checked alongside its source, whether it was
    taken before the build (both unbuilt) or after (source built, copy
-   not). *)
+   not). Every sequence runs on one-column keys and again on the
+   two-column keys of [two_col], whose bounds include composite ones and
+   ones shorter than the key. Each check also ends a scan by raising
+   from its callback, as the checker's corruption canary does, and scans
+   the table again from inside a scan's callback, as the join does. *)
 type lazy_step = Pk of pk_step | Index
 
-let check_ordered_reads t =
+(* [(lo, hi)] ranges and prefixes to check under each keying. *)
+let ordered_bounds keying =
+  let b = Array.map v_int in
+  if keying == one_col then
+    ( [ (Some (b [| 100 |]), Some (b [| 700 |])); (None, Some (b [| 40 |])) ],
+      List.map (fun k -> b [| k |]) [ 0; 7; 1100; 1300 ] )
+  else
+    ( [
+        (Some (b [| 2 |]), Some (b [| 4 |]));
+        (Some (b [| 1; 600 |]), Some (b [| 5; 300 |]));
+        (Some (b [| 3; 200 |]), None);
+        (None, Some (b [| 0 |]));
+        (Some (b [| 1; 1100 |]), Some (b [| 1; 1100 |]));
+      ],
+      [ b [| 3 |]; b [| 6 |]; b [| 2; 100 |]; b [| 9 |] ] )
+
+let check_ordered_reads keying t =
   let live = ref [] in
   Table.iter_all t ~f:(fun e ->
       if not e.Table.header.Row_header.deleted then live := e :: !live);
-  let int_key (e : Table.entry) =
-    match e.Table.key with [| Value.Int k |] -> k | _ -> assert false
+  let live =
+    List.map (fun e -> (e.Table.key, data_of e)) !live
+    |> List.sort (fun (a, _) (b, _) -> lex_compare a b 0)
   in
-  let live = List.sort compare (List.map (fun e -> (int_key e, data_of e)) !live) in
   let keys = List.map fst live in
   let visited scan =
     let acc = ref [] in
-    scan (fun e -> acc := int_key e :: !acc);
+    scan (fun e -> acc := e.Table.key :: !acc);
     List.rev !acc
+  in
+  let show keys =
+    String.concat ";"
+      (List.map
+         (fun k -> String.concat "," (Array.to_list (Array.map Value.to_string k)))
+         keys)
   in
   let expect what got want =
     if got <> want then
-      QCheck.Test.fail_reportf "%s: [%s], sorted iter_all [%s]" what
-        (String.concat ";" (List.map string_of_int got))
-        (String.concat ";" (List.map string_of_int want))
+      QCheck.Test.fail_reportf "%s: [%s], sorted iter_all [%s]" what (show got)
+        (show want)
   in
+  let bound = function None -> "-" | Some b -> show [ b ] in
+  (* A callback that raises ends the scan; the reads below then see the
+     whole table again. *)
+  let seen = ref 0 in
+  (try Table.scan t ~f:(fun _ -> incr seen; if !seen = 2 then raise Exit)
+   with Exit -> ());
+  if !seen <> min 2 (List.length keys) then
+    QCheck.Test.fail_reportf "raising scan visited %d rows" !seen;
   expect "scan" (visited (fun f -> Table.scan t ~f)) keys;
-  expect "scan_range 100..700"
-    (visited (Table.scan_range t ~lo:[| v_int 100 |] ~hi:[| v_int 700 |]))
-    (List.filter (fun k -> k >= 100 && k <= 700) keys);
-  expect "scan_range ..40" (visited (Table.scan_range t ~hi:[| v_int 40 |]))
-    (List.filter (fun k -> k <= 40) keys);
+  let ranges, prefixes = ordered_bounds keying in
   List.iter
-    (fun k ->
-      expect (Printf.sprintf "scan_prefix %d" k)
-        (visited (Table.scan_prefix t ~prefix:[| v_int k |]))
-        (List.filter (( = ) k) keys))
-    [ 0; 7; 1100; 1300 ];
+    (fun (lo, hi) ->
+      expect
+        (Printf.sprintf "scan_range %s..%s" (bound lo) (bound hi))
+        (visited (Table.scan_range t ?lo ?hi))
+        (List.filter (ref_in_range ?lo ?hi) keys))
+    ranges;
+  List.iter
+    (fun prefix ->
+      expect
+        ("scan_prefix " ^ show [ prefix ])
+        (visited (Table.scan_prefix t ~prefix))
+        (List.filter (ref_has_prefix ~prefix) keys))
+    prefixes;
+  (* Scans nested in a scan's callback: a point range at every outer row
+     and, at the first three, a whole second scan. *)
+  let outer = ref 0 in
+  expect "outer scan"
+    (visited (fun f ->
+         Table.scan t ~f:(fun e ->
+             let key = e.Table.key in
+             expect "nested point range"
+               (visited (Table.scan_range t ~lo:key ~hi:key))
+               [ key ];
+             if !outer < 3 then
+               expect "nested scan" (visited (fun f -> Table.scan t ~f)) keys;
+             incr outer;
+             f e)))
+    keys;
   if Table.index_cols t ~name:"by_v" <> None then
     List.iter
       (fun v ->
         expect ("index_lookup " ^ v)
-          (List.sort compare
-             (List.map int_key (Table.index_lookup t ~name:"by_v" ~key:[| v_str v |])))
+          (List.sort
+             (fun a b -> lex_compare a b 0)
+             (List.map
+                (fun e -> e.Table.key)
+                (Table.index_lookup t ~name:"by_v" ~key:[| v_str v |])))
           (List.filter_map (fun (k, d) -> if d = v then Some k else None) live))
       ("nope" :: List.sort_uniq compare (List.map snd live))
 
@@ -824,27 +931,30 @@ let prop_lazy_ordered_index =
          let* first_read = int_range 0 (List.length steps) in
          return (steps, first_read)))
     (fun (steps, first_read) ->
-      let t = ref (Table.create (schema_kv ())) in
-      ignore
-        (List.fold_left
-           (fun (model, i) step ->
-             let reading = i >= first_read in
-             let model =
-               match step with
-               | Index ->
-                 if Table.index_cols !t ~name:"by_v" = None then
-                   Table.create_index !t ~name:"by_v" ~cols:[ "v" ];
-                 model
-               | Pk Copy ->
-                 let source = !t in
-                 t := Table.copy source;
-                 if reading then check_ordered_reads source;
-                 model
-               | Pk step -> apply_pk_step !t model step
-             in
-             if reading then check_ordered_reads !t;
-             (model, i + 1))
-           ([], 0) steps);
+      List.iter
+        (fun keying ->
+          let t = ref (Table.create (keying.schema ())) in
+          ignore
+            (List.fold_left
+               (fun (model, i) step ->
+                 let reading = i >= first_read in
+                 let model =
+                   match step with
+                   | Index ->
+                     if Table.index_cols !t ~name:"by_v" = None then
+                       Table.create_index !t ~name:"by_v" ~cols:[ "v" ];
+                     model
+                   | Pk Copy ->
+                     let source = !t in
+                     t := Table.copy source;
+                     if reading then check_ordered_reads keying source;
+                     model
+                   | Pk step -> apply_pk_step ~keying !t model step
+                 in
+                 if reading then check_ordered_reads keying !t;
+                 (model, i + 1))
+               ([], 0) steps))
+        [ one_col; two_col ];
       true)
 
 (* --- Checkpoint --- *)
@@ -942,6 +1052,8 @@ let () =
           Alcotest.test_case "insert_committed" `Quick test_table_insert_committed;
           Alcotest.test_case "temp table" `Quick test_table_temp;
           Alcotest.test_case "scan order" `Quick test_table_scan_order;
+          Alcotest.test_case "scan walks the index as it began" `Quick
+            test_table_scan_snapshot;
           Alcotest.test_case "scan range" `Quick test_table_scan_range;
           Alcotest.test_case "scan range on the leading key column" `Quick
             test_table_scan_range_leading_column;
