@@ -161,6 +161,27 @@ let bench_sql_aggregate =
     "SELECT COUNT(*), SUM(amount) FROM events WHERE region = ?"
     [| Gg_storage.Value.Int 3 |]
 
+(* The ordered-index walks under those two statements, on the same
+   table, with a no-op callback. The index is built before the first
+   run. *)
+let scan_table =
+  lazy
+    (let t =
+       Gg_storage.Db.get_table_exn (Lazy.force scan_db)
+         Gg_workload.Sqlgen.Scan.table_name
+     in
+     Gg_storage.Table.scan t ~f:ignore;
+     t)
+
+let bench_table_scan =
+  bench "Table.scan (2k rows)" (fun () ->
+      Gg_storage.Table.scan (Lazy.force scan_table) ~f:ignore)
+
+let bench_table_scan_range =
+  let lo = [| Gg_storage.Value.Int 900 |] and hi = [| Gg_storage.Value.Int 1099 |] in
+  bench "Table.scan_range (200 of 2k rows)" (fun () ->
+      Gg_storage.Table.scan_range (Lazy.force scan_table) ~lo ~hi ignore)
+
 let bench_op_exec =
   let db = Gg_storage.Db.create () in
   let p = Gg_workload.Ycsb.with_records Gg_workload.Ycsb.medium_contention 10_000 in
@@ -321,7 +342,8 @@ let run_micro ~out () =
       bench_merge_rule; bench_writeset_codec; bench_compress_eof;
       bench_compress_ycsb; bench_compress_ycsb_random; bench_ycsb_next_txn;
       bench_zipf; bench_event_queue;
-      bench_sql_parse; bench_sql_range; bench_sql_aggregate; bench_op_exec;
+      bench_sql_parse; bench_sql_range; bench_sql_aggregate;
+      bench_table_scan; bench_table_scan_range; bench_op_exec;
       bench_find_live; bench_op_exec_ro; bench_epoch_merge;
       bench_db_digest_cold;
       bench_db_digest_cached;
