@@ -10,7 +10,8 @@
     visited row, so a path must visit a superset of the matching rows,
     in primary-key order for [Point], [Prefix] and [Range] (own inserts
     last, as on [Full]). Bounds are compared with
-    {!Gg_storage.Value.compare}, the order the table's key map uses. *)
+    {!Gg_storage.Value.compare}, the order of the table's ordered
+    index. *)
 
 type access =
   | Point of Ast.expr array
