@@ -52,7 +52,7 @@ let ssi t = t.ssi
 
 type verdict = Commit_point | Read_invalid | Failed of string
 
-(* The workloads issue a handful of parameterised texts, so each is
+(* The workloads send a handful of parameterised texts, so each is
    parsed once per node. A node that meets more distinct texts than
    this starts its table over. *)
 let max_cached_stmts = 256
