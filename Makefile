@@ -35,13 +35,15 @@ check:
 # still gates on the confirm point), SI, where the executors build the
 # read sets that validation checks (RC, the default, builds none),
 # Raft-FT, the only mode whose batches wait on the origin's majority
-# commit (§5.2), and GeoG-A, whose gossip runs no epochs at all (§3.1).
+# commit (§5.2), GeoG-A, whose gossip runs no epochs at all (§3.1), and
+# RR, whose Same_csn check runs the op executor's row-probing read path
+# (at RC a point read probes no row).
 # `make ci` sweeps each at its seed count; `make golden` pins each at 25
 # seeds.
 PINNED_SWEEPS = "5|--partitioning hash:2" "5|--partitioning region" \
 	"3|--corrupt 0.05" "5|--merge-level column" \
 	"5|--engine eocc --clock-skew 10" "5|--isolation si" "5|--ft raft" \
-	"5|--engine geog-a"
+	"5|--engine geog-a" "5|--isolation rr"
 
 ci: fmt
 	dune build
