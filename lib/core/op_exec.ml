@@ -156,10 +156,11 @@ let exec ?(record_reads = false) ?(col_mask = false) db (txn : Op.txn) =
       Stbl.replace writes rk p;
       order_rev := p :: !order_rev
   in
-  let run_op op =
-    let table = Op.op_table op in
+  (* Every op but a read with [record_reads] off: encode the key, look
+     through the overlay and the table, record the read, buffer the
+     write. *)
+  let probe_op op ~table tbl =
     let key = Op.op_key op in
-    let tbl = table_of table in
     let key_str = Value.encode_key key in
     let rk =
       match op with
@@ -218,6 +219,17 @@ let exec ?(record_reads = false) ?(col_mask = false) db (txn : Op.txn) =
       | Some (`Own p) ->
         buffer ~table ~key ~key_str ~rk ~existed:p.p_existed ~op:Writeset.Delete
           ~cols:Column.full ~data:[||])
+  in
+  let run_op op =
+    let table = Op.op_table op in
+    let tbl = table_of table in
+    match op with
+    | Op.Read _ when not record_reads ->
+      (* Nothing consumes the row: an op transaction returns no read
+         values and no read set is kept, so the read only resolves its
+         table (an unknown one still fails) and probes nothing. *)
+      ()
+    | _ -> probe_op op ~table tbl
   in
   match Array.iter run_op txn.Op.ops with
   | () ->

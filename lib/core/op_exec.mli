@@ -16,9 +16,12 @@ val exec :
 
     [record_reads] (default [false]) builds [reads] as
     {!Gg_sql.Executor.Ctx.read_set} does: in first-read order, one record
-    per (table, key), for every op that sees a committed row. Off,
-    [reads] is [[]] and the writes are the same; {!Execution} turns it
-    on only at RR, SI and SSI, whose validation consumes it. Errors:
+    per (table, key), for every op that sees a committed row. Off means
+    nothing consumes a read's row: [reads] is [[]], the writes are the
+    same, and a [Read] only resolves its table (an unknown table still
+    fails) without encoding its key or probing the write buffer or the
+    table. {!Execution} turns it on only at RR, SI and SSI, whose
+    validation consumes the read set. Errors:
     [Add]/[Delete] on a missing row, [Insert] on an existing live row,
     unknown table, non-integer [Add] column. A plain [Read] of a missing
     key is a no-op (not an error). Writes per key coalesce (last wins;

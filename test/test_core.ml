@@ -310,6 +310,118 @@ let prop_op_exec_reads_off =
       | Error a, Error b -> a = b
       | Ok _, Error _ | Error _, Ok _ -> false)
 
+(* Transactions as the workloads draw them (YCSB-MC, TPC-C New-Order
+   and Payment, hotkey) over one database holding all their tables, with
+   hand-built ops spliced in: a read of a missing row, a read of the row
+   the op before wrote, a delete of that row followed by a read of it,
+   and a read of an unknown table. With the read set off a read probes
+   no row, and that must not show: the same outcome (the same error
+   message) and write set as the probing path, and no reads. [exec]
+   does not mutate the database, so one load serves every case. *)
+let prop_op_exec_rc_reads_differential =
+  let module W = Gg_workload in
+  let ycsb = W.Ycsb.with_records W.Ycsb.medium_contention 500 in
+  let hot = W.Hotkey.with_records W.Hotkey.base 500 in
+  let db =
+    lazy
+      (let db = Gg_storage.Db.create () in
+       W.Ycsb.load ycsb db;
+       W.Hotkey.load hot db;
+       W.Tpcc.load W.Tpcc.small db;
+       db)
+  in
+  (* The [skip + 1]-th transaction of a [source] generator. *)
+  let draw source ~seed ~skip =
+    let next =
+      match source with
+      | 0 ->
+        let g = W.Ycsb.create ycsb ~seed in
+        fun () -> W.Ycsb.next_txn g
+      | 1 ->
+        let g = W.Tpcc.create W.Tpcc.small ~seed ~node:0 in
+        fun () -> W.Tpcc.new_order g
+      | 2 ->
+        let g = W.Tpcc.create W.Tpcc.small ~seed ~node:0 in
+        fun () -> W.Tpcc.payment g
+      | _ ->
+        let g = W.Hotkey.create hot ~seed in
+        fun () -> W.Hotkey.next_txn g
+    in
+    for _ = 1 to skip do
+      ignore (next ())
+    done;
+    Array.to_list (next ()).Op.ops
+  in
+  let splice ops (pos, kind, k) =
+    let pos = pos mod (List.length ops + 1) in
+    let before = List.filteri (fun i _ -> i < pos) ops
+    and after = List.filteri (fun i _ -> i >= pos) ops in
+    let prev = match List.rev before with op :: _ -> Some op | [] -> None in
+    let extra =
+      match (kind, prev) with
+      | 0, _ | (1 | 2), None ->
+        [ Op.Read { table = W.Ycsb.table_name; key = W.Ycsb.key_of (500 + k) } ]
+      | 1, Some op -> [ Op.Read { table = Op.op_table op; key = Op.op_key op } ]
+      | 2, Some op ->
+        let table = Op.op_table op and key = Op.op_key op in
+        [ Op.Delete { table; key }; Op.Read { table; key } ]
+      | _ -> [ Op.Read { table = "nope"; key = [| Value.Int k |] } ]
+    in
+    before @ extra @ after
+  in
+  let gen =
+    QCheck.Gen.(
+      map2
+        (fun (source, seed, skip) splices ->
+          List.fold_left splice (draw source ~seed ~skip) splices)
+        (triple (int_range 0 3) (int_range 0 9_999) (int_range 0 7))
+        (list_size (int_range 0 4)
+           (triple (int_range 0 40)
+              (frequency [ (3, return 0); (3, return 1); (3, return 2); (1, return 3) ])
+              (int_range 0 99))))
+  in
+  let print ops =
+    String.concat "; "
+      (List.map
+         (fun op ->
+           let kind =
+             match op with
+             | Op.Read _ -> "R" | Op.Write _ -> "W" | Op.Add _ -> "A"
+             | Op.Insert _ -> "I" | Op.Delete _ -> "D"
+           in
+           Printf.sprintf "%s %s(%s)" kind (Op.op_table op)
+             (String.concat "," (Array.to_list (Array.map Value.to_string (Op.op_key op)))))
+         ops)
+  in
+  let run ?record_reads ops =
+    Result.map
+      (fun { Op_exec.reads; writes } ->
+        ( reads,
+          List.map
+            (fun r -> Gg_crdt.Writeset.(r.table, key_str r, r.op, r.data, r.cols))
+            writes ))
+      (Op_exec.exec ?record_reads (Lazy.force db) (Op.make ops))
+  in
+  QCheck.Test.make ~name:"op_exec RC reads = probing reads on workload txns"
+    ~count:400 (QCheck.make ~print gen) (fun ops ->
+      match (run ops, run ~record_reads:true ops) with
+      | Ok (off_reads, off), Ok (_, on) -> off = on && off_reads = []
+      | Error a, Error b -> String.equal a b
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
+let test_op_exec_rc_read_unknown_table () =
+  let db = fresh_db () in
+  let t =
+    Op.make
+      [
+        Op.Read { table = "kv"; key = [| Value.Int 3 |] };
+        Op.Read { table = "zz"; key = [| Value.Int 1 |] };
+      ]
+  in
+  match Op_exec.exec db t with
+  | Error m -> Alcotest.(check string) "message" "unknown table zz" m
+  | Ok _ -> Alcotest.fail "a read of an unknown table must fail at RC"
+
 (* --- the execution stage: Algorithm 1 up to the commit point --- *)
 
 let stage ?(db = fresh_db ()) iso =
@@ -1609,6 +1721,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_op_exec_unique_keys;
           QCheck_alcotest.to_alcotest prop_op_exec_read_set_model;
           QCheck_alcotest.to_alcotest prop_op_exec_reads_off;
+          QCheck_alcotest.to_alcotest prop_op_exec_rc_reads_differential;
+          Alcotest.test_case "RC read of unknown table fails" `Quick
+            test_op_exec_rc_read_unknown_table;
         ] );
       ( "execution",
         [
