@@ -231,8 +231,10 @@ let bench_find_live =
         ignore (Gg_storage.Table.find_live table (next_key ()))
       done)
 
-let bench_op_exec_ro =
-  bench_with "Op_exec.exec 10-read YCSB txn x10 (3 x 50k-row replicas)"
+(* One kernel per read path: with the read set on (RR, SI, SSI) every
+   read probes its row; off (RC) a read resolves its table only. *)
+let bench_op_exec_ro ~name ~record_reads =
+  bench_with name
     ~allocate:(fun () ->
       let g = Gg_workload.Ycsb.create ycsb_ro_50k ~seed:5 in
       let txns = Array.init 4096 (fun _ -> Gg_workload.Ycsb.next_txn g) in
@@ -240,8 +242,17 @@ let bench_op_exec_ro =
     (fun (dbs, next_txn, replica) ->
       for _ = 1 to 10 do
         replica := (!replica + 1) mod Array.length dbs;
-        ignore (Geogauss.Op_exec.exec dbs.(!replica) (next_txn ()))
+        ignore
+          (Geogauss.Op_exec.exec ~record_reads dbs.(!replica) (next_txn ()))
       done)
+
+let bench_op_exec_ro_probe =
+  bench_op_exec_ro ~record_reads:true
+    ~name:"Op_exec.exec 10-read YCSB txn x10, RR/SI/SSI (3 x 50k-row replicas)"
+
+let bench_op_exec_ro_rc =
+  bench_op_exec_ro ~record_reads:false
+    ~name:"Op_exec.exec 10-read YCSB txn x10, RC (3 x 50k-row replicas)"
 
 (* One node's epoch merge on a TPC-C-shaped epoch: 40 write sets of 20
    records — a district update, 9 stock updates, an order insert and 9
@@ -344,7 +355,8 @@ let run_micro ~out () =
       bench_zipf; bench_event_queue;
       bench_sql_parse; bench_sql_range; bench_sql_aggregate;
       bench_table_scan; bench_table_scan_range; bench_op_exec;
-      bench_find_live; bench_op_exec_ro; bench_epoch_merge;
+      bench_find_live; bench_op_exec_ro_probe; bench_op_exec_ro_rc;
+      bench_epoch_merge;
       bench_db_digest_cold;
       bench_db_digest_cached;
     ]
@@ -354,7 +366,9 @@ let run_micro ~out () =
   (* The kernels over 50k-row replicas skip Bechamel's per-sample heap
      compaction: on their heap it takes most of the quota, leaving too
      few samples for the fit. *)
-  let big_heap = [ bench_find_live; bench_op_exec_ro ] in
+  let big_heap =
+    [ bench_find_live; bench_op_exec_ro_probe; bench_op_exec_ro_rc ]
+  in
   let big_heap_cfg =
     Benchmark.cfg ~limit:500 ~quota:(Time.second 0.3) ~kde:(Some 500)
       ~stabilize:false ()
