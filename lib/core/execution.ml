@@ -21,7 +21,10 @@ type t = {
   db : Db.t;
   cost : Params.cost;
   check : check;
-  record_reads : bool;  (* only validation and SSI's read keys use them *)
+  record_reads : bool;
+      (* on at RR, SI and SSI, whose validation and read keys consume the
+         read set; off (RC), nothing consumes a read's row, so an op
+         transaction's point read probes none *)
   track_cols : bool;
   ssi : bool;
   stmts : (string, (Gg_sql.Ast.stmt, string) result) Hashtbl.t;
