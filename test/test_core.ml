@@ -380,19 +380,6 @@ let prop_op_exec_rc_reads_differential =
               (frequency [ (3, return 0); (3, return 1); (3, return 2); (1, return 3) ])
               (int_range 0 99))))
   in
-  let print ops =
-    String.concat "; "
-      (List.map
-         (fun op ->
-           let kind =
-             match op with
-             | Op.Read _ -> "R" | Op.Write _ -> "W" | Op.Add _ -> "A"
-             | Op.Insert _ -> "I" | Op.Delete _ -> "D"
-           in
-           Printf.sprintf "%s %s(%s)" kind (Op.op_table op)
-             (String.concat "," (Array.to_list (Array.map Value.to_string (Op.op_key op)))))
-         ops)
-  in
   let run ?record_reads ops =
     Result.map
       (fun { Op_exec.reads; writes } ->
@@ -403,7 +390,7 @@ let prop_op_exec_rc_reads_differential =
       (Op_exec.exec ?record_reads (Lazy.force db) (Op.make ops))
   in
   QCheck.Test.make ~name:"op_exec RC reads = probing reads on workload txns"
-    ~count:400 (QCheck.make ~print gen) (fun ops ->
+    ~count:400 (QCheck.make ~print:Read_model.print gen) (fun ops ->
       match (run ops, run ~record_reads:true ops) with
       | Ok (off_reads, off), Ok (_, on) -> off = on && off_reads = []
       | Error a, Error b -> String.equal a b
