@@ -17,8 +17,9 @@
 # The outputs:
 #   - `check --seeds 25 --fast`, plain and in each pinned mode;
 #   - `check --canary`;
-#   - `bench/main.exe fig5 --fast`, `table3` and `fig_fastpath --fast`
-#     (stdout, plus the BENCH_fastpath.json it writes), each run from a
+#   - `bench/main.exe fig5 --fast` and `table3` (stdout), and
+#     `fig_fastpath --fast`, `fig_scale --fast` and `fig_skew --fast`
+#     (stdout, plus the BENCH_<suite>.json each writes), each run from a
 #     temp directory;
 #   - the seed-7 eocc and `hash:2` traced runs (stdout minus the
 #     "trace written to" line, then the trace file);
@@ -75,17 +76,23 @@ f=$(keep "check --canary")
 "$cli" check --canary >"$f"
 digest "check --canary" "$f"
 
-for fig in "fig5 --fast" table3 "fig_fastpath --fast"; do
+for fig in "fig5 --fast" table3 "fig_fastpath --fast" "fig_scale --fast" \
+  "fig_skew --fast"; do
   d=$tmp/fig
   rm -rf "$d" && mkdir "$d"
   f=$(keep "$fig")
   # shellcheck disable=SC2086
   (cd "$d" && "$bin/bench/main.exe" $fig --jobs "$jobs") >"$f"
   digest "$fig" "$f"
+  # The fig_* suites also write BENCH_<suite>.json into the cwd.
+  case $fig in fig_*)
+    json=BENCH_$(echo "${fig%% *}" | cut -c5-).json
+    f=$(keep "$json")
+    cp "$d/$json" "$f"
+    digest "$fig $json" "$f"
+    ;;
+  esac
 done
-f=$(keep "BENCH_fastpath.json")
-cp "$tmp/fig/BENCH_fastpath.json" "$f"
-digest "fig_fastpath --fast BENCH_fastpath.json" "$f"
 
 for traced in "--engine eocc --clock-skew 10" "-n 6 --partitioning hash:2"; do
   name="trace seed 7 $traced"
