@@ -1,16 +1,30 @@
 type job = { cost : int; k : unit -> unit }
 
+(* The run queue is a slot-clearing ring ({!Gg_util.Fifo}), not the
+   stdlib's linked queue. On a saturated node the queue lives in the
+   major heap while every job passes through it; a linked queue keeps
+   each dequeued cell's [next] link, so one promoted cell drags every
+   later job (its closure, transaction and request) into the major heap
+   at the next minor collection. The ring forgets a job when it starts. *)
 type t = {
   sim : Sim.t;
   cores : int;
   mutable busy : int;
-  queue : job Queue.t;
+  queue : job Gg_util.Fifo.t;
   mutable busy_us : int;
 }
 
+let no_job = { cost = 0; k = ignore }
+
 let create sim ~cores =
   if cores <= 0 then invalid_arg "Cpu.create: cores must be positive";
-  { sim; cores; busy = 0; queue = Queue.create (); busy_us = 0 }
+  {
+    sim;
+    cores;
+    busy = 0;
+    queue = Gg_util.Fifo.create ~filler:no_job;
+    busy_us = 0;
+  }
 
 let rec start t job =
   t.busy <- t.busy + 1;
@@ -19,18 +33,19 @@ let rec start t job =
       t.busy <- t.busy - 1;
       (* Free the core before running the continuation so that work the
          continuation submits sees an accurate busy count. *)
-      if not (Queue.is_empty t.queue) then start t (Queue.pop t.queue);
+      if not (Gg_util.Fifo.is_empty t.queue) then
+        start t (Gg_util.Fifo.pop t.queue);
       job.k ())
 
 let run t ~cost k =
   if cost <= 0 then Sim.schedule t.sim ~after:0 k
   else begin
     let job = { cost; k } in
-    if t.busy < t.cores then start t job else Queue.add job t.queue
+    if t.busy < t.cores then start t job else Gg_util.Fifo.push t.queue job
   end
 
 let busy t = t.busy
-let queued t = Queue.length t.queue
+let queued t = Gg_util.Fifo.length t.queue
 
 let utilization t ~since =
   let window = Sim.now t.sim - since in

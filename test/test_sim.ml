@@ -227,6 +227,59 @@ let test_cpu_utilization () =
   let u = Cpu.utilization cpu ~since:0 in
   Alcotest.(check (float 1e-9)) "half busy" 0.5 u
 
+(* Saturated, the run queue starts jobs in submission order whatever
+   their costs: each job starts no earlier than the one submitted before
+   it. *)
+let test_cpu_fifo_starts () =
+  let sim = Sim.create () in
+  let cpu = Cpu.create sim ~cores:2 in
+  let starts = Array.make 40 (-1) in
+  for i = 0 to 39 do
+    let cost = 1 + (i * 37 mod 100) in
+    Cpu.run cpu ~cost (fun () -> starts.(i) <- Sim.now sim - cost)
+  done;
+  Alcotest.(check int) "38 queued" 38 (Cpu.queued cpu);
+  Sim.run sim;
+  Array.iteri
+    (fun i s ->
+      if i > 0 && s < starts.(i - 1) then
+        Alcotest.failf "job %d started at %d, before job %d at %d" i s (i - 1)
+          starts.(i - 1))
+    starts
+
+(* A long-lived run queue must not promote the jobs that pass through it
+   (see Gg_util.Fifo): a closed loop keeping ~4 jobs outstanding on 2
+   cores, each job carrying a small payload, promotes a few percent of
+   what it allocates at most (0.05% with the ring). A linked queue that
+   keeps its dequeued cells' links promotes nearly every job, 49% of the
+   words. *)
+let test_cpu_queue_promotes_little () =
+  let sim = Sim.create () in
+  let cpu = Cpu.create sim ~cores:2 in
+  let left = ref 100_000 in
+  let rec submit () =
+    if !left > 0 then begin
+      decr left;
+      let payload = Array.make 6 !left in
+      Cpu.run cpu
+        ~cost:(1 + (!left mod 7))
+        (fun () ->
+          ignore (Sys.opaque_identity payload);
+          submit ())
+    end
+  in
+  let s0 = Gc.quick_stat () in
+  for _ = 1 to 4 do
+    submit ()
+  done;
+  Sim.run sim;
+  let s1 = Gc.quick_stat () in
+  let minor = s1.Gc.minor_words -. s0.Gc.minor_words
+  and promoted = s1.Gc.promoted_words -. s0.Gc.promoted_words in
+  if promoted > 0.05 *. minor then
+    Alcotest.failf "promoted %.0f of %.0f minor words (%.1f%%)" promoted minor
+      (100. *. promoted /. minor)
+
 (* --- Net --- *)
 
 let make_net ?(jitter_frac = 0.0) ?loss ?dup ?reorder ?bandwidth_bps topo =
@@ -446,6 +499,10 @@ let () =
           Alcotest.test_case "queueing" `Quick test_cpu_queueing;
           Alcotest.test_case "zero cost" `Quick test_cpu_zero_cost;
           Alcotest.test_case "utilization" `Quick test_cpu_utilization;
+          Alcotest.test_case "saturated starts in submission order" `Quick
+            test_cpu_fifo_starts;
+          Alcotest.test_case "run queue promotes little" `Quick
+            test_cpu_queue_promotes_little;
         ] );
       ( "net",
         [

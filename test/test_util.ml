@@ -586,6 +586,81 @@ let test_compress_two_domains_parity () =
   Alcotest.(check (list bytes)) "two domains give the sequential bytes"
     sequential parallel
 
+(* --- Fifo --- *)
+
+(* A run of pushes and pops against a list model; a pop on an empty
+   queue must raise. Runs of pushes grow the ring past its initial 16
+   slots, and pops in between leave the head mid-ring, so growth and
+   wrap-around both happen with the live elements split in two. *)
+let prop_fifo_matches_list =
+  QCheck.Test.make ~name:"fifo matches a list model" ~count:300
+    QCheck.(list (pair bool (int_range 1 40)))
+    (fun runs ->
+      let q = Fifo.create ~filler:(-1) in
+      (* the model: [front] oldest first, then [back] newest first *)
+      let front = ref [] and back = ref [] and next = ref 0 in
+      let step is_push =
+        if is_push then begin
+          Fifo.push q !next;
+          back := !next :: !back;
+          incr next;
+          true
+        end
+        else begin
+          if !front = [] then begin
+            front := List.rev !back;
+            back := []
+          end;
+          match !front with
+          | [] -> (
+            try
+              ignore (Fifo.pop q);
+              false
+            with Invalid_argument _ -> true)
+          | x :: rest ->
+            front := rest;
+            Fifo.pop q = x
+        end
+      in
+      List.for_all
+        (fun (is_push, n) ->
+          List.for_all (fun _ -> step is_push) (List.init n Fun.id)
+          && Fifo.length q = List.length !front + List.length !back
+          && Fifo.is_empty q = (!front = [] && !back = []))
+        runs)
+
+let test_fifo_wrapped_growth () =
+  let q = Fifo.create ~filler:(-1) in
+  for i = 0 to 9 do Fifo.push q i done;
+  for _ = 0 to 7 do ignore (Fifo.pop q) done;
+  (* head is mid-ring; fill the 16 slots, then grow past them *)
+  for i = 10 to 38 do Fifo.push q i done;
+  Alcotest.(check int) "length" 31 (Fifo.length q);
+  let out = List.init 31 (fun _ -> Fifo.pop q) in
+  Alcotest.(check (list int)) "order kept" (List.init 31 (fun i -> i + 8)) out;
+  Fifo.push q 99;
+  Fifo.clear q;
+  Alcotest.(check bool) "cleared" true (Fifo.is_empty q);
+  Fifo.push q 100;
+  Alcotest.(check int) "usable after clear" 100 (Fifo.pop q)
+
+(* [pop] forgets the element: once its last outside reference is gone, a
+   major collection frees it although the queue lives on. *)
+let[@inline never] push_two_pop_one q weak =
+  let x = Bytes.make 16 'x' in
+  Weak.set weak 0 (Some x);
+  Fifo.push q x;
+  Fifo.push q (Bytes.make 16 'y');
+  ignore (Sys.opaque_identity (Fifo.pop q))
+
+let test_fifo_pop_releases () =
+  let q = Fifo.create ~filler:Bytes.empty in
+  let weak = Weak.create 1 in
+  push_two_pop_one q weak;
+  Gc.full_major ();
+  Alcotest.(check bool) "popped element collected" false (Weak.check weak 0);
+  Alcotest.(check int) "queue still holds the other" 1 (Fifo.length q)
+
 (* --- Tablefmt --- *)
 
 let test_tablefmt_renders () =
@@ -678,6 +753,14 @@ let () =
             test_compress_tiny_inputs;
           Alcotest.test_case "reference on ycsb-mc frames" `Quick
             test_compress_ycsb_frames;
+        ] );
+      ( "fifo",
+        [
+          QCheck_alcotest.to_alcotest prop_fifo_matches_list;
+          Alcotest.test_case "order through wrapped growth" `Quick
+            test_fifo_wrapped_growth;
+          Alcotest.test_case "pop releases the element" `Quick
+            test_fifo_pop_releases;
         ] );
       ( "tablefmt",
         [
