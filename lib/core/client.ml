@@ -13,7 +13,7 @@ type t = {
   mode : mode;
   gen : unit -> Txn.request;
   rng : Rng.t;  (* open-loop arrival draws; untouched in closed mode *)
-  queue : int Queue.t;  (* waiting arrivals' timestamps, FIFO *)
+  queue : int Gg_util.Fifo.t;  (* waiting arrivals' timestamps *)
   mutable in_flight : int;
   mutable running : bool;
   mutable committed : int;
@@ -54,7 +54,7 @@ let create ?(mode = Closed) cluster ~home ~connections ~gen =
         Rng.create
           ((Cluster.params cluster).Params.seed
           lxor (0x09E2 + (home * 7919)));
-      queue = Queue.create ();
+      queue = Gg_util.Fifo.create ~filler:0;
       in_flight = 0;
       running = false;
       committed = 0;
@@ -147,9 +147,8 @@ let rec dispatch t ~arrived =
   let complete () =
     t.in_flight <- t.in_flight - 1;
     (* Already-admitted arrivals drain even after [stop]. *)
-    match Queue.take_opt t.queue with
-    | Some arrived -> dispatch t ~arrived
-    | None -> ()
+    if not (Gg_util.Fifo.is_empty t.queue) then
+      dispatch t ~arrived:(Gg_util.Fifo.pop t.queue)
   in
   let timeout =
     Sim.schedule_timer sim ~after:retry_us (fun () ->
@@ -194,8 +193,8 @@ let rec arrival_loop t ~arrival ~queue_cap =
           if Rng.chance t.rng (rate /. peak) then begin
             t.offered <- t.offered + 1;
             if t.in_flight < t.connections then dispatch t ~arrived:(now t)
-            else if Queue.length t.queue < queue_cap then
-              Queue.push (now t) t.queue
+            else if Gg_util.Fifo.length t.queue < queue_cap then
+              Gg_util.Fifo.push t.queue (now t)
             else t.shed <- t.shed + 1
           end;
           arrival_loop t ~arrival ~queue_cap
@@ -227,7 +226,7 @@ let aborted t = t.aborted
 let timeouts t = t.timeouts
 let offered t = t.offered
 let shed t = t.shed
-let queued t = Queue.length t.queue
+let queued t = Gg_util.Fifo.length t.queue
 let latency t = t.latency
 
 let timeline t ~bucket_us =

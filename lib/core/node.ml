@@ -66,7 +66,7 @@ type t = {
   mutable sealed_epoch : int;
   epochs : epoch Itbl.t;  (* cen *)
   ft : Ft_gate.t;  (* fault-tolerance gates (§5.2) *)
-  sync_queue : Txn.t Queue.t;  (* GeoG-S: held until a fresh snapshot *)
+  sync_queue : Txn.t Gg_util.Fifo.t;  (* GeoG-S: held until a fresh snapshot *)
   cross : Cross_group.t option;  (* partial replication only (DESIGN.md §12) *)
   last_eof : int array;
   mutable merging : bool;
@@ -96,7 +96,13 @@ let create env ~id ~db =
     sealed_epoch = -1;
     epochs = Itbl.create 64;
     ft = Ft_gate.create env.params ~topology:(Net.topology env.net) ~node:id;
-    sync_queue = Queue.create ();
+    sync_queue =
+      (* The filler fills vacant slots only; it never executes. *)
+      Gg_util.Fifo.create
+        ~filler:
+          (Txn.create ~id:(-1) ~node:id
+             ~request:(Txn.Sql_txn { label = ""; stmts = [] })
+             ~submit_time:0 ~callback:ignore);
     cross =
       Cross_group.create env.part ~topology:(Net.topology env.net)
         ~backup:env.backup ~db ~node:id;
@@ -540,9 +546,11 @@ and do_merge t e full ~merge_started ~duration ~span ~prelog =
 
 and release_sync_queue t =
   if t.env.params.Params.variant = Params.Sync_exec then begin
-    let ready = Queue.create () in
-    Queue.transfer t.sync_queue ready;
-    Queue.iter (fun txn -> start_execution t txn) ready
+    (* Only the transactions held now: one held while they start waits
+       for the next snapshot. *)
+    for _ = 1 to Gg_util.Fifo.length t.sync_queue do
+      start_execution t (Gg_util.Fifo.pop t.sync_queue)
+    done
   end
 
 and submit t request callback =
@@ -558,7 +566,7 @@ and submit t request callback =
     txn.Txn.lsn <- t.lsn;
     match t.env.params.Params.variant with
     | Params.Sync_exec when t.lsn < current_epoch t - 1 ->
-      Queue.add txn t.sync_queue
+      Gg_util.Fifo.push t.sync_queue txn
     | Params.Sync_exec | Params.Optimistic | Params.Async_merge ->
       start_execution t txn
   end
@@ -773,7 +781,7 @@ let set_active t v =
     reset_merge_state t;
     Itbl.reset t.epochs;
     Ft_gate.reset t.ft;
-    Queue.clear t.sync_queue
+    Gg_util.Fifo.clear t.sync_queue
   end
   else if (not t.active) && v then t.active <- true
 

@@ -259,6 +259,55 @@ let test_isolation_has_one_home () =
         ("isolation read outside Params and Execution:\n"
         ^ String.concat "\n" readers)
 
+(* No stdlib [Queue] in the simulator or the protocol core. Its [take]
+   leaves the dequeued cell's [next] link in place, so a queue that
+   lives in the major heap (a node's CPU run queue, its GeoG-S holds, a
+   client's arrivals) keeps a chain from its oldest promoted cell to
+   every later one: the next minor collection promotes each cell pushed
+   since, with the job closure, transaction and request it holds, even
+   after it is dequeued. [Gg_util.Fifo] clears the slot it pops. *)
+(* Module path [m] (["Queue."]) in [line], not the tail of a longer
+   name ([Event_queue.] or [MyQueue.] do not match; [Stdlib.Queue.]
+   does). *)
+let uses_module line m =
+  let nl = String.length line and nm = String.length m in
+  let rec at i =
+    i + nm <= nl
+    && (String.sub line i nm = m
+        && (i = 0
+           || match line.[i - 1] with
+              | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> false
+              | _ -> true)
+       || at (i + 1))
+  in
+  at 0
+
+let test_no_stdlib_queue () =
+  match src_root () with
+  | None -> Alcotest.fail "cannot locate lib/ sources from test cwd"
+  | Some root ->
+    let files =
+      ml_files (Filename.concat root "sim") @ ml_files (Filename.concat root "core")
+    in
+    Alcotest.(check bool) "found lib/sim and lib/core sources" true
+      (List.length files > 10);
+    let uses =
+      List.concat_map
+        (fun path ->
+          List.concat
+            (List.mapi
+               (fun i line ->
+                 if uses_module line "Queue." then
+                   [ Printf.sprintf "%s:%d: %s" path (i + 1) (String.trim line) ]
+                 else [])
+               (read_lines path)))
+        files
+    in
+    if uses <> [] then
+      Alcotest.fail
+        ("stdlib Queue in lib/sim or lib/core (use Gg_util.Fifo):\n"
+        ^ String.concat "\n" uses)
+
 let () =
   Alcotest.run "lint"
     [
@@ -275,5 +324,7 @@ let () =
         [
           Alcotest.test_case "isolation has one home in lib/core" `Quick
             test_isolation_has_one_home;
+          Alcotest.test_case "no stdlib Queue in lib/sim or lib/core" `Quick
+            test_no_stdlib_queue;
         ] );
     ]
