@@ -466,21 +466,26 @@ let index_lookup t ~name ~key =
 let live_count t = t.live
 let total_count t = t.index.count
 
+(* Every pk-index entry that is not live is a tombstone, so a table
+   with [count = live] has nothing to purge and skips the slot walk. *)
 let purge_tombstones t ~before_cen =
-  let victims =
-    pk_fold t.index
-      (fun e acc ->
-        if e.header.Row_header.deleted && e.header.Row_header.cen < before_cen
-        then e.key_str :: acc
-        else acc)
-      []
-  in
-  List.iter
-    (fun key_str ->
-      pk_remove_slot t.index (pk_slot t.index key_str (key_hash key_str)))
-    victims;
-  if victims <> [] then touch t;
-  List.length victims
+  if t.index.count = t.live then 0
+  else begin
+    let victims =
+      pk_fold t.index
+        (fun e acc ->
+          if e.header.Row_header.deleted && e.header.Row_header.cen < before_cen
+          then e.key_str :: acc
+          else acc)
+        []
+    in
+    List.iter
+      (fun key_str ->
+        pk_remove_slot t.index (pk_slot t.index key_str (key_hash key_str)))
+      victims;
+    if victims <> [] then touch t;
+    List.length victims
+  end
 
 let copy t =
   let index =

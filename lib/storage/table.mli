@@ -162,7 +162,8 @@ val purge_tombstones : t -> before_cen:int -> int
     [before_cen]; returns how many were removed. Safe once every
     replica's snapshot has passed that epoch — a write referencing the
     key after the purge behaves like a write to a never-existing row,
-    which the paper treats the same as a deleted one. *)
+    which the paper treats the same as a deleted one. A table that
+    holds no tombstone returns 0 without walking its rows. *)
 
 val digest_into : t -> Gg_util.Codec.Enc.t -> unit
 (** Canonical serialization (keys ascending; data + header + tombstones)

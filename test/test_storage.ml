@@ -589,6 +589,24 @@ let test_purge_tombstones () =
   Alcotest.(check bool) "cen-3 tombstone kept" true (Table.find t (key 3) <> None);
   Alcotest.(check bool) "purged key gone entirely" true (Table.find t (key 1) = None)
 
+(* A table without tombstones purges nothing and is not touched: its
+   version (the digest cache's key) stays put. A revived row is live
+   again, so it leaves no tombstone either. *)
+let test_purge_without_tombstones () =
+  let t = make_table 10 in
+  let v0 = Table.version t in
+  Alcotest.(check int) "nothing to purge" 0
+    (Table.purge_tombstones t ~before_cen:max_int);
+  Alcotest.(check int) "version unchanged" v0 (Table.version t);
+  let e = Option.get (Table.find t (key 4)) in
+  Table.delete t e;
+  Table.revive t e (Array.copy e.Table.data);
+  let v1 = Table.version t in
+  Alcotest.(check int) "revived: nothing to purge" 0
+    (Table.purge_tombstones t ~before_cen:max_int);
+  Alcotest.(check int) "version unchanged after revive" v1 (Table.version t);
+  Alcotest.(check int) "all rows kept" 10 (Table.total_count t)
+
 (* Model-based check of the primary index: random sequences of loads,
    committed inserts, deletes, revives, tombstone purges and copies
    against an association-list model. The key universe outgrows the
@@ -1062,6 +1080,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_scans_match_filtered_scan;
           Alcotest.test_case "digest sensitivity" `Quick test_table_digest_sensitivity;
           Alcotest.test_case "purge tombstones" `Quick test_purge_tombstones;
+          Alcotest.test_case "purge without tombstones" `Quick
+            test_purge_without_tombstones;
           QCheck_alcotest.to_alcotest prop_pk_index_matches_model;
           QCheck_alcotest.to_alcotest prop_lazy_ordered_index;
         ] );
