@@ -241,11 +241,13 @@ let create ?(params = Params.default) ?(jitter_frac = 0.05) ?(loss = 0.0)
       on_commit = (fun _ -> ());
     }
   in
+  (* [load] populates every replica identically, so it runs once and the
+     other replicas start from copies of that image. *)
+  let image = Db.create () in
+  load image;
   let nodes =
     Array.init n (fun id ->
-        let db = Db.create () in
-        load db;
-        Node.create env ~id ~db)
+        Node.create env ~id ~db:(if id = 0 then image else Db.copy image))
   in
   (* The Raft apply callback needs the cluster record, which needs the
      Raft instance: tie the knot with a forward reference. *)

@@ -14,8 +14,9 @@ val create :
   load:(Gg_storage.Db.t -> unit) ->
   unit ->
   t
-(** [load] populates each replica's database identically (the initial
-    consistent snapshot). *)
+(** [load] populates a database; every replica starts from that image
+    (the initial consistent snapshot). It runs once: replica 0 keeps the
+    database it filled, and the others get {!Gg_storage.Db.copy}s. *)
 
 val sim : t -> Gg_sim.Sim.t
 

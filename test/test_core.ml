@@ -664,6 +664,63 @@ let test_stage_statement_cache_bound () =
   Alcotest.(check int) "started over at the cap" (300 - 256)
     (Execution.cached_statements x)
 
+(* --- cluster set-up --- *)
+
+(* [Cluster.create] runs [load] once and gives the other replicas copies
+   of that image: each equals a fresh load (secondary index included),
+   and a row written on one replica is not shared with another. *)
+let test_create_copies_one_load () =
+  let load db =
+    kv_load 50 db;
+    Gg_storage.Table.create_index
+      (Gg_storage.Db.get_table_exn db "kv")
+      ~name:"by_v" ~cols:[ "v" ]
+  in
+  let calls = ref 0 in
+  let c =
+    Cluster.create ~topology:(Topology.china3 ())
+      ~load:(fun db ->
+        incr calls;
+        load db)
+      ()
+  in
+  Alcotest.(check int) "load ran once" 1 !calls;
+  let fresh = Gg_storage.Db.create () in
+  load fresh;
+  let db i = Node.db (Cluster.node c i) in
+  for i = 0 to Cluster.n_nodes c - 1 do
+    Alcotest.(check string)
+      (Printf.sprintf "replica %d = a fresh load" i)
+      (Gg_storage.Db.digest fresh)
+      (Gg_storage.Db.digest (db i))
+  done;
+  let table i = Gg_storage.Db.get_table_exn (db i) "kv" in
+  let key = Value.encode_key [| Value.Int 7 |] in
+  let before = List.init 3 (fun i -> Gg_storage.Db.digest (db i)) in
+  Gg_storage.Table.write (table 1)
+    (Option.get (Gg_storage.Table.find (table 1) key))
+    [| Value.Int 7; Value.Int 99; Value.Str "y" |];
+  List.iteri
+    (fun i d ->
+      if i <> 1 then
+        Alcotest.(check string)
+          (Printf.sprintf "replica %d unchanged" i)
+          d
+          (Gg_storage.Db.digest (db i)))
+    before;
+  Alcotest.(check bool) "replica 1 changed" true
+    (List.nth before 1 <> Gg_storage.Db.digest (db 1));
+  (* The digests above are cached per table version, so also read the
+     row itself: a shared data array would change under a stale cache. *)
+  List.iter
+    (fun i ->
+      Alcotest.(check bool)
+        (Printf.sprintf "replica %d row data untouched" i)
+        true
+        ((Option.get (Gg_storage.Table.find (table i) key)).data.(1)
+        = Value.Int 0))
+    [ 0; 2 ]
+
 (* --- basic commit flow --- *)
 
 let test_single_write_commits () =
@@ -1733,6 +1790,11 @@ let () =
             test_stage_cached_parse_error;
           Alcotest.test_case "statement cache is bounded" `Quick
             test_stage_statement_cache_bound;
+        ] );
+      ( "cluster",
+        [
+          Alcotest.test_case "replicas copy one load" `Quick
+            test_create_copies_one_load;
         ] );
       ( "basic",
         [
