@@ -1,11 +1,9 @@
 type job = { cost : int; k : unit -> unit }
 
-(* The run queue is a slot-clearing ring ({!Gg_util.Fifo}), not the
-   stdlib's linked queue. On a saturated node the queue lives in the
-   major heap while every job passes through it; a linked queue keeps
-   each dequeued cell's [next] link, so one promoted cell drags every
-   later job (its closure, transaction and request) into the major heap
-   at the next minor collection. The ring forgets a job when it starts. *)
+(* The run queue is a slot-clearing ring ({!Gg_util.Fifo}): a linked
+   queue keeps its dequeued cells linked, so on a saturated node one
+   promoted cell would drag every later job (its closure, transaction
+   and request) into the major heap. *)
 type t = {
   sim : Sim.t;
   cores : int;
