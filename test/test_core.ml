@@ -1440,6 +1440,79 @@ let test_client_rerouted_after_crash () =
   let target = Cluster.route c ~preferred:1 in
   Alcotest.(check bool) "routed away from crashed node" true (target <> 1)
 
+(* A crashed node never answers. One connection homed on node 0 has a
+   write in flight there when node 0 crashes: that request times out
+   [client_retry_us] after it was submitted, and not before. Returns
+   the client's commit count at the crash. *)
+let crash_under_one_connection c cl =
+  Client.start cl;
+  run_ms c 1_000;
+  Cluster.crash c 0;
+  let retry_ms = (Cluster.params c).Params.client_retry_us / 1_000 in
+  let committed = Client.committed cl in
+  Alcotest.(check int) "no timeout at the crash" 0 (Client.timeouts cl);
+  run_ms c (retry_ms / 2);
+  Alcotest.(check int) "none within half the retry window" 0
+    (Client.timeouts cl);
+  Alcotest.(check int) "the stuck connection commits nothing" committed
+    (Client.committed cl);
+  run_ms c ((retry_ms / 2) + 1);
+  Alcotest.(check int) "one timeout by crash + client_retry_us" 1
+    (Client.timeouts cl);
+  committed
+
+let numbered_writes () =
+  let seq = ref 0 in
+  fun () ->
+    incr seq;
+    write_txn (!seq mod 200) !seq
+
+let test_closed_client_timeout_reroutes () =
+  let c = make_cluster () in
+  let cl = Client.create c ~home:0 ~connections:1 ~gen:(numbered_writes ()) in
+  let committed = crash_under_one_connection c cl in
+  run_ms c 1_000;
+  Client.stop cl;
+  run_ms c 1_000;
+  Alcotest.(check bool) "commits again after the timeout" true
+    (Client.committed cl > committed);
+  Alcotest.(check int) "crashed node committed nothing" committed
+    (Metrics.committed (Cluster.metrics c 0));
+  Alcotest.(check int) "every later commit ran on a live node"
+    (Client.committed cl - committed)
+    (Metrics.committed (Cluster.metrics c 1)
+    + Metrics.committed (Cluster.metrics c 2))
+
+let test_open_client_timeout_frees_connection () =
+  let c = make_cluster () in
+  let mode =
+    Client.Open
+      {
+        arrival =
+          Gg_workload.Arrival.make ~shape:Gg_workload.Arrival.Constant
+            ~peak_tps:10.0;
+        queue_cap = 64;
+      }
+  in
+  let cl =
+    Client.create ~mode c ~home:0 ~connections:1 ~gen:(numbered_writes ())
+  in
+  let committed = crash_under_one_connection c cl in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d arrivals wait behind the stuck connection"
+       (Client.queued cl))
+    true
+    (Client.queued cl > 0);
+  Client.stop cl;
+  run_ms c 10_000;
+  Alcotest.(check int) "the queue drains" 0 (Client.queued cl);
+  Alcotest.(check bool) "queued arrivals commit" true
+    (Client.committed cl > committed);
+  Alcotest.(check int) "every admitted arrival answered once"
+    (Client.offered cl)
+    (Client.committed cl + Client.aborted cl + Client.timeouts cl
+   + Client.shed cl)
+
 let test_node_recovery_rejoins () =
   let c = make_cluster () in
   let clients = mixed_workload_clients ~connections:4 c 9500 in
@@ -1861,6 +1934,10 @@ let () =
         [
           Alcotest.test_case "crash then view change" `Slow test_node_crash_blocks_then_view_change_unblocks;
           Alcotest.test_case "client rerouted" `Quick test_client_rerouted_after_crash;
+          Alcotest.test_case "closed-loop timeout re-routes" `Quick
+            test_closed_client_timeout_reroutes;
+          Alcotest.test_case "open-loop timeout frees its connection" `Quick
+            test_open_client_timeout_frees_connection;
           Alcotest.test_case "recovery rejoins" `Slow test_node_recovery_rejoins;
         ] );
       ( "cross_group",
