@@ -72,66 +72,12 @@ let create ?(mode = Closed) cluster ~home ~connections ~gen =
 
 let now t = Sim.now (Cluster.sim t.cluster)
 
-(* --- closed loop (the paper's serving model) -------------------------- *)
-
-let rec connection_loop t =
-  if t.running then begin
-    let target = Cluster.route t.cluster ~preferred:t.home in
-    let sim = Cluster.sim t.cluster in
-    (* Clients live in their home node's region; being re-routed to
-       another region (failover) costs a WAN hop each way. *)
-    let hop =
-      if target = t.home then 0
-      else
-        Gg_sim.Topology.latency
-          (Gg_sim.Net.topology (Cluster.net t.cluster))
-          t.home target
-    in
-    let req = t.gen () in
-    let submitted = now t in
-    let answered = ref false in
-    let retry_us = (Cluster.params t.cluster).Params.client_retry_us in
-    (* If the serving node dies, the response never comes: time out and
-       re-route. *)
-    let timeout =
-      Sim.schedule_timer sim ~after:retry_us (fun () ->
-          if not !answered then begin
-            answered := true;
-            t.timeouts <- t.timeouts + 1;
-            Sim.schedule sim ~after:1_000 (fun () -> connection_loop t)
-          end)
-    in
-    let respond outcome =
-      if not !answered then begin
-        answered := true;
-        Sim.cancel sim timeout;
-        match outcome with
-        | Txn.Committed _ ->
-          let latency_us = now t - submitted in
-          t.committed <- t.committed + 1;
-          Gg_util.Stats.Hist.add t.latency (float_of_int latency_us);
-          t.samples <- { at = now t; latency_us } :: t.samples;
-          connection_loop t
-        | Txn.Aborted _ ->
-          t.aborted <- t.aborted + 1;
-          (* Small client-side retry backoff; also prevents a
-             same-instant resubmission loop against a failed node. *)
-          Sim.schedule sim ~after:1_000 (fun () -> connection_loop t)
-      end
-    in
-    Sim.schedule sim ~after:hop (fun () ->
-        Cluster.submit t.cluster ~node:target req (fun outcome ->
-            Sim.schedule sim ~after:hop (fun () -> respond outcome)))
-  end
-
-(* --- open loop -------------------------------------------------------- *)
-
-(* One submission over one connection. Unlike the closed loop the
-   latency clock starts at ARRIVAL, not submission — queueing delay is
-   part of what an open-loop user experiences — and nothing retries:
-   an abort or timeout frees the connection for the next arrival. *)
-let rec dispatch t ~arrived =
-  t.in_flight <- t.in_flight + 1;
+(* One submission over one connection: route (a client re-routed away
+   from its home region pays a WAN hop each way), draw the request, and
+   end it exactly once — with its outcome, or as [`Timed_out] after
+   [client_retry_us] if the serving node dies and never answers. Commit
+   latency counts from [origin]. *)
+let submit t ~origin k =
   let target = Cluster.route t.cluster ~preferred:t.home in
   let sim = Cluster.sim t.cluster in
   let hop =
@@ -144,37 +90,60 @@ let rec dispatch t ~arrived =
   let req = t.gen () in
   let answered = ref false in
   let retry_us = (Cluster.params t.cluster).Params.client_retry_us in
-  let complete () =
-    t.in_flight <- t.in_flight - 1;
-    (* Already-admitted arrivals drain even after [stop]. *)
-    if not (Gg_util.Fifo.is_empty t.queue) then
-      dispatch t ~arrived:(Gg_util.Fifo.pop t.queue)
-  in
   let timeout =
     Sim.schedule_timer sim ~after:retry_us (fun () ->
         if not !answered then begin
           answered := true;
           t.timeouts <- t.timeouts + 1;
-          complete ()
+          k `Timed_out
         end)
   in
   let respond outcome =
     if not !answered then begin
       answered := true;
       Sim.cancel sim timeout;
-      (match outcome with
+      match outcome with
       | Txn.Committed _ ->
-        let latency_us = now t - arrived in
+        let latency_us = now t - origin in
         t.committed <- t.committed + 1;
         Gg_util.Stats.Hist.add t.latency (float_of_int latency_us);
-        t.samples <- { at = now t; latency_us } :: t.samples
-      | Txn.Aborted _ -> t.aborted <- t.aborted + 1);
-      complete ()
+        t.samples <- { at = now t; latency_us } :: t.samples;
+        k `Committed
+      | Txn.Aborted _ ->
+        t.aborted <- t.aborted + 1;
+        k `Aborted
     end
   in
   Sim.schedule sim ~after:hop (fun () ->
       Cluster.submit t.cluster ~node:target req (fun outcome ->
           Sim.schedule sim ~after:hop (fun () -> respond outcome)))
+
+(* --- closed loop (the paper's serving model) -------------------------- *)
+
+(* Latency counts from submission. A commit submits the next request at
+   once; an abort or a timeout backs off 1 ms first, which also keeps a
+   failed node from drawing a same-instant resubmission loop. *)
+let rec connection_loop t =
+  if t.running then
+    submit t ~origin:(now t) (function
+      | `Committed -> connection_loop t
+      | `Aborted | `Timed_out ->
+        Sim.schedule (Cluster.sim t.cluster) ~after:1_000 (fun () ->
+            connection_loop t))
+
+(* --- open loop -------------------------------------------------------- *)
+
+(* Unlike the closed loop the latency clock starts at ARRIVAL, not
+   submission — queueing delay is part of what an open-loop user
+   experiences — and nothing retries: an abort or timeout frees the
+   connection for the next arrival. Already-admitted arrivals drain even
+   after [stop]. *)
+let rec dispatch t ~arrived =
+  t.in_flight <- t.in_flight + 1;
+  submit t ~origin:arrived (fun _ ->
+      t.in_flight <- t.in_flight - 1;
+      if not (Gg_util.Fifo.is_empty t.queue) then
+        dispatch t ~arrived:(Gg_util.Fifo.pop t.queue))
 
 (* Nonhomogeneous Poisson arrivals by Lewis thinning: draw exponential
    gaps at the PEAK rate, then accept each candidate with probability
