@@ -1,4 +1,4 @@
-.PHONY: all build test fmt ci golden bench micro ab parallel check trace-demo clean
+.PHONY: all build test fmt ci golden bench micro ab check trace-demo clean
 
 # Domain fan-out for the harness (check sweeps, experiment grids, bench
 # scenarios). 0 = one worker per core; output is byte-identical at any
@@ -102,9 +102,6 @@ PAIRS ?= 10
 ab:
 	@test -n "$(W)" || { echo "make ab: set W=<workload>" >&2; exit 2; }
 	sh bench/ab.sh $(W) $(SEED) $(BASE) $(PAIRS)
-
-parallel:
-	dune exec bench/main.exe -- parallel
 
 # End-to-end tracing walkthrough: a seeded fig5-style run with tracing
 # on, then the causal critical-path attribution and per-region-pair WAN

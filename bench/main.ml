@@ -6,8 +6,6 @@
      main.exe micro           run only the Bechamel kernel benchmarks
                               (writes BENCH_micro.json: OLS ns/run and
                               r-squared per kernel)
-     main.exe parallel        harness speedup curve over --jobs
-                              (writes BENCH_parallel.json)
      main.exe --fast [...]    shrunk populations/windows (smoke mode)
      main.exe -j N [...]      fan independent simulations over N domains
                               (0 = auto; deterministic output at any N)
@@ -118,7 +116,7 @@ let bench_zipf =
 
 let bench_event_queue =
   bench "event queue push/pop (1k events)" (fun () ->
-      let q = Gg_sim.Event_queue.create () in
+      let q = Gg_sim.Event_queue.create ~filler:() in
       let rng = Gg_util.Rng.create 3 in
       for _ = 1 to 1_000 do
         Gg_sim.Event_queue.push q ~time:(Gg_util.Rng.int rng 100_000) ()
@@ -417,99 +415,6 @@ let run_micro ~out () =
   close_out oc;
   Printf.printf "  wrote %s\n" out
 
-(* --- Parallel-harness speedup suite ---
-
-   Times the two fan-out-heavy workloads — a chaos-check sweep and an
-   experiment grid — at jobs = 1/2/4/8 and records the speedup curve.
-   The outputs themselves are byte-identical across the sweep (that is
-   the whole point of the ordered pool); only wall time may change.
-   Speedup tops out near the machine's core count: on a single-core
-   host the curve is flat. *)
-
-let parallel_jobs = [ 1; 2; 4; 8 ]
-
-let run_parallel () =
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let workloads =
-    [
-      ( "check-sweep-50",
-        fun pool ->
-          ignore (Gg_check.Checker.check ~fast:true ~pool ~seeds:50 ()) );
-      ( "fig8-fast",
-        fun pool ->
-          ignore
-            (Gg_harness.Experiments.tables ~pool
-               ~setting:(Gg_harness.Experiments.setting ~fast:true)
-               ~fast:true "fig8") );
-    ]
-  in
-  Printf.printf "Parallel harness speedup (%d cores available)\n%!"
-    (Gg_par.Pool.default_jobs ());
-  let curves =
-    List.map
-      (fun (name, task) ->
-        (* untimed warm-up so the jobs=1 point doesn't also pay
-           first-run heap growth and make later points look
-           supra-linear *)
-        task Gg_par.Pool.seq;
-        let walls =
-          List.map
-            (fun j ->
-              let wall =
-                time (fun () -> Gg_par.Pool.with_pool ~jobs:j (fun p -> task p))
-              in
-              Printf.printf "  %-16s jobs=%d %6.2f s\n%!" name j wall;
-              (j, wall))
-            parallel_jobs
-        in
-        let base = match walls with (_, w) :: _ -> w | [] -> 1.0 in
-        (* On a single-core host the curve only measures domain overhead
-           (0.66x…0.12x): printing it as "speedup" misleads. The JSON
-           keeps the raw walls either way, tagged with host_cores. *)
-        if Gg_par.Pool.default_jobs () > 1 then
-          List.iter
-            (fun (j, w) ->
-              Printf.printf "  %-16s jobs=%d speedup %.2fx\n%!" name j (base /. w))
-            walls
-        else
-          Printf.printf
-            "  %-16s single-core host, speedup not meaningful (walls above \
-             are domain overhead)\n\
-             %!"
-            name;
-        (name, base, walls))
-      workloads
-  in
-  let oc = open_out "BENCH_parallel.json" in
-  let curve_json (name, base, walls) =
-    Printf.sprintf
-      "    {\"workload\": \"%s\", \"points\": [\n%s\n    ]}"
-      name
-      (String.concat ",\n"
-         (List.map
-            (fun (j, w) ->
-              Printf.sprintf
-                "      {\"jobs\": %d, \"wall_s\": %.4f, \"speedup\": %.3f}" j w
-                (base /. w))
-            walls))
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"suite\": \"parallel\",\n\
-    \  \"host_cores\": %d,\n\
-    \  \"workloads\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    (Gg_par.Pool.default_jobs ())
-    (String.concat ",\n" (List.map curve_json curves));
-  close_out oc;
-  print_endline "  wrote BENCH_parallel.json"
-
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let fast = List.mem "--fast" args in
@@ -531,26 +436,23 @@ let () =
   Gg_par.Pool.with_pool ~jobs:!jobs @@ fun pool ->
   let run_experiment name =
     if not (Gg_harness.Experiments.run ~fast ~pool name) then begin
-      Printf.eprintf
-        "unknown experiment %s; available: %s micro parallel\n" name
-        (String.concat " " (List.map fst Gg_harness.Experiments.all));
+      Printf.eprintf "unknown experiment %s; available: %s micro\n" name
+        (String.concat " " Gg_harness.Experiments.names);
       exit 1
     end
   in
   match args with
   | [] ->
     List.iter
-      (fun (name, _) ->
+      (fun name ->
         Printf.printf "=== %s ===\n%!" name;
         run_experiment name)
-      Gg_harness.Experiments.all;
+      Gg_harness.Experiments.names;
     run_micro ~out:micro_out ()
-  | [ "micro" ] -> run_micro ~out:micro_out ()
   | names ->
     List.iter
       (fun name ->
         match name with
         | "micro" -> run_micro ~out:micro_out ()
-        | "parallel" -> run_parallel ()
         | _ -> run_experiment name)
       names

@@ -1,5 +1,6 @@
-(* Command-line driver: run paper experiments or ad-hoc GeoGauss cluster
-   simulations with custom parameters. *)
+(* Command-line driver: ad-hoc GeoGauss cluster simulations with custom
+   parameters, seeded chaos checking and trace analysis. The paper's
+   experiments run from bench/main.exe. *)
 
 open Cmdliner
 
@@ -81,8 +82,8 @@ let core_engine_conv =
       Error
         (`Msg
            (Printf.sprintf
-              "engine %s is a baseline timing model; it runs via `geogauss \
-               bench' figures, not ad-hoc runs"
+              "engine %s is a baseline timing model; it runs only in the \
+               bench/main.exe figures, not ad-hoc runs"
               s))
     | exception Invalid_argument m -> Error (`Msg m)
   in
@@ -98,97 +99,6 @@ let clock_skew_arg =
            path (Params.clock_skew_us): each node's simulated clock \
            drifts within \xC2\xB1$(docv) of true time. Only meaningful \
            with --engine eocc; the other engines' clocks are exact.")
-
-(* --- `bench` subcommand: run paper experiments --- *)
-
-let bench_names =
-  Arg.(
-    value & pos_all string []
-    & info [] ~docv:"EXPERIMENT"
-        ~doc:"Experiments to run (fig5 table2 fig6 fig7 table3 fig8 fig9 \
-              fig10 fig11 fig12 fig13 ablations fig_scale fig_skew \
-              fig_fastpath). Default: all.")
-
-let bench_run_term =
-  let run fast jobs names =
-    let names =
-      if names = [] then List.map fst Gg_harness.Experiments.all else names
-    in
-    Gg_par.Pool.with_pool ~jobs @@ fun pool ->
-    let ok =
-      List.for_all
-        (fun name ->
-          Printf.printf "=== %s ===\n%!" name;
-          Gg_harness.Experiments.run ~fast ~pool name)
-        names
-    in
-    if ok then `Ok () else `Error (false, "unknown experiment")
-  in
-  Term.(ret (const run $ fast_arg $ jobs_arg $ bench_names))
-
-(* `bench diff`: compare two BENCH_*.json reports of the same suite and
-   flag throughput drops beyond a noise threshold. Wired into `make ci`
-   (committed baseline vs a fresh --fast run, --warn-only) so perf
-   regressions surface on every CI pass without ever gating on a noisy
-   fast run. *)
-let bench_diff_cmd =
-  let old_path =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"OLD.json" ~doc:"Baseline bench report.")
-  in
-  let new_path =
-    Arg.(
-      required
-      & pos 1 (some file) None
-      & info [] ~docv:"NEW.json" ~doc:"Fresh bench report of the same suite.")
-  in
-  let threshold =
-    Arg.(
-      value & opt float 0.25
-      & info [ "threshold" ] ~docv:"FRAC"
-          ~doc:
-            "Relative drop that counts as a regression (half of it flags a \
-             warning).")
-  in
-  let warn_only =
-    Arg.(
-      value & flag
-      & info [ "warn-only" ]
-          ~doc:"Report regressions but exit zero anyway (for noisy hosts).")
-  in
-  let run old_path new_path threshold warn_only =
-    match Gg_harness.Bench_diff.diff_files ~threshold ~old_path ~new_path () with
-    | Error msg -> `Error (false, msg)
-    | Ok rows ->
-      print_string (Gg_harness.Bench_diff.render rows);
-      print_newline ();
-      if Gg_harness.Bench_diff.has_regression rows then
-        if warn_only then begin
-          Printf.printf "regressions found (ignored: --warn-only)\n";
-          `Ok ()
-        end
-        else `Error (false, "bench regression beyond threshold")
-      else `Ok ()
-  in
-  Cmd.v
-    (Cmd.info "diff"
-       ~doc:
-         "Compare two bench JSON reports (parallel, scale, skew or \
-          fastpath suite) and fail on throughput drops \
-          beyond the noise threshold (the scale suite's WAN-per-txn, the \
-          skew suite's abort-rate and the fastpath suite's p50/p95/\
-          mispredict-rate columns gate lower-is-better).")
-    Term.(ret (const run $ old_path $ new_path $ threshold $ warn_only))
-
-let bench_cmd =
-  Cmd.group ~default:bench_run_term
-    (Cmd.info "bench"
-       ~doc:
-         "Regenerate the paper's tables and figures, or diff two bench \
-          reports.")
-    [ bench_diff_cmd ]
 
 (* --- `run` subcommand: ad-hoc simulation --- *)
 
@@ -643,6 +553,6 @@ let main =
     (Cmd.info "geogauss" ~version:"1.0.0"
        ~doc:"GeoGauss: strongly consistent, light-coordinated geo-replicated \
              OLTP (simulated reproduction of SIGMOD'23).")
-    [ bench_cmd; run_cmd; check_cmd; trace_cmd ]
+    [ run_cmd; check_cmd; trace_cmd ]
 
 let () = exit (Cmd.eval main)

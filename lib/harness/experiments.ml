@@ -756,6 +756,22 @@ let ablations_tables pool s =
     all_rows;
   [ Tablefmt.render table; Tablefmt.render table_ssi ]
 
+(* The JSON artifact of a fig suite: one object per grid point, in the
+   order its table prints them. *)
+let write_points ~path ~suite ~fast points =
+  let oc = open_out path in
+  Printf.fprintf oc
+    "{\n\
+    \  \"suite\": \"%s\",\n\
+    \  \"fast\": %b,\n\
+    \  \"points\": [\n\
+     %s\n\
+    \  ]\n\
+     }\n"
+    suite fast
+    (String.concat ",\n" points);
+  close_out oc
+
 (* --- Fig "scale": partial replication at 25-200 replicas ---
 
    Not a paper figure: GeoGauss evaluates full replication only (Fig 11
@@ -766,11 +782,8 @@ let ablations_tables pool s =
    (--partitioning region / hash:k) keeps it proportional to the average
    number of *interested* replicas. Same deterministic engine, same
    workload and epoch length in every mode; only the replica-group map
-   changes. Writes BENCH_scale.json next to the other bench artifacts
-   (`geogauss bench diff` understands the "scale" suite; its
-   wan_kb_per_txn column gates lower-is-better). *)
-
-let scale_json_path = "BENCH_scale.json"
+   changes. Writes BENCH_scale.json next to the other bench
+   artifacts. *)
 
 let scale_modes =
   [
@@ -835,7 +848,6 @@ let fig_scale_tables pool ~fast =
           f ~dec:2 r.Result.wan_kb_per_txn;
         ])
     rows;
-  let oc = open_out scale_json_path in
   let point_json (label, n, r) =
     Printf.sprintf
       "    {\"mode\": \"%s\", \"replicas\": %d, \"tput\": %.1f, \
@@ -844,17 +856,8 @@ let fig_scale_tables pool ~fast =
       label n r.Result.tput r.Result.mean_ms r.Result.wan_kb_per_txn
       r.Result.committed r.Result.aborted
   in
-  Printf.fprintf oc
-    "{\n\
-    \  \"suite\": \"scale\",\n\
-    \  \"fast\": %b,\n\
-    \  \"points\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    fast
-    (String.concat ",\n" (List.map point_json rows));
-  close_out oc;
+  write_points ~path:"BENCH_scale.json" ~suite:"scale" ~fast
+    (List.map point_json rows);
   (* The claim the sweep exists to check: interest-scoped dissemination
      must beat full replication on the wire at every width. *)
   let wan label n =
@@ -893,10 +896,7 @@ let fig_scale_tables pool ~fast =
    to disjoint columns of one row all commit, so the abort rate must
    drop strictly below row-level's on both workloads; the WAN column
    reports whatever the masked encoding actually costs, either way.
-   Writes BENCH_skew.json (`geogauss bench diff` understands the "skew"
-   suite; abort-rate and WAN columns gate lower-is-better). *)
-
-let skew_json_path = "BENCH_skew.json"
+   Writes BENCH_skew.json. *)
 
 let skew_levels = [ ("row", Params.Row); ("column", Params.Column) ]
 
@@ -955,7 +955,6 @@ let fig_skew_tables pool ~fast =
           f ~dec:2 r.Result.wan_kb_per_txn;
         ])
     rows;
-  let oc = open_out skew_json_path in
   let point_json (wname, lname, r) =
     Printf.sprintf
       "    {\"workload\": \"%s\", \"merge_level\": \"%s\", \"tput\": %.1f, \
@@ -964,17 +963,8 @@ let fig_skew_tables pool ~fast =
       wname lname r.Result.tput r.Result.abort_rate r.Result.wan_kb_per_txn
       r.Result.committed r.Result.aborted
   in
-  Printf.fprintf oc
-    "{\n\
-    \  \"suite\": \"skew\",\n\
-    \  \"fast\": %b,\n\
-    \  \"points\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    fast
-    (String.concat ",\n" (List.map point_json rows));
-  close_out oc;
+  write_points ~path:"BENCH_skew.json" ~suite:"skew" ~fast
+    (List.map point_json rows);
   (* The claim the sweep exists to check: per-column merge must abort
      strictly less than per-row merge on every skewed workload. *)
   let abort_of wname lname =
@@ -1008,10 +998,7 @@ let fig_skew_tables pool ~fast =
    skew bound. Misprediction counts are reported verbatim — a high mispredict rate
    with a latency win is an honest result (mispredicted epochs re-merge
    at the classic instant; only the speculated work is wasted). Writes
-   BENCH_fastpath.json (`geogauss bench diff` understands the
-   "fastpath" suite; p50/p95/mispredict-rate gate lower-is-better). *)
-
-let fastpath_json_path = "BENCH_fastpath.json"
+   BENCH_fastpath.json. *)
 
 let fig_fastpath_tables pool ~fast =
   let warmup_ms = if fast then 300 else 800 in
@@ -1077,7 +1064,6 @@ let fig_fastpath_tables pool ~fast =
           (if spec = 0 then "-" else f ~dec:3 (misp_rate spec mispredicts));
         ])
     rows;
-  let oc = open_out fastpath_json_path in
   let point_json (engine, skew, r, spec, confirms, mispredicts) =
     Printf.sprintf
       "    {\"engine\": \"%s\", \"clock_skew_ms\": %d, \"tput\": %.1f, \
@@ -1086,17 +1072,8 @@ let fig_fastpath_tables pool ~fast =
       engine skew r.Result.tput r.Result.p50_ms r.Result.p95_ms
       r.Result.mean_ms spec confirms mispredicts (misp_rate spec mispredicts)
   in
-  Printf.fprintf oc
-    "{\n\
-    \  \"suite\": \"fastpath\",\n\
-    \  \"fast\": %b,\n\
-    \  \"points\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    fast
-    (String.concat ",\n" (List.map point_json rows));
-  close_out oc;
+  write_points ~path:"BENCH_fastpath.json" ~suite:"fastpath" ~fast
+    (List.map point_json rows);
   (* The claim the sweep exists to check: at skew bounds <= 10 ms, the
      fast path's p50 must beat the skew-independent baseline. *)
   let geo_p50 =
@@ -1122,9 +1099,8 @@ let fig_fastpath_tables pool ~fast =
 
 (* --- registry --- *)
 
-(* The one canonical name list: the [tables] dispatch, [all] and the
-   unknown-name error below all derive from it, so a figure added to one
-   cannot silently go missing from the others. *)
+(* The one canonical name list, in paper order: the runners list it,
+   and [tables] dispatches on the same names. *)
 let names =
   [
     "fig5"; "table2"; "fig6"; "fig7"; "table3"; "fig8"; "fig9"; "fig10";
@@ -1151,45 +1127,13 @@ let tables ?(pool = Pool.seq) ~setting:s ~fast name =
   | "fig_fastpath" -> Some (fig_fastpath_tables pool ~fast)
   | _ -> None
 
-let print_tables ts =
-  List.iter
-    (fun t ->
-      print_string t;
-      print_newline ())
-    ts
-
-let make_runner name ?(fast = false) ?pool () =
+let run ?(fast = false) ?pool name =
   match tables ?pool ~setting:(setting ~fast) ~fast name with
-  | Some ts -> print_tables ts
-  | None ->
-    (* unreachable through [all] (built from [names]); reachable when a
-       caller passes a free-form name, so it must be a real error, not an
-       assert *)
-    invalid_arg
-      (Printf.sprintf "unknown experiment %S (known: %s)" name
-         (String.concat ", " names))
-
-let all = List.map (fun name -> (name, make_runner name)) names
-
-let fig5 = make_runner "fig5"
-let table2 = make_runner "table2"
-let fig6 = make_runner "fig6"
-let fig7 = make_runner "fig7"
-let table3 = make_runner "table3"
-let fig8 = make_runner "fig8"
-let fig9 = make_runner "fig9"
-let fig10 = make_runner "fig10"
-let fig11 = make_runner "fig11"
-let fig12 = make_runner "fig12"
-let fig13 = make_runner "fig13"
-let ablations = make_runner "ablations"
-let fig_scale = make_runner "fig_scale"
-let fig_skew = make_runner "fig_skew"
-let fig_fastpath = make_runner "fig_fastpath"
-
-let run ?fast ?pool name =
-  match List.assoc_opt name all with
-  | Some fn ->
-    fn ?fast ?pool ();
+  | Some ts ->
+    List.iter
+      (fun t ->
+        print_string t;
+        print_newline ())
+      ts;
     true
   | None -> false

@@ -1,6 +1,6 @@
-(** One function per table/figure of the paper's evaluation (§7). Each
-    runs the relevant simulated-cluster experiments and prints
-    paper-style tables to stdout.
+(** The tables and figures of the paper's evaluation (§7), by name
+    ({!names}). Each runs the relevant simulated-cluster experiments and
+    renders paper-style tables.
 
     [fast] shrinks populations and measurement windows (used by tests
     and smoke runs); shapes remain, absolute numbers get noisier.
@@ -24,7 +24,7 @@ type setting = {
     pool widths. *)
 
 val setting : fast:bool -> setting
-(** The standard settings used by the [figN] runners. *)
+(** The standard settings {!run} uses. *)
 
 val tables :
   ?pool:Gg_par.Pool.t -> setting:setting -> fast:bool -> string -> string list option
@@ -33,88 +33,37 @@ val tables :
     name is unknown. [fast] here only picks grid sizes (sweep points,
     epoch rows) — population/window knobs come from [setting]. *)
 
-val fig5 : ?fast:bool -> ?pool:Gg_par.Pool.t -> unit -> unit
-(** Cross-system throughput/latency comparison on YCSB-RO/MC/HC and
-    TPC-C. *)
-
-val table2 : ?fast:bool -> ?pool:Gg_par.Pool.t -> unit -> unit
-(** Per-phase runtime breakdown of a committed TPC-C transaction for
-    GeoG-S / GeoG-A / GeoGauss. *)
-
-val fig6 : ?fast:bool -> ?pool:Gg_par.Pool.t -> unit -> unit
-(** Per-epoch committed transactions and latency, GeoGauss vs GeoG-S
-    (TPC-C). *)
-
-val fig7 : ?fast:bool -> ?pool:Gg_par.Pool.t -> unit -> unit
-(** Throughput slowdown vs fraction of long transactions (20 ms and
-    100 ms injected delays). *)
-
-val table3 : ?fast:bool -> ?pool:Gg_par.Pool.t -> unit -> unit
-(** Average compressed WAN traffic per transaction, GeoGauss vs
-    Calvin. *)
-
-val fig8 : ?fast:bool -> ?pool:Gg_par.Pool.t -> unit -> unit
-(** Effect of epoch length (1–200 ms). *)
-
-val fig9 : ?fast:bool -> ?pool:Gg_par.Pool.t -> unit -> unit
-(** Effect of isolation level (RC / RR / SI). *)
-
-val fig10 : ?fast:bool -> ?pool:Gg_par.Pool.t -> unit -> unit
-(** Effect of contention (Zipf theta sweep). *)
-
-val fig11 : ?fast:bool -> ?pool:Gg_par.Pool.t -> unit -> unit
-(** Scalability: 3–15 replicas (China) and 3–25 replicas (worldwide). *)
-
-val fig12 : ?fast:bool -> ?pool:Gg_par.Pool.t -> unit -> unit
-(** Fault-tolerance modes: GeoG-LB / GeoG-RB / GeoG-Raft vs Calvin-Raft
-    / Aria-Raft. *)
-
-val fig13 : ?fast:bool -> ?pool:Gg_par.Pool.t -> unit -> unit
-(** Throughput/latency timeline across a node crash and recovery. A
-    single timeline simulation: runs sequentially at any pool width. *)
-
-val ablations : ?fast:bool -> ?pool:Gg_par.Pool.t -> unit -> unit
-(** Not a paper figure: ablations of the §5.1 design choices
-    (pipelining, merge parallelism, write-set size). *)
-
-val fig_scale : ?fast:bool -> ?pool:Gg_par.Pool.t -> unit -> unit
-(** Not a paper figure: partial-replication scalability sweep, 25–200
-    worldwide replicas under [--partitioning none|region|hash:4]
-    (DESIGN.md §12). Also writes [BENCH_scale.json] for
-    [geogauss bench diff]. *)
-
-val fig_skew : ?fast:bool -> ?pool:Gg_par.Pool.t -> unit -> unit
-(** Not a paper figure: the write-skewed workloads (hotkey, social) at
-    both merge granularities ([--merge-level row|column], DESIGN.md
-    §13). Column-level merge must abort strictly less on both; warns on
-    stderr otherwise. Also writes [BENCH_skew.json] for
-    [geogauss bench diff]. *)
-
-val fig_fastpath : ?fast:bool -> ?pool:Gg_par.Pool.t -> unit -> unit
-(** Not a paper figure: the clock-assisted speculative-sealing sweep
-    ([--engine eocc], DESIGN.md §14) — p50/p95 and misprediction rate
-    across clock-skew bounds 0–50 ms on the fig5 topology, against the
-    skew-independent GeoGauss baseline and the Det_base EOCC timing
-    model. eocc p50 must beat GeoGauss at bounds <= 10 ms; warns on
-    stderr otherwise. Also writes [BENCH_fastpath.json] for
-    [geogauss bench diff] (p50/p95/mispredict rate gate
-    lower-is-better). *)
-
 val names : string list
-(** Canonical experiment names, in paper order (plus the ablations and
-    the partial-replication sweep). [tables], [all] and the
-    unknown-name error all derive from this one list. *)
+(** Canonical experiment names, in paper order:
+    - [fig5]: cross-system throughput/latency on YCSB-RO/MC/HC and TPC-C;
+    - [table2]: per-phase runtime of a committed TPC-C transaction for
+      GeoG-S / GeoG-A / GeoGauss;
+    - [fig6]: per-epoch commits and latency, GeoGauss vs GeoG-S (TPC-C);
+    - [fig7]: throughput slowdown vs fraction of long transactions;
+    - [table3]: compressed WAN traffic per transaction vs Calvin;
+    - [fig8]: epoch length (1–200 ms);
+    - [fig9]: isolation level (RC / RR / SI);
+    - [fig10]: contention (Zipf theta sweep);
+    - [fig11]: 3–15 replicas (China) and 3–25 (worldwide);
+    - [fig12]: fault-tolerance modes vs Calvin-Raft / Aria-Raft;
+    - [fig13]: throughput/latency across a node crash and recovery (one
+      timeline simulation: sequential at any pool width).
 
-val make_runner : string -> ?fast:bool -> ?pool:Gg_par.Pool.t -> unit -> unit
-(** Runner for one experiment name. An unknown name raises
-    [Invalid_argument] listing {!names} — callers passing free-form
-    names (the CLI, tests) get a real error, never an assert. *)
-
-val all : (string * (?fast:bool -> ?pool:Gg_par.Pool.t -> unit -> unit)) list
-(** Experiment registry: [(name, runner)] for every entry of {!names}. *)
+    Not paper figures:
+    - [ablations]: the §5.1 design choices (pipelining, merge
+      parallelism, write-set size);
+    - [fig_scale]: partial replication at 25–200 worldwide replicas under
+      [--partitioning none|region|hash:4] (DESIGN.md §12); writes
+      [BENCH_scale.json];
+    - [fig_skew]: hotkey and social at both merge levels (DESIGN.md §13);
+      warns on stderr unless column-level merge aborts strictly less on
+      both; writes [BENCH_skew.json];
+    - [fig_fastpath]: eocc p50/p95 and mispredict rate across clock-skew
+      bounds 0–50 ms against GeoGauss (DESIGN.md §14); warns on stderr
+      unless eocc's p50 wins at bounds <= 10 ms; writes
+      [BENCH_fastpath.json]. *)
 
 val run : ?fast:bool -> ?pool:Gg_par.Pool.t -> string -> bool
-(** Run one experiment by name ("fig5", "table2", …); false if
-    unknown. (The runners in {!all} raise [Invalid_argument] — listing
-    the known names — if applied to a name outside the registry;
-    [run] itself reports unknown names via its return value.) *)
+(** [run name] prints experiment [name]'s tables to stdout, with the
+    {!setting} for [fast] (default false); false, printing nothing, if
+    [name] is not in {!names}. *)

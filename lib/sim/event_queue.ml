@@ -3,24 +3,34 @@
 type 'a entry = { time : int; seq : int; payload : 'a; mutable pos : int }
 type 'a handle = 'a entry
 
+(* Slots at and past [size] hold [vacant], an entry with the filler as
+   its payload, so an event that has fired or been cancelled is no
+   longer reachable from the heap. *)
 type 'a t = {
   mutable heap : 'a entry array;
   mutable size : int;
   mutable next_seq : int;
+  vacant : 'a entry;
 }
 
-let create () = { heap = [||]; size = 0; next_seq = 0 }
+let create ~filler =
+  {
+    heap = [||];
+    size = 0;
+    next_seq = 0;
+    vacant = { time = max_int; seq = max_int; payload = filler; pos = -1 };
+  }
 
 let is_empty t = t.size = 0
 let length t = t.size
 
 let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
-let grow t entry =
+let grow t =
   let cap = Array.length t.heap in
   if t.size = cap then begin
     let ncap = if cap = 0 then 16 else cap * 2 in
-    let nheap = Array.make ncap entry in
+    let nheap = Array.make ncap t.vacant in
     Array.blit t.heap 0 nheap 0 t.size;
     t.heap <- nheap
   end
@@ -58,7 +68,7 @@ let rec sift_down t i e =
 let add t ~time payload =
   let entry = { time; seq = t.next_seq; payload; pos = t.size } in
   t.next_seq <- t.next_seq + 1;
-  grow t entry;
+  grow t;
   t.size <- t.size + 1;
   sift_up t (t.size - 1) entry;
   entry
@@ -68,13 +78,15 @@ let push t ~time payload = ignore (add t ~time payload)
 let peek_time t = if t.size = 0 then None else Some t.heap.(0).time
 
 (* Take the entry at slot [i] out of the heap: the last entry fills the
-   hole and sifts whichever way restores the order. *)
+   hole and sifts whichever way restores the order, and its old slot
+   turns vacant. *)
 let remove_at t i =
   let e = t.heap.(i) in
   e.pos <- -1;
   t.size <- t.size - 1;
+  let last = t.heap.(t.size) in
+  t.heap.(t.size) <- t.vacant;
   if i < t.size then begin
-    let last = t.heap.(t.size) in
     if i > 0 && before last t.heap.((i - 1) / 2) then sift_up t i last
     else sift_down t i last
   end;

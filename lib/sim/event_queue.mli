@@ -3,7 +3,11 @@
 
 type 'a t
 
-val create : unit -> 'a t
+val create : filler:'a -> 'a t
+(** An empty queue. [filler] is the payload of the vacant slots, so an
+    event that has been popped or cancelled is no longer reachable from
+    the queue; it is never returned by {!pop}. *)
+
 val is_empty : 'a t -> bool
 val length : 'a t -> int
 

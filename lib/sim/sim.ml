@@ -12,7 +12,7 @@ let create ?obs () =
       now = 0;
       events = Gg_obs.Obs.counter obs "sim.events";
       obs;
-      queue = Event_queue.create ();
+      queue = Event_queue.create ~filler:ignore;
     }
   in
   Gg_obs.Obs.set_clock obs (fun () -> t.now);

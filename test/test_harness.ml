@@ -6,11 +6,6 @@ module Ycsb = Gg_workload.Ycsb
 
 let small_profile = Ycsb.with_records Ycsb.medium_contention 2_000
 
-let contains_sub hay needle =
-  let ln = String.length needle and lh = String.length hay in
-  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-  ln = 0 || go 0
-
 let test_run_engine_measures () =
   let r =
     Gg_harness.Driver.run_engine
@@ -65,30 +60,27 @@ let test_geogauss_beats_crdb_ycsb_mc () =
     (geo.Gg_harness.Result.mean_ms < crdb.Gg_harness.Result.mean_ms)
 
 let test_experiment_registry () =
-  Alcotest.(check int) "15 experiments" 15 (List.length Gg_harness.Experiments.all);
-  Alcotest.(check (list string))
-    "registry derives from the canonical name list"
-    Gg_harness.Experiments.names
-    (List.map fst Gg_harness.Experiments.all);
-  Alcotest.(check bool) "fig_scale registered" true
-    (List.mem "fig_scale" Gg_harness.Experiments.names);
-  Alcotest.(check bool) "fig_skew registered" true
-    (List.mem "fig_skew" Gg_harness.Experiments.names);
-  Alcotest.(check bool) "fig_fastpath registered" true
-    (List.mem "fig_fastpath" Gg_harness.Experiments.names);
-  Alcotest.(check bool) "unknown rejected" false
-    (Gg_harness.Experiments.run ~fast:true "nonsense")
+  let names = Gg_harness.Experiments.names in
+  Alcotest.(check int) "15 experiments" 15 (List.length names);
+  Alcotest.(check int) "no name twice" 15
+    (List.length (List.sort_uniq compare names));
+  Alcotest.(check (list string)) "paper order first"
+    [ "fig5"; "table2"; "fig6"; "fig7"; "table3"; "fig8"; "fig9"; "fig10";
+      "fig11"; "fig12"; "fig13" ]
+    (List.filteri (fun i _ -> i < 11) names);
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (n ^ " registered") true (List.mem n names))
+    [ "ablations"; "fig_scale"; "fig_skew"; "fig_fastpath" ]
 
 let test_experiment_unknown_name_error () =
-  (* A free-form name given to a runner must be a real error naming the
-     known experiments — historically this was an [assert false]. *)
-  match Gg_harness.Experiments.make_runner "fig99" ~fast:true () with
-  | () -> Alcotest.fail "unknown experiment must be rejected"
-  | exception Invalid_argument msg ->
-    Alcotest.(check bool) "message names the experiment" true
-      (contains_sub msg "fig99");
-    Alcotest.(check bool) "message lists known names" true
-      (contains_sub msg "fig5" && contains_sub msg "fig_scale")
+  (* An unknown name runs nothing and says so; the bench runner turns
+     that into exit 1 with the list of names. *)
+  let setting = Gg_harness.Experiments.setting ~fast:true in
+  Alcotest.(check bool) "no tables for an unknown name" true
+    (Gg_harness.Experiments.tables ~setting ~fast:true "fig99" = None);
+  Alcotest.(check bool) "run rejects it" false
+    (Gg_harness.Experiments.run ~fast:true "fig99")
 
 let test_experiment_table3_fast () =
   (* Runs a real (fast) experiment end to end. *)
@@ -163,66 +155,6 @@ let test_open_loop_deterministic () =
   let a = once () and b = once () in
   Alcotest.(check bool) "two identical runs, identical numbers" true (a = b)
 
-(* --- bench diff: perf-regression accounting --- *)
-
-module Bd = Gg_harness.Bench_diff
-
-(* A minimal scale report; [scale] multiplies every throughput and
-   divides every WAN cost (lower is better there), so 1.0 is the
-   baseline and 0.5 is a synthetic 2x regression. *)
-let scale_report ~scale =
-  Printf.sprintf
-    {|{"suite": "scale", "fast": true,
-       "points": [
-         {"mode": "full", "replicas": 25, "tput": %.1f, "wan_kb_per_txn": %.4f},
-         {"mode": "region", "replicas": 25, "tput": %.1f, "wan_kb_per_txn": %.4f}
-       ]}|}
-    (1_000.0 *. scale) (3.5 /. scale) (400.0 *. scale) (1.7 /. scale)
-
-let diff_ok ?threshold old_json new_json =
-  match Bd.diff ?threshold ~old_json ~new_json () with
-  | Ok rows -> rows
-  | Error m -> Alcotest.failf "diff failed: %s" m
-
-let test_bench_diff_identical () =
-  let r = scale_report ~scale:1.0 in
-  let rows = diff_ok r r in
-  Alcotest.(check bool) "rows produced" true (List.length rows >= 4);
-  Alcotest.(check bool) "no regression" false (Bd.has_regression rows);
-  Alcotest.(check bool) "no warning" false (Bd.has_warning rows)
-
-let test_bench_diff_detects_regression () =
-  let rows =
-    diff_ok (scale_report ~scale:1.0) (scale_report ~scale:0.5)
-  in
-  Alcotest.(check bool) "2x slowdown flagged" true (Bd.has_regression rows);
-  (* the renderer marks the offending rows *)
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "REGRESS visible in table" true
-    (contains (Bd.render rows) "REGRESS")
-
-let test_bench_diff_noise_tolerated () =
-  (* 5% wobble is well inside the default 25% threshold *)
-  let rows =
-    diff_ok (scale_report ~scale:1.0) (scale_report ~scale:0.95)
-  in
-  Alcotest.(check bool) "no regression" false (Bd.has_regression rows);
-  Alcotest.(check bool) "no warning" false (Bd.has_warning rows)
-
-let test_bench_diff_suite_mismatch () =
-  match
-    Bd.diff
-      ~old_json:{|{"suite": "skew", "points": []}|}
-      ~new_json:(scale_report ~scale:1.0)
-      ()
-  with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "suite mismatch accepted"
-
 let () =
   Alcotest.run "gg_harness"
     [
@@ -243,13 +175,5 @@ let () =
           Alcotest.test_case "unknown name is a real error" `Quick
             test_experiment_unknown_name_error;
           Alcotest.test_case "table3 fast" `Slow test_experiment_table3_fast;
-        ] );
-      ( "bench_diff",
-        [
-          Alcotest.test_case "identical reports pass" `Quick test_bench_diff_identical;
-          Alcotest.test_case "synthetic regression flagged" `Quick
-            test_bench_diff_detects_regression;
-          Alcotest.test_case "small wobble tolerated" `Quick test_bench_diff_noise_tolerated;
-          Alcotest.test_case "suite mismatch rejected" `Quick test_bench_diff_suite_mismatch;
         ] );
     ]

@@ -308,6 +308,43 @@ let test_no_stdlib_queue () =
         ("stdlib Queue in lib/sim or lib/core (use Gg_util.Fifo):\n"
         ^ String.concat "\n" uses)
 
+(* Every committed BENCH_<suite>.json at the repo root is named by a
+   writer: the bench runner (bench/main.ml) or the fig suites
+   (lib/harness/experiments.ml). A suite cannot then be deleted while
+   its artifact stays behind as a figure nothing regenerates. *)
+let test_no_orphan_bench_artifact () =
+  match
+    List.find_opt
+      (fun d -> Sys.file_exists (Filename.concat d "bench/main.ml"))
+      [ ".."; "."; "../.." ]
+  with
+  | None -> Alcotest.fail "cannot locate bench/main.ml from test cwd"
+  | Some root ->
+    let artifacts =
+      Array.to_list (Sys.readdir root)
+      |> List.filter (fun n ->
+             String.length n > 6
+             && String.sub n 0 6 = "BENCH_"
+             && Filename.check_suffix n ".json")
+      |> List.sort compare
+    in
+    Alcotest.(check bool) "found committed BENCH_*.json" true
+      (artifacts <> []);
+    let writers =
+      List.concat_map
+        (fun f -> read_lines (Filename.concat root f))
+        [ "bench/main.ml"; "lib/harness/experiments.ml" ]
+    in
+    let orphans =
+      List.filter
+        (fun n ->
+          not (List.exists (fun l -> contains l ("\"" ^ n ^ "\"")) writers))
+        artifacts
+    in
+    if orphans <> [] then
+      Alcotest.fail
+        ("BENCH artifacts no writer names:\n" ^ String.concat "\n" orphans)
+
 let () =
   Alcotest.run "lint"
     [
@@ -326,5 +363,7 @@ let () =
             test_isolation_has_one_home;
           Alcotest.test_case "no stdlib Queue in lib/sim or lib/core" `Quick
             test_no_stdlib_queue;
+          Alcotest.test_case "every BENCH artifact has a writer" `Quick
+            test_no_orphan_bench_artifact;
         ] );
     ]

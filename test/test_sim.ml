@@ -6,7 +6,7 @@ open Gg_sim
 (* --- Event_queue --- *)
 
 let test_eq_ordering () =
-  let q = Event_queue.create () in
+  let q = Event_queue.create ~filler:"" in
   Event_queue.push q ~time:5 "e5";
   Event_queue.push q ~time:1 "e1";
   Event_queue.push q ~time:3 "e3";
@@ -15,7 +15,7 @@ let test_eq_ordering () =
     "sorted" [ (1, "e1"); (3, "e3"); (5, "e5") ] order
 
 let test_eq_fifo_ties () =
-  let q = Event_queue.create () in
+  let q = Event_queue.create ~filler:0 in
   for i = 0 to 9 do
     Event_queue.push q ~time:7 i
   done;
@@ -26,7 +26,7 @@ let test_eq_fifo_ties () =
   done
 
 let test_eq_interleaved () =
-  let q = Event_queue.create () in
+  let q = Event_queue.create ~filler:() in
   let rng = Gg_util.Rng.create 5 in
   let n = 2000 in
   for _ = 1 to n do
@@ -46,10 +46,44 @@ let test_eq_interleaved () =
   Alcotest.(check int) "all popped" n !count
 
 let test_eq_empty () =
-  let q = Event_queue.create () in
+  let q = Event_queue.create ~filler:() in
   Alcotest.(check bool) "empty" true (Event_queue.is_empty q);
   Alcotest.(check bool) "pop none" true (Event_queue.pop q = None);
   Alcotest.(check bool) "peek none" true (Event_queue.peek_time q = None)
+
+(* A fired or cancelled event is no longer reachable from the queue:
+   once its last outside reference is gone, a major collection frees its
+   payload although the queue lives on. Each case leaves the removed
+   event's entry in the slot the heap vacated: popping the root moves
+   the last entry (here the tracked one) up, and that entry then fires
+   too; cancelling the last leaf vacates its own slot. *)
+let[@inline never] fire_tracked q weak =
+  Event_queue.push q ~time:1 (Bytes.make 16 'a');
+  let x = Bytes.make 16 'x' in
+  Weak.set weak 0 (Some x);
+  Event_queue.push q ~time:2 x;
+  ignore (Sys.opaque_identity (Event_queue.pop q));
+  ignore (Sys.opaque_identity (Event_queue.pop q));
+  Event_queue.push q ~time:3 (Bytes.make 16 'c')
+
+let[@inline never] cancel_tracked q weak =
+  Event_queue.push q ~time:1 (Bytes.make 16 'a');
+  let x = Bytes.make 16 'x' in
+  Weak.set weak 1 (Some x);
+  Event_queue.cancel q (Event_queue.add q ~time:2 x)
+
+let test_eq_releases_removed () =
+  let weak = Weak.create 2 in
+  let fired = Event_queue.create ~filler:Bytes.empty in
+  let cancelled = Event_queue.create ~filler:Bytes.empty in
+  fire_tracked fired weak;
+  cancel_tracked cancelled weak;
+  Gc.full_major ();
+  Alcotest.(check bool) "fired payload collected" false (Weak.check weak 0);
+  Alcotest.(check bool) "cancelled payload collected" false
+    (Weak.check weak 1);
+  Alcotest.(check (pair int int)) "queues still hold the others" (1, 1)
+    (Event_queue.length fired, Event_queue.length cancelled)
 
 (* Cancellation against a reference model. Fifteen events pushed in
    ascending time fill the heap level by level, so the first cancels hit
@@ -86,7 +120,7 @@ let prop_eq_cancel_matches_reference =
   QCheck.Test.make ~name:"cancel keeps reference pop order" ~count:500
     (QCheck.make ~print QCheck.Gen.(list_size (int_range 0 80) gen_op))
     (fun tail ->
-      let q = Event_queue.create () in
+      let q = Event_queue.create ~filler:(-1) in
       (* handles by id; the model holds the live (time, id) pairs, and
          ids are the push order, i.e. the queue's tie-break *)
       let handles = ref [||] in
@@ -481,6 +515,8 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_eq_fifo_ties;
           Alcotest.test_case "interleaved" `Quick test_eq_interleaved;
           Alcotest.test_case "empty" `Quick test_eq_empty;
+          Alcotest.test_case "removed events are released" `Quick
+            test_eq_releases_removed;
           QCheck_alcotest.to_alcotest prop_eq_cancel_matches_reference;
         ] );
       ( "sim",
