@@ -24,8 +24,11 @@
 #   - the seed-7 eocc and `hash:2` traced runs (stdout minus the
 #     "trace written to" line, then the trace file);
 #   - the failover example;
-#   - the SQL shell's stdout over the scripted session
-#     test/golden/sql_session.sql (client-visible query results);
+#   - the SQL shell's stdout over the scripted sessions
+#     test/golden/sql_session.sql and test/golden/sql_overlay_session.sql
+#     (client-visible query results; the second reads through each
+#     access path, joins, grouping and projections of every width after
+#     the same transaction's own inserts, updates and deletes);
 #   - per BENCHMARK.json workload, `bench/e2e/e2e.exe` at seed 42 with
 #     three reps: the five simulated end-to-end metrics and the
 #     attempted (commit + abort) count.
@@ -108,9 +111,11 @@ f=$(keep failover)
 "$bin/examples/failover.exe" >"$f"
 digest failover "$f"
 
-f=$(keep "sql_shell test/golden/sql_session.sql")
-"$bin/bin/sql_shell.exe" <test/golden/sql_session.sql >"$f"
-digest "sql_shell test/golden/sql_session.sql" "$f"
+for session in test/golden/sql_session.sql test/golden/sql_overlay_session.sql; do
+  f=$(keep "sql_shell $session")
+  "$bin/bin/sql_shell.exe" <"$session" >"$f"
+  digest "sql_shell $session" "$f"
+done
 
 # The workloads and the e2e result line are read with sed, as bench/ab.sh
 # does, so the script needs no JSON tool.
