@@ -149,13 +149,19 @@ let get_table db name =
   | Some t -> t
   | None -> raise (Sql_error (Printf.sprintf "unknown table %s" name))
 
-(* A visible row: base-table entry overlaid with the txn's own writes. *)
+(* A visible row kept for later: base-table entry overlaid with the
+   txn's own writes. *)
 type vrow = {
   v_key : Value.t array;
   v_key_str : string;
   v_data : Value.t array;
   v_entry : Table.entry option;  (* None for rows inserted by this txn *)
 }
+
+let committed_vrow entry data =
+  { v_key = entry.Table.key; v_key_str = entry.Table.key_str; v_data = data; v_entry = Some entry }
+
+let own_vrow w = { v_key = w.w_key; v_key_str = w.w_key_str; v_data = w.w_data; v_entry = None }
 
 (* Probe values for the key columns: an integral Float becomes an Int
    for a TInt column and an Int becomes a Float for a TFloat column, so
@@ -169,27 +175,18 @@ let normalise_key_value ty v =
 
 (* Iterate the visible rows of [table] under [access], applying the
    read-your-writes overlay. [keep] is the residual filter on a row's
-   visible data; it runs before the [vrow] is built, and [f] sees only
-   the rows it accepts. *)
-let visible_rows ctx table access ~params ~keep f =
+   visible data. A row it accepts goes to [committed entry data] when a
+   committed entry backs it ([data] is the entry's data or this txn's
+   update of it) and to [own w] when this txn inserted it. Nothing is
+   allocated per visited row: a caller that keeps a row past the
+   callback builds its own [vrow]. *)
+let visible_rows ctx table access ~params ~keep ~committed ~own =
   let tbl = get_table (Ctx.db ctx) table in
   let schema = Table.schema tbl in
   let tname = schema.Schema.table_name in
   let written = Ctx.wrote_table ctx tname in
-  let visit_committed entry data =
-    if keep data then
-      f
-        {
-          v_key = entry.Table.key;
-          v_key_str = entry.Table.key_str;
-          v_data = data;
-          v_entry = Some entry;
-        }
-  in
-  let emit_own_insert w =
-    if keep w.w_data then
-      f { v_key = w.w_key; v_key_str = w.w_key_str; v_data = w.w_data; v_entry = None }
-  in
+  let visit_committed entry data = if keep data then committed entry data in
+  let emit_own_insert w = if keep w.w_data then own w in
   let visit_entry entry =
     if not written then visit_committed entry entry.Table.data
     else
@@ -277,12 +274,15 @@ let visible_rows ctx table access ~params ~keep f =
 
 (* A WHERE clause as a row filter; no clause keeps every row. *)
 let where_pred env ~params = function
-  | None -> fun () -> true
+  | None -> fun _ -> true
   | Some w -> Expr.bind_pred env ~params w
+
+let record_entry_read record ~table entry =
+  record ~table ~key_str:entry.Table.key_str ~header:entry.Table.header
 
 let record_vrow_read record ~table v =
   match v.v_entry with
-  | Some entry -> record ~table ~key_str:v.v_key_str ~header:entry.Table.header
+  | Some entry -> record_entry_read record ~table entry
   | None -> () (* own insert: nothing to validate *)
 
 (* --- SELECT --- *)
@@ -347,10 +347,12 @@ let select ctx (s : Ast.select) ~params =
         (tr, on, binding))
       s.join
   in
-  let env =
+  (* The scanned side: its row is the argument of every bound
+     expression; the outer side of a join is read from [from_binding]. *)
+  let inner, env =
     match join_info with
-    | None -> [ from_binding ]
-    | Some (_, _, jb) -> [ from_binding; jb ]
+    | None -> (from_binding, [ from_binding ])
+    | Some (_, _, jb) -> (jb, [ from_binding; jb ])
   in
   let access =
     Plan.access_path_table from_tbl ~names:(binding_names s.from) s.where
@@ -386,25 +388,56 @@ let select ctx (s : Ast.select) ~params =
   let keyed_rev = ref [] in
   let n_projs = List.length s.projs in
   let projs_a = Array.of_list projs in
-  let eval_proj = function
-    | B_expr e -> Expr.eval e
+  let proj_expr = function
+    | B_expr e -> e
     | B_star | B_agg _ ->
       (* defended by the [aggregating] dispatch above; a proper error
          beats an [assert false] if a future path slips through *)
-      raise (Sql_error "aggregate function outside an aggregate query")
+      fun _ -> raise (Sql_error "aggregate function outside an aggregate query")
   in
-  let project =
+  (* A result row from the scanned row. A plain list of up to four
+     expressions fills an array literal, evaluated left to right as
+     [Array.map] would. *)
+  let project : Value.t array -> Value.t array =
     if List.exists (function B_star -> true | B_expr _ | B_agg _ -> false) projs
-    then fun () ->
+    then fun row ->
       List.map
         (function
-          | B_star -> Array.concat (List.map (fun b -> b.Env.row) env)
-          | p -> [| eval_proj p |])
+          | B_star ->
+            Array.concat (List.map (fun b -> if b == inner then row else b.Env.row) env)
+          | p -> [| proj_expr p row |])
         projs
       |> Array.concat
-    else fun () -> Array.map eval_proj projs_a
+    else
+      match Array.map proj_expr projs_a with
+      | [| a |] -> fun row -> [| a row |]
+      | [| a; b |] ->
+        fun row ->
+          let va = a row in
+          let vb = b row in
+          [| va; vb |]
+      | [| a; b; c |] ->
+        fun row ->
+          let va = a row in
+          let vb = b row in
+          let vc = c row in
+          [| va; vb; vc |]
+      | [| a; b; c; d |] ->
+        fun row ->
+          let va = a row in
+          let vb = b row in
+          let vc = c row in
+          let vd = d row in
+          [| va; vb; vc; vd |]
+      | es ->
+        fun row ->
+          let r = Array.make (Array.length es) Value.Null in
+          for i = 0 to Array.length es - 1 do
+            r.(i) <- es.(i) row
+          done;
+          r
   in
-  let sort_keys () = List.map (fun (e, dir) -> (Expr.eval e, dir)) order_by in
+  let sort_keys row = List.map (fun (e, dir) -> (e row, dir)) order_by in
   (* Grouped/aggregated path. *)
   let groups : (Value.t list, group_state) Hashtbl.t = Hashtbl.create 16 in
   let group_order = ref [] in
@@ -420,28 +453,28 @@ let select ctx (s : Ast.select) ~params =
       g_sort = sort;
     }
   in
-  let new_group () =
+  let new_group row =
     let repr =
-      Array.map (function B_expr e -> Expr.eval e | B_agg _ | B_star -> Value.Null) projs_a
+      Array.map (function B_expr e -> e row | B_agg _ | B_star -> Value.Null) projs_a
     in
-    fresh_state ~repr ~sort:(sort_keys ())
+    fresh_state ~repr ~sort:(sort_keys row)
   in
   (* the one group of an aggregate without GROUP BY *)
   let single = ref None in
-  let aggregate_row () =
+  let aggregate_row row =
     let st =
       match (group_by, !single) with
       | [], Some st -> st
       | [], None ->
-        let st = new_group () in
+        let st = new_group row in
         single := Some st;
         st
       | _ :: _, _ -> (
-        let key = List.map Expr.eval group_by in
+        let key = List.map (fun e -> e row) group_by in
         match Hashtbl.find_opt groups key with
         | Some st -> st
         | None ->
-          let st = new_group () in
+          let st = new_group row in
           Hashtbl.replace groups key st;
           group_order := key :: !group_order;
           st)
@@ -452,7 +485,7 @@ let select ctx (s : Ast.select) ~params =
         let v =
           match arg with
           | None -> count_star
-          | Some e -> Expr.eval e
+          | Some e -> e row
         in
         match (fn, v) with
         | _, Value.Null -> ()
@@ -478,36 +511,40 @@ let select ctx (s : Ast.select) ~params =
   in
   let handle_match =
     if aggregating then aggregate_row
-    else if order_by = [] then fun () -> rows_rev := project () :: !rows_rev
-    else fun () -> keyed_rev := (project (), sort_keys ()) :: !keyed_rev
+    else if order_by = [] then fun row -> rows_rev := project row :: !rows_rev
+    else fun row -> keyed_rev := (project row, sort_keys row) :: !keyed_rev
   in
   (match join with
   | None ->
     let record = Ctx.distinct_recorder ctx in
-    visible_rows ctx s.from.table access ~params
-      ~keep:(fun data ->
-        from_binding.Env.row <- data;
-        where_ok ())
-      (fun v ->
-        record_vrow_read record ~table:s.from.table v;
-        handle_match ())
-  | Some (jtr, on, jb) ->
-    (* Nested loop with the outer row bound; the inner side is a full
-       scan. An outer row is met once per inner match, so reads probe. *)
+    let table = s.from.table in
+    visible_rows ctx table access ~params ~keep:where_ok
+      ~committed:(fun entry data ->
+        record_entry_read record ~table entry;
+        handle_match data)
+      ~own:(fun w -> handle_match w.w_data)
+  | Some (jtr, on, _) ->
+    (* Nested loop with the outer row bound once per outer row; the
+       inner side is a full scan. An outer row is met once per inner
+       match, so reads probe. *)
     let record = Ctx.recorder ctx in
+    let jtable = jtr.Ast.table in
+    let outer v =
+      from_binding.Env.row <- v.v_data;
+      visible_rows ctx jtable Plan.Full ~params
+        ~keep:(fun jdata -> on jdata && where_ok jdata)
+        ~committed:(fun entry jdata ->
+          record_vrow_read record ~table:s.from.table v;
+          record_entry_read record ~table:jtable entry;
+          handle_match jdata)
+        ~own:(fun w ->
+          record_vrow_read record ~table:s.from.table v;
+          handle_match w.w_data)
+    in
     visible_rows ctx s.from.table access ~params
-      ~keep:(fun data ->
-        from_binding.Env.row <- data;
-        true)
-      (fun v ->
-        visible_rows ctx jtr.Ast.table Plan.Full ~params
-          ~keep:(fun jdata ->
-            jb.Env.row <- jdata;
-            on () && where_ok ())
-          (fun jv ->
-            record_vrow_read record ~table:s.from.table v;
-            record_vrow_read record ~table:jtr.Ast.table jv;
-            handle_match ())));
+      ~keep:(fun _ -> true)
+      ~committed:(fun entry data -> outer (committed_vrow entry data))
+      ~own:(fun w -> outer (own_vrow w)));
   let columns = List.mapi proj_name s.projs in
   let columns =
     (* Expand star into actual column names. *)
@@ -666,11 +703,9 @@ let collect_targets ctx tbl binding where ~params =
   let access = Plan.access_path_table tbl ~names:[ table ] where in
   let where_ok = where_pred [ binding ] ~params where in
   let acc = ref [] in
-  visible_rows ctx table access ~params
-    ~keep:(fun data ->
-      binding.Env.row <- data;
-      where_ok ())
-    (fun v -> acc := v :: !acc);
+  visible_rows ctx table access ~params ~keep:where_ok
+    ~committed:(fun entry data -> acc := committed_vrow entry data :: !acc)
+    ~own:(fun w -> acc := own_vrow w :: !acc);
   List.rev !acc
 
 let buffer_write ctx ~table ~(v : vrow) ~op ?(cols = Gg_crdt.Column.full) ~data
@@ -748,11 +783,8 @@ let update ctx ~table ~sets ~where ~params =
   let record = Ctx.distinct_recorder ctx in
   List.iter
     (fun v ->
-      binding.Env.row <- v.v_data;
       let new_row = Array.copy v.v_data in
-      List.iter
-        (fun (i, e) -> new_row.(i) <- Expr.eval e)
-        set_indices;
+      List.iter (fun (i, e) -> new_row.(i) <- e v.v_data) set_indices;
       (match Schema.validate_row schema new_row with
       | Ok () -> ()
       | Error m -> raise (Sql_error m));

@@ -104,76 +104,86 @@ let like_match s p =
   in
   go 0 0
 
-type t = unit -> Value.t
+type t = Value.t array -> Value.t
+
+(* The binding whose row a bound expression takes as its argument: the
+   innermost, last in [env]. Every other binding is read from its [row]
+   field, which the caller writes once per row of that (outer) side. *)
+let inner_binding env =
+  match List.rev env with b :: _ -> Some b | [] -> None
+
+let is_inner inner b = match inner with Some ib -> ib == b | None -> false
 
 (* Resolve every column reference and parameter once; the closure tree
-   then reads the bound rows' current contents on each call. Unknown or
-   ambiguous columns fail here, before any row is visited; a missing
-   parameter still fails only when evaluated. *)
+   then reads the scanned row it is given and the outer bindings'
+   current rows on each call. Unknown or ambiguous columns fail here,
+   before any row is visited; a missing parameter still fails only when
+   evaluated. *)
 let bind env ~params e =
   let open Ast in
+  let inner = inner_binding env in
   let rec go e : t =
     match e with
-    | Const v -> fun () -> v
+    | Const v -> fun _ -> v
     | Param i ->
-      if i < 0 || i >= Array.length params then fun () ->
+      if i < 0 || i >= Array.length params then fun _ ->
         fail "parameter ?%d not supplied (%d given)" (i + 1) (Array.length params)
       else
         let v = params.(i) in
-        fun () -> v
+        fun _ -> v
     | Col (q, c) ->
       let b, i = Env.resolve env q c in
-      fun () -> b.Env.row.(i)
+      if is_inner inner b then fun row -> row.(i) else fun _ -> b.Env.row.(i)
     | Unop (Neg, e) ->
       let e = go e in
-      fun () ->
-        (match e () with
+      fun row ->
+        (match e row with
         | Value.Null -> Value.Null
         | Value.Int i -> Value.Int (-i)
         | Value.Float f -> Value.Float (-.f)
         | v -> fail "negation of %s" (Value.type_name v))
     | Unop (Not, e) ->
       let e = go e in
-      fun () -> of_bool (not (is_truthy (e ())))
+      fun row -> of_bool (not (is_truthy (e row)))
     | Binop (And, a, b) ->
       let a = go a in
       let b = go b in
-      fun () -> of_bool (is_truthy (a ()) && is_truthy (b ()))
+      fun row -> of_bool (is_truthy (a row) && is_truthy (b row))
     | Binop (Or, a, b) ->
       let a = go a in
       let b = go b in
-      fun () -> of_bool (is_truthy (a ()) || is_truthy (b ()))
+      fun row -> of_bool (is_truthy (a row) || is_truthy (b row))
     | Binop (Concat, a, b) ->
       let a = go a in
       let b = go b in
-      fun () ->
-        (match (a (), b ()) with
+      fun row ->
+        (match (a row, b row) with
         | Value.Null, _ | _, Value.Null -> Value.Null
         | Value.Str x, Value.Str y -> Value.Str (x ^ y)
         | x, y -> Value.Str (Value.to_string x ^ Value.to_string y))
     | Binop (((Add | Sub | Mul | Div | Mod) as op), a, b) ->
       let a = go a in
       let b = go b in
-      fun () -> num_binop op (a ()) (b ())
+      fun row -> num_binop op (a row) (b row)
     | Binop (((Eq | Ne | Lt | Le | Gt | Ge) as op), a, b) ->
       let a = go a in
       let b = go b in
-      fun () -> cmp_binop op (a ()) (b ())
+      fun row -> cmp_binop op (a row) (b row)
     | In_list (e, items) ->
       let e = go e in
       let items = List.map go items in
-      fun () ->
-        (match e () with
+      fun row ->
+        (match e row with
         | Value.Null -> Value.Null
         | v ->
-          of_bool (List.exists (fun i -> Value.compare v (i ()) = 0) items))
+          of_bool (List.exists (fun i -> Value.compare v (i row) = 0) items))
     | Between (e, lo, hi) ->
       let e = go e in
       let lo = go lo in
       let hi = go hi in
-      fun () ->
-        let v = e () in
-        let l = lo () and h = hi () in
+      fun row ->
+        let v = e row in
+        let l = lo row and h = hi row in
         (match (v, l, h) with
         | Value.Null, _, _ | _, Value.Null, _ | _, _, Value.Null -> Value.Null
         | _ ->
@@ -181,8 +191,8 @@ let bind env ~params e =
     | Like (e, pat) ->
       let e = go e in
       let pat = go pat in
-      fun () ->
-        (match (e (), pat ()) with
+      fun row ->
+        (match (e row, pat row) with
         | Value.Null, _ | _, Value.Null -> Value.Null
         | Value.Str s, Value.Str p -> of_bool (like_match s p)
         | v, p ->
@@ -191,15 +201,16 @@ let bind env ~params e =
   in
   go e
 
-let eval (e : t) = e ()
-let eval_const ~params e = eval (bind [] ~params e)
+let eval (e : t) row = e row
+let eval_const ~params e = eval (bind [] ~params e) [||]
 
 (* The boolean-context twin of [bind]: the closure returns what
-   [is_truthy (eval (bind env ~params e))] would, and raises what it
+   [is_truthy (eval (bind env ~params e) row)] would, and raises what it
    would, without boxing a truth value per node. Columns resolve in
    [bind]'s order, so the same unknown column is reported. *)
 let bind_pred env ~params e =
   let open Ast in
+  let inner = inner_binding env in
   (* A non-NULL constant operand: a literal or a supplied parameter. A
      missing parameter stays an expression, so it fails when evaluated;
      a NULL one too, so the column is still read as [bind] reads it. *)
@@ -210,32 +221,67 @@ let bind_pred env ~params e =
       match params.(i) with Value.Null -> None | v -> Some v)
     | _ -> None
   in
-  (* [col op v]: the bound row's slot against a constant, read directly. *)
+  (* [col op v]: the column's slot against a constant, read directly;
+     on the scanned row an Int slot against an Int constant compares
+     inline, one closure per operator. *)
   let col_vs_const q c op v =
     let b, i = Env.resolve env q c in
-    match v with
-    | Value.Int y ->
-      fun () ->
-        (match b.Env.row.(i) with
-        | Value.Int x -> holds op (Int.compare x y)
-        | Value.Null -> false
-        | x -> holds op (Value.compare x v))
-    | _ ->
-      fun () ->
-        (match b.Env.row.(i) with
-        | Value.Null -> false
-        | x -> holds op (Value.compare x v))
+    let slow x = holds op (Value.compare x v) in
+    if not (is_inner inner b) then fun _ ->
+      match b.Env.row.(i) with Value.Null -> false | x -> slow x
+    else
+      match v with
+      | Value.Int y -> (
+        match op with
+        | Eq ->
+          fun row ->
+            (match row.(i) with
+            | Value.Int x -> x = y
+            | Value.Null -> false
+            | x -> slow x)
+        | Ne ->
+          fun row ->
+            (match row.(i) with
+            | Value.Int x -> x <> y
+            | Value.Null -> false
+            | x -> slow x)
+        | Lt ->
+          fun row ->
+            (match row.(i) with
+            | Value.Int x -> x < y
+            | Value.Null -> false
+            | x -> slow x)
+        | Le ->
+          fun row ->
+            (match row.(i) with
+            | Value.Int x -> x <= y
+            | Value.Null -> false
+            | x -> slow x)
+        | Gt ->
+          fun row ->
+            (match row.(i) with
+            | Value.Int x -> x > y
+            | Value.Null -> false
+            | x -> slow x)
+        | Ge ->
+          fun row ->
+            (match row.(i) with
+            | Value.Int x -> x >= y
+            | Value.Null -> false
+            | x -> slow x)
+        | _ -> fail "not a comparison operator")
+      | _ -> fun row -> (match row.(i) with Value.Null -> false | x -> slow x)
   in
   (* [v op col] is [col op' v]. *)
   let flip = function Lt -> Gt | Le -> Ge | Gt -> Lt | Ge -> Le | op -> op in
   let compare_bound op a b =
     let a = bind env ~params a in
     let b = bind env ~params b in
-    fun () ->
-      (* [cmp_binop op (a ()) (b ())] evaluates the right operand first;
-         so does this. *)
-      let vb = b () in
-      let va = a () in
+    fun row ->
+      (* [cmp_binop op (a row) (b row)] evaluates the right operand
+         first; so does this. *)
+      let vb = b row in
+      let va = a row in
       match (va, vb) with
       | Value.Null, _ | _, Value.Null -> false
       | _ -> holds op (Value.compare va vb)
@@ -244,26 +290,26 @@ let bind_pred env ~params e =
     let e = bind env ~params e in
     let lo = bind env ~params lo in
     let hi = bind env ~params hi in
-    fun () ->
-      let v = e () in
-      let l = lo () and h = hi () in
+    fun row ->
+      let v = e row in
+      let l = lo row and h = hi row in
       match (v, l, h) with
       | Value.Null, _, _ | _, Value.Null, _ | _, _, Value.Null -> false
       | _ -> Value.compare v l >= 0 && Value.compare v h <= 0
   in
-  let rec go e : unit -> bool =
+  let rec go e : Value.t array -> bool =
     match e with
     | Unop (Not, e) ->
       let e = go e in
-      fun () -> not (e ())
+      fun row -> not (e row)
     | Binop (And, a, b) ->
       let a = go a in
       let b = go b in
-      fun () -> a () && b ()
+      fun row -> a row && b row
     | Binop (Or, a, b) ->
       let a = go a in
       let b = go b in
-      fun () -> a () || b ()
+      fun row -> a row || b row
     | Binop (((Eq | Ne | Lt | Le | Gt | Ge) as op), a, b) -> (
       match (a, const a, b, const b) with
       | Col (q, c), _, _, Some v -> col_vs_const q c op v
@@ -275,19 +321,21 @@ let bind_pred env ~params e =
         let b, i = Env.resolve env q c in
         let in_range v = Value.compare v l >= 0 && Value.compare v h <= 0 in
         match (l, h) with
+        | _ when not (is_inner inner b) -> (
+          fun _ -> match b.Env.row.(i) with Value.Null -> false | v -> in_range v)
         | Value.Int lo, Value.Int hi ->
-          fun () ->
-            (match b.Env.row.(i) with
+          fun row ->
+            (match row.(i) with
             | Value.Int x -> x >= lo && x <= hi
             | Value.Null -> false
             | v -> in_range v)
         | _ ->
-          fun () ->
-            (match b.Env.row.(i) with Value.Null -> false | v -> in_range v))
+          fun row ->
+            (match row.(i) with Value.Null -> false | v -> in_range v))
       | _ -> between_bound col lo hi)
     | Between (e, lo, hi) -> between_bound e lo hi
     | _ ->
       let e = bind env ~params e in
-      fun () -> is_truthy (e ())
+      fun row -> is_truthy (e row)
   in
   go e

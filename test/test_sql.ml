@@ -895,7 +895,7 @@ let gen_ast_where cols =
       let leaf = gen_leaf cols in
       oneof
         [
-          map2 (fun op v -> Ast.Binop (op, c, v)) (oneofl Ast.[ Eq; Lt; Le; Gt; Ge ]) leaf;
+          map2 (fun op v -> Ast.Binop (op, c, v)) (oneofl Ast.[ Eq; Ne; Lt; Le; Gt; Ge ]) leaf;
           map2 (fun lo hi -> Ast.Between (c, lo, hi)) leaf leaf;
           map (fun l -> Ast.In_list (c, l)) (list_size (int_range 1 3) leaf);
         ]
@@ -1250,19 +1250,78 @@ let prop_bind_pred_matches_bind =
           refs
       in
       (* Bind both before any row is set, as the executor does; then
-         evaluate each on two successive row sets. *)
+         evaluate each on two successive row sets, the outer rows set in
+         their bindings and the last row passed as the argument. *)
       let bound = outcome (fun () -> Expr.bind env ~params e) in
       let pred = outcome (fun () -> Expr.bind_pred env ~params e) in
       let eval rows =
-        List.iter2 (fun b r -> b.Expr.Env.row <- r) env rows;
-        ( Result.map (fun b -> outcome (fun () -> Expr.is_truthy (Expr.eval b))) bound,
-          Result.map (fun p -> outcome p) pred )
+        let rec set_outer bs rs =
+          match (bs, rs) with
+          | [ _ ], [ last ] -> last
+          | b :: bs, r :: rs ->
+            b.Expr.Env.row <- r;
+            set_outer bs rs
+          | _ -> invalid_arg "one row per binding"
+        in
+        let last = set_outer env rows in
+        ( Result.map (fun b -> outcome (fun () -> Expr.is_truthy (Expr.eval b last))) bound,
+          Result.map (fun p -> outcome (fun () -> p last)) pred )
       in
       List.for_all
         (fun rows ->
           let expected, got = eval rows in
           expected = got)
         [ rows1; rows2 ])
+
+(* --- Allocation ---
+
+   The sql-scan workload's two read statements on its 2k-row table
+   (Sqlgen.Scan). A scan must allocate nothing for a row it visits and
+   skips, and for a row it keeps only what the result needs: the
+   per-row cost is the difference from the same statement matching no
+   row. Each count is the minor-heap words of the second run of a
+   statement, on a context made outside the count: the first run builds
+   the table's ordered index. *)
+
+let alloc_db =
+  lazy
+    (let db = Db.create () in
+     Gg_workload.Sqlgen.Scan.(load (with_records base 2_000)) db;
+     db)
+
+let alloc_words sql params =
+  let stmt = Parser.parse sql in
+  let run () =
+    let ctx = Executor.Ctx.create (Lazy.force alloc_db) in
+    let before = Gc.minor_words () in
+    let r = Executor.exec ctx stmt ~params in
+    let words = Gc.minor_words () -. before in
+    match r with
+    | Ok r -> (words, r.Executor.rows)
+    | Error m -> Alcotest.failf "unexpected SQL error on %S: %s" sql m
+  in
+  ignore (run ());
+  run ()
+
+let test_alloc_aggregate () =
+  let sql = "SELECT COUNT(*), SUM(amount) FROM events WHERE region = ?" in
+  let hit, rows = alloc_words sql [| v_int 3 |] in
+  let miss, _ = alloc_words sql [| v_int 99 |] in
+  (match rows with
+  | [ [| Value.Int 250; _ |] ] -> ()
+  | _ -> Alcotest.fail "250 rows of region 3");
+  if (hit -. miss) /. 250. >= 1. then
+    Alcotest.failf "%.0f words with 250 matches, %.0f with none: %.2f per match" hit
+      miss ((hit -. miss) /. 250.)
+
+let test_alloc_range () =
+  let sql = "SELECT ev_id, amount FROM events WHERE ev_id BETWEEN ? AND ?" in
+  let words, rows = alloc_words sql [| v_int 900; v_int 1099 |] in
+  let empty, none = alloc_words sql [| v_int 5_000; v_int 5_199 |] in
+  Alcotest.(check (pair int int)) "rows" (200, 0) (List.length rows, List.length none);
+  if (words -. empty) /. 200. > 10. then
+    Alcotest.failf "%.0f words for 200 rows, %.0f for none: %.2f per row" words empty
+      ((words -. empty) /. 200.)
 
 let () =
   Alcotest.run "gg_sql"
@@ -1337,6 +1396,12 @@ let () =
           QCheck_alcotest.to_alcotest prop_reads_off_same_effects;
         ] );
       ("preds", [ QCheck_alcotest.to_alcotest prop_bind_pred_matches_bind ]);
+      ( "alloc",
+        [
+          Alcotest.test_case "aggregate allocates nothing per match" `Quick
+            test_alloc_aggregate;
+          Alcotest.test_case "range allocates the result only" `Quick test_alloc_range;
+        ] );
       ( "writes",
         [
           Alcotest.test_case "update buffered" `Quick test_update_buffered;
