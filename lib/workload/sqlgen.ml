@@ -17,7 +17,6 @@ module Scan = struct
     regions : int;
     span : int;  (* rows per range scan *)
     scan_pct : float;  (* scans+aggregates vs point updates *)
-    parse_cost_us : int;
   }
 
   let table_name = "events"
@@ -29,7 +28,6 @@ module Scan = struct
       regions = 8;
       span = 200;
       scan_pct = 0.8;
-      parse_cost_us = 400;
     }
 
   let with_records p records = { p with records }
@@ -97,7 +95,6 @@ module Secidx = struct
     regions : int;  (* indexed column cardinality *)
     read_pct : float;
     flip_pct : float;  (* updates that move a row between index keys *)
-    parse_cost_us : int;
   }
 
   let table_name = "profiles"
@@ -110,7 +107,6 @@ module Secidx = struct
       regions = 64;
       read_pct = 0.7;
       flip_pct = 0.3;
-      parse_cost_us = 400;
     }
 
   let with_records p records = { p with records }

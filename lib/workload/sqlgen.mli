@@ -21,7 +21,6 @@ module Scan : sig
     regions : int;
     span : int;
     scan_pct : float;
-    parse_cost_us : int;
   }
 
   val table_name : string
@@ -46,7 +45,6 @@ module Secidx : sig
     regions : int;
     read_pct : float;
     flip_pct : float;
-    parse_cost_us : int;
   }
 
   val table_name : string
