@@ -159,9 +159,15 @@ type vrow = {
 }
 
 let committed_vrow entry data =
-  { v_key = entry.Table.key; v_key_str = entry.Table.key_str; v_data = data; v_entry = Some entry }
+  {
+    v_key = entry.Table.key;
+    v_key_str = entry.Table.key_str;
+    v_data = data;
+    v_entry = Some entry;
+  }
 
-let own_vrow w = { v_key = w.w_key; v_key_str = w.w_key_str; v_data = w.w_data; v_entry = None }
+let own_vrow w =
+  { v_key = w.w_key; v_key_str = w.w_key_str; v_data = w.w_data; v_entry = None }
 
 (* Probe values for the key columns: an integral Float becomes an Int
    for a TInt column and an Int becomes a Float for a TFloat column, so
@@ -395,7 +401,7 @@ let select ctx (s : Ast.select) ~params =
          beats an [assert false] if a future path slips through *)
       fun _ -> raise (Sql_error "aggregate function outside an aggregate query")
   in
-  (* A result row from the scanned row. A plain list of up to four
+  (* A result row from the scanned row. A plain list of up to three
      expressions fills an array literal, evaluated left to right as
      [Array.map] would. *)
   let project : Value.t array -> Value.t array =
@@ -422,13 +428,6 @@ let select ctx (s : Ast.select) ~params =
           let vb = b row in
           let vc = c row in
           [| va; vb; vc |]
-      | [| a; b; c; d |] ->
-        fun row ->
-          let va = a row in
-          let vb = b row in
-          let vc = c row in
-          let vd = d row in
-          [| va; vb; vc; vd |]
       | es ->
         fun row ->
           let r = Array.make (Array.length es) Value.Null in
