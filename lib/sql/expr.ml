@@ -106,13 +106,11 @@ let like_match s p =
 
 type t = Value.t array -> Value.t
 
-(* The binding whose row a bound expression takes as its argument: the
-   innermost, last in [env]. Every other binding is read from its [row]
-   field, which the caller writes once per row of that (outer) side. *)
-let inner_binding env =
-  match List.rev env with b :: _ -> Some b | [] -> None
-
-let is_inner inner b = match inner with Some ib -> ib == b | None -> false
+(* Is [b] the scanned binding, the innermost (last in [env])? A bound
+   expression reads its columns from the row it is applied to, and every
+   other binding's from its [row] field, which the caller writes once
+   per row of that outer side. *)
+let is_inner env b = match List.rev env with ib :: _ -> ib == b | [] -> false
 
 (* Resolve every column reference and parameter once; the closure tree
    then reads the scanned row it is given and the outer bindings'
@@ -121,7 +119,6 @@ let is_inner inner b = match inner with Some ib -> ib == b | None -> false
    evaluated. *)
 let bind env ~params e =
   let open Ast in
-  let inner = inner_binding env in
   let rec go e : t =
     match e with
     | Const v -> fun _ -> v
@@ -133,7 +130,7 @@ let bind env ~params e =
         fun _ -> v
     | Col (q, c) ->
       let b, i = Env.resolve env q c in
-      if is_inner inner b then fun row -> row.(i) else fun _ -> b.Env.row.(i)
+      if is_inner env b then fun row -> row.(i) else fun _ -> b.Env.row.(i)
     | Unop (Neg, e) ->
       let e = go e in
       fun row ->
@@ -210,7 +207,6 @@ let eval_const ~params e = eval (bind [] ~params e) [||]
    [bind]'s order, so the same unknown column is reported. *)
 let bind_pred env ~params e =
   let open Ast in
-  let inner = inner_binding env in
   (* A non-NULL constant operand: a literal or a supplied parameter. A
      missing parameter stays an expression, so it fails when evaluated;
      a NULL one too, so the column is still read as [bind] reads it. *)
@@ -227,7 +223,7 @@ let bind_pred env ~params e =
   let col_vs_const q c op v =
     let b, i = Env.resolve env q c in
     let slow x = holds op (Value.compare x v) in
-    if not (is_inner inner b) then fun _ ->
+    if not (is_inner env b) then fun _ ->
       match b.Env.row.(i) with Value.Null -> false | x -> slow x
     else
       match v with
@@ -321,7 +317,7 @@ let bind_pred env ~params e =
         let b, i = Env.resolve env q c in
         let in_range v = Value.compare v l >= 0 && Value.compare v h <= 0 in
         match (l, h) with
-        | _ when not (is_inner inner b) -> (
+        | _ when not (is_inner env b) -> (
           fun _ -> match b.Env.row.(i) with Value.Null -> false | v -> in_range v)
         | Value.Int lo, Value.Int hi ->
           fun row ->
