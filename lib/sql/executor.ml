@@ -401,7 +401,7 @@ let select ctx (s : Ast.select) ~params =
          beats an [assert false] if a future path slips through *)
       fun _ -> raise (Sql_error "aggregate function outside an aggregate query")
   in
-  (* A result row from the scanned row. A plain list of up to three
+  (* A result row from the scanned row. A plain list of two
      expressions fills an array literal, evaluated left to right as
      [Array.map] would. *)
   let project : Value.t array -> Value.t array =
@@ -416,18 +416,11 @@ let select ctx (s : Ast.select) ~params =
       |> Array.concat
     else
       match Array.map proj_expr projs_a with
-      | [| a |] -> fun row -> [| a row |]
       | [| a; b |] ->
         fun row ->
           let va = a row in
           let vb = b row in
           [| va; vb |]
-      | [| a; b; c |] ->
-        fun row ->
-          let va = a row in
-          let vb = b row in
-          let vc = c row in
-          [| va; vb; vc |]
       | es ->
         fun row ->
           let r = Array.make (Array.length es) Value.Null in

@@ -198,11 +198,10 @@ let bind env ~params e =
   in
   go e
 
-let eval (e : t) row = e row
-let eval_const ~params e = eval (bind [] ~params e) [||]
+let eval_const ~params e = bind [] ~params e [||]
 
 (* The boolean-context twin of [bind]: the closure returns what
-   [is_truthy (eval (bind env ~params e) row)] would, and raises what it
+   [is_truthy (bind env ~params e row)] would, and raises what it
    would, without boxing a truth value per node. Columns resolve in
    [bind]'s order, so the same unknown column is reported. *)
 let bind_pred env ~params e =
@@ -219,53 +218,26 @@ let bind_pred env ~params e =
   in
   (* [col op v]: the column's slot against a constant, read directly;
      on the scanned row an Int slot against an Int constant compares
-     inline, one closure per operator. *)
+     inline, [Eq] without going through [holds]. *)
   let col_vs_const q c op v =
     let b, i = Env.resolve env q c in
     let slow x = holds op (Value.compare x v) in
     if not (is_inner env b) then fun _ ->
       match b.Env.row.(i) with Value.Null -> false | x -> slow x
     else
-      match v with
-      | Value.Int y -> (
-        match op with
-        | Eq ->
-          fun row ->
-            (match row.(i) with
-            | Value.Int x -> x = y
-            | Value.Null -> false
-            | x -> slow x)
-        | Ne ->
-          fun row ->
-            (match row.(i) with
-            | Value.Int x -> x <> y
-            | Value.Null -> false
-            | x -> slow x)
-        | Lt ->
-          fun row ->
-            (match row.(i) with
-            | Value.Int x -> x < y
-            | Value.Null -> false
-            | x -> slow x)
-        | Le ->
-          fun row ->
-            (match row.(i) with
-            | Value.Int x -> x <= y
-            | Value.Null -> false
-            | x -> slow x)
-        | Gt ->
-          fun row ->
-            (match row.(i) with
-            | Value.Int x -> x > y
-            | Value.Null -> false
-            | x -> slow x)
-        | Ge ->
-          fun row ->
-            (match row.(i) with
-            | Value.Int x -> x >= y
-            | Value.Null -> false
-            | x -> slow x)
-        | _ -> fail "not a comparison operator")
+      match (v, op) with
+      | Value.Int y, Eq ->
+        fun row ->
+          (match row.(i) with
+          | Value.Int x -> x = y
+          | Value.Null -> false
+          | x -> slow x)
+      | Value.Int y, _ ->
+        fun row ->
+          (match row.(i) with
+          | Value.Int x -> holds op (Int.compare x y)
+          | Value.Null -> false
+          | x -> slow x)
       | _ -> fun row -> (match row.(i) with Value.Null -> false | x -> slow x)
   in
   (* [v op col] is [col op' v]. *)

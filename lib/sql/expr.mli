@@ -27,19 +27,15 @@ type t = Gg_storage.Value.t array -> Gg_storage.Value.t
     value. Applied to the scanned row, it reads the last binding's
     columns from that row and every other binding's from its [row]
     field, which the caller sets once per row of that outer side. An
-    expression bound to no binding ignores its argument. *)
+    expression bound to no binding ignores its argument. NULL
+    propagates through arithmetic and comparisons; AND/OR treat NULL
+    as false. Comparisons return [Int 1]/[Int 0]. Applying it raises
+    {!Sql_error} on type errors or out-of-range parameters. *)
 
 val bind : Env.t -> params:Gg_storage.Value.t array -> Ast.expr -> t
 (** Bind an expression once per statement. Raises {!Sql_error} on an
     unknown or ambiguous column; a parameter that was not supplied fails
     only when evaluated. *)
-
-val eval : t -> Gg_storage.Value.t array -> Gg_storage.Value.t
-(** [eval e row] is [e row]: evaluate against the scanned [row] and the
-    outer bindings' current rows. NULL propagates through
-    arithmetic and comparisons; AND/OR treat NULL as false. Comparisons
-    return [Int 1]/[Int 0]. Raises {!Sql_error} on type errors or
-    out-of-range parameters. *)
 
 val bind_pred :
   Env.t ->
@@ -48,7 +44,7 @@ val bind_pred :
   (Gg_storage.Value.t array -> bool)
 (** The boolean-context twin of {!bind}, for WHERE and ON clauses:
     [bind_pred env ~params e row] returns what
-    [is_truthy (eval (bind env ~params e) row)] would, and raises the
+    [is_truthy (bind env ~params e row)] would, and raises the
     same {!Sql_error} in the same cases (at bind time for an unknown or
     ambiguous column, when evaluated for a missing parameter or a type
     error). AND, OR, NOT, the six comparisons and BETWEEN yield a
