@@ -17,10 +17,10 @@
 # The outputs:
 #   - `check --seeds 25 --fast`, plain and in each pinned mode;
 #   - `check --canary`;
-#   - `bench/main.exe fig5 --fast` and `table3` (stdout), and
-#     `fig_fastpath --fast`, `fig_scale --fast` and `fig_skew --fast`
-#     (stdout, plus the BENCH_<suite>.json each writes), each run from a
-#     temp directory;
+#   - every `bench/main.exe` experiment suite, each run from a temp
+#     directory: `table3` in full mode and the rest at `--fast` (stdout;
+#     `fig_fastpath`, `fig_scale` and `fig_skew` also write the
+#     BENCH_<suite>.json that is pinned with them);
 #   - the seed-7 eocc and `hash:2` traced runs (stdout minus the
 #     "trace written to" line, then the trace file);
 #   - the failover example;
@@ -79,7 +79,9 @@ f=$(keep "check --canary")
 "$cli" check --canary >"$f"
 digest "check --canary" "$f"
 
-for fig in "fig5 --fast" table3 "fig_fastpath --fast" "fig_scale --fast" \
+for fig in "fig5 --fast" table3 "table2 --fast" "fig6 --fast" "fig7 --fast" \
+  "fig8 --fast" "fig9 --fast" "fig10 --fast" "fig11 --fast" "fig12 --fast" \
+  "fig13 --fast" "ablations --fast" "fig_fastpath --fast" "fig_scale --fast" \
   "fig_skew --fast"; do
   d=$tmp/fig
   rm -rf "$d" && mkdir "$d"
