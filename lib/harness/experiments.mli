@@ -57,7 +57,10 @@ val names : string list
       [BENCH_scale.json];
     - [fig_skew]: hotkey and social at both merge levels (DESIGN.md §13);
       warns on stderr unless column-level merge aborts strictly less on
-      both; writes [BENCH_skew.json];
+      both; writes [BENCH_skew.json]. At the column level a counter cell
+      is an LWW register, so the commits it counts include increments
+      that a later write discards (ROADMAP.md item 9 measured 82.2% of
+      them lost on the hot-only profile);
     - [fig_fastpath]: eocc p50/p95 and mispredict rate across clock-skew
       bounds 0–50 ms against GeoGauss (DESIGN.md §14); warns on stderr
       unless eocc's p50 wins at bounds <= 10 ms; writes

@@ -130,8 +130,10 @@ let experiment_tables ~pool name =
   | None -> Alcotest.fail ("unknown experiment " ^ name)
 
 let test_experiments_byte_identical () =
-  (* fig8 (epoch grid) and fig9 (isolation grid) cover the two fan-out
-     shapes: per-workload sweeps and fixed-point grids. *)
+  (* One suite per grid shape: fig5's rows of unequal length (TPC-C
+     runs 7 systems, each YCSB mix 11), fig7's and fig8's tables of
+     rows of cells, fig9's per-workload sweeps and the two tables
+     ablations builds from one wave. *)
   List.iter
     (fun name ->
       let sequential = experiment_tables ~pool:Pool.seq name in
@@ -139,7 +141,7 @@ let test_experiments_byte_identical () =
         Pool.with_pool ~jobs:4 (fun pool -> experiment_tables ~pool name)
       in
       Alcotest.(check string) (name ^ " tables") sequential parallel)
-    [ "fig8"; "fig9" ]
+    [ "fig5"; "fig7"; "fig8"; "fig9"; "ablations" ]
 
 let test_fig_skew_byte_identical () =
   (* The merge-granularity grid fans its workload x level cells across
