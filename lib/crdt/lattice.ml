@@ -1,10 +1,3 @@
-module Max_int = struct
-  type t = int
-
-  let bottom = min_int
-  let merge = Stdlib.max
-end
-
 module Sset = Set.Make (String)
 
 module Gset = struct

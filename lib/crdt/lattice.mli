@@ -4,13 +4,6 @@
     eventually consistent merges. Each module provides a commutative,
     associative, idempotent [merge]. *)
 
-module Max_int : sig
-  type t = int
-
-  val bottom : t
-  val merge : t -> t -> t
-end
-
 module Gset : sig
   type t
 

@@ -248,5 +248,3 @@ let submit t ~node txn cb =
     { origin = node; seq = t.seq; txn; submit_time = Sim.now t.sim; cb }
   in
   t.nodes.(node).batch <- entry :: t.nodes.(node).batch
-
-let wan_bytes t = Net.wan_bytes t.net

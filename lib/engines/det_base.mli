@@ -35,6 +35,3 @@ type t
 
 val create : Gg_sim.Net.t -> Engine.config -> strategy -> t
 val submit : t -> node:int -> Gg_workload.Op.txn -> (Engine.outcome -> unit) -> unit
-
-val wan_bytes : t -> int
-(** Input-replication WAN traffic so far (also visible via the net). *)

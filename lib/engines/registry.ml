@@ -34,5 +34,3 @@ let find name =
     invalid_arg
       (Printf.sprintf "unknown engine %S (known: %s)" name
          (String.concat " " names))
-
-let mem name = List.mem_assoc name entries

@@ -31,6 +31,3 @@ val names : string list
 val find : string -> impl
 (** Look an engine up by name. @raise Invalid_argument on an unknown
     name, listing every known engine in the message. *)
-
-val mem : string -> bool
-(** [mem name] is [true] iff [name] is registered. *)

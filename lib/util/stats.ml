@@ -28,7 +28,6 @@ module Acc = struct
   let count t = t.count
   let mean t = if t.count = 0 then 0.0 else t.mean
   let variance t = if t.count < 2 then 0.0 else t.m2 /. float_of_int (t.count - 1)
-  let stddev t = sqrt (variance t)
   let min t = t.min
   let max t = t.max
   let total t = t.total

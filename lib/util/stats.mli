@@ -13,7 +13,6 @@ module Acc : sig
   (** 0 when empty. *)
 
   val variance : t -> float
-  val stddev : t -> float
   val min : t -> float
   (** [nan] when empty. *)
 
