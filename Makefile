@@ -72,10 +72,11 @@ ci: fmt
 	dune exec bin/geogauss_cli.exe -- check --canary
 # Seeded outputs against GOLDEN.sha256 (bench/golden.sh): names every
 # output whose digest moved. A change that moves outputs on purpose
-# regenerates the file with `make golden`. Every number the fig_scale,
-# fig_skew and fig_fastpath suites report is simulated, so their --fast
-# stdout and BENCH_*.json are pinned here exactly; the committed
-# full-mode BENCH_*.json files are figures, not gates.
+# regenerates the file with `make golden`. Every number an experiment
+# suite reports is simulated, so each suite's stdout (and the
+# BENCH_*.json of fig_scale, fig_skew and fig_fastpath) is pinned here
+# exactly; the committed full-mode BENCH_*.json files are figures, not
+# gates.
 	@t0=$$(date +%s.%N); \
 	JOBS=$(JOBS) sh bench/golden.sh check $(PINNED_SWEEPS) || exit 1; \
 	awk -v a="$$t0" -v b="$$(date +%s.%N)" 'BEGIN { printf "ci: golden step %.1fs\n", b-a }'
