@@ -396,6 +396,92 @@ let prop_op_exec_rc_reads_differential =
       | Error a, Error b -> String.equal a b
       | Ok _, Error _ | Error _, Ok _ -> false)
 
+(* The op executor and the SQL executor are two front ends over one
+   transaction: the same key-level ops, run once through [Op_exec.exec]
+   and once as the equivalent statements in one [Executor.Ctx], give the
+   same write-set records in the same order and the same read set, with
+   the read set and column tracking each off and on. The ops are drawn
+   against a model of the visible rows, so every one is accepted: [Add]
+   and [Delete] hit a visible row, [Insert] an absent one. [Write] has
+   no SQL form and is left out. *)
+let prop_op_exec_matches_sql =
+  let n_keys = 6 and n_loaded = 4 in
+  let ops_of draws =
+    let visible = Array.init n_keys (fun k -> k < n_loaded) in
+    List.filter_map
+      (fun (kind, k, x) ->
+        let table = "kv" and key = [| Value.Int k |] in
+        match kind with
+        | 0 -> Some (Op.Read { table; key })
+        | 1 when visible.(k) -> Some (Op.Add { table; key; col = 1; delta = x })
+        | 2 when not visible.(k) ->
+          visible.(k) <- true;
+          Some
+            (Op.Insert
+               { table; key; data = [| Value.Int k; Value.Int x; Value.Str "i" |] })
+        | 3 when visible.(k) ->
+          visible.(k) <- false;
+          Some (Op.Delete { table; key })
+        | _ -> None)
+      draws
+  in
+  let stmt_of = function
+    | Op.Read { key; _ } -> ("SELECT * FROM kv WHERE k = ?", key)
+    | Op.Add { key; delta; _ } ->
+      ("UPDATE kv SET v = v + ? WHERE k = ?", [| Value.Int delta; key.(0) |])
+    | Op.Insert { data; _ } -> ("INSERT INTO kv (k, v, pad) VALUES (?, ?, ?)", data)
+    | Op.Delete { key; _ } -> ("DELETE FROM kv WHERE k = ?", key)
+    | Op.Write _ -> invalid_arg "Write has no SQL form"
+  in
+  let outcome reads writes =
+    ( reads,
+      List.map
+        (fun r -> Gg_crdt.Writeset.(r.table, key_str r, r.key, r.op, r.data, r.cols))
+        writes )
+  in
+  let via_ops ~record_reads ~track_cols ops =
+    let db = Gg_storage.Db.create () in
+    kv_load n_loaded db;
+    match Op_exec.exec ~record_reads ~col_mask:track_cols db (Op.make ops) with
+    | Ok { Op_exec.reads; writes } -> Ok (outcome reads writes)
+    | Error m -> Error m
+  in
+  let via_sql ~record_reads ~track_cols ops =
+    let db = Gg_storage.Db.create () in
+    kv_load n_loaded db;
+    let ctx = Gg_sql.Executor.Ctx.create ~record_reads ~track_cols db in
+    let rec go = function
+      | [] ->
+        Ok
+          (outcome
+             (Gg_sql.Executor.Ctx.read_set ctx)
+             (Gg_sql.Executor.Ctx.writeset_records ctx))
+      | op :: rest -> (
+        let sql, params = stmt_of op in
+        match Gg_sql.Executor.exec_sql ctx sql ~params with
+        | Ok _ -> go rest
+        | Error m -> Error m)
+    in
+    go ops
+  in
+  QCheck.Test.make ~name:"op_exec = SQL statements in one Executor.Ctx" ~count:500
+    (QCheck.make
+       ~print:(fun draws -> Read_model.print (ops_of draws))
+       QCheck.Gen.(
+         list_size (int_range 1 24)
+           (triple (int_range 0 3) (int_range 0 (n_keys - 1)) (int_range 1 9))))
+    (fun draws ->
+      let ops = ops_of draws in
+      List.for_all
+        (fun (record_reads, track_cols) ->
+          match
+            (via_ops ~record_reads ~track_cols ops, via_sql ~record_reads ~track_cols ops)
+          with
+          | Ok a, Ok b -> a = b
+          | Error m, _ | _, Error m ->
+            QCheck.Test.fail_reportf "rejected (%s), model accepts" m)
+        [ (false, false); (false, true); (true, false); (true, true) ])
+
 let test_op_exec_rc_read_unknown_table () =
   let db = fresh_db () in
   let t =
@@ -1839,6 +1925,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_op_exec_read_set_model;
           QCheck_alcotest.to_alcotest prop_op_exec_reads_off;
           QCheck_alcotest.to_alcotest prop_op_exec_rc_reads_differential;
+          QCheck_alcotest.to_alcotest prop_op_exec_matches_sql;
           Alcotest.test_case "RC read of unknown table fails" `Quick
             test_op_exec_rc_read_unknown_table;
         ] );
