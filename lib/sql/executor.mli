@@ -3,7 +3,8 @@
     The executor runs statements against a replica's {!Gg_storage.Db}
     while accumulating the transaction's write set (buffered writes with
     read-your-writes semantics) and, when asked, its read set (row
-    versions observed).
+    versions observed). {!Ctx} is the one transaction buffer: the
+    key-level front end ([Geogauss.Op_exec]) runs its ops on it too.
     Nothing touches the shared tables until the OCC write-back phase; the
     write set produced here is exactly what GeoGauss ships to its
     peers. *)
@@ -29,8 +30,9 @@ module Ctx : sig
       write set for column-level merge: a [SET] list covering only
       maskable columns produces a masked record
       ({!Gg_crdt.Writeset.record.cols}); coalesced updates take the
-      union of their masks, and any whole-row write (INSERT-over-delete,
-      re-insert) widens to {!Gg_crdt.Column.full}. Off, every record
+      union of their masks, and any whole-row write (an INSERT over an
+      own DELETE, say) widens to {!Gg_crdt.Column.full} ({!write} is the
+      one coalescing rule). Off, every record
       carries the full mask — the pre-column wire stream, byte for
       byte. *)
 
@@ -45,13 +47,57 @@ module Ctx : sig
       statement keeps are recorded (after its WHERE), never the own
       inserts of the transaction.
 
-      The (table, key) dedup index is built only when a repeat is
-      possible. A statement that visits each committed row at most once
-      (every single-table SELECT path, and the target rows of UPDATE
-      and DELETE) appends its reads unprobed when no earlier statement
+      A read is checked against the reads already recorded by a linear
+      scan while there are fewer than 16 of them, and against a (table,
+      key) index, built at the first check past that, from then on. A
+      statement that visits each committed row at most once (every
+      single-table SELECT path, and the target rows of UPDATE and
+      DELETE) appends its reads unchecked when no earlier statement
       recorded one. The first later read (the next statement's, or a
-      join's nested loop, which can meet a row once per partner) indexes
-      those reads and then probes. *)
+      join's nested loop, which can meet a row once per partner) checks
+      against them all. *)
+
+  val recorder :
+    t -> table:string -> key_str:string -> header:Gg_storage.Row_header.t -> unit
+  (** The read recorder: [recorder t ~table ~key_str ~header] records a
+      read of the committed row [key_str] of [table], whose header is
+      [header], into {!read_set}; a no-op unless the context records
+      reads. *)
+
+  val lookup :
+    t ->
+    Gg_storage.Table.t ->
+    table:string ->
+    key_str:string ->
+    [ `Own of Gg_storage.Value.t array | `Base of Gg_storage.Table.entry | `Absent ]
+  (** A key's row under the read-your-writes overlay ([Gg_storage.Table.t]
+      is [table]'s): [`Own data] when this transaction wrote it, [`Base]
+      when the committed row shows through, [`Absent] when neither
+      (deleted by this transaction, or no live row). Probes no hash
+      table before the first buffered write. *)
+
+  val write :
+    t ->
+    table:string ->
+    key:Gg_storage.Value.t array ->
+    key_str:string ->
+    existed:bool ->
+    ?cols:int ->
+    Gg_storage.Value.t array option ->
+    unit
+  (** Buffer a write of [key] in [table]: [Some data] writes the row,
+      [None] deletes it. Every write of both front ends goes through
+      this one coalescing rule. A key's first write becomes an [Update]
+      when [existed] (a committed row is live under the key), an
+      [Insert] otherwise, or a [Delete]; [existed] is ignored for later
+      writes of the key. Later writes coalesce into the first, in its
+      place in the write order: a delete of an own insert cancels it, a
+      delete of a committed row becomes a [Delete]; a row written over
+      anything (an own delete or a cancelled insert too) becomes an
+      [Update] of the committed row or an [Insert], last data wins.
+      [cols] (default {!Gg_crdt.Column.full}) is the written columns;
+      only an update of a committed row keeps a mask, and coalesced
+      writes take the union. *)
 
   val writeset_records : t -> Gg_crdt.Writeset.record list
   (** Net effect of the buffered writes, in first-write order.
