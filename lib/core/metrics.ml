@@ -28,9 +28,8 @@ type t = {
   fp_mispredict : Obs.Counter.t;
 }
 
-(* Clear the state that lives outside the instrument registry; the
-   instruments themselves are zeroed either by [reset] (standalone use)
-   or by [Obs.reset_all] (registry use). *)
+(* Clear the state that lives outside the instrument registry;
+   [Obs.reset_all] zeroes the instruments and runs this hook. *)
 let reset_tables t =
   t.parse <- Stats.Acc.create ();
   t.exec <- Stats.Acc.create ();
@@ -39,20 +38,10 @@ let reset_tables t =
   t.log <- Stats.Acc.create ();
   Hashtbl.reset t.per_epoch
 
-let create ?obs ?id () =
-  let prefix =
-    match id with Some i -> Printf.sprintf "node%d." i | None -> "node."
-  in
-  let counter name =
-    match obs with
-    | Some o -> Obs.counter o (prefix ^ name)
-    | None -> Obs.Counter.make (prefix ^ name)
-  in
-  let histogram name =
-    match obs with
-    | Some o -> Obs.histogram o (prefix ^ name)
-    | None -> Obs.Histogram.make (prefix ^ name)
-  in
+let create ~obs ~id =
+  let name n = Printf.sprintf "node%d.%s" id n in
+  let counter n = Obs.counter obs (name n) in
+  let histogram n = Obs.histogram obs (name n) in
   let t =
     {
       started = counter "txn.started";
@@ -79,9 +68,7 @@ let create ?obs ?id () =
       fp_mispredict = counter "fastpath.mispredict";
     }
   in
-  (match obs with
-  | Some o -> Obs.on_reset o (fun () -> reset_tables t)
-  | None -> ());
+  Obs.on_reset obs (fun () -> reset_tables t);
   t
 
 let record_start t = Obs.Counter.incr t.started
@@ -156,21 +143,3 @@ let phase_means_us t =
 let epoch_cells t =
   Hashtbl.fold (fun cen cell acc -> (cen, cell) :: acc) t.per_epoch []
   |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
-
-let reset t =
-  Obs.Counter.reset t.started;
-  Obs.Counter.reset t.committed;
-  Obs.Counter.reset t.aborted;
-  Obs.Counter.reset t.ab_constraint;
-  Obs.Counter.reset t.ab_read;
-  Obs.Counter.reset t.ab_write;
-  Obs.Counter.reset t.ab_ssi;
-  Obs.Counter.reset t.ab_deleted;
-  Obs.Counter.reset t.ab_failure;
-  Obs.Histogram.reset t.latency;
-  Obs.Histogram.reset t.commit_latency;
-  Obs.Counter.reset t.merged_records;
-  Obs.Counter.reset t.fp_spec;
-  Obs.Counter.reset t.fp_confirm;
-  Obs.Counter.reset t.fp_mispredict;
-  reset_tables t

@@ -5,12 +5,12 @@ type epoch_cell = { mutable committed : int; latency : Gg_util.Stats.Acc.t }
 
 type t
 
-val create : ?obs:Gg_obs.Obs.t -> ?id:int -> unit -> t
-(** With [?obs], counts and latency histograms live in the registry
-    under ["node<id>.txn.*"] / ["node<id>.merge.records"] names (so
-    {!Gg_obs.Obs.reset_all} zeroes them and JSONL snapshots include
-    them); without it they are standalone instruments with identical
-    behaviour. *)
+val create : obs:Gg_obs.Obs.t -> id:int -> t
+(** Counts and latency histograms live in [obs]'s registry under
+    ["node<id>.txn.*"] / ["node<id>.merge.records"] /
+    ["node<id>.fastpath.*"] names, so {!Gg_obs.Obs.reset_all} zeroes
+    them (and clears the phase means and epoch cells, at the end of
+    warm-up) and JSONL snapshots include them. *)
 
 val record_start : t -> unit
 val record_outcome : t -> Txn.outcome -> unit
@@ -58,6 +58,3 @@ val phase_means_us : t -> float * float * float * float * float
 
 val epoch_cells : t -> (int * epoch_cell) list
 (** Sorted by epoch. *)
-
-val reset : t -> unit
-(** Clear everything (end of warm-up). *)

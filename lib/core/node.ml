@@ -83,7 +83,7 @@ let cores = 32
 
 let create env ~id ~db =
   let obs = Sim.obs env.sim in
-  let metrics = Metrics.create ~obs ~id () in
+  let metrics = Metrics.create ~obs ~id in
   {
     id;
     env;

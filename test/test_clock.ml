@@ -180,7 +180,7 @@ let make_stage ?(params = fastpath_params) ?(partitioning = Params.P_none) ()
   Fastpath.create params
     ~clock:(Clock.create ~seed:1 ~topology:topo ~bound_us)
     ~part:(Geogauss.Partitioning.make ~topology:topo ~epoch_us partitioning)
-    ~obs:(Gg_obs.Obs.create ()) ~metrics:(Geogauss.Metrics.create ()) ~node:0
+    ~obs:(Gg_obs.Obs.create ()) ~metrics:(Geogauss.Metrics.create ~obs:(Gg_obs.Obs.create ()) ~id:0) ~node:0
 
 let stage () =
   match make_stage () with

@@ -1682,8 +1682,10 @@ let ph ~parse ~exec ~wait ~merge ~log =
   { Txn.parse_us = parse; exec_us = exec; wait_us = wait; merge_us = merge;
     log_us = log }
 
+let fresh_metrics () = Metrics.create ~obs:(Gg_obs.Obs.create ()) ~id:0
+
 let test_metrics_phase_means () =
-  let m = Metrics.create () in
+  let m = fresh_metrics () in
   Metrics.record_phases m (ph ~parse:100 ~exec:200 ~wait:300 ~merge:400 ~log:500);
   Metrics.record_phases m (ph ~parse:300 ~exec:400 ~wait:500 ~merge:600 ~log:700);
   let p, e, w, g, l = Metrics.phase_means_us m in
@@ -1695,7 +1697,7 @@ let test_metrics_phase_means () =
   chk "log" 600.0 l
 
 let test_metrics_epoch_cells_sorted () =
-  let m = Metrics.create () in
+  let m = fresh_metrics () in
   Metrics.record_epoch_commit m ~cen:7 ~latency_us:10;
   Metrics.record_epoch_commit m ~cen:3 ~latency_us:20;
   Metrics.record_epoch_commit m ~cen:7 ~latency_us:30;
@@ -1709,7 +1711,7 @@ let test_metrics_epoch_cells_sorted () =
     (Gg_util.Stats.Acc.mean c7.Metrics.latency)
 
 let test_metrics_abort_reason_pooling () =
-  let m = Metrics.create () in
+  let m = fresh_metrics () in
   let ab reason =
     Metrics.record_outcome m (Txn.Aborted { latency_us = 5; reason })
   in
@@ -1726,34 +1728,32 @@ let test_metrics_abort_reason_pooling () =
   Alcotest.(check int) "aborted total" 3 (Metrics.aborted m);
   Alcotest.(check int) "committed total" 1 (Metrics.committed m)
 
-let test_metrics_reset () =
-  let m = Metrics.create () in
+(* Every count, the latency histogram, the phase means and the epoch
+   cells are zeroed by the registry's reset (the end of warm-up). *)
+let test_metrics_registry_reset_all () =
+  let obs = Gg_obs.Obs.create () in
+  let m = Metrics.create ~obs ~id:0 in
   Metrics.record_start m;
   Metrics.record_outcome m (Txn.Committed { latency_us = 1_000; results = [] });
+  Metrics.record_outcome m
+    (Txn.Aborted { latency_us = 5; reason = Txn.Cross_abort });
   Metrics.record_phases m (ph ~parse:10 ~exec:20 ~wait:30 ~merge:40 ~log:50);
   Metrics.record_epoch_commit m ~cen:1 ~latency_us:10;
   Metrics.record_merged_records m 5;
-  Metrics.reset m;
+  Gg_obs.Obs.reset_all obs;
   Alcotest.(check int) "started" 0 (Metrics.started m);
-  Alcotest.(check int) "committed" 0 (Metrics.committed m);
+  Alcotest.(check int) "committed zeroed via registry" 0 (Metrics.committed m);
+  Alcotest.(check int) "aborted" 0 (Metrics.aborted m);
+  Alcotest.(check int) "cross-partition aborts" 0
+    (Metrics.aborted_by m Txn.Cross_abort);
   Alcotest.(check int) "merged records" 0 (Metrics.merged_records m);
   Alcotest.(check int)
     "latency histogram emptied" 0
     (Gg_util.Stats.Hist.count (Metrics.latency m));
-  Alcotest.(check (list int)) "epoch cells dropped" []
-    (List.map fst (Metrics.epoch_cells m));
-  let p, _, _, _, l = Metrics.phase_means_us m in
-  Alcotest.(check (float 1e-6)) "phase means cleared" 0.0 (p +. l)
-
-let test_metrics_registry_reset_all () =
-  let obs = Gg_obs.Obs.create () in
-  let m = Metrics.create ~obs ~id:0 () in
-  Metrics.record_outcome m (Txn.Committed { latency_us = 7; results = [] });
-  Metrics.record_epoch_commit m ~cen:2 ~latency_us:5;
-  Gg_obs.Obs.reset_all obs;
-  Alcotest.(check int) "committed zeroed via registry" 0 (Metrics.committed m);
   Alcotest.(check (list int)) "epoch table cleared via hook" []
     (List.map fst (Metrics.epoch_cells m));
+  let p, _, _, _, l = Metrics.phase_means_us m in
+  Alcotest.(check (float 1e-6)) "phase means cleared" 0.0 (p +. l);
   Metrics.record_outcome m (Txn.Committed { latency_us = 7; results = [] });
   Alcotest.(check int)
     "counts surface under registry name" 1
@@ -2050,7 +2050,6 @@ let () =
           Alcotest.test_case "phase means" `Quick test_metrics_phase_means;
           Alcotest.test_case "epoch cells sorted" `Quick test_metrics_epoch_cells_sorted;
           Alcotest.test_case "abort reason pooling" `Quick test_metrics_abort_reason_pooling;
-          Alcotest.test_case "reset clears everything" `Quick test_metrics_reset;
           Alcotest.test_case "registry reset_all" `Quick test_metrics_registry_reset_all;
         ] );
     ]
