@@ -257,7 +257,6 @@ let create ?(params = Params.default) ?(jitter_frac = 0.05) ?(loss = 0.0)
       ~rng:(Gg_util.Rng.create (params.Params.seed + 17))
       ~apply:(fun ~node:_ ~index:_ data ->
         match !tref with Some t -> apply_view_change t data | None -> ())
-      ()
   in
   let t =
     {

@@ -16,7 +16,6 @@ module Lww = struct
   type t = { ts : int; node : int; value : string }
 
   let make ~ts ~node ~value = { ts; node; value }
-  let bottom = { ts = min_int; node = min_int; value = "" }
 
   let merge a b =
     if a.ts > b.ts then a

@@ -21,7 +21,6 @@ module Lww : sig
   (** Last-writer-wins register ordered by (ts, node). *)
 
   val make : ts:int -> node:int -> value:string -> t
-  val bottom : t
   val merge : t -> t -> t
   val equal : t -> t -> bool
 end

@@ -162,9 +162,12 @@ let write_trace ~path ~label ~params ~topology ~nodes ~warmup_ms ~measure_ms
     snapshots;
   close_out oc
 
+(* Period of a traced run's counter snapshots. *)
+let snapshot_every_ms = 100
+
 let run_geogauss ?(params = Geogauss.Params.default) ?(connections = 256)
-    ?arrival ?req_gen ?trace_file ?(snapshot_every_ms = 100) ~topology ~load
-    ~gen ~warmup_ms ~measure_ms ~label () =
+    ?arrival ?req_gen ?trace_file ~topology ~load ~gen ~warmup_ms ~measure_ms
+    ~label () =
   let cluster = Geogauss.Cluster.create ~params ~topology ~load () in
   let n = Topology.n_nodes topology in
   let obs = Geogauss.Cluster.obs cluster in
@@ -202,7 +205,7 @@ let run_geogauss ?(params = Geogauss.Params.default) ?(connections = 256)
   let window_start_us = Sim.now (Geogauss.Cluster.sim cluster) in
   let snapshots = ref [] in
   (match trace_file with
-  | Some _ when snapshot_every_ms > 0 ->
+  | Some _ ->
     let sim = Geogauss.Cluster.sim cluster in
     let measure_end = Sim.now sim + Sim.ms measure_ms in
     let rec snap () =
@@ -211,7 +214,7 @@ let run_geogauss ?(params = Geogauss.Params.default) ?(connections = 256)
         Sim.schedule sim ~after:(Sim.ms snapshot_every_ms) snap
     in
     Sim.schedule sim ~after:(Sim.ms snapshot_every_ms) snap
-  | _ -> ());
+  | None -> ());
   Geogauss.Cluster.run_for_ms cluster measure_ms;
   (* Final snapshot at the window end: the WAN report reads the closing
      counter values from here. *)

@@ -12,9 +12,9 @@
     whole run (the warm-up reset clears the buffer, so the file covers
     the measurement window only) and writes a JSONL file next to the
     other results: one [meta] record, one [event] record per trace
-    event, and a [snapshot] record of all counters every
-    [?snapshot_every_ms] (default 100, [0] disables). Identical seeded
-    runs produce byte-identical files. *)
+    event, and a [snapshot] record of all counters every 100 ms of
+    simulated time. Identical seeded runs produce byte-identical
+    files. *)
 
 type workload_gen = int -> unit -> Gg_workload.Op.txn
 (** [gen node] returns that node's transaction generator. *)
@@ -100,7 +100,6 @@ val run_geogauss :
   ?arrival:Gg_workload.Arrival.t ->
   ?req_gen:request_gen ->
   ?trace_file:string ->
-  ?snapshot_every_ms:int ->
   topology:Gg_sim.Topology.t ->
   load:(Gg_storage.Db.t -> unit) ->
   gen:workload_gen ->

@@ -40,8 +40,6 @@ type t = {
   rng : Gg_util.Rng.t;
   n : int;
   nodes : node array;
-  heartbeat_us : int;
-  election_timeout_us : int;
   apply : node:int -> index:int -> string -> unit;
 }
 
@@ -58,8 +56,12 @@ let msg_kind = function
   | Append _ -> "append"
   | Append_ack _ -> "append.ack"
 
-let create net ~rng ?(heartbeat_us = 50_000) ?(election_timeout_us = 300_000)
-    ~apply () =
+(* Leader heartbeat period and base election timeout (randomized up to
+   2x). *)
+let heartbeat_us = 50_000
+let election_timeout_us = 300_000
+
+let create net ~rng ~apply =
   let n = Net.n_nodes net in
   let nodes =
     Array.init n (fun id ->
@@ -78,7 +80,7 @@ let create net ~rng ?(heartbeat_us = 50_000) ?(election_timeout_us = 300_000)
           timeout = election_timeout_us;
         })
   in
-  { sim = Net.sim net; net; rng; n; nodes; heartbeat_us; election_timeout_us; apply }
+  { sim = Net.sim net; net; rng; n; nodes; apply }
 
 let n_nodes t = t.n
 
@@ -91,7 +93,7 @@ let log_term_at nd idx =
   else -1
 
 let fresh_timeout t =
-  t.election_timeout_us + Gg_util.Rng.int t.rng t.election_timeout_us
+  election_timeout_us + Gg_util.Rng.int t.rng election_timeout_us
 
 let is_down t id = Net.is_down t.net id
 
@@ -190,7 +192,7 @@ and become_leader t nd =
   schedule_heartbeat t nd nd.term
 
 and schedule_heartbeat t nd term =
-  Sim.schedule t.sim ~after:t.heartbeat_us (fun () ->
+  Sim.schedule t.sim ~after:heartbeat_us (fun () ->
       if nd.role = Leader && nd.term = term && not (is_down t nd.id) then begin
         broadcast_append t nd;
         schedule_heartbeat t nd term

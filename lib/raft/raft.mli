@@ -19,15 +19,12 @@ type t
 val create :
   Gg_sim.Net.t ->
   rng:Gg_util.Rng.t ->
-  ?heartbeat_us:int ->
-  ?election_timeout_us:int ->
   apply:(node:int -> index:int -> string -> unit) ->
-  unit ->
   t
 (** One Raft peer per network node. [apply] fires on every node as
     entries commit, in log order, exactly once per (node, index).
-    Defaults: 50 ms heartbeat, 300 ms base election timeout (randomized
-    up to 2x). *)
+    Leaders heartbeat every 50 ms; the base election timeout is 300 ms,
+    randomized up to 2x. *)
 
 val start : t -> unit
 (** Arm timers. Call once before running the simulation. *)

@@ -290,7 +290,6 @@ let traced_run path =
   in
   let r, _ =
     Gg_harness.Driver.run_geogauss ~connections:8 ~trace_file:path
-      ~snapshot_every_ms:100
       ~topology:(Gg_sim.Topology.china3 ())
       ~load:(Gg_workload.Ycsb.load profile)
       ~gen:(Gg_harness.Driver.ycsb_gens profile ~seed:11)
@@ -352,7 +351,6 @@ let traced_run_custom ?(warmup_ms = 200) ?(fastpath = false) path =
   in
   let r, _ =
     Gg_harness.Driver.run_geogauss ~params ~connections:8 ~trace_file:path
-      ~snapshot_every_ms:100
       ~topology:(Gg_sim.Topology.china3 ())
       ~load:(Gg_workload.Ycsb.load profile)
       ~gen:(Gg_harness.Driver.ycsb_gens profile ~seed:11)

@@ -27,7 +27,7 @@ let make ?(n = 3) ?(topo = `Local) ?(seed = 7) () =
     let l = Hashtbl.find applied node in
     l := (index, data) :: !l
   in
-  let raft = Raft.create net ~rng:(Gg_util.Rng.create (seed + 1)) ~apply () in
+  let raft = Raft.create net ~rng:(Gg_util.Rng.create (seed + 1)) ~apply in
   Raft.start raft;
   { sim; net; raft; applied }
 
