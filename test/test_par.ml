@@ -122,10 +122,8 @@ let tiny_setting =
     measure_ms = 200;
   }
 
-let experiment_tables ~pool name =
-  match
-    Gg_harness.Experiments.tables ~pool ~setting:tiny_setting ~fast:true name
-  with
+let experiment_tables ?(fast = true) ~pool name =
+  match Gg_harness.Experiments.tables ~pool ~setting:tiny_setting ~fast name with
   | Some ts -> String.concat "\n" ts
   | None -> Alcotest.fail ("unknown experiment " ^ name)
 
@@ -133,15 +131,20 @@ let test_experiments_byte_identical () =
   (* One suite per grid shape: fig5's rows of unequal length (TPC-C
      runs 7 systems, each YCSB mix 11), fig7's and fig8's tables of
      rows of cells, fig9's per-workload sweeps and the two tables
-     ablations builds from one wave. *)
+     ablations builds from one wave; and fig7 in full mode, whose second
+     delay splits its rows per delay. *)
   List.iter
-    (fun name ->
-      let sequential = experiment_tables ~pool:Pool.seq name in
+    (fun (name, fast) ->
+      let sequential = experiment_tables ~fast ~pool:Pool.seq name in
       let parallel =
-        Pool.with_pool ~jobs:4 (fun pool -> experiment_tables ~pool name)
+        Pool.with_pool ~jobs:4 (fun pool -> experiment_tables ~fast ~pool name)
       in
-      Alcotest.(check string) (name ^ " tables") sequential parallel)
-    [ "fig5"; "fig7"; "fig8"; "fig9"; "ablations" ]
+      let mode = if fast then "" else " (full mode)" in
+      Alcotest.(check string) (name ^ mode ^ " tables") sequential parallel)
+    [
+      ("fig5", true); ("fig7", true); ("fig8", true); ("fig9", true);
+      ("ablations", true); ("fig7", false);
+    ]
 
 let test_fig_skew_byte_identical () =
   (* The merge-granularity grid fans its workload x level cells across
