@@ -34,11 +34,10 @@ module Ctx = struct
     track_cols : bool;  (* capture UPDATE column masks for column merge *)
     record_reads : bool;  (* off: every recorder is a no-op *)
     mutable reads_rev : read_record list;
-    mutable n_reads : int;
-    mutable unindexed : int;
-        (* the newest [unindexed] reads are not in [read_keys] yet *)
+    mutable n_reads : int;  (* length of [reads_rev] *)
     mutable read_keys : unit Str_tbl.t Str_tbl.t option;
-        (* table -> keys read; built at the first hashed repeat check *)
+        (* table -> keys read: built at the first repeat check past
+           [dedup_linear_max] reads, kept up to date from then on *)
     writes : (string * string, write_buf) Hashtbl.t;
     mutable write_order_rev : write_buf list;
     mutable written_tables : string list;  (* tables with a buffered write *)
@@ -51,7 +50,6 @@ module Ctx = struct
       record_reads;
       reads_rev = [];
       n_reads = 0;
-      unindexed = 0;
       read_keys = None;
       writes = Hashtbl.create 16;
       write_order_rev = [];
@@ -61,40 +59,24 @@ module Ctx = struct
   let db t = t.db
   let track_cols t = t.track_cols
 
-  let push_read t ~table ~key_str ~(header : Gg_storage.Row_header.t) =
-    t.reads_rev <-
-      { r_table = table; r_key_str = key_str; r_csn = header.csn; r_cen = header.cen }
-      :: t.reads_rev;
-    t.n_reads <- t.n_reads + 1;
-    t.unindexed <- t.unindexed + 1
-
-  let table_keys t table =
-    let index =
-      match t.read_keys with
-      | Some index -> index
+  let index_read index r =
+    let keys =
+      match Str_tbl.find_opt index r.r_table with
+      | Some keys -> keys
       | None ->
-        let index = Str_tbl.create 4 in
-        t.read_keys <- Some index;
-        index
+        let keys = Str_tbl.create 16 in
+        Str_tbl.add index r.r_table keys;
+        keys
     in
-    match Str_tbl.find_opt index table with
-    | Some keys -> keys
-    | None ->
-      let keys = Str_tbl.create 16 in
-      Str_tbl.add index table keys;
-      keys
+    Str_tbl.add keys r.r_key_str ()
 
-  let index_pending t =
-    let rec go n = function
-      | r :: rest when n > 0 ->
-        Str_tbl.add (table_keys t r.r_table) r.r_key_str ();
-        go (n - 1) rest
-      | _ -> ()
+  let push_read t ~table ~key_str ~(header : Gg_storage.Row_header.t) =
+    let r =
+      { r_table = table; r_key_str = key_str; r_csn = header.csn; r_cen = header.cen }
     in
-    if t.unindexed > 0 then begin
-      go t.unindexed t.reads_rev;
-      t.unindexed <- 0
-    end
+    t.reads_rev <- r :: t.reads_rev;
+    t.n_reads <- t.n_reads + 1;
+    match t.read_keys with Some index -> index_read index r | None -> ()
 
   (* Reads the repeat check scans linearly, two string compares per
      read already recorded, before it indexes them by (table, key) and
@@ -109,15 +91,24 @@ module Ctx = struct
       (String.equal r.r_key_str key_str && String.equal r.r_table table)
       || mem_read ~table ~key_str rest
 
+  let read_index t =
+    match t.read_keys with
+    | Some index -> index
+    | None ->
+      let index = Str_tbl.create 4 in
+      List.iter (index_read index) t.reads_rev;
+      t.read_keys <- Some index;
+      index
+
   let record_read t ~table ~key_str ~header =
     (* Keep the first observation of each row: RR compares the commit-time
        version against the first read. *)
     let seen =
       if t.n_reads < dedup_linear_max then mem_read ~table ~key_str t.reads_rev
-      else begin
-        index_pending t;
-        Str_tbl.mem (table_keys t table) key_str
-      end
+      else
+        match Str_tbl.find_opt (read_index t) table with
+        | Some keys -> Str_tbl.mem keys key_str
+        | None -> false
     in
     if not seen then push_read t ~table ~key_str ~header
 
