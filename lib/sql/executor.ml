@@ -28,6 +28,17 @@ type write_buf = {
 
 module Str_tbl = Hashtbl.Make (String)
 
+(* Buffered writes by (table, encoded key). The pair hashes as the
+   generic [Hashtbl] hashes it, so the iteration order a scan's own
+   inserts follow is the generic table's; equality compares the two
+   strings instead of calling polymorphic compare. *)
+module Row_tbl = Hashtbl.Make (struct
+  type t = string * string
+
+  let equal (t1, k1) (t2, k2) = String.equal k1 k2 && String.equal t1 t2
+  let hash = Hashtbl.hash
+end)
+
 module Ctx = struct
   type t = {
     db : Db.t;
@@ -38,7 +49,7 @@ module Ctx = struct
     mutable read_keys : unit Str_tbl.t Str_tbl.t option;
         (* table -> keys read: built at the first repeat check past
            [dedup_linear_max] reads, kept up to date from then on *)
-    writes : (string * string, write_buf) Hashtbl.t;
+    writes : write_buf Row_tbl.t;
     mutable write_order_rev : write_buf list;
     mutable written_tables : string list;  (* tables with a buffered write *)
   }
@@ -51,7 +62,7 @@ module Ctx = struct
       reads_rev = [];
       n_reads = 0;
       read_keys = None;
-      writes = Hashtbl.create 16;
+      writes = Row_tbl.create 16;
       write_order_rev = [];
       written_tables = [];
     }
@@ -133,9 +144,13 @@ module Ctx = struct
   let find_write t ~table ~key_str =
     match t.write_order_rev with
     | [] -> None
-    | _ :: _ -> Hashtbl.find_opt t.writes (table, key_str)
+    | _ :: _ -> Row_tbl.find_opt t.writes (table, key_str)
 
-  let wrote_table t table = List.mem table t.written_tables
+  let rec mem_string s = function
+    | [] -> false
+    | x :: rest -> String.equal x s || mem_string s rest
+
+  let wrote_table t table = mem_string table t.written_tables
 
   let lookup t tbl ~table ~key_str =
     match find_write t ~table ~key_str with
@@ -171,7 +186,7 @@ module Ctx = struct
           w_dead = false;
         }
       in
-      Hashtbl.replace t.writes (table, key_str) w;
+      Row_tbl.replace t.writes (table, key_str) w;
       t.write_order_rev <- w :: t.write_order_rev;
       if not (wrote_table t table) then t.written_tables <- table :: t.written_tables
     | Some w, None ->
@@ -272,7 +287,7 @@ let visible_rows ctx table access ~params ~keep ~committed ~own =
   (* This txn's live writes on [tname], in the write table's order. *)
   let iter_own_writes g =
     if written then
-      Hashtbl.iter
+      Row_tbl.iter
         (fun (t, _) w ->
           if t = tname && (not w.w_dead) && w.w_op <> Writeset.Delete then g w)
         ctx.Ctx.writes
