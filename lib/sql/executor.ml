@@ -289,7 +289,7 @@ let visible_rows ctx table access ~params ~keep ~committed ~own =
     if written then
       Row_tbl.iter
         (fun (t, _) w ->
-          if t = tname && (not w.w_dead) && w.w_op <> Writeset.Delete then g w)
+          if String.equal t tname && (not w.w_dead) && w.w_op <> Writeset.Delete then g w)
         ctx.Ctx.writes
   in
   let own_inserts pred =
