@@ -70,8 +70,9 @@ module Ctx : sig
     table:string ->
     key_str:string ->
     [ `Own of Gg_storage.Value.t array | `Base of Gg_storage.Table.entry | `Absent ]
-  (** A key's row under the read-your-writes overlay ([Gg_storage.Table.t]
-      is [table]'s): [`Own data] when this transaction wrote it, [`Base]
+  (** A key's row under the read-your-writes overlay (the
+      [Gg_storage.Table.t] argument is [table]): [`Own data] when this
+      transaction wrote it, [`Base]
       when the committed row shows through, [`Absent] when neither
       (deleted by this transaction, or no live row). Probes no hash
       table before the first buffered write. *)
