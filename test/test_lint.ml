@@ -259,12 +259,12 @@ let test_isolation_has_one_home () =
         ("isolation read outside Params and Execution:\n"
         ^ String.concat "\n" readers)
 
-(* The write set has one builder in lib/: the transaction buffer in
+(* Write-set records are made in one place in lib/: the transaction buffer in
    [Executor.Ctx] (lib/sql/executor.ml) turns buffered writes into
    records for both front ends, SQL statements and key-level ops, so a
    change to how a write becomes a record touches one place.
    lib/crdt/writeset.ml defines [make_record]. *)
-let test_writeset_records_have_one_builder () =
+let test_writeset_records_made_in_one_place () =
   match src_root () with
   | None -> Alcotest.fail "cannot locate lib/ sources from test cwd"
   | Some root ->
@@ -277,13 +277,13 @@ let test_writeset_records_have_one_builder () =
              else [])
            (read_lines path))
     in
-    let builder = Filename.concat (Filename.concat root "sql") "executor.ml" in
+    let maker = Filename.concat (Filename.concat root "sql") "executor.ml" in
     let home = Filename.concat (Filename.concat root "crdt") "writeset.ml" in
     Alcotest.(check bool) "Executor.Ctx builds the records" true
-      (callers_in builder <> []);
+      (callers_in maker <> []);
     let callers =
       List.concat_map
-        (fun path -> if path = builder || path = home then [] else callers_in path)
+        (fun path -> if path = maker || path = home then [] else callers_in path)
         (ml_files root)
     in
     if callers <> [] then
@@ -393,8 +393,8 @@ let () =
         [
           Alcotest.test_case "isolation has one home in lib/core" `Quick
             test_isolation_has_one_home;
-          Alcotest.test_case "write-set records have one builder in lib" `Quick
-            test_writeset_records_have_one_builder;
+          Alcotest.test_case "write-set records made in one place in lib" `Quick
+            test_writeset_records_made_in_one_place;
           Alcotest.test_case "no stdlib Queue in lib/sim or lib/core" `Quick
             test_no_stdlib_queue;
           Alcotest.test_case "every BENCH artifact has a writer" `Quick
