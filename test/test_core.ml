@@ -1729,8 +1729,9 @@ let test_metrics_abort_reason_pooling () =
   Alcotest.(check int) "committed total" 1 (Metrics.committed m)
 
 (* Every count, the latency histogram, the phase means and the epoch
-   cells are zeroed by the registry's reset (the end of warm-up). *)
-let test_metrics_registry_reset_all () =
+   cells are zeroed by the registry's reset (the end of warm-up), the one
+   way to clear a node's metrics. *)
+let test_metrics_reset () =
   let obs = Gg_obs.Obs.create () in
   let m = Metrics.create ~obs ~id:0 in
   Metrics.record_start m;
@@ -1753,7 +1754,19 @@ let test_metrics_registry_reset_all () =
   Alcotest.(check (list int)) "epoch table cleared via hook" []
     (List.map fst (Metrics.epoch_cells m));
   let p, _, _, _, l = Metrics.phase_means_us m in
-  Alcotest.(check (float 1e-6)) "phase means cleared" 0.0 (p +. l);
+  Alcotest.(check (float 1e-6)) "phase means cleared" 0.0 (p +. l)
+
+(* Counts live in the registry under the node's name, so they survive a
+   reset_all and keep counting there. *)
+let test_metrics_registry_reset_all () =
+  let obs = Gg_obs.Obs.create () in
+  let m = Metrics.create ~obs ~id:0 in
+  Metrics.record_outcome m (Txn.Committed { latency_us = 7; results = [] });
+  Metrics.record_epoch_commit m ~cen:2 ~latency_us:5;
+  Gg_obs.Obs.reset_all obs;
+  Alcotest.(check int) "committed zeroed via registry" 0 (Metrics.committed m);
+  Alcotest.(check (list int)) "epoch table cleared via hook" []
+    (List.map fst (Metrics.epoch_cells m));
   Metrics.record_outcome m (Txn.Committed { latency_us = 7; results = [] });
   Alcotest.(check int)
     "counts surface under registry name" 1
@@ -2050,6 +2063,7 @@ let () =
           Alcotest.test_case "phase means" `Quick test_metrics_phase_means;
           Alcotest.test_case "epoch cells sorted" `Quick test_metrics_epoch_cells_sorted;
           Alcotest.test_case "abort reason pooling" `Quick test_metrics_abort_reason_pooling;
+          Alcotest.test_case "reset clears everything" `Quick test_metrics_reset;
           Alcotest.test_case "registry reset_all" `Quick test_metrics_registry_reset_all;
         ] );
     ]
