@@ -10,9 +10,9 @@ module Table = Gg_storage.Table
 module Csn = Gg_storage.Csn
 module Row_header = Gg_storage.Row_header
 module Writeset = Gg_crdt.Writeset
-module Merge = Gg_crdt.Merge
 module Meta = Gg_crdt.Meta
 module Column = Gg_crdt.Column
+module Rows = Merge_model.Rows
 
 type invariant = Convergence | Monotonicity | Durability | Aci | Isolation
 
@@ -76,73 +76,14 @@ let row_id ~table ~key = String.concat "\x00" [ table; key ]
 
    The merged outcome of an epoch must be independent of delivery order
    and duplication (Lemma 2 / Theorem 1: the per-row winner is the
-   join of a semilattice). Replay the epoch's full batch set — taken
+   join of a semilattice). Join the epoch's full batch set — taken
    from the backup store, which holds exactly what replicas merged —
-   twice over fresh row headers: once as-is, once permuted with a random
-   prefix duplicated. Identical per-row winners or the merge is not a
-   CRDT. *)
-
-let replay_winners txns =
-  let winners : (string, Row_header.t) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (ws : Writeset.t) ->
-      let meta = ws.Writeset.meta in
-      List.iter
-        (fun (r : Writeset.record) ->
-          let id = row_id ~table:r.Writeset.table ~key:(Writeset.key_str r) in
-          let header =
-            match Hashtbl.find_opt winners id with
-            | Some h -> h
-            | None ->
-              let h = Row_header.create () in
-              Hashtbl.replace winners id h;
-              h
-          in
-          ignore (Merge.merge_header header ~meta))
-        ws.Writeset.records)
-    txns;
-  winners
-
-(* Column-mode companion law: the per-(row, column) cell winner under
-   {!Column.join} must also be order- and duplication-independent. The
-   join here runs over every candidate update in the batch set (the
-   oracle does not re-derive the committed set — the lattice law holds
-   for any subset, so candidates are the stronger check). *)
-let replay_cells txns =
-  let cells : (string, Column.cell option array) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  List.iter
-    (fun (ws : Writeset.t) ->
-      let meta = ws.Writeset.meta in
-      List.iter
-        (fun (r : Writeset.record) ->
-          if r.Writeset.op = Writeset.Update then begin
-            let id = row_id ~table:r.Writeset.table ~key:(Writeset.key_str r) in
-            let n = Array.length r.Writeset.data in
-            let arr =
-              match Hashtbl.find_opt cells id with
-              | Some a when Array.length a >= n -> a
-              | Some a ->
-                let a' = Array.make n None in
-                Array.blit a 0 a' 0 (Array.length a);
-                Hashtbl.replace cells id a';
-                a'
-              | None ->
-                let a = Array.make n None in
-                Hashtbl.replace cells id a;
-                a
-            in
-            Array.iteri
-              (fun i v ->
-                if Column.covers ~cols:r.Writeset.cols i then
-                  arr.(i) <-
-                    Some (Column.join_opt arr.(i) (Column.cell ~meta v)))
-              r.Writeset.data
-          end)
-        ws.Writeset.records)
-    txns;
-  cells
+   twice with the reference model's joins: once as-is, once permuted
+   with a random prefix duplicated. Identical per-row winners or the
+   merge is not a CRDT. Under column-level merge the per-(row, column)
+   cell winners must match too; they are joined over every candidate
+   update (the lattice law holds for any subset, so candidates are the
+   stronger check). *)
 
 let check_aci t ~epoch =
   let backup = Cluster.backup t.cluster in
@@ -155,62 +96,48 @@ let check_aci t ~epoch =
       (List.init (Cluster.n_nodes t.cluster) Fun.id)
   in
   if txns <> [] then begin
-    let reference = replay_winners txns in
-    let ref_cells =
-      if t.level = Params.Column then Some (replay_cells txns) else None
-    in
     let arr = Array.of_list txns in
     Rng.shuffle t.replay_rng arr;
     let dup_n = 1 + Rng.int t.replay_rng (Array.length arr) in
     let permuted =
       Array.to_list arr @ Array.to_list (Array.sub arr 0 dup_n)
     in
-    let alt = replay_winners permuted in
-    if Hashtbl.length alt <> Hashtbl.length reference then
-      record t ~invariant:Aci ~epoch ~node:(-1)
-        (Printf.sprintf "replay row count %d <> %d" (Hashtbl.length alt)
-           (Hashtbl.length reference))
+    let aci fmt = Printf.ksprintf (record t ~invariant:Aci ~epoch ~node:(-1)) fmt in
+    let id (table, key) = row_id ~table ~key in
+    let same_csn (a : Meta.t) (b : Meta.t) = Csn.equal a.Meta.csn b.Meta.csn in
+    let reference = Merge_model.join_headers txns in
+    let alt = Merge_model.join_headers permuted in
+    let n = Rows.cardinal reference and n' = Rows.cardinal alt in
+    if n' <> n then aci "replay row count %d <> %d" n' n
     else
-      Hashtbl.iter
-        (fun id (h : Row_header.t) ->
-          match Hashtbl.find_opt alt id with
-          | None ->
-            record t ~invariant:Aci ~epoch ~node:(-1)
-              (Printf.sprintf "row %S missing from permuted replay" id)
-          | Some h' ->
-            if not (Csn.equal h.Row_header.csn h'.Row_header.csn) then
-              record t ~invariant:Aci ~epoch ~node:(-1)
-                (Printf.sprintf
-                   "row %S winner differs under permutation+duplication" id))
+      Rows.iter
+        (fun row (c : Column.claim) ->
+          match Rows.find_opt row alt with
+          | None -> aci "row %S missing from permuted replay" (id row)
+          | Some c' when not (same_csn c.Column.c_meta c'.Column.c_meta) ->
+            aci "row %S winner differs under permutation+duplication" (id row)
+          | Some _ -> ())
         reference;
-    match ref_cells with
-    | None -> ()
-    | Some ref_cells ->
-      let alt_cells = replay_cells permuted in
-      Hashtbl.iter
-        (fun id arr ->
-          match Hashtbl.find_opt alt_cells id with
-          | None ->
-            record t ~invariant:Aci ~epoch ~node:(-1)
-              (Printf.sprintf "row %S cells missing from permuted replay" id)
-          | Some arr' ->
-            Array.iteri
-              (fun i c ->
-                let c' = if i < Array.length arr' then arr'.(i) else None in
-                let same =
-                  match (c, c') with
-                  | None, None -> true
-                  | Some a, Some b ->
-                    Csn.equal a.Column.meta.Meta.csn b.Column.meta.Meta.csn
-                  | _ -> false
-                in
-                if not same then
-                  record t ~invariant:Aci ~epoch ~node:(-1)
-                    (Printf.sprintf
-                       "row %S column %d cell winner differs under \
-                        permutation+duplication" id i))
-              arr)
-        ref_cells
+    if t.level = Params.Column then
+      Rows.merge
+        (fun _ a b -> Some (a, b))
+        (Merge_model.join_cells txns)
+        (Merge_model.join_cells permuted)
+      |> Rows.iter (fun row -> function
+           | Some _, None -> aci "row %S cells missing from permuted replay" (id row)
+           | cells, cells' ->
+             let cell a i =
+               match a with Some a when i < Array.length a -> a.(i) | _ -> None
+             in
+             let width a = Option.fold ~none:0 ~some:Array.length a in
+             for i = 0 to max (width cells) (width cells') - 1 do
+               match (cell cells i, cell cells' i) with
+               | None, None -> ()
+               | Some a, Some b when same_csn a.Column.meta b.Column.meta -> ()
+               | _ ->
+                 aci "row %S column %d cell winner differs under \
+                      permutation+duplication" (id row) i
+             done)
   end
 
 (* --- per-snapshot hook: (1) convergence, (2) monotonicity ------------- *)

@@ -10,9 +10,12 @@
     + {b Durability} — every commit reported to a client survives in the
       final state of the most advanced live replica, and its write set
       is recoverable from the origin's backup server (§5.2).
-    + {b ACI merge laws} — replaying an epoch's full batch set permuted
+    + {b ACI merge laws} — joining an epoch's full batch set permuted
       and partially duplicated yields the same per-row winners
-      (Lemma 2: the merge is associative, commutative, idempotent).
+      (Lemma 2: the merge is associative, commutative, idempotent). The
+      winners come from the reference model's joins
+      ({!Merge_model.join_headers}), not from a replay of the kernel's
+      header merge.
     + {b Isolation} — no two committed transactions of one epoch wrote
       the same row (the per-epoch OCC validation admits exactly one
       winner per row, §4.3).
@@ -34,8 +37,9 @@
     violations); durability treats a committed update as lost only if
     its row's header never reached the update's epoch (the header csn
     belongs to the row-claim winner, not every cell winner); and the ACI
-    replay additionally checks the per-(row, column) cell winners under
-    {!Gg_crdt.Column.join} against permutation + duplication. *)
+    check additionally compares the per-(row, column) cell winners
+    ({!Merge_model.join_cells}) under permutation + duplication, both
+    ways. *)
 
 type invariant = Convergence | Monotonicity | Durability | Aci | Isolation
 

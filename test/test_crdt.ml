@@ -216,11 +216,12 @@ let prop_merge_associative_partial =
 
    The QCheck properties above exercise single-row header merges. These
    drive whole write sets — several rows per transaction, inserts,
-   updates and deletes — through a replay harness that mirrors the
-   node's apply step (header merge decides the winner; the winning
-   record's op decides the tombstone). The chaos checker's ACI oracle
-   uses the same construction on live traffic; here we pin it down on
-   adversarial synthetic epochs, seeded so failures reproduce. *)
+   updates and deletes — through the reference model's header join
+   ([Gg_check.Merge_model.join_headers]: the join of the records'
+   claims decides each row's winner, and the winning record's op decides
+   the tombstone). The chaos checker's ACI oracle joins live traffic
+   with the same function; here we pin it down on adversarial synthetic
+   epochs, seeded so failures reproduce. *)
 
 module Rng = Gg_util.Rng
 
@@ -252,36 +253,10 @@ let gen_epoch_writesets rng ~cen ~n =
       Writeset.make ~meta:m ~records ())
 
 let replay_state wss =
-  let rows = Hashtbl.create 32 in
-  List.iter
-    (fun (ws : Writeset.t) ->
-      List.iter
-        (fun (r : Writeset.record) ->
-          let id = (r.Writeset.table, Writeset.key_str r) in
-          let header, winner_op =
-            match Hashtbl.find_opt rows id with
-            | Some hs -> hs
-            | None ->
-              let hs = (Row_header.create (), ref Writeset.Update) in
-              Hashtbl.add rows id hs;
-              hs
-          in
-          match Merge.merge_header header ~meta:ws.Writeset.meta with
-          | Merge.Win -> winner_op := r.Writeset.op
-          | Merge.Lose | Merge.Already -> ())
-        ws.Writeset.records)
-    wss;
-  Hashtbl.fold
-    (fun (tbl, key) ((h : Row_header.t), winner_op) acc ->
-      ( tbl,
-        key,
-        h.Row_header.sen,
-        h.Row_header.csn.Csn.ts,
-        h.Row_header.csn.Csn.node,
-        !winner_op = Writeset.Delete )
-      :: acc)
-    rows []
-  |> List.sort compare
+  Gg_check.Merge_model.(Rows.bindings (join_headers wss))
+  |> List.map (fun ((tbl, key), (c : Column.claim)) ->
+         let m = c.Column.c_meta in
+         (tbl, key, m.Meta.sen, m.Meta.csn.Csn.ts, m.Meta.csn.Csn.node, c.Column.c_delete))
 
 let shuffled rng l =
   let a = Array.of_list l in

@@ -291,6 +291,30 @@ let test_writeset_records_made_in_one_place () =
         ("Writeset.make_record called outside Executor.Ctx:\n"
         ^ String.concat "\n" callers)
 
+(* The merge's reference model (lib/check/merge_model.ml) has its own
+   copy of the rules: it never calls into the kernel it is held against
+   ([Epoch_merge]), the header merge that kernel uses ([merge_header]),
+   or the row store ([Table.]). A model that did would turn the
+   differential test into a tautology. *)
+let test_merge_model_stands_alone () =
+  match src_root () with
+  | None -> Alcotest.fail "cannot locate lib/ sources from test cwd"
+  | Some root ->
+    let path = Filename.concat (Filename.concat root "check") "merge_model.ml" in
+    let uses =
+      List.concat
+        (List.mapi
+           (fun i line ->
+             if List.exists (contains line) [ "Epoch_merge"; "merge_header"; "Table." ]
+             then [ Printf.sprintf "%s:%d: %s" path (i + 1) (String.trim line) ]
+             else [])
+           (read_lines path))
+    in
+    if uses <> [] then
+      Alcotest.fail
+        ("the merge model calls into the kernel or the row store:\n"
+        ^ String.concat "\n" uses)
+
 (* No stdlib [Queue] in the simulator or the protocol core. Its [take]
    leaves the dequeued cell's [next] link in place, so a queue that
    lives in the major heap (a node's CPU run queue, its GeoG-S holds, a
@@ -397,6 +421,8 @@ let () =
             test_writeset_records_made_in_one_place;
           Alcotest.test_case "no stdlib Queue in lib/sim or lib/core" `Quick
             test_no_stdlib_queue;
+          Alcotest.test_case "merge model stands alone" `Quick
+            test_merge_model_stands_alone;
           Alcotest.test_case "every BENCH artifact has a writer" `Quick
             test_no_orphan_bench_artifact;
         ] );
