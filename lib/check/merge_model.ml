@@ -133,15 +133,17 @@ let ssi_pass wss verdicts =
       else v)
     verdicts
 
-(* Write-back of one committed record. *)
+(* Write-back of one committed record. Its data is copied: the kernel
+   installs the same arrays, and the model must not see its writes. *)
 let write_back ~column ~cells rows (meta, (r : Writeset.record)) =
   let key = key_of r in
   let set row = Rows.add key row rows in
   match (r.Writeset.op, Rows.find_opt key rows) with
-  | Writeset.Insert, _ -> set { meta; deleted = false; data = r.Writeset.data }
+  | Writeset.Insert, _ ->
+    set { meta; deleted = false; data = Array.copy r.Writeset.data }
   | Writeset.Delete, Some row -> set { row with deleted = true }
   | Writeset.Update, Some row when not column ->
-    set { row with data = r.Writeset.data }
+    set { row with data = Array.copy r.Writeset.data }
   | Writeset.Update, Some row ->
     (* Only the cells this record won. *)
     let won = Rows.find key cells in

@@ -207,21 +207,23 @@ let test_engine_registry_is_canonical () =
 let isolation_names =
   [ "Params.isolation"; "Params.RC"; "Params.RR"; "Params.SI"; "Params.SSI" ]
 
+(* Is [line.[i]] an identifier character? (Not past either end.) *)
+let ident_at line i =
+  i >= 0 && i < String.length line
+  && match line.[i] with
+     | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
+     | _ -> false
+
+(* [w] in [line] at some [i] where [ok i] holds. *)
+let occurs line w ok =
+  let nl = String.length line and nw = String.length w in
+  let rec at i = i + nw <= nl && (String.sub line i nw = w && ok i || at (i + 1)) in
+  at 0
+
 (* [name] in [line], not continued by an identifier character (so
    [Params.SI] does not match [Params.SIZE]). *)
 let names line name =
-  let nl = String.length line and nn = String.length name in
-  let ident = function
-    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
-    | _ -> false
-  in
-  let rec at i =
-    i + nn <= nl
-    && (String.sub line i nn = name
-        && (i + nn = nl || not (ident line.[i + nn]))
-       || at (i + 1))
-  in
-  at 0
+  occurs line name (fun i -> not (ident_at line (i + String.length name)))
 
 let test_isolation_has_one_home () =
   match src_root () with
@@ -291,30 +293,6 @@ let test_writeset_records_made_in_one_place () =
         ("Writeset.make_record called outside Executor.Ctx:\n"
         ^ String.concat "\n" callers)
 
-(* The merge's reference model (lib/check/merge_model.ml) has its own
-   copy of the rules: it never calls into the kernel it is held against
-   ([Epoch_merge]), the header merge that kernel uses ([merge_header]),
-   or the row store ([Table.]). A model that did would turn the
-   differential test into a tautology. *)
-let test_merge_model_stands_alone () =
-  match src_root () with
-  | None -> Alcotest.fail "cannot locate lib/ sources from test cwd"
-  | Some root ->
-    let path = Filename.concat (Filename.concat root "check") "merge_model.ml" in
-    let uses =
-      List.concat
-        (List.mapi
-           (fun i line ->
-             if List.exists (contains line) [ "Epoch_merge"; "merge_header"; "Table." ]
-             then [ Printf.sprintf "%s:%d: %s" path (i + 1) (String.trim line) ]
-             else [])
-           (read_lines path))
-    in
-    if uses <> [] then
-      Alcotest.fail
-        ("the merge model calls into the kernel or the row store:\n"
-        ^ String.concat "\n" uses)
-
 (* No stdlib [Queue] in the simulator or the protocol core. Its [take]
    leaves the dequeued cell's [next] link in place, so a queue that
    lives in the major heap (a node's CPU run queue, its GeoG-S holds, a
@@ -325,18 +303,41 @@ let test_merge_model_stands_alone () =
 (* Module path [m] (["Queue."]) in [line], not the tail of a longer
    name ([Event_queue.] or [MyQueue.] do not match; [Stdlib.Queue.]
    does). *)
-let uses_module line m =
-  let nl = String.length line and nm = String.length m in
-  let rec at i =
-    i + nm <= nl
-    && (String.sub line i nm = m
-        && (i = 0
-           || match line.[i - 1] with
-              | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> false
-              | _ -> true)
-       || at (i + 1))
-  in
-  at 0
+let uses_module line m = occurs line m (fun i -> not (ident_at line (i - 1)))
+
+(* [w] in [line] as a whole name: neither end continues an identifier,
+   so [Merge] matches [Gg_crdt.Merge.x] and [module M = Gg_crdt.Merge]
+   but not [Merge_model]. *)
+let word line w =
+  occurs line w (fun i ->
+      not (ident_at line (i - 1) || ident_at line (i + String.length w)))
+
+(* The merge's reference model (lib/check/merge_model.ml) has its own
+   copy of the rules: it never calls into the kernel it is held against
+   ([Epoch_merge]), the header merge that kernel uses ([merge_header], or
+   anything else of [Merge]), or the row store ([Table], [Db]), not even
+   through a module alias. A model that did would turn the differential
+   test into a tautology. *)
+let test_merge_model_stands_alone () =
+  match src_root () with
+  | None -> Alcotest.fail "cannot locate lib/ sources from test cwd"
+  | Some root ->
+    let path = Filename.concat (Filename.concat root "check") "merge_model.ml" in
+    let uses =
+      List.concat
+        (List.mapi
+           (fun i line ->
+             if
+               List.exists (contains line) [ "Epoch_merge"; "merge_header"; "Table." ]
+               || List.exists (word line) [ "Merge"; "Table"; "Db" ]
+             then [ Printf.sprintf "%s:%d: %s" path (i + 1) (String.trim line) ]
+             else [])
+           (read_lines path))
+    in
+    if uses <> [] then
+      Alcotest.fail
+        ("the merge model calls into the kernel or the row store:\n"
+        ^ String.concat "\n" uses)
 
 let test_no_stdlib_queue () =
   match src_root () with

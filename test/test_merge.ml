@@ -28,6 +28,17 @@ let kv_db n_rows =
   done;
   db
 
+(* A write set of csn [ts]@0 whose records [(op, k, v)] write kv row [k]
+   with [v] (a delete carries no data). *)
+let kv_ws ~sen ~cen ~ts recs =
+  let record (op, k, v) =
+    let data = if op = Writeset.Delete then [||] else [| Value.Int k; Value.Int v |] in
+    Writeset.make_record ~table:"kv" ~key:[| Value.Int k |] ~op ~data ()
+  in
+  Writeset.make
+    ~meta:(Meta.make ~sen ~cen ~csn:(Gg_storage.Csn.make ~ts ~node:0))
+    ~records:(List.map record recs) ()
+
 (* --- The merge kernel --- *)
 
 let test_jobs_2_rejected () =
@@ -103,9 +114,9 @@ let test_column_kernel_commits_more () =
    writes to an unknown table; masked column updates; SSI read keys; and
    deferred write-back. [Epoch_merge] merges it into the database and
    [Merge_model] into its own copy of the rows; after every epoch the
-   verdicts, the counts and every row's header, tombstone flag and data
-   must agree, and the kernel's cached digest and indexes must equal a
-   fresh [Db.copy]'s. *)
+   verdicts, the counts, each table's live and total row counters and
+   every row's header, tombstone flag and data must agree, and the
+   kernel's cached digest and indexes must equal a fresh [Db.copy]'s. *)
 type diff_case = {
   d_seed : int;
   d_level : Params.merge_level;
@@ -219,7 +230,7 @@ let model_state db =
           rows :=
             Merge_model.Rows.add (name, e.Table.key_str)
               { Merge_model.meta = Meta.make ~sen:h.sen ~cen:h.cen ~csn:h.csn;
-                deleted = h.deleted; data = e.Table.data }
+                deleted = h.deleted; data = Array.copy e.Table.data }
               !rows))
     tables;
   { Merge_model.tables; rows = !rows }
@@ -236,9 +247,32 @@ let show_rows (st : Merge_model.state) =
         (String.concat "," (Array.to_list (Array.map Value.to_string r.data))))
     (Merge_model.Rows.bindings st.rows)
 
+(* Each table's live and total row counts: the kernel's counters, and
+   the model's rows counted. *)
+let kernel_counts db =
+  List.map
+    (fun name ->
+      let t = Db.get_table_exn db name in
+      (Table.live_count t, Table.total_count t))
+    (Db.table_names db)
+
+let model_counts (st : Merge_model.state) =
+  List.map
+    (fun name ->
+      Merge_model.Rows.fold
+        (fun (t, _) (r : Merge_model.row) (live, total) ->
+          if t <> name then (live, total)
+          else ((if r.deleted then live else live + 1), total + 1))
+        st.rows (0, 0))
+    st.tables
+
+let show_counts =
+  List.map (fun (live, total) -> Printf.sprintf "live=%d total=%d" live total)
+
 (* What the kernel keeps cached or maintains incrementally: the digest,
-   the row counts, the ordered index and "a"'s secondary index. A fresh
-   copy rebuilds each from the rows alone. *)
+   the ordered index and "a"'s secondary index. A fresh copy rebuilds
+   each from the rows alone, so the index lookups are compared as sets;
+   [test_index_order] pins their order. *)
 let derived db =
   Db.digest db
   :: List.map
@@ -254,8 +288,7 @@ let derived db =
                  |> List.map (fun e -> e.Table.key_str)
                  |> List.sort compare |> String.concat ",")
          in
-         Printf.sprintf "live=%d total=%d %S %S" (Table.live_count t)
-           (Table.total_count t) (String.concat "," (List.rev !keys))
+         Printf.sprintf "%S %S" (String.concat "," (List.rev !keys))
            (String.concat "|" by_v))
        (Array.to_list diff_tables)
 
@@ -277,12 +310,14 @@ let diff_mismatch case =
           (Epoch_merge.n_committed m) (Epoch_merge.n_dead m)
         :: String.concat " "
              (List.map (fun ws -> show_verdict (Epoch_merge.verdict m ws)) txns)
-        :: show_rows (model_state db)
+        :: show_counts (kernel_counts db)
+        @ show_rows (model_state db)
       and model =
         Printf.sprintf "%d/%d/%d" o.n_records o.n_committed
           (List.length txns - o.n_committed)
         :: String.concat " " (List.map show_verdict o.verdicts)
-        :: show_rows o.after
+        :: show_counts (model_counts o.after)
+        @ show_rows o.after
       in
       if kernel <> model then Some ("model", model, kernel)
       else if derived db <> derived (Db.copy db) then
@@ -319,18 +354,6 @@ let prop_kernel_matches_model =
 
 (* --- Clarification 2's order-dependent parts (DESIGN.md §2) --- *)
 
-(* A cen-1 write set (csn [ts]@0) setting v=1 on kv row 1, then on row 9
-   when [absent] (kv_db 4 has no row 9). *)
-let kv_update ~sen ~ts ~absent =
-  let upd k =
-    Writeset.make_record ~table:"kv" ~key:[| Value.Int k |] ~op:Writeset.Update
-      ~data:[| Value.Int k; Value.Int 1 |] ()
-  in
-  Writeset.make
-    ~meta:(Meta.make ~sen ~cen:1 ~csn:(Gg_storage.Csn.make ~ts ~node:0))
-    ~records:(upd 1 :: (if absent then [ upd 9 ] else []))
-    ()
-
 (* Merge [txns] over kv rows 0-3 with the kernel and the model, check
    they agree, and return the verdicts, row 1 and whether the digest
    moved. *)
@@ -343,12 +366,15 @@ let merge_both txns =
   let check = Alcotest.(check (list string)) in
   check "model verdicts" verdicts (List.map show_verdict o.verdicts);
   check "model rows" (show_rows (model_state db)) (show_rows o.after);
+  check "model counts" (show_counts (kernel_counts db))
+    (show_counts (model_counts o.after));
   let key = Value.encode_key [| Value.Int 1 |] in
   (verdicts, Option.get (Table.find (Db.get_table_exn db "kv") key), Db.digest db <> before)
 
+(* ws1 sets v=1 on kv row 1; ws2 does too, then on the absent row 9. *)
 let test_abort_reason_follows_record_order () =
-  let ws1 = kv_update ~sen:1 ~ts:1000 ~absent:false in
-  let ws2 = kv_update ~sen:1 ~ts:1001 ~absent:true in
+  let ws1 = kv_ws ~sen:1 ~cen:1 ~ts:1000 [ (Writeset.Update, 1, 1) ] in
+  let ws2 = kv_ws ~sen:1 ~cen:1 ~ts:1001 Writeset.[ (Update, 1, 1); (Update, 9, 1) ] in
   let check name txns want =
     let verdicts, _, _ = merge_both txns in
     Alcotest.(check (list string)) name want verdicts
@@ -357,8 +383,8 @@ let test_abort_reason_follows_record_order () =
   check "[ws2; ws1]" [ ws2; ws1 ] [ "row-deleted"; "C" ]
 
 let test_aborted_stamp_stays () =
-  let ws1 = kv_update ~sen:1 ~ts:1000 ~absent:false in
-  let ws2 = kv_update ~sen:2 ~ts:1001 ~absent:true in
+  let ws1 = kv_ws ~sen:1 ~cen:1 ~ts:1000 [ (Writeset.Update, 1, 1) ] in
+  let ws2 = kv_ws ~sen:2 ~cen:1 ~ts:1001 Writeset.[ (Update, 1, 1); (Update, 9, 1) ] in
   List.iter
     (fun (name, txns, want) ->
       let verdicts, row1, moved = merge_both txns in
@@ -371,6 +397,31 @@ let test_aborted_stamp_stays () =
     [ ("[ws1; ws2]", [ ws1; ws2 ], [ "write-conflict"; "row-deleted" ]);
       ("[ws2; ws1]", [ ws2; ws1 ], [ "row-deleted"; "write-conflict" ]) ]
 
+(* --- Secondary index order --- *)
+
+(* An index lookup lists a value's rows in the order the SQL executor
+   visits them, so the order reaches query results and read sets. Each
+   row that enters the index goes first. Over kv rows 0-3 (v=0, indexed
+   in key order), epoch 1 deletes row 2 and inserts rows 5 then 4;
+   epoch 2 revives row 2 and rewrites row 3. *)
+let test_index_order () =
+  let db = kv_db 4 in
+  let t = Db.get_table_exn db "kv" in
+  Table.create_index t ~name:"by_v" ~cols:[ "v" ];
+  let merge cen records =
+    let txns = List.mapi (fun i -> kv_ws ~sen:1 ~cen ~ts:(1000 + i)) records in
+    let m = Epoch_merge.run ~db ~jobs:1 ~ssi:false txns in
+    Alcotest.(check int) "all commit" (List.length txns) (Epoch_merge.n_committed m);
+    Table.index_lookup t ~name:"by_v" ~key:[| Value.Int 0 |]
+    |> List.map (fun e -> Value.to_string e.Table.key.(0))
+    |> String.concat ","
+  in
+  Alcotest.(check string) "loaded" "3,2,1,0" (merge 1 []);
+  Alcotest.(check string) "epoch 1" "4,5,3,1,0"
+    (merge 1 Writeset.[ [ (Delete, 2, 0) ]; [ (Insert, 5, 0); (Insert, 4, 0) ] ]);
+  Alcotest.(check string) "epoch 2" "3,2,4,5,1,0"
+    (merge 2 Writeset.[ [ (Insert, 2, 0) ]; [ (Update, 3, 0) ] ])
+
 let () =
   Alcotest.run "merge"
     [
@@ -382,6 +433,8 @@ let () =
             test_abort_reason_follows_record_order;
           Alcotest.test_case "aborted write set's stamp stays" `Quick
             test_aborted_stamp_stays;
+          Alcotest.test_case "index order follows write-back" `Quick
+            test_index_order;
         ] );
       ( "column kernel",
         [
