@@ -21,8 +21,9 @@
 #     directory: `table3` in full mode and the rest at `--fast` (stdout;
 #     `fig_fastpath`, `fig_scale` and `fig_skew` also write the
 #     BENCH_<suite>.json that is pinned with them);
-#   - the seed-7 eocc and `hash:2` traced runs (stdout minus the
-#     "trace written to" line, then the trace file);
+#   - the seed-7 traced runs: eocc, the classic engine on six nodes and
+#     `hash:2` (stdout minus the "trace written to" line, then the trace
+#     file);
 #   - the failover example;
 #   - the SQL shell's stdout over the scripted sessions
 #     test/golden/sql_session.sql and test/golden/sql_overlay_session.sql
@@ -99,7 +100,7 @@ for fig in "fig5 --fast" table3 "table2 --fast" "fig6 --fast" "fig7 --fast" \
   esac
 done
 
-for traced in "--engine eocc --clock-skew 10" "-n 6 --partitioning hash:2"; do
+for traced in "--engine eocc --clock-skew 10" "-n 6" "-n 6 --partitioning hash:2"; do
   name="trace seed 7 $traced"
   f=$(keep "$name")
   # shellcheck disable=SC2086
