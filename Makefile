@@ -28,21 +28,19 @@ check:
 	dune exec bin/geogauss_cli.exe -- check --seeds 25 --fast --jobs $(JOBS)
 	dune exec bin/geogauss_cli.exe -- check --canary
 
-# Pinned check modes, one "seeds|flags" pair each: partial replication
-# per partition map (DESIGN.md §12), corrupted frames through the
-# decode-failure -> stall-repair path, the column-level lattice (§13),
-# the clock-assisted fast path with skew bursts (§14; externalization
-# still gates on the confirm point), SI, where the executors build the
-# read sets that validation checks (RC, the default, builds none),
-# Raft-FT, the only mode whose batches wait on the origin's majority
-# commit (§5.2), GeoG-A, whose gossip runs no epochs at all (§3.1), RR,
-# whose Same_csn check runs the op executor's row-probing read path (at
-# RC a point read probes no row), and SSI, the only mode whose merge runs
-# the pivot-abort pass.
+# Pinned check modes, one "seeds|flags" pair each: corrupted frames
+# through the decode-failure -> stall-repair path, the column-level
+# lattice (DESIGN.md §13), the clock-assisted fast path with skew bursts
+# (§14; externalization still gates on the confirm point), SI, where the
+# executors build the read sets that validation checks (RC, the default,
+# builds none), Raft-FT, the only mode whose batches wait on the
+# origin's majority commit (§5.2), GeoG-A, whose gossip runs no epochs
+# at all (§3.1), RR, whose Same_csn check runs the op executor's
+# row-probing read path (at RC a point read probes no row), and SSI, the
+# only mode whose merge runs the pivot-abort pass.
 # `make ci` sweeps each at its seed count; `make golden` pins each at 25
 # seeds.
-PINNED_SWEEPS = "5|--partitioning hash:2" "5|--partitioning region" \
-	"3|--corrupt 0.05" "5|--merge-level column" \
+PINNED_SWEEPS = "3|--corrupt 0.05" "5|--merge-level column" \
 	"5|--engine eocc --clock-skew 10" "5|--isolation si" "5|--ft raft" \
 	"5|--engine geog-a" "5|--isolation rr" "5|--isolation ssi"
 
@@ -75,7 +73,7 @@ ci: fmt
 # output whose digest moved. A change that moves outputs on purpose
 # regenerates the file with `make golden`. Every number an experiment
 # suite reports is simulated, so each suite's stdout (and the
-# BENCH_*.json of fig_scale, fig_skew and fig_fastpath) is pinned here
+# BENCH_*.json of fig_skew and fig_fastpath) is pinned here
 # exactly; the committed full-mode BENCH_*.json files are figures, not
 # gates.
 	@t0=$$(date +%s.%N); \

@@ -19,11 +19,10 @@
 #   - `check --canary`;
 #   - every `bench/main.exe` experiment suite, each run from a temp
 #     directory: `table3` in full mode and the rest at `--fast` (stdout;
-#     `fig_fastpath`, `fig_scale` and `fig_skew` also write the
+#     `fig_fastpath` and `fig_skew` also write the
 #     BENCH_<suite>.json that is pinned with them);
-#   - the seed-7 traced runs: eocc, the classic engine on six nodes and
-#     `hash:2` (stdout minus the "trace written to" line, then the trace
-#     file);
+#   - the seed-7 traced runs: eocc and the classic engine on six nodes
+#     (stdout minus the "trace written to" line, then the trace file);
 #   - the failover example;
 #   - the SQL shell's stdout over the scripted sessions
 #     test/golden/sql_session.sql and test/golden/sql_overlay_session.sql
@@ -82,8 +81,7 @@ digest "check --canary" "$f"
 
 for fig in "fig5 --fast" table3 "table2 --fast" "fig6 --fast" "fig7 --fast" \
   "fig8 --fast" "fig9 --fast" "fig10 --fast" "fig11 --fast" "fig12 --fast" \
-  "fig13 --fast" "ablations --fast" "fig_fastpath --fast" "fig_scale --fast" \
-  "fig_skew --fast"; do
+  "fig13 --fast" "ablations --fast" "fig_fastpath --fast" "fig_skew --fast"; do
   d=$tmp/fig
   rm -rf "$d" && mkdir "$d"
   f=$(keep "$fig")
@@ -100,7 +98,7 @@ for fig in "fig5 --fast" table3 "table2 --fast" "fig6 --fast" "fig7 --fast" \
   esac
 done
 
-for traced in "--engine eocc --clock-skew 10" "-n 6" "-n 6 --partitioning hash:2"; do
+for traced in "--engine eocc --clock-skew 10" "-n 6"; do
   name="trace seed 7 $traced"
   f=$(keep "$name")
   # shellcheck disable=SC2086

@@ -16,28 +16,6 @@ let jobs_arg =
            core). Output is byte-identical at any value; 1 is the sequential \
            path.")
 
-let partitioning_conv =
-  let parse s =
-    match Geogauss.Params.partitioning_of_string s with
-    | Ok p -> Ok p
-    | Error msg -> Error (`Msg msg)
-  in
-  Arg.conv (parse, fun ppf p ->
-      Format.pp_print_string ppf (Geogauss.Params.partitioning_to_string p))
-
-let partitioning_arg =
-  Arg.(
-    value
-    & opt partitioning_conv Geogauss.Params.P_none
-    & info [ "partitioning" ] ~docv:"MODE"
-        ~doc:
-          "Replica-group map for partial replication: none (full \
-           replication), region (one group per topology region) or hash:$(i,K) \
-           ($(i,K) groups, node i -> i mod K). Write-set batches are \
-           disseminated to interested replicas only; cross-group \
-           transactions commit once every touched group's epoch merge \
-           validates them (DESIGN.md \xC2\xA712).")
-
 let merge_level_conv =
   let parse s =
     match Geogauss.Params.merge_level_of_string s with
@@ -57,7 +35,7 @@ let merge_level_arg =
            whole-row first-committer-wins) or column (per-field LWW \
            lattice — concurrent updates to disjoint columns of the same \
            row all commit; DESIGN.md \xC2\xA713). Ignored under \
-           partitioning or geog-a, which re-apply whole rows.")
+           geog-a, which re-applies whole rows.")
 
 let isolation_conv =
   Arg.enum
@@ -195,8 +173,7 @@ let run_cmd =
              that, arrivals shed). Without it, the paper's closed loop.")
   in
   let run workload nodes world epoch_ms isolation engine clock_skew ft
-      seconds connections theta records seed trace arrival partitioning
-      merge_level =
+      seconds connections theta records seed trace arrival merge_level =
     let topology =
       if world then Gg_sim.Topology.worldwide nodes else Gg_sim.Topology.china nodes
     in
@@ -207,7 +184,6 @@ let run_cmd =
         isolation;
         ft;
         seed;
-        partitioning;
         merge_level;
       }
     in
@@ -286,6 +262,15 @@ let run_cmd =
         ~measure_ms:(seconds * 1_000)
         ~label ()
     in
+    (* A merge level the engine coerces is named, not silently dropped. *)
+    let coerced =
+      let ran = Geogauss.Params.effective_merge_level params in
+      if ran = merge_level then ""
+      else
+        Printf.sprintf ", merge-level %s ran as %s"
+          (Geogauss.Params.merge_level_to_string merge_level)
+          (Geogauss.Params.merge_level_to_string ran)
+    in
     let table =
       Gg_util.Tablefmt.create
         ~title:
@@ -293,11 +278,7 @@ let run_cmd =
              label topology.Gg_sim.Topology.name nodes epoch_ms
              (Geogauss.Params.isolation_to_string isolation)
              (Geogauss.Params.ft_to_string ft)
-             (match partitioning with
-             | Geogauss.Params.P_none -> ""
-             | m ->
-               ", partitioning="
-               ^ Geogauss.Params.partitioning_to_string m))
+             coerced)
         ~headers:Gg_harness.Result.headers
     in
     Gg_util.Tablefmt.add_row table (Gg_harness.Result.row r);
@@ -320,7 +301,7 @@ let run_cmd =
     Term.(
       const run $ workload $ nodes $ world $ epoch_ms $ isolation $ engine
       $ clock_skew_arg $ ft $ seconds $ connections $ theta $ records $ seed
-      $ trace $ arrival $ partitioning_arg $ merge_level_arg)
+      $ trace $ arrival $ merge_level_arg)
 
 (* --- `check` subcommand: seeded chaos checking --- *)
 
@@ -385,7 +366,7 @@ let check_cmd =
                 per seed.")
   in
   let run seeds base engine isolation clock_skew ft fast jobs trace canary
-      partitioning corrupt merge_level =
+      corrupt merge_level =
     let log = print_endline in
     (* Resolve the registry name through its own transform: the pinned
        variant and the fastpath flag both come from what the transform
@@ -424,7 +405,7 @@ let check_cmd =
       let report =
         Gg_par.Pool.with_pool ~jobs @@ fun pool ->
         Gg_check.Checker.check ~log ?variant ?isolation ?ft ~fast ~base ~pool
-          ~partitioning ~corrupt_frac:corrupt ~merge_level ~fastpath
+          ~corrupt_frac:corrupt ~merge_level ~fastpath
           ~clock_skew_ms ~seeds ()
       in
       Printf.printf "%d seeds, %d commits, %d violation(s)\n"
@@ -454,8 +435,7 @@ let check_cmd =
     Term.(
       ret
         (const run $ seeds $ base $ engine $ isolation $ clock_skew_arg $ ft
-       $ fast_arg $ jobs_arg $ trace $ canary $ partitioning_arg $ corrupt
-       $ merge_level_arg))
+       $ fast_arg $ jobs_arg $ trace $ canary $ corrupt $ merge_level_arg))
 
 (* --- `trace` subcommand: analyze an exported JSONL trace --- *)
 

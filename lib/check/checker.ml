@@ -216,7 +216,7 @@ let shrink_and_report ?log s v =
    where the sequential run would do them. *)
 let check ?log ?variant ?isolation ?ft ?(fast = false) ?(base = 0)
     ?(pool = Gg_par.Pool.seq)
-    ?(partitioning = Params.P_none) ?(corrupt_frac = 0.0)
+    ?(corrupt_frac = 0.0)
     ?(merge_level = Params.Row) ?(fastpath = false) ?(clock_skew_ms = 5)
     ~seeds () =
   let emit m = match log with Some f -> f m | None -> () in
@@ -226,9 +226,8 @@ let check ?log ?variant ?isolation ?ft ?(fast = false) ?(base = 0)
     List.init seeds (fun i ->
         let s = Scenario.generate ?variant ?isolation ?ft ~fast (base + i) in
         (* Pinned after generation: the seed's RNG draws are identical
-           at any [partitioning] / [corrupt_frac], so the scenario
+           at any [merge_level] / [corrupt_frac], so the scenario
            differs only in the knobs themselves. *)
-        let s = Scenario.with_partitioning s partitioning in
         let s = Scenario.with_merge_level s merge_level in
         let s =
           if not fastpath then s else Scenario.with_fastpath s ~clock_skew_ms

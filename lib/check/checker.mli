@@ -49,7 +49,6 @@ val check :
   ?fast:bool ->
   ?base:int ->
   ?pool:Gg_par.Pool.t ->
-  ?partitioning:Geogauss.Params.partitioning ->
   ?corrupt_frac:float ->
   ?merge_level:Geogauss.Params.merge_level ->
   ?fastpath:bool ->
@@ -65,17 +64,13 @@ val check :
     delivered in seed order, and each scenario simulation is fully
     self-contained). Default: sequential.
 
-    [?partitioning] pins a replica-group map on every scenario (default
-    [P_none]), via {!Scenario.with_partitioning} — crash/recover faults
-    are scrubbed and GeoG-A coerced to the full engine; the oracles
-    scope convergence/durability to each key's replica group.
     [?corrupt_frac] pins a binary-frame corruption probability (default
     [0.0]); corrupted batches must be recovered by the stall-repair
     path, so the same oracles apply — except on GeoG-A scenarios, which
     the pin skips (a corrupted frame is a dropped frame, and the gossip
-    engine makes no promises under drops). Both are applied after seed
-    generation, so the drawn scenarios are the same ones the default
-    sweep runs.
+    engine makes no promises under drops). Like every pin it is applied
+    after seed generation, so the drawn scenarios are the same ones the
+    default sweep runs.
 
     [?merge_level] pins the epoch merge's conflict granularity (default
     [Row]), via {!Scenario.with_merge_level} — GeoG-A is coerced to the

@@ -164,7 +164,7 @@ let write_back ~column ~cells rows (meta, (r : Writeset.record)) =
   | (Writeset.Update | Writeset.Delete), None ->
     assert false (* committed: phase A found the row live *)
 
-let merge ?(defer = fun _ -> false) ~level ~ssi st wss =
+let merge ~level ~ssi st wss =
   let column = level = Params.Column in
   let j, reasons = phase_a ~column st wss in
   let verdicts =
@@ -187,8 +187,7 @@ let merge ?(defer = fun _ -> false) ~level ~ssi st wss =
   in
   let cells = if column then join_cells committed else Rows.empty in
   let rows =
-    List.fold_left (write_back ~column ~cells) stamped
-      (records (List.filter (fun ws -> not (defer ws)) committed))
+    List.fold_left (write_back ~column ~cells) stamped (records committed)
   in
   {
     verdicts;

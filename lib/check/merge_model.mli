@@ -18,11 +18,11 @@
       column-level update holds unless a delete won the row.
     + {b SSI} (when asked): a committed write set that reads a row
       another writes and writes a row another reads aborts.
-    + {b Write-back}, in write-set order, for the committed write sets
-      not deferred: an insert installs or revives its row stamped with
-      its meta, a delete tombstones it (the data stays), an update
-      overwrites it — at column level only the cells it won
-      ({!join_cells} of the committed write sets). *)
+    + {b Write-back}, in write-set order, for the committed write sets:
+      an insert installs or revives its row stamped with its meta, a
+      delete tombstones it (the data stays), an update overwrites it —
+      at column level only the cells it won ({!join_cells} of the
+      committed write sets). *)
 
 module Rows : Map.S with type key = string * string
 (** Keyed by (table name, encoded primary key). *)
@@ -56,10 +56,7 @@ type outcome = {
 }
 
 val merge :
-  ?defer:(Gg_crdt.Writeset.t -> bool) ->
   level:Geogauss.Params.merge_level -> ssi:bool -> state ->
   Gg_crdt.Writeset.t list -> outcome
 (** Merge one epoch's write sets (distinct csns, one commit epoch newer
-    than every header in the state). [defer] marks write sets that
-    validate but are not written back, as in
-    {!Geogauss.Epoch_merge.run}. *)
+    than every header in the state). *)

@@ -3,7 +3,6 @@ module Params = Geogauss.Params
 module Cluster = Geogauss.Cluster
 module Node = Geogauss.Node
 module Backup = Geogauss.Backup
-module Partitioning = Geogauss.Partitioning
 module Txn = Geogauss.Txn
 module Db = Gg_storage.Db
 module Table = Gg_storage.Table
@@ -50,11 +49,6 @@ type t = {
          admits several committed updaters per row (cell-granularity
          conflicts) and durability checks an update's row survived its
          epoch rather than that its csn owns the header *)
-  part : Partitioning.t;
-      (* under partial replication (DESIGN.md §12) replicas of different
-         groups hold different fragments by design: convergence compares
-         states within a group only, and durability consults the most
-         advanced live member of each row's owning group *)
   mutable violations : violation list;  (* newest first *)
   digest_at : (int, (int * string) list) Hashtbl.t;  (* lsn -> digests *)
   last_lsn : int array;
@@ -151,11 +145,8 @@ let on_snapshot t ~node ~lsn =
   let existing =
     Option.value ~default:[] (Hashtbl.find_opt t.digest_at lsn)
   in
-  let group = Partitioning.group_of_node t.part in
-  (match
-     List.find_opt (fun (other, _) -> group other = group node) existing
-   with
-  | Some (other, d) when d <> digest ->
+  (match existing with
+  | (other, d) :: _ when d <> digest ->
     record t ~invariant:Convergence ~epoch:lsn ~node
       (Printf.sprintf "snapshot %d digest differs from node %d" lsn other)
   | _ -> ());
@@ -218,7 +209,6 @@ let create cluster =
       cluster;
       variant = (Cluster.params cluster).Params.variant;
       level = Params.effective_merge_level (Cluster.params cluster);
-      part = Cluster.partitioning cluster;
       violations = [];
       digest_at = Hashtbl.create 512;
       last_lsn = Array.make (Cluster.n_nodes cluster) (-1);
@@ -250,18 +240,14 @@ let finalize t ~min_lsn =
       record t ~invariant:Convergence ~epoch:lo ~node:(-1)
         (Printf.sprintf "stalled: live snapshot floor %d < expected %d" lo
            min_lsn);
-    (* Replicas of one group holding the same snapshot must be
-       byte-identical, checked directly on the final states (the
-       per-epoch digests already compared every snapshot both replicas
-       generated). Cross-group states differ by design under partial
-       replication; with partitioning off every node is group 0 and the
-       sweep is the old full-cluster one. *)
-    let group = Partitioning.group_of_node t.part in
+    (* Replicas holding the same snapshot must be byte-identical,
+       checked directly on the final states (the per-epoch digests
+       already compared every snapshot both replicas generated). *)
     List.iter
       (fun m ->
         List.iter
           (fun m' ->
-            if m < m' && group m = group m' && lsn_of m = lsn_of m' then
+            if m < m' && lsn_of m = lsn_of m' then
               let d = Db.digest (Node.db (Cluster.node t.cluster m)) in
               let d' = Db.digest (Node.db (Cluster.node t.cluster m')) in
               if d <> d' then
@@ -281,25 +267,7 @@ let finalize t ~min_lsn =
           (List.hd live) live
       in
       let ref_lsn = lsn_of refm in
-      (* Per-group reference replica: the most advanced live member of
-         each group. A row is checked against its owning group's
-         reference (the backup store keeps full batches, so the
-         recoverability check stays global). [None] = no live member —
-         the group's state is unobservable, its rows out of scope. *)
-      let group_ref =
-        Array.init (max 1 (Partitioning.n_groups t.part)) (fun g ->
-            match
-              List.filter
-                (fun m -> Partitioning.group_of_node t.part m = g)
-                live
-            with
-            | [] -> None
-            | m :: rest ->
-              Some
-                (List.fold_left
-                   (fun best m' -> if lsn_of m' > lsn_of best then m' else best)
-                   m rest))
-      in
+      let ref_db = Node.db (Cluster.node t.cluster refm) in
       let backup = Cluster.backup t.cluster in
       List.iter
         (fun c ->
@@ -321,17 +289,8 @@ let finalize t ~min_lsn =
             List.iter
               (fun (table, key, op) ->
                 if op <> Writeset.Delete then
-                  let row_ref =
-                    match group_ref.(Partitioning.group_of_key t.part key) with
-                    | None -> None
-                    | Some m when c.c_cen > lsn_of m -> None
-                    | Some m -> Some (Node.db (Cluster.node t.cluster m))
-                  in
-                  match row_ref with
-                  | None -> ()
-                  | Some db ->
                   let row =
-                    match Db.get_table db table with
+                    match Db.get_table ref_db table with
                     | None -> None
                     | Some tbl -> Table.find tbl key
                   in

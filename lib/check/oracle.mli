@@ -23,13 +23,6 @@
     GeoG-A ([Async_merge]) runs skip the epoch-based checks; the checker
     applies an eventual-convergence check instead.
 
-    Under partial replication ([Params.partitioning <> P_none],
-    DESIGN.md §12) replicas of different groups hold different fragments
-    by design, so convergence is scoped to same-group pairs and
-    durability consults the most advanced live member of each row's
-    owning group. With partitioning off every node is in group 0 and the
-    checks reduce to the full-cluster ones above.
-
     Under column-level merge ({!Params.effective_merge_level} =
     [Column], DESIGN.md §13) conflicts resolve per cell, so the oracles
     rescope: isolation admits any number of committed {e updaters} per

@@ -30,10 +30,6 @@ type t = {
   jitter : float;
   faults : Fault.event list;
   corruption : (int * int) option;
-  partitioning : Params.partitioning;
-      (* replica-group map for partial replication. Not drawn from the
-         seed (it must not perturb existing reproducers) — pinned via
-         Checker.check ?partitioning / with_partitioning. *)
   corrupt_frac : float;
       (* probability a binary batch frame is truncated in flight.
          Pinned, not drawn: probability 0 means the network takes no
@@ -212,7 +208,6 @@ let generate ?variant ?isolation ?ft ~fast seed =
       jitter = Rng.float rng 0.3;
       faults = [];
       corruption = None;
-      partitioning = Params.P_none;
       corrupt_frac = 0.0;
       merge_level = Params.Row;
       arrival = None;
@@ -237,7 +232,6 @@ let generate ?variant ?isolation ?ft ~fast seed =
       jitter = Rng.float rng 0.2;
       faults;
       corruption = None;
-      partitioning = Params.P_none;
       corrupt_frac = 0.0;
       merge_level = Params.Row;
       arrival = None;
@@ -245,39 +239,10 @@ let generate ?variant ?isolation ?ft ~fast seed =
       clock_skew_ms = 0;
     }
 
-(* Pin partial replication onto a drawn scenario. Two coercions keep the
-   result inside what the engine supports (DESIGN.md §12, Caveats):
-   recovery installs a whole-db snapshot from the nearest live donor,
-   which under partial replication holds a different group's fragment —
-   so crash/recover faults are scrubbed; and GeoG-A's coordination-free
-   gossip has no epoch merge to scope, so it is coerced to the full
-   engine. Everything else (network knobs, workload, epochs) is the
-   seed's own draw. *)
-let with_partitioning s mode =
-  if mode = Params.P_none then s
-  else
-    {
-      s with
-      partitioning = mode;
-      variant =
-        (match s.variant with
-        | Params.Async_merge -> Params.Optimistic
-        | v -> v);
-      faults =
-        List.filter
-          (fun e ->
-            match e.Fault.action with
-            | Fault.Crash _ | Fault.Recover _ -> false
-            | _ -> true)
-          s.faults;
-    }
-
 (* Pin column-level merge onto a drawn scenario. GeoG-A is coerced to
-   the full engine, as in {!with_partitioning}: gossip re-applies whole
-   row images, so there is no column kernel to exercise there (and
-   {!Params.effective_merge_level} would silently fall back to Row).
-   Partial replication is left alone — the effective level degrades to
-   Row by design and the sweep still checks that gate. *)
+   the full engine: gossip re-applies whole row images, so there is no
+   column kernel to exercise there (and {!Params.effective_merge_level}
+   would silently fall back to Row). *)
 let with_merge_level s level =
   if level = Params.Row then s
   else
@@ -295,7 +260,7 @@ let with_merge_level s level =
    skew-burst schedule comes from a fresh Rng salted differently from
    {!generate}'s, so existing reproducer lines replay byte-identically.
    The fast path refines the Optimistic engine, so GeoG-S / GeoG-A draws
-   are coerced (same discipline as {!with_partitioning}). Bursts step one
+   are coerced (same discipline as {!with_merge_level}). Bursts step one
    node's clock by up to the skew budget mid-run; {!Gg_sim.Clock} clamps
    the result to the bound, so the bounded-skew invariant survives the
    fault and the watermark fallback absorbs the surprise. *)
@@ -336,7 +301,6 @@ let params s =
     (* Faulty runs stall for up to a detection window; clients should
        re-route well before the run ends. *)
     client_retry_us = 900_000;
-    partitioning = s.partitioning;
     merge_level = s.merge_level;
     fastpath = s.fastpath;
     clock_skew_us = s.clock_skew_ms * 1_000;
@@ -359,9 +323,6 @@ let to_string s =
     | Some (node, at_ms) -> Printf.sprintf " corrupt=%d@%dms" node at_ms)
   (* the non-default suffixes print only when set, so every existing
      reproducer line is byte-identical *)
-  ^ (match s.partitioning with
-    | Params.P_none -> ""
-    | m -> Printf.sprintf " partitioning=%s" (Params.partitioning_to_string m))
   ^ (if s.corrupt_frac = 0.0 then ""
      else Printf.sprintf " corrupt_frac=%.3f" s.corrupt_frac)
   ^ (match s.merge_level with

@@ -27,10 +27,6 @@ type t = {
   corruption : (int * int) option;
       (** [(node, at_ms)]: deliberately corrupt one row on one replica —
           the self-test canary proving the oracles can detect divergence *)
-  partitioning : Geogauss.Params.partitioning;
-      (** replica-group map for partial replication (DESIGN.md §12).
-          Never drawn from the seed — existing reproducer lines stay
-          stable — but pinned through {!with_partitioning}. *)
   corrupt_frac : float;
       (** probability each binary batch frame is truncated in flight
           (the decode failure routes to the batch-loss repair path).
@@ -66,13 +62,6 @@ val generate :
     run length for test-suite use. GeoG-A ([Async_merge]) scenarios are
     automatically restricted to the faults eventual consistency
     tolerates (no loss, no crashes). *)
-
-val with_partitioning : t -> Geogauss.Params.partitioning -> t
-(** Pin a replica-group map onto a drawn scenario (identity for
-    [P_none]). Scrubs crash/recover faults — recovery state transfer
-    installs whole-db snapshots, which partial replication invalidates —
-    and coerces GeoG-A to the full engine (gossip has no epoch merge to
-    scope). All seed-drawn knobs are otherwise untouched. *)
 
 val with_fastpath : t -> clock_skew_ms:int -> t
 (** Pin the clock-assisted fast path ([eocc]) onto a drawn scenario,

@@ -3,15 +3,10 @@ module Batch = Gg_crdt.Writeset.Batch
 type t = {
   batches : (int * int, Batch.t) Hashtbl.t;  (* (node, cen) *)
   last_sealed : int array;
-  votes : (int * int, (int * bool) list) Hashtbl.t;  (* (group, cen) *)
 }
 
 let create ~n =
-  {
-    batches = Hashtbl.create 1024;
-    last_sealed = Array.make n (-1);
-    votes = Hashtbl.create 256;
-  }
+  { batches = Hashtbl.create 1024; last_sealed = Array.make n (-1) }
 
 let put t (b : Batch.t) =
   if not b.eof then invalid_arg "Backup.put: only sealed (eof) batches";
@@ -21,13 +16,3 @@ let put t (b : Batch.t) =
 let last_sealed t ~node = t.last_sealed.(node)
 let get t ~node ~cen = Hashtbl.find_opt t.batches (node, cen)
 let count t = Hashtbl.length t.batches
-
-(* Cross-group vote durability (DESIGN.md §12): every member of a group
-   computes the identical verdict list for an epoch, so the first write
-   wins and the entry is immutable afterwards — presence is monotone,
-   which is what makes backup-assisted vote repair deterministic. *)
-let put_votes t ~group ~cen verdicts =
-  if not (Hashtbl.mem t.votes (group, cen)) then
-    Hashtbl.replace t.votes (group, cen) verdicts
-
-let get_votes t ~group ~cen = Hashtbl.find_opt t.votes (group, cen)

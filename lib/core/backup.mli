@@ -20,11 +20,3 @@ val get : t -> node:int -> cen:int -> Gg_crdt.Writeset.Batch.t option
 
 val count : t -> int
 (** Total batches stored. *)
-
-val put_votes : t -> group:int -> cen:int -> (int * bool) list -> unit
-(** Durably record one group's cross-group commit verdicts for an epoch
-    — [(packed csn, validated)] pairs (DESIGN.md §12). Every member of a
-    group computes the identical list, so the first write wins and the
-    entry never changes afterwards. *)
-
-val get_votes : t -> group:int -> cen:int -> (int * bool) list option

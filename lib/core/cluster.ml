@@ -219,10 +219,6 @@ let create ?(params = Params.default) ?(jitter_frac = 0.05) ?(loss = 0.0)
   let net = Net.create sim ~rng ~topology ~jitter_frac ~loss ~dup ~reorder () in
   let n = Topology.n_nodes topology in
   let backup = Backup.create ~n in
-  let part =
-    Partitioning.make ~topology ~epoch_us:params.Params.epoch_us
-      params.Params.partitioning
-  in
   let clock =
     Gg_sim.Clock.create ~seed:params.Params.seed ~topology
       ~bound_us:(if params.Params.fastpath then params.Params.clock_skew_us else 0)
@@ -232,7 +228,6 @@ let create ?(params = Params.default) ?(jitter_frac = 0.05) ?(loss = 0.0)
       Node.sim;
       net;
       params;
-      part;
       backup;
       clock;
       members_at = (fun _ -> List.init n (fun i -> i));
@@ -304,7 +299,6 @@ let obs t = Sim.obs t.sim
 let net t = t.net
 let params t = t.params
 let clock t = t.env.Node.clock
-let partitioning t = t.env.Node.part
 let n_nodes t = Array.length t.nodes
 let node t i = t.nodes.(i)
 let metrics t i = Node.metrics t.nodes.(i)

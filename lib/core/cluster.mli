@@ -32,11 +32,6 @@ val clock : t -> Gg_sim.Clock.t
     with [bound_us = 0] (perfect clocks) unless the fast path is on;
     fault schedules inject skew bursts through it. *)
 
-val partitioning : t -> Partitioning.t
-(** The deployment's replica-group map (from
-    [params.Params.partitioning]); partition-aware oracles use it to
-    scope convergence and durability to each key's replica group. *)
-
 val n_nodes : t -> int
 val node : t -> int -> Node.t
 val metrics : t -> int -> Metrics.t

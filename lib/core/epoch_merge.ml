@@ -61,21 +61,12 @@ let pack_csn (c : Csn.t) = (c.Csn.ts lsl node_bits) lor c.Csn.node
 let csn_key (ws : Writeset.t) = pack_csn ws.Writeset.meta.Meta.csn
 let pack_row ~table ~key_str = String.concat "\x00" [ table; key_str ]
 
-let stamp_row table (entry : Table.entry) (meta : Meta.t) =
-  Row_header.stamp entry.Table.header ~sen:meta.Meta.sen ~csn:meta.Meta.csn
-    ~cen:meta.Meta.cen;
-  Table.touch table
-
-let insert_row table (r : Writeset.record) ~key_str (meta : Meta.t) =
-  let header = Row_header.create () in
-  Row_header.stamp header ~sen:meta.Meta.sen ~csn:meta.Meta.csn
-    ~cen:meta.Meta.cen;
-  ignore
-    (Table.insert_committed table ~key:r.Writeset.key ~key_str
-       ~data:r.Writeset.data ~header)
-
 let lww_apply db (ws : Writeset.t) =
   let meta = ws.Writeset.meta in
+  let stamp header =
+    Row_header.stamp header ~sen:meta.Meta.sen ~csn:meta.Meta.csn
+      ~cen:meta.Meta.cen
+  in
   List.iter
     (fun (r : Writeset.record) ->
       match Db.get_table db r.Writeset.table with
@@ -88,15 +79,21 @@ let lww_apply db (ws : Writeset.t) =
           then begin
             (* The stamp alone is digest-relevant (a delete over an
                existing tombstone changes only the header). *)
-            stamp_row table entry meta;
+            stamp entry.Table.header;
+            Table.touch table;
             match r.Writeset.op with
             | Writeset.Delete -> Table.delete table entry
             | Writeset.Insert | Writeset.Update ->
               Table.revive table entry r.Writeset.data
           end
         | None ->
-          if r.Writeset.op <> Writeset.Delete then
-            insert_row table r ~key_str meta))
+          if r.Writeset.op <> Writeset.Delete then begin
+            let header = Row_header.create () in
+            stamp header;
+            ignore
+              (Table.insert_committed table ~key:r.Writeset.key ~key_str
+                 ~data:r.Writeset.data ~header)
+          end))
     ws.Writeset.records
 
 (* Column mode: one per live row the epoch's updates and deletes reach,
@@ -351,10 +348,10 @@ let write_back (r : Writeset.record) ~meta ~table ~(entry : Table.entry) ~row =
     | Some rw -> write_won_cells table entry r ~meta rw)
   | Writeset.Delete -> Table.delete table entry
 
-let phase_c ~defer ep slots reasons =
+let phase_c ep slots reasons =
   Array.iteri
     (fun w (ws : Writeset.t) ->
-      if Option.is_none reasons.(w) && not (defer ws) then
+      if Option.is_none reasons.(w) then
         let meta = ws.Writeset.meta in
         for i = ep.first.(w) to ep.first.(w + 1) - 1 do
           match slots.(i) with
@@ -364,7 +361,7 @@ let phase_c ~defer ep slots reasons =
         done)
     ep.wss
 
-let run ?(defer = fun _ -> false) ?(level = Params.Row) ~db ~jobs ~ssi txns =
+let run ?(level = Params.Row) ~db ~jobs ~ssi txns =
   if jobs <> 1 then invalid_arg "Epoch_merge.run: jobs must be 1";
   let column = level = Params.Column in
   let ep = flatten txns in
@@ -390,7 +387,7 @@ let run ?(defer = fun _ -> false) ?(level = Params.Row) ~db ~jobs ~ssi txns =
   done;
   if ssi then ssi_pass ep reasons;
   if column then cell_winners ep slots reasons;
-  phase_c ~defer ep slots reasons;
+  phase_c ep slots reasons;
   Db.temp_clear_all db;
   let index = Itbl.create (max 16 n_ws) in
   Array.iteri (fun w ws -> Itbl.replace index (csn_key ws) w) ep.wss;

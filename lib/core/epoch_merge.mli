@@ -27,17 +27,6 @@ val pack_csn : Gg_storage.Csn.t -> int
 val csn_key : Gg_crdt.Writeset.t -> int
 (** [pack_csn] of the write set's csn. *)
 
-val stamp_row : Gg_storage.Table.t -> Gg_storage.Table.entry -> Gg_crdt.Meta.t -> unit
-(** Stamp a row's header with a transaction's meta and mark the table
-    changed. *)
-
-val insert_row :
-  Gg_storage.Table.t -> Gg_crdt.Writeset.record -> key_str:string ->
-  Gg_crdt.Meta.t -> unit
-(** Insert a record's image as a fresh committed row stamped with the
-    meta. The two helpers serve the writes outside the merge proper:
-    {!lww_apply} and the deferred cross-group write-back. *)
-
 val lww_apply : Gg_storage.Db.t -> Gg_crdt.Writeset.t -> unit
 (** GeoG-A's coordination-free apply: each record replaces its row iff
     the write set's csn is newer (last-writer-wins), stamping it; an
@@ -49,7 +38,6 @@ type t
     {!run}) are a deterministic function of the inputs alone. *)
 
 val run :
-  ?defer:(Gg_crdt.Writeset.t -> bool) ->
   ?level:Params.merge_level ->
   db:Gg_storage.Db.t -> jobs:int -> ssi:bool ->
   Gg_crdt.Writeset.t list -> t
@@ -58,12 +46,7 @@ val run :
     the sequential [do_merge] data path). [jobs] must be 1: the kernel
     runs on the calling domain, and any other value raises
     [Invalid_argument] (the label stays for bench/e2e's replay). [ssi]
-    enables the SSI pivot-abort pass. [defer]
-    (default: never) marks write sets that participate fully in
-    validation — they can win rows in phases A/B and enter the committed
-    set — but whose phase-C write-back is withheld; the partial-
-    replication engine uses this for cross-group transactions whose
-    global verdict arrives epochs later (DESIGN.md §12).
+    enables the SSI pivot-abort pass.
 
     [level] (default [Row]) selects the conflict granularity
     (DESIGN.md §13). Under [Column], concurrent [Update]s to one row all
@@ -73,9 +56,8 @@ val run :
     delete, and phase C writes back only the cells each committed update
     won under the per-column LWW join ({!Gg_crdt.Column.join}).
     [Insert]/[Delete] keep row semantics at either level. Pass
-    {!Params.effective_merge_level}, never the raw param: gossip and
-    partial replication re-apply whole row images and are row-level by
-    construction. *)
+    {!Params.effective_merge_level}, never the raw param: gossip
+    re-applies whole row images and is row-level by construction. *)
 
 val committed : t -> Gg_crdt.Writeset.t -> bool
 (** Did this write set's transaction commit? (Keyed by its csn.) *)

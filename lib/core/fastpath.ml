@@ -31,8 +31,8 @@ type settled =
   | Mispredicted of { prelog : int }
   | Not_armed
 
-let create (params : Params.t) ~clock ~part ~obs ~metrics ~node =
-  if (not params.Params.fastpath) || Partitioning.enabled part then None
+let create (params : Params.t) ~clock ~obs ~metrics ~node =
+  if not params.Params.fastpath then None
   else
     let { Params.log_fsync_us; merge_base_us; _ } = params.Params.cost in
     Some

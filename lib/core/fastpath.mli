@@ -5,8 +5,8 @@
     merge-ready. The merge itself runs once, at confirmation, so
     speculation moves simulated work earlier, never a client answer.
 
-    A node holds one [t] only when the fast path is on and partitioning
-    is off; otherwise none is installed and no function here runs. The
+    A node holds one [t] only when the fast path is on; otherwise none
+    is installed and no function here runs. The
     module owns the predictors' feed, the armed epoch, the wakeup dedup
     and its own trace events and counters; it hands decisions back, and
     the caller collects write sets, writes the log and schedules timers. *)
@@ -14,12 +14,9 @@
 type t
 
 val create :
-  Params.t -> clock:Gg_sim.Clock.t -> part:Partitioning.t -> obs:Gg_obs.Obs.t ->
+  Params.t -> clock:Gg_sim.Clock.t -> obs:Gg_obs.Obs.t ->
   metrics:Metrics.t -> node:int -> t option
-(** [None] unless {!Params.t.fastpath} is on and
-    {!Partitioning.enabled} is false: cross-group voting already delays
-    externalization past the merge, so speculating under partial
-    replication would buy nothing. *)
+(** [None] unless {!Params.t.fastpath} is on. *)
 
 val reset : t -> unit
 (** Disarm and forget the pending wakeup (crash, or a state install). *)

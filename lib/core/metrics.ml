@@ -13,7 +13,6 @@ type t = {
   ab_ssi : Obs.Counter.t;
   ab_deleted : Obs.Counter.t;
   ab_failure : Obs.Counter.t;
-  ab_cross : Obs.Counter.t;
   latency : Obs.Histogram.t;
   commit_latency : Obs.Histogram.t;
   mutable parse : Stats.Acc.t;
@@ -53,7 +52,6 @@ let create ~obs ~id =
       ab_ssi = counter "txn.abort.ssi";
       ab_deleted = counter "txn.abort.row_deleted";
       ab_failure = counter "txn.abort.node_failure";
-      ab_cross = counter "txn.abort.cross_partition";
       latency = histogram "txn.latency_us";
       commit_latency = histogram "txn.commit_latency_us";
       parse = Stats.Acc.create ();
@@ -96,8 +94,7 @@ let record_outcome t outcome =
     | Txn.Write_conflict -> Obs.Counter.incr t.ab_write
     | Txn.Ssi_conflict -> Obs.Counter.incr t.ab_ssi
     | Txn.Row_deleted -> Obs.Counter.incr t.ab_deleted
-    | Txn.Node_failure -> Obs.Counter.incr t.ab_failure
-    | Txn.Cross_abort -> Obs.Counter.incr t.ab_cross)
+    | Txn.Node_failure -> Obs.Counter.incr t.ab_failure)
 
 let record_phases t (p : Txn.phases) =
   Stats.Acc.add t.parse (float_of_int p.parse_us);
@@ -129,7 +126,6 @@ let aborted_by t = function
   | Txn.Ssi_conflict -> Obs.Counter.value t.ab_ssi
   | Txn.Row_deleted -> Obs.Counter.value t.ab_deleted
   | Txn.Node_failure -> Obs.Counter.value t.ab_failure
-  | Txn.Cross_abort -> Obs.Counter.value t.ab_cross
 
 let latency t = Obs.Histogram.hist t.latency
 

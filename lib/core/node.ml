@@ -13,12 +13,6 @@ module Itbl = Epoch_merge.Itbl
 type msg =
   | Batch_msg of Writeset.Batch.t
   | Batch_wire of bytes
-  | Part_vote of {
-      cen : int;
-      group : int;
-      verdicts : (int * bool) list;  (* (packed csn, validated), sorted *)
-      span : int;
-    }
   | Ft_ack of { cen : int; from : int; span : int }
   | Ft_commit of { cen : int; origin : int; span : int }
 
@@ -26,7 +20,6 @@ type env = {
   sim : Sim.t;
   net : Net.t;
   params : Params.t;
-  part : Partitioning.t;
   backup : Backup.t;
   clock : Clock.t;
   mutable members_at : int -> int list;
@@ -67,7 +60,6 @@ type t = {
   epochs : epoch Itbl.t;  (* cen *)
   ft : Ft_gate.t;  (* fault-tolerance gates (§5.2) *)
   sync_queue : Txn.t Gg_util.Fifo.t;  (* GeoG-S: held until a fresh snapshot *)
-  cross : Cross_group.t option;  (* partial replication only (DESIGN.md §12) *)
   last_eof : int array;
   mutable merging : bool;
   mutable csn_last : int;
@@ -103,9 +95,6 @@ let create env ~id ~db =
           (Txn.create ~id:(-1) ~node:id
              ~request:(Txn.Sql_txn { label = ""; stmts = [] })
              ~submit_time:0 ~callback:ignore);
-    cross =
-      Cross_group.create env.part ~topology:(Net.topology env.net)
-        ~backup:env.backup ~db ~node:id;
     last_eof = Array.make (Net.n_nodes env.net) 0;
     merging = false;
     csn_last = 0;
@@ -116,8 +105,7 @@ let create env ~id ~db =
       Execution.create env.params ~sim:env.sim
         ~cpu:(Cpu.create env.sim ~cores) ~db;
     fast =
-      Fastpath.create env.params ~clock:env.clock ~part:env.part ~obs ~metrics
-        ~node:id;
+      Fastpath.create env.params ~clock:env.clock ~obs ~metrics ~node:id;
   }
 
 let id t = t.id
@@ -240,30 +228,6 @@ let answer_after t (txn : Txn.t) ~cen ~after abort =
         finish_committed t txn
       | Some reason -> finish_aborted t txn reason)
 
-(* Settle the cross-group transactions whose vote window ends at merge
-   [e] (DESIGN.md §12) and answer the ones that originated here. *)
-let answer_resolved t cg e ~span =
-  List.iter
-    (fun (d : Cross_group.decision) ->
-      if Obs.tracing t.obs then
-        Obs.emit t.obs ~node:t.id ~epoch:d.cen ~span ~cat:"epoch"
-          "cross.resolve"
-          ~detail:
-            (Printf.sprintf "csn=%d ok=%b groups=%d" d.csn (d.abort = None)
-               d.n_groups);
-      match d.txn with
-      | None -> ()
-      | Some txn -> (
-        txn.Txn.merge_span <- span;
-        txn.Txn.phases.wait_us <-
-          txn.Txn.phases.wait_us + (now t - txn.Txn.commit_point);
-        match d.abort with
-        | None ->
-          txn.Txn.phases.log_us <- wal_append t txn;
-          answer_after t txn ~cen:d.cen ~after:txn.Txn.phases.log_us None
-        | Some reason -> finish_aborted t txn reason))
-    (Cross_group.resolve cg ~e ~members:(t.env.members_at e))
-
 (* --- epoch sealing --- *)
 
 let seal_epoch t e =
@@ -281,33 +245,17 @@ let seal_epoch t e =
       ~detail:(Printf.sprintf "txns=%d" (List.length txns));
   (* With pipelining the write sets already went out in mini-batches;
      only the EOF marker (carrying the expected count) travels now. *)
-  let send_eof ?(group = "") txns send =
-    let wire_batch =
-      if t.env.params.Params.pipeline then
-        Writeset.Batch.make ~node:t.id ~cen:e ~txns:[] ~eof:true
-          ~count:(List.length txns) ~span:bspan ()
-      else Writeset.Batch.make ~node:t.id ~cen:e ~txns ~eof:true ~span:bspan ()
-    in
-    let bytes = Writeset.Batch.wire_size wire_batch in
-    if Obs.tracing t.obs then
-      Obs.emit t.obs ~node:t.id ~epoch:e ~span:bspan ~cat:"epoch" "batch.send"
-        ~detail:(Printf.sprintf "%sbytes=%d" group bytes);
-    send (send_batch t ~bytes wire_batch)
+  let wire_batch =
+    if t.env.params.Params.pipeline then
+      Writeset.Batch.make ~node:t.id ~cen:e ~txns:[] ~eof:true
+        ~count:(List.length txns) ~span:bspan ()
+    else Writeset.Batch.make ~node:t.id ~cen:e ~txns ~eof:true ~span:bspan ()
   in
-  (match t.cross with
-  | None -> send_eof txns (broadcast t)
-  | Some cg ->
-    (* Interest-scoped dissemination: each replica group receives one
-       EOF frame per epoch carrying (or counting) only the transactions
-       that touch its keys. Every node still hears an EOF from every
-       peer every epoch, so the failure detector and the merge-readiness
-       rule are unchanged; the backup above keeps the full batch for
-       stall repair and view changes. *)
-    List.iter
-      (fun (g, gtxns, dsts) ->
-        send_eof ~group:(Printf.sprintf "group=%d " g) gtxns (fun send ->
-            List.iter (fun dst -> send ~dst) dsts))
-      (Cross_group.eof_groups cg txns));
+  let bytes = Writeset.Batch.wire_size wire_batch in
+  if Obs.tracing t.obs then
+    Obs.emit t.obs ~node:t.id ~epoch:e ~span:bspan ~cat:"epoch" "batch.send"
+      ~detail:(Printf.sprintf "bytes=%d" bytes);
+  broadcast t (send_batch t ~bytes wire_batch);
   Option.iter
     (fun ep ->
       ep.sealed <- txns;
@@ -321,25 +269,18 @@ let csn_keys txns = List.sort compare (List.map Epoch_merge.csn_key txns)
 (* The records merged at epoch [e] and the simulated merge duration.
    Every blocked transaction thread is checked/notified around each
    snapshot generation (§5.1): with short epochs this scan dominates,
-   which is why the paper's Fig 8 peaks at ~10 ms. Under partial
-   replication the work is this group's fragments plus the deferred
-   fragments resolving at this merge. *)
-let merge_work t e txns =
-  let n_records, resolving =
-    match t.cross with
-    | Some cg -> Cross_group.merge_records cg ~e txns
-    | None ->
-      ( List.fold_left
-          (fun n (ws : Writeset.t) -> n + List.length ws.Writeset.records)
-          0 txns,
-        0 )
+   which is why the paper's Fig 8 peaks at ~10 ms. *)
+let merge_work t txns =
+  let n_records =
+    List.fold_left
+      (fun n (ws : Writeset.t) -> n + List.length ws.Writeset.records)
+      0 txns
   in
   let cost = t.env.params.Params.cost in
   ( n_records,
     cost.merge_base_us
     + (pending_waiting t * cost.notify_us)
-    + (n_records + resolving)
-      * cost.merge_record_us / max 1 cost.merge_threads )
+    + (n_records * cost.merge_record_us / max 1 cost.merge_threads) )
 
 let rec schedule_boundary t e =
   let b = (e + 1) * epoch_us t in
@@ -360,15 +301,7 @@ let rec schedule_boundary t e =
 
 and collect_epoch_txns t e =
   (* Local + all remote updates of epoch e, deduplicated by csn (the
-     network may duplicate; merge must stay idempotent). Under partial
-     replication a remote write set is kept only if it touches this
-     node's group: normal dissemination never delivers others, but a
-     stall repair fetches the sender's FULL backup batch — dropping the
-     foreign-only entries here keeps both paths equivalent. Local
-     transactions always stay (their outcome is owed to the client). *)
-  let keep ws =
-    match t.cross with Some cg -> Cross_group.keeps cg ws | None -> true
-  in
+     network may duplicate; merge must stay idempotent). *)
   let seen = Itbl.create 64 in
   let add acc ws =
     let k = Epoch_merge.csn_key ws in
@@ -385,9 +318,7 @@ and collect_epoch_txns t e =
       (fun acc peer ->
         if peer = t.id then acc
         else
-          List.fold_left
-            (fun acc ws -> if keep ws then add acc ws else acc)
-            acc (List.rev ep.peers.(peer).txns))
+          List.fold_left add acc (List.rev ep.peers.(peer).txns))
       acc
       (t.env.members_at e)
   in
@@ -403,12 +334,7 @@ and incomplete_peers t e =
     (fun peer -> peer <> t.id && not (peer_complete t ~cen:e ~peer))
     (t.env.members_at e)
 
-and merge_ready t e =
-  t.sealed_epoch >= e
-  && Option.fold ~none:true
-       ~some:(Cross_group.ready ~e ~members:(t.env.members_at e))
-       t.cross
-  && incomplete_peers t e = []
+and merge_ready t e = t.sealed_epoch >= e && incomplete_peers t e = []
 
 and try_advance t =
   (if t.active && not t.merging then begin
@@ -416,7 +342,7 @@ and try_advance t =
     if merge_ready t e then begin
       t.merging <- true;
       let txns = collect_epoch_txns t e in
-      let n_records, fresh = merge_work t e txns in
+      let n_records, fresh = merge_work t txns in
       (* A speculative merge armed for this epoch is confirmed or
          discarded here; either way externalization happens strictly
          after this point. *)
@@ -451,7 +377,7 @@ and maybe_spec t =
     match Fastpath.plan f ~e ~now:(now t) ~incomplete with
     | Fastpath.Speculate ->
       let txns = collect_epoch_txns t e in
-      let n_records, duration = merge_work t e txns in
+      let n_records, duration = merge_work t txns in
       Fastpath.arm f ~e ~now:(now t) ~duration ~n_records ~keys:(csn_keys txns);
       (* WAL prelog: the local write sets froze at the seal, so their
          group commit overlaps the EOF flight. *)
@@ -465,26 +391,13 @@ and maybe_spec t =
     | Fastpath.Nothing -> ())
   | _ -> ()
 
-and do_merge t e full ~merge_started ~duration ~span ~prelog =
-  (* Under partial replication: settle the cross-group transactions
-     whose vote window ends here, before this epoch's own merge reads the
-     database; then merge this group's fragments, deferring the
-     cross-group write-backs. *)
-  let ep, txns =
-    match t.cross with
-    | None -> (None, full)
-    | Some cg ->
-      answer_resolved t cg e ~span;
-      let ep, frags = Cross_group.fragments cg full in
-      (Some ep, frags)
-  in
+and do_merge t e txns ~merge_started ~duration ~span ~prelog =
   (* Phases A–C (DeltaCRDTMerge pre-write, validation, SSI, write-back)
      live in {!Epoch_merge} (DESIGN.md §10). *)
   let m =
     Epoch_merge.run ~db:t.db ~jobs:1
       ~ssi:(Execution.ssi t.exec)
       ~level:(Params.effective_merge_level t.env.params)
-      ?defer:(Option.map Cross_group.deferred ep)
       txns
   in
   Metrics.record_merged_records t.metrics (Epoch_merge.n_records m);
@@ -505,38 +418,23 @@ and do_merge t e full ~merge_started ~duration ~span ~prelog =
   List.iter
     (fun (txn : Txn.t) ->
       txn.Txn.phases.merge_us <- duration;
-      match ep with
-      | Some ep when Cross_group.hold ep txn ->
-        () (* cross-group: answered at resolution, once the votes are in *)
-      | _ ->
-        txn.Txn.merge_span <- span;
-        txn.Txn.phases.wait_us <-
-          txn.Txn.phases.wait_us + (merge_started - txn.Txn.commit_point);
-        let log_us =
-          match prelog with
-          | Some logged_at ->
-            (* the group commit went out at speculation time: only its
-               unfinished remainder is still on the commit path *)
-            max 0 (logged_at + txn.Txn.phases.log_us - now t)
-          | None -> wal_append t txn
-        in
-        txn.Txn.phases.log_us <- log_us;
-        answer_after t txn ~cen:e
-          ~after:(max 0 (record.notify_at - now t) + log_us)
-          (Option.fold ~none:(Some Txn.Write_conflict)
-             ~some:(Epoch_merge.verdict m) txn.Txn.writeset))
+      txn.Txn.merge_span <- span;
+      txn.Txn.phases.wait_us <-
+        txn.Txn.phases.wait_us + (merge_started - txn.Txn.commit_point);
+      let log_us =
+        match prelog with
+        | Some logged_at ->
+          (* the group commit went out at speculation time: only its
+             unfinished remainder is still on the commit path *)
+          max 0 (logged_at + txn.Txn.phases.log_us - now t)
+        | None -> wal_append t txn
+      in
+      txn.Txn.phases.log_us <- log_us;
+      answer_after t txn ~cen:e
+        ~after:(max 0 (record.notify_at - now t) + log_us)
+        (Option.fold ~none:(Some Txn.Write_conflict)
+           ~some:(Epoch_merge.verdict m) txn.Txn.writeset))
     record.waiting;
-  (match (t.cross, ep) with
-  | Some cg, Some ep ->
-    let verdicts, dsts = Cross_group.votes cg ep m ~cen:e full in
-    (* header + epoch/group ids + 9 bytes per (csn, verdict) pair *)
-    let bytes = 8 + 16 + (9 * List.length verdicts) in
-    List.iter
-      (fun dst ->
-        send_msg t ~dst ~bytes
-          (Part_vote { cen = e; group = Cross_group.group cg; verdicts; span }))
-      dsts
-  | _ -> ());
   Itbl.remove t.epochs e;
   t.env.on_snapshot ~node:t.id ~lsn:e;
   (* GeoG-S: a fresh snapshot releases held transactions. *)
@@ -608,15 +506,7 @@ and commit_point t (txn : Txn.t) =
     | Params.Optimistic | Params.Sync_exec ->
       let ep = epoch t cen in
       ep.pending <- ws :: ep.pending;
-      if t.env.params.Params.pipeline then begin
-        let send = mini () in
-        (* Interest-scoped pipelining: only members of the touched
-           groups hear the mini-batch. *)
-        match t.cross with
-        | Some cg ->
-          List.iter (fun dst -> send ~dst) (Cross_group.targets cg ws)
-        | None -> broadcast t send
-      end;
+      if t.env.params.Params.pipeline then broadcast t (mini ());
       ep.waiting <- txn :: ep.waiting;
       if cen > t.last_txn_cen then t.last_txn_cen <- cen)
 
@@ -669,17 +559,6 @@ and receive t msg =
         if Obs.tracing t.obs then
           Obs.emit t.obs ~node:t.id ~cat:"epoch" "batch.corrupt"
             ~detail:(Printf.sprintf "bytes=%d" (Bytes.length bytes)))
-    | Part_vote { cen; group; verdicts; span = pspan } -> (
-      match t.cross with
-      | Some cg when Cross_group.on_vote cg ~lsn:t.lsn ~cen ~group verdicts ->
-        if Obs.tracing t.obs then
-          Obs.emit t.obs ~node:t.id ~epoch:cen ~cat:"epoch" "vote.recv"
-            ~parent:(if pspan > 0 then pspan else -1)
-            ~detail:
-              (Printf.sprintf "group=%d verdicts=%d" group
-                 (List.length verdicts));
-        try_advance t
-      | _ -> ())
     | Ft_ack { cen; from; span = pspan } ->
       let aspan = Obs.new_span t.obs ~node:t.id in
       if Obs.tracing t.obs then
@@ -735,23 +614,7 @@ let repair t =
                 if e > t.lsn then (batch_state t ~cen:e ~peer).committed <- true;
                 receive t (Batch_msg batch)
               end))
-      (incomplete_peers t e);
-    (* Missing cross-group votes stall the merge the same way: refetch
-       them from the voting group's durable backup record. *)
-    Option.iter
-      (fun cg ->
-        List.iter
-          (fun (cen, group, delay) ->
-            if Obs.tracing t.obs then
-              Obs.emit t.obs ~node:t.id ~epoch:cen ~cat:"epoch" "repair.votes"
-                ~detail:(Printf.sprintf "group=%d" group);
-            Sim.schedule t.env.sim ~after:delay (fun () ->
-                if up t then begin
-                  Cross_group.fetched cg ~cen ~group;
-                  try_advance t
-                end))
-          (Cross_group.refetch cg ~e ~members:(t.env.members_at e)))
-      t.cross
+      (incomplete_peers t e)
   end
 
 let rec schedule_repair t =
@@ -769,7 +632,6 @@ let start t =
 (* Drop the volatile merge state: on a crash, and when a transferred
    snapshot replaces the database. *)
 let reset_merge_state t =
-  Option.iter Cross_group.reset t.cross;
   Option.iter Fastpath.reset t.fast;
   t.merging <- false
 

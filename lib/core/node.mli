@@ -28,15 +28,6 @@ type msg =
       (** a batch frame as raw wire bytes: what a corrupting network
           actually carries. A frame that fails to decode is dropped like
           a lost message (the stall-repair path recovers it). *)
-  | Part_vote of {
-      cen : int;
-      group : int;
-      verdicts : (int * bool) list;
-      span : int;
-    }
-      (** partial replication: one group's merge verdicts for the
-          cross-group transactions of an epoch — [(packed csn,
-          validated)] pairs, csn-sorted (DESIGN.md §12) *)
   | Ft_ack of { cen : int; from : int; span : int }
       (** Raft-FT: receiver acknowledges an epoch batch *)
   | Ft_commit of { cen : int; origin : int; span : int }
@@ -48,9 +39,6 @@ type env = {
   sim : Gg_sim.Sim.t;
   net : Gg_sim.Net.t;
   params : Params.t;
-  part : Partitioning.t;
-      (** replica-group map; {!Partitioning.enabled} [= false] means
-          full replication (every node receives every write set) *)
   backup : Backup.t;
   clock : Gg_sim.Clock.t;
       (** bounded-skew local clocks + watermark/delay estimators. Bound 0

@@ -4,8 +4,6 @@ type variant = Optimistic | Sync_exec | Async_merge
 
 type ft_mode = Ft_none | Ft_local_backup | Ft_remote_backup | Ft_raft
 
-type partitioning = P_none | P_region | P_hash of int
-
 type merge_level = Row | Column
 
 type cost = {
@@ -28,7 +26,6 @@ type t = {
   cost : cost;
   client_retry_us : int;
   merge_par_threshold : int;
-  partitioning : partitioning;
   merge_level : merge_level;
   fastpath : bool;
   clock_skew_us : int;
@@ -56,7 +53,6 @@ let default =
     cost = default_cost;
     client_retry_us = 2_000_000;
     merge_par_threshold = 4_096;
-    partitioning = P_none;
     merge_level = Row;
     fastpath = false;
     clock_skew_us = 5_000;
@@ -95,27 +91,6 @@ let ft_to_string = function
   | Ft_remote_backup -> "remote-backup"
   | Ft_raft -> "raft"
 
-let partitioning_to_string = function
-  | P_none -> "none"
-  | P_region -> "region"
-  | P_hash k -> Printf.sprintf "hash:%d" k
-
-let partitioning_of_string s =
-  match s with
-  | "none" -> Ok P_none
-  | "region" -> Ok P_region
-  | _ -> (
-    match String.index_opt s ':' with
-    | Some i
-      when String.sub s 0 i = "hash"
-           && i + 1 < String.length s -> (
-      match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-      | Some k when k >= 1 -> Ok (P_hash k)
-      | _ -> Error (Printf.sprintf "bad group count in %S (want hash:<k>, k >= 1)" s))
-    | _ ->
-      Error
-        (Printf.sprintf "unknown partitioning %S (expected none, region or hash:<k>)" s))
-
 let merge_level_to_string = function Row -> "row" | Column -> "column"
 
 let merge_level_of_string = function
@@ -125,11 +100,7 @@ let merge_level_of_string = function
 
 (* Column-level merge only exists inside the epoch-scoped kernel:
    GeoG-A's gossip applies whole rows on arrival (no per-epoch candidate
-   set to resolve cells over), and the partial-replication write-back
-   re-applies row fragments against header ownership. Both fall back to
-   the row lattice rather than silently mis-merging. *)
+   set to resolve cells over), so it falls back to the row lattice
+   rather than silently mis-merging. *)
 let effective_merge_level t =
-  match (t.variant, t.partitioning) with
-  | Async_merge, _ -> Row
-  | _, (P_region | P_hash _) -> Row
-  | _, P_none -> t.merge_level
+  match t.variant with Async_merge -> Row | Optimistic | Sync_exec -> t.merge_level

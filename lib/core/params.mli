@@ -24,15 +24,6 @@ type ft_mode =
   | Ft_remote_backup  (** ~1 RTT *)
   | Ft_raft  (** write sets applied remotely only after majority ack, ~1.5 RTT *)
 
-(** Partial-replication mode (DESIGN.md §12). [P_none] is classic
-    GeoGauss full replication. [P_region] assigns one replica group per
-    populated topology region; [P_hash k] hashes nodes into [k] groups
-    (clamped to the node count). Keys hash onto groups; write-set
-    dissemination is scoped to the groups a transaction touches, and
-    cross-group transactions commit only when every touched group's
-    merge validates them. *)
-type partitioning = P_none | P_region | P_hash of int
-
 (** Conflict-resolution granularity of the epoch merge (DESIGN.md §13).
     [Row] is the paper's last-write-wins over whole row images: one
     committed writer per row per epoch. [Column] resolves each written
@@ -73,9 +64,6 @@ type t = {
       (** fixed at 4096 records. No engine path reads it; only
           bench/e2e's [epochs_over_par_threshold] counter does, counting
           the epochs at least this large *)
-  partitioning : partitioning;
-      (** partial-replication mode, default [P_none] (full replication;
-          byte-identical to the pre-partitioning engine) *)
   merge_level : merge_level;
       (** conflict-resolution granularity, default [Row] (byte-identical
           to the pre-column engine: no column masks are captured and the
@@ -115,12 +103,6 @@ val isolation_to_string : isolation -> string
 val variant_to_string : variant -> string
 val ft_to_string : ft_mode -> string
 
-val partitioning_to_string : partitioning -> string
-(** ["none"], ["region"] or ["hash:<k>"]. *)
-
-val partitioning_of_string : string -> (partitioning, string) result
-(** Inverse of {!partitioning_to_string}; [Error] carries a usage hint. *)
-
 val merge_level_to_string : merge_level -> string
 (** ["row"] or ["column"]. *)
 
@@ -129,6 +111,5 @@ val merge_level_of_string : string -> (merge_level, string) result
 
 val effective_merge_level : t -> merge_level
 (** The level the engine actually runs: [Column] only under the
-    epoch-based variants with full replication. GeoG-A applies whole
-    rows on gossip arrival and the partial-replication write-back
-    re-applies row fragments, so both coerce to [Row]. *)
+    epoch-based variants. GeoG-A applies whole rows on gossip arrival,
+    so it coerces to [Row]. *)

@@ -12,7 +12,6 @@ type abort_reason =
   | Ssi_conflict
   | Row_deleted
   | Node_failure
-  | Cross_abort
 
 type outcome =
   | Committed of { latency_us : int; results : Gg_sql.Executor.result list }
@@ -79,7 +78,6 @@ let abort_reason_to_string = function
   | Ssi_conflict -> "ssi-rw-antidependency"
   | Row_deleted -> "row-deleted"
   | Node_failure -> "node-failure"
-  | Cross_abort -> "cross-partition-validation"
 
 let outcome_latency = function
   | Committed { latency_us; _ } | Aborted { latency_us; _ } -> latency_us

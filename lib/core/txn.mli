@@ -17,9 +17,6 @@ type abort_reason =
       (** SSI extension: pivot of consecutive rw-antidependencies *)
   | Row_deleted  (** wrote a row deleted by an earlier epoch *)
   | Node_failure  (** host crashed before responding *)
-  | Cross_abort
-      (** partial replication: passed the local group's validation but a
-          foreign touched group's merge rejected it (DESIGN.md §12) *)
 
 type outcome =
   | Committed of {

@@ -605,107 +605,6 @@ let write_points ~path ~suite ~fast points =
     (String.concat ",\n" points);
   close_out oc
 
-(* --- Fig "scale": partial replication at 25-200 replicas ---
-
-   Not a paper figure: GeoGauss evaluates full replication only (Fig 11
-   stops at 25 worldwide replicas). This sweep shows why partial
-   replication matters at larger widths — under full replication every
-   committed transaction is shipped to all n-1 peers, so WAN bytes/txn
-   grows linearly with n, while interest-scoped dissemination
-   (--partitioning region / hash:k) keeps it proportional to the average
-   number of *interested* replicas. Same deterministic engine, same
-   workload and epoch length in every mode; only the replica-group map
-   changes. Writes BENCH_scale.json next to the other bench
-   artifacts. *)
-
-let scale_modes =
-  [
-    ("full", Params.P_none); ("region", Params.P_region);
-    ("hash:4", Params.P_hash 4);
-  ]
-
-let fig_scale_tables pool s ~fast =
-  let warmup_ms, measure_ms = if fast then (300, 800) else (500, 1_500) in
-  let s = { s with warmup_ms; measure_ms } in
-  let widths = if fast then [ 25; 50 ] else [ 25; 50; 100; 200 ] in
-  (* Low ops/txn, or the zipfian key draw touches nearly every group and
-     there is no interest left to scope; 2 ops on 3 000 rows keeps most
-     transactions inside one or two groups while still crossing groups
-     often enough to exercise the vote path. *)
-  let p =
-    { (Ycsb.with_records Ycsb.medium_contention 3_000) with
-      Ycsb.ops_per_txn = 2; name = "ycsb-mc-2op" }
-  in
-  let run (label, mode) n () =
-    (* 25 ms epochs: at worldwide latencies the cross-group vote pipeline
-       depth stays small, and all three modes share the value so the
-       comparison isolates dissemination. *)
-    let params =
-      { (Params.with_epoch_ms Params.default 25) with Params.partitioning = mode }
-    in
-    ( label, n,
-      fst
-        (geo s ~params ~topology:(Topology.worldwide n) ~connections:2
-           ~load:(Ycsb.load p) ~gen:(Driver.ycsb_gens p ~seed:131)
-           ~label:(Params.partitioning_to_string mode)
-           ()) )
-  in
-  let rows =
-    List.concat
-      (run_rows pool (List.map (fun m -> List.map (run m) widths) scale_modes))
-  in
-  let point_json (label, n, r) =
-    Printf.sprintf
-      "    {\"mode\": \"%s\", \"replicas\": %d, \"tput\": %.1f, \
-       \"mean_lat_ms\": %.3f, \"wan_kb_per_txn\": %.4f, \"committed\": %d, \
-       \"aborted\": %d}"
-      label n r.Result.tput r.Result.mean_ms r.Result.wan_kb_per_txn
-      r.Result.committed r.Result.aborted
-  in
-  write_points ~path:"BENCH_scale.json" ~suite:"scale" ~fast
-    (List.map point_json rows);
-  (* The claim the sweep exists to check: interest-scoped dissemination
-     must beat full replication on the wire at every width. *)
-  let wan label n =
-    List.find_map
-      (fun (l, w, r) ->
-        if l = label && w = n then Some r.Result.wan_kb_per_txn else None)
-      rows
-  in
-  List.iter
-    (fun n ->
-      match wan "full" n with
-      | None -> ()
-      | Some full ->
-        List.iter
-          (fun (label, _) ->
-            if label <> "full" then
-              match wan label n with
-              | Some w when w >= full ->
-                Printf.eprintf
-                  "  WARNING: %s at %d replicas ships %.2f KB/txn >= full \
-                   replication's %.2f — partial replication saved nothing\n\
-                   %!"
-                  label n w full
-              | _ -> ())
-          scale_modes)
-    widths;
-  [
-    table
-      ~title:
-        "Fig scale — Partial replication, worldwide DCs (YCSB-MC, 2 ops/txn, \
-         25 ms epochs)"
-      ~headers:
-        [ "mode"; "replicas"; "tput (txn/s)"; "mean lat (ms)"; "WAN KB/txn" ]
-      (List.map (fun (label, _, _) -> label) rows)
-      (fun (_, n, r) ->
-        [
-          string_of_int n; f ~dec:0 r.Result.tput; f r.Result.mean_ms;
-          f ~dec:2 r.Result.wan_kb_per_txn;
-        ])
-      rows;
-  ]
-
 (* --- Fig "skew": merge granularity under skewed writes ---
 
    Not a paper figure: GeoGauss merges at whole-row granularity (first
@@ -908,7 +807,7 @@ let fig_fastpath_tables pool s ~fast =
 let names =
   [
     "fig5"; "table2"; "fig6"; "fig7"; "table3"; "fig8"; "fig9"; "fig10";
-    "fig11"; "fig12"; "fig13"; "ablations"; "fig_scale"; "fig_skew";
+    "fig11"; "fig12"; "fig13"; "ablations"; "fig_skew";
     "fig_fastpath";
   ]
 
@@ -926,7 +825,6 @@ let tables ?(pool = Pool.seq) ~setting:s ~fast name =
   | "fig12" -> Some (fig12_tables pool s)
   | "fig13" -> Some (fig13_tables pool ~fast)
   | "ablations" -> Some (ablations_tables pool s)
-  | "fig_scale" -> Some (fig_scale_tables pool s ~fast)
   | "fig_skew" -> Some (fig_skew_tables pool s ~fast)
   | "fig_fastpath" -> Some (fig_fastpath_tables pool s ~fast)
   | _ -> None

@@ -52,9 +52,6 @@ val names : string list
     Not paper figures:
     - [ablations]: the §5.1 design choices (pipelining, merge
       parallelism, write-set size);
-    - [fig_scale]: partial replication at 25–200 worldwide replicas under
-      [--partitioning none|region|hash:4] (DESIGN.md §12); writes
-      [BENCH_scale.json];
     - [fig_skew]: hotkey and social at both merge levels (DESIGN.md §13);
       warns on stderr unless column-level merge aborts strictly less on
       both; writes [BENCH_skew.json]. At the column level a counter cell

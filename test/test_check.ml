@@ -70,69 +70,6 @@ let test_run_deterministic () =
   Alcotest.(check int) "oracle commit logs equal" o1.Checker.oracle_commits
     o2.Checker.oracle_commits
 
-(* --- partial replication (DESIGN.md §12) --- *)
-
-let test_partitioned_seeds_pass () =
-  (* The group-scoped oracles must hold under both partition maps. *)
-  List.iter
-    (fun mode ->
-      let report =
-        Checker.check ~fast:true ~partitioning:mode ~base:0 ~seeds:3 ()
-      in
-      Alcotest.(check int)
-        (Printf.sprintf "no violations under %s"
-           (Params.partitioning_to_string mode))
-        0
-        (List.length report.Checker.failures);
-      Alcotest.(check bool) "commits happened" true
-        (report.Checker.total_commits > 0))
-    [ Params.P_region; Params.P_hash 2 ]
-
-let test_with_partitioning_scrubs () =
-  (* Crash/recover faults and GeoG-A are incompatible with partial
-     replication; the pin must scrub them without touching the rest. *)
-  for seed = 0 to 20 do
-    let s = Scenario.generate ~fast:true seed in
-    let s' = Scenario.with_partitioning s (Params.P_hash 2) in
-    Alcotest.(check bool) "mode pinned" true
-      (s'.Scenario.partitioning = Params.P_hash 2);
-    Alcotest.(check bool) "engine is epoch-based" true
-      (s'.Scenario.variant <> Params.Async_merge);
-    Alcotest.(check bool) "no crash/recover faults" true
-      (List.for_all
-         (fun e ->
-           match e.Gg_sim.Fault.action with
-           | Gg_sim.Fault.Crash _ | Gg_sim.Fault.Recover _ -> false
-           | _ -> true)
-         s'.Scenario.faults);
-    (* The pin must be the identity when partitioning stays off. *)
-    Alcotest.(check string) "P_none is the identity" (Scenario.to_string s)
-      (Scenario.to_string (Scenario.with_partitioning s Params.P_none))
-  done
-
-let test_partitioned_sweep_pool_parity () =
-  (* The partitioned check sweep streams results in seed order, so the
-     log is byte-identical at any pool width. *)
-  let capture pool =
-    let buf = Buffer.create 256 in
-    let r =
-      Checker.check
-        ~log:(fun l ->
-          Buffer.add_string buf l;
-          Buffer.add_char buf '\n')
-        ~fast:true ~partitioning:(Params.P_hash 2) ~pool ~base:0 ~seeds:3 ()
-    in
-    (Buffer.contents buf, r)
-  in
-  let log1, r1 = capture Gg_par.Pool.seq in
-  let log4, r4 = Gg_par.Pool.with_pool ~jobs:4 (fun pool -> capture pool) in
-  Alcotest.(check string) "logs byte-equal at -j1 vs -j4" log1 log4;
-  Alcotest.(check int) "commit totals equal" r1.Checker.total_commits
-    r4.Checker.total_commits;
-  Alcotest.(check int) "failure counts equal"
-    (List.length r1.Checker.failures)
-    (List.length r4.Checker.failures)
-
 (* --- column-level merge (DESIGN.md §13) --- *)
 
 let test_workload_space_covers_new_generators () =
@@ -245,15 +182,6 @@ let () =
         [
           Alcotest.test_case "smoke seeds pass" `Slow test_smoke_seeds_pass;
           Alcotest.test_case "run deterministic" `Slow test_run_deterministic;
-        ] );
-      ( "partitioning",
-        [
-          Alcotest.test_case "pin scrubs incompatible draws" `Quick
-            test_with_partitioning_scrubs;
-          Alcotest.test_case "partitioned seeds pass" `Slow
-            test_partitioned_seeds_pass;
-          Alcotest.test_case "partitioned sweep -j1 vs -j4 byte-equal" `Slow
-            test_partitioned_sweep_pool_parity;
         ] );
       ( "column merge",
         [

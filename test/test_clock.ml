@@ -173,25 +173,20 @@ let test_fastpath_scenarios_pinned () =
 
 let fastpath_params = Params.with_fastpath Params.default true
 
-let make_stage ?(params = fastpath_params) ?(partitioning = Params.P_none) ()
-    =
+let make_stage ?(params = fastpath_params) () =
   let bound_us = params.Params.clock_skew_us in
-  let epoch_us = params.Params.epoch_us in
   Fastpath.create params
     ~clock:(Clock.create ~seed:1 ~topology:topo ~bound_us)
-    ~part:(Geogauss.Partitioning.make ~topology:topo ~epoch_us partitioning)
     ~obs:(Gg_obs.Obs.create ()) ~metrics:(Geogauss.Metrics.create ~obs:(Gg_obs.Obs.create ()) ~id:0) ~node:0
 
 let stage () =
   match make_stage () with
   | Some f -> f
-  | None -> Alcotest.fail "fast path on, partitioning off: stage expected"
+  | None -> Alcotest.fail "fast path on: stage expected"
 
 let test_stage_installed_only_when_it_runs () =
   Alcotest.(check bool) "fast path off: no stage" true
     (Option.is_none (make_stage ~params:Params.default ()));
-  Alcotest.(check bool) "partitioned: no stage" true
-    (Option.is_none (make_stage ~partitioning:(Params.P_hash 2) ()));
   Alcotest.(check bool) "fast path on: stage" true
     (Option.is_some (make_stage ()))
 
@@ -283,16 +278,6 @@ let test_mispredicts_still_commit () =
   Alcotest.(check bool) "run confirms" true (confirms > 0);
   Alcotest.(check bool) "mispredictions detected" true (mispredicts > 0)
 
-let test_partitioned_run_never_speculates () =
-  (* Under partial replication the stage is not installed: the run still
-     commits on clock-local epochs, and reports no speculation. *)
-  let params = { fastpath_params with Params.partitioning = Params.P_hash 2 } in
-  let r, x = fastpath_run params in
-  let spec, confirms, mispredicts = x.Gg_harness.Driver.fastpath in
-  Alcotest.(check bool) "run commits" true (r.Gg_harness.Result.committed > 0);
-  Alcotest.(check (list int)) "no speculation" [ 0; 0; 0 ]
-    [ spec; confirms; mispredicts ]
-
 let () =
   Alcotest.run "gg_clock"
     [
@@ -318,8 +303,6 @@ let () =
             test_fastpath_scenarios_pinned;
           Alcotest.test_case "mispredicts still commit" `Slow
             test_mispredicts_still_commit;
-          Alcotest.test_case "partitioned run never speculates" `Slow
-            test_partitioned_run_never_speculates;
         ] );
       ( "fastpath stage",
         [

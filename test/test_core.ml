@@ -1737,7 +1737,7 @@ let test_metrics_reset () =
   Metrics.record_start m;
   Metrics.record_outcome m (Txn.Committed { latency_us = 1_000; results = [] });
   Metrics.record_outcome m
-    (Txn.Aborted { latency_us = 5; reason = Txn.Cross_abort });
+    (Txn.Aborted { latency_us = 5; reason = Txn.Write_conflict });
   Metrics.record_phases m (ph ~parse:10 ~exec:20 ~wait:30 ~merge:40 ~log:50);
   Metrics.record_epoch_commit m ~cen:1 ~latency_us:10;
   Metrics.record_merged_records m 5;
@@ -1745,8 +1745,6 @@ let test_metrics_reset () =
   Alcotest.(check int) "started" 0 (Metrics.started m);
   Alcotest.(check int) "committed zeroed via registry" 0 (Metrics.committed m);
   Alcotest.(check int) "aborted" 0 (Metrics.aborted m);
-  Alcotest.(check int) "cross-partition aborts" 0
-    (Metrics.aborted_by m Txn.Cross_abort);
   Alcotest.(check int) "merged records" 0 (Metrics.merged_records m);
   Alcotest.(check int)
     "latency histogram emptied" 0
@@ -1771,157 +1769,6 @@ let test_metrics_registry_reset_all () =
   Alcotest.(check int)
     "counts surface under registry name" 1
     (List.assoc "node0.txn.committed" (Gg_obs.Obs.counter_values obs))
-
-(* --- partial replication: the partition map and the cross-group
-   protocol, driven directly (DESIGN.md §12) --- *)
-
-module Ws = Gg_crdt.Writeset
-module Csn = Gg_storage.Csn
-
-let china6 = Topology.china 6
-let part_of mode = Partitioning.make ~topology:china6 ~epoch_us:10_000 mode
-
-(* hash:2 on six nodes: group 0 = {0, 2, 4}, group 1 = {1, 3, 5}. *)
-let hash2 = part_of (Params.P_hash 2)
-
-(* The first kv key from [from] on owned by [group]. *)
-let key_in ?(from = 0) group =
-  let rec go k =
-    if Partitioning.group_of_key hash2 (Value.encode_key [| Value.Int k |]) = group
-    then k
-    else go (k + 1)
-  in
-  go from
-
-let kv_update k v =
-  Ws.make_record ~table:"kv" ~key:[| Value.Int k |] ~op:Ws.Update
-    ~data:[| Value.Int k; Value.Int v; Value.Str "x" |] ()
-
-let cross_ws ~origin ~ts records =
-  Ws.make
-    ~meta:(Gg_crdt.Meta.make ~sen:0 ~cen:0 ~csn:(Csn.make ~ts ~node:origin))
-    ~records ()
-
-let kv_value db k =
-  match Gg_storage.Db.get_table db "kv" with
-  | None -> Alcotest.fail "no kv table"
-  | Some table -> (
-    match Gg_storage.Table.find table (Value.encode_key [| Value.Int k |]) with
-    | Some e -> e.Gg_storage.Table.data.(1)
-    | None -> Alcotest.fail "row missing")
-
-(* Node 0's cross-group stage after merging epoch 0 of [full]. *)
-let merged_cross ?(backup = Backup.create ~n:6) full =
-  let db = Gg_storage.Db.create () in
-  kv_load 50 db;
-  let cg =
-    Option.get
-      (Cross_group.create hash2 ~topology:china6 ~backup ~db ~node:0)
-  in
-  let ep, frags = Cross_group.fragments cg full in
-  let m =
-    Epoch_merge.run ~db ~jobs:1 ~ssi:false ~defer:(Cross_group.deferred ep)
-      frags
-  in
-  (cg, db, Cross_group.votes cg ep m ~cen:0 full)
-
-let test_vote_depth_formula () =
-  let maxlat = ref 0 in
-  for i = 0 to 5 do
-    for j = 0 to 5 do
-      if i mod 2 <> j mod 2 then
-        maxlat := max !maxlat (Topology.latency china6 i j)
-    done
-  done;
-  (* 4 ms does not divide 2 maxlat (70 ms) on china6: the ceiling shows *)
-  List.iter
-    (fun epoch_us ->
-      let expect =
-        2 + int_of_float (ceil (2.0 *. float !maxlat /. float epoch_us))
-      in
-      Alcotest.(check int) "2 + ceil(2 maxlat / epoch)" expect
-        (Partitioning.vote_depth
-           (Partitioning.make ~topology:china6 ~epoch_us (Params.P_hash 2))))
-    [ 10_000; 4_000 ];
-  Alcotest.(check int) "0 when disabled" 0
-    (Partitioning.vote_depth (part_of Params.P_none))
-
-let test_fragment_identity_when_disabled () =
-  let ws = cross_ws ~origin:0 ~ts:5 [ kv_update (key_in 0) 1; kv_update (key_in 1) 1 ] in
-  List.iter
-    (fun mode ->
-      let part = part_of mode in
-      Alcotest.(check bool) "disabled" false (Partitioning.enabled part);
-      List.iter
-        (fun group ->
-          Alcotest.(check bool) "physically the same write set" true
-            (Partitioning.fragment part ~group ws == ws))
-        [ 0; 1 ])
-    [ Params.P_none; Params.P_hash 1 ];
-  Alcotest.(check bool) "no stage installed" true
-    (Option.is_none
-       (Cross_group.create (part_of Params.P_none) ~topology:china6
-          ~backup:(Backup.create ~n:6) ~db:(Gg_storage.Db.create ()) ~node:0))
-
-let test_dead_group_verdict () =
-  let k0 = key_in 0 and k1 = key_in 1 in
-  let ws = cross_ws ~origin:0 ~ts:5 [ kv_update k0 7; kv_update k1 7 ] in
-  let key = Epoch_merge.csn_key ws in
-  let d = Partitioning.vote_depth hash2 in
-  let all = [ 0; 1; 2; 3; 4; 5 ] and group0 = [ 0; 2; 4 ] in
-  (* Group 1 alive but silent: the merge waits for its vote. *)
-  let cg, _, (verdicts, dsts) = merged_cross [ ws ] in
-  Alcotest.(check (list (pair int bool))) "own vote" [ (key, true) ] verdicts;
-  Alcotest.(check (list int)) "speaker sends to group 1" [ 1; 3; 5 ] dsts;
-  Alcotest.(check bool) "waits on a live group" false
-    (Cross_group.ready cg ~e:d ~members:all);
-  (* Group 1 dead, nothing in the backup: a rejection. *)
-  Alcotest.(check bool) "dead group is decided" true
-    (Cross_group.ready cg ~e:d ~members:group0);
-  (match Cross_group.resolve cg ~e:d ~members:group0 with
-  | [ r ] ->
-    Alcotest.(check bool) "no backup record rejects" true
-      (r.Cross_group.abort = Some Txn.Cross_abort)
-  | _ -> Alcotest.fail "one decision expected");
-  (* Group 1 dead after voting: its backup verdict is adopted. *)
-  let backup = Backup.create ~n:6 in
-  Backup.put_votes backup ~group:1 ~cen:0 [ (key, true) ];
-  let cg, db, _ = merged_cross ~backup [ ws ] in
-  Alcotest.(check bool) "write-back deferred" true (kv_value db k0 = Value.Int 0);
-  (match Cross_group.resolve cg ~e:d ~members:group0 with
-  | [ r ] ->
-    Alcotest.(check bool) "backup vote adopted" true (r.Cross_group.abort = None)
-  | _ -> Alcotest.fail "one decision expected");
-  Alcotest.(check bool) "deferred write applied" true (kv_value db k0 = Value.Int 7)
-
-let test_resolution_csn_order () =
-  let a = cross_ws ~origin:0 ~ts:10 [ kv_update (key_in 0) 1; kv_update (key_in 1) 1 ] in
-  let b =
-    cross_ws ~origin:2 ~ts:9
-      [ kv_update (key_in ~from:(key_in 0 + 1) 0) 2; kv_update (key_in 1) 2 ]
-  in
-  let c = cross_ws ~origin:4 ~ts:3 [ kv_update (key_in 1) 3 ] in
-  let backup = Backup.create ~n:6 in
-  let cg, _, _ = merged_cross ~backup [ a; b; c ] in
-  let got =
-    List.map
-      (fun r -> r.Cross_group.csn)
-      (Cross_group.resolve cg ~e:(Partitioning.vote_depth hash2) ~members:[ 0; 2; 4 ])
-  in
-  Alcotest.(check (list int)) "packed-csn order"
-    (List.sort compare (List.map Epoch_merge.csn_key [ a; b; c ]))
-    got
-
-let test_vote_only_foreign_origin () =
-  (* Node 1 (group 1) wrote only a group-0 key: group 0 merges it without
-     deferral, but its origin waits on group 0's verdict. *)
-  let ws = cross_ws ~origin:1 ~ts:5 [ kv_update (key_in 0) 4 ] in
-  let _, db, (verdicts, dsts) = merged_cross [ ws ] in
-  Alcotest.(check (list (pair int bool))) "in the vote"
-    [ (Epoch_merge.csn_key ws, true) ] verdicts;
-  Alcotest.(check (list int)) "sent to the origin" [ 1 ] dsts;
-  Alcotest.(check bool) "written back at once" true
-    (kv_value db (key_in 0) = Value.Int 4)
 
 let () =
   Alcotest.run "geogauss_core"
@@ -2039,18 +1886,6 @@ let () =
           Alcotest.test_case "open-loop timeout frees its connection" `Quick
             test_open_client_timeout_frees_connection;
           Alcotest.test_case "recovery rejoins" `Slow test_node_recovery_rejoins;
-        ] );
-      ( "cross_group",
-        [
-          Alcotest.test_case "vote depth formula" `Quick test_vote_depth_formula;
-          Alcotest.test_case "fragment identity when disabled" `Quick
-            test_fragment_identity_when_disabled;
-          Alcotest.test_case "dead group verdict from backup" `Quick
-            test_dead_group_verdict;
-          Alcotest.test_case "resolution in packed-csn order" `Quick
-            test_resolution_csn_order;
-          Alcotest.test_case "vote-only foreign origin" `Quick
-            test_vote_only_foreign_origin;
         ] );
       ( "backup",
         [

@@ -61,8 +61,8 @@ let test_geogauss_beats_crdb_ycsb_mc () =
 
 let test_experiment_registry () =
   let names = Gg_harness.Experiments.names in
-  Alcotest.(check int) "15 experiments" 15 (List.length names);
-  Alcotest.(check int) "no name twice" 15
+  Alcotest.(check int) "14 experiments" 14 (List.length names);
+  Alcotest.(check int) "no name twice" 14
     (List.length (List.sort_uniq compare names));
   Alcotest.(check (list string)) "paper order first"
     [ "fig5"; "table2"; "fig6"; "fig7"; "table3"; "fig8"; "fig9"; "fig10";
@@ -71,7 +71,7 @@ let test_experiment_registry () =
   List.iter
     (fun n ->
       Alcotest.(check bool) (n ^ " registered") true (List.mem n names))
-    [ "ablations"; "fig_scale"; "fig_skew"; "fig_fastpath" ]
+    [ "ablations"; "fig_skew"; "fig_fastpath" ]
 
 let test_experiment_unknown_name_error () =
   (* An unknown name runs nothing and says so; the bench runner turns

@@ -111,9 +111,10 @@ let test_column_kernel_commits_more () =
    secondary index on [v]) whose key universe is small, so records
    collide: inserts over live rows, tombstones and absent keys;
    duplicate keys within and across write sets; deletes; revivals;
-   writes to an unknown table; masked column updates; SSI read keys; and
-   deferred write-back. [Epoch_merge] merges it into the database and
-   [Merge_model] into its own copy of the rows; after every epoch the
+   writes to an unknown table; masked column updates; and SSI read keys,
+   some on rows the epoch's other write sets write. [Epoch_merge] merges
+   it into the database and [Merge_model] into its own copy of the rows;
+   after every epoch the
    verdicts, the counts, each table's live and total row counters and
    every row's header, tombstone flag and data must agree, and the
    kernel's cached digest and indexes must equal a fresh [Db.copy]'s. *)
@@ -163,61 +164,72 @@ let diff_db ~seed ~scan_first =
     diff_tables;
   db
 
-(* One to three epochs of write sets with distinct csns, and the
-   predicate picking the write sets whose write-back is deferred. *)
+(* One to three epochs of write sets with distinct csns. In about half
+   the epochs every write set reads rows that the epoch's other write
+   sets write, so two write sets that both commit and read each other's
+   rows make an SSI pivot; elsewhere the read keys are drawn at random
+   and pivots are rare. *)
 let diff_epochs ~seed ~column =
   let rng = Gg_util.Rng.create (seed + 1) in
   let ts = ref 1_000 in
-  let deferred = Hashtbl.create 8 in
-  let epochs =
-    List.init (1 + Gg_util.Rng.int rng 3) (fun e ->
+  let pick_key () =
+    let table =
+      if Gg_util.Rng.int rng 20 = 0 then "zz" else Gg_util.Rng.pick rng diff_tables
+    in
+    (table, Gg_util.Rng.int rng diff_keys)
+  in
+  let record () =
+    let table, k = pick_key () in
+    let data =
+      Array.init 4 (fun c ->
+          if c = 0 then Value.Int k else Value.Int (Gg_util.Rng.int rng 5))
+    in
+    match Gg_util.Rng.int rng 10 with
+    | 0 | 1 | 2 | 3 ->
+      let cols =
+        if not column then Gg_crdt.Column.full
+        else
+          Gg_util.Rng.pick rng
+            [| Gg_crdt.Column.full; Gg_crdt.Column.of_index 1;
+               Gg_crdt.Column.of_index 2;
+               Gg_crdt.Column.union (Gg_crdt.Column.of_index 1)
+                 (Gg_crdt.Column.of_index 3) |]
+      in
+      Writeset.make_record ~cols ~table ~key:[| Value.Int k |] ~op:Writeset.Update
+        ~data ()
+    | 4 | 5 | 6 | 7 ->
+      Writeset.make_record ~table ~key:[| Value.Int k |] ~op:Writeset.Insert ~data ()
+    | _ ->
+      Writeset.make_record ~table ~key:[| Value.Int k |] ~op:Writeset.Delete
+        ~data:[||] ()
+  in
+  List.init (1 + Gg_util.Rng.int rng 3) (fun e ->
+      let drafts =
         List.init (1 + Gg_util.Rng.int rng 10) (fun _ ->
             incr ts;
             let csn = Gg_storage.Csn.make ~ts:!ts ~node:(Gg_util.Rng.int rng 3) in
-            if Gg_util.Rng.int rng 8 = 0 then Hashtbl.replace deferred csn ();
             let meta = Meta.make ~sen:(1 + Gg_util.Rng.int rng 3) ~cen:(10 + e) ~csn in
-            let pick_key () =
-              let table =
-                if Gg_util.Rng.int rng 20 = 0 then "zz"
-                else Gg_util.Rng.pick rng diff_tables
-              in
-              (table, Gg_util.Rng.int rng diff_keys)
-            in
-            let records =
-              List.init (1 + Gg_util.Rng.int rng 4) (fun _ ->
-                  let table, k = pick_key () in
-                  let data =
-                    Array.init 4 (fun c ->
-                        if c = 0 then Value.Int k else Value.Int (Gg_util.Rng.int rng 5))
-                  in
-                  match Gg_util.Rng.int rng 10 with
-                  | 0 | 1 | 2 | 3 ->
-                    let cols =
-                      if not column then Gg_crdt.Column.full
-                      else
-                        Gg_util.Rng.pick rng
-                          [| Gg_crdt.Column.full; Gg_crdt.Column.of_index 1;
-                             Gg_crdt.Column.of_index 2;
-                             Gg_crdt.Column.union (Gg_crdt.Column.of_index 1)
-                               (Gg_crdt.Column.of_index 3) |]
-                    in
-                    Writeset.make_record ~cols ~table ~key:[| Value.Int k |]
-                      ~op:Writeset.Update ~data ()
-                  | 4 | 5 | 6 | 7 ->
-                    Writeset.make_record ~table ~key:[| Value.Int k |]
-                      ~op:Writeset.Insert ~data ()
-                  | _ ->
-                    Writeset.make_record ~table ~key:[| Value.Int k |]
-                      ~op:Writeset.Delete ~data:[||] ())
-            in
-            let read_keys =
+            (meta, List.init (1 + Gg_util.Rng.int rng 4) (fun _ -> record ())))
+      in
+      let cross_reads = Gg_util.Rng.bool rng in
+      List.mapi
+        (fun w (meta, records) ->
+          let others =
+            Array.of_list
+              (List.concat (List.filteri (fun w' _ -> w' <> w) (List.map snd drafts)))
+          in
+          let read_keys =
+            if cross_reads && others <> [||] then
+              List.init (1 + Gg_util.Rng.int rng 2) (fun _ ->
+                  let r = Gg_util.Rng.pick rng others in
+                  (r.Writeset.table, Writeset.key_str r))
+            else
               List.init (Gg_util.Rng.int rng 3) (fun _ ->
                   let table, k = pick_key () in
                   (table, Value.encode_key [| Value.Int k |]))
-            in
-            Writeset.make ~read_keys ~meta ~records ()))
-  in
-  (epochs, fun (ws : Writeset.t) -> Hashtbl.mem deferred ws.Writeset.meta.Meta.csn)
+          in
+          Writeset.make ~read_keys ~meta ~records ())
+        drafts)
 
 (* The rows of [db] as the model holds them. *)
 let model_state db =
@@ -296,15 +308,15 @@ let derived db =
    own state, and return the first observable they disagree on. *)
 let diff_mismatch case =
   let db = diff_db ~seed:case.d_seed ~scan_first:case.d_scan_first in
-  let epochs, defer =
+  let epochs =
     diff_epochs ~seed:case.d_seed ~column:(case.d_level = Params.Column)
   in
   let level = case.d_level and ssi = case.d_ssi in
   let rec go st = function
     | [] -> None
     | txns :: rest ->
-      let m = Epoch_merge.run ~defer ~level ~db ~jobs:1 ~ssi txns in
-      let o = Merge_model.merge ~defer ~level ~ssi st txns in
+      let m = Epoch_merge.run ~level ~db ~jobs:1 ~ssi txns in
+      let o = Merge_model.merge ~level ~ssi st txns in
       let kernel =
         Printf.sprintf "%d/%d/%d" (Epoch_merge.n_records m)
           (Epoch_merge.n_committed m) (Epoch_merge.n_dead m)
