@@ -6,10 +6,10 @@
     speculation moves simulated work earlier, never a client answer.
 
     A node holds one [t] only when the fast path is on; otherwise none
-    is installed and no function here runs. The
-    module owns the predictors' feed, the armed epoch, the wakeup dedup
-    and its own trace events and counters; it hands decisions back, and
-    the caller collects write sets, writes the log and schedules timers. *)
+    is installed and no function here runs. The module owns the
+    predictors' feed, the armed epoch, the wakeup dedup and its own
+    trace events and counters; it hands decisions back, and the caller
+    collects write sets, writes the log and schedules timers. *)
 
 type t
 

@@ -217,17 +217,6 @@ let wal_append t (txn : Txn.t) =
   Gg_storage.Wal.append t.wal
     ~bytes:(Option.fold ~none:0 ~some:Writeset.encoded_size txn.Txn.writeset)
 
-(* Answer [txn] of epoch [cen] [after] µs from now: committed when
-   [abort] is [None]. *)
-let answer_after t (txn : Txn.t) ~cen ~after abort =
-  Sim.schedule t.env.sim ~after (fun () ->
-      match abort with
-      | None ->
-        Metrics.record_epoch_commit t.metrics ~cen
-          ~latency_us:(now t - txn.Txn.submit_time);
-        finish_committed t txn
-      | Some reason -> finish_aborted t txn reason)
-
 (* --- epoch sealing --- *)
 
 let seal_epoch t e =
@@ -266,7 +255,7 @@ let seal_epoch t e =
 
 let csn_keys txns = List.sort compare (List.map Epoch_merge.csn_key txns)
 
-(* The records merged at epoch [e] and the simulated merge duration.
+(* The records in [txns] and the simulated duration of merging them.
    Every blocked transaction thread is checked/notified around each
    snapshot generation (§5.1): with short epochs this scan dominates,
    which is why the paper's Fig 8 peaks at ~10 ms. *)
@@ -430,10 +419,19 @@ and do_merge t e txns ~merge_started ~duration ~span ~prelog =
         | None -> wal_append t txn
       in
       txn.Txn.phases.log_us <- log_us;
-      answer_after t txn ~cen:e
+      let verdict =
+        Option.fold ~none:(Some Txn.Write_conflict)
+          ~some:(Epoch_merge.verdict m) txn.Txn.writeset
+      in
+      Sim.schedule t.env.sim
         ~after:(max 0 (record.notify_at - now t) + log_us)
-        (Option.fold ~none:(Some Txn.Write_conflict)
-           ~some:(Epoch_merge.verdict m) txn.Txn.writeset))
+        (fun () ->
+          match verdict with
+          | None ->
+            Metrics.record_epoch_commit t.metrics ~cen:e
+              ~latency_us:(now t - txn.Txn.submit_time);
+            finish_committed t txn
+          | Some reason -> finish_aborted t txn reason))
     record.waiting;
   Itbl.remove t.epochs e;
   t.env.on_snapshot ~node:t.id ~lsn:e;
