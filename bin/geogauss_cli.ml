@@ -75,8 +75,24 @@ let clock_skew_arg =
         ~doc:
           "Bounded clock-skew budget in milliseconds for the eocc fast \
            path (Params.clock_skew_us): each node's simulated clock \
-           drifts within \xC2\xB1$(docv) of true time. Only meaningful \
-           with --engine eocc; the other engines' clocks are exact.")
+           drifts within \xC2\xB1$(docv) of true time. Needs --engine \
+           eocc; the other engines' clocks are exact.")
+
+(* --engine paired with --clock-skew. The skew budget bounds only the
+   eocc fast path's clocks (every other engine's are exact), so without
+   eocc it is a usage error instead of being silently dropped. *)
+let with_clock_skew engine =
+  let pair engine clock_skew =
+    let fastpath =
+      match engine with
+      | Some (_, f) -> (f Geogauss.Params.default).Geogauss.Params.fastpath
+      | None -> false
+    in
+    if clock_skew <> None && not fastpath then
+      `Error (true, "--clock-skew needs --engine eocc")
+    else `Ok (engine, clock_skew)
+  in
+  Term.(ret (const pair $ engine $ clock_skew_arg))
 
 (* --- `run` subcommand: ad-hoc simulation --- *)
 
@@ -150,30 +166,8 @@ let run_cmd =
           ~doc:"Write a JSONL event trace + counter snapshots of the \
                 measurement window to $(docv) (replay with `geogauss trace').")
   in
-  let arrival_conv =
-    let parse s =
-      match Gg_workload.Arrival.of_string s with
-      | Ok a -> Ok a
-      | Error msg -> Error (`Msg msg)
-    in
-    Arg.conv (parse, fun ppf a ->
-        Format.pp_print_string ppf (Gg_workload.Arrival.to_string a))
-  in
-  let arrival =
-    Arg.(
-      value
-      & opt (some arrival_conv) None
-      & info [ "arrival" ] ~docv:"CURVE"
-          ~doc:
-            "Open-loop arrival curve (per region): constant@$(i,TPS), \
-             diurnal:$(i,PERIOD_MS):$(i,TROUGH)@$(i,TPS) or \
-             flash:$(i,AT_MS):$(i,DUR_MS):$(i,MULT)@$(i,TPS). Transactions \
-             arrive on the curve regardless of completions; --connections \
-             caps the in-flight pool and a 4x FIFO absorbs bursts (beyond \
-             that, arrivals shed). Without it, the paper's closed loop.")
-  in
-  let run workload nodes world epoch_ms isolation engine clock_skew ft
-      seconds connections theta records seed trace arrival merge_level =
+  let run workload nodes world epoch_ms isolation (engine, clock_skew) ft
+      seconds connections theta records seed trace merge_level =
     let topology =
       if world then Gg_sim.Topology.worldwide nodes else Gg_sim.Topology.china nodes
     in
@@ -187,8 +181,8 @@ let run_cmd =
         merge_level;
       }
     in
-    (* --clock-skew sets the budget after --engine's transform: the clock
-       only gets a nonzero bound under the fast path. *)
+    (* --clock-skew sets the budget after --engine's transform, which is
+       what turns the fast path on. *)
     let params =
       match engine with None -> params | Some (_, f) -> f params
     in
@@ -257,7 +251,7 @@ let run_cmd =
       | `Req rg -> ((fun _ () -> assert false), Some rg)
     in
     let r, extra =
-      Gg_harness.Driver.run_geogauss ~params ~connections ?arrival ?req_gen
+      Gg_harness.Driver.run_geogauss ~params ~connections ?req_gen
         ?trace_file:trace ~topology ~load ~gen ~warmup_ms:1_000
         ~measure_ms:(seconds * 1_000)
         ~label ()
@@ -289,9 +283,6 @@ let run_cmd =
         "node0 phase means (ms): parse %.2f  exec %.2f  wait %.2f  merge %.2f  log %.2f\n"
         (p /. 1000.) (e /. 1000.) (w /. 1000.) (m /. 1000.) (l /. 1000.)
     | [] -> ());
-    if arrival <> None then
-      Printf.printf "open loop: %d offered, %d shed (queue full)\n"
-        extra.Gg_harness.Driver.offered extra.Gg_harness.Driver.shed;
     (match trace with
     | Some path -> Printf.printf "trace written to %s\n" path
     | None -> ())
@@ -299,9 +290,9 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run an ad-hoc GeoGauss cluster simulation.")
     Term.(
-      const run $ workload $ nodes $ world $ epoch_ms $ isolation $ engine
-      $ clock_skew_arg $ ft $ seconds $ connections $ theta $ records $ seed
-      $ trace $ arrival $ merge_level_arg)
+      const run $ workload $ nodes $ world $ epoch_ms $ isolation
+      $ with_clock_skew engine $ ft $ seconds $ connections $ theta $ records
+      $ seed $ trace $ merge_level_arg)
 
 (* --- `check` subcommand: seeded chaos checking --- *)
 
@@ -365,7 +356,7 @@ let check_cmd =
           ~doc:"Pin the isolation level (rc, rr, si, ssi); default draws it \
                 per seed.")
   in
-  let run seeds base engine isolation clock_skew ft fast jobs trace canary
+  let run seeds base (engine, clock_skew) isolation ft fast jobs trace canary
       corrupt merge_level =
     let log = print_endline in
     (* Resolve the registry name through its own transform: the pinned
@@ -434,7 +425,7 @@ let check_cmd =
           any failure to a one-line reproducer.")
     Term.(
       ret
-        (const run $ seeds $ base $ engine $ isolation $ clock_skew_arg $ ft
+        (const run $ seeds $ base $ with_clock_skew engine $ isolation $ ft
        $ fast_arg $ jobs_arg $ trace $ canary $ corrupt $ merge_level_arg))
 
 (* --- `trace` subcommand: analyze an exported JSONL trace --- *)

@@ -112,16 +112,9 @@ let run ?trace (s : Scenario.t) =
   (match s.corruption with
   | Some (node, at_ms) -> inject_corruption cluster ~node ~at_ms
   | None -> ());
-  (* Open loop when the scenario drew an arrival curve: same bounded
-     FIFO shape as the measurement driver (4x the pool). *)
-  let mode =
-    match s.arrival with
-    | None -> Client.Closed
-    | Some arrival -> Client.Open { arrival; queue_cap = 4 * s.connections }
-  in
   let clients =
     List.init s.nodes (fun home ->
-        Client.create ~mode cluster ~home ~connections:s.connections
+        Client.create cluster ~home ~connections:s.connections
           ~gen:(gen home))
   in
   List.iter Client.start clients;

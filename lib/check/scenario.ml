@@ -1,7 +1,6 @@
 module Rng = Gg_util.Rng
 module Params = Geogauss.Params
 module Fault = Gg_sim.Fault
-module Arrival = Gg_workload.Arrival
 
 type workload = Ycsb_mc | Ycsb_hc | Tpcc | Hotkey | Social | Scan | Secidx
 
@@ -38,9 +37,6 @@ type t = {
       (* conflict granularity of the epoch merge. Never drawn from the
          seed — pinned via Checker.check
          ?merge_level / with_merge_level. *)
-  arrival : Gg_workload.Arrival.t option;
-      (* open-loop arrival curve; None = the closed loop. Drawn LAST so
-         the coin-flips cannot perturb any knob above. *)
   fastpath : bool;
       (* clock-assisted speculative sealing (the eocc engine). Never
          drawn from the seed — pinned via
@@ -105,30 +101,6 @@ let gen_faults rng ~nodes ~duration_ms =
   done;
   List.stable_sort (fun a b -> compare a.Fault.at_ms b.Fault.at_ms) !events
 
-(* Open-loop curves sized for checker runs: peaks a small cluster can
-   mostly (but not always) serve, periods/windows that fit inside a
-   1-5 s scenario so the curve actually bends during the run. *)
-let draw_arrival rng ~duration_ms =
-  let peak_tps = float_of_int (Rng.int_in rng 200 800) in
-  let shape =
-    match Rng.int rng 3 with
-    | 0 -> Arrival.Constant
-    | 1 ->
-      Arrival.Diurnal
-        {
-          period_ms = Rng.int_in rng 400 1_500;
-          trough = 0.1 +. Rng.float rng 0.5;
-        }
-    | _ ->
-      Arrival.Flash
-        {
-          at_ms = Rng.int_in rng 200 (max 300 (duration_ms / 2));
-          dur_ms = Rng.int_in rng 200 600;
-          mult = 3.0 +. Rng.float rng 7.0;
-        }
-  in
-  Arrival.make ~shape ~peak_tps
-
 let generate ?variant ?isolation ?ft ~fast seed =
   let rng = Rng.create (0x5eed + (seed * 0x9e3779b9)) in
   let variant =
@@ -176,15 +148,6 @@ let generate ?variant ?isolation ?ft ~fast seed =
     | _ -> Ycsb_mc
   in
   let connections = 2 + Rng.int rng 4 in
-  (* Arrival is the LAST draw of a scenario: a freshly taken coin-flip
-     cannot shift any knob above it, only add the open-loop curve. *)
-  let finish s =
-    if Rng.chance rng 0.3 then
-      { s with arrival = Some (draw_arrival rng ~duration_ms:s.duration_ms) }
-    else s
-  in
-  finish
-  @@
   match variant with
   | Params.Async_merge ->
     (* GeoG-A is coordination-free gossip: a lost update is lost forever
@@ -210,7 +173,6 @@ let generate ?variant ?isolation ?ft ~fast seed =
       corruption = None;
       corrupt_frac = 0.0;
       merge_level = Params.Row;
-      arrival = None;
       fastpath = false;
       clock_skew_ms = 0;
     }
@@ -234,7 +196,6 @@ let generate ?variant ?isolation ?ft ~fast seed =
       corruption = None;
       corrupt_frac = 0.0;
       merge_level = Params.Row;
-      arrival = None;
       fastpath = false;
       clock_skew_ms = 0;
     }
@@ -330,6 +291,4 @@ let to_string s =
     | Params.Column -> " merge_level=column")
   ^ (if not s.fastpath then ""
      else Printf.sprintf " fastpath=eocc clock_skew_ms=%d" s.clock_skew_ms)
-  ^ (match s.arrival with
-    | None -> ""
-    | Some a -> Printf.sprintf " arrival=%s" (Arrival.to_string a))
+

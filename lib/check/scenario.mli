@@ -37,10 +37,6 @@ type t = {
           Never drawn from the seed — pinned through
           {!with_merge_level}, so one seed runs the same scenario at
           either granularity and the sweeps compare cleanly. *)
-  arrival : Gg_workload.Arrival.t option;
-      (** open-loop arrival curve; [None] = the paper's closed loop.
-          Drawn {e last}, so the extra coin-flips cannot shift any
-          other knob. *)
   fastpath : bool;
       (** clock-assisted speculative sealing (the [eocc] engine,
           DESIGN.md §14). Never drawn from the seed — pinned through {!with_fastpath}, so existing reproducer lines

@@ -1,20 +1,8 @@
-(** Benchmark clients: the paper's closed loop, plus an open loop.
+(** Benchmark clients: the paper's closed loop.
 
-    {b Closed} matches the paper's serving model: each connection has at
-    most one outstanding transaction and submits the next one as soon as
-    the previous commits or aborts. Offered load can therefore never
-    exceed service capacity — overload is structurally unobservable.
-
-    {b Open} decouples offered load from service capacity: transactions
-    arrive on a nonhomogeneous Poisson process shaped by an
-    {!Gg_workload.Arrival.t} curve, [connections] caps concurrent
-    submissions (connection-pool occupancy), excess arrivals wait in a
-    bounded FIFO, and arrivals beyond the queue are shed. Latency is
-    measured from {e arrival} (queueing delay included), and nothing
-    retries — an abort or timeout frees the connection. This is the
-    model that scales to millions of simulated users: the arrival curve
-    stands for the user population (see
-    {!Gg_workload.Arrival.implied_users}) while the pool stays bounded.
+    Each connection has at most one outstanding transaction and submits
+    the next one as soon as the previous commits or aborts, so the load
+    never exceeds service capacity. Latency counts from submission.
 
     Clients are pinned to a home region; when the home node fails they
     time out and re-route to the nearest live node (Fig 13), returning
@@ -22,9 +10,9 @@
 
 type t
 
-type mode =
-  | Closed
-  | Open of { arrival : Gg_workload.Arrival.t; queue_cap : int }
+type mode = Closed
+(** The one serving model. [mode] and [create ?mode] stay only because
+    the end-to-end benchmark ([bench/e2e/drive.ml]) names them. *)
 
 val create :
   ?mode:mode ->
@@ -34,41 +22,24 @@ val create :
   gen:(unit -> Txn.request) ->
   t
 (** [gen] is called once per submission (deterministic workload
-    generators make whole runs reproducible). [mode] defaults to
-    [Closed]. Open-loop arrival draws come from a private rng seeded
-    from [(params.seed, home)], so the arrival process is deterministic
-    and independent of cluster behaviour. *)
+    generators make whole runs reproducible). The client's statistics
+    reset with the cluster's {!Gg_obs.Obs.reset_all} (end of
+    warm-up). *)
 
 val start : t -> unit
+(** Open [connections] connections. Idempotent: a second call does
+    nothing. *)
+
 val stop : t -> unit
-(** Stop issuing new transactions (in-flight and already-queued ones
-    still finish). *)
+(** Stop issuing new transactions (in-flight ones still finish). Final:
+    a stopped client does not start again. *)
 
 val committed : t -> int
 val aborted : t -> int
 val timeouts : t -> int
 
-val offered : t -> int
-(** Open loop: arrivals admitted by the thinning process since the last
-    {!reset_stats} (dispatched + queued + shed). Always 0 closed. *)
-
-val shed : t -> int
-(** Open loop: arrivals dropped because the queue was full. *)
-
-val queued : t -> int
-(** Arrivals waiting for a connection right now. *)
-
 val latency : t -> Gg_util.Stats.Hist.t
-(** Committed-transaction latency. Closed loop: from submission. Open
-    loop: from arrival, so queueing delay under overload shows up
-    here. *)
-
-val reset_stats : t -> unit
-(** Clear counters/histograms (end of warm-up). Open loop: the queue
-    and in-flight count are simulation state, not statistics, and
-    survive the reset — a transaction that arrived during warm-up but
-    commits inside the measured window counts with its full
-    queue-inclusive latency. *)
+(** Committed-transaction latency, from submission. *)
 
 val timeline : t -> bucket_us:int -> (float * float * float) list
 (** Per-time-bucket [(t_seconds, committed_per_s, mean_latency_ms)] —

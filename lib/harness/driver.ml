@@ -97,8 +97,6 @@ let run_engine (module E : Gg_engines.Engine.S) ?(config = Engine.default_config
 type geo_extra = {
   phase_means : (string * (float * float * float * float * float)) list;
   epoch_cells : (int * Geogauss.Metrics.epoch_cell) list;
-  offered : int;  (* open loop: arrivals admitted in the window *)
-  shed : int;  (* open loop: arrivals dropped, queue full *)
   fastpath : int * int * int;
       (* (speculations, confirms, mispredicts) summed over nodes; all
          zero unless Params.fastpath is on *)
@@ -166,23 +164,12 @@ let write_trace ~path ~label ~params ~topology ~nodes ~warmup_ms ~measure_ms
 let snapshot_every_ms = 100
 
 let run_geogauss ?(params = Geogauss.Params.default) ?(connections = 256)
-    ?arrival ?req_gen ?trace_file ~topology ~load ~gen ~warmup_ms ~measure_ms
+    ?req_gen ?trace_file ~topology ~load ~gen ~warmup_ms ~measure_ms
     ~label () =
   let cluster = Geogauss.Cluster.create ~params ~topology ~load () in
   let n = Topology.n_nodes topology in
   let obs = Geogauss.Cluster.obs cluster in
   if trace_file <> None then Obs.set_tracing obs true;
-  (* Open loop when an arrival curve is given: [connections] becomes the
-     per-region connection-pool cap and a bounded FIFO absorbs bursts.
-     4x the pool is a conventional listen-backlog ratio — deep enough to
-     ride out a flash crowd's rise, shallow enough that sustained
-     overload sheds instead of growing latency without bound. *)
-  let mode =
-    match arrival with
-    | None -> Geogauss.Client.Closed
-    | Some arrival ->
-      Geogauss.Client.Open { arrival; queue_cap = 4 * connections }
-  in
   let clients =
     List.init n (fun i ->
         let next =
@@ -193,7 +180,7 @@ let run_geogauss ?(params = Geogauss.Params.default) ?(connections = 256)
             fun () -> Geogauss.Txn.Op_txn (next ())
         in
         let cl =
-          Geogauss.Client.create ~mode cluster ~home:i ~connections ~gen:next
+          Geogauss.Client.create cluster ~home:i ~connections ~gen:next
         in
         Geogauss.Client.start cl;
         cl)
@@ -244,9 +231,6 @@ let run_geogauss ?(params = Geogauss.Params.default) ?(connections = 256)
               Geogauss.Metrics.phase_means_us (Geogauss.Cluster.metrics cluster i) ));
       epoch_cells =
         Geogauss.Metrics.epoch_cells (Geogauss.Cluster.metrics cluster 0);
-      offered =
-        List.fold_left (fun a c -> a + Geogauss.Client.offered c) 0 clients;
-      shed = List.fold_left (fun a c -> a + Geogauss.Client.shed c) 0 clients;
       fastpath =
         List.fold_left
           (fun (s, c, m) i ->

@@ -4,7 +4,8 @@
     {!Gg_engines.Engine.S}; {!run_engine_with} accepts a custom
     constructor (e.g. the Raft-replicated Calvin/Aria variants);
     {!run_geogauss} builds a full GeoGauss cluster with per-region
-    clients. All warm up, reset every instrument through one
+    clients. Every driver uses the paper's closed loop: each connection
+    has one outstanding transaction at a time. All warm up, reset every instrument through one
     {!Gg_obs.Obs.reset_all} call, then measure over a fixed window of
     simulated time.
 
@@ -65,11 +66,6 @@ type geo_extra = {
           committed transactions *)
   epoch_cells : (int * Geogauss.Metrics.epoch_cell) list;
       (** node 0's per-epoch commit counts and latencies (Fig 6) *)
-  offered : int;
-      (** open loop only: arrivals admitted during the measurement
-          window across all regions (0 closed-loop) *)
-  shed : int;  (** open loop only: arrivals dropped because the queue
-          was full *)
   fastpath : int * int * int;
       (** [(speculations, confirms, mispredicts)] of the clock-assisted
           fast path, summed over nodes; all zero unless
@@ -97,7 +93,6 @@ val write_trace :
 val run_geogauss :
   ?params:Geogauss.Params.t ->
   ?connections:int ->
-  ?arrival:Gg_workload.Arrival.t ->
   ?req_gen:request_gen ->
   ?trace_file:string ->
   topology:Gg_sim.Topology.t ->
@@ -108,10 +103,6 @@ val run_geogauss :
   label:string ->
   unit ->
   Result.t * geo_extra
-(** [arrival] switches the clients to the open-loop model
-    ({!Geogauss.Client.Open}): transactions arrive on the given curve,
-    [connections] caps each region's pool, and a FIFO of 4x the pool
-    absorbs bursts (beyond that, arrivals shed — see
-    [geo_extra.offered]/[shed]). Without it, the paper's closed loop.
-    [req_gen] overrides [gen] with a request-level generator for
-    SQL-shaped workloads ([gen] is then unused). *)
+(** Each region runs one {!Geogauss.Client} of [connections]
+    connections. [req_gen] overrides [gen] with a request-level
+    generator for SQL-shaped workloads ([gen] is then unused). *)

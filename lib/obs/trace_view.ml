@@ -242,6 +242,8 @@ let epoch_events t ep =
 
 (* --- causal DAG: span resolution --- *)
 
+(* Node -> region name, from the meta record's [regions] list ([||] for
+   traces written before the field existed). *)
 let meta_regions t =
   match Jsonl.member "regions" t.meta with
   | Some (Jsonl.List l) ->

@@ -52,14 +52,7 @@ val skew_stats : t -> float * int
 (** (mean, max) cross-node merge.commit skew in µs over epochs merged on
     at least two nodes; [(0., 0)] when no such epoch exists. *)
 
-val epoch_events : t -> int -> Obs.Trace.event list
-(** All events scoped to one epoch, in file order. *)
-
 (** {1 Causal DAG} *)
-
-val meta_regions : t -> string array
-(** Node → region name, from the meta record's [regions] list
-    ([[||]] for traces written before the field existed). *)
 
 val unresolved_parents : t -> int * int
 (** [(with_parent, unresolved)]: receive-side events carrying a parent
@@ -127,11 +120,6 @@ type wan_report = {
 val wan_report : t -> wan_report
 
 (** {1 Rendering} *)
-
-val meta_line : t -> string
-val render_epoch_table : ?limit:int -> t -> string
-val render_phase_table : t -> string
-val render_slowest : ?top:int -> t -> string
 
 val render_report : ?epoch_limit:int -> ?top:int -> t -> string
 (** Full report: meta line, epoch timeline, phase breakdown,

@@ -74,14 +74,12 @@ let test_run_deterministic () =
 
 let test_workload_space_covers_new_generators () =
   (* The seeded generator must actually draw the new workload shapes
-     (and the open-loop arrival curves) somewhere in a modest seed
-     range, or the chaos sweep never exercises them. *)
+     somewhere in a modest seed range, or the chaos sweep never
+     exercises them. *)
   let seen = Hashtbl.create 8 in
-  let arrivals = ref 0 in
   for seed = 0 to 99 do
     let s = Scenario.generate ~fast:true seed in
-    Hashtbl.replace seen s.Scenario.workload ();
-    if s.Scenario.arrival <> None then incr arrivals
+    Hashtbl.replace seen s.Scenario.workload ()
   done;
   List.iter
     (fun w ->
@@ -91,10 +89,7 @@ let test_workload_space_covers_new_generators () =
     [
       Scenario.Ycsb_mc; Scenario.Ycsb_hc; Scenario.Tpcc; Scenario.Hotkey;
       Scenario.Social; Scenario.Scan; Scenario.Secidx;
-    ];
-  Alcotest.(check bool)
-    (Printf.sprintf "open-loop scenarios drawn (%d/100)" !arrivals)
-    true (!arrivals > 10)
+    ]
 
 let test_with_merge_level_pin () =
   for seed = 0 to 20 do

@@ -974,45 +974,25 @@ let test_sustained_workload_converges () =
    answered. Before, every request answered within the last
    [client_retry_us] (2 s) left its timeout queued: ~1.5k events here. *)
 let test_answered_timeouts_leave_queue () =
-  let check_mode name make_clients =
-    let c = make_cluster () in
-    let clients = make_clients c in
-    let conns = 3 * 8 in
-    run_ms c 3_000;
-    let running = Gg_sim.Sim.pending (Cluster.sim c) in
-    List.iter Client.stop clients;
-    Cluster.quiesce c;
-    let committed = List.fold_left (fun a cl -> a + Client.committed cl) 0 clients in
-    let drained = Gg_sim.Sim.pending (Cluster.sim c) in
-    Alcotest.(check bool) (Printf.sprintf "%s: %d commits" name committed) true
-      (committed > 500);
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: %d pending while running <= %d" name running (8 * conns))
-      true
-      (running <= 8 * conns);
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: %d pending after quiesce <= %d" name drained (2 * conns))
-      true
-      (drained <= 2 * conns)
-  in
-  check_mode "closed" (fun c -> mixed_workload_clients ~connections:8 c 4242);
-  check_mode "open" (fun c ->
-      List.map (fun i ->
-          let rng = Gg_util.Rng.create (777 + i) in
-          let gen () = add_txn (Gg_util.Rng.int rng 200) 1 in
-          let mode =
-            Client.Open
-              {
-                arrival =
-                  Gg_workload.Arrival.make ~shape:Gg_workload.Arrival.Constant
-                    ~peak_tps:400.0;
-                queue_cap = 64;
-              }
-          in
-          let cl = Client.create ~mode c ~home:i ~connections:8 ~gen in
-          Client.start cl;
-          cl)
-        (Cluster.members c))
+  let c = make_cluster () in
+  let clients = mixed_workload_clients ~connections:8 c 4242 in
+  let conns = 3 * 8 in
+  run_ms c 3_000;
+  let running = Gg_sim.Sim.pending (Cluster.sim c) in
+  List.iter Client.stop clients;
+  Cluster.quiesce c;
+  let committed = List.fold_left (fun a cl -> a + Client.committed cl) 0 clients in
+  let drained = Gg_sim.Sim.pending (Cluster.sim c) in
+  Alcotest.(check bool) (Printf.sprintf "%d commits" committed) true
+    (committed > 500);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d pending while running <= %d" running (8 * conns))
+    true
+    (running <= 8 * conns);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d pending after quiesce <= %d" drained (2 * conns))
+    true
+    (drained <= 2 * conns)
 
 let test_convergence_under_duplication_and_reorder () =
   (* The CRDT merge must absorb duplicated and reordered batches. *)
@@ -1024,13 +1004,14 @@ let test_convergence_under_duplication_and_reorder () =
 
 let test_sequential_consistency_of_snapshots () =
   (* lsns advance together and digests agree after quiesce at several
-     points in time. *)
+     points in time. A stopped client stays stopped, so the second
+     stretch runs fresh clients. *)
   let c = make_cluster () in
   let clients = mixed_workload_clients c 3000 in
   run_ms c 1_000;
   List.iter Client.stop clients;
   check_converged c;
-  List.iter Client.start clients;
+  let clients = mixed_workload_clients c 3001 in
   run_ms c 1_000;
   List.iter Client.stop clients;
   check_converged c
@@ -1526,11 +1507,19 @@ let test_client_rerouted_after_crash () =
   let target = Cluster.route c ~preferred:1 in
   Alcotest.(check bool) "routed away from crashed node" true (target <> 1)
 
+let numbered_writes () =
+  let seq = ref 0 in
+  fun () ->
+    incr seq;
+    write_txn (!seq mod 200) !seq
+
 (* A crashed node never answers. One connection homed on node 0 has a
    write in flight there when node 0 crashes: that request times out
-   [client_retry_us] after it was submitted, and not before. Returns
-   the client's commit count at the crash. *)
-let crash_under_one_connection c cl =
+   [client_retry_us] after it was submitted, and not before, and the
+   connection then re-routes to a live node. *)
+let test_closed_client_timeout_reroutes () =
+  let c = make_cluster () in
+  let cl = Client.create c ~home:0 ~connections:1 ~gen:(numbered_writes ()) in
   Client.start cl;
   run_ms c 1_000;
   Cluster.crash c 0;
@@ -1545,18 +1534,6 @@ let crash_under_one_connection c cl =
   run_ms c ((retry_ms / 2) + 1);
   Alcotest.(check int) "one timeout by crash + client_retry_us" 1
     (Client.timeouts cl);
-  committed
-
-let numbered_writes () =
-  let seq = ref 0 in
-  fun () ->
-    incr seq;
-    write_txn (!seq mod 200) !seq
-
-let test_closed_client_timeout_reroutes () =
-  let c = make_cluster () in
-  let cl = Client.create c ~home:0 ~connections:1 ~gen:(numbered_writes ()) in
-  let committed = crash_under_one_connection c cl in
   run_ms c 1_000;
   Client.stop cl;
   run_ms c 1_000;
@@ -1568,36 +1545,6 @@ let test_closed_client_timeout_reroutes () =
     (Client.committed cl - committed)
     (Metrics.committed (Cluster.metrics c 1)
     + Metrics.committed (Cluster.metrics c 2))
-
-let test_open_client_timeout_frees_connection () =
-  let c = make_cluster () in
-  let mode =
-    Client.Open
-      {
-        arrival =
-          Gg_workload.Arrival.make ~shape:Gg_workload.Arrival.Constant
-            ~peak_tps:10.0;
-        queue_cap = 64;
-      }
-  in
-  let cl =
-    Client.create ~mode c ~home:0 ~connections:1 ~gen:(numbered_writes ())
-  in
-  let committed = crash_under_one_connection c cl in
-  Alcotest.(check bool)
-    (Printf.sprintf "%d arrivals wait behind the stuck connection"
-       (Client.queued cl))
-    true
-    (Client.queued cl > 0);
-  Client.stop cl;
-  run_ms c 10_000;
-  Alcotest.(check int) "the queue drains" 0 (Client.queued cl);
-  Alcotest.(check bool) "queued arrivals commit" true
-    (Client.committed cl > committed);
-  Alcotest.(check int) "every admitted arrival answered once"
-    (Client.offered cl)
-    (Client.committed cl + Client.aborted cl + Client.timeouts cl
-   + Client.shed cl)
 
 let test_node_recovery_rejoins () =
   let c = make_cluster () in
@@ -1883,8 +1830,6 @@ let () =
           Alcotest.test_case "client rerouted" `Quick test_client_rerouted_after_crash;
           Alcotest.test_case "closed-loop timeout re-routes" `Quick
             test_closed_client_timeout_reroutes;
-          Alcotest.test_case "open-loop timeout frees its connection" `Quick
-            test_open_client_timeout_frees_connection;
           Alcotest.test_case "recovery rejoins" `Slow test_node_recovery_rejoins;
         ] );
       ( "backup",

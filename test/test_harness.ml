@@ -87,74 +87,6 @@ let test_experiment_table3_fast () =
   Alcotest.(check bool) "table3 runs" true
     (Gg_harness.Experiments.run ~fast:true "table3")
 
-(* --- open-loop clients --- *)
-
-module Arrival = Gg_workload.Arrival
-
-let run_open ~arrival ~connections ~measure_ms () =
-  Gg_harness.Driver.run_geogauss ~arrival ~connections
-    ~topology:(Topology.china3 ())
-    ~load:(Ycsb.load small_profile)
-    ~gen:(Gg_harness.Driver.ycsb_gens small_profile ~seed:17)
-    ~warmup_ms:400 ~measure_ms ~label:"open" ()
-
-let test_open_loop_measures () =
-  (* A modest offered load the cluster can absorb: nothing sheds, and
-     latency stays in the closed-loop ballpark (no standing queue). *)
-  let arrival = Arrival.make ~shape:Arrival.Constant ~peak_tps:120.0 in
-  let r, extra = run_open ~arrival ~connections:32 ~measure_ms:1_000 () in
-  Alcotest.(check bool) "committed > 0" true (r.Gg_harness.Result.committed > 0);
-  Alcotest.(check bool) "offered > 0" true (extra.Gg_harness.Driver.offered > 0);
-  Alcotest.(check int) "nothing shed" 0 extra.Gg_harness.Driver.shed;
-  (* the curve is per region: 3 x 120 tps offered for 1 s *)
-  Alcotest.(check bool)
-    (Printf.sprintf "offered %d near the curve" extra.Gg_harness.Driver.offered)
-    true
-    (extra.Gg_harness.Driver.offered > 240 && extra.Gg_harness.Driver.offered < 480);
-  Alcotest.(check bool) "latency sane" true
-    (r.Gg_harness.Result.mean_ms > 10.0 && r.Gg_harness.Result.mean_ms < 500.0)
-
-let test_open_loop_overload_regression () =
-  (* Offered load far beyond service rate: the bounded queue must shed
-     rather than grow without bound, commits must keep flowing at the
-     service rate, and measured latency — which starts at ARRIVAL, so
-     queue wait counts — must stay bounded by the queue depth, not climb
-     with the length of the run. *)
-  let arrival = Arrival.make ~shape:Arrival.Constant ~peak_tps:4_000.0 in
-  let r, extra = run_open ~arrival ~connections:4 ~measure_ms:1_200 () in
-  Alcotest.(check bool) "commits keep flowing" true
-    (r.Gg_harness.Result.committed > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "overload sheds (%d)" extra.Gg_harness.Driver.shed)
-    true
-    (extra.Gg_harness.Driver.shed > 0);
-  Alcotest.(check bool) "offered >> committed" true
-    (extra.Gg_harness.Driver.offered > 4 * r.Gg_harness.Result.committed);
-  (* 4 in flight + 16 queued, ~200 ms China RTT per txn: worst-case
-     sojourn is a few seconds. Unbounded-queue accounting would blow
-     past this. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "p95 %.0f ms bounded by queue depth" r.Gg_harness.Result.p95_ms)
-    true
-    (r.Gg_harness.Result.p95_ms > 0.0 && r.Gg_harness.Result.p95_ms < 5_000.0)
-
-let test_open_loop_deterministic () =
-  let arrival =
-    Arrival.make
-      ~shape:(Arrival.Flash { at_ms = 300; dur_ms = 300; mult = 5.0 })
-      ~peak_tps:1_500.0
-  in
-  let once () =
-    let r, extra = run_open ~arrival ~connections:8 ~measure_ms:900 () in
-    ( r.Gg_harness.Result.committed,
-      r.Gg_harness.Result.aborted,
-      extra.Gg_harness.Driver.offered,
-      extra.Gg_harness.Driver.shed,
-      Gg_harness.Result.row r )
-  in
-  let a = once () and b = once () in
-  Alcotest.(check bool) "two identical runs, identical numbers" true (a = b)
-
 let () =
   Alcotest.run "gg_harness"
     [
@@ -163,11 +95,6 @@ let () =
           Alcotest.test_case "engine driver measures" `Slow test_run_engine_measures;
           Alcotest.test_case "geogauss driver measures" `Slow test_run_geogauss_measures;
           Alcotest.test_case "geogauss > crdb on YCSB-MC" `Slow test_geogauss_beats_crdb_ycsb_mc;
-          Alcotest.test_case "open loop measures" `Slow test_open_loop_measures;
-          Alcotest.test_case "open loop overload regression" `Slow
-            test_open_loop_overload_regression;
-          Alcotest.test_case "open loop deterministic" `Slow
-            test_open_loop_deterministic;
         ] );
       ( "experiments",
         [

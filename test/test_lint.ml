@@ -295,8 +295,8 @@ let test_writeset_records_made_in_one_place () =
 
 (* No stdlib [Queue] in the simulator or the protocol core. Its [take]
    leaves the dequeued cell's [next] link in place, so a queue that
-   lives in the major heap (a node's CPU run queue, its GeoG-S holds, a
-   client's arrivals) keeps a chain from its oldest promoted cell to
+   lives in the major heap (a node's CPU run queue, its GeoG-S holds)
+   keeps a chain from its oldest promoted cell to
    every later one: the next minor collection promotes each cell pushed
    since, with the job closure, transaction and request it holds, even
    after it is dequeued. [Gg_util.Fifo] clears the slot it pops. *)

@@ -421,65 +421,6 @@ let test_sqlgen_determinism () =
       (Sqlgen.Scan.next_stmts a = Sqlgen.Scan.next_stmts b)
   done
 
-(* --- Arrival curves --- *)
-
-let test_arrival_shapes () =
-  let c = Arrival.make ~shape:Arrival.Constant ~peak_tps:100.0 in
-  Alcotest.(check (float 1e-9)) "constant" 100.0 (Arrival.rate_at c ~at_us:123_456);
-  let d =
-    Arrival.make
-      ~shape:(Arrival.Diurnal { period_ms = 1_000; trough = 0.2 })
-      ~peak_tps:100.0
-  in
-  Alcotest.(check (float 1e-6)) "diurnal trough at t=0" 20.0
-    (Arrival.rate_at d ~at_us:0);
-  Alcotest.(check (float 1e-6)) "diurnal peak mid-period" 100.0
-    (Arrival.rate_at d ~at_us:500_000);
-  let f =
-    Arrival.make
-      ~shape:(Arrival.Flash { at_ms = 100; dur_ms = 50; mult = 4.0 })
-      ~peak_tps:100.0
-  in
-  Alcotest.(check (float 1e-6)) "flash baseline" 25.0 (Arrival.rate_at f ~at_us:0);
-  Alcotest.(check (float 1e-6)) "flash spike" 100.0
-    (Arrival.rate_at f ~at_us:120_000);
-  Alcotest.(check (float 1e-6)) "flash over" 25.0
-    (Arrival.rate_at f ~at_us:200_000)
-
-let test_arrival_string_roundtrip () =
-  List.iter
-    (fun a ->
-      match Arrival.of_string (Arrival.to_string a) with
-      | Error e -> Alcotest.fail e
-      | Ok a' ->
-        Alcotest.(check string) "roundtrip" (Arrival.to_string a)
-          (Arrival.to_string a');
-        Alcotest.(check (float 1e-6)) "same rate" (Arrival.rate_at a ~at_us:777_000)
-          (Arrival.rate_at a' ~at_us:777_000))
-    [
-      Arrival.make ~shape:Arrival.Constant ~peak_tps:250.0;
-      Arrival.make
-        ~shape:(Arrival.Diurnal { period_ms = 60_000; trough = 0.25 })
-        ~peak_tps:400.0;
-      Arrival.make
-        ~shape:(Arrival.Flash { at_ms = 500; dur_ms = 200; mult = 5.0 })
-        ~peak_tps:1_000.0;
-    ];
-  (match Arrival.of_string "nonsense" with
-  | Ok _ -> Alcotest.fail "nonsense accepted"
-  | Error _ -> ());
-  match Arrival.of_string "diurnal:0:0.5@100" with
-  | Ok _ -> Alcotest.fail "zero period accepted"
-  | Error _ -> ()
-
-let test_arrival_implied_users () =
-  (* Little's law: 500 tps with 10 s think time stands for 5000 users. *)
-  let a = Arrival.make ~shape:Arrival.Constant ~peak_tps:500.0 in
-  Alcotest.(check int) "5000 users" 5_000 (Arrival.implied_users a ~think_ms:10_000);
-  let big = Arrival.make ~shape:Arrival.Constant ~peak_tps:200_000.0 in
-  Alcotest.(check int) "12M users" 12_000_000
-    (Arrival.implied_users big ~think_ms:60_000)
-
 let () =
   Alcotest.run "gg_workload"
     [
@@ -530,11 +471,5 @@ let () =
           Alcotest.test_case "scan statements" `Quick test_scan_stmt_shapes;
           Alcotest.test_case "secidx statements" `Quick test_secidx_stmt_shapes;
           Alcotest.test_case "determinism" `Quick test_sqlgen_determinism;
-        ] );
-      ( "arrival",
-        [
-          Alcotest.test_case "shapes" `Quick test_arrival_shapes;
-          Alcotest.test_case "string roundtrip" `Quick test_arrival_string_roundtrip;
-          Alcotest.test_case "implied users" `Quick test_arrival_implied_users;
         ] );
     ]
