@@ -291,4 +291,3 @@ let to_string s =
     | Params.Column -> " merge_level=column")
   ^ (if not s.fastpath then ""
      else Printf.sprintf " fastpath=eocc clock_skew_ms=%d" s.clock_skew_ms)
-

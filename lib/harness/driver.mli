@@ -5,9 +5,9 @@
     constructor (e.g. the Raft-replicated Calvin/Aria variants);
     {!run_geogauss} builds a full GeoGauss cluster with per-region
     clients. Every driver uses the paper's closed loop: each connection
-    has one outstanding transaction at a time. All warm up, reset every instrument through one
-    {!Gg_obs.Obs.reset_all} call, then measure over a fixed window of
-    simulated time.
+    has one outstanding transaction at a time. All warm up, reset every
+    instrument through one {!Gg_obs.Obs.reset_all} call, then measure
+    over a fixed window of simulated time.
 
     Passing [?trace_file] to {!run_geogauss} enables tracing for the
     whole run (the warm-up reset clears the buffer, so the file covers
