@@ -89,4 +89,5 @@ let () =
       (String.sub d 0 12)
   | ds ->
     Printf.printf "\nERROR: digests differ: %s\n"
-      (String.concat " " (List.map (fun d -> String.sub d 0 8) ds))
+      (String.concat " " (List.map (fun d -> String.sub d 0 8) ds));
+    exit 1

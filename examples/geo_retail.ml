@@ -108,4 +108,6 @@ let () =
   | d :: rest when List.for_all (String.equal d) rest ->
     Printf.printf "invariant holds on every replica; digests agree (%s)\n"
       (String.sub d 0 12)
-  | _ -> print_endline "ERROR: replicas diverged!"
+  | _ ->
+    print_endline "ERROR: replicas diverged!";
+    exit 1

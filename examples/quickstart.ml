@@ -105,7 +105,9 @@ let () =
   (match Cluster.digests cluster with
   | d :: rest when List.for_all (String.equal d) rest ->
     Printf.printf "\nAll 3 replicas converged (digest %s)\n" (String.sub d 0 12)
-  | _ -> print_endline "\nERROR: replicas diverged!");
+  | _ ->
+    print_endline "\nERROR: replicas diverged!";
+    exit 1);
   Printf.printf "Total committed: %d, aborted: %d\n"
     (Cluster.total_committed cluster)
     (Cluster.total_aborted cluster)

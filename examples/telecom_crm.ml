@@ -126,7 +126,9 @@ let run isolation =
     (p /. 1000.) (e /. 1000.) (w /. 1000.) (m /. 1000.) (l /. 1000.);
   (match Cluster.digests cluster with
   | d :: rest when List.for_all (String.equal d) rest -> ()
-  | _ -> print_endline "     ERROR: replicas diverged!")
+  | _ ->
+    print_endline "     ERROR: replicas diverged!";
+    exit 1)
 
 let () =
   Printf.printf

@@ -53,18 +53,10 @@ let encode_table enc table =
       Array.iter (Enc.varint enc) cols)
     idx_names;
   (* Every entry — tombstones included, so the restored replica keeps
-     rejecting writes to deleted rows — sorted by index key so equal
-     states serialize identically. *)
-  let entries = ref [] in
-  Table.iter_all table ~f:(fun e -> entries := e :: !entries);
-  let entries =
-    List.sort
-      (fun (a : Table.entry) b -> compare a.Table.key_str b.Table.key_str)
-      !entries
-  in
-  Enc.varint enc (List.length entries);
-  List.iter
-    (fun (e : Table.entry) ->
+     rejecting writes to deleted rows — in ascending [key_str] order so
+     equal states serialize identically. *)
+  Enc.varint enc (Table.total_count table);
+  Table.iter_sorted table (fun (e : Table.entry) ->
       Enc.varint enc (Array.length e.Table.key);
       Array.iter (Value.encode enc) e.Table.key;
       Enc.bool enc e.Table.header.Row_header.deleted;
@@ -73,7 +65,6 @@ let encode_table enc table =
       Csn.encode enc e.Table.header.Row_header.csn;
       Enc.varint enc (Array.length e.Table.data);
       Array.iter (Value.encode enc) e.Table.data)
-    entries
 
 let decode_table dec db =
   let schema = decode_schema dec in

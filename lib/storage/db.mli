@@ -25,8 +25,9 @@ val purge_tombstones : t -> before_cen:int -> int
 (** GC tombstones older than the given epoch across all tables. *)
 
 val digest : t -> string
-(** Canonical MD5 digest of all table contents and headers. Two replicas
-    holding consistent snapshots produce equal digests. *)
+(** Hex MD5 over the sorted table names and each table's
+    {!Table.digest}, so an unchanged table costs a cache hit. Two
+    replicas holding consistent snapshots produce equal digests. *)
 
 val copy : t -> t
 (** Deep copy of every table (state transfer to a recovering replica). *)

@@ -3,7 +3,8 @@
     and a per-epoch temporary table for insertion conflicts (paper
     §4.2.1). Nothing this module exposes
     depends on the hash index's slot order: {!iter_all} is unordered by
-    contract and the digests sort.
+    contract, and {!iter_sorted}, the walk the digest and [Checkpoint]
+    share, sorts.
 
     Every row carries a {!Row_header.t}. Deletions leave a tombstone in
     the hash index (so concurrent writers observe "row deleted" and
@@ -111,6 +112,12 @@ val scan : t -> f:(entry -> unit) -> unit
 val iter_all : t -> f:(entry -> unit) -> unit
 (** Every entry including tombstones, in no particular order. *)
 
+val iter_sorted : t -> (entry -> unit) -> unit
+(** Every entry including tombstones, in ascending [key_str] order: the
+    order {!digest} and [Checkpoint] serialize, independent of slot
+    order and insertion history. Each call sorts one fresh array of
+    {!total_count} entries. *)
+
 val scan_range :
   t -> ?lo:Value.t array -> ?hi:Value.t array -> (entry -> unit) -> unit
 (** Live rows with [lo <= key <= hi] in key order (missing bound =
@@ -165,13 +172,16 @@ val purge_tombstones : t -> before_cen:int -> int
     which the paper treats the same as a deleted one. A table that
     holds no tombstone returns 0 without walking its rows. *)
 
-val digest_into : t -> Gg_util.Codec.Enc.t -> unit
-(** Canonical serialization (keys ascending; data + header + tombstones)
-    used for replica-equality checks. *)
-
 val digest : t -> string
-(** MD5 hex of {!digest_into}, cached behind a per-table mutation
-    counter: digesting an unchanged table is O(1). *)
+(** Hex MD5 of the table's canonical serialization, used for
+    replica-equality checks: the table name, then every entry in
+    {!iter_sorted} order as its key, tombstone flag, sen, cen, csn and,
+    for a live row, its data. The stream is hashed in row-aligned chunks
+    of at least 1 KiB, each chained to the MD5 of the one before, so a
+    digest's memory is one small encoder plus the sort's array of
+    entries, not the table's serialized size. Cached behind a per-table
+    mutation counter: digesting an unchanged table is O(1). Only
+    equality between digests means anything. *)
 
 val touch : t -> unit
 (** Invalidate the digest cache. Every mutator in this module touches

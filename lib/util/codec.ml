@@ -1,11 +1,28 @@
 module Enc = struct
-  type t = Buffer.t
+  (* A growable byte buffer, like [Buffer.t], but its storage is visible
+     here so [digest] can hash the contents in place. *)
+  type t = { mutable buf : bytes; mutable len : int }
 
-  let create () = Buffer.create 256
-  let clear = Buffer.clear
-  let length = Buffer.length
-  let to_bytes t = Buffer.to_bytes t
-  let byte t v = Buffer.add_char t (Char.chr (v land 0xFF))
+  let create () = { buf = Bytes.create 256; len = 0 }
+  let clear t = t.len <- 0
+  let length t = t.len
+  let to_bytes t = Bytes.sub t.buf 0 t.len
+  let digest t = Digest.subbytes t.buf 0 t.len
+
+  (* Double the storage until [more] further bytes fit. *)
+  let grow t more =
+    let cap = ref (2 * Bytes.length t.buf) in
+    while t.len + more > !cap do
+      cap := 2 * !cap
+    done;
+    let buf = Bytes.create !cap in
+    Bytes.blit t.buf 0 buf 0 t.len;
+    t.buf <- buf
+
+  let byte t v =
+    if t.len >= Bytes.length t.buf then grow t 1;
+    Bytes.unsafe_set t.buf t.len (Char.unsafe_chr (v land 0xFF));
+    t.len <- t.len + 1
 
   let varint t v =
     if v < 0 then invalid_arg "Codec.Enc.varint: negative";
@@ -37,11 +54,15 @@ module Enc = struct
       byte t (Int64.to_int (Int64.shift_right_logical bits (8 * i)) land 0xFF)
     done
 
+  let raw t s =
+    let n = String.length s in
+    if t.len + n > Bytes.length t.buf then grow t n;
+    Bytes.unsafe_blit_string s 0 t.buf t.len n;
+    t.len <- t.len + n
+
   let string t s =
     varint t (String.length s);
-    Buffer.add_string t s
-
-  let raw t s = Buffer.add_string t s
+    raw t s
 
   let bool t b = byte t (if b then 1 else 0)
 end

@@ -15,6 +15,11 @@ module Enc : sig
 
   val length : t -> int
   val to_bytes : t -> bytes
+
+  val digest : t -> Digest.t
+  (** MD5 of the contents, hashed in place: unlike
+      [Digest.bytes (to_bytes t)] it copies nothing. *)
+
   val byte : t -> int -> unit
   (** Low 8 bits. *)
 

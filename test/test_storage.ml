@@ -443,17 +443,115 @@ let prop_scans_match_filtered_scan =
       in
       range_ok && prefix_ok)
 
+(* Each field of the digest's stream, changed alone on one row of a
+   copy, moves the digest. A tombstone streams no data, so the key is
+   changed on a tombstone; a live row with empty data streams none
+   either, so only the flag tells it from a tombstone. *)
 let test_table_digest_sensitivity () =
-  let t1 = make_table 5 and t2 = make_table 5 in
-  let d t =
-    let enc = Gg_util.Codec.Enc.create () in
-    Table.digest_into t enc;
-    Bytes.to_string (Gg_util.Codec.Enc.to_bytes enc)
+  let t1 = make_table 5 in
+  let d = Table.digest in
+  Alcotest.(check string) "identical tables" (d t1) (d (make_table 5));
+  let changed what f =
+    let t2 = make_table 5 in
+    f t2 (Option.get (Table.find t2 (key 0)));
+    Table.touch t2;
+    Alcotest.(check bool) (what ^ " change detected") true (d t1 <> d t2)
   in
-  Alcotest.(check string) "identical tables" (d t1) (d t2);
-  let e = Option.get (Table.find t2 (key 0)) in
-  Table.write t2 e [| v_int 0; v_str "changed" |];
-  Alcotest.(check bool) "data change detected" true (d t1 <> d t2)
+  changed "data" (fun t e -> Table.write t e [| v_int 0; v_str "changed" |]);
+  changed "sen" (fun _ e -> e.Table.header.Row_header.sen <- 3);
+  changed "cen" (fun _ e -> e.Table.header.Row_header.cen <- 3);
+  changed "csn" (fun _ e ->
+      e.Table.header.Row_header.csn <- Csn.make ~ts:1 ~node:0);
+  let renamed =
+    Table.create
+      (Schema.create ~name:"kv2" ~columns:(Array.to_list (schema_kv ()).Schema.columns)
+         ~key:[ "k" ])
+  in
+  for i = 0 to 4 do
+    Table.load renamed [| v_int i; v_str (Printf.sprintf "v%d" i) |]
+  done;
+  Alcotest.(check bool) "table name change detected" true (d t1 <> d renamed);
+  let tombstone_at i =
+    let t = make_table 4 in
+    Table.load t [| v_int i; v_str "x" |];
+    Table.delete t (Option.get (Table.find t (key i)));
+    t
+  in
+  Alcotest.(check bool) "tombstone key change detected" true
+    (d (tombstone_at 4) <> d (tombstone_at 5));
+  let emptied () =
+    let t = make_table 5 in
+    Table.write t (Option.get (Table.find t (key 0))) [||];
+    t
+  in
+  let deleted = emptied () in
+  Table.delete deleted (Option.get (Table.find deleted (key 0)));
+  Alcotest.(check bool) "tombstone flag change detected" true
+    (d (emptied ()) <> d deleted);
+  let tombstone_data = tombstone_at 4 in
+  Table.write tombstone_data (Option.get (Table.find tombstone_data (key 4)))
+    [| v_int 4; v_str "y" |];
+  Alcotest.(check string) "a tombstone's data is not digested"
+    (d (tombstone_at 4)) (d tombstone_data)
+
+(* The digest walks the rows in [key_str] order, so neither the order
+   rows arrived in nor the primary index's growth history (a larger
+   capacity after a purge puts rows in other slots) can move it. *)
+let test_table_digest_order_free () =
+  let n = 800 in
+  let row i = [| v_int i; v_str (Printf.sprintf "v%d" i) |] in
+  let ascending = Table.create (schema_kv ()) in
+  for i = 0 to n - 1 do
+    Table.load ascending (row i)
+  done;
+  let descending = Table.create (schema_kv ()) in
+  for i = n - 1 downto 0 do
+    Table.load descending (row i)
+  done;
+  let grown = Table.create (schema_kv ()) in
+  for i = 0 to (4 * n) - 1 do
+    Table.load grown (row i)
+  done;
+  for i = n to (4 * n) - 1 do
+    Table.delete grown (Option.get (Table.find grown (key i)))
+  done;
+  ignore (Table.purge_tombstones grown ~before_cen:max_int);
+  Alcotest.(check int) "purged to the same rows" n (Table.total_count grown);
+  Alcotest.(check string) "insertion order" (Table.digest ascending)
+    (Table.digest descending);
+  Alcotest.(check string) "pk_grow history" (Table.digest ascending)
+    (Table.digest grown)
+
+(* The stream is hashed in row-aligned 1 KiB chunks, and the rows after
+   the last cut form a partial chunk. Every table size over a span wider
+   than a chunk puts the last row at each position of its chunk, so a
+   digest that dropped the partial chunk would miss some change here. *)
+let test_table_digest_last_chunk () =
+  for n = 200 to 300 do
+    let a = make_table n and b = make_table n in
+    Table.write b
+      (Option.get (Table.find b (key (n - 1))))
+      [| v_int (n - 1); v_str "changed" |];
+    if Table.digest a = Table.digest b then
+      Alcotest.failf "%d rows: a change to the last row left the digest" n
+  done
+
+(* A cold digest allocates the sort's array of entries and one small
+   encoder, not a buffer of the table's serialized size. *)
+let test_table_digest_bounded_alloc () =
+  let n = 20_000 in
+  let t = Table.create (schema_kv ()) in
+  for i = 0 to n - 1 do
+    Table.load t [| v_int i; v_str (String.make 200 (Char.chr (97 + (i mod 26)))) |]
+  done;
+  (* promote the loaded rows now, so no minor collection during the
+     digest counts them *)
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  ignore (Table.digest t);
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  if words > float_of_int (4 * n) then
+    Alcotest.failf "cold digest of %d rows allocated %.0f major words" n words
 
 (* --- Db --- *)
 
@@ -1079,6 +1177,12 @@ let () =
           Alcotest.test_case "scan prefix" `Quick test_table_scan_prefix;
           QCheck_alcotest.to_alcotest prop_scans_match_filtered_scan;
           Alcotest.test_case "digest sensitivity" `Quick test_table_digest_sensitivity;
+          Alcotest.test_case "digest ignores insertion order and growth" `Quick
+            test_table_digest_order_free;
+          Alcotest.test_case "digest covers the last partial chunk" `Quick
+            test_table_digest_last_chunk;
+          Alcotest.test_case "digest allocates a few words per row" `Quick
+            test_table_digest_bounded_alloc;
           Alcotest.test_case "purge tombstones" `Quick test_purge_tombstones;
           Alcotest.test_case "purge without tombstones" `Quick
             test_purge_without_tombstones;
