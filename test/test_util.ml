@@ -287,6 +287,23 @@ let test_codec_mixed_roundtrip () =
   Alcotest.(check bool) "bool" true (Codec.Dec.bool dec);
   Alcotest.(check string) "empty string" "" (Codec.Dec.string dec)
 
+(* [Enc.digest] hashes exactly the bytes written since the last
+   [clear], through growth of the storage and after a clear that keeps
+   the larger storage's stale bytes. *)
+let test_codec_digest () =
+  let enc = Codec.Enc.create () in
+  let long = String.init 1000 (fun i -> Char.chr (i land 0xFF)) in
+  Codec.Enc.raw enc long;
+  Codec.Enc.string enc long;
+  Alcotest.(check string) "after growth"
+    (Digest.bytes (Codec.Enc.to_bytes enc)) (Codec.Enc.digest enc);
+  Codec.Enc.clear enc;
+  Codec.Enc.raw enc "abc";
+  Alcotest.(check string) "after clear" (Digest.string "abc")
+    (Codec.Enc.digest enc);
+  Codec.Enc.clear enc;
+  Alcotest.(check string) "empty" (Digest.string "") (Codec.Enc.digest enc)
+
 let test_codec_truncated () =
   let enc = Codec.Enc.create () in
   Codec.Enc.string enc "abcdef";
@@ -724,6 +741,7 @@ let () =
           Alcotest.test_case "varint roundtrip" `Quick test_codec_varint_roundtrip;
           Alcotest.test_case "zigzag roundtrip" `Quick test_codec_zigzag_roundtrip;
           Alcotest.test_case "mixed roundtrip" `Quick test_codec_mixed_roundtrip;
+          Alcotest.test_case "digest in place" `Quick test_codec_digest;
           Alcotest.test_case "truncated" `Quick test_codec_truncated;
           Alcotest.test_case "negative varint" `Quick test_codec_negative_varint;
           QCheck_alcotest.to_alcotest prop_varint_roundtrip;
