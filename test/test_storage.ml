@@ -463,9 +463,8 @@ let test_table_digest_sensitivity () =
   changed "csn" (fun _ e ->
       e.Table.header.Row_header.csn <- Csn.make ~ts:1 ~node:0);
   let renamed =
-    Table.create
-      (Schema.create ~name:"kv2" ~columns:(Array.to_list (schema_kv ()).Schema.columns)
-         ~key:[ "k" ])
+    let columns = Array.to_list (schema_kv ()).Schema.columns in
+    Table.create (Schema.create ~name:"kv2" ~columns ~key:[ "k" ])
   in
   for i = 0 to 4 do
     Table.load renamed [| v_int i; v_str (Printf.sprintf "v%d" i) |]
