@@ -164,7 +164,8 @@ let pk_fold ix f acc =
   pk_iter ix (fun e -> acc := f e !acc);
   !acc
 
-(* A same-capacity deep copy: each slot keeps its position. *)
+(* A same-capacity copy: each slot keeps its position and holds [f] of
+   its entry. *)
 let pk_map ix f =
   let vacant = vacant_entry () in
   {
@@ -185,7 +186,7 @@ let pk_map ix f =
    leave [ordered] (empty) alone. Once built, those mutators replace it
    with a copy one entry longer or shorter (O(n)); no benchmarked
    workload inserts into or deletes from a scanned table, since its
-   updates write [entry.data] in place. Replacing rather than shifting
+   updates only replace [entry.data]. Replacing rather than shifting
    the array means a scan walks the index as it stood when the scan
    began. *)
 type t = {
@@ -509,13 +510,17 @@ let purge_tombstones t ~before_cen =
     List.length victims
   end
 
+(* The copy shares every entry's [data] with its source: an installed
+   row array is never written in place (every writer installs a fresh
+   one), so only the mutable parts, the entry record and its header,
+   are copied. *)
 let copy t =
   let index =
     pk_map t.index (fun e ->
         {
           key = e.key;
           key_str = e.key_str;
-          data = Array.copy e.data;
+          data = e.data;
           header = Row_header.copy e.header;
         })
   in
@@ -534,14 +539,20 @@ let copy t =
   in
   (* Replicate the index definitions, then fill every secondary index in
      a single pass in primary-key order (the order [create_index] adds
-     rows in). The copy's ordered index stays unbuilt. *)
+     rows in). That pass sorts the live rows, so the sorted array becomes
+     the copy's ordered index; a table without secondary indexes leaves
+     it unbuilt. *)
   Hashtbl.iter
     (fun name idx ->
       Hashtbl.replace fresh.indexes name
         { idx_cols = idx.idx_cols; idx_map = Key_map.empty })
     t.indexes;
-  if Hashtbl.length fresh.indexes > 0 then
-    Array.iter (indexes_add fresh) (live_sorted fresh);
+  if Hashtbl.length fresh.indexes > 0 then begin
+    let sorted = live_sorted fresh in
+    Array.iter (indexes_add fresh) sorted;
+    fresh.ordered <- sorted;
+    fresh.ordered_built <- true
+  end;
   fresh
 
 let digest_entry enc e =

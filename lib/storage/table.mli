@@ -15,14 +15,15 @@
     sorted by key, built on the first ordered read — {!scan},
     {!scan_range}, {!scan_prefix} or {!create_index} — by one sort of
     the live rows (O(n log n)). Until then {!load}, {!insert_committed},
-    {!install_temp}, {!delete} and {!revive} skip it, and {!copy}
-    returns a table whose ordered index is unbuilt; a table that is only
-    ever read by key, as on the op-level workloads, never pays for it.
+    {!install_temp}, {!delete} and {!revive} skip it, and {!copy} of a
+    table without secondary indexes returns a table whose ordered index
+    is unbuilt; a table that is only ever read by key, as on the
+    op-level workloads, never pays for it.
     Once built, each insert, delete and revive keeps it current with a
     binary search and a copy of the array one row longer or shorter:
     O(n) per call. {!write} changes no key and leaves it alone, so
-    in-place updates, the only writes the SQL workloads make to the
-    tables they scan, cost nothing here. Nothing else observable
+    updates, the only writes the SQL workloads make to the tables they
+    scan, cost nothing here. Nothing else observable
     depends on whether it has been built.
 
     {b Scans and writers.} A scan callback must not insert or delete
@@ -31,7 +32,15 @@
     callback inserts is not visited and a row it deletes later in key
     order still is. A callback may raise (the scan ends with it) and may
     start another scan of the same table (the join's nested loop
-    does). *)
+    does).
+
+    {b Row arrays are immutable once installed.} The array an entry's
+    [data] points to is never written in place: every writer builds a
+    fresh array (or copies the old one and changes the copy) and installs
+    it with {!write}, {!revive}, {!insert_committed} or {!install_temp},
+    and {!load} takes ownership of the array it is given. {!copy} relies
+    on this to share every row array between a table and its copies, so
+    an in-place write to one would show in all of them. *)
 
 type entry = {
   key : Value.t array;
@@ -63,7 +72,8 @@ val mem_live : t -> string -> bool
 (** {1 Mutation (called by the OCC write-back path)} *)
 
 val write : t -> entry -> Value.t array -> unit
-(** Overwrite an entry's data in place. *)
+(** Replace an entry's data with a fresh array (see the module
+    comment). *)
 
 val delete : t -> entry -> unit
 (** Tombstone the entry and remove it from the ordered index. *)
@@ -159,10 +169,13 @@ val total_count : t -> int
 (** Including tombstones. *)
 
 val copy : t -> t
-(** Deep copy (rows, headers, tombstones; temp entries are not copied).
-    Used for state transfer to recovering replicas. The copy's ordered
-    index is unbuilt; its secondary indexes are filled in primary-key
-    order. *)
+(** Copy of every entry with its own header, sharing each row array
+    with the source (rows, headers, tombstones; temp entries are not
+    copied). Used to give each replica the loaded image and for state
+    transfer to recovering replicas. Its secondary indexes are filled in
+    primary-key order, by one sort of the live rows that the copy keeps
+    as its ordered index; without secondary indexes the copy's ordered
+    index is unbuilt. *)
 
 val purge_tombstones : t -> before_cen:int -> int
 (** Garbage-collect tombstones whose deleting epoch precedes

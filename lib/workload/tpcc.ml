@@ -135,8 +135,11 @@ let schemas =
     order_line_schema;
   ]
 
-let pad n = String.make n 'x'
-
+(* Every value a loaded row holds is immutable, and a row array is never
+   written in place once installed ([Gg_storage.Table]'s invariant), so
+   the rows share one value per distinct filler and integer instead of
+   boxing each anew: the image holds each distinct value once. The
+   contents, and so every digest, are those of per-row values. *)
 let load cfg db =
   let wh = Gg_storage.Db.add_table db warehouse_schema in
   let di = Gg_storage.Db.add_table db district_schema in
@@ -145,33 +148,32 @@ let load cfg db =
   let st = Gg_storage.Db.add_table db stock_schema in
   let _or = Gg_storage.Db.add_table db orders_schema in
   let _ol = Gg_storage.Db.add_table db order_line_schema in
+  let pad n = Value.Str (String.make n 'x') in
+  let pad10 = pad 10 and pad16 = pad 16 and pad24 = pad 24 and pad50 = pad 50 in
+  let pad250 = pad 250 in
+  (* item ids, prices (100..999), quantities and the small constants *)
+  let ints = Array.init (max cfg.items 999 + 1) (fun i -> Value.Int i) in
+  let int i = if i < Array.length ints then ints.(i) else Value.Int i in
+  let tax = Value.Float 0.1 in
+  let w_ytd = Value.Int 300_000 and d_ytd = Value.Int 30_000 in
+  let d_next_o_id = Value.Int 3_001 and c_balance = Value.Int (-10) in
   for i = 1 to cfg.items do
-    Gg_storage.Table.load it
-      [| Value.Int i; Value.Str (pad 24); Value.Int (100 + (i mod 900)); Value.Str (pad 50) |]
+    Gg_storage.Table.load it [| int i; pad24; int (100 + (i mod 900)); pad50 |]
   done;
   for w = 1 to cfg.warehouses do
-    Gg_storage.Table.load wh
-      [| Value.Int w; Value.Str (pad 10); Value.Float 0.1; Value.Int 300_000 |];
+    let w = int w in
+    Gg_storage.Table.load wh [| w; pad10; tax; w_ytd |];
     for d = 1 to cfg.districts_per_warehouse do
-      Gg_storage.Table.load di
-        [|
-          Value.Int w; Value.Int d; Value.Str (pad 10); Value.Float 0.1;
-          Value.Int 30_000; Value.Int 3_001;
-        |];
+      let d = int d in
+      Gg_storage.Table.load di [| w; d; pad10; tax; d_ytd; d_next_o_id |];
       for c = 1 to cfg.customers_per_district do
         Gg_storage.Table.load cu
-          [|
-            Value.Int w; Value.Int d; Value.Int c; Value.Str (pad 16);
-            Value.Int (-10); Value.Int 10; Value.Int 1; Value.Str (pad 250);
-          |]
+          [| w; d; int c; pad16; c_balance; int 10; int 1; pad250 |]
       done
     done;
     for i = 1 to cfg.items do
       Gg_storage.Table.load st
-        [|
-          Value.Int w; Value.Int i; Value.Int (10 + (i mod 90)); Value.Int 0;
-          Value.Int 0; Value.Str (pad 50);
-        |]
+        [| w; int i; int (10 + (i mod 90)); int 0; int 0; pad50 |]
     done
   done
 

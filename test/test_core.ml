@@ -807,6 +807,124 @@ let test_create_copies_one_load () =
         = Value.Int 0))
     [ 0; 2 ]
 
+(* A table and its [Db.copy] share every row array, so a writer that
+   changed an installed array in place would change both. Each step
+   writes one row of one side through one of the writers: [Table.write],
+   [Table.delete] then [Table.revive], an [Op_exec] [Add] merged at row
+   level or, column-masked, at column level, a SQL UPDATE through
+   [Executor], and a column-masked update merged at column level. The
+   other side's fresh digest and every one of its row arrays, by
+   identity and by contents, must stay as they were. *)
+type iso_writer = Iso_write | Iso_delete_revive | Iso_add of bool | Iso_sql | Iso_column
+
+let print_iso_writer = function
+  | Iso_write -> "write"
+  | Iso_delete_revive -> "delete+revive"
+  | Iso_add col_mask -> if col_mask then "add (column)" else "add"
+  | Iso_sql -> "sql update"
+  | Iso_column -> "column merge"
+
+let prop_copy_isolation =
+  let open QCheck in
+  let gen =
+    Gen.(
+      let* n_rows = int_range 1 20 in
+      let* indexed = bool in
+      let* write_copy = bool in
+      let* steps =
+        list_size (int_range 1 12)
+          (pair
+             (oneofl
+                [ Iso_write; Iso_delete_revive; Iso_add false; Iso_add true;
+                  Iso_sql; Iso_column ])
+             (int_range 0 (n_rows - 1)))
+      in
+      return (n_rows, indexed, write_copy, steps))
+  in
+  let print (n_rows, indexed, write_copy, steps) =
+    Printf.sprintf "%d rows%s, writing the %s: %s" n_rows
+      (if indexed then " (indexed)" else "")
+      (if write_copy then "copy" else "source")
+      (String.concat "; "
+         (List.map (fun (w, k) -> Printf.sprintf "%s %d" (print_iso_writer w) k) steps))
+  in
+  Test.make ~name:"writers never reach a copy's shared rows" ~count:200
+    (make ~print gen)
+    (fun (n_rows, indexed, write_copy, steps) ->
+      let module Table = Gg_storage.Table in
+      let source = Gg_storage.Db.create () in
+      kv_load n_rows source;
+      if indexed then
+        Table.create_index (Gg_storage.Db.get_table_exn source "kv") ~name:"by_v"
+          ~cols:[ "v" ];
+      let copy = Gg_storage.Db.copy source in
+      let written, other = if write_copy then (copy, source) else (source, copy) in
+      let kv db = Gg_storage.Db.get_table_exn db "kv" in
+      let rows = ref [] in
+      Table.iter_sorted (kv other) (fun e ->
+          rows := (e.Table.key_str, e.Table.data, Array.copy e.Table.data) :: !rows);
+      let digest0 = Table.digest (kv other) in
+      let merge ~epoch ?(level = Params.Row) records =
+        let ws =
+          Gg_crdt.Writeset.make
+            ~meta:
+              (Gg_crdt.Meta.make ~sen:epoch ~cen:epoch
+                 ~csn:(Gg_storage.Csn.make ~ts:epoch ~node:0))
+            ~records ()
+        in
+        let m = Epoch_merge.run ~level ~db:written ~jobs:1 ~ssi:false [ ws ] in
+        if not (Epoch_merge.committed m ws) then
+          Test.fail_reportf "epoch %d: the write set aborted" epoch
+      in
+      List.iteri
+        (fun epoch (writer, k) ->
+          let key = [| Value.Int k |] in
+          let entry () = Option.get (Table.find (kv written) (Value.encode_key key)) in
+          let fresh = [| Value.Int k; Value.Int (100 + epoch); Value.Str "w" |] in
+          match writer with
+          | Iso_write -> Table.write (kv written) (entry ()) fresh
+          | Iso_delete_revive ->
+            let e = entry () in
+            Table.delete (kv written) e;
+            Table.revive (kv written) e fresh
+          | Iso_add col_mask -> (
+            match
+              Op_exec.exec ~col_mask written
+                (Op.make [ Op.Add { table = "kv"; key; col = 1; delta = 5 } ])
+            with
+            | Ok r ->
+              merge ~epoch ~level:(if col_mask then Params.Column else Params.Row)
+                r.Op_exec.writes
+            | Error m -> Test.fail_reportf "add: %s" m)
+          | Iso_sql -> (
+            let ctx = Gg_sql.Executor.Ctx.create written in
+            match
+              Gg_sql.Executor.exec_sql ctx "UPDATE kv SET v = v + 3 WHERE k = ?"
+                ~params:[| Value.Int k |]
+            with
+            | Ok _ -> merge ~epoch (Gg_sql.Executor.Ctx.writeset_records ctx)
+            | Error m -> Test.fail_reportf "update: %s" m)
+          | Iso_column ->
+            merge ~epoch ~level:Params.Column
+              [
+                Gg_crdt.Writeset.make_record ~cols:(Gg_crdt.Column.of_index 1)
+                  ~table:"kv" ~key ~op:Gg_crdt.Writeset.Update ~data:fresh ();
+              ])
+        steps;
+      (* a fresh digest: the cached one is keyed by a version that no
+         write to the other side bumps *)
+      Table.touch (kv other);
+      if Table.digest (kv other) <> digest0 then
+        Test.fail_reportf "the unwritten side's digest moved";
+      List.iter
+        (fun (key_str, data, contents) ->
+          match Table.find (kv other) key_str with
+          | Some e when e.Table.data == data && e.Table.data = contents -> ()
+          | Some _ -> Test.fail_reportf "a row array of the unwritten side changed"
+          | None -> Test.fail_reportf "a row of the unwritten side is gone")
+        !rows;
+      true)
+
 (* --- basic commit flow --- *)
 
 let test_single_write_commits () =
@@ -1762,6 +1880,7 @@ let () =
         [
           Alcotest.test_case "replicas copy one load" `Quick
             test_create_copies_one_load;
+          QCheck_alcotest.to_alcotest prop_copy_isolation;
         ] );
       ( "basic",
         [

@@ -552,6 +552,70 @@ let test_table_digest_bounded_alloc () =
   if words > float_of_int (4 * n) then
     Alcotest.failf "cold digest of %d rows allocated %.0f major words" n words
 
+(* A copy shares its source's row arrays and copies only the entry, the
+   header and the index slots. *)
+let test_table_copy_bounded_alloc () =
+  let n = 20_000 and width = 11 in
+  let t =
+    Table.create
+      (Schema.create ~name:"wide"
+         ~columns:
+           (List.init width (fun c -> { Schema.name = Printf.sprintf "c%d" c; ty = TInt }))
+         ~key:[ "c0" ])
+  in
+  for i = 0 to n - 1 do
+    Table.load t (Array.init width (fun c -> v_int (i + c)))
+  done;
+  (* A major collection on each side settles the counters: the direct
+     major allocations (the index arrays) otherwise show late. *)
+  let allocated () =
+    Gc.full_major ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = allocated () in
+  let t2 = Table.copy t in
+  let words = allocated () -. before in
+  if words > float_of_int (18 * n) then
+    Alcotest.failf "copying %d rows of %d columns allocated %.1f words per row" n
+      width (words /. float_of_int n);
+  Alcotest.(check string) "same digest" (Table.digest t) (Table.digest t2);
+  let shared = ref 0 in
+  Table.iter_all t2 ~f:(fun e ->
+      let src = Option.get (Table.find t e.Table.key_str) in
+      if src.Table.data == e.Table.data && src.Table.header != e.Table.header then
+        incr shared);
+  Alcotest.(check int) "rows shared, headers not" n !shared
+
+(* Filling a copy's secondary indexes sorts its live rows once; that
+   array is the copy's ordered index, so its first scan sorts nothing
+   and visits the rows in the source's order. *)
+let test_table_copy_keeps_its_sort () =
+  let n = 2_000 in
+  let t = Table.create (schema_kv ()) in
+  (* descending loads, so slot order is not key order *)
+  for i = n - 1 downto 0 do
+    Table.load t [| v_int i; v_str (string_of_int (i mod 7)) |]
+  done;
+  Table.create_index t ~name:"by_v" ~cols:[ "v" ];
+  let t2 = Table.copy t in
+  let keys t =
+    let acc = ref [] in
+    Table.scan t ~f:(fun e -> acc := e.Table.key_str :: !acc);
+    !acc
+  in
+  let visited = ref 0 in
+  let count e = ignore e; incr visited in
+  let before = Gc.minor_words () in
+  Table.scan t2 ~f:count;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "first scan visits every row" n !visited;
+  if words > 64. then
+    Alcotest.failf "the copy's first scan allocated %.0f words: it sorted again" words;
+  Alcotest.(check (list string)) "scan order" (keys t) (keys t2);
+  Alcotest.(check int) "index filled" (n / 7 + 1)
+    (List.length (Table.index_lookup t2 ~name:"by_v" ~key:[| v_str "0" |]))
+
 (* --- Db --- *)
 
 let test_db_catalog () =
@@ -933,7 +997,7 @@ let prop_pk_index_matches_model =
    run with the index unbuilt, the read builds it, and the steps after it
    maintain it. A copy is checked alongside its source, whether it was
    taken before the build (both unbuilt) or after (source built, copy
-   not). Every sequence runs on one-column keys and again on the
+   not, unless a secondary index made the copy keep its sort). Every sequence runs on one-column keys and again on the
    two-column keys of [two_col], whose bounds include composite ones and
    ones shorter than the key. Each check also ends a scan by raising
    from its callback, as the checker's corruption canary does, and scans
@@ -1182,6 +1246,10 @@ let () =
             test_table_digest_last_chunk;
           Alcotest.test_case "digest allocates a few words per row" `Quick
             test_table_digest_bounded_alloc;
+          Alcotest.test_case "copy allocates no row arrays" `Quick
+            test_table_copy_bounded_alloc;
+          Alcotest.test_case "copy keeps its sort as the ordered index" `Quick
+            test_table_copy_keeps_its_sort;
           Alcotest.test_case "purge tombstones" `Quick test_purge_tombstones;
           Alcotest.test_case "purge without tombstones" `Quick
             test_purge_without_tombstones;

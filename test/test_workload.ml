@@ -123,6 +123,30 @@ let test_tpcc_load () =
   Alcotest.(check int) "stock" 40 (count "stock");
   Alcotest.(check int) "orders empty" 0 (count "orders")
 
+(* The loaded image holds each distinct value once: rows share their
+   fillers and integers, so the database is a few words per row beyond
+   its entries, headers, keys and row arrays. *)
+let test_tpcc_load_shares_values () =
+  let db = Gg_storage.Db.create () in
+  Tpcc.load Tpcc.default db;
+  let rows =
+    List.fold_left
+      (fun n name ->
+        n + Gg_storage.Table.total_count (Gg_storage.Db.get_table_exn db name))
+      0 (Gg_storage.Db.table_names db)
+  in
+  let per_row = float_of_int (Obj.reachable_words (Obj.repr db)) /. float_of_int rows in
+  if per_row > 35. then
+    Alcotest.failf "the loaded image holds %.1f words per row" per_row;
+  let customer = Gg_storage.Db.get_table_exn db "customer" in
+  let c_data c =
+    let key = Value.encode_key [| Value.Int 1; Value.Int 1; Value.Int c |] in
+    (Option.get (Gg_storage.Table.find customer key)).Gg_storage.Table.data.(7)
+  in
+  Alcotest.(check bool) "c_data is one value" true (c_data 1 == c_data 2);
+  Alcotest.(check bool) "c_data contents" true
+    (c_data 2 = Value.Str (String.make 250 'x'))
+
 let test_tpcc_new_order_shape () =
   let g = Tpcc.create Tpcc.small ~seed:1 ~node:0 in
   let t = Tpcc.new_order g in
@@ -442,6 +466,7 @@ let () =
       ( "tpcc",
         [
           Alcotest.test_case "load" `Quick test_tpcc_load;
+          Alcotest.test_case "load shares values" `Quick test_tpcc_load_shares_values;
           Alcotest.test_case "new-order shape" `Quick test_tpcc_new_order_shape;
           Alcotest.test_case "payment shape" `Quick test_tpcc_payment_shape;
           Alcotest.test_case "order id uniqueness" `Quick test_tpcc_order_ids_unique_across_nodes;
