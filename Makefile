@@ -1,4 +1,4 @@
-.PHONY: all build test fmt ci golden bench micro ab check trace-demo clean
+.PHONY: all build test fmt ci golden bench micro ab check sweep trace-demo clean
 
 # Domain fan-out for the harness (check sweeps, experiment grids, bench
 # scenarios). 0 = one worker per core; output is byte-identical at any
@@ -79,6 +79,21 @@ ci: fmt
 	@t0=$$(date +%s.%N); \
 	JOBS=$(JOBS) sh bench/golden.sh check $(PINNED_SWEEPS) || exit 1; \
 	awk -v a="$$t0" -v b="$$(date +%s.%N)" 'BEGIN { printf "ci: golden step %.1fs\n", b-a }'
+
+# Deep sweep: 300 seeds in plain mode and in every PINNED_SWEEPS mode.
+# Every mode runs and prints its summary line (and the seed line of each
+# violation); the target fails if any mode found one. Too slow for
+# `make ci` (about 2 minutes at JOBS=2 on a 2-vCPU host).
+sweep:
+	dune build
+	@status=0; \
+	for sweep in "|" $(PINNED_SWEEPS); do \
+		flags=$${sweep#*|}; \
+		dune exec bin/geogauss_cli.exe -- check --seeds 300 --fast $$flags --jobs $(JOBS) > /tmp/gg_sweep.out 2>&1 || status=1; \
+		echo "sweep $${flags:-(plain)}: $$(grep 'seeds, .* commits' /tmp/gg_sweep.out)"; \
+		grep '^seed [0-9]*: VIOLATION' /tmp/gg_sweep.out | cut -c1-200 || true; \
+	done; \
+	exit $$status
 
 # Regenerate GOLDEN.sha256, the digests `make ci` checks the seeded
 # outputs against (bench/golden.sh lists them).

@@ -34,8 +34,8 @@ let merge_level_arg =
           "Conflict granularity of the epoch merge: row (the paper's \
            whole-row first-committer-wins) or column (per-field LWW \
            lattice — concurrent updates to disjoint columns of the same \
-           row all commit; DESIGN.md \xC2\xA713). Ignored under \
-           geog-a, which re-applies whole rows.")
+           row all commit; DESIGN.md \xC2\xA713). column is a usage \
+           error with --engine geog-a, which re-applies whole rows.")
 
 let isolation_conv =
   Arg.enum
@@ -78,21 +78,42 @@ let clock_skew_arg =
            drifts within \xC2\xB1$(docv) of true time. Needs --engine \
            eocc; the other engines' clocks are exact.")
 
-(* --engine paired with --clock-skew. The skew budget bounds only the
-   eocc fast path's clocks (every other engine's are exact), so without
-   eocc it is a usage error instead of being silently dropped. *)
-let with_clock_skew engine =
-  let pair engine clock_skew =
-    let fastpath =
-      match engine with
-      | Some (_, f) -> (f Geogauss.Params.default).Geogauss.Params.fastpath
-      | None -> false
-    in
-    if clock_skew <> None && not fastpath then
-      `Error (true, "--clock-skew needs --engine eocc")
-    else `Ok (engine, clock_skew)
+(* --engine with the flags whose meaning depends on it, shared by `run`
+   and `check`. Each pair the engine cannot honour is a usage error
+   instead of being silently dropped or coerced: the skew budget bounds
+   only the eocc fast path's clocks (every other engine's are exact),
+   and GeoG-A's gossip re-applies whole rows, so it has no column-level
+   merge. *)
+let with_engine engine =
+  let validate engine clock_skew merge_level =
+    let pinned = Option.map (fun (_, f) -> f Geogauss.Params.default) engine in
+    let is f = Option.fold ~none:false ~some:f pinned in
+    if clock_skew <> None && not (is (fun p -> p.Geogauss.Params.fastpath))
+    then `Error (true, "--clock-skew needs --engine eocc")
+    else if
+      merge_level = Geogauss.Params.Column
+      && is (fun p -> p.Geogauss.Params.variant = Geogauss.Params.Async_merge)
+    then
+      `Error
+        (true, "--merge-level column cannot run under --engine geog-a, whose \
+                gossip re-applies whole rows")
+    else `Ok (engine, clock_skew, merge_level)
   in
-  Term.(ret (const pair $ engine $ clock_skew_arg))
+  Term.(ret (const validate $ engine $ clock_skew_arg $ merge_level_arg))
+
+(* Numbers outside what the simulation accepts are rejected at parse
+   time, not by an exception from deep inside a run. *)
+let bounded of_string ok ~expected pp =
+  let parse s =
+    match of_string s with
+    | Some v when ok v -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))
+  in
+  Arg.conv (parse, pp)
+
+let positive_int =
+  bounded int_of_string_opt (fun n -> n > 0) ~expected:"a positive integer"
+    Format.pp_print_int
 
 (* --- `run` subcommand: ad-hoc simulation --- *)
 
@@ -115,13 +136,17 @@ let run_cmd =
                 secidx (SQL secondary-index reads with region flips).")
   in
   let nodes =
-    Arg.(value & opt int 3 & info [ "n"; "nodes" ] ~doc:"Number of replicas.")
+    Arg.(
+      value & opt positive_int 3
+      & info [ "n"; "nodes" ] ~doc:"Number of replicas (at least 1).")
   in
   let world =
     Arg.(value & flag & info [ "worldwide" ] ~doc:"Worldwide 5-DC topology instead of China.")
   in
   let epoch_ms =
-    Arg.(value & opt int 10 & info [ "epoch-ms" ] ~doc:"Epoch length (ms).")
+    Arg.(
+      value & opt positive_int 10
+      & info [ "epoch-ms" ] ~doc:"Epoch length (ms, at least 1).")
   in
   let isolation =
     Arg.(
@@ -152,10 +177,17 @@ let run_cmd =
     Arg.(value & opt int 64 & info [ "c"; "connections" ] ~doc:"Client connections per node.")
   in
   let theta =
-    Arg.(value & opt float 0.8 & info [ "theta" ] ~doc:"YCSB Zipf skew (0 <= theta < 1).")
+    let skew =
+      bounded float_of_string_opt
+        (fun t -> t >= 0.0 && t < 1.0)
+        ~expected:"a skew in [0, 1)" Format.pp_print_float
+    in
+    Arg.(value & opt skew 0.8 & info [ "theta" ] ~doc:"YCSB Zipf skew (0 <= theta < 1).")
   in
   let records =
-    Arg.(value & opt int 50_000 & info [ "records" ] ~doc:"YCSB table size.")
+    Arg.(
+      value & opt positive_int 50_000
+      & info [ "records" ] ~doc:"YCSB table size (at least 1).")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Simulation seed.") in
   let trace =
@@ -166,8 +198,9 @@ let run_cmd =
           ~doc:"Write a JSONL event trace + counter snapshots of the \
                 measurement window to $(docv) (replay with `geogauss trace').")
   in
-  let run workload nodes world epoch_ms isolation (engine, clock_skew) ft
-      seconds connections theta records seed trace merge_level =
+  let run workload nodes world epoch_ms isolation
+      (engine, clock_skew, merge_level) ft seconds connections theta records
+      seed trace =
     let topology =
       if world then Gg_sim.Topology.worldwide nodes else Gg_sim.Topology.china nodes
     in
@@ -256,23 +289,13 @@ let run_cmd =
         ~measure_ms:(seconds * 1_000)
         ~label ()
     in
-    (* A merge level the engine coerces is named, not silently dropped. *)
-    let coerced =
-      let ran = Geogauss.Params.effective_merge_level params in
-      if ran = merge_level then ""
-      else
-        Printf.sprintf ", merge-level %s ran as %s"
-          (Geogauss.Params.merge_level_to_string merge_level)
-          (Geogauss.Params.merge_level_to_string ran)
-    in
     let table =
       Gg_util.Tablefmt.create
         ~title:
-          (Printf.sprintf "%s on %s (%d replicas, epoch %d ms, %s, ft=%s%s)"
+          (Printf.sprintf "%s on %s (%d replicas, epoch %d ms, %s, ft=%s)"
              label topology.Gg_sim.Topology.name nodes epoch_ms
              (Geogauss.Params.isolation_to_string isolation)
-             (Geogauss.Params.ft_to_string ft)
-             coerced)
+             (Geogauss.Params.ft_to_string ft))
         ~headers:Gg_harness.Result.headers
     in
     Gg_util.Tablefmt.add_row table (Gg_harness.Result.row r);
@@ -291,8 +314,8 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run an ad-hoc GeoGauss cluster simulation.")
     Term.(
       const run $ workload $ nodes $ world $ epoch_ms $ isolation
-      $ with_clock_skew engine $ ft $ seconds $ connections $ theta $ records
-      $ seed $ trace $ merge_level_arg)
+      $ with_engine engine $ ft $ seconds $ connections $ theta $ records
+      $ seed $ trace)
 
 (* --- `check` subcommand: seeded chaos checking --- *)
 
@@ -356,8 +379,8 @@ let check_cmd =
           ~doc:"Pin the isolation level (rc, rr, si, ssi); default draws it \
                 per seed.")
   in
-  let run seeds base (engine, clock_skew) isolation ft fast jobs trace canary
-      corrupt merge_level =
+  let run seeds base (engine, clock_skew, merge_level) isolation ft fast jobs
+      trace canary corrupt =
     let log = print_endline in
     (* Resolve the registry name through its own transform: the pinned
        variant and the fastpath flag both come from what the transform
@@ -425,8 +448,8 @@ let check_cmd =
           any failure to a one-line reproducer.")
     Term.(
       ret
-        (const run $ seeds $ base $ with_clock_skew engine $ isolation $ ft
-       $ fast_arg $ jobs_arg $ trace $ canary $ corrupt $ merge_level_arg))
+        (const run $ seeds $ base $ with_engine engine $ isolation $ ft
+       $ fast_arg $ jobs_arg $ trace $ canary $ corrupt))
 
 (* --- `trace` subcommand: analyze an exported JSONL trace --- *)
 

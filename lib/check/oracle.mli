@@ -61,5 +61,4 @@ val violations : t -> violation list
 val first : t -> violation option
 val n_commits : t -> int
 
-val invariant_to_string : invariant -> string
 val violation_to_string : violation -> string

@@ -21,11 +21,8 @@ module Itbl : Hashtbl.S with type key = int
 (** Int-keyed tables: the per-csn and per-epoch bookkeeping of the merge
     and of its callers. *)
 
-val pack_csn : Gg_storage.Csn.t -> int
-(** A csn packed into one int (node ids fit in 10 bits). *)
-
 val csn_key : Gg_crdt.Writeset.t -> int
-(** [pack_csn] of the write set's csn. *)
+(** The write set's csn packed into one int (node ids fit in 10 bits). *)
 
 val lww_apply : Gg_storage.Db.t -> Gg_crdt.Writeset.t -> unit
 (** GeoG-A's coordination-free apply: each record replaces its row iff

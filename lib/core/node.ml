@@ -8,8 +8,6 @@ module Db = Gg_storage.Db
 module Csn = Gg_storage.Csn
 module Writeset = Gg_crdt.Writeset
 
-module Itbl = Epoch_merge.Itbl
-
 type msg =
   | Batch_msg of Writeset.Batch.t
   | Batch_wire of bytes
@@ -28,25 +26,6 @@ type env = {
   mutable on_commit : Txn.t -> unit;
 }
 
-(* One peer's batch for an epoch, as far as it has arrived. *)
-type batch_state = {
-  mutable txns : Writeset.t list;  (* newest first, deduplicated by csn *)
-  txn_keys : unit Itbl.t;  (* packed csn *)
-  mutable eof : bool;
-  mutable expected : int;  (* txn count announced by the EOF; -1 until then *)
-  mutable committed : bool;  (* the origin's commit arrived, or none is awaited *)
-}
-
-(* What the node holds for one epoch it has not merged yet. Only epochs
-   past the snapshot (cen > lsn) get a record, and the merge drops it. *)
-type epoch = {
-  mutable pending : Writeset.t list;  (* local write sets, newest first *)
-  mutable sealed : Writeset.t list;  (* [pending] in commit order, at the seal *)
-  mutable waiting : Txn.t list;  (* local transactions awaiting the merge *)
-  mutable notify_at : int;  (* earliest instant their clients may hear back *)
-  peers : batch_state array;  (* by peer id *)
-}
-
 type t = {
   id : int;
   env : env;
@@ -57,7 +36,7 @@ type t = {
   mutable active : bool;
   mutable lsn : int;
   mutable sealed_epoch : int;
-  epochs : epoch Itbl.t;  (* cen *)
+  epochs : Epochs.t;  (* every epoch past [lsn] that holds state *)
   ft : Ft_gate.t;  (* fault-tolerance gates (§5.2) *)
   sync_queue : Txn.t Gg_util.Fifo.t;  (* GeoG-S: held until a fresh snapshot *)
   last_eof : int array;
@@ -76,6 +55,7 @@ let cores = 32
 let create env ~id ~db =
   let obs = Sim.obs env.sim in
   let metrics = Metrics.create ~obs ~id in
+  let ft = Ft_gate.create env.params ~topology:(Net.topology env.net) ~node:id in
   {
     id;
     env;
@@ -86,8 +66,10 @@ let create env ~id ~db =
     active = true;
     lsn = -1;
     sealed_epoch = -1;
-    epochs = Itbl.create 64;
-    ft = Ft_gate.create env.params ~topology:(Net.topology env.net) ~node:id;
+    epochs =
+      Epochs.create ~peers:(Net.n_nodes env.net)
+        ~awaits_commit:(Ft_gate.awaits_commit ft);
+    ft;
     sync_queue =
       (* The filler fills vacant slots only; it never executes. *)
       Gg_util.Fifo.create
@@ -115,12 +97,8 @@ let sealed_epoch t = t.sealed_epoch
 let metrics t = t.metrics
 let active t = t.active
 
-let pending_waiting t =
-  Itbl.fold (fun _ ep acc -> acc + List.length ep.waiting) t.epochs 0
-
-let held_epochs t =
-  List.sort compare (Itbl.fold (fun cen _ acc -> cen :: acc) t.epochs [])
-
+let pending_waiting t = Epochs.waiting t.epochs
+let held_epochs t = Epochs.held t.epochs
 let last_txn_epoch t = t.last_txn_cen
 
 let now t = Sim.now t.env.sim
@@ -161,36 +139,14 @@ let broadcast t send =
 (* Batch frames pass through [send_batch] so the chaos checker's
    corruption fault can mangle them: a corrupted frame travels as raw
    wire bytes truncated to half (which guarantees the decoder trips) and
-   is billed at the ORIGINAL frame size — corruption does not discount
-   the WAN bill. With [corrupt_frac] at its default 0.0 no RNG draw
-   happens and the frame goes out as a structured message, exactly as
-   before. *)
+   is billed at the ORIGINAL frame size. With [corrupt_frac] at its
+   default 0.0 no RNG draw happens. *)
 let send_batch t ~bytes (b : Writeset.Batch.t) ~dst =
   send_msg t ~dst ~bytes
     (if Net.corrupt_frac t.env.net > 0.0 && Net.draw_corrupt t.env.net then
        let wire = Writeset.Batch.to_wire b in
        Batch_wire (Bytes.sub wire 0 (Bytes.length wire / 2))
      else Batch_msg b)
-
-(* --- per-epoch records --- *)
-
-(* Epoch [cen]'s record, created on first use. Callers create one only
-   for an epoch past the snapshot. *)
-let epoch t cen =
-  match Itbl.find_opt t.epochs cen with
-  | Some ep -> ep
-  | None ->
-    let committed = not (Ft_gate.awaits_commit t.ft) in
-    let peer _ =
-      { txns = []; txn_keys = Itbl.create 8; eof = false; expected = -1; committed }
-    in
-    let peers = Array.init (Net.n_nodes t.env.net) peer in
-    let ep = { pending = []; sealed = []; waiting = []; notify_at = 0; peers } in
-    Itbl.replace t.epochs cen ep;
-    ep
-
-(* Peer [peer]'s batch for epoch [cen] (> lsn). *)
-let batch_state t ~cen ~peer = (epoch t cen).peers.(peer)
 
 (* --- finishing transactions --- *)
 
@@ -222,8 +178,10 @@ let wal_append t (txn : Txn.t) =
 let seal_epoch t e =
   (* A re-join re-seals epochs the installed snapshot already covers:
      peers still wait for those EOFs, but this node keeps no record. *)
-  let ep = if e > t.lsn then Some (epoch t e) else None in
-  let txns = Option.fold ~none:[] ~some:(fun ep -> List.rev ep.pending) ep in
+  let ep = if e > t.lsn then Some (Epochs.get t.epochs e) else None in
+  let txns =
+    Option.fold ~none:[] ~some:(fun ep -> List.rev ep.Epochs.pending) ep
+  in
   (* One span per sealed epoch batch: the EOF's wire header carries it to
      every peer, whose batch.recv events become its causal children. *)
   let bspan = Obs.new_span t.obs ~node:t.id in
@@ -247,13 +205,21 @@ let seal_epoch t e =
   broadcast t (send_batch t ~bytes wire_batch);
   Option.iter
     (fun ep ->
-      ep.sealed <- txns;
+      ep.Epochs.sealed <- txns;
       ep.notify_at <- now t + Ft_gate.notify_delay t.ft)
     ep;
   Ft_gate.sealed t.ft ~cen:e ~members:(List.length (t.env.members_at e));
   t.sealed_epoch <- e
 
 let csn_keys txns = List.sort compare (List.map Epoch_merge.csn_key txns)
+
+(* Local + all remote updates of epoch e, in merge order. *)
+let collect_epoch_txns t e =
+  Epochs.collect t.epochs ~cen:e ~self:t.id (t.env.members_at e)
+
+(* The peers whose epoch-[e] batch has not fully arrived. *)
+let incomplete_peers t e =
+  Epochs.incomplete t.epochs ~cen:e ~self:t.id (t.env.members_at e)
 
 (* The records in [txns] and the simulated duration of merging them.
    Every blocked transaction thread is checked/notified around each
@@ -288,47 +254,10 @@ let rec schedule_boundary t e =
 
 (* --- the per-epoch merge: Algorithm 2 + validation + write-back --- *)
 
-and collect_epoch_txns t e =
-  (* Local + all remote updates of epoch e, deduplicated by csn (the
-     network may duplicate; merge must stay idempotent). *)
-  let seen = Itbl.create 64 in
-  let add acc ws =
-    let k = Epoch_merge.csn_key ws in
-    if Itbl.mem seen k then acc
-    else begin
-      Itbl.replace seen k ();
-      ws :: acc
-    end
-  in
-  let ep = epoch t e in
-  let acc = List.fold_left add [] ep.sealed in
-  let acc =
-    List.fold_left
-      (fun acc peer ->
-        if peer = t.id then acc
-        else
-          List.fold_left add acc (List.rev ep.peers.(peer).txns))
-      acc
-      (t.env.members_at e)
-  in
-  List.rev acc
-
-and peer_complete t ~cen ~peer =
-  let bs = batch_state t ~cen ~peer in
-  bs.eof && Itbl.length bs.txn_keys >= bs.expected && bs.committed
-
-(* The peers whose epoch-[e] batch has not fully arrived. *)
-and incomplete_peers t e =
-  List.filter
-    (fun peer -> peer <> t.id && not (peer_complete t ~cen:e ~peer))
-    (t.env.members_at e)
-
-and merge_ready t e = t.sealed_epoch >= e && incomplete_peers t e = []
-
 and try_advance t =
   (if t.active && not t.merging then begin
     let e = t.lsn + 1 in
-    if merge_ready t e then begin
+    if t.sealed_epoch >= e && incomplete_peers t e = [] then begin
       t.merging <- true;
       let txns = collect_epoch_txns t e in
       let n_records, fresh = merge_work t txns in
@@ -372,7 +301,7 @@ and maybe_spec t =
          group commit overlaps the EOF flight. *)
       List.iter
         (fun (txn : Txn.t) -> txn.Txn.phases.log_us <- wal_append t txn)
-        (epoch t e).waiting
+        (Epochs.get t.epochs e).waiting
     | Fastpath.Wake_at at ->
       Sim.schedule_at t.env.sim at (fun () ->
           Fastpath.woke f ~at;
@@ -384,10 +313,8 @@ and do_merge t e txns ~merge_started ~duration ~span ~prelog =
   (* Phases A–C (DeltaCRDTMerge pre-write, validation, SSI, write-back)
      live in {!Epoch_merge} (DESIGN.md §10). *)
   let m =
-    Epoch_merge.run ~db:t.db ~jobs:1
-      ~ssi:(Execution.ssi t.exec)
-      ~level:(Params.effective_merge_level t.env.params)
-      txns
+    Epoch_merge.run ~db:t.db ~jobs:1 ~ssi:(Execution.ssi t.exec)
+      ~level:(Params.effective_merge_level t.env.params) txns
   in
   Metrics.record_merged_records t.metrics (Epoch_merge.n_records m);
   t.lsn <- e;
@@ -403,7 +330,7 @@ and do_merge t e txns ~merge_started ~duration ~span ~prelog =
      epochs"; keep a generous window and reclaim the rest. *)
   if e mod 100 = 0 then ignore (Db.purge_tombstones t.db ~before_cen:(e - 100));
   (* Notify the local transactions of this epoch. *)
-  let record = epoch t e in
+  let record = Epochs.get t.epochs e in
   List.iter
     (fun (txn : Txn.t) ->
       txn.Txn.phases.merge_us <- duration;
@@ -433,7 +360,7 @@ and do_merge t e txns ~merge_started ~duration ~span ~prelog =
             finish_committed t txn
           | Some reason -> finish_aborted t txn reason))
     record.waiting;
-  Itbl.remove t.epochs e;
+  Epochs.remove t.epochs e;
   t.env.on_snapshot ~node:t.id ~lsn:e;
   (* GeoG-S: a fresh snapshot releases held transactions. *)
   release_sync_queue t
@@ -502,7 +429,7 @@ and commit_point t (txn : Txn.t) =
       Sim.schedule t.env.sim ~after:txn.Txn.phases.log_us (fun () ->
           finish_committed t txn)
     | Params.Optimistic | Params.Sync_exec ->
-      let ep = epoch t cen in
+      let ep = Epochs.get t.epochs cen in
       ep.pending <- ws :: ep.pending;
       if t.env.params.Params.pipeline then broadcast t (mini ());
       ep.waiting <- txn :: ep.waiting;
@@ -520,18 +447,9 @@ and receive t msg =
         List.iter (Epoch_merge.lww_apply t.db) txns
       else if cen > t.lsn then begin
         Option.iter (fun f -> Fastpath.observe f ~src ~now:(now t) txns) t.fast;
-        let bs = batch_state t ~cen ~peer:src in
-        List.iter
-          (fun (ws : Writeset.t) ->
-            let k = Epoch_merge.csn_key ws in
-            if not (Itbl.mem bs.txn_keys k) then begin
-              Itbl.replace bs.txn_keys k ();
-              bs.txns <- ws :: bs.txns
-            end)
-          txns;
+        Epochs.add t.epochs ~cen ~peer:src txns;
         if eof then begin
-          bs.eof <- true;
-          bs.expected <- max bs.expected count;
+          Epochs.eof t.epochs ~cen ~peer:src ~count;
           t.last_eof.(src) <- now t;
           (* The recv span becomes the parent of any Ft_ack we send back,
              continuing the causal chain across the acknowledgement. *)
@@ -540,7 +458,8 @@ and receive t msg =
             Obs.emit t.obs ~node:t.id ~epoch:cen ~cat:"epoch" "batch.recv"
               ~span:rspan ~parent:(if span > 0 then span else -1)
               ~detail:
-                (Printf.sprintf "from=%d txns=%d" src (Itbl.length bs.txn_keys));
+                (Printf.sprintf "from=%d txns=%d" src
+                   (Epochs.received t.epochs ~cen ~peer:src));
           if Ft_gate.acks_eof t.ft then
             send_msg t ~dst:src ~bytes:40
               (Ft_ack { cen; from = t.id; span = rspan })
@@ -573,7 +492,7 @@ and receive t msg =
         Obs.emit t.obs ~node:t.id ~epoch:cen ~cat:"epoch" "ft.commit"
           ~parent:(if pspan > 0 then pspan else -1)
           ~detail:(Printf.sprintf "origin=%d" origin);
-      if cen > t.lsn then (batch_state t ~cen ~peer:origin).committed <- true;
+      if cen > t.lsn then Epochs.commit t.epochs ~cen ~peer:origin;
       try_advance t
 
 (* --- lifecycle --- *)
@@ -586,18 +505,14 @@ and receive t msg =
    regional round trip, same path survivors use after a view change). A
    batch present in the backup is durable, which is also all the Raft-FT
    commit gate establishes, so a successful fetch may release it too.
-   Fetches are idempotent: receive deduplicates transactions by csn.
+   Fetches are idempotent: {!Epochs.add} drops a write set it holds.
    250 ms of stall is what makes epochs survive message loss. *)
 let repair_after_us = 250_000
 
 let repair t =
   let e = t.lsn + 1 in
-  if
-    up t
-    && (not t.merging)
-    && t.sealed_epoch >= e
-    && now t - t.last_advance > repair_after_us
-  then begin
+  let stalled = now t - t.last_advance > repair_after_us in
+  if up t && (not t.merging) && t.sealed_epoch >= e && stalled then begin
     List.iter
       (fun peer ->
         match Backup.get t.env.backup ~node:peer ~cen:e with
@@ -609,7 +524,7 @@ let repair t =
               ~detail:(Printf.sprintf "peer=%d" peer);
           Sim.schedule t.env.sim ~after:delay (fun () ->
               if up t then begin
-                if e > t.lsn then (batch_state t ~cen:e ~peer).committed <- true;
+                if e > t.lsn then Epochs.commit t.epochs ~cen:e ~peer;
                 receive t (Batch_msg batch)
               end))
       (incomplete_peers t e)
@@ -639,20 +554,14 @@ let set_active t v =
        lost (their clients time out and retry elsewhere). *)
     t.active <- false;
     reset_merge_state t;
-    Itbl.reset t.epochs;
+    Epochs.reset t.epochs;
     Ft_gate.reset t.ft;
     Gg_util.Fifo.clear t.sync_queue
   end
   else if (not t.active) && v then t.active <- true
 
 let missing_sealed_epochs t ~peer ~upto =
-  let missing = ref [] in
-  for e = upto downto t.lsn + 1 do
-    match Itbl.find_opt t.epochs e with
-    | Some ep when ep.peers.(peer).eof -> ()
-    | _ -> missing := e :: !missing
-  done;
-  !missing
+  Epochs.missing_eof t.epochs ~peer ~lsn:t.lsn ~upto
 
 let checkpoint t = (t.lsn, Gg_storage.Checkpoint.encode t.db)
 
@@ -665,9 +574,7 @@ let install_state t ~rejoin ~lsn ~db =
     (* Keep the records of epochs after the installed snapshot: they
        buffer the batches peers broadcast while the transfer was in
        flight (the crash dropped every local entry). *)
-    Itbl.filter_map_inplace
-      (fun cen ep -> if cen <= lsn then None else Some ep)
-      t.epochs;
+    Epochs.drop_through t.epochs ~lsn;
     reset_merge_state t;
     Db.replace_contents t.db ~from:db;
     t.lsn <- lsn;

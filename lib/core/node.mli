@@ -11,7 +11,10 @@
       via {!Epoch_merge.run}.
     - {b Algorithm 3} (receive/merge threads) maps onto the message
       handler plus [try_advance], which produces consistent snapshots
-      one by one.
+      one by one. Everything the node holds for an unmerged epoch (its
+      local write sets and waiting transactions, and each peer's batch
+      with the rule for when it is complete) lives in {!Epochs}, which
+      deduplicates write sets once, as they arrive.
 
     Timing is simulated: CPU work goes through a {!Gg_sim.Cpu} pool,
     write sets travel over {!Gg_sim.Net}, and per-phase durations follow

@@ -31,17 +31,6 @@ type t = {
   clock_skew_us : int;
 }
 
-let default_cost =
-  {
-    exec_op_us = 150;
-    sql_stmt_us = 400;
-    merge_record_us = 6;
-    merge_threads = 8;
-    merge_base_us = 200;
-    notify_us = 1;
-    log_fsync_us = 3_000;
-  }
-
 let default =
   {
     epoch_us = 10_000;
@@ -50,7 +39,16 @@ let default =
     ft = Ft_local_backup;
     pipeline = true;
     seed = 42;
-    cost = default_cost;
+    cost =
+      {
+        exec_op_us = 150;
+        sql_stmt_us = 400;
+        merge_record_us = 6;
+        merge_threads = 8;
+        merge_base_us = 200;
+        notify_us = 1;
+        log_fsync_us = 3_000;
+      };
     client_retry_us = 2_000_000;
     merge_par_threshold = 4_096;
     merge_level = Row;

@@ -83,7 +83,6 @@ type t = {
           [0] = perfectly synchronized clocks *)
 }
 
-val default_cost : cost
 val default : t
 
 val with_epoch_ms : t -> int -> t

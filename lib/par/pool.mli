@@ -16,19 +16,16 @@
 type t
 
 val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()], capped at {!max_jobs}. *)
-
-val max_jobs : int
-(** Upper bound on pool size (memory: each task is a whole simulated
-    cluster). *)
+(** [Domain.recommended_domain_count ()], capped at 16 (memory: each
+    task is a whole simulated cluster). *)
 
 val create : jobs:int -> t
 (** A pool of [jobs] worker domains ([jobs <= 1] spawns none).
-    [jobs <= 0] means auto: {!default_jobs}. Values above {!max_jobs}
-    are clamped. *)
+    [jobs <= 0] means auto: {!default_jobs}. Values above 16 are
+    clamped. *)
 
 val seq : t
-(** The sequential pool ([jobs = 1]); {!shutdown} on it is a no-op. *)
+(** The sequential pool ([jobs = 1]); it has no domain to join. *)
 
 val jobs : t -> int
 (** Parallel width: number of tasks that can run simultaneously. *)
@@ -47,12 +44,9 @@ val iter_ordered : t -> (unit -> 'a) list -> f:(int -> 'a -> unit) -> unit
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map t f xs] is [run t (List.map (fun x () -> f x) xs)]. *)
 
-val shutdown : t -> unit
-(** Join all worker domains. Idempotent. Using the pool afterwards
-    raises. *)
-
 val with_pool : jobs:int -> (t -> 'a) -> 'a
-(** [create], run the function, always [shutdown]. *)
+(** [create], run the function, then always join the worker domains
+    (using the pool afterwards raises). *)
 
 (** Domain-local values: the sanctioned form of cross-call state in
     [lib/] (a plain global [ref] would race and mix state across

@@ -38,10 +38,6 @@ val install :
     actions apply directly to the network. Each application emits a
     ["fault"]-category trace event when tracing is enabled. *)
 
-val event_to_string : event -> string
-(** E.g. ["crash:2@350ms"] — the reproducer-line format. *)
-
 val schedule_to_string : event list -> string
-(** Comma-joined {!event_to_string}, ["-"] for the empty schedule. *)
-
-val action_to_string : action -> string
+(** Comma-joined events in the reproducer-line format (e.g.
+    ["crash:2@350ms"]), ["-"] for the empty schedule. *)

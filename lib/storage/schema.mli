@@ -24,5 +24,3 @@ val primary_key : t -> Value.t array -> Value.t array
 
 val validate_row : t -> Value.t array -> (unit, string) result
 (** Arity and per-column type check (NULL allowed in non-key columns). *)
-
-val ty_name : col_ty -> string

@@ -9,7 +9,6 @@ val compare : t -> t -> int
     comparisons behave as expected. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val type_name : t -> string

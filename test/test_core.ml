@@ -1597,6 +1597,139 @@ let test_epoch_records_bounded () =
     (Cluster.members c);
   check_no_merged_records c "crash/recover"
 
+(* --- the per-epoch store --- *)
+
+(* A write set of node [node] with csn timestamp [ts]: a fresh value
+   each time, as a re-sent or re-fetched frame decodes to one. *)
+let ws_of ~node ts =
+  Gg_crdt.Writeset.make
+    ~meta:(Gg_crdt.Meta.make ~sen:0 ~cen:0 ~csn:(Gg_storage.Csn.make ~ts ~node))
+    ~records:[] ()
+
+let csns wss =
+  List.map
+    (fun (ws : Gg_crdt.Writeset.t) ->
+      let c = ws.meta.Gg_crdt.Meta.csn in
+      (c.Gg_storage.Csn.node, c.Gg_storage.Csn.ts))
+    wss
+
+let store ?(awaits_commit = false) () = Epochs.create ~peers:4 ~awaits_commit
+
+let test_epochs_dedup_on_arrival () =
+  let s = store () in
+  let batch () = [ ws_of ~node:1 1; ws_of ~node:1 2 ] in
+  Epochs.add s ~cen:5 ~peer:1 (batch ());
+  Epochs.add s ~cen:5 ~peer:1 (batch ());
+  Alcotest.(check (list (pair int int))) "a duplicated batch leaves one copy"
+    [ (1, 1); (1, 2) ]
+    (csns (Epochs.collect s ~cen:5 ~self:0 [ 0; 1 ]));
+  (* Two mini-batches arrived, a third was lost; the stall repair then
+     re-fetches the whole sealed batch from the backup. *)
+  Epochs.add s ~cen:6 ~peer:1 [ ws_of ~node:1 1 ];
+  Epochs.add s ~cen:6 ~peer:1 [ ws_of ~node:1 3 ];
+  Epochs.add s ~cen:6 ~peer:1
+    [ ws_of ~node:1 1; ws_of ~node:1 2; ws_of ~node:1 3 ];
+  Epochs.eof s ~cen:6 ~peer:1 ~count:3;
+  Alcotest.(check int) "a re-fetched batch adds only what was missing" 3
+    (Epochs.received s ~cen:6 ~peer:1);
+  Alcotest.(check (list (pair int int))) "in arrival order"
+    [ (1, 1); (1, 3); (1, 2) ]
+    (csns (Epochs.collect s ~cen:6 ~self:0 [ 0; 1 ]))
+
+let test_epochs_completeness () =
+  let s = store () in
+  let complete () = Epochs.complete s ~cen:3 ~peer:2 in
+  Epochs.add s ~cen:3 ~peer:2 [ ws_of ~node:2 1 ];
+  Alcotest.(check bool) "no EOF: incomplete" false (complete ());
+  Epochs.eof s ~cen:3 ~peer:2 ~count:2;
+  Alcotest.(check bool) "one of the two announced: incomplete" false (complete ());
+  Alcotest.(check (list int)) "incomplete: the members but self" [ 1; 2 ]
+    (Epochs.incomplete s ~cen:3 ~self:0 [ 0; 1; 2 ]);
+  Epochs.add s ~cen:3 ~peer:2 [ ws_of ~node:2 1 ];
+  Alcotest.(check bool) "a duplicate does not count" false (complete ());
+  Epochs.add s ~cen:3 ~peer:2 [ ws_of ~node:2 2 ];
+  Alcotest.(check bool) "EOF and every announced write set" true (complete ());
+  let raft = store ~awaits_commit:true () in
+  let complete () = Epochs.complete raft ~cen:3 ~peer:2 in
+  Epochs.eof raft ~cen:3 ~peer:2 ~count:0;
+  Alcotest.(check bool) "Raft-FT: no commit, incomplete" false (complete ());
+  Epochs.commit raft ~cen:3 ~peer:2;
+  Alcotest.(check bool) "Raft-FT: committed, complete" true (complete ());
+  Epochs.commit raft ~cen:4 ~peer:2;
+  Alcotest.(check bool) "Raft-FT: a commit alone is not enough" false
+    (Epochs.complete raft ~cen:4 ~peer:2)
+
+let test_epochs_collect_order () =
+  let s = store () in
+  (Epochs.get s 7).Epochs.sealed <- [ ws_of ~node:1 5; ws_of ~node:1 6 ];
+  Epochs.add s ~cen:7 ~peer:3 [ ws_of ~node:3 1 ];
+  Epochs.add s ~cen:7 ~peer:2 [ ws_of ~node:2 9 ];
+  Epochs.add s ~cen:7 ~peer:0 [ ws_of ~node:0 2; ws_of ~node:0 1 ];
+  Epochs.add s ~cen:7 ~peer:2 [ ws_of ~node:2 3 ];
+  Alcotest.(check (list (pair int int)))
+    "local sealed, then each member in member order, each in arrival order"
+    [ (1, 5); (1, 6); (0, 2); (0, 1); (2, 9); (2, 3) ]
+    (csns (Epochs.collect s ~cen:7 ~self:1 [ 0; 1; 2 ]))
+
+let test_epochs_past_lsn () =
+  let s = store () in
+  List.iter (fun cen -> ignore (Epochs.get s cen)) [ 3; 4; 5; 6; 7 ];
+  Epochs.eof s ~cen:4 ~peer:1 ~count:0;
+  Epochs.eof s ~cen:6 ~peer:1 ~count:0;
+  Epochs.eof s ~cen:5 ~peer:2 ~count:0;
+  Alcotest.(check (list int)) "missing EOFs in (lsn, upto]" [ 5; 7; 8 ]
+    (Epochs.missing_eof s ~peer:1 ~lsn:3 ~upto:8);
+  (Epochs.get s 6).Epochs.waiting <-
+    [
+      Txn.create ~id:0 ~node:0
+        ~request:(Txn.Sql_txn { label = ""; stmts = [] })
+        ~submit_time:0 ~callback:ignore;
+    ];
+  Epochs.drop_through s ~lsn:5;
+  Alcotest.(check (list int)) "drop-through keeps the epochs past lsn" [ 6; 7 ]
+    (Epochs.held s);
+  Alcotest.(check int) "their waiting transactions stay" 1 (Epochs.waiting s);
+  Alcotest.(check (list int)) "a dropped EOF is missing no more" [ 7 ]
+    (Epochs.missing_eof s ~peer:1 ~lsn:5 ~upto:7);
+  Epochs.remove s 6;
+  Alcotest.(check (list int)) "remove drops one epoch" [ 7 ] (Epochs.held s);
+  Epochs.reset s;
+  Alcotest.(check (list int)) "reset drops every epoch" [] (Epochs.held s)
+
+(* Arrivals of peers 1-3 (members 0-2, self 0) in any order, duplicated
+   and re-fetched at will: collect holds each member's distinct write
+   sets once, in first-arrival order, after the local sealed ones. *)
+let prop_epochs_collect_distinct =
+  let open QCheck in
+  let arrival =
+    Gen.(pair (int_range 1 3) (list_size (int_range 0 4) (int_range 1 5)))
+  in
+  let print = Print.(list (pair int (list int))) in
+  Test.make ~name:"collect: one write set per csn" ~count:500
+    (make ~print Gen.(list_size (int_range 0 30) arrival))
+    (fun arrivals ->
+      let s = store () in
+      (Epochs.get s 1).Epochs.sealed <- [ ws_of ~node:0 1; ws_of ~node:0 2 ];
+      List.iter
+        (fun (peer, tss) ->
+          Epochs.add s ~cen:1 ~peer (List.map (ws_of ~node:peer) tss))
+        arrivals;
+      let got = csns (Epochs.collect s ~cen:1 ~self:0 [ 0; 1; 2 ]) in
+      let first_arrivals peer =
+        List.fold_left
+          (fun acc (p, tss) ->
+            if p <> peer then acc
+            else
+              List.fold_left
+                (fun acc ts -> if List.mem ts acc then acc else acc @ [ ts ])
+                acc tss)
+          [] arrivals
+        |> List.map (fun ts -> (peer, ts))
+      in
+      let want = [ (0, 1); (0, 2) ] @ first_arrivals 1 @ first_arrivals 2 in
+      List.length (List.sort_uniq compare got) = List.length got
+      && got = want)
+
 (* --- failures --- *)
 
 let test_node_crash_blocks_then_view_change_unblocks () =
@@ -1942,6 +2075,14 @@ let () =
             test_ft_raft_one_commit_per_batch;
           Alcotest.test_case "no records for merged epochs" `Slow
             test_epoch_records_bounded;
+        ] );
+      ( "epochs",
+        [
+          Alcotest.test_case "dedup on arrival" `Quick test_epochs_dedup_on_arrival;
+          Alcotest.test_case "completeness" `Quick test_epochs_completeness;
+          Alcotest.test_case "collect order" `Quick test_epochs_collect_order;
+          Alcotest.test_case "only epochs past lsn" `Quick test_epochs_past_lsn;
+          QCheck_alcotest.to_alcotest prop_epochs_collect_distinct;
         ] );
       ( "failures",
         [
