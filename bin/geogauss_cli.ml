@@ -362,8 +362,13 @@ let check_cmd =
                 the oracles detect it (exits non-zero if they do not).")
   in
   let corrupt =
+    let probability =
+      bounded float_of_string_opt
+        (fun f -> f >= 0.0 && f <= 1.0)
+        ~expected:"a probability in [0, 1]" Format.pp_print_float
+    in
     Arg.(
-      value & opt float 0.0
+      value & opt probability 0.0
       & info [ "corrupt" ] ~docv:"FRAC"
           ~doc:
             "Pin a binary-frame corruption probability on every scenario: \
@@ -378,6 +383,12 @@ let check_cmd =
       & info [ "isolation" ]
           ~doc:"Pin the isolation level (rc, rr, si, ssi); default draws it \
                 per seed.")
+  in
+  (* A check that ran and failed exits 1, apart from cmdliner's 124 for
+     a usage error. *)
+  let failed msg =
+    Printf.eprintf "geogauss: %s\n" msg;
+    exit 1
   in
   let run seeds base (engine, clock_skew, merge_level) isolation ft fast jobs
       trace canary corrupt =
@@ -406,7 +417,7 @@ let check_cmd =
       in
       log (Printf.sprintf "canary: %s" (Gg_check.Scenario.to_string s));
       match (Gg_check.Checker.run s).Gg_check.Checker.violation with
-      | None -> `Error (false, "canary corruption went undetected")
+      | None -> failed "canary corruption went undetected"
       | Some v ->
         let f = Gg_check.Checker.shrink_and_report ~log s v in
         log
@@ -435,11 +446,16 @@ let check_cmd =
             (Gg_check.Checker.run ~trace:path f.Gg_check.Checker.minimized);
           Printf.printf "trace of minimized scenario written to %s\n" path
         | None -> ());
-        `Error (false, "invariant violations found")
+        failed "invariant violations found"
     end
   in
   Cmd.v
     (Cmd.info "check"
+       ~exits:
+         (Cmd.Exit.info 1
+            ~doc:"on invariant violations, or when the $(b,--canary) \
+                  corruption goes undetected."
+         :: Cmd.Exit.defaults)
        ~doc:
          "Deterministic chaos checking: run seeded fault scenarios (crashes, \
           recoveries, loss/dup/reorder/jitter bursts) against full cluster \

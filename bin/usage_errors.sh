@@ -28,4 +28,5 @@ expect "--merge-level" run --engine geog-a --merge-level column
 expect "--merge-level" check --engine geog-a --merge-level column
 expect "--clock-skew" run --clock-skew 5
 expect "--clock-skew" check --clock-skew 5
+expect "'--corrupt'" check --corrupt 2
 exit $status

@@ -27,8 +27,9 @@ type t = {
          transaction's point read probes none *)
   track_cols : bool;
   ssi : bool;
-  stmts : (string, (Gg_sql.Ast.stmt, string) result) Hashtbl.t;
-      (* parsed statements by SQL text, errors included *)
+  plans : (string, (Executor.plan, string) result) Hashtbl.t;
+      (* compiled statements by SQL text, errors included *)
+  mutable catalog : int;  (* [Db.catalog] the cached plans were compiled at *)
 }
 
 let create (params : Params.t) ~sim ~cpu ~db =
@@ -48,7 +49,8 @@ let create (params : Params.t) ~sim ~cpu ~db =
     record_reads = check <> Accept;
     track_cols = Params.effective_merge_level params = Params.Column;
     ssi;
-    stmts = Hashtbl.create 16;
+    plans = Hashtbl.create 16;
+    catalog = Db.catalog db;
   }
 
 let ssi t = t.ssi
@@ -56,20 +58,29 @@ let ssi t = t.ssi
 type verdict = Commit_point | Read_invalid | Failed of string
 
 (* The workloads send a handful of parameterised texts, so each is
-   parsed once per node. A node that meets more distinct texts than
+   compiled once per node. A node that meets more distinct texts than
    this starts its table over. *)
 let max_cached_stmts = 256
 
-let parse t sql =
-  match Hashtbl.find_opt t.stmts sql with
+(* A plan binds tables and access paths, and an error may name a table
+   that does not exist yet, so every cached result goes when the
+   catalog moves (the SQL shell's CREATE TABLE and CREATE INDEX, or a
+   recovering node's state transfer). *)
+let plan t sql =
+  let catalog = Db.catalog t.db in
+  if catalog <> t.catalog then begin
+    Hashtbl.reset t.plans;
+    t.catalog <- catalog
+  end;
+  match Hashtbl.find_opt t.plans sql with
   | Some r -> r
   | None ->
-    let r = Gg_sql.Parser.parse_result sql in
-    if Hashtbl.length t.stmts >= max_cached_stmts then Hashtbl.reset t.stmts;
-    Hashtbl.add t.stmts sql r;
+    let r = Result.bind (Gg_sql.Parser.parse_result sql) (Executor.compile t.db) in
+    if Hashtbl.length t.plans >= max_cached_stmts then Hashtbl.reset t.plans;
+    Hashtbl.add t.plans sql r;
     r
 
-let cached_statements t = Hashtbl.length t.stmts
+let cached_statements t = Hashtbl.length t.plans
 
 (* Algorithm 1, lines 9-18. *)
 let valid t (txn : Txn.t) =
@@ -132,7 +143,7 @@ let run t (txn : Txn.t) k =
        pays its own parse + execution slice, so later statements observe
        whatever snapshots were generated in the meantime (the source of
        RR/SI read-validation aborts). The parse slice is charged even
-       when the text's parse comes from [t.stmts]. *)
+       when the text's plan comes from [t.plans]. *)
     let per_stmt_parse_us = 400 in
     txn.Txn.phases.parse_us <- List.length stmts * per_stmt_parse_us;
     txn.Txn.phases.exec_us <- List.length stmts * t.cost.Params.sql_stmt_us;
@@ -150,8 +161,7 @@ let run t (txn : Txn.t) k =
         Cpu.run t.cpu ~cost:(per_stmt_parse_us + t.cost.Params.sql_stmt_us)
           (fun () ->
             match
-              Result.bind (parse t sql) (fun stmt ->
-                  Executor.exec ctx stmt ~params)
+              Result.bind (plan t sql) (fun plan -> Executor.run ctx plan ~params)
             with
             | Error m -> k (Failed m)
             | Ok r -> step (r :: acc) rest)

@@ -33,10 +33,13 @@ val run : t -> Txn.t -> (verdict -> unit) -> unit
     the SQL results and the write set (meta not yet stamped). *)
 
 val cached_statements : t -> int
-(** How many SQL texts {!run} holds parsed. Each text is parsed once,
-    its error included, and run from the kept AST after that; past 256
-    distinct texts the table starts over. The simulated parse slice is
-    charged either way. *)
+(** How many SQL texts {!run} holds compiled. Each text is parsed and
+    compiled ({!Gg_sql.Executor.compile}) once, its error included, and
+    run from the kept plan after that with each execution's parameters.
+    Past 256 distinct texts the table starts over, and it is emptied
+    whenever the database's {!Gg_storage.Db.catalog} moves (a table
+    created or replaced, an index created). The simulated parse slice
+    is charged either way. *)
 
 val valid : t -> Txn.t -> bool
 (** Algorithm 1's read validation against the database as it stands.

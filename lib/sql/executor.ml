@@ -225,6 +225,8 @@ type result = {
   affected : int;
 }
 
+let no_rows affected = { columns = []; rows = []; affected }
+
 let get_table db name =
   match Db.get_table db name with
   | Some t -> t
@@ -260,78 +262,83 @@ let normalise_key_value ty v =
   | Schema.TFloat, Value.Int i -> Value.Float (float_of_int i)
   | _ -> v
 
-(* Iterate the visible rows of [table] under [access], applying the
-   read-your-writes overlay. [keep] is the residual filter on a row's
-   visible data. A row it accepts goes to [committed entry data] when a
-   committed entry backs it ([data] is the entry's data or this txn's
-   update of it) and to [own w] when this txn inserted it. Nothing is
-   allocated per visited row: a caller that keeps a row past the
-   callback builds its own [vrow]. *)
-let visible_rows ctx table access ~params ~keep ~committed ~own =
-  let tbl = get_table (Ctx.db ctx) table in
+(* A bound column-free expression's value (access-path bounds, INSERT
+   values). *)
+let eval_const (e : Expr.t) = e [||]
+
+(* This txn's live writes on [tname], in the write table's order. *)
+let iter_own_writes ctx tname g =
+  Row_tbl.iter
+    (fun (t, _) w ->
+      if String.equal t tname && (not w.w_dead) && w.w_op <> Writeset.Delete then g w)
+    ctx.Ctx.writes
+
+let own_inserts ctx tname own pred =
+  iter_own_writes ctx tname (fun w -> if (not w.w_existed) && pred w then own w)
+
+let any_write _ = true
+
+let key_values schema exprs =
+  Array.mapi
+    (fun i e ->
+      normalise_key_value
+        (Schema.col_ty schema schema.Schema.key_cols.(i))
+        (eval_const e))
+    exprs
+
+let range_bound = function None -> None | Some e -> Some [| eval_const e |]
+
+(* Hand the visible rows of [tbl] under [access] to their consumers,
+   applying the read-your-writes overlay: [stored entry] for a committed
+   row whose stored data is visible, [updated entry data] for a
+   committed row under this txn's update, [own w] for a row this txn
+   inserted. Each consumer applies the statement's filter itself. With
+   no buffered write on the table the scan hands its entries straight
+   to [stored]. Nothing is allocated per visited row: a consumer that
+   keeps a row past the call builds its own [vrow]. *)
+let visible_rows ctx tbl (access : Expr.t Plan.access) ~stored ~updated ~own =
   let schema = Table.schema tbl in
   let tname = schema.Schema.table_name in
   let written = Ctx.wrote_table ctx tname in
-  let visit_committed entry data = if keep data then committed entry data in
-  let emit_own_insert w = if keep w.w_data then own w in
-  let visit_entry entry =
-    if not written then visit_committed entry entry.Table.data
-    else
+  let visit_entry =
+    if not written then stored
+    else fun entry ->
       match Ctx.find_write ctx ~table:tname ~key_str:entry.Table.key_str with
       | Some w when not w.w_dead -> (
         match w.w_op with
         | Writeset.Delete -> ()
-        | Writeset.Insert | Writeset.Update -> visit_committed entry w.w_data)
-      | Some _ | None -> visit_committed entry entry.Table.data
-  in
-  (* This txn's live writes on [tname], in the write table's order. *)
-  let iter_own_writes g =
-    if written then
-      Row_tbl.iter
-        (fun (t, _) w ->
-          if String.equal t tname && (not w.w_dead) && w.w_op <> Writeset.Delete then g w)
-        ctx.Ctx.writes
-  in
-  let own_inserts pred =
-    iter_own_writes (fun w -> if (not w.w_existed) && pred w then emit_own_insert w)
-  in
-  let eval_key_exprs exprs =
-    Array.mapi
-      (fun i e ->
-        normalise_key_value
-          (Schema.col_ty schema schema.Schema.key_cols.(i))
-          (Expr.eval_const ~params e))
-      exprs
+        | Writeset.Insert | Writeset.Update -> updated entry w.w_data)
+      | Some _ | None -> stored entry
   in
   match access with
   | Plan.Point exprs -> (
-    let key = eval_key_exprs exprs in
+    let key = key_values schema exprs in
     let key_str = Value.encode_key key in
     (* The txn may have inserted this key itself. *)
     match if written then Ctx.find_write ctx ~table:tname ~key_str else None with
     | Some w when (not w.w_dead) && (not w.w_existed) && w.w_op <> Writeset.Delete ->
-      emit_own_insert w
+      own w
     | Some _ | None -> (
       match Table.find_live tbl key_str with
       | Some entry -> visit_entry entry
       | None -> ()))
   | Plan.Prefix exprs ->
-    let prefix = eval_key_exprs exprs in
+    let prefix = key_values schema exprs in
     Table.scan_prefix tbl ~prefix visit_entry;
-    own_inserts (fun w ->
-        Array.length w.w_key >= Array.length prefix
-        &&
-        let rec go i =
-          i >= Array.length prefix
-          || (Value.compare prefix.(i) w.w_key.(i) = 0 && go (i + 1))
-        in
-        go 0)
+    if written then
+      own_inserts ctx tname own (fun w ->
+          Array.length w.w_key >= Array.length prefix
+          &&
+          let rec go i =
+            i >= Array.length prefix
+            || (Value.compare prefix.(i) w.w_key.(i) = 0 && go (i + 1))
+          in
+          go 0)
   | Plan.Range { lo; hi } ->
-    let bound = Option.map (fun e -> [| Expr.eval_const ~params e |]) in
-    Table.scan_range tbl ?lo:(bound lo) ?hi:(bound hi) visit_entry;
-    own_inserts (fun _ -> true)
+    Table.scan_range tbl ?lo:(range_bound lo) ?hi:(range_bound hi) visit_entry;
+    if written then own_inserts ctx tname own any_write
   | Plan.Sec_index (iname, exprs) -> (
-    let probe = Array.map (fun e -> Expr.eval_const ~params e) exprs in
+    let probe = Array.map eval_const exprs in
     List.iter visit_entry (Table.index_lookup tbl ~name:iname ~key:probe);
     match Table.index_cols tbl ~name:iname with
     | None -> ()
@@ -347,17 +354,18 @@ let visible_rows ctx table access ~params ~keep ~committed ~own =
       in
       (* Own inserts, and own updates that moved a committed row onto
          the probed key (the probe above saw only committed data). *)
-      iter_own_writes (fun w ->
-          if indexed w.w_data then
-            if not w.w_existed then emit_own_insert w
-            else
-              match Table.find_live tbl w.w_key_str with
-              | Some entry when not (indexed entry.Table.data) ->
-                visit_committed entry w.w_data
-              | Some _ | None -> ()))
+      if written then
+        iter_own_writes ctx tname (fun w ->
+            if indexed w.w_data then
+              if not w.w_existed then own w
+              else
+                match Table.find_live tbl w.w_key_str with
+                | Some entry when not (indexed entry.Table.data) ->
+                  updated entry w.w_data
+                | Some _ | None -> ()))
   | Plan.Full ->
     Table.scan tbl ~f:visit_entry;
-    own_inserts (fun _ -> true)
+    if written then own_inserts ctx tname own any_write
 
 (* A WHERE clause as a row filter; no clause keeps every row. *)
 let where_pred env ~params = function
@@ -371,6 +379,11 @@ let record_vrow_read record ~table v =
   match v.v_entry with
   | Some entry -> record_entry_read record ~table entry
   | None -> () (* own insert: nothing to validate *)
+
+(* The access path of a statement on [tbl] (UPDATE and DELETE
+   targets, a SELECT's scanned side) with its bounds bound once. *)
+let bind_access tbl ~names ~params where =
+  Plan.map (Expr.bind [] ~params) (Plan.access_path_table tbl ~names where)
 
 (* --- SELECT --- *)
 
@@ -393,31 +406,117 @@ let proj_name i = function
 let has_agg projs =
   List.exists (function Ast.Agg _ -> true | _ -> false) projs
 
-(* Per-group aggregation state; one implicit group when GROUP BY is
-   absent. Non-aggregate projections and sort keys are captured at the
-   group's first row. *)
-type group_state = {
-  g_count : int array;
-  g_sumf : float array;
-  g_sumi : int array;
-  g_int_only : bool array;
-  g_min : Value.t array;
-  g_max : Value.t array;
-  g_repr : Value.t array;
-  g_sort : (Value.t * Ast.order_dir) list;
-}
-
-(* The value COUNT( * ) counts for every row, shared across rows. *)
-let count_star = Value.Int 1
-
 (* A projection with its expressions bound. *)
 type bound_proj =
   | B_star
   | B_expr of Expr.t
-  | B_agg of Ast.agg_fn * Expr.t option
+  | B_agg of Ast.agg_fn * Ast.expr option * Expr.t option
 
-let select ctx (s : Ast.select) ~params =
-  let db = Ctx.db ctx in
+type sort_key = (Value.t * Ast.order_dir) list
+
+(* One group's aggregation state; one implicit group when GROUP BY is
+   absent. [ints.(0)] counts the group's rows, which is COUNT( * ).
+   Every other aggregate owns slots fixed when the statement is
+   compiled: COUNT of an expression one int; SUM and AVG three ints
+   (count, integer sum, 1 once a float was added) and a float; MIN, MAX
+   and a non-aggregate projection one value, the last captured at the
+   group's first row, as are the sort keys. *)
+type group = {
+  ints : int array;
+  floats : float array;
+  vals : Value.t array;
+  sort : sort_key;
+}
+
+(* The value COUNT( * ) counts for every row. *)
+let count_star = Value.Int 1
+
+(* An aggregate's per-row step ([None] when the row count alone gives
+   it) and its result, on the slots it owns: the step for [fn] is
+   chosen here, once. [arg] is the bound argument ([None]: every row
+   counts as [count_star]); [col] is set when the argument reads a
+   column of the scanned row directly. *)
+let compile_agg fn arg ~col ~ints ~floats ~vals =
+  let take r n =
+    let s = !r in
+    r := s + n;
+    s
+  in
+  let value = match arg with None -> fun _ -> count_star | Some e -> e in
+  match fn with
+  | Ast.Count -> (
+    match arg with
+    | None -> (None, fun g -> Value.Int g.ints.(0))
+    | Some e ->
+      let k = take ints 1 in
+      let step g row =
+        match e row with Value.Null -> () | _ -> g.ints.(k) <- g.ints.(k) + 1
+      in
+      (Some step, fun g -> Value.Int g.ints.(k)))
+  | Ast.Sum | Ast.Avg ->
+    let k = take ints 3 and f = take floats 1 in
+    let add g = function
+      | Value.Null -> ()
+      | Value.Int n ->
+        g.ints.(k) <- g.ints.(k) + 1;
+        g.floats.(f) <- g.floats.(f) +. float_of_int n;
+        g.ints.(k + 1) <- g.ints.(k + 1) + n
+      | Value.Float x ->
+        g.ints.(k) <- g.ints.(k) + 1;
+        g.floats.(f) <- g.floats.(f) +. x;
+        g.ints.(k + 2) <- 1
+      | v -> raise (Sql_error (Printf.sprintf "SUM/AVG of %s" (Value.type_name v)))
+    in
+    let step =
+      match col with
+      | Some i -> (
+        fun g row ->
+          match row.(i) with
+          | Value.Int n ->
+            g.ints.(k) <- g.ints.(k) + 1;
+            g.floats.(f) <- g.floats.(f) +. float_of_int n;
+            g.ints.(k + 1) <- g.ints.(k + 1) + n
+          | v -> add g v)
+      | None -> fun g row -> add g (value row)
+    in
+    let result =
+      if fn = Ast.Sum then fun g ->
+        if g.ints.(k) = 0 then Value.Null
+        else if g.ints.(k + 2) = 0 then Value.Int g.ints.(k + 1)
+        else Value.Float g.floats.(f)
+      else fun g ->
+        if g.ints.(k) = 0 then Value.Null
+        else Value.Float (g.floats.(f) /. float_of_int g.ints.(k))
+    in
+    (Some step, result)
+  | Ast.Min | Ast.Max ->
+    let m = take vals 1 in
+    let better = if fn = Ast.Min then fun c -> c < 0 else fun c -> c > 0 in
+    let step g row =
+      match value row with
+      | Value.Null -> ()
+      | v -> (
+        match g.vals.(m) with
+        | Value.Null -> g.vals.(m) <- v
+        | best -> if better (Value.compare v best) then g.vals.(m) <- v)
+    in
+    (Some step, fun g -> g.vals.(m))
+
+(* One run's matches, newest first: projected rows, paired with their
+   sort keys under ORDER BY; or the groups of an aggregate query, the
+   one implicit group when GROUP BY is absent. *)
+type matches = {
+  mutable rows_rev : Value.t array list;
+  mutable keyed_rev : (Value.t array * sort_key) list;
+  mutable single : group option;
+  mutable groups : (Value.t list, group) Hashtbl.t option;
+  mutable group_order : Value.t list list;
+}
+
+let no_matches () =
+  { rows_rev = []; keyed_rev = []; single = None; groups = None; group_order = [] }
+
+let compile_select db (s : Ast.select) ~params =
   let from_tbl = get_table db s.from.table in
   let from_name = Option.value s.from.alias ~default:s.from.table in
   let from_binding =
@@ -431,7 +530,7 @@ let select ctx (s : Ast.select) ~params =
         let binding =
           { Env.binding_name = name; schema = Table.schema tbl; row = [||] }
         in
-        (tr, on, binding))
+        (tbl, on, binding))
       s.join
   in
   (* The scanned side: its row is the argument of every bound
@@ -441,9 +540,7 @@ let select ctx (s : Ast.select) ~params =
     | None -> (from_binding, [ from_binding ])
     | Some (_, _, jb) -> (jb, [ from_binding; jb ])
   in
-  let access =
-    Plan.access_path_table from_tbl ~names:(binding_names s.from) s.where
-  in
+  let access = bind_access from_tbl ~names:(binding_names s.from) ~params s.where in
   let aggregating = has_agg s.projs || s.group_by <> [] in
   if aggregating then
     List.iter
@@ -455,186 +552,23 @@ let select ctx (s : Ast.select) ~params =
       s.projs;
   (* Resolve every column reference once, before any row is visited. *)
   let bind e = Expr.bind env ~params e in
-  let where_ok = where_pred env ~params s.where in
+  let filter = where_pred env ~params s.where in
   let projs =
     List.map
       (function
         | Ast.Star -> B_star
         | Ast.Expr_proj (e, _) -> B_expr (bind e)
-        | Ast.Agg (fn, arg, _) -> B_agg (fn, Option.map bind arg))
+        | Ast.Agg (fn, arg, _) -> B_agg (fn, arg, Option.map bind arg))
       s.projs
   in
   let order_by = List.map (fun (e, dir) -> (bind e, dir)) s.order_by in
   let group_by = List.map bind s.group_by in
   let join =
-    Option.map (fun (tr, on, jb) -> (tr, Expr.bind_pred env ~params on, jb)) join_info
+    Option.map (fun (tbl, on, _) -> (tbl, Expr.bind_pred env ~params on)) join_info
   in
-  (* Collected matches, newest first: projected rows, paired with their
-     sort keys only under ORDER BY. *)
-  let rows_rev = ref [] in
-  let keyed_rev = ref [] in
   let n_projs = List.length s.projs in
   let projs_a = Array.of_list projs in
-  let proj_expr = function
-    | B_expr e -> e
-    | B_star | B_agg _ ->
-      (* defended by the [aggregating] dispatch above; a proper error
-         beats an [assert false] if a future path slips through *)
-      fun _ -> raise (Sql_error "aggregate function outside an aggregate query")
-  in
-  (* A result row from the scanned row. A plain list of two
-     expressions fills an array literal, evaluated left to right as
-     [Array.map] would. *)
-  let project : Value.t array -> Value.t array =
-    if List.exists (function B_star -> true | B_expr _ | B_agg _ -> false) projs
-    then fun row ->
-      List.map
-        (function
-          | B_star ->
-            Array.concat (List.map (fun b -> if b == inner then row else b.Env.row) env)
-          | p -> [| proj_expr p row |])
-        projs
-      |> Array.concat
-    else
-      match Array.map proj_expr projs_a with
-      | [| a; b |] ->
-        fun row ->
-          let va = a row in
-          let vb = b row in
-          [| va; vb |]
-      | es ->
-        fun row ->
-          let r = Array.make (Array.length es) Value.Null in
-          for i = 0 to Array.length es - 1 do
-            r.(i) <- es.(i) row
-          done;
-          r
-  in
   let sort_keys row = List.map (fun (e, dir) -> (e row, dir)) order_by in
-  (* Grouped/aggregated path. *)
-  let groups : (Value.t list, group_state) Hashtbl.t = Hashtbl.create 16 in
-  let group_order = ref [] in
-  let fresh_state ~repr ~sort =
-    {
-      g_count = Array.make n_projs 0;
-      g_sumf = Array.make n_projs 0.0;
-      g_sumi = Array.make n_projs 0;
-      g_int_only = Array.make n_projs true;
-      g_min = Array.make n_projs Value.Null;
-      g_max = Array.make n_projs Value.Null;
-      g_repr = repr;
-      g_sort = sort;
-    }
-  in
-  let new_group row =
-    let repr =
-      Array.map (function B_expr e -> e row | B_agg _ | B_star -> Value.Null) projs_a
-    in
-    fresh_state ~repr ~sort:(sort_keys row)
-  in
-  (* the one group of an aggregate without GROUP BY *)
-  let single = ref None in
-  let aggregate_row row =
-    let st =
-      match (group_by, !single) with
-      | [], Some st -> st
-      | [], None ->
-        let st = new_group row in
-        single := Some st;
-        st
-      | _ :: _, _ -> (
-        let key = List.map (fun e -> e row) group_by in
-        match Hashtbl.find_opt groups key with
-        | Some st -> st
-        | None ->
-          let st = new_group row in
-          Hashtbl.replace groups key st;
-          group_order := key :: !group_order;
-          st)
-    in
-    for i = 0 to n_projs - 1 do
-      match projs_a.(i) with
-      | B_agg (fn, arg) -> (
-        let v =
-          match arg with
-          | None -> count_star
-          | Some e -> e row
-        in
-        match (fn, v) with
-        | _, Value.Null -> ()
-        | Ast.Count, _ -> st.g_count.(i) <- st.g_count.(i) + 1
-        | (Ast.Sum | Ast.Avg), Value.Int n ->
-          st.g_count.(i) <- st.g_count.(i) + 1;
-          st.g_sumf.(i) <- st.g_sumf.(i) +. float_of_int n;
-          st.g_sumi.(i) <- st.g_sumi.(i) + n
-        | (Ast.Sum | Ast.Avg), Value.Float f ->
-          st.g_count.(i) <- st.g_count.(i) + 1;
-          st.g_sumf.(i) <- st.g_sumf.(i) +. f;
-          st.g_int_only.(i) <- false
-        | (Ast.Sum | Ast.Avg), v ->
-          raise (Sql_error (Printf.sprintf "SUM/AVG of %s" (Value.type_name v)))
-        | Ast.Min, v ->
-          if st.g_min.(i) = Value.Null || Value.compare v st.g_min.(i) < 0 then
-            st.g_min.(i) <- v
-        | Ast.Max, v ->
-          if st.g_max.(i) = Value.Null || Value.compare v st.g_max.(i) > 0 then
-            st.g_max.(i) <- v)
-      | B_star | B_expr _ -> ()
-    done
-  in
-  let handle_match =
-    if aggregating then aggregate_row
-    else if order_by = [] then fun row -> rows_rev := project row :: !rows_rev
-    else fun row -> keyed_rev := (project row, sort_keys row) :: !keyed_rev
-  in
-  (match join with
-  | None ->
-    let record = Ctx.distinct_recorder ctx in
-    let table = s.from.table in
-    visible_rows ctx table access ~params ~keep:where_ok
-      ~committed:(fun entry data ->
-        record_entry_read record ~table entry;
-        handle_match data)
-      ~own:(fun w -> handle_match w.w_data)
-  | Some (jtr, on, _) ->
-    (* Nested loop with the outer row bound once per outer row; the
-       inner side is a full scan. An outer row is met once per inner
-       match, so reads probe. *)
-    let record = Ctx.recorder ctx in
-    let jtable = jtr.Ast.table in
-    let outer v =
-      from_binding.Env.row <- v.v_data;
-      visible_rows ctx jtable Plan.Full ~params
-        ~keep:(fun jdata -> on jdata && where_ok jdata)
-        ~committed:(fun entry jdata ->
-          record_vrow_read record ~table:s.from.table v;
-          record_entry_read record ~table:jtable entry;
-          handle_match jdata)
-        ~own:(fun w ->
-          record_vrow_read record ~table:s.from.table v;
-          handle_match w.w_data)
-    in
-    visible_rows ctx s.from.table access ~params
-      ~keep:(fun _ -> true)
-      ~committed:(fun entry data -> outer (committed_vrow entry data))
-      ~own:(fun w -> outer (own_vrow w)));
-  let columns = List.mapi proj_name s.projs in
-  let columns =
-    (* Expand star into actual column names. *)
-    List.concat_map
-      (fun (p, n) ->
-        match p with
-        | Ast.Star ->
-          List.concat_map
-            (fun b ->
-              Array.to_list
-                (Array.map
-                   (fun (c : Schema.column) -> c.Schema.name)
-                   b.Env.schema.Schema.columns))
-            env
-        | Ast.Expr_proj _ | Ast.Agg _ -> [ n ])
-      (List.combine s.projs columns)
-  in
   let limit rows =
     match s.limit with
     | None -> rows
@@ -661,52 +595,235 @@ let select ctx (s : Ast.select) ~params =
     in
     limit rows
   in
-  if aggregating then begin
-    let row_of (st : group_state) =
-      List.mapi
-        (fun i p ->
-          match p with
-          | Ast.Agg (Ast.Count, _, _) -> Value.Int st.g_count.(i)
-          | Ast.Agg (Ast.Sum, _, _) ->
-            if st.g_count.(i) = 0 then Value.Null
-            else if st.g_int_only.(i) then Value.Int st.g_sumi.(i)
-            else Value.Float st.g_sumf.(i)
-          | Ast.Agg (Ast.Avg, _, _) ->
-            if st.g_count.(i) = 0 then Value.Null
-            else Value.Float (st.g_sumf.(i) /. float_of_int st.g_count.(i))
-          | Ast.Agg (Ast.Min, _, _) -> st.g_min.(i)
-          | Ast.Agg (Ast.Max, _, _) -> st.g_max.(i)
-          | Ast.Star ->
-            (* rejected up front ("mixing aggregates and plain
-               projections needs GROUP BY"); kept as a query error *)
-            raise (Sql_error "SELECT * cannot be combined with aggregates")
-          | Ast.Expr_proj _ -> st.g_repr.(i))
-        s.projs
-      |> Array.of_list
-    in
-    let rows =
-      match !single with
-      | Some st -> [ (row_of st, st.g_sort) ]
-      | None when s.group_by = [] ->
+  (* [feed m row] takes a row the filter kept; [finish m] gives the
+     result rows. *)
+  let feed, finish =
+    if aggregating then begin
+      let ints = ref 1 and floats = ref 0 and vals = ref 0 in
+      let steps = ref [] and captures = ref [] in
+      let results =
+        Array.map
+          (function
+            | B_agg (fn, arg, bound) ->
+              let col = Option.bind arg (Expr.inner_column env) in
+              let step, result = compile_agg fn bound ~col ~ints ~floats ~vals in
+              Option.iter (fun step -> steps := step :: !steps) step;
+              result
+            | B_expr e ->
+              let m = !vals in
+              incr vals;
+              captures := (m, e) :: !captures;
+              fun g -> g.vals.(m)
+            | B_star ->
+              (* rejected above ("mixing aggregates and plain projections
+                 needs GROUP BY"); kept as a query error *)
+              raise (Sql_error "SELECT * cannot be combined with aggregates"))
+          projs_a
+      in
+      let steps = Array.of_list (List.rev !steps) in
+      let captures = Array.of_list (List.rev !captures) in
+      let n_ints = !ints and n_floats = !floats and n_vals = !vals in
+      (* Non-aggregate projections, then the sort keys, at a group's
+         first row. *)
+      let new_group row =
+        let vals = Array.make n_vals Value.Null in
+        Array.iter (fun (m, e) -> vals.(m) <- e row) captures;
+        let sort = sort_keys row in
+        { ints = Array.make n_ints 0; floats = Array.make n_floats 0.0; vals; sort }
+      in
+      let accumulate g row =
+        g.ints.(0) <- g.ints.(0) + 1;
+        for i = 0 to Array.length steps - 1 do
+          steps.(i) g row
+        done
+      in
+      let row_of g =
+        let r = Array.make n_projs Value.Null in
+        for i = 0 to n_projs - 1 do
+          r.(i) <- results.(i) g
+        done;
+        r
+      in
+      if group_by = [] then begin
         (* With no GROUP BY and no matches, SQL still yields one row. *)
-        [ (row_of (fresh_state ~repr:(Array.make n_projs Value.Null) ~sort:[]), []) ]
-      | None ->
-        List.rev_map
-          (fun key ->
-            let st = Hashtbl.find groups key in
-            (row_of st, st.g_sort))
-          !group_order
-    in
-    { columns; rows = order_and_limit rows; affected = 0 }
-  end
-  else if s.order_by = [] then
-    { columns; rows = limit (List.rev !rows_rev); affected = 0 }
-  else { columns; rows = order_and_limit (List.rev !keyed_rev); affected = 0 }
+        let blank =
+          {
+            ints = Array.make n_ints 0;
+            floats = Array.make n_floats 0.0;
+            vals = Array.make n_vals Value.Null;
+            sort = [];
+          }
+        in
+        ( (fun m row ->
+            match m.single with
+            | Some g -> accumulate g row
+            | None ->
+              let g = new_group row in
+              m.single <- Some g;
+              accumulate g row),
+          fun m ->
+            order_and_limit
+              [
+                (match m.single with
+                | Some g -> (row_of g, g.sort)
+                | None -> (row_of blank, []));
+              ] )
+      end
+      else
+        ( (fun m row ->
+            let groups =
+              match m.groups with
+              | Some groups -> groups
+              | None ->
+                let groups = Hashtbl.create 16 in
+                m.groups <- Some groups;
+                groups
+            in
+            let key = List.map (fun e -> e row) group_by in
+            let g =
+              match Hashtbl.find_opt groups key with
+              | Some g -> g
+              | None ->
+                let g = new_group row in
+                Hashtbl.replace groups key g;
+                m.group_order <- key :: m.group_order;
+                g
+            in
+            accumulate g row),
+          fun m ->
+            order_and_limit
+              (List.rev_map
+                 (fun key ->
+                   let g = Hashtbl.find (Option.get m.groups) key in
+                   (row_of g, g.sort))
+                 m.group_order) )
+    end
+    else begin
+      let proj_expr = function
+        | B_expr e -> e
+        | B_star | B_agg _ ->
+          (* defended by the [aggregating] dispatch above; a proper error
+             beats an [assert false] if a future path slips through *)
+          fun _ -> raise (Sql_error "aggregate function outside an aggregate query")
+      in
+      (* A result row from the scanned row. A plain list of two
+         expressions fills an array literal, evaluated left to right as
+         [Array.map] would; two columns of the scanned row are read
+         straight from their slots. *)
+      let slots =
+        List.map
+          (function
+            | Ast.Expr_proj (e, _) -> Expr.inner_column env e
+            | Ast.Star | Ast.Agg _ -> None)
+          s.projs
+      in
+      let project : Value.t array -> Value.t array =
+        if List.exists (function B_star -> true | B_expr _ | B_agg _ -> false) projs
+        then fun row ->
+          List.map
+            (function
+              | B_star ->
+                Array.concat (List.map (fun b -> if b == inner then row else b.Env.row) env)
+              | p -> [| proj_expr p row |])
+            projs
+          |> Array.concat
+        else
+          match (Array.map proj_expr projs_a, slots) with
+          | _, [ Some i; Some j ] -> fun row -> [| row.(i); row.(j) |]
+          | [| a; b |], _ ->
+            fun row ->
+              let va = a row in
+              let vb = b row in
+              [| va; vb |]
+          | es, _ ->
+            fun row ->
+              let r = Array.make (Array.length es) Value.Null in
+              for i = 0 to Array.length es - 1 do
+                r.(i) <- es.(i) row
+              done;
+              r
+      in
+      if order_by = [] then
+        ( (fun m row -> m.rows_rev <- project row :: m.rows_rev),
+          fun m -> limit (List.rev m.rows_rev) )
+      else
+        ( (fun m row -> m.keyed_rev <- (project row, sort_keys row) :: m.keyed_rev),
+          fun m -> order_and_limit (List.rev m.keyed_rev) )
+    end
+  in
+  let columns =
+    (* Expand star into actual column names. *)
+    List.concat
+      (List.mapi
+         (fun i p ->
+           match p with
+           | Ast.Star ->
+             List.concat_map
+               (fun b ->
+                 Array.to_list
+                   (Array.map
+                      (fun (c : Schema.column) -> c.Schema.name)
+                      b.Env.schema.Schema.columns))
+               env
+           | Ast.Expr_proj _ | Ast.Agg _ -> [ proj_name i p ])
+         s.projs)
+  in
+  let table = s.from.table in
+  let scan =
+    match join with
+    | None ->
+      (* One consumer per visited row: filter, record the read when the
+         context records reads, then feed the matches. *)
+      let consumer = Expr.entry_filter env ~params s.where in
+      fun ctx m ->
+        let record = Ctx.distinct_recorder ctx in
+        let recording = ctx.Ctx.record_reads in
+        let matched entry data =
+          if recording then record_entry_read record ~table entry;
+          feed m data
+        in
+        let updated entry data = if filter data then matched entry data in
+        let own w = if filter w.w_data then feed m w.w_data in
+        visible_rows ctx from_tbl access ~stored:(consumer matched) ~updated ~own
+    | Some (jtbl, on) ->
+      (* Nested loop with the outer row bound once per outer row; the
+         inner side is a full scan. An outer row is met once per inner
+         match, so reads probe. *)
+      let jtable = (Table.schema jtbl).Schema.table_name in
+      fun ctx m ->
+        let record = Ctx.recorder ctx in
+        let outer v =
+          from_binding.Env.row <- v.v_data;
+          let updated entry jdata =
+            if on jdata && filter jdata then begin
+              record_vrow_read record ~table v;
+              record_entry_read record ~table:jtable entry;
+              feed m jdata
+            end
+          in
+          visible_rows ctx jtbl Plan.Full
+            ~stored:(fun entry -> updated entry entry.Table.data)
+            ~updated
+            ~own:(fun w ->
+              if on w.w_data && filter w.w_data then begin
+                record_vrow_read record ~table v;
+                feed m w.w_data
+              end)
+        in
+        visible_rows ctx from_tbl access
+          ~stored:(fun entry -> outer (committed_vrow entry entry.Table.data))
+          ~updated:(fun entry data -> outer (committed_vrow entry data))
+          ~own:(fun w -> outer (own_vrow w))
+  in
+  fun ctx ->
+    let m = no_matches () in
+    scan ctx m;
+    { columns; rows = finish m; affected = 0 }
 
 (* --- INSERT --- *)
 
-let insert ctx ~table ~cols ~rows ~params =
-  let tbl = get_table (Ctx.db ctx) table in
+let compile_insert db ~table ~cols ~rows ~params =
+  let tbl = get_table db table in
   let schema = Table.schema tbl in
   let arity = Schema.arity schema in
   let col_map =
@@ -722,48 +839,67 @@ let insert ctx ~table ~cols ~rows ~params =
                raise (Sql_error (Printf.sprintf "unknown column %s" c)))
            cs)
   in
-  let n = ref 0 in
-  List.iter
-    (fun exprs ->
-      if List.length exprs <> Array.length col_map then
-        raise (Sql_error "INSERT arity mismatch");
-      let row = Array.make arity Value.Null in
-      List.iteri
-        (fun i e -> row.(col_map.(i)) <- Expr.eval_const ~params e)
-        exprs;
-      (match Schema.validate_row schema row with
-      | Ok () -> ()
-      | Error m -> raise (Sql_error m));
-      let key = Schema.primary_key schema row in
-      let key_str = Value.encode_key key in
-      (* Duplicate checks against own writes then the table; an insert
-         over an own delete or a cancelled insert revives that write. *)
-      (match Ctx.find_write ctx ~table ~key_str with
-      | Some w when (not w.w_dead) && w.w_op <> Writeset.Delete ->
-        raise (Sql_error (Printf.sprintf "duplicate key in table %s" table))
-      | Some _ -> ()
-      | None ->
-        if Table.find_live tbl key_str <> None then
-          raise (Sql_error (Printf.sprintf "duplicate key in table %s" table)));
-      Ctx.write ctx ~table ~key ~key_str ~existed:false (Some row);
-      incr n)
-    rows;
-  { columns = []; rows = []; affected = !n }
+  (* Each value is bound now; one that names a column fails when its
+     row is reached, after the rows before it are written. *)
+  let bind_value e =
+    match Expr.bind [] ~params e with
+    | bound -> bound
+    | exception Sql_error m -> fun _ -> raise (Sql_error m)
+  in
+  let rows =
+    List.map
+      (fun exprs ->
+        if List.length exprs <> Array.length col_map then None
+        else Some (List.map bind_value exprs))
+      rows
+  in
+  fun ctx ->
+    let n = ref 0 in
+    List.iter
+      (fun values ->
+        let values =
+          match values with
+          | Some values -> values
+          | None -> raise (Sql_error "INSERT arity mismatch")
+        in
+        let row = Array.make arity Value.Null in
+        List.iteri (fun i e -> row.(col_map.(i)) <- eval_const e) values;
+        (match Schema.validate_row schema row with
+        | Ok () -> ()
+        | Error m -> raise (Sql_error m));
+        let key = Schema.primary_key schema row in
+        let key_str = Value.encode_key key in
+        (* Duplicate checks against own writes then the table; an insert
+           over an own delete or a cancelled insert revives that write. *)
+        (match Ctx.find_write ctx ~table ~key_str with
+        | Some w when (not w.w_dead) && w.w_op <> Writeset.Delete ->
+          raise (Sql_error (Printf.sprintf "duplicate key in table %s" table))
+        | Some _ -> ()
+        | None ->
+          if Table.find_live tbl key_str <> None then
+            raise (Sql_error (Printf.sprintf "duplicate key in table %s" table)));
+        Ctx.write ctx ~table ~key ~key_str ~existed:false (Some row);
+        incr n)
+      rows;
+    no_rows !n
 
 (* --- UPDATE / DELETE --- *)
 
-let target_binding tbl table =
-  { Env.binding_name = table; schema = Table.schema tbl; row = [||] }
-
-let collect_targets ctx tbl binding where ~params =
-  let table = binding.Env.binding_name in
-  let access = Plan.access_path_table tbl ~names:[ table ] where in
-  let where_ok = where_pred [ binding ] ~params where in
-  let acc = ref [] in
-  visible_rows ctx table access ~params ~keep:where_ok
-    ~committed:(fun entry data -> acc := committed_vrow entry data :: !acc)
-    ~own:(fun w -> acc := own_vrow w :: !acc);
-  List.rev !acc
+(* The rows a statement on [table] targets, in visit order. *)
+let compile_targets tbl ~table ~params where =
+  let binding = { Env.binding_name = table; schema = Table.schema tbl; row = [||] } in
+  let access = bind_access tbl ~names:[ table ] ~params where in
+  let filter = where_pred [ binding ] ~params where in
+  fun ctx ->
+    let acc = ref [] in
+    let updated entry data =
+      if filter data then acc := committed_vrow entry data :: !acc
+    in
+    visible_rows ctx tbl access
+      ~stored:(fun entry -> updated entry entry.Table.data)
+      ~updated
+      ~own:(fun w -> if filter w.w_data then acc := own_vrow w :: !acc);
+    List.rev !acc
 
 (* A target row's write: [v] is backed by a committed row unless this
    transaction inserted it. *)
@@ -771,9 +907,9 @@ let write_target ctx ~table v ?cols row =
   Ctx.write ctx ~table ~key:v.v_key ~key_str:v.v_key_str
     ~existed:(v.v_entry <> None) ?cols row
 
-let update ctx ~table ~sets ~where ~params =
-  let tbl = get_table (Ctx.db ctx) table in
-  let binding = target_binding tbl table in
+let compile_update db ~table ~sets ~where ~params =
+  let tbl = get_table db table in
+  let binding = { Env.binding_name = table; schema = Table.schema tbl; row = [||] } in
   let schema = Table.schema tbl in
   let set_indices =
     List.map
@@ -786,72 +922,91 @@ let update ctx ~table ~sets ~where ~params =
           (i, Expr.bind [ binding ] ~params e))
       sets
   in
-  let targets = collect_targets ctx tbl binding where ~params in
+  let targets = compile_targets tbl ~table ~params where in
   (* The SET list names the touched columns directly; a set wider than
      the maskable range degrades to the whole-row mask. *)
-  let cols =
-    if Ctx.track_cols ctx then
-      match set_indices with
-      | [] -> Gg_crdt.Column.full
-      | (i, _) :: rest ->
-        List.fold_left
-          (fun acc (j, _) ->
-            Gg_crdt.Column.union acc (Gg_crdt.Column.of_index j))
-          (Gg_crdt.Column.of_index i) rest
-    else Gg_crdt.Column.full
+  let set_cols =
+    match set_indices with
+    | [] -> Gg_crdt.Column.full
+    | (i, _) :: rest ->
+      List.fold_left
+        (fun acc (j, _) -> Gg_crdt.Column.union acc (Gg_crdt.Column.of_index j))
+        (Gg_crdt.Column.of_index i) rest
   in
-  let record = Ctx.distinct_recorder ctx in
-  List.iter
-    (fun v ->
-      let new_row = Array.copy v.v_data in
-      List.iter (fun (i, e) -> new_row.(i) <- e v.v_data) set_indices;
-      (match Schema.validate_row schema new_row with
-      | Ok () -> ()
-      | Error m -> raise (Sql_error m));
-      record_vrow_read record ~table v;
-      write_target ctx ~table v ~cols (Some new_row))
-    targets;
-  { columns = []; rows = []; affected = List.length targets }
+  fun ctx ->
+    let targets = targets ctx in
+    let cols = if Ctx.track_cols ctx then set_cols else Gg_crdt.Column.full in
+    let record = Ctx.distinct_recorder ctx in
+    List.iter
+      (fun v ->
+        let new_row = Array.copy v.v_data in
+        List.iter (fun (i, e) -> new_row.(i) <- e v.v_data) set_indices;
+        (match Schema.validate_row schema new_row with
+        | Ok () -> ()
+        | Error m -> raise (Sql_error m));
+        record_vrow_read record ~table v;
+        write_target ctx ~table v ~cols (Some new_row))
+      targets;
+    no_rows (List.length targets)
 
-let delete ctx ~table ~where ~params =
-  let tbl = get_table (Ctx.db ctx) table in
-  let targets = collect_targets ctx tbl (target_binding tbl table) where ~params in
-  let record = Ctx.distinct_recorder ctx in
-  List.iter
-    (fun v ->
-      record_vrow_read record ~table v;
-      write_target ctx ~table v None)
-    targets;
-  { columns = []; rows = []; affected = List.length targets }
+let compile_delete db ~table ~where ~params =
+  let tbl = get_table db table in
+  let targets = compile_targets tbl ~table ~params where in
+  fun ctx ->
+    let targets = targets ctx in
+    let record = Ctx.distinct_recorder ctx in
+    List.iter
+      (fun v ->
+        record_vrow_read record ~table v;
+        write_target ctx ~table v None)
+      targets;
+    no_rows (List.length targets)
 
 (* --- entry points --- *)
 
-let exec ctx stmt ~params =
-  try
-    match stmt with
-    | Ast.Select s -> Ok (select ctx s ~params)
-    | Ast.Insert { table; cols; rows } -> Ok (insert ctx ~table ~cols ~rows ~params)
-    | Ast.Update { table; sets; where } -> Ok (update ctx ~table ~sets ~where ~params)
-    | Ast.Delete { table; where } -> Ok (delete ctx ~table ~where ~params)
-    | Ast.Create_table { name; cols; key } ->
-      let columns =
-        List.map (fun (n, ty) -> { Schema.name = n; ty }) cols
-      in
-      let key =
-        match (key, cols) with
-        | [], [] -> raise (Sql_error "CREATE TABLE needs at least one column")
-        | [], (first, _) :: _ -> [ first ]
-        | _ :: _, _ -> key
-      in
+type plan = { params : Expr.params; exec : Ctx.t -> result }
+
+let compile_stmt db stmt ~params =
+  match stmt with
+  | Ast.Select s -> compile_select db s ~params
+  | Ast.Insert { table; cols; rows } -> compile_insert db ~table ~cols ~rows ~params
+  | Ast.Update { table; sets; where } -> compile_update db ~table ~sets ~where ~params
+  | Ast.Delete { table; where } -> compile_delete db ~table ~where ~params
+  | Ast.Create_table { name; cols; key } ->
+    let columns = List.map (fun (n, ty) -> { Schema.name = n; ty }) cols in
+    let key =
+      match (key, cols) with
+      | [], [] -> raise (Sql_error "CREATE TABLE needs at least one column")
+      | [], (first, _) :: _ -> [ first ]
+      | _ :: _, _ -> key
+    in
+    fun ctx ->
       ignore (Db.create_table (Ctx.db ctx) ~name ~columns ~key);
-      Ok { columns = []; rows = []; affected = 0 }
-    | Ast.Create_index { name; table; cols } ->
-      let tbl = get_table (Ctx.db ctx) table in
+      no_rows 0
+  | Ast.Create_index { name; table; cols } ->
+    let tbl = get_table db table in
+    fun _ ->
       Table.create_index tbl ~name ~cols;
-      Ok { columns = []; rows = []; affected = 0 }
-  with
-  | Sql_error m -> Error m
-  | Invalid_argument m -> Error m
+      no_rows 0
+
+let compile db stmt =
+  let params = { Expr.values = [||] } in
+  match compile_stmt db stmt ~params with
+  | exec -> Ok { params; exec }
+  | exception (Sql_error m | Invalid_argument m) -> Error m
+
+let run ctx plan ~params =
+  plan.params.values <- params;
+  let r =
+    match plan.exec ctx with
+    | r -> Ok r
+    | exception (Sql_error m | Invalid_argument m) -> Error m
+  in
+  plan.params.values <- [||];
+  r
+
+let exec ctx stmt ~params =
+  Result.bind (compile (Ctx.db ctx) stmt) (fun plan -> run ctx plan ~params)
 
 let exec_sql ctx sql ~params =
   match Parser.parse_result sql with

@@ -113,16 +113,50 @@ type result = {
   affected : int;
 }
 
+type plan
+(** A compiled statement. It binds the tables it names, the access path
+    ({!Plan.access_path_table}), the WHERE filter, the projections, the
+    sort and group keys and, for an aggregate query, one accumulator per
+    aggregate with its step chosen at compile time. It holds no
+    parameter value: every [?] is read when the plan runs. A plan runs
+    one execution at a time, against the database it was compiled on,
+    and stays valid while that database's {!Gg_storage.Db.catalog} does
+    not move. *)
+
+val compile : Gg_storage.Db.t -> Ast.stmt -> (plan, string) Stdlib.result
+(** Compile a statement against a database. The errors that need no
+    row and no parameter are reported here: an unknown table, an unknown
+    or ambiguous column (in any clause), aggregates mixed with plain
+    projections without GROUP BY, an unknown column in an INSERT column
+    list, a SET of a key column, and CREATE TABLE without columns. *)
+
+val run :
+  Ctx.t ->
+  plan ->
+  params:Gg_storage.Value.t array ->
+  (result, string) Stdlib.result
+(** Execute a compiled statement in the context with these parameters.
+    [Create_table] and [Create_index] act directly on the catalog (DDL
+    is not transactional). The errors that need a row or a parameter are
+    reported here: a parameter that was not supplied (only when it is
+    evaluated), type errors, constraint violations and INSERT rows of
+    the wrong arity. A failed run leaves the context's buffered writes
+    from {e earlier} statements untouched.
+
+    A statement on one table hands each row its scan visits to one
+    consumer, which applies the filter, records the read (only when the
+    context records reads) and then accumulates or projects the row.
+    When the transaction has buffered no write on the table, the scan
+    calls that consumer with the table's own entries. *)
+
 val exec :
   Ctx.t ->
   Ast.stmt ->
   params:Gg_storage.Value.t array ->
   (result, string) Stdlib.result
-(** Execute one statement. [Create_table] acts directly on the catalog
-    (DDL is not transactional). Errors (constraint violations, type
-    errors, unknown tables/columns) are returned as [Error _]; the
-    context's buffered writes from {e earlier} statements are
-    untouched. *)
+(** {!compile} then {!run}: the same results, read set, writes and
+    errors as running a plan of the statement compiled earlier on the
+    same catalog. *)
 
 val exec_sql :
   Ctx.t ->

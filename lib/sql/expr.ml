@@ -106,28 +106,35 @@ let like_match s p =
 
 type t = Value.t array -> Value.t
 
+type params = { mutable values : Value.t array }
+
+let missing params i =
+  fail "parameter ?%d not supplied (%d given)" (i + 1) (Array.length params.values)
+
+(* Parameter [i] of the running execution, read inline where a
+   predicate evaluates it per row. *)
+let[@inline] param params i =
+  let values = params.values in
+  if i >= 0 && i < Array.length values then Array.unsafe_get values i
+  else missing params i
+
 (* Is [b] the scanned binding, the innermost (last in [env])? A bound
    expression reads its columns from the row it is applied to, and every
    other binding's from its [row] field, which the caller writes once
    per row of that outer side. *)
 let is_inner env b = match List.rev env with ib :: _ -> ib == b | [] -> false
 
-(* Resolve every column reference and parameter once; the closure tree
-   then reads the scanned row it is given and the outer bindings'
-   current rows on each call. Unknown or ambiguous columns fail here,
-   before any row is visited; a missing parameter still fails only when
+(* Resolve every column reference once; the closure tree then reads the
+   scanned row it is given, the outer bindings' current rows and the
+   current parameters on each call. Unknown or ambiguous columns fail
+   here, before any row is visited; a missing parameter fails only when
    evaluated. *)
 let bind env ~params e =
   let open Ast in
   let rec go e : t =
     match e with
     | Const v -> fun _ -> v
-    | Param i ->
-      if i < 0 || i >= Array.length params then fun _ ->
-        fail "parameter ?%d not supplied (%d given)" (i + 1) (Array.length params)
-      else
-        let v = params.(i) in
-        fun _ -> v
+    | Param i -> fun _ -> param params i
     | Col (q, c) ->
       let b, i = Env.resolve env q c in
       if is_inner env b then fun row -> row.(i) else fun _ -> b.Env.row.(i)
@@ -198,7 +205,71 @@ let bind env ~params e =
   in
   go e
 
-let eval_const ~params e = bind [] ~params e [||]
+let inner_column env = function
+  | Ast.Col (q, c) ->
+    let b, i = Env.resolve env q c in
+    if is_inner env b then Some i else None
+  | _ -> None
+
+(* An operand read without a closure: a literal, or a parameter looked
+   up when the predicate is evaluated. *)
+type operand = Lit of Value.t | Arg of int
+
+let operand = function
+  | Ast.Const v -> Some (Lit v)
+  | Ast.Param i -> Some (Arg i)
+  | _ -> None
+
+let[@inline] operand_value params = function Lit v -> v | Arg i -> param params i
+
+let in_range v l h = Value.compare v l >= 0 && Value.compare v h <= 0
+
+(* [row.(i) op k]: false when either side is NULL; an Int slot against
+   an Int operand compares inline, [Eq] without going through [holds].
+   The operand is read first, as [bind] reads a comparison's right
+   operand first. Inlined into every closure that tests a slot. *)
+let[@inline] slot_holds params op k i (row : Value.t array) =
+  match operand_value params k with
+  | Value.Int y as v -> (
+    match row.(i) with
+    | Value.Int x -> ( match op with Ast.Eq -> x = y | _ -> holds op (Int.compare x y))
+    | Value.Null -> false
+    | x -> holds op (Value.compare x v))
+  | Value.Null -> false
+  | v -> ( match row.(i) with Value.Null -> false | x -> holds op (Value.compare x v))
+
+(* [row.(i) BETWEEN lo AND hi], the bounds read as [bind] reads them. *)
+let[@inline] slot_between params lo hi i (row : Value.t array) =
+  let l = operand_value params lo and h = operand_value params hi in
+  match (l, h) with
+  | Value.Int lo, Value.Int hi -> (
+    match row.(i) with
+    | Value.Int x -> x >= lo && x <= hi
+    | Value.Null -> false
+    | v -> in_range v l h)
+  | Value.Null, _ | _, Value.Null -> false
+  | _ -> ( match row.(i) with Value.Null -> false | v -> in_range v l h)
+
+(* [v op col] is [col op' v]. *)
+let flip = function Ast.Lt -> Ast.Gt | Le -> Ge | Gt -> Lt | Ge -> Le | op -> op
+
+(* The comparisons a closure tests without calling another: a column
+   against an operand, or a column between two. *)
+type slot_test =
+  | Cmp of Ast.binop * operand * string option * string
+  | Between of operand * operand * string option * string
+
+let slot_test = function
+  | Ast.Binop (((Eq | Ne | Lt | Le | Gt | Ge) as op), a, b) -> (
+    match (a, operand a, b, operand b) with
+    | Ast.Col (q, c), _, _, Some k -> Some (Cmp (op, k, q, c))
+    | _, Some k, Ast.Col (q, c), _ -> Some (Cmp (flip op, k, q, c))
+    | _ -> None)
+  | Ast.Between (Ast.Col (q, c), lo, hi) -> (
+    match (operand lo, operand hi) with
+    | Some l, Some h -> Some (Between (l, h, q, c))
+    | _ -> None)
+  | _ -> None
 
 (* The boolean-context twin of [bind]: the closure returns what
    [is_truthy (bind env ~params e row)] would, and raises what it
@@ -206,42 +277,6 @@ let eval_const ~params e = bind [] ~params e [||]
    [bind]'s order, so the same unknown column is reported. *)
 let bind_pred env ~params e =
   let open Ast in
-  (* A non-NULL constant operand: a literal or a supplied parameter. A
-     missing parameter stays an expression, so it fails when evaluated;
-     a NULL one too, so the column is still read as [bind] reads it. *)
-  let const = function
-    | Const Value.Null -> None
-    | Const v -> Some v
-    | Param i when i >= 0 && i < Array.length params -> (
-      match params.(i) with Value.Null -> None | v -> Some v)
-    | _ -> None
-  in
-  (* [col op v]: the column's slot against a constant, read directly;
-     on the scanned row an Int slot against an Int constant compares
-     inline, [Eq] without going through [holds]. *)
-  let col_vs_const q c op v =
-    let b, i = Env.resolve env q c in
-    let slow x = holds op (Value.compare x v) in
-    if not (is_inner env b) then fun _ ->
-      match b.Env.row.(i) with Value.Null -> false | x -> slow x
-    else
-      match (v, op) with
-      | Value.Int y, Eq ->
-        fun row ->
-          (match row.(i) with
-          | Value.Int x -> x = y
-          | Value.Null -> false
-          | x -> slow x)
-      | Value.Int y, _ ->
-        fun row ->
-          (match row.(i) with
-          | Value.Int x -> holds op (Int.compare x y)
-          | Value.Null -> false
-          | x -> slow x)
-      | _ -> fun row -> (match row.(i) with Value.Null -> false | x -> slow x)
-  in
-  (* [v op col] is [col op' v]. *)
-  let flip = function Lt -> Gt | Le -> Ge | Gt -> Lt | Ge -> Le | op -> op in
   let compare_bound op a b =
     let a = bind env ~params a in
     let b = bind env ~params b in
@@ -263,7 +298,7 @@ let bind_pred env ~params e =
       let l = lo row and h = hi row in
       match (v, l, h) with
       | Value.Null, _, _ | _, Value.Null, _ | _, _, Value.Null -> false
-      | _ -> Value.compare v l >= 0 && Value.compare v h <= 0
+      | _ -> in_range v l h
   in
   let rec go e : Value.t array -> bool =
     match e with
@@ -278,32 +313,111 @@ let bind_pred env ~params e =
       let a = go a in
       let b = go b in
       fun row -> a row || b row
-    | Binop (((Eq | Ne | Lt | Le | Gt | Ge) as op), a, b) -> (
-      match (a, const a, b, const b) with
-      | Col (q, c), _, _, Some v -> col_vs_const q c op v
-      | _, Some v, Col (q, c), _ -> col_vs_const q c (flip op) v
-      | _ -> compare_bound op a b)
-    | Between ((Col (q, c) as col), lo, hi) -> (
-      match (const lo, const hi) with
-      | Some l, Some h -> (
+    | _ -> (
+      (* A slot test on the scanned row reads the argument; on an outer
+         binding, that binding's current row. *)
+      match slot_test e with
+      | Some (Cmp (op, k, q, c)) ->
         let b, i = Env.resolve env q c in
-        let in_range v = Value.compare v l >= 0 && Value.compare v h <= 0 in
-        match (l, h) with
-        | _ when not (is_inner env b) -> (
-          fun _ -> match b.Env.row.(i) with Value.Null -> false | v -> in_range v)
-        | Value.Int lo, Value.Int hi ->
-          fun row ->
-            (match row.(i) with
-            | Value.Int x -> x >= lo && x <= hi
-            | Value.Null -> false
-            | v -> in_range v)
+        if is_inner env b then fun row -> slot_holds params op k i row
+        else fun _ -> slot_holds params op k i b.Env.row
+      | Some (Between (lo, hi, q, c)) ->
+        let b, i = Env.resolve env q c in
+        if is_inner env b then fun row -> slot_between params lo hi i row
+        else fun _ -> slot_between params lo hi i b.Env.row
+      | None -> (
+        match e with
+        | Binop (((Eq | Ne | Lt | Le | Gt | Ge) as op), a, b) -> compare_bound op a b
+        | Between (e, lo, hi) -> between_bound e lo hi
         | _ ->
-          fun row ->
-            (match row.(i) with Value.Null -> false | v -> in_range v))
-      | _ -> between_bound col lo hi)
-    | Between (e, lo, hi) -> between_bound e lo hi
-    | _ ->
-      let e = bind env ~params e in
-      fun row -> is_truthy (e row)
+          let e = bind env ~params e in
+          fun row -> is_truthy (e row)))
   in
   go e
+
+(* Can the operand be read without failing? *)
+let supplied params = function
+  | Lit _ -> true
+  | Arg i -> i >= 0 && i < Array.length params.values
+
+(* Each consumer is a closure of its own, made once per run by a
+   one-argument function, so a scan calls it directly. A slot test's
+   operands are read when the consumer is made, and the test is inlined
+   into it, specialised to what they hold: a row it rejects costs the
+   scan that one call. A missing parameter keeps the test that reads it
+   per row, so it fails only when a row is visited. *)
+let entry_filter env ~params where =
+  let through test k =
+    let consume (entry : Gg_storage.Table.entry) =
+      let data = entry.data in
+      if test data then k entry data
+    in
+    consume
+  in
+  let reject _ = () in
+  match where with
+  | None ->
+    fun k ->
+      let consume (entry : Gg_storage.Table.entry) = k entry entry.data in
+      consume
+  | Some e -> (
+    let inner q c =
+      let b, i = Env.resolve env q c in
+      if is_inner env b then Some i else None
+    in
+    match slot_test e with
+    | Some (Cmp (op, kv, q, c)) -> (
+      match inner q c with
+      | Some i -> (
+        fun k ->
+          if not (supplied params kv) then
+            through (fun data -> slot_holds params op kv i data) k
+          else
+            match (operand_value params kv, op) with
+            | Value.Null, _ -> reject
+            | (Value.Int y as v), Ast.Eq ->
+              let consume (entry : Gg_storage.Table.entry) =
+                let data = entry.data in
+                match data.(i) with
+                | Value.Int x -> if x = y then k entry data
+                | Value.Null -> ()
+                | x -> if Value.compare x v = 0 then k entry data
+              in
+              consume
+            | v, _ ->
+              let consume (entry : Gg_storage.Table.entry) =
+                let data = entry.data in
+                match data.(i) with
+                | Value.Null -> ()
+                | x -> if holds op (Value.compare x v) then k entry data
+              in
+              consume)
+      | None -> through (bind_pred env ~params e))
+    | Some (Between (lo, hi, q, c)) -> (
+      match inner q c with
+      | Some i -> (
+        fun k ->
+          if not (supplied params lo && supplied params hi) then
+            through (fun data -> slot_between params lo hi i data) k
+          else
+            match (operand_value params lo, operand_value params hi) with
+            | Value.Null, _ | _, Value.Null -> reject
+            | (Value.Int lo as l), (Value.Int hi as h) ->
+              let consume (entry : Gg_storage.Table.entry) =
+                let data = entry.data in
+                match data.(i) with
+                | Value.Int x -> if x >= lo && x <= hi then k entry data
+                | Value.Null -> ()
+                | v -> if in_range v l h then k entry data
+              in
+              consume
+            | l, h ->
+              let consume (entry : Gg_storage.Table.entry) =
+                let data = entry.data in
+                match data.(i) with
+                | Value.Null -> ()
+                | v -> if in_range v l h then k entry data
+              in
+              consume)
+      | None -> through (bind_pred env ~params e))
+    | None -> through (bind_pred env ~params e))

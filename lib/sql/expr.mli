@@ -21,41 +21,64 @@ module Env : sig
       Raises {!Sql_error} on unknown or ambiguous columns. *)
 end
 
+type params = { mutable values : Gg_storage.Value.t array }
+(** The positional parameters a bound expression reads: [?i] is
+    [values.(i - 1)] as it stands when the expression is evaluated, not
+    when it is bound. A compiled statement sets them before each run. *)
+
 type t = Gg_storage.Value.t array -> Gg_storage.Value.t
 (** An expression bound to an environment: every column reference is
-    resolved to a (binding, column index) slot, every parameter to its
-    value. Applied to the scanned row, it reads the last binding's
-    columns from that row and every other binding's from its [row]
-    field, which the caller sets once per row of that outer side. An
-    expression bound to no binding ignores its argument. NULL
-    propagates through arithmetic and comparisons; AND/OR treat NULL
-    as false. Comparisons return [Int 1]/[Int 0]. Applying it raises
-    {!Sql_error} on type errors or out-of-range parameters. *)
+    resolved to a (binding, column index) slot. Applied to the scanned
+    row, it reads the last binding's columns from that row, every other
+    binding's from its [row] field, which the caller sets once per row
+    of that outer side, and each parameter from the {!params} it was
+    bound with. An expression bound to no binding ignores its argument.
+    NULL propagates through arithmetic and comparisons; AND/OR treat
+    NULL as false. Comparisons return [Int 1]/[Int 0]. Applying it
+    raises {!Sql_error} on type errors or parameters that were not
+    supplied. *)
 
-val bind : Env.t -> params:Gg_storage.Value.t array -> Ast.expr -> t
+val bind : Env.t -> params:params -> Ast.expr -> t
 (** Bind an expression once per statement. Raises {!Sql_error} on an
     unknown or ambiguous column; a parameter that was not supplied fails
     only when evaluated. *)
 
 val bind_pred :
-  Env.t ->
-  params:Gg_storage.Value.t array ->
-  Ast.expr ->
-  (Gg_storage.Value.t array -> bool)
+  Env.t -> params:params -> Ast.expr -> (Gg_storage.Value.t array -> bool)
 (** The boolean-context twin of {!bind}, for WHERE and ON clauses:
     [bind_pred env ~params e row] returns what
     [is_truthy (bind env ~params e row)] would, and raises the
     same {!Sql_error} in the same cases (at bind time for an unknown or
     ambiguous column, when evaluated for a missing parameter or a type
     error). AND, OR, NOT, the six comparisons and BETWEEN yield a
-    boolean directly; a column compared with a literal or a supplied
-    parameter reads its slot without an intermediate closure, and on
-    the scanned row an integer slot against an integer constant
-    compares inline. Comparisons evaluate the right operand first, as
-    {!bind} does. *)
+    boolean directly; a column compared with a literal or a parameter,
+    or between two of them, reads its slot and the operand without an
+    intermediate closure, and on the scanned row an integer slot
+    against integer operands compares inline. Comparisons evaluate the
+    right operand first, as {!bind} does. *)
 
-val eval_const : params:Gg_storage.Value.t array -> Ast.expr -> Gg_storage.Value.t
-(** Bind against no rows and evaluate: for expressions that must not
-    reference columns (INSERT values, access-path bounds). *)
+val entry_filter :
+  Env.t ->
+  params:params ->
+  Ast.expr option ->
+  (Gg_storage.Table.entry -> Gg_storage.Value.t array -> unit) ->
+  Gg_storage.Table.entry ->
+  unit
+(** A WHERE clause (none keeps every row) bound once, as a maker of
+    scan consumers: [entry_filter env ~params where k] is the consumer
+    that calls [k entry entry.data] when the clause holds of the
+    entry's data, with {!bind_pred}'s truth value and errors. Make the
+    consumer after the run's parameters are set: a clause that is one
+    comparison of a scanned column with a literal or a parameter, or
+    one BETWEEN of such a column and two of them, is tested inside the
+    consumer, specialised to the operand values it reads then, so a
+    row it rejects costs the scan one call (a missing parameter still
+    fails only when a row is tested). Any other clause goes through
+    {!bind_pred}'s closure. *)
+
+val inner_column : Env.t -> Ast.expr -> int option
+(** [Some i] when the expression is a column reference that resolves to
+    column [i] of the scanned (last) binding. Raises {!Sql_error} as
+    {!bind} does on an unknown or ambiguous column. *)
 
 val is_truthy : Gg_storage.Value.t -> bool

@@ -1,9 +1,16 @@
-type access =
-  | Point of Ast.expr array
-  | Prefix of Ast.expr array
-  | Range of { lo : Ast.expr option; hi : Ast.expr option }
-  | Sec_index of string * Ast.expr array
+type 'e access =
+  | Point of 'e array
+  | Prefix of 'e array
+  | Range of { lo : 'e option; hi : 'e option }
+  | Sec_index of string * 'e array
   | Full
+
+let map f = function
+  | Point es -> Point (Array.map f es)
+  | Prefix es -> Prefix (Array.map f es)
+  | Range { lo; hi } -> Range { lo = Option.map f lo; hi = Option.map f hi }
+  | Sec_index (name, es) -> Sec_index (name, Array.map f es)
+  | Full -> Full
 
 let rec conjuncts e acc =
   match e with

@@ -13,12 +13,12 @@
     {!Gg_storage.Value.compare}, the order of the table's ordered
     index. *)
 
-type access =
-  | Point of Ast.expr array
+type 'e access =
+  | Point of 'e array
       (** one constant/parameter expression per key column *)
-  | Prefix of Ast.expr array
+  | Prefix of 'e array
       (** expressions for a strict prefix of the key columns *)
-  | Range of { lo : Ast.expr option; hi : Ast.expr option }
+  | Range of { lo : 'e option; hi : 'e option }
       (** inclusive bounds on the leading key column ([None] =
           unbounded). Chosen when no point, prefix or index path applies
           and a top-level conjunct bounds the leading key column by a
@@ -26,13 +26,13 @@ type access =
           the column on either side. Strict, NULL and reversed bounds are
           left to the residual WHERE; the visited set is always a
           superset of the matches. *)
-  | Sec_index of string * Ast.expr array
+  | Sec_index of string * 'e array
       (** secondary-index probe: index name + one expression per indexed
           column *)
   | Full
 
 val access_path :
-  Gg_storage.Schema.t -> names:string list -> Ast.expr option -> access
+  Gg_storage.Schema.t -> names:string list -> Ast.expr option -> Ast.expr access
 (** [access_path schema ~names where] — [names] are the identifiers
     (alias/table name) that refer to the target table; qualified columns
     with other qualifiers are ignored. Only top-level conjuncts whose
@@ -40,8 +40,12 @@ val access_path :
     [Point]/[Prefix], the range forms above for [Range]. *)
 
 val access_path_table :
-  Gg_storage.Table.t -> names:string list -> Ast.expr option -> access
+  Gg_storage.Table.t -> names:string list -> Ast.expr option -> Ast.expr access
 (** Like {!access_path} but prefers a secondary index fully covered by
     equality conjuncts over [Range] and [Full]. *)
 
-val describe : access -> string
+val map : ('a -> 'b) -> 'a access -> 'b access
+(** The same path with [f] applied to each of its expressions: the
+    executor binds a statement's bounds once, when it compiles it. *)
+
+val describe : 'e access -> string

@@ -1,6 +1,18 @@
-type t = { tables : (string, Table.t) Hashtbl.t }
+type t = {
+  tables : (string, Table.t) Hashtbl.t;
+  mutable version : int;  (* grows with every change of the table set *)
+}
 
-let create () = { tables = Hashtbl.create 16 }
+let create () = { tables = Hashtbl.create 16; version = 0 }
+
+let index_total t =
+  Hashtbl.fold (fun _ table n -> n + Table.index_count table) t.tables 0
+
+(* No index is ever dropped, so over one table set the sum only grows.
+   A new table has no index and adds one to [version]; a replacement
+   first sets [version] above the old stamp, so the stamp grows
+   whatever indexes the new tables have. *)
+let catalog t = t.version + index_total t
 
 let add_table t schema =
   let name = schema.Schema.table_name in
@@ -8,6 +20,7 @@ let add_table t schema =
     invalid_arg (Printf.sprintf "Db.add_table: table %s exists" name);
   let table = Table.create schema in
   Hashtbl.replace t.tables name table;
+  t.version <- t.version + 1;
   table
 
 let create_table t ~name ~columns ~key =
@@ -54,6 +67,7 @@ let copy t =
   fresh
 
 let replace_contents t ~from =
+  t.version <- catalog t + 1;
   Hashtbl.reset t.tables;
   Hashtbl.iter
     (fun name table -> Hashtbl.replace t.tables name (Table.copy table))

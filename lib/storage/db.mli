@@ -18,6 +18,14 @@ val get_table_exn : t -> string -> Table.t
 val table_names : t -> string list
 (** Sorted. *)
 
+val catalog : t -> int
+(** A stamp of the table set and of every table's secondary indexes: it
+    grows whenever a table is added ({!create_table}, {!add_table}), the
+    tables are replaced ({!replace_contents}) or an index is created on
+    one of them ({!Table.create_index}), and nothing else changes it.
+    Compiled SQL plans bind tables and access paths, so a holder of
+    plans drops them when this moves. Costs a walk of the table set. *)
+
 val temp_clear_all : t -> unit
 (** Drop every table's temporary insert entries (end of epoch). *)
 

@@ -414,30 +414,34 @@ let rec compare_key_prefix key h i =
     let c = Value.compare (Array.unsafe_get key i) (Array.unsafe_get h i) in
     if c <> 0 then c else compare_key_prefix key h (i + 1)
 
-(* Live rows from the first key [>= from] (or the first key) in key
-   order while [continue key] holds: a binary-search seek, then a walk
-   along the array that allocates nothing per row. *)
-let iter_while t ?from ~continue f =
+(* Live rows from the first key [>= from] in key order while
+   [continue key] holds: a binary-search seek, then a walk along the
+   array that allocates nothing per row. [scan_range] walks the same
+   way with its bound inline, so it allocates no closure either. *)
+let iter_while t ~from ~continue f =
   let a = ordered t in
   let n = Array.length a in
-  let rec go i =
-    if i < n then begin
-      let e = Array.unsafe_get a i in
-      if continue e.key then begin
-        f e;
-        go (i + 1)
-      end
-    end
-  in
-  go (match from with None -> 0 | Some from -> lower_bound a from)
+  let i = ref (lower_bound a from) in
+  while !i < n && continue (Array.unsafe_get a !i).key do
+    f (Array.unsafe_get a !i);
+    incr i
+  done
 
 let scan_range t ?lo ?hi f =
-  let continue =
-    match hi with
-    | None -> fun _ -> true
-    | Some h -> fun key -> compare_key_prefix key h 0 <= 0
-  in
-  iter_while t ?from:lo ~continue f
+  let a = ordered t in
+  let n = Array.length a in
+  let i = ref (match lo with None -> 0 | Some lo -> lower_bound a lo) in
+  match hi with
+  | None ->
+    while !i < n do
+      f (Array.unsafe_get a !i);
+      incr i
+    done
+  | Some h ->
+    while !i < n && compare_key_prefix (Array.unsafe_get a !i).key h 0 <= 0 do
+      f (Array.unsafe_get a !i);
+      incr i
+    done
 
 (* Does [key] start with [prefix], from column [i] on? *)
 let rec has_prefix prefix key i =
@@ -469,6 +473,8 @@ let create_index t ~name ~cols =
   let idx = { idx_cols; idx_map = Key_map.empty } in
   scan t ~f:(idx_add idx);
   Hashtbl.replace t.indexes name idx
+
+let index_count t = Hashtbl.length t.indexes
 
 let index_names t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.indexes []

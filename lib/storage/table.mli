@@ -156,6 +156,11 @@ val create_index : t -> name:string -> cols:string list -> unit
     duplicate name or unknown column. *)
 
 val index_names : t -> string list
+
+val index_count : t -> int
+(** How many secondary indexes the table has. No index is ever dropped,
+    so the count grows with every {!create_index}. *)
+
 val index_cols : t -> name:string -> int array option
 
 val index_lookup : t -> name:string -> key:Value.t array -> entry list

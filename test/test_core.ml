@@ -750,6 +750,70 @@ let test_stage_statement_cache_bound () =
   Alcotest.(check int) "started over at the cap" (300 - 256)
     (Execution.cached_statements x)
 
+(* Cached plans follow the catalog: a plan compiled before CREATE INDEX
+   is dropped, so the next run probes the new index, and a text cached
+   with "unknown table" runs once the table exists. *)
+let test_stage_plans_follow_catalog () =
+  let db = Gg_storage.Db.create () in
+  let acct =
+    Gg_storage.Db.create_table db ~name:"acct"
+      ~columns:
+        [
+          { Gg_storage.Schema.name = "id"; ty = Gg_storage.Schema.TInt };
+          { name = "region"; ty = TInt };
+        ]
+      ~key:[ "id" ]
+  in
+  for i = 0 to 5 do
+    Gg_storage.Table.load acct [| Value.Int i; Value.Int (i mod 2) |]
+  done;
+  let sim, x = stage ~db Params.RC in
+  let by_region = ("SELECT id FROM acct WHERE region = ?", [| Value.Int 1 |]) in
+  let ids stmts =
+    let txn = stage_txn (Txn.Sql_txn { label = "q"; stmts }) in
+    let verdict = ref None in
+    Execution.run x txn (fun v -> verdict := Some v);
+    Gg_sim.Sim.run sim;
+    match (!verdict, txn.Txn.sql_results) with
+    | Some Execution.Commit_point, results ->
+      List.concat_map
+        (fun (r : Gg_sql.Executor.result) ->
+          List.map
+            (function [| Value.Int i |] -> i | _ -> Alcotest.fail "one int column")
+            r.Gg_sql.Executor.rows)
+        results
+    | Some (Execution.Failed m), _ -> Alcotest.failf "failed: %s" m
+    | _ -> Alcotest.fail "no commit point"
+  in
+  let before = ids [ by_region ] in
+  Alcotest.(check (list int)) "full scan, key order" [ 1; 3; 5 ] before;
+  ignore (ids [ ("CREATE INDEX acct_by_region ON acct (region)", [||]) ]);
+  (match
+     Gg_sql.Plan.access_path_table acct ~names:[ "acct" ]
+       (Some Gg_sql.Ast.(Binop (Eq, Col (None, "region"), Param 0)))
+   with
+  | Gg_sql.Plan.Sec_index ("acct_by_region", _) -> ()
+  | a -> Alcotest.failf "a fresh plan takes %s" (Gg_sql.Plan.describe a));
+  let fresh =
+    match
+      Gg_sql.Executor.exec_sql (Gg_sql.Executor.Ctx.create db) (fst by_region)
+        ~params:(snd by_region)
+    with
+    | Ok r -> List.map (function [| Value.Int i |] -> i | _ -> -1) r.Gg_sql.Executor.rows
+    | Error m -> Alcotest.fail m
+  in
+  let after = ids [ by_region ] in
+  Alcotest.(check (list int)) "the cached text runs as a fresh compile" fresh after;
+  Alcotest.(check (list int)) "same rows" before (List.sort compare after);
+  Alcotest.(check bool) "in the index probe's order, not the scan's" true
+    (after <> before);
+  let later = "SELECT id FROM later" in
+  (match run_sql x sim [ later ] with
+  | Some (Execution.Failed m) -> Alcotest.(check string) "cached error" "unknown table later" m
+  | _ -> Alcotest.fail "a select of a missing table must fail");
+  ignore (ids [ ("CREATE TABLE later (id INT, PRIMARY KEY (id))", [||]) ]);
+  Alcotest.(check (list int)) "runs once the table exists" [] (ids [ (later, [||]) ])
+
 (* --- cluster set-up --- *)
 
 (* [Cluster.create] runs [load] once and gives the other replicas copies
@@ -2008,6 +2072,8 @@ let () =
             test_stage_cached_parse_error;
           Alcotest.test_case "statement cache is bounded" `Quick
             test_stage_statement_cache_bound;
+          Alcotest.test_case "cached plans follow the catalog" `Quick
+            test_stage_plans_follow_catalog;
         ] );
       ( "cluster",
         [

@@ -1178,6 +1178,49 @@ let prop_reads_off_same_effects =
       let off_results, off_writes, off_reads = run ~record_reads:false case in
       on_results = off_results && on_writes = off_writes && off_reads = [])
 
+(* A plan compiled once and run with two parameter vectors, each after
+   the same own writes, against a fresh [Executor.exec] with that
+   vector: the same result or error, read set (in order) and write-set
+   records. A plan that kept anything of its first run's parameters
+   would answer the second from them. *)
+let prop_cached_plan_matches_exec =
+  let gen =
+    QCheck.Gen.(
+      quad (list_size (int_range 0 3) gen_ast_stmt) gen_ast_stmt gen_params gen_params)
+  in
+  let print (own, stmt, p1, p2) =
+    let show_params p =
+      String.concat "," (Array.to_list (Array.map Value.to_string p))
+    in
+    Printf.sprintf "own writes: %s; statement: %s; params [%s] then [%s]"
+      (String.concat "; " (List.map show_stmt own))
+      (show_stmt stmt) (show_params p1) (show_params p2)
+  in
+  QCheck.Test.make ~name:"cached plan = fresh compile" ~count:1000
+    (QCheck.make ~print gen) (fun (own, stmt, p1, p2) ->
+      let db = fixture () in
+      let plan = Executor.compile db stmt in
+      let outcome exec params =
+        let ctx = Executor.Ctx.create ~record_reads:true ~track_cols:true db in
+        List.iter (fun s -> ignore (Executor.exec ctx s ~params:p1)) own;
+        let r =
+          Result.map (fun r -> Executor.(r.columns, r.rows, r.affected)) (exec ctx params)
+        in
+        let writes =
+          List.map
+            (fun r -> Gg_crdt.Writeset.(r.table, key_str r, r.op, r.data, r.cols))
+            (Executor.Ctx.writeset_records ctx)
+        in
+        (r, Executor.Ctx.read_set ctx, writes)
+      in
+      let cached ctx params =
+        Result.bind plan (fun plan -> Executor.run ctx plan ~params)
+      in
+      let fresh ctx params = Executor.exec ctx stmt ~params in
+      List.for_all
+        (fun params -> outcome cached params = outcome fresh params)
+        [ p1; p2 ])
+
 (* --- Boolean predicates ---
 
    [Expr.bind_pred] against the value path it stands in for,
@@ -1249,11 +1292,14 @@ let prop_bind_pred_matches_bind =
             })
           refs
       in
-      (* Bind both before any row is set, as the executor does; then
-         evaluate each on two successive row sets, the outer rows set in
-         their bindings and the last row passed as the argument. *)
-      let bound = outcome (fun () -> Expr.bind env ~params e) in
-      let pred = outcome (fun () -> Expr.bind_pred env ~params e) in
+      (* Bind both before any row or parameter is set, as a compiled
+         statement is; then evaluate each on two successive row sets,
+         the outer rows set in their bindings, the last row passed as
+         the argument and the parameters in the slot. *)
+      let slot = { Expr.values = [||] } in
+      let bound = outcome (fun () -> Expr.bind env ~params:slot e) in
+      let pred = outcome (fun () -> Expr.bind_pred env ~params:slot e) in
+      slot.values <- params;
       let eval rows =
         let rec set_outer bs rs =
           match (bs, rs) with
@@ -1266,6 +1312,60 @@ let prop_bind_pred_matches_bind =
         let last = set_outer env rows in
         ( Result.map (fun b -> outcome (fun () -> Expr.is_truthy (b last))) bound,
           Result.map (fun p -> outcome (fun () -> p last)) pred )
+      in
+      List.for_all
+        (fun rows ->
+          let expected, got = eval rows in
+          expected = got)
+        [ rows1; rows2 ])
+
+(* [Expr.entry_filter]'s scan consumer against [Expr.bind_pred] on the
+   same cases: it hands an entry on exactly when the predicate holds of
+   the entry's data, and raises the same [Sql_error] at the same stage.
+   The consumer is made after the parameters are set, as a run makes
+   it; a single comparison or BETWEEN of a scanned column is tested
+   inside it. *)
+let prop_entry_filter_matches_bind_pred =
+  let outcome f = match f () with b -> Ok b | exception Expr.Sql_error m -> Error m in
+  QCheck.Test.make ~name:"entry_filter = bind_pred" ~count:3000
+    (QCheck.make gen_pred_case) (fun (refs, e, (rows1, rows2), params) ->
+      let env =
+        List.map
+          (fun (tr : Ast.table_ref) ->
+            {
+              Expr.Env.binding_name = Option.value tr.alias ~default:tr.table;
+              schema = Table.schema (Db.get_table_exn pred_db tr.table);
+              row = [||];
+            })
+          refs
+      in
+      let slot = { Expr.values = [||] } in
+      let pred = outcome (fun () -> Expr.bind_pred env ~params:slot e) in
+      let filter = outcome (fun () -> Expr.entry_filter env ~params:slot (Some e)) in
+      slot.values <- params;
+      let kept = ref false in
+      let consumer = Result.map (fun f -> f (fun _ _ -> kept := true)) filter in
+      let eval rows =
+        let rec set_outer bs rs =
+          match (bs, rs) with
+          | [ _ ], [ last ] -> last
+          | b :: bs, r :: rs ->
+            b.Expr.Env.row <- r;
+            set_outer bs rs
+          | _ -> invalid_arg "one row per binding"
+        in
+        let last = set_outer env rows in
+        let entry =
+          { Table.key = [||]; key_str = ""; data = last; header = Row_header.create () }
+        in
+        ( Result.map (fun p -> outcome (fun () -> p last)) pred,
+          Result.map
+            (fun consume ->
+              outcome (fun () ->
+                  kept := false;
+                  consume entry;
+                  !kept))
+            consumer )
       in
       List.for_all
         (fun rows ->
@@ -1322,6 +1422,32 @@ let test_alloc_range () =
   if (words -. empty) /. 200. > 10. then
     Alcotest.failf "%.0f words for 200 rows, %.0f for none: %.2f per row" words empty
       ((words -. empty) /. 200.)
+
+(* The same two statements compiled once, as a node caches them: a run
+   that matches no row allocates only its result and a few closures. *)
+let test_alloc_cached_miss () =
+  List.iter
+    (fun (sql, params) ->
+      let plan = Result.get_ok (Executor.compile (Lazy.force alloc_db) (Parser.parse sql)) in
+      let run () =
+        let ctx = Executor.Ctx.create (Lazy.force alloc_db) in
+        let before = Gc.minor_words () in
+        let r = Executor.run ctx plan ~params in
+        let words = Gc.minor_words () -. before in
+        match r with
+        | Ok r -> (words, r.Executor.rows)
+        | Error m -> Alcotest.failf "unexpected SQL error on %S: %s" sql m
+      in
+      ignore (run ());
+      let words, rows = run () in
+      (match rows with
+      | [] | [ [| Value.Int 0; Value.Null |] ] -> ()
+      | _ -> Alcotest.failf "%S matched a row" sql);
+      if words > 60. then Alcotest.failf "%S: %.0f words with no match" sql words)
+    [
+      ("SELECT COUNT(*), SUM(amount) FROM events WHERE region = ?", [| v_int 99 |]);
+      ("SELECT ev_id, amount FROM events WHERE ev_id BETWEEN ? AND ?", [| v_int 5_000; v_int 5_199 |]);
+    ]
 
 let () =
   Alcotest.run "gg_sql"
@@ -1395,12 +1521,18 @@ let () =
           QCheck_alcotest.to_alcotest prop_ast_fuzz_read_set_distinct;
           QCheck_alcotest.to_alcotest prop_reads_off_same_effects;
         ] );
-      ("preds", [ QCheck_alcotest.to_alcotest prop_bind_pred_matches_bind ]);
+      ("plans", [ QCheck_alcotest.to_alcotest prop_cached_plan_matches_exec ]);
+      ( "preds",
+        [
+          QCheck_alcotest.to_alcotest prop_bind_pred_matches_bind;
+          QCheck_alcotest.to_alcotest prop_entry_filter_matches_bind_pred;
+        ] );
       ( "alloc",
         [
           Alcotest.test_case "aggregate allocates nothing per match" `Quick
             test_alloc_aggregate;
           Alcotest.test_case "range allocates the result only" `Quick test_alloc_range;
+          Alcotest.test_case "cached plan matching no row" `Quick test_alloc_cached_miss;
         ] );
       ( "writes",
         [
