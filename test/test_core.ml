@@ -646,8 +646,8 @@ let test_stage_failed () =
   | _, _, Some (Execution.Failed _) -> ()
   | _ -> Alcotest.fail "an Add on a missing row fails execution"
 
-(* The stage parses each SQL text once and runs later statements from
-   the kept AST. Every generated statement of Sqlgen.Scan and
+(* The stage compiles each SQL text once and runs later statements from
+   the kept plan. Every generated statement of Sqlgen.Scan and
    Sqlgen.Secidx must give, through one stage, the results, writes and
    (at SI) reads that [Executor.exec_sql] gives on the same database. *)
 let test_stage_statement_cache () =
@@ -698,7 +698,7 @@ let test_stage_statement_cache () =
         Alcotest.(check bool) (name ^ ": reads of " ^ label) true
           (txn.Txn.read_set = Gg_sql.Executor.Ctx.read_set ctx)
       done;
-      Alcotest.(check int) (name ^ ": one parse per distinct text") 6
+      Alcotest.(check int) (name ^ ": one plan per distinct text") 6
         (Execution.cached_statements x))
     Params.[ RC; SI ]
 
