@@ -135,9 +135,8 @@ let bench_sql_parse =
 (* SQL execution on the sql-scan benchmark's table (Sqlgen.Scan at 2k
    rows), with the generator's two read statements: a primary-key range
    that matches 200 rows and an aggregate whose filter no access path
-   can use. Compiled once, as a node caches a text's plan; a fresh
-   context per run, with no read set, as the benchmark's RC workloads
-   run it. *)
+   can use. Parsed once; a fresh context per run, with no read set, as
+   the benchmark's RC workloads run it. *)
 let scan_db =
   lazy
     (let db = Gg_storage.Db.create () in
@@ -145,14 +144,10 @@ let scan_db =
      db)
 
 let bench_sql_exec name sql params =
-  let plan =
-    lazy
-      (Result.get_ok
-         (Gg_sql.Executor.compile (Lazy.force scan_db) (Gg_sql.Parser.parse sql)))
-  in
+  let stmt = Gg_sql.Parser.parse sql in
   bench name (fun () ->
       let ctx = Gg_sql.Executor.Ctx.create (Lazy.force scan_db) in
-      ignore (Gg_sql.Executor.run ctx (Lazy.force plan) ~params))
+      ignore (Gg_sql.Executor.exec ctx stmt ~params))
 
 let bench_sql_range =
   bench_sql_exec "sql range select (200 of 2k rows)"

@@ -410,7 +410,7 @@ let has_agg projs =
 type bound_proj =
   | B_star
   | B_expr of Expr.t
-  | B_agg of Ast.agg_fn * Ast.expr option * Expr.t option
+  | B_agg of Ast.agg_fn * Expr.t option
 
 type sort_key = (Value.t * Ast.order_dir) list
 
@@ -434,9 +434,8 @@ let count_star = Value.Int 1
 (* An aggregate's per-row step ([None] when the row count alone gives
    it) and its result, on the slots it owns: the step for [fn] is
    chosen here, once. [arg] is the bound argument ([None]: every row
-   counts as [count_star]); [col] is set when the argument reads a
-   column of the scanned row directly. *)
-let compile_agg fn arg ~col ~ints ~floats ~vals =
+   counts as [count_star]). *)
+let compile_agg fn arg ~ints ~floats ~vals =
   let take r n =
     let s = !r in
     r := s + n;
@@ -467,18 +466,7 @@ let compile_agg fn arg ~col ~ints ~floats ~vals =
         g.ints.(k + 2) <- 1
       | v -> raise (Sql_error (Printf.sprintf "SUM/AVG of %s" (Value.type_name v)))
     in
-    let step =
-      match col with
-      | Some i -> (
-        fun g row ->
-          match row.(i) with
-          | Value.Int n ->
-            g.ints.(k) <- g.ints.(k) + 1;
-            g.floats.(f) <- g.floats.(f) +. float_of_int n;
-            g.ints.(k + 1) <- g.ints.(k + 1) + n
-          | v -> add g v)
-      | None -> fun g row -> add g (value row)
-    in
+    let step g row = add g (value row) in
     let result =
       if fn = Ast.Sum then fun g ->
         if g.ints.(k) = 0 then Value.Null
@@ -558,7 +546,7 @@ let compile_select db (s : Ast.select) ~params =
       (function
         | Ast.Star -> B_star
         | Ast.Expr_proj (e, _) -> B_expr (bind e)
-        | Ast.Agg (fn, arg, _) -> B_agg (fn, arg, Option.map bind arg))
+        | Ast.Agg (fn, arg, _) -> B_agg (fn, Option.map bind arg))
       s.projs
   in
   let order_by = List.map (fun (e, dir) -> (bind e, dir)) s.order_by in
@@ -604,9 +592,8 @@ let compile_select db (s : Ast.select) ~params =
       let results =
         Array.map
           (function
-            | B_agg (fn, arg, bound) ->
-              let col = Option.bind arg (Expr.inner_column env) in
-              let step, result = compile_agg fn bound ~col ~ints ~floats ~vals in
+            | B_agg (fn, bound) ->
+              let step, result = compile_agg fn bound ~ints ~floats ~vals in
               Option.iter (fun step -> steps := step :: !steps) step;
               result
             | B_expr e ->
@@ -708,15 +695,7 @@ let compile_select db (s : Ast.select) ~params =
       in
       (* A result row from the scanned row. A plain list of two
          expressions fills an array literal, evaluated left to right as
-         [Array.map] would; two columns of the scanned row are read
-         straight from their slots. *)
-      let slots =
-        List.map
-          (function
-            | Ast.Expr_proj (e, _) -> Expr.inner_column env e
-            | Ast.Star | Ast.Agg _ -> None)
-          s.projs
-      in
+         [Array.map] would. *)
       let project : Value.t array -> Value.t array =
         if List.exists (function B_star -> true | B_expr _ | B_agg _ -> false) projs
         then fun row ->
@@ -728,14 +707,13 @@ let compile_select db (s : Ast.select) ~params =
             projs
           |> Array.concat
         else
-          match (Array.map proj_expr projs_a, slots) with
-          | _, [ Some i; Some j ] -> fun row -> [| row.(i); row.(j) |]
-          | [| a; b |], _ ->
+          match Array.map proj_expr projs_a with
+          | [| a; b |] ->
             fun row ->
               let va = a row in
               let vb = b row in
               [| va; vb |]
-          | es, _ ->
+          | es ->
             fun row ->
               let r = Array.make (Array.length es) Value.Null in
               for i = 0 to Array.length es - 1 do
@@ -774,7 +752,6 @@ let compile_select db (s : Ast.select) ~params =
     | None ->
       (* One consumer per visited row: filter, record the read when the
          context records reads, then feed the matches. *)
-      let consumer = Expr.entry_filter env ~params s.where in
       fun ctx m ->
         let record = Ctx.distinct_recorder ctx in
         let recording = ctx.Ctx.record_reads in
@@ -784,7 +761,9 @@ let compile_select db (s : Ast.select) ~params =
         in
         let updated entry data = if filter data then matched entry data in
         let own w = if filter w.w_data then feed m w.w_data in
-        visible_rows ctx from_tbl access ~stored:(consumer matched) ~updated ~own
+        visible_rows ctx from_tbl access
+          ~stored:(fun entry -> updated entry entry.Table.data)
+          ~updated ~own
     | Some (jtbl, on) ->
       (* Nested loop with the outer row bound once per outer row; the
          inner side is a full scan. An outer row is met once per inner

@@ -205,12 +205,6 @@ let bind env ~params e =
   in
   go e
 
-let inner_column env = function
-  | Ast.Col (q, c) ->
-    let b, i = Env.resolve env q c in
-    if is_inner env b then Some i else None
-  | _ -> None
-
 (* An operand read without a closure: a literal, or a parameter looked
    up when the predicate is evaluated. *)
 type operand = Lit of Value.t | Arg of int
@@ -250,27 +244,6 @@ let[@inline] slot_between params lo hi i (row : Value.t array) =
   | Value.Null, _ | _, Value.Null -> false
   | _ -> ( match row.(i) with Value.Null -> false | v -> in_range v l h)
 
-(* [v op col] is [col op' v]. *)
-let flip = function Ast.Lt -> Ast.Gt | Le -> Ge | Gt -> Lt | Ge -> Le | op -> op
-
-(* The comparisons a closure tests without calling another: a column
-   against an operand, or a column between two. *)
-type slot_test =
-  | Cmp of Ast.binop * operand * string option * string
-  | Between of operand * operand * string option * string
-
-let slot_test = function
-  | Ast.Binop (((Eq | Ne | Lt | Le | Gt | Ge) as op), a, b) -> (
-    match (a, operand a, b, operand b) with
-    | Ast.Col (q, c), _, _, Some k -> Some (Cmp (op, k, q, c))
-    | _, Some k, Ast.Col (q, c), _ -> Some (Cmp (flip op, k, q, c))
-    | _ -> None)
-  | Ast.Between (Ast.Col (q, c), lo, hi) -> (
-    match (operand lo, operand hi) with
-    | Some l, Some h -> Some (Between (l, h, q, c))
-    | _ -> None)
-  | _ -> None
-
 (* The boolean-context twin of [bind]: the closure returns what
    [is_truthy (bind env ~params e row)] would, and raises what it
    would, without boxing a truth value per node. Columns resolve in
@@ -300,6 +273,21 @@ let bind_pred env ~params e =
       | Value.Null, _, _ | _, Value.Null, _ | _, _, Value.Null -> false
       | _ -> in_range v l h
   in
+  (* A column against operands reads its slot directly: on the scanned
+     row, the argument; on an outer binding, that binding's current
+     row. *)
+  let col_holds q c op k =
+    let b, i = Env.resolve env q c in
+    if is_inner env b then fun row -> slot_holds params op k i row
+    else fun _ -> slot_holds params op k i b.Env.row
+  in
+  let col_between q c lo hi =
+    let b, i = Env.resolve env q c in
+    if is_inner env b then fun row -> slot_between params lo hi i row
+    else fun _ -> slot_between params lo hi i b.Env.row
+  in
+  (* [v op col] is [col op' v]. *)
+  let flip = function Lt -> Gt | Le -> Ge | Gt -> Lt | Ge -> Le | op -> op in
   let rec go e : Value.t array -> bool =
     match e with
     | Unop (Not, e) ->
@@ -313,111 +301,18 @@ let bind_pred env ~params e =
       let a = go a in
       let b = go b in
       fun row -> a row || b row
-    | _ -> (
-      (* A slot test on the scanned row reads the argument; on an outer
-         binding, that binding's current row. *)
-      match slot_test e with
-      | Some (Cmp (op, k, q, c)) ->
-        let b, i = Env.resolve env q c in
-        if is_inner env b then fun row -> slot_holds params op k i row
-        else fun _ -> slot_holds params op k i b.Env.row
-      | Some (Between (lo, hi, q, c)) ->
-        let b, i = Env.resolve env q c in
-        if is_inner env b then fun row -> slot_between params lo hi i row
-        else fun _ -> slot_between params lo hi i b.Env.row
-      | None -> (
-        match e with
-        | Binop (((Eq | Ne | Lt | Le | Gt | Ge) as op), a, b) -> compare_bound op a b
-        | Between (e, lo, hi) -> between_bound e lo hi
-        | _ ->
-          let e = bind env ~params e in
-          fun row -> is_truthy (e row)))
+    | Binop (((Eq | Ne | Lt | Le | Gt | Ge) as op), a, b) -> (
+      match (a, operand a, b, operand b) with
+      | Col (q, c), _, _, Some k -> col_holds q c op k
+      | _, Some k, Col (q, c), _ -> col_holds q c (flip op) k
+      | _ -> compare_bound op a b)
+    | Between ((Col (q, c) as col), lo, hi) -> (
+      match (operand lo, operand hi) with
+      | Some l, Some h -> col_between q c l h
+      | _ -> between_bound col lo hi)
+    | Between (e, lo, hi) -> between_bound e lo hi
+    | _ ->
+      let e = bind env ~params e in
+      fun row -> is_truthy (e row)
   in
   go e
-
-(* Can the operand be read without failing? *)
-let supplied params = function
-  | Lit _ -> true
-  | Arg i -> i >= 0 && i < Array.length params.values
-
-(* Each consumer is a closure of its own, made once per run by a
-   one-argument function, so a scan calls it directly. A slot test's
-   operands are read when the consumer is made, and the test is inlined
-   into it, specialised to what they hold: a row it rejects costs the
-   scan that one call. A missing parameter keeps the test that reads it
-   per row, so it fails only when a row is visited. *)
-let entry_filter env ~params where =
-  let through test k =
-    let consume (entry : Gg_storage.Table.entry) =
-      let data = entry.data in
-      if test data then k entry data
-    in
-    consume
-  in
-  let reject _ = () in
-  match where with
-  | None ->
-    fun k ->
-      let consume (entry : Gg_storage.Table.entry) = k entry entry.data in
-      consume
-  | Some e -> (
-    let inner q c =
-      let b, i = Env.resolve env q c in
-      if is_inner env b then Some i else None
-    in
-    match slot_test e with
-    | Some (Cmp (op, kv, q, c)) -> (
-      match inner q c with
-      | Some i -> (
-        fun k ->
-          if not (supplied params kv) then
-            through (fun data -> slot_holds params op kv i data) k
-          else
-            match (operand_value params kv, op) with
-            | Value.Null, _ -> reject
-            | (Value.Int y as v), Ast.Eq ->
-              let consume (entry : Gg_storage.Table.entry) =
-                let data = entry.data in
-                match data.(i) with
-                | Value.Int x -> if x = y then k entry data
-                | Value.Null -> ()
-                | x -> if Value.compare x v = 0 then k entry data
-              in
-              consume
-            | v, _ ->
-              let consume (entry : Gg_storage.Table.entry) =
-                let data = entry.data in
-                match data.(i) with
-                | Value.Null -> ()
-                | x -> if holds op (Value.compare x v) then k entry data
-              in
-              consume)
-      | None -> through (bind_pred env ~params e))
-    | Some (Between (lo, hi, q, c)) -> (
-      match inner q c with
-      | Some i -> (
-        fun k ->
-          if not (supplied params lo && supplied params hi) then
-            through (fun data -> slot_between params lo hi i data) k
-          else
-            match (operand_value params lo, operand_value params hi) with
-            | Value.Null, _ | _, Value.Null -> reject
-            | (Value.Int lo as l), (Value.Int hi as h) ->
-              let consume (entry : Gg_storage.Table.entry) =
-                let data = entry.data in
-                match data.(i) with
-                | Value.Int x -> if x >= lo && x <= hi then k entry data
-                | Value.Null -> ()
-                | v -> if in_range v l h then k entry data
-              in
-              consume
-            | l, h ->
-              let consume (entry : Gg_storage.Table.entry) =
-                let data = entry.data in
-                match data.(i) with
-                | Value.Null -> ()
-                | v -> if in_range v l h then k entry data
-              in
-              consume)
-      | None -> through (bind_pred env ~params e))
-    | None -> through (bind_pred env ~params e))

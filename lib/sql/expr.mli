@@ -57,28 +57,4 @@ val bind_pred :
     against integer operands compares inline. Comparisons evaluate the
     right operand first, as {!bind} does. *)
 
-val entry_filter :
-  Env.t ->
-  params:params ->
-  Ast.expr option ->
-  (Gg_storage.Table.entry -> Gg_storage.Value.t array -> unit) ->
-  Gg_storage.Table.entry ->
-  unit
-(** A WHERE clause (none keeps every row) bound once, as a maker of
-    scan consumers: [entry_filter env ~params where k] is the consumer
-    that calls [k entry entry.data] when the clause holds of the
-    entry's data, with {!bind_pred}'s truth value and errors. Make the
-    consumer after the run's parameters are set: a clause that is one
-    comparison of a scanned column with a literal or a parameter, or
-    one BETWEEN of such a column and two of them, is tested inside the
-    consumer, specialised to the operand values it reads then, so a
-    row it rejects costs the scan one call (a missing parameter still
-    fails only when a row is tested). Any other clause goes through
-    {!bind_pred}'s closure. *)
-
-val inner_column : Env.t -> Ast.expr -> int option
-(** [Some i] when the expression is a column reference that resolves to
-    column [i] of the scanned (last) binding. Raises {!Sql_error} as
-    {!bind} does on an unknown or ambiguous column. *)
-
 val is_truthy : Gg_storage.Value.t -> bool

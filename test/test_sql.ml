@@ -1319,60 +1319,6 @@ let prop_bind_pred_matches_bind =
           expected = got)
         [ rows1; rows2 ])
 
-(* [Expr.entry_filter]'s scan consumer against [Expr.bind_pred] on the
-   same cases: it hands an entry on exactly when the predicate holds of
-   the entry's data, and raises the same [Sql_error] at the same stage.
-   The consumer is made after the parameters are set, as a run makes
-   it; a single comparison or BETWEEN of a scanned column is tested
-   inside it. *)
-let prop_entry_filter_matches_bind_pred =
-  let outcome f = match f () with b -> Ok b | exception Expr.Sql_error m -> Error m in
-  QCheck.Test.make ~name:"entry_filter = bind_pred" ~count:3000
-    (QCheck.make gen_pred_case) (fun (refs, e, (rows1, rows2), params) ->
-      let env =
-        List.map
-          (fun (tr : Ast.table_ref) ->
-            {
-              Expr.Env.binding_name = Option.value tr.alias ~default:tr.table;
-              schema = Table.schema (Db.get_table_exn pred_db tr.table);
-              row = [||];
-            })
-          refs
-      in
-      let slot = { Expr.values = [||] } in
-      let pred = outcome (fun () -> Expr.bind_pred env ~params:slot e) in
-      let filter = outcome (fun () -> Expr.entry_filter env ~params:slot (Some e)) in
-      slot.values <- params;
-      let kept = ref false in
-      let consumer = Result.map (fun f -> f (fun _ _ -> kept := true)) filter in
-      let eval rows =
-        let rec set_outer bs rs =
-          match (bs, rs) with
-          | [ _ ], [ last ] -> last
-          | b :: bs, r :: rs ->
-            b.Expr.Env.row <- r;
-            set_outer bs rs
-          | _ -> invalid_arg "one row per binding"
-        in
-        let last = set_outer env rows in
-        let entry =
-          { Table.key = [||]; key_str = ""; data = last; header = Row_header.create () }
-        in
-        ( Result.map (fun p -> outcome (fun () -> p last)) pred,
-          Result.map
-            (fun consume ->
-              outcome (fun () ->
-                  kept := false;
-                  consume entry;
-                  !kept))
-            consumer )
-      in
-      List.for_all
-        (fun rows ->
-          let expected, got = eval rows in
-          expected = got)
-        [ rows1; rows2 ])
-
 (* --- Allocation ---
 
    The sql-scan workload's two read statements on its 2k-row table
@@ -1522,11 +1468,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_reads_off_same_effects;
         ] );
       ("plans", [ QCheck_alcotest.to_alcotest prop_cached_plan_matches_exec ]);
-      ( "preds",
-        [
-          QCheck_alcotest.to_alcotest prop_bind_pred_matches_bind;
-          QCheck_alcotest.to_alcotest prop_entry_filter_matches_bind_pred;
-        ] );
+      ("preds", [ QCheck_alcotest.to_alcotest prop_bind_pred_matches_bind ]);
       ( "alloc",
         [
           Alcotest.test_case "aggregate allocates nothing per match" `Quick
