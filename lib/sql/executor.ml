@@ -273,8 +273,9 @@ let iter_own_writes ctx tname g =
       if String.equal t tname && (not w.w_dead) && w.w_op <> Writeset.Delete then g w)
     ctx.Ctx.writes
 
-let own_inserts ctx tname own pred =
-  iter_own_writes ctx tname (fun w -> if (not w.w_existed) && pred w then own w)
+let own_inserts ctx tname ~keep own pred =
+  iter_own_writes ctx tname (fun w ->
+      if (not w.w_existed) && pred w && keep w.w_data then own w)
 
 let any_write _ = true
 
@@ -288,28 +289,30 @@ let key_values schema exprs =
 
 let range_bound = function None -> None | Some e -> Some [| eval_const e |]
 
-(* Hand the visible rows of [tbl] under [access] to their consumers,
-   applying the read-your-writes overlay: [stored entry] for a committed
-   row whose stored data is visible, [updated entry data] for a
-   committed row under this txn's update, [own w] for a row this txn
-   inserted. Each consumer applies the statement's filter itself. With
-   no buffered write on the table the scan hands its entries straight
-   to [stored]. Nothing is allocated per visited row: a consumer that
-   keeps a row past the call builds its own [vrow]. *)
-let visible_rows ctx tbl (access : Expr.t Plan.access) ~stored ~updated ~own =
+(* A committed row as this txn sees it, to [stored] or [updated] when
+   [keep] holds of its data; nothing when the txn deleted it. *)
+let visit_entry ctx ~tname ~written ~keep ~stored ~updated entry =
+  match if written then Ctx.find_write ctx ~table:tname ~key_str:entry.Table.key_str else None with
+  | Some w when not w.w_dead -> (
+    match w.w_op with
+    | Writeset.Delete -> ()
+    | Writeset.Insert | Writeset.Update -> if keep w.w_data then updated entry w.w_data)
+  | Some _ | None -> if keep entry.Table.data then stored entry
+
+(* Hand the visible rows of [tbl] under [access] that [keep] holds of
+   to their consumers, applying the read-your-writes overlay: [stored
+   entry] for a committed row whose stored data is visible, [updated
+   entry data] for a committed row under this txn's update, [own w] for
+   a row this txn inserted. [keep] is the statement's filter: it is
+   tested on the data the txn sees, before any consumer is called. With
+   no buffered write on the table a scan tests it inline and hands the
+   kept entries straight to [stored]. Nothing is allocated per visited
+   row: a consumer that keeps a row past the call builds its own
+   [vrow]. *)
+let visible_rows ctx tbl (access : Expr.t Plan.access) ~keep ~stored ~updated ~own =
   let schema = Table.schema tbl in
   let tname = schema.Schema.table_name in
   let written = Ctx.wrote_table ctx tname in
-  let visit_entry =
-    if not written then stored
-    else fun entry ->
-      match Ctx.find_write ctx ~table:tname ~key_str:entry.Table.key_str with
-      | Some w when not w.w_dead -> (
-        match w.w_op with
-        | Writeset.Delete -> ()
-        | Writeset.Insert | Writeset.Update -> updated entry w.w_data)
-      | Some _ | None -> stored entry
-  in
   match access with
   | Plan.Point exprs -> (
     let key = key_values schema exprs in
@@ -317,16 +320,16 @@ let visible_rows ctx tbl (access : Expr.t Plan.access) ~stored ~updated ~own =
     (* The txn may have inserted this key itself. *)
     match if written then Ctx.find_write ctx ~table:tname ~key_str else None with
     | Some w when (not w.w_dead) && (not w.w_existed) && w.w_op <> Writeset.Delete ->
-      own w
+      if keep w.w_data then own w
     | Some _ | None -> (
       match Table.find_live tbl key_str with
-      | Some entry -> visit_entry entry
+      | Some entry -> visit_entry ctx ~tname ~written ~keep ~stored ~updated entry
       | None -> ()))
   | Plan.Prefix exprs ->
     let prefix = key_values schema exprs in
-    Table.scan_prefix tbl ~prefix visit_entry;
+    Table.scan_prefix tbl ~prefix (visit_entry ctx ~tname ~written ~keep ~stored ~updated);
     if written then
-      own_inserts ctx tname own (fun w ->
+      own_inserts ctx tname ~keep own (fun w ->
           Array.length w.w_key >= Array.length prefix
           &&
           let rec go i =
@@ -335,11 +338,16 @@ let visible_rows ctx tbl (access : Expr.t Plan.access) ~stored ~updated ~own =
           in
           go 0)
   | Plan.Range { lo; hi } ->
-    Table.scan_range tbl ?lo:(range_bound lo) ?hi:(range_bound hi) visit_entry;
-    if written then own_inserts ctx tname own any_write
+    let lo = range_bound lo and hi = range_bound hi in
+    if written then
+      Table.scan_range tbl ?lo ?hi (visit_entry ctx ~tname ~written ~keep ~stored ~updated)
+    else Table.scan_range ~keep tbl ?lo ?hi stored;
+    if written then own_inserts ctx tname ~keep own any_write
   | Plan.Sec_index (iname, exprs) -> (
     let probe = Array.map eval_const exprs in
-    List.iter visit_entry (Table.index_lookup tbl ~name:iname ~key:probe);
+    List.iter
+      (visit_entry ctx ~tname ~written ~keep ~stored ~updated)
+      (Table.index_lookup tbl ~name:iname ~key:probe);
     match Table.index_cols tbl ~name:iname with
     | None -> ()
     | Some cols ->
@@ -357,19 +365,24 @@ let visible_rows ctx tbl (access : Expr.t Plan.access) ~stored ~updated ~own =
       if written then
         iter_own_writes ctx tname (fun w ->
             if indexed w.w_data then
-              if not w.w_existed then own w
+              if not w.w_existed then (if keep w.w_data then own w)
               else
                 match Table.find_live tbl w.w_key_str with
                 | Some entry when not (indexed entry.Table.data) ->
-                  updated entry w.w_data
+                  if keep w.w_data then updated entry w.w_data
                 | Some _ | None -> ()))
   | Plan.Full ->
-    Table.scan tbl ~f:visit_entry;
-    if written then own_inserts ctx tname own any_write
+    if written then
+      Table.scan tbl ~f:(visit_entry ctx ~tname ~written ~keep ~stored ~updated)
+    else Table.scan ~keep tbl ~f:stored;
+    if written then own_inserts ctx tname ~keep own any_write
 
-(* A WHERE clause as a row filter; no clause keeps every row. *)
+let keep_all _ = true
+
+(* A WHERE clause as a row filter, made per execution; no clause keeps
+   every row. *)
 let where_pred env ~params = function
-  | None -> fun _ -> true
+  | None -> fun () -> keep_all
   | Some w -> Expr.bind_pred env ~params w
 
 let record_entry_read record ~table entry =
@@ -750,46 +763,47 @@ let compile_select db (s : Ast.select) ~params =
   let scan =
     match join with
     | None ->
-      (* One consumer per visited row: filter, record the read when the
-         context records reads, then feed the matches. *)
+      (* The scan tests this run's filter; a kept row is recorded when
+         the context records reads, then fed to the matches. *)
       fun ctx m ->
-        let record = Ctx.distinct_recorder ctx in
-        let recording = ctx.Ctx.record_reads in
-        let matched entry data =
-          if recording then record_entry_read record ~table entry;
-          feed m data
+        let filter = filter () in
+        let matched =
+          if ctx.Ctx.record_reads then begin
+            let record = Ctx.distinct_recorder ctx in
+            fun entry data ->
+              record_entry_read record ~table entry;
+              feed m data
+          end
+          else fun _ data -> feed m data
         in
-        let updated entry data = if filter data then matched entry data in
-        let own w = if filter w.w_data then feed m w.w_data in
-        visible_rows ctx from_tbl access
-          ~stored:(fun entry -> updated entry entry.Table.data)
-          ~updated ~own
+        visible_rows ctx from_tbl access ~keep:filter
+          ~stored:(fun entry -> matched entry entry.Table.data)
+          ~updated:matched
+          ~own:(fun w -> feed m w.w_data)
     | Some (jtbl, on) ->
       (* Nested loop with the outer row bound once per outer row; the
          inner side is a full scan. An outer row is met once per inner
          match, so reads probe. *)
       let jtable = (Table.schema jtbl).Schema.table_name in
       fun ctx m ->
+        let on = on () and filter = filter () in
+        let keep jdata = on jdata && filter jdata in
         let record = Ctx.recorder ctx in
         let outer v =
           from_binding.Env.row <- v.v_data;
           let updated entry jdata =
-            if on jdata && filter jdata then begin
-              record_vrow_read record ~table v;
-              record_entry_read record ~table:jtable entry;
-              feed m jdata
-            end
+            record_vrow_read record ~table v;
+            record_entry_read record ~table:jtable entry;
+            feed m jdata
           in
-          visible_rows ctx jtbl Plan.Full
+          visible_rows ctx jtbl Plan.Full ~keep
             ~stored:(fun entry -> updated entry entry.Table.data)
             ~updated
             ~own:(fun w ->
-              if on w.w_data && filter w.w_data then begin
-                record_vrow_read record ~table v;
-                feed m w.w_data
-              end)
+              record_vrow_read record ~table v;
+              feed m w.w_data)
         in
-        visible_rows ctx from_tbl access
+        visible_rows ctx from_tbl access ~keep:keep_all
           ~stored:(fun entry -> outer (committed_vrow entry entry.Table.data))
           ~updated:(fun entry data -> outer (committed_vrow entry data))
           ~own:(fun w -> outer (own_vrow w))
@@ -871,13 +885,11 @@ let compile_targets tbl ~table ~params where =
   let filter = where_pred [ binding ] ~params where in
   fun ctx ->
     let acc = ref [] in
-    let updated entry data =
-      if filter data then acc := committed_vrow entry data :: !acc
-    in
-    visible_rows ctx tbl access
+    let updated entry data = acc := committed_vrow entry data :: !acc in
+    visible_rows ctx tbl access ~keep:(filter ())
       ~stored:(fun entry -> updated entry entry.Table.data)
       ~updated
-      ~own:(fun w -> if filter w.w_data then acc := own_vrow w :: !acc);
+      ~own:(fun w -> acc := own_vrow w :: !acc);
     List.rev !acc
 
 (* A target row's write: [v] is backed by a committed row unless this

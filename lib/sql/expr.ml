@@ -111,8 +111,7 @@ type params = { mutable values : Value.t array }
 let missing params i =
   fail "parameter ?%d not supplied (%d given)" (i + 1) (Array.length params.values)
 
-(* Parameter [i] of the running execution, read inline where a
-   predicate evaluates it per row. *)
+(* Parameter [i] of the running execution. *)
 let[@inline] param params i =
   let values = params.values in
   if i >= 0 && i < Array.length values then Array.unsafe_get values i
@@ -205,51 +204,64 @@ let bind env ~params e =
   in
   go e
 
-(* An operand read without a closure: a literal, or a parameter looked
-   up when the predicate is evaluated. *)
-type operand = Lit of Value.t | Arg of int
-
-let operand = function
-  | Ast.Const v -> Some (Lit v)
-  | Ast.Param i -> Some (Arg i)
-  | _ -> None
-
-let[@inline] operand_value params = function Lit v -> v | Arg i -> param params i
-
 let in_range v l h = Value.compare v l >= 0 && Value.compare v h <= 0
 
-(* [row.(i) op k]: false when either side is NULL; an Int slot against
-   an Int operand compares inline, [Eq] without going through [holds].
-   The operand is read first, as [bind] reads a comparison's right
-   operand first. Inlined into every closure that tests a slot. *)
-let[@inline] slot_holds params op k i (row : Value.t array) =
-  match operand_value params k with
-  | Value.Int y as v -> (
-    match row.(i) with
-    | Value.Int x -> ( match op with Ast.Eq -> x = y | _ -> holds op (Int.compare x y))
-    | Value.Null -> false
-    | x -> holds op (Value.compare x v))
-  | Value.Null -> false
-  | v -> ( match row.(i) with Value.Null -> false | x -> holds op (Value.compare x v))
-
-(* [row.(i) BETWEEN lo AND hi], the bounds read as [bind] reads them. *)
-let[@inline] slot_between params lo hi i (row : Value.t array) =
-  let l = operand_value params lo and h = operand_value params hi in
-  match (l, h) with
-  | Value.Int lo, Value.Int hi -> (
-    match row.(i) with
-    | Value.Int x -> x >= lo && x <= hi
-    | Value.Null -> false
-    | v -> in_range v l h)
-  | Value.Null, _ | _, Value.Null -> false
-  | _ -> ( match row.(i) with Value.Null -> false | v -> in_range v l h)
-
-(* The boolean-context twin of [bind]: the closure returns what
-   [is_truthy (bind env ~params e row)] would, and raises what it
-   would, without boxing a truth value per node. Columns resolve in
-   [bind]'s order, so the same unknown column is reported. *)
+(* The boolean-context twin of [bind], in two stages. Binding resolves
+   every column, in [bind]'s order, so the same unknown column is
+   reported; the function it returns is called once per execution, after
+   the parameters are set, and gives the row test for their values: it
+   returns what [is_truthy (bind env ~params e row)] would, and raises
+   what it would, without boxing a truth value per node. *)
 let bind_pred env ~params e =
   let open Ast in
+  (* A constant operand as this execution sees it: a literal or a
+     supplied parameter. NULL stands for none: a missing parameter stays
+     an expression, so it fails when evaluated; a NULL one too, so the
+     column is still read as [bind] reads it. *)
+  let const = function
+    | Const v -> v
+    | Param i when i >= 0 && i < Array.length params.values -> params.values.(i)
+    | _ -> Value.Null
+  in
+  (* [col op v]: the column's slot against a constant, read directly;
+     on the scanned row an Int slot against an Int constant compares
+     inline, [Eq] without going through [holds]. *)
+  let col_vs_const (b, i) op v =
+    if not (is_inner env b) then fun _ ->
+      match b.Env.row.(i) with Value.Null -> false | x -> holds op (Value.compare x v)
+    else
+      match (v, op) with
+      | Value.Int y, Eq ->
+        fun row ->
+          (match row.(i) with
+          | Value.Int x -> x = y
+          | Value.Null -> false
+          | x -> Value.compare x v = 0)
+      | Value.Int y, _ ->
+        fun row ->
+          (match row.(i) with
+          | Value.Int x -> holds op (Int.compare x y)
+          | Value.Null -> false
+          | x -> holds op (Value.compare x v))
+      | _ ->
+        fun row ->
+          (match row.(i) with Value.Null -> false | x -> holds op (Value.compare x v))
+  in
+  (* [col BETWEEN l AND h] with constant bounds, read the same way. *)
+  let col_between (b, i) l h =
+    if not (is_inner env b) then fun _ ->
+      match b.Env.row.(i) with Value.Null -> false | v -> in_range v l h
+    else fun row ->
+      match row.(i) with
+      | Value.Int x as v -> (
+        match (l, h) with
+        | Value.Int lo, Value.Int hi -> x >= lo && x <= hi
+        | _ -> in_range v l h)
+      | Value.Null -> false
+      | v -> in_range v l h
+  in
+  (* [v op col] is [col op' v]. *)
+  let flip = function Lt -> Gt | Le -> Ge | Gt -> Lt | Ge -> Le | op -> op in
   let compare_bound op a b =
     let a = bind env ~params a in
     let b = bind env ~params b in
@@ -273,46 +285,53 @@ let bind_pred env ~params e =
       | Value.Null, _, _ | _, Value.Null, _ | _, _, Value.Null -> false
       | _ -> in_range v l h
   in
-  (* A column against operands reads its slot directly: on the scanned
-     row, the argument; on an outer binding, that binding's current
-     row. *)
-  let col_holds q c op k =
-    let b, i = Env.resolve env q c in
-    if is_inner env b then fun row -> slot_holds params op k i row
-    else fun _ -> slot_holds params op k i b.Env.row
-  in
-  let col_between q c lo hi =
-    let b, i = Env.resolve env q c in
-    if is_inner env b then fun row -> slot_between params lo hi i row
-    else fun _ -> slot_between params lo hi i b.Env.row
-  in
-  (* [v op col] is [col op' v]. *)
-  let flip = function Lt -> Gt | Le -> Ge | Gt -> Lt | Ge -> Le | op -> op in
-  let rec go e : Value.t array -> bool =
+  let fixed test () = test in
+  let rec go e : unit -> Value.t array -> bool =
     match e with
     | Unop (Not, e) ->
       let e = go e in
-      fun row -> not (e row)
+      fun () ->
+        let e = e () in
+        fun row -> not (e row)
     | Binop (And, a, b) ->
       let a = go a in
       let b = go b in
-      fun row -> a row && b row
+      fun () ->
+        let a = a () in
+        let b = b () in
+        fun row -> a row && b row
     | Binop (Or, a, b) ->
       let a = go a in
       let b = go b in
-      fun row -> a row || b row
+      fun () ->
+        let a = a () in
+        let b = b () in
+        fun row -> a row || b row
     | Binop (((Eq | Ne | Lt | Le | Gt | Ge) as op), a, b) -> (
-      match (a, operand a, b, operand b) with
-      | Col (q, c), _, _, Some k -> col_holds q c op k
-      | _, Some k, Col (q, c), _ -> col_holds q c (flip op) k
-      | _ -> compare_bound op a b)
+      let general = compare_bound op a b in
+      match (a, b) with
+      | Col (q, c), (Const _ | Param _) -> (
+        let slot = Env.resolve env q c in
+        fun () ->
+          match const b with Value.Null -> general | v -> col_vs_const slot op v)
+      | (Const _ | Param _), Col (q, c) -> (
+        let slot = Env.resolve env q c in
+        fun () ->
+          match const a with Value.Null -> general | v -> col_vs_const slot (flip op) v)
+      | _ -> fixed general)
     | Between ((Col (q, c) as col), lo, hi) -> (
-      match (operand lo, operand hi) with
-      | Some l, Some h -> col_between q c l h
-      | _ -> between_bound col lo hi)
-    | Between (e, lo, hi) -> between_bound e lo hi
+      let general = between_bound col lo hi in
+      match (lo, hi) with
+      | (Const _ | Param _), (Const _ | Param _) -> (
+        let slot = Env.resolve env q c in
+        fun () ->
+          match (const lo, const hi) with
+          | Value.Null, _ | _, Value.Null -> general
+          | l, h -> col_between slot l h)
+      | _ -> fixed general)
+    | Between (e, lo, hi) -> fixed (between_bound e lo hi)
     | _ ->
       let e = bind env ~params e in
-      fun row -> is_truthy (e row)
+      fixed (fun row -> is_truthy (e row))
   in
   go e

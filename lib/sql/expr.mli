@@ -44,17 +44,20 @@ val bind : Env.t -> params:params -> Ast.expr -> t
     only when evaluated. *)
 
 val bind_pred :
-  Env.t -> params:params -> Ast.expr -> (Gg_storage.Value.t array -> bool)
-(** The boolean-context twin of {!bind}, for WHERE and ON clauses:
-    [bind_pred env ~params e row] returns what
-    [is_truthy (bind env ~params e row)] would, and raises the
-    same {!Sql_error} in the same cases (at bind time for an unknown or
-    ambiguous column, when evaluated for a missing parameter or a type
-    error). AND, OR, NOT, the six comparisons and BETWEEN yield a
-    boolean directly; a column compared with a literal or a parameter,
-    or between two of them, reads its slot and the operand without an
-    intermediate closure, and on the scanned row an integer slot
-    against integer operands compares inline. Comparisons evaluate the
-    right operand first, as {!bind} does. *)
+  Env.t -> params:params -> Ast.expr -> unit -> Gg_storage.Value.t array -> bool
+(** The boolean-context twin of {!bind}, for WHERE and ON clauses, in
+    two stages. [bind_pred env ~params e] resolves every column and
+    raises {!Sql_error} on an unknown or ambiguous one, as {!bind}
+    does. The function it returns is called once per execution, after
+    [params] is set, and gives that execution's row test:
+    [bind_pred env ~params e () row] returns what
+    [is_truthy (bind env ~params e row)] would, and raises the same
+    {!Sql_error} in the same cases (a missing parameter or a type error,
+    when evaluated). AND, OR, NOT, the six comparisons and BETWEEN yield
+    a boolean directly; a column compared with a literal or a supplied
+    parameter, or between two of them, reads its slot against that
+    value without an intermediate closure, and on the scanned row an
+    integer slot against integer values compares inline. Comparisons
+    evaluate the right operand first, as {!bind} does. *)
 
 val is_truthy : Gg_storage.Value.t -> bool

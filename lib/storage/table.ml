@@ -391,11 +391,24 @@ let temp_add t ~key ~key_str =
 
 let temp_clear t = Hashtbl.reset t.temp
 
-let scan t ~f =
+(* Entries [i, stop) of [a] in order to [f]; with [keep], only those
+   whose data it holds of, tested in the loop so that a row it rejects
+   costs the walk one call. *)
+let walk a i stop keep f =
+  match keep with
+  | None ->
+    for j = i to stop - 1 do
+      f (Array.unsafe_get a j)
+    done
+  | Some keep ->
+    for j = i to stop - 1 do
+      let e = Array.unsafe_get a j in
+      if keep e.data then f e
+    done
+
+let scan ?keep t ~f =
   let a = ordered t in
-  for i = 0 to Array.length a - 1 do
-    f (Array.unsafe_get a i)
-  done
+  walk a 0 (Array.length a) keep f
 
 let iter_all t ~f = pk_iter t.index f
 
@@ -414,34 +427,39 @@ let rec compare_key_prefix key h i =
     let c = Value.compare (Array.unsafe_get key i) (Array.unsafe_get h i) in
     if c <> 0 then c else compare_key_prefix key h (i + 1)
 
-(* Live rows from the first key [>= from] in key order while
-   [continue key] holds: a binary-search seek, then a walk along the
-   array that allocates nothing per row. [scan_range] walks the same
-   way with its bound inline, so it allocates no closure either. *)
-let iter_while t ~from ~continue f =
+(* Live rows from the first key [>= from] (or the first key) in key
+   order while [continue key] holds: a binary-search seek, then a walk
+   along the array that allocates nothing per row. *)
+let iter_while t ?from ~continue f =
   let a = ordered t in
   let n = Array.length a in
-  let i = ref (lower_bound a from) in
-  while !i < n && continue (Array.unsafe_get a !i).key do
-    f (Array.unsafe_get a !i);
-    incr i
-  done
+  let rec go i =
+    if i < n then begin
+      let e = Array.unsafe_get a i in
+      if continue e.key then begin
+        f e;
+        go (i + 1)
+      end
+    end
+  in
+  go (match from with None -> 0 | Some from -> lower_bound a from)
 
-let scan_range t ?lo ?hi f =
+(* The first position in [a] whose key is past [h] on [h]'s columns. *)
+let past a h =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) lsr 1 in
+      if compare_key_prefix (Array.unsafe_get a mid).key h 0 <= 0 then go (mid + 1) hi
+      else go lo mid
+  in
+  go 0 (Array.length a)
+
+let scan_range ?keep t ?lo ?hi f =
   let a = ordered t in
-  let n = Array.length a in
-  let i = ref (match lo with None -> 0 | Some lo -> lower_bound a lo) in
-  match hi with
-  | None ->
-    while !i < n do
-      f (Array.unsafe_get a !i);
-      incr i
-    done
-  | Some h ->
-    while !i < n && compare_key_prefix (Array.unsafe_get a !i).key h 0 <= 0 do
-      f (Array.unsafe_get a !i);
-      incr i
-    done
+  let start = match lo with None -> 0 | Some lo -> lower_bound a lo in
+  let stop = match hi with None -> Array.length a | Some h -> past a h in
+  walk a start stop keep f
 
 (* Does [key] start with [prefix], from column [i] on? *)
 let rec has_prefix prefix key i =

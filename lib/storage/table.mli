@@ -115,9 +115,11 @@ val temp_clear : t -> unit
 
 (** {1 Scans} *)
 
-val scan : t -> f:(entry -> unit) -> unit
+val scan : ?keep:(Value.t array -> bool) -> t -> f:(entry -> unit) -> unit
 (** All live rows in primary-key order. Builds the ordered index if no
-    ordered read has yet (see the module comment). *)
+    ordered read has yet (see the module comment). With [keep], only
+    the rows whose data it holds of reach [f]; the walk tests it
+    inline, so a row it rejects costs one call. *)
 
 val iter_all : t -> f:(entry -> unit) -> unit
 (** Every entry including tombstones, in no particular order. *)
@@ -129,15 +131,20 @@ val iter_sorted : t -> (entry -> unit) -> unit
     {!total_count} entries. *)
 
 val scan_range :
-  t -> ?lo:Value.t array -> ?hi:Value.t array -> (entry -> unit) -> unit
+  ?keep:(Value.t array -> bool) ->
+  t ->
+  ?lo:Value.t array ->
+  ?hi:Value.t array ->
+  (entry -> unit) ->
+  unit
 (** Live rows with [lo <= key <= hi] in key order (missing bound =
     unbounded). [hi] is compared against the first [Array.length hi] key
     columns only, so a one-column [hi] on a composite key keeps every key
     whose leading column is [<= hi.(0)]; a shorter [lo] already sorts
-    before every key it prefixes. The scan seeks to the first key
-    [>= lo] by binary search, then walks the array and stops at the
-    first key past [hi]: nothing is allocated per scan or per visited
-    row. *)
+    before every key it prefixes. The scan finds the first key [>= lo]
+    and the first key past [hi] by binary search, then walks the array
+    between them: nothing is allocated per scan or per visited row.
+    [keep] filters as in {!scan}. *)
 
 val scan_prefix : t -> prefix:Value.t array -> (entry -> unit) -> unit
 (** Live rows whose key starts with [prefix], in key order. Seeks and

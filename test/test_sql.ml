@@ -1300,6 +1300,7 @@ let prop_bind_pred_matches_bind =
       let bound = outcome (fun () -> Expr.bind env ~params:slot e) in
       let pred = outcome (fun () -> Expr.bind_pred env ~params:slot e) in
       slot.values <- params;
+      let pred = Result.map (fun p -> p ()) pred in
       let eval rows =
         let rec set_outer bs rs =
           match (bs, rs) with
