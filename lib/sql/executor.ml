@@ -292,7 +292,10 @@ let range_bound = function None -> None | Some e -> Some [| eval_const e |]
 (* A committed row as this txn sees it, to [stored] or [updated] when
    [keep] holds of its data; nothing when the txn deleted it. *)
 let visit_entry ctx ~tname ~written ~keep ~stored ~updated entry =
-  match if written then Ctx.find_write ctx ~table:tname ~key_str:entry.Table.key_str else None with
+  let write =
+    if written then Ctx.find_write ctx ~table:tname ~key_str:entry.Table.key_str else None
+  in
+  match write with
   | Some w when not w.w_dead -> (
     match w.w_op with
     | Writeset.Delete -> ()
@@ -327,7 +330,8 @@ let visible_rows ctx tbl (access : Expr.t Plan.access) ~keep ~stored ~updated ~o
       | None -> ()))
   | Plan.Prefix exprs ->
     let prefix = key_values schema exprs in
-    Table.scan_prefix tbl ~prefix (visit_entry ctx ~tname ~written ~keep ~stored ~updated);
+    Table.scan_prefix tbl ~prefix
+      (visit_entry ctx ~tname ~written ~keep ~stored ~updated);
     if written then
       own_inserts ctx tname ~keep own (fun w ->
           Array.length w.w_key >= Array.length prefix
@@ -340,7 +344,8 @@ let visible_rows ctx tbl (access : Expr.t Plan.access) ~keep ~stored ~updated ~o
   | Plan.Range { lo; hi } ->
     let lo = range_bound lo and hi = range_bound hi in
     if written then
-      Table.scan_range tbl ?lo ?hi (visit_entry ctx ~tname ~written ~keep ~stored ~updated)
+      Table.scan_range tbl ?lo ?hi
+        (visit_entry ctx ~tname ~written ~keep ~stored ~updated)
     else Table.scan_range ~keep tbl ?lo ?hi stored;
     if written then own_inserts ctx tname ~keep own any_write
   | Plan.Sec_index (iname, exprs) -> (
@@ -715,7 +720,8 @@ let compile_select db (s : Ast.select) ~params =
           List.map
             (function
               | B_star ->
-                Array.concat (List.map (fun b -> if b == inner then row else b.Env.row) env)
+                Array.concat
+                  (List.map (fun b -> if b == inner then row else b.Env.row) env)
               | p -> [| proj_expr p row |])
             projs
           |> Array.concat

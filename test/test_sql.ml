@@ -1293,9 +1293,10 @@ let prop_bind_pred_matches_bind =
           refs
       in
       (* Bind both before any row or parameter is set, as a compiled
-         statement is; then evaluate each on two successive row sets,
-         the outer rows set in their bindings, the last row passed as
-         the argument and the parameters in the slot. *)
+         statement is, and build the predicate's test once the
+         parameters are in the slot, as a run does; then evaluate each
+         on two successive row sets, the outer rows set in their
+         bindings and the last row passed as the argument. *)
       let slot = { Expr.values = [||] } in
       let bound = outcome (fun () -> Expr.bind env ~params:slot e) in
       let pred = outcome (fun () -> Expr.bind_pred env ~params:slot e) in
